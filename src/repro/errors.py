@@ -153,10 +153,6 @@ class SchedulingError(OaasError):
     """The orchestrator could not place a pod."""
 
 
-class MessagingError(OaasError):
-    """A messaging (topic log) operation failed."""
-
-
 class SimulationError(OaasError):
     """The discrete-event kernel was used incorrectly."""
 

@@ -1,57 +1,48 @@
 """Asynchronous (fire-and-forget) invocation.
 
-Requests are published to a partitioned topic keyed by object id, so
-all updates to one object land on one partition and execute in order —
-serializing writers per object without locks.  Workers consume
-partitions and run requests through the invocation engine; callers can
-await the result through the returned completion event or poll the
-result log by request id.
+Every accepted request takes one path: it is entered in a
+:class:`~repro.scheduler.transport.core.DispatchCore`'s ledger and
+handed to exactly one worker port, rendezvous-hashed on the object id,
+so all updates to one object queue on one port and execute in order —
+serializing writers per object without locks.  The port drains its
+queue through the invocation engine and the core calls back here with
+the single delivered completion per request; callers can await it
+through the returned completion event or poll the result log by
+request id.
 
-With a QoS plane attached (``PlatformConfig(qos=QosConfig(enabled=True))``)
-the FIFO topic drain is replaced by per-partition weighted-fair queues:
-requests are admission-checked at submit, partitioned by the *same*
-object-id hash (per-object ordering is untouched), and served deficit-
-round-robin across classes with EDF inside latency-declared classes.
-Queued work may be shed by the overload controller; shed and rejected
+Which pool the core dispatches over is the platform's choice, not the
+caller's: the scheduler plane's ``SimWorker`` pool when that plane is
+on (``scheduler=SchedulerConfig(enabled=True)``), otherwise a
+:class:`~repro.scheduler.worker.StaticPool` of always-READY in-process
+ports.  Either way the place a request waits is a
+:class:`~repro.qos.fairqueue.WeightedFairQueue`: plain FIFO with QoS
+off; with a QoS plane attached (``qos=QosConfig(enabled=True)``)
+requests are admission-checked at submit, served deficit-round-robin
+across classes with EDF inside latency-declared classes, and queued
+work may be shed by the overload controller.  Shed and rejected
 requests resolve their completion events with failed
 :class:`~repro.invoker.request.InvocationResult`\\ s (``RateLimitedError``
-/ ``OverloadError``), never silently.
-
-With a scheduler plane attached (``scheduler=SchedulerConfig(enabled=
-True)``) dispatch routes through explicit per-worker queues instead:
-each submission is accepted into the scheduler's ledger and handed to
-exactly one READY worker (rendezvous-hashed per object id), and the
-plane calls back with the single delivered completion per request —
-the exactly-once guarantee then lives in the scheduler's run state,
-not the topic.  QoS *admission* still applies at submit time in this
-mode; the fair-queue drain and shedder do not (documented in
-``docs/scheduler.md``).
+/ ``OverloadError``), never silently; a shed request is a ledger
+completion like any other, so ``accepted == completed + outstanding``
+holds under shedding too.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
-from repro.invoker.engine import InvocationEngine, split_object_id
+from repro.invoker.engine import InvocationEngine
 from repro.invoker.request import InvocationRequest, InvocationResult
-from repro.messaging.topic import ConsumerGroup, Message, Topic
-from repro.qos.fairqueue import QueuedItem, WeightedFairQueue
+from repro.qos.fairqueue import QueuedItem
 from repro.qos.plane import QosPlane
+from repro.scheduler.transport.core import request_class
+from repro.scheduler.worker import StaticPool
 from repro.sim.kernel import Environment, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduler.plane import SchedulerPlane
 
 __all__ = ["AsyncInvoker"]
-
-
-def _partition_of(key: str, partitions: int) -> int:
-    """Same hash as :meth:`Topic.partition_for` — the fair-queue path
-    must agree with the topic path on object placement so per-object
-    ordering semantics are identical in both modes."""
-    digest = hashlib.md5(key.encode()).digest()
-    return int.from_bytes(digest[:4], "big") % partitions
 
 
 class AsyncInvoker:
@@ -61,44 +52,21 @@ class AsyncInvoker:
         self,
         env: Environment,
         engine: InvocationEngine,
-        partitions: int = 8,
-        topic_name: str = "oaas-invocations",
         qos: QosPlane | None = None,
         scheduler: "SchedulerPlane | None" = None,
     ) -> None:
         self.env = env
-        self.engine = engine
         self.qos = qos
-        self.scheduler = scheduler
+        self.pool = scheduler if scheduler is not None else StaticPool(env, engine, qos)
+        self.core = self.pool.core
+        self.core.on_complete = self._resolve
         self.results: dict[str, InvocationResult] = {}
         self._completions: dict[str, Event] = {}
         self.submitted = 0
-        self.completed = 0
         self.rejected = 0
         self.shed = 0
-        self._running = True
-        self._use_scheduler = scheduler is not None
-        self._use_wfq = (
-            qos is not None
-            and qos.config.fair_queue_enabled
-            and not self._use_scheduler
-        )
-        if self._use_scheduler:
-            self.topic = None
-            self._group = None
-            self._queues = []
-            scheduler.on_complete = self._on_scheduler_complete
-        elif self._use_wfq:
-            self.topic = None
-            self._group = None
-            self._queues = [qos.new_fair_queue() for _ in range(partitions)]
-            self._workers = [
-                env.process(self._qworker(queue)) for queue in self._queues
-            ]
+        if qos is not None:
             qos.start_shedder(self._on_shed)
-        else:
-            self.topic = Topic(env, topic_name, partitions=partitions)
-            self._group = ConsumerGroup(env, self.topic, self._handle)
 
     def submit(self, request: InvocationRequest) -> Event:
         """Enqueue a request; returns an event resolving to its result."""
@@ -106,8 +74,7 @@ class AsyncInvoker:
         completion = self.env.event()
         self._completions[request.request_id] = completion
         if self.qos is not None:
-            cls = request.cls or split_object_id(request.object_id)[0]
-            decision = self.qos.admit_async(cls)
+            decision = self.qos.admit_async(request_class(request))
             if not decision.admitted:
                 self.rejected += 1
                 self._resolve(
@@ -120,14 +87,7 @@ class AsyncInvoker:
                     ),
                 )
                 return completion
-        if self._use_scheduler:
-            self.scheduler.submit(request)
-        elif self._use_wfq:
-            cls = self._cls_of(request)
-            queue = self._queues[_partition_of(request.object_id, len(self._queues))]
-            queue.push(cls, request, deadline_s=self.qos.deadline_for(cls))
-        else:
-            self.topic.publish(request.object_id, request)
+        self.core.submit(request)
         return completion
 
     def result(self, request_id: str) -> InvocationResult | None:
@@ -146,60 +106,31 @@ class AsyncInvoker:
         registry.gauge("async.pending", labels).set(float(self.pending))
 
     @property
-    def pending(self) -> int:
-        if self._use_scheduler:
-            return self.scheduler.outstanding
-        if self._use_wfq:
-            return sum(queue.depth() for queue in self._queues)
-        return self.topic.depth()
+    def completed(self) -> int:
+        """Delivered completions — executed results and shed failures."""
+        return self.core.delivered
 
-    @staticmethod
-    def _cls_of(request: InvocationRequest) -> str:
-        return request.cls or split_object_id(request.object_id)[0] or ""
+    @property
+    def pending(self) -> int:
+        """Accepted but not completed: queued, parked or mid-execution."""
+        return self.core.outstanding
 
     def _resolve(self, request: InvocationRequest, result: InvocationResult) -> None:
+        """Record a result and fire its completion event — the dispatch
+        core's callback for the single delivered completion, and the
+        direct path for a submission admission refused."""
         self.results[request.request_id] = result
         completion = self._completions.pop(request.request_id, None)
         if completion is not None and not completion.triggered:
             completion.succeed(result)
 
-    # -- FIFO topic path ---------------------------------------------------
-
-    def _handle(self, message: Message) -> Generator:
-        request: InvocationRequest = message.value
-        result = yield self.engine.invoke(request)
-        self.completed += 1
-        self._resolve(request, result)
-
-    # -- scheduler path ----------------------------------------------------
-
-    def _on_scheduler_complete(
-        self, request: InvocationRequest, result: InvocationResult
-    ) -> None:
-        """Scheduler-plane callback: the single delivered completion."""
-        self.completed += 1
-        self._resolve(request, result)
-
-    # -- weighted-fair path ------------------------------------------------
-
-    def _qworker(self, queue: WeightedFairQueue) -> Generator:
-        while self._running:
-            item = yield queue.get()
-            if not self._running:
-                return
-            request: InvocationRequest = item.value
-            self.qos.record_queue_delay(
-                self._cls_of(request), item.queue_delay(self.env.now)
-            )
-            result = yield self.engine.invoke(request)
-            self.completed += 1
-            self._resolve(request, result)
-
-    def _on_shed(self, item: QueuedItem) -> None:
-        """Overload-controller callback: fail a shed request's completion."""
-        request: InvocationRequest = item.value
+    def _on_shed(self, queued: QueuedItem) -> None:
+        """Overload-controller callback: complete a shed request, as a
+        failure, through the ledger."""
+        request: InvocationRequest = queued.value.request
         self.shed += 1
-        self._resolve(
+        self.core.complete(
+            self.core.ledger.entry(request.request_id).worker,
             request,
             InvocationResult.failure(
                 request,
@@ -209,18 +140,10 @@ class AsyncInvoker:
         )
 
     def stop(self) -> dict[str, int]:
-        """Stop draining; returns ``{"pending": n}`` — submissions not
-        fully processed (queued, fetched-in-flight, or mid-handler) at
-        stop time, mirroring ``WriteBehindQueue.stop()``'s loss report."""
-        self._running = False
-        if self._use_scheduler:
-            return self.scheduler.stop()
-        if self._use_wfq:
+        """Stop draining; returns the pool's report, whose ``"pending"``
+        counts submissions accepted but not fully processed (queued or
+        mid-execution) at stop time, mirroring
+        ``WriteBehindQueue.stop()``'s loss report."""
+        if self.qos is not None:
             self.qos.stop()
-            return {
-                "pending": self.submitted
-                - self.completed
-                - self.rejected
-                - self.shed
-            }
-        return self._group.stop()
+        return self.pool.stop()

@@ -93,7 +93,6 @@ class PlatformConfig:
     knative: KnativeModel = field(default_factory=KnativeModel)
     deployment: DeploymentModel = field(default_factory=DeploymentModel)
     catalog: TemplateCatalog | None = None
-    async_partitions: int = 8
     scheduler_policy: str = "least-allocated"
     optimizer_enabled: bool = False
     optimizer_interval_s: float = 5.0
@@ -122,8 +121,8 @@ class PlatformConfig:
     #: Scheduler plane (explicit worker-pool control plane: registration,
     #: heartbeats, class installs, drain/rebind, exactly-once dispatch
     #: ledger).  Off by default: with ``scheduler.enabled == False`` no
-    #: plane is constructed and async dispatch runs the original
-    #: partitioned-topic (or QoS fair-queue) code.
+    #: plane is constructed and async dispatch runs the same dispatch
+    #: core over a static pool of in-process ports.
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     #: Federation plane (hierarchical edge/regional/core zone topology,
     #: NFR-scored placement, live object migration, geo-routing).  Off
@@ -213,8 +212,9 @@ class Oparaca:
             )
         self.scheduler_plane: SchedulerPlane | None = None
         # The sim plane only exists on the sim transport; with
-        # transport="asyncio" the sim dispatch path stays at baseline and
-        # the same protocol is served over real sockets by serve_http().
+        # transport="asyncio" sim-side async dispatch keeps its static
+        # pool and the same protocol is served over real sockets by
+        # serve_http().
         if self.config.scheduler.enabled and self.config.scheduler.transport == "sim":
             self.scheduler_plane = SchedulerPlane(
                 self.env,
@@ -224,6 +224,7 @@ class Oparaca:
                 events=self.events,
                 tracer=self.tracer,
                 config=self.config.scheduler,
+                qos=self.qos,
             )
             self.scheduler_plane.start()
         self.federation: FederationPlane | None = None
@@ -242,7 +243,6 @@ class Oparaca:
         self.queue = AsyncInvoker(
             self.env,
             self.engine,
-            partitions=self.config.async_partitions,
             qos=self.qos,
             scheduler=self.scheduler_plane,
         )
@@ -316,12 +316,9 @@ class Oparaca:
             else:
                 package = loads_package(package)
         runtimes = self.crm.deploy_package(package)
-        if self.scheduler_plane is not None:
+        for listener in (self.queue.pool, *self._http_fronts):
             for runtime in runtimes:
-                self.scheduler_plane.on_deploy(runtime.cls)
-        for front in self._http_fronts:
-            for runtime in runtimes:
-                front.on_deploy(runtime.cls)
+                listener.on_deploy(runtime.cls)
         return runtimes
 
     # -- execution helpers ------------------------------------------------------------

@@ -1,20 +1,24 @@
 """Weighted-fair queue: deficit round-robin across classes, EDF within.
 
-Replaces the FIFO drain of the async invocation topic when the QoS
-plane is enabled.  FIFO lets one flooding class capture every worker
-(head-of-line blocking); here each class gets its own sub-queue and
-workers pull through a deficit-round-robin scheduler, so a class's
-share of service is proportional to its :class:`~repro.qos.policy.QosPolicy`
-weight no matter how deep a neighbour's backlog grows.
+The one place an accepted async invocation waits: every sim-side worker
+port (:mod:`repro.scheduler.worker`) queues in one of these.  Pushed
+under a single flow key with no deadline it *is* a FIFO — the baseline
+discipline.  With the QoS plane on, each class gets its own sub-queue
+and the port pulls through a deficit-round-robin scheduler, so a
+class's share of service is proportional to its
+:class:`~repro.qos.policy.QosPolicy` weight no matter how deep a
+neighbour's backlog grows (no head-of-line blocking by a flooding
+class).
 
 Within a class, items carrying a deadline are served earliest-deadline-
 first.  Deadlines are ``arrival + latency target``, so for a single
 class EDF degenerates to FIFO — per-object ordering (same object →
-same partition → same queue, served in arrival order) is preserved.
+same worker → same queue, served in arrival order) is preserved.
 
-The structure is deliberately process-free: selection happens inside
-:meth:`get` on demand, making the schedule a pure function of the
-push/get sequence — deterministic across runs by construction.
+The structure is deliberately process- and event-free: selection
+happens inside :meth:`pop` on demand, making the schedule a pure
+function of the push/pop sequence — deterministic across runs by
+construction.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from repro.sim.kernel import Environment, Event, URGENT
+from repro.sim.kernel import Environment
 
 __all__ = ["QueuedItem", "WeightedFairQueue"]
 
@@ -33,7 +37,7 @@ DEFAULT_WEIGHT = 2
 
 @dataclass(frozen=True)
 class QueuedItem:
-    """One entry of the fair queue, returned by :meth:`WeightedFairQueue.get`."""
+    """One entry of the fair queue, returned by :meth:`WeightedFairQueue.pop`."""
 
     cls: str
     value: Any
@@ -47,10 +51,10 @@ class QueuedItem:
 class WeightedFairQueue:
     """Per-class heaps drained by deficit round-robin.
 
-    Each :meth:`get` serves one item.  A visit to a class grants it
+    Each :meth:`pop` serves one item.  A visit to a class grants it
     ``weight`` units of deficit; unit-cost items are served until the
     deficit runs out, then the rotation advances — classic DRR with
-    per-item granularity so a blocking consumer loop can drive it.
+    per-item granularity so a serial consumer loop can drive it.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -62,7 +66,6 @@ class WeightedFairQueue:
         self._in_rotation: set[str] = set()
         self._deficit: dict[str, float] = {}
         self._current: str | None = None
-        self._getters: deque[Event] = deque()
         self._seq = 0
         self.pushed = 0
         self.served = 0
@@ -88,8 +91,7 @@ class WeightedFairQueue:
         return sorted(cls for cls, heap in self._heaps.items() if heap)
 
     def push(self, cls: str, value: Any, deadline_s: float | None = None) -> QueuedItem:
-        """Enqueue ``value`` under ``cls``; hands it straight to a waiting
-        getter when the queue is idle (the only item — fairness is moot)."""
+        """Enqueue ``value`` under flow key ``cls``."""
         item = QueuedItem(
             cls=cls,
             value=value,
@@ -97,13 +99,6 @@ class WeightedFairQueue:
             deadline=deadline_s,
         )
         self.pushed += 1
-        if self._getters:
-            event = self._getters.popleft()
-            event._ok = True
-            event._value = item
-            self.served += 1
-            self.env._schedule(event, priority=URGENT)
-            return item
         self._seq += 1
         key = float("inf") if deadline_s is None else deadline_s
         heap = self._heaps.setdefault(cls, [])
@@ -113,17 +108,22 @@ class WeightedFairQueue:
             self._in_rotation.add(cls)
         return item
 
-    def get(self) -> Event:
-        """Return an event firing with the next :class:`QueuedItem` under DRR."""
-        event = Event(self.env)
-        if self.depth():
-            event._ok = True
-            event._value = self._pop_next()
-            self.served += 1
-            self.env._schedule(event, priority=URGENT)
-        else:
-            self._getters.append(event)
-        return event
+    def pop(self) -> QueuedItem | None:
+        """Serve the next :class:`QueuedItem` under DRR; ``None`` when empty."""
+        if not self.depth():
+            return None
+        self.served += 1
+        return self._pop_next()
+
+    def drain(self) -> list[QueuedItem]:
+        """Remove and return everything queued, in the order :meth:`pop`
+        would have served it, without counting it as served — the
+        handoff a draining or crashed worker owes its peers, which keeps
+        per-object order across the move."""
+        items = []
+        while self.depth():
+            items.append(self._pop_next())
+        return items
 
     def _pop_next(self) -> QueuedItem:
         # Caller guarantees depth() > 0, so the loop terminates: every

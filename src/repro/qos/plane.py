@@ -1,16 +1,18 @@
 """The QoS plane facade: policies, admission, fair queues, shedder.
 
-One object owns the whole enforcement pipeline so the gateway and the
-async invoker each wire against a single dependency:
+One object owns the whole enforcement pipeline so the gateway, the
+async invoker and the worker pools each wire against a single
+dependency:
 
 * :meth:`QosPlane.policy_for` resolves (and caches) a class's
   :class:`~repro.qos.policy.QosPolicy` from its deployed NFRs, exactly
   as the CRM derives resilience policies at deploy time.
 * :meth:`admit_http` / :meth:`admit_async` run admission control in
   front of the synchronous and asynchronous paths.
-* :meth:`new_fair_queue` builds the per-partition weighted-fair queues
-  the async invoker drains, pre-seeded with resolved weights.
-* :meth:`start_shedder` launches the overload controller over those
+* :meth:`new_fair_queue` builds the weighted-fair queue of one worker
+  port (static or ``SimWorker``), pre-seeded with resolved weights;
+  :meth:`retire_queue` forgets a dead worker's.
+* :meth:`start_shedder` launches the overload controller over the live
   queues.
 
 The plane is **off by default**: ``PlatformConfig().qos.enabled`` is
@@ -38,10 +40,6 @@ from repro.sim.kernel import Environment
 
 __all__ = ["QosConfig", "QosPlane"]
 
-#: Decision reason used when an admission stage is configured off.
-BYPASS = "bypass"
-
-
 class NfrDirectory(Protocol):
     """The slice of the CRM the plane needs: resolved NFRs per class."""
 
@@ -55,12 +53,8 @@ class QosConfig:
 
     Attributes:
         enabled: master switch; when False the platform never builds a
-            plane and both data paths run their original code.
-        admission_enabled: token-bucket + ceiling checks at the gateway
-            and async submit.
-        fair_queue_enabled: weighted-fair (DRR/EDF) drain of the async
-            topic instead of FIFO.
-        shedder_enabled: the overload controller process.
+            plane: no admission checks, worker queues are plain FIFO and
+            nothing is shed.
         burst_window_s: token-bucket burst credit, as seconds of the
             declared rate.
         concurrency_limit: platform-wide in-flight HTTP ceiling
@@ -72,9 +66,6 @@ class QosConfig:
     """
 
     enabled: bool = False
-    admission_enabled: bool = True
-    fair_queue_enabled: bool = True
-    shedder_enabled: bool = True
     burst_window_s: float = 0.25
     concurrency_limit: int | None = None
     shed_queue_depth: int = 256
@@ -127,7 +118,13 @@ class QosPlane:
         self.admission = AdmissionController(
             env, concurrency_limit=self.config.concurrency_limit
         )
+        #: Queues of live worker ports — what the shedder watches.
         self.queues: list[WeightedFairQueue] = []
+        #: Totals carried over from retired queues, so the counters
+        #: reported below never run backwards when a worker dies.
+        self._retired_pushed = 0
+        self._retired_served = 0
+        self._retired_shed: dict[str, int] = {}
         self.shedder: OverloadController | None = None
         self._policies: dict[str, QosPolicy] = {}
 
@@ -173,9 +170,6 @@ class QosPlane:
         The caller owns an in-flight slot on admission and must call
         :meth:`release_http` when the request completes.
         """
-        if not self.config.admission_enabled:
-            self.admission.in_flight += 1
-            return AdmissionDecision(admitted=True, reason=BYPASS, cls=cls or "")
         decision = self.admission.check(self.policy_for(cls))
         if not decision.admitted:
             self._emit_reject(decision, path="http")
@@ -187,8 +181,6 @@ class QosPlane:
     def admit_async(self, cls: str | None) -> AdmissionDecision:
         """Admission check for one asynchronous submit (rate only: queued
         work is bounded by the shedder, not the in-flight ceiling)."""
-        if not self.config.admission_enabled:
-            return AdmissionDecision(admitted=True, reason=BYPASS, cls=cls or "")
         decision = self.admission.check(self.policy_for(cls), use_ceiling=False)
         if not decision.admitted:
             self._emit_reject(decision, path="async")
@@ -217,6 +209,16 @@ class QosPlane:
         self.queues.append(queue)
         return queue
 
+    def retire_queue(self, queue: WeightedFairQueue) -> None:
+        """Forget a dead worker's (already emptied) queue, keeping its
+        totals; the shedder shares :attr:`queues`, so it stops scanning
+        the queue too."""
+        self.queues.remove(queue)
+        self._retired_pushed += queue.pushed
+        self._retired_served += queue.served
+        for cls, count in queue.shed_count.items():
+            self._retired_shed[cls] = self._retired_shed.get(cls, 0) + count
+
     def deadline_for(self, cls: str | None) -> float | None:
         """Absolute EDF deadline for a request arriving now (or None)."""
         policy = self.policy_for(cls)
@@ -236,13 +238,8 @@ class QosPlane:
 
     def start_shedder(
         self, on_shed: Callable[[QueuedItem], None] | None = None
-    ) -> OverloadController | None:
-        """Build and start the overload controller over the fair queues.
-
-        Returns ``None`` when shedding is configured off.
-        """
-        if not self.config.shedder_enabled:
-            return None
+    ) -> OverloadController:
+        """Build and start the overload controller over the fair queues."""
         self.shedder = OverloadController(
             self.env,
             self.queues,
@@ -271,6 +268,18 @@ class QosPlane:
     def queue_depth(self) -> int:
         return sum(queue.depth() for queue in self.queues)
 
+    def _queue_totals(self) -> tuple[int, int, dict[str, int]]:
+        """(pushed, served, shed-by-class) over live and retired queues."""
+        shed_by_class = dict(self._retired_shed)
+        for queue in self.queues:
+            for cls, count in queue.shed_count.items():
+                shed_by_class[cls] = shed_by_class.get(cls, 0) + count
+        return (
+            self._retired_pushed + sum(q.pushed for q in self.queues),
+            self._retired_served + sum(q.served for q in self.queues),
+            shed_by_class,
+        )
+
     def collect_metrics(self, registry) -> None:
         """Metrics-plane pull hook: admission verdicts per class, fair-
         queue depth/throughput, and sheds — labeled by class and plane."""
@@ -293,18 +302,9 @@ class QosPlane:
             float(self.admission.in_flight)
         )
         registry.gauge("qos.queue_depth", plane_labels).set(float(self.queue_depth()))
-        set_counter(
-            registry, "qos.queue_pushed",
-            float(sum(q.pushed for q in self.queues)), plane_labels,
-        )
-        set_counter(
-            registry, "qos.queue_served",
-            float(sum(q.served for q in self.queues)), plane_labels,
-        )
-        shed_by_class: dict[str, int] = {}
-        for queue in self.queues:
-            for cls, count in queue.shed_count.items():
-                shed_by_class[cls] = shed_by_class.get(cls, 0) + count
+        pushed, served, shed_by_class = self._queue_totals()
+        set_counter(registry, "qos.queue_pushed", float(pushed), plane_labels)
+        set_counter(registry, "qos.queue_served", float(served), plane_labels)
         for cls, count in shed_by_class.items():
             set_counter(
                 registry, "qos.shed", float(count), {"class": cls, "plane": "qos"}
@@ -317,16 +317,13 @@ class QosPlane:
 
     def stats(self) -> dict[str, Any]:
         """The full enforcement picture, JSON-friendly."""
+        pushed, served, shed_by_class = self._queue_totals()
         queue_stats: dict[str, Any] = {
-            "pushed": sum(q.pushed for q in self.queues),
-            "served": sum(q.served for q in self.queues),
+            "pushed": pushed,
+            "served": served,
             "depth": self.queue_depth(),
+            "shed_by_class": dict(sorted(shed_by_class.items())),
         }
-        shed_by_class: dict[str, int] = {}
-        for queue in self.queues:
-            for cls, count in queue.shed_count.items():
-                shed_by_class[cls] = shed_by_class.get(cls, 0) + count
-        queue_stats["shed_by_class"] = dict(sorted(shed_by_class.items()))
         out: dict[str, Any] = {
             "policies": [
                 {

@@ -160,29 +160,29 @@ class InvocationLedger:
     def entry(self, request_id: str) -> LedgerEntry | None:
         return self._entries.get(request_id)
 
+    @property
+    def outstanding_count(self) -> int:
+        """How many entries are not yet completed, in O(1): every
+        accepted entry is completed at most once, so the difference of
+        the two counters *is* ``len(self.outstanding())``."""
+        return self.accepted - self.completed
+
     def outstanding(self) -> list[LedgerEntry]:
-        """Accepted-or-dispatched entries, in acceptance order."""
+        """Accepted-or-dispatched entries, in acceptance order (a scan;
+        use :attr:`outstanding_count` when only the count is needed)."""
         return [
             entry
             for entry in self._entries.values()
             if entry.state is not EntryState.COMPLETED
         ]
 
-    def dispatched_to(self, worker: str) -> list[LedgerEntry]:
-        return [
-            entry
-            for entry in self._entries.values()
-            if entry.state is EntryState.DISPATCHED and entry.worker == worker
-        ]
-
     def audit(self) -> dict[str, int]:
         """Conservation counters; ``accepted == completed + outstanding``
         holds by construction."""
-        outstanding = len(self.outstanding())
         return {
             "accepted": self.accepted,
             "completed": self.completed,
-            "outstanding": outstanding,
+            "outstanding": self.outstanding_count,
             "requeues": self.requeues,
             "suppressed": self.suppressed,
         }

@@ -5,8 +5,9 @@ the platform component that owns *run state* (which invocation lives
 where) and *worker state* (who is registered, healthy, draining, dead),
 so that developers never see deployment, scaling, or failure handling.
 Like every plane it is **off by default** (``SchedulerConfig.enabled``);
-when off, the platform byte-identically reproduces the baseline
-partitioned-topic dispatch path.
+when off, async dispatch runs the same :class:`DispatchCore` over a
+:class:`~repro.scheduler.worker.StaticPool` of in-process ports that
+records no ``scheduler.*`` events or spans.
 
 The plane is the **sim transport** of the worker protocol: the
 dispatch/ledger/fencing state machine lives in
@@ -20,12 +21,13 @@ When enabled:
 * the plane registers ``pool_size`` workers at startup, each bound to a
   pod placed through the orchestrator's pod scheduler (so node failures
   reach workers through the same seam deployments use);
-* :class:`~repro.invoker.queue.AsyncInvoker` routes submissions here
-  instead of to the partitioned topic — the plane accepts each request
-  into its :class:`~repro.scheduler.ledger.InvocationLedger` and
-  dispatches it to exactly one READY worker chosen by rendezvous
-  hashing over the object id (stable per-object affinity, minimal
-  movement when the pool changes);
+* :class:`~repro.invoker.queue.AsyncInvoker` submits to this plane's
+  core — each request is accepted into its
+  :class:`~repro.scheduler.ledger.InvocationLedger` and dispatched to
+  exactly one READY worker chosen by rendezvous hashing over the object
+  id (stable per-object affinity, minimal movement when the pool
+  changes); with the QoS plane also on, every worker's queue is a
+  weighted-fair queue the overload controller can shed from;
 * a monitor process watches heartbeats, degrades silent workers (new
   dispatch stops, queued work is rebound), and declares persistently
   silent workers dead — fencing their epoch and requeueing everything
@@ -43,15 +45,15 @@ what the conformance harness replays and asserts over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import SchedulingError, ValidationError
-from repro.invoker.request import InvocationRequest, InvocationResult
+from repro.invoker.request import InvocationRequest
 from repro.orchestrator.pod import PodSpec
 from repro.orchestrator.resources import ResourceSpec
 from repro.scheduler.state import WorkerState
 from repro.scheduler.transport.core import DispatchCore
-from repro.scheduler.worker import DispatchItem, SimWorker
+from repro.scheduler.worker import SimWorker
 from repro.sim.kernel import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitoring.tracing import Tracer
     from repro.orchestrator.cluster import Cluster
     from repro.orchestrator.scheduler import Scheduler
+    from repro.qos.plane import QosPlane
     from repro.scheduler.ledger import InvocationLedger
 
 __all__ = ["SchedulerConfig", "SchedulerPlane"]
@@ -91,7 +94,6 @@ class SchedulerConfig:
     register_delay_s: float = 0.02
     install_delay_s: float = 0.05
     dispatch_overhead_s: float = 0.0
-    rebind_on_degraded: bool = True
     replace_dead_workers: bool = True
     worker_cpu_millis: int = 100
     worker_memory_mb: int = 128
@@ -132,6 +134,7 @@ class SchedulerPlane:
         events: "EventLog | None" = None,
         tracer: "Tracer | None" = None,
         config: SchedulerConfig | None = None,
+        qos: "QosPlane | None" = None,
     ) -> None:
         self.env = env
         self.engine = engine
@@ -140,6 +143,7 @@ class SchedulerPlane:
         self.events = events
         self.tracer = tracer
         self.config = config or SchedulerConfig(enabled=True)
+        self.qos = qos
         self.core = DispatchCore(clock=lambda: self.env.now, emit=self._emit)
         self.heartbeats = 0
         self._next_worker = 0
@@ -171,18 +175,6 @@ class SchedulerPlane:
     def parked_total(self) -> int:
         return self.core.parked_total
 
-    @property
-    def on_complete(
-        self,
-    ) -> Callable[[InvocationRequest, InvocationResult], None] | None:
-        return self.core.on_complete
-
-    @on_complete.setter
-    def on_complete(
-        self, callback: Callable[[InvocationRequest, InvocationResult], None] | None
-    ) -> None:
-        self.core.on_complete = callback
-
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
@@ -196,9 +188,9 @@ class SchedulerPlane:
 
     def stop(self) -> dict[str, int]:
         """Stop the plane: report what was still pending (with the parked
-        subset broken out, mirroring ``ConsumerGroup.stop()``) and halt
-        every live worker's heartbeat/work-loop processes so nothing of
-        the plane stays scheduled on the kernel."""
+        subset broken out) and halt every live worker's heartbeat and
+        work-loop processes so nothing of the plane stays scheduled on
+        the kernel."""
         report = self.core.stop_report()
         if not self._running:
             return report
@@ -245,13 +237,6 @@ class SchedulerPlane:
     def submit(self, request: InvocationRequest) -> None:
         """Accept one invocation into the ledger and route it."""
         self.core.submit(request)
-
-    def report_completion(
-        self, worker: SimWorker, item: DispatchItem, result: InvocationResult
-    ) -> None:
-        """A worker finished an item.  First completion wins; duplicates
-        (a fenced attempt racing its redispatched twin) are suppressed."""
-        self.core.complete(worker.name, item.request, result)
 
     # -- worker callbacks ---------------------------------------------------
 
@@ -313,8 +298,7 @@ class SchedulerPlane:
             WorkerState.DEGRADED, self.env.now, "missed-heartbeats"
         )
         self._emit("scheduler.degraded", worker=worker.name)
-        if self.config.rebind_on_degraded:
-            self._rebind_queued(worker, "degraded")
+        self._rebind_queued(worker, "degraded")
 
     def _rebind_queued(self, worker: SimWorker, reason: str) -> None:
         """Move everything *queued* (not in-flight) off ``worker``."""
@@ -355,7 +339,7 @@ class SchedulerPlane:
         self._emit(
             "scheduler.dead", worker=name, reason=reason, requeued=len(dropped)
         )
-        self._teardown_pod(worker)
+        self._teardown(worker)
         self.core.reroute(name, dropped)
         self._maybe_replace()
         return True
@@ -370,10 +354,13 @@ class SchedulerPlane:
     def _retire(self, worker: SimWorker, reason: str) -> None:
         worker.machine.transition(WorkerState.DEAD, self.env.now, reason)
         self._emit("scheduler.dead", worker=worker.name, reason=reason, requeued=0)
-        self._teardown_pod(worker)
+        self._teardown(worker)
         self._maybe_replace()
 
-    def _teardown_pod(self, worker: SimWorker) -> None:
+    def _teardown(self, worker: SimWorker) -> None:
+        """A worker just went DEAD: release its queue and its pod."""
+        if self.qos is not None:
+            self.qos.retire_queue(worker.queue)
         if worker.pod is None:
             return
         if self.cluster.pod(worker.pod.name) is worker.pod:
@@ -473,7 +460,7 @@ class SchedulerPlane:
                 registry, "scheduler.heartbeats", float(worker.heartbeats_sent), labels
             )
             registry.gauge("scheduler.queue_depth", labels).set(
-                float(len(worker.queue))
+                float(worker.queue.depth())
             )
             registry.gauge("scheduler.worker_phase", labels).set(
                 float(worker.machine.phase)

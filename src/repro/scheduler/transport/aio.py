@@ -511,15 +511,14 @@ class AsyncSchedulerServer:
             WorkerState.DEGRADED, self.now(), "missed-heartbeats"
         )
         self._emit("scheduler.degraded", worker=worker.name)
-        if self.config.rebind_on_degraded:
-            moved = self.core.reroute(worker.name, worker.take_queue())
-            if moved:
-                self._emit(
-                    "scheduler.rebind",
-                    worker=worker.name,
-                    moved=moved,
-                    reason="degraded",
-                )
+        moved = self.core.reroute(worker.name, worker.take_queue())
+        if moved:
+            self._emit(
+                "scheduler.rebind",
+                worker=worker.name,
+                moved=moved,
+                reason="degraded",
+            )
 
     # -- observability -------------------------------------------------------
 

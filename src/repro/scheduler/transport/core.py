@@ -13,30 +13,43 @@ one state machine:
   (:class:`~repro.scheduler.transport.aio.AsyncSchedulerServer`) calls
   it with remote-connection ports and the event-loop clock.
 
+On the sim kernel the core is the *only* way an async invocation
+reaches the engine: :class:`~repro.invoker.queue.AsyncInvoker` submits
+every accepted request here, over the scheduler plane's ``SimWorker``
+pool when that plane is on and over a
+:class:`~repro.scheduler.worker.StaticPool` of always-READY in-process
+ports when it is off.
+
 A *worker port* is anything exposing the attributes the core reads
 (``name``, ``epoch``, ``installed``, ``machine``) and the two methods it
 calls (``push(item)`` to deliver a dispatch, ``take_queue()`` to hand
-queued items back on rebind).  The conformance invariants — exactly-once
-completion, dispatch-only-to-READY, phase-monotone histories — are
-properties of this class, which is why they hold identically over both
-transports.
+queued items back, in service order, on rebind).  The conformance
+invariants — exactly-once completion, dispatch-only-to-READY,
+phase-monotone histories — are properties of this class, which is why
+they hold identically over both transports.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Container, Protocol, runtime_checkable
 
 from repro.invoker.engine import split_object_id
 from repro.scheduler.ledger import InvocationLedger
+from repro.storage.hashring import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.invoker.request import InvocationRequest, InvocationResult
     from repro.scheduler.state import WorkerStateMachine
 
-__all__ = ["DispatchItem", "WorkerPort", "DispatchCore", "rendezvous_score"]
+__all__ = [
+    "DispatchItem",
+    "WorkerPort",
+    "DispatchCore",
+    "rendezvous_score",
+    "request_class",
+]
 
 
 @dataclass(frozen=True)
@@ -54,7 +67,7 @@ class WorkerPort(Protocol):
 
     name: str
     epoch: int
-    installed: set[str]
+    installed: Container[str]
     machine: "WorkerStateMachine"
 
     def push(self, item: DispatchItem) -> None: ...
@@ -64,8 +77,12 @@ class WorkerPort(Protocol):
 
 def rendezvous_score(object_id: str, worker: str) -> int:
     """Stable per-(object, worker) weight for rendezvous hashing."""
-    digest = hashlib.md5(f"{object_id}|{worker}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return stable_hash(f"{object_id}|{worker}")
+
+
+def request_class(request: "InvocationRequest") -> str | None:
+    """The class a request addresses: explicit, else its object id's."""
+    return request.cls or split_object_id(request.object_id)[0]
 
 
 class DispatchCore:
@@ -125,13 +142,12 @@ class DispatchCore:
         self.dispatch(worker, request)
 
     def pick(self, request: "InvocationRequest") -> WorkerPort | None:
-        cls = request.cls or split_object_id(request.object_id)[0]
-        if cls is not None and cls not in self._classes:
-            # The class has a name but no runtime was deployed yet (a
-            # submit racing ``on_deploy``).  No worker can have it
-            # installed, so dispatching now would execute against a
-            # missing runtime — park until the deploy lands.
-            return None
+        # A class no worker has installed yet (a submit racing
+        # ``on_deploy``) leaves ``eligible`` empty, so the request parks
+        # until the install lands instead of running against a missing
+        # runtime.  In-process ports install nothing: the engine they
+        # call resolves every class (and fails unknown ones, typed).
+        cls = request_class(request)
         eligible = [
             worker
             for _, worker in sorted(self.workers.items())
@@ -217,7 +233,7 @@ class DispatchCore:
 
     @property
     def outstanding(self) -> int:
-        return len(self.ledger.outstanding())
+        return self.ledger.outstanding_count
 
     @property
     def live_workers(self) -> int:

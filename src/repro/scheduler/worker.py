@@ -1,20 +1,29 @@
-"""The simulated worker runtime.
+"""Sim-side worker ports: the serial work loop and its two pools.
 
-A :class:`SimWorker` is the worker half of the control-plane protocol,
-modeled as sim-kernel processes (the same way pods and flushers are):
+:class:`QueueWorker` is the execution half every sim-kernel port
+shares: a :class:`~repro.qos.fairqueue.WeightedFairQueue` drained one
+item at a time through the invocation engine, so all invocations routed
+to one port (and therefore all invocations of one object, which hash to
+one port) execute in order.  With QoS off everything is pushed under
+one flow key with no deadline — plain FIFO; with QoS on the queue comes
+from :meth:`QosPlane.new_fair_queue`, so DRR weights, EDF, the
+queue-delay histogram and the overload controller act inside whichever
+pool is running.
 
-* an **activation** process — registration delay, then one timed
-  package install per deployed class, then the READY report;
-* a **heartbeat** process — periodic beats to the scheduler, which
-  chaos can suppress (``HeartbeatLoss``) without stopping execution,
-  producing the zombie-worker case the scheduler must fence;
-* a **work loop** — serially drains the worker's dispatch queue
-  through the invocation engine, so all invocations routed to one
-  worker (and therefore all invocations of one object, which hash to
-  one worker) execute in order.
+Two pools stand on it:
+
+* :class:`StaticPool` — the baseline: a fixed set of always-READY
+  in-process ports.  No pods, no heartbeats, no lifecycle events.
+* :class:`SimWorker` — the worker half of the scheduler plane's
+  control-plane protocol, adding an **activation** process
+  (registration delay, then one timed package install per deployed
+  class, then the READY report) and a **heartbeat** process (periodic
+  beats to the scheduler, which chaos can suppress (``HeartbeatLoss``)
+  without stopping execution, producing the zombie-worker case the
+  scheduler must fence).
 
 Epoch fencing makes crash recovery lossless *and* duplicate-free: every
-dispatched item carries the worker's epoch; :meth:`SimWorker.crash`
+dispatched item carries the worker's epoch; :meth:`QueueWorker.crash`
 bumps the epoch before the scheduler requeues the in-flight item, so
 when the orphaned execution eventually completes, the work loop
 discards its result instead of reporting a second completion.
@@ -23,22 +32,191 @@ discards its result instead of reporting a second completion.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Container, Generator
 
-from repro.invoker.request import InvocationResult
+from repro.invoker.request import InvocationRequest, InvocationResult
+from repro.qos.fairqueue import WeightedFairQueue
 from repro.scheduler.state import WorkerState, WorkerStateMachine
-from repro.scheduler.transport.core import DispatchItem
+from repro.scheduler.transport.core import DispatchCore, DispatchItem, request_class
 from repro.sim.kernel import Environment, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.invoker.engine import InvocationEngine
     from repro.orchestrator.pod import Pod
+    from repro.qos.plane import QosPlane
     from repro.scheduler.plane import SchedulerPlane
 
-__all__ = ["DispatchItem", "SimWorker"]
+__all__ = ["DispatchItem", "QueueWorker", "SimWorker", "StaticPool"]
+
+#: Ports in the baseline pool (the historical async partition count).
+STATIC_POOL_SIZE = 8
+
+#: The one flow key everything queues under when QoS is off.
+FIFO_FLOW = ""
 
 
-class SimWorker:
-    """One registered worker: state machine + queue + sim processes."""
+class _EveryClass:
+    """``installed`` of an in-process port: the engine it calls resolves
+    every deployed class itself and fails an unknown one with a typed
+    result, so nothing is ever "not installed yet"."""
+
+    def __contains__(self, cls: object) -> bool:
+        return True
+
+
+class QueueWorker:
+    """One worker port: fair queue + serial work loop + epoch fence."""
+
+    def __init__(
+        self,
+        env: Environment,
+        name: str,
+        engine: "InvocationEngine",
+        complete: Callable[[str, InvocationRequest, InvocationResult], Any],
+        *,
+        qos: "QosPlane | None" = None,
+        state: WorkerState = WorkerState.REGISTERED,
+        dispatch_overhead_s: float = 0.0,
+    ) -> None:
+        self.env = env
+        self.name = name
+        self.engine = engine
+        self.qos = qos
+        self.machine = WorkerStateMachine(state)
+        self.epoch = 0
+        self.installed: Container[str] = set()
+        self.queue = qos.new_fair_queue() if qos is not None else WeightedFairQueue(env)
+        self.in_flight: DispatchItem | None = None
+        self.dispatched_count = 0
+        self.completed_count = 0
+        self.slow_factor = 1.0
+        self.dispatch_overhead_s = dispatch_overhead_s
+        self._complete = complete
+        self._halted = False
+        self._wake: Event | None = None
+        env.process(self._work_loop())
+
+    # -- dispatch-core-facing control ---------------------------------------
+
+    def push(self, item: DispatchItem) -> None:
+        """Accept one dispatched item onto the local queue."""
+        if self.qos is None:
+            self.queue.push(FIFO_FLOW, item)
+        else:
+            cls = request_class(item.request) or ""
+            self.queue.push(cls, item, deadline_s=self.qos.deadline_for(cls))
+        self.dispatched_count += 1
+        self._wake_up()
+
+    def take_queue(self) -> list[DispatchItem]:
+        """Hand back everything queued, in service order (drain/rebind
+        handoff)."""
+        return [queued.value for queued in self.queue.drain()]
+
+    def crash(self) -> list[DispatchItem]:
+        """Die immediately: fence the epoch and return every item this
+        worker still held (queued + in-flight) for the scheduler to
+        requeue.  The orphaned in-flight execution, if any, completes in
+        the simulation but its result is discarded by the fence."""
+        self.epoch += 1
+        dropped = self.take_queue()
+        if self.in_flight is not None:
+            dropped.append(self.in_flight)
+        self._wake_up()
+        return dropped
+
+    def halt(self) -> None:
+        """Pool shutdown: end this worker's processes at their next
+        scheduling point without emitting events or changing state, so
+        nothing of the pool stays scheduled on the kernel."""
+        self._halted = True
+        self._wake_up()
+
+    # -- sim processes ------------------------------------------------------
+
+    def _wake_up(self) -> None:
+        if self._wake is not None and not self._wake.triggered:
+            self._wake.succeed(None)
+
+    def _on_drained(self) -> None:
+        """The queue emptied out while DRAINING (pools with a lifecycle
+        override this)."""
+
+    def _work_loop(self) -> Generator:
+        while True:
+            if self.machine.is_dead or self._halted:
+                return
+            queued = self.queue.pop()
+            if queued is None:
+                if self.machine.state is WorkerState.DRAINING:
+                    self._on_drained()
+                    return
+                self._wake = self.env.event()
+                yield self._wake
+                self._wake = None
+                continue
+            item: DispatchItem = queued.value
+            self.in_flight = item
+            if self.qos is not None:
+                self.qos.record_queue_delay(
+                    queued.cls, queued.queue_delay(self.env.now)
+                )
+            overhead = self.dispatch_overhead_s * self.slow_factor
+            if overhead:
+                yield self.env.timeout(overhead)
+            result: InvocationResult = yield self.engine.invoke(item.request)
+            self.in_flight = None
+            if self._halted:
+                return
+            if self.machine.is_dead or item.epoch != self.epoch:
+                # Fenced: the scheduler requeued this item when it
+                # declared us dead; a redispatched attempt owns it now.
+                return
+            self.completed_count += 1
+            self._complete(self.name, item.request, result)
+
+
+class StaticPool:
+    """The pool behind :class:`~repro.invoker.queue.AsyncInvoker` when
+    no scheduler plane runs: a :class:`DispatchCore` over
+    ``STATIC_POOL_SIZE`` always-READY in-process ports.  It narrates
+    nothing — no pods, heartbeats, lifecycle events or spans."""
+
+    def __init__(
+        self,
+        env: Environment,
+        engine: "InvocationEngine",
+        qos: "QosPlane | None" = None,
+    ) -> None:
+        self.core = DispatchCore(
+            clock=lambda: env.now, emit=lambda type, **fields: None
+        )
+        for index in range(STATIC_POOL_SIZE):
+            port = QueueWorker(
+                env,
+                f"static-{index}",
+                engine,
+                self.core.complete,
+                qos=qos,
+                state=WorkerState.READY,
+            )
+            port.installed = _EveryClass()
+            self.core.add_worker(port)
+
+    def on_deploy(self, cls: str) -> None:
+        self.core.note_class(cls)
+
+    def stop(self) -> dict[str, int]:
+        """Halt every port; returns ``{"pending": n}`` — submissions
+        accepted but not fully processed (queued or mid-execution)."""
+        for port in self.core.workers.values():
+            port.halt()  # type: ignore[attr-defined]
+        return {"pending": self.core.outstanding}
+
+
+class SimWorker(QueueWorker):
+    """One registered worker: a :class:`QueueWorker` with a pod, a
+    lifecycle state machine driven by the plane, and heartbeats."""
 
     def __init__(
         self,
@@ -47,29 +225,23 @@ class SimWorker:
         plane: "SchedulerPlane",
         pod: "Pod | None" = None,
     ) -> None:
-        self.env = env
-        self.name = name
+        super().__init__(
+            env,
+            name,
+            plane.engine,
+            plane.core.complete,
+            qos=plane.qos,
+            dispatch_overhead_s=plane.config.dispatch_overhead_s,
+        )
         self.plane = plane
         self.pod = pod
         self.config = plane.config
-        self.machine = WorkerStateMachine()
-        self.epoch = 0
-        self.installed: set[str] = set()
-        self.queue: deque[DispatchItem] = deque()
-        self.in_flight: DispatchItem | None = None
         self.last_beat = env.now
         self.heartbeats_sent = 0
-        self.dispatched_count = 0
-        self.completed_count = 0
-        self.slow_factor = 1.0
-        self.registered_at = env.now
-        self._halted = False
         self._suppress_until = -1.0
         self._pending_classes: deque[str] = deque(plane.deployed_classes())
-        self._wake: Event | None = None
         env.process(self._activate())
         env.process(self._heartbeat_loop())
-        env.process(self._work_loop())
 
     # -- identity ----------------------------------------------------------
 
@@ -88,7 +260,7 @@ class SimWorker:
             "node": self.node,
             "epoch": self.epoch,
             "installed": sorted(self.installed),
-            "queue_depth": len(self.queue),
+            "queue_depth": self.queue.depth(),
             "in_flight": self.in_flight is not None,
             "dispatched": self.dispatched_count,
             "completed": self.completed_count,
@@ -96,12 +268,6 @@ class SimWorker:
         }
 
     # -- scheduler-facing control ------------------------------------------
-
-    def push(self, item: DispatchItem) -> None:
-        """Accept one dispatched item onto the local queue."""
-        self.queue.append(item)
-        self.dispatched_count += 1
-        self._wake_up()
 
     def install(self, cls: str) -> None:
         """Install a class-runtime binding (timed package install)."""
@@ -111,36 +277,11 @@ class SimWorker:
             # Still activating: the activation process drains the list.
             self._pending_classes.append(cls)
         else:
-            self.env.process(self._install_one(cls))
-
-    def take_queue(self) -> list[DispatchItem]:
-        """Hand back everything queued (drain/rebind handoff)."""
-        items = list(self.queue)
-        self.queue.clear()
-        return items
+            self.env.process(self._install(cls))
 
     def drain(self) -> None:
         """Stop accepting; the work loop finishes in-flight then reports
         itself drained.  (The scheduler hands off the queue first.)"""
-        self._wake_up()
-
-    def crash(self) -> list[DispatchItem]:
-        """Die immediately: fence the epoch and return every item this
-        worker still held (queued + in-flight) for the scheduler to
-        requeue.  The orphaned in-flight execution, if any, completes in
-        the simulation but its result is discarded by the fence."""
-        self.epoch += 1
-        dropped = self.take_queue()
-        if self.in_flight is not None:
-            dropped.append(self.in_flight)
-        self._wake_up()
-        return dropped
-
-    def halt(self) -> None:
-        """Plane shutdown: end this worker's processes at their next
-        scheduling point without emitting events or changing state, so
-        nothing of the plane stays scheduled on the kernel."""
-        self._halted = True
         self._wake_up()
 
     def suppress_heartbeats(self, duration_s: float) -> None:
@@ -151,9 +292,8 @@ class SimWorker:
 
     # -- sim processes ------------------------------------------------------
 
-    def _wake_up(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed(None)
+    def _on_drained(self) -> None:
+        self.plane.on_worker_drained(self)
 
     def _activate(self) -> Generator:
         if self.config.register_delay_s:
@@ -163,9 +303,6 @@ class SimWorker:
             yield from self._install(cls)
         if self.machine.state is WorkerState.REGISTERED and not self._halted:
             self.plane.on_worker_ready(self)
-
-    def _install_one(self, cls: str) -> Generator:
-        yield from self._install(cls)
 
     def _install(self, cls: str) -> Generator:
         if self.machine.is_dead or cls in self.installed:
@@ -188,34 +325,3 @@ class SimWorker:
                 continue
             self.heartbeats_sent += 1
             self.plane.heartbeat(self)
-
-    def _work_loop(self) -> Generator:
-        while True:
-            if self.machine.is_dead or self._halted:
-                return
-            if not self.queue:
-                if (
-                    self.machine.state is WorkerState.DRAINING
-                    and self.in_flight is None
-                ):
-                    self.plane.on_worker_drained(self)
-                    return
-                self._wake = self.env.event()
-                yield self._wake
-                self._wake = None
-                continue
-            item = self.queue.popleft()
-            self.in_flight = item
-            overhead = self.config.dispatch_overhead_s * self.slow_factor
-            if overhead:
-                yield self.env.timeout(overhead)
-            result: InvocationResult = yield self.plane.engine.invoke(item.request)
-            self.in_flight = None
-            if self._halted:
-                return
-            if self.machine.is_dead or item.epoch != self.epoch:
-                # Fenced: the scheduler requeued this item when it
-                # declared us dead; a redispatched attempt owns it now.
-                return
-            self.completed_count += 1
-            self.plane.report_completion(self, item, result)

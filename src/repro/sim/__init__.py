@@ -8,7 +8,7 @@ generation) runs on this kernel.  See ``kernel`` for the event engine,
 
 from repro.sim.kernel import Environment, Event, Process, Timeout, all_of, any_of
 from repro.sim.network import Network, NetworkModel
-from repro.sim.resources import Container, Gate, RateLimiter, Resource, Store
+from repro.sim.resources import Container, Gate, RateLimiter, Resource
 from repro.sim.rng import RngStreams
 from repro.sim.workload import (
     ClosedLoopGenerator,
@@ -28,7 +28,6 @@ __all__ = [
     "NetworkModel",
     "Resource",
     "Container",
-    "Store",
     "RateLimiter",
     "Gate",
     "RngStreams",

@@ -3,7 +3,6 @@
 * :class:`Resource` — a pool of identical slots (e.g. request slots of a
   function pod).  FIFO grant order.
 * :class:`Container` — a divisible quantity (e.g. node millicores).
-* :class:`Store` — a FIFO queue of items (e.g. a worker inbox).
 * :class:`RateLimiter` — a fluid serial server modelling a throughput
   ceiling (e.g. the document DB's aggregate write capacity).
 * :class:`Gate` — a broadcast condition processes can wait on.
@@ -17,7 +16,7 @@ from typing import Any
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment, Event, URGENT
 
-__all__ = ["Resource", "Container", "Store", "RateLimiter", "Gate"]
+__all__ = ["Resource", "Container", "RateLimiter", "Gate"]
 
 
 class Resource:
@@ -132,45 +131,6 @@ class Container:
             event._ok = True
             event._value = None
             self.env._schedule(event, priority=URGENT)
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking :meth:`get`."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item``; hands it straight to a waiting getter if any."""
-        if self._getters:
-            event = self._getters.popleft()
-            event._ok = True
-            event._value = item
-            self.env._schedule(event, priority=URGENT)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        event = Event(self.env)
-        if self._items:
-            event._ok = True
-            event._value = self._items.popleft()
-            self.env._schedule(event, priority=URGENT)
-        else:
-            self._getters.append(event)
-        return event
-
-    def drain(self) -> list[Any]:
-        """Remove and return all queued items without blocking."""
-        items = list(self._items)
-        self._items.clear()
-        return items
 
 
 class RateLimiter:

@@ -13,10 +13,12 @@ import hashlib
 
 from repro.errors import StorageError
 
-__all__ = ["HashRing"]
+__all__ = ["HashRing", "stable_hash"]
 
 
-def _hash(value: str) -> int:
+def stable_hash(value: str) -> int:
+    """The repo's one routing-key hash (first 8 bytes of md5, big-endian):
+    ring points, key owners and rendezvous scores all come from here."""
     return int.from_bytes(hashlib.md5(value.encode()).digest()[:8], "big")
 
 
@@ -49,7 +51,7 @@ class HashRing:
             raise StorageError(f"node {node!r} already in ring")
         self._nodes.add(node)
         for i in range(self.vnodes):
-            point = _hash(f"{node}#{i}")
+            point = stable_hash(f"{node}#{i}")
             # Collisions across distinct nodes are astronomically rare
             # with 64-bit points; skew one step if it happens.
             while point in self._owners:
@@ -71,7 +73,7 @@ class HashRing:
         """The primary owner node of ``key``."""
         if not self._nodes:
             raise StorageError("hash ring is empty")
-        point = _hash(key)
+        point = stable_hash(key)
         index = bisect.bisect_right(self._points, point) % len(self._points)
         return self._owners[self._points[index]]
 
@@ -82,7 +84,7 @@ class HashRing:
         if count < 1:
             raise StorageError(f"replica count must be >= 1, got {count}")
         count = min(count, len(self._nodes))
-        point = _hash(key)
+        point = stable_hash(key)
         index = bisect.bisect_right(self._points, point)
         found: list[str] = []
         for offset in range(len(self._points)):

@@ -9,18 +9,22 @@ text (for determinism diffs).
 
 :func:`random_scenario` derives an arbitrary chaos interleaving from an
 integer seed, which is how the suite covers 100+ seeded interleavings
-without hand-writing them.
+without hand-writing them.  :func:`qos_flood_scenario` replays the same
+chaos timelines with the QoS plane on too — a Noisy flood beside a
+``priority: 8`` Hot class on the one ``SimWorker`` pool — so fair
+queueing and shedding are held to the same ledger invariants.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import SchedulingError
 from repro.invoker.request import InvocationRequest
 from repro.platform.oparaca import Oparaca, PlatformConfig
+from repro.qos.plane import QosConfig
 from repro.scheduler import SchedulerConfig, WorkerStateMachine
 
 CONFORMANCE_YAML = """
@@ -35,6 +39,32 @@ classes:
       - name: bump
         image: probe/bump
 """
+
+#: The package of scenarios that also turn the QoS plane on: Probe as
+#: above, a latency-declared high-priority class, and a budget-capped
+#: one to flood with.  Neither declares a throughput, so admission
+#: rejects nothing and ``accepted == submitted`` still holds.
+QOS_CONFORMANCE_YAML = CONFORMANCE_YAML + """
+  - name: Hot
+    qos: {latency: 100, priority: 8}
+    keySpecs: [{name: n, type: INT, default: 0}]
+    functions:
+      - name: bump
+        image: probe/bump
+  - name: Noisy
+    constraint: {budget: 10}
+    keySpecs: [{name: n, type: INT, default: 0}]
+    functions:
+      - name: bump
+        image: probe/bump
+"""
+
+#: Hot's declared latency above, in ms.
+HOT_LATENCY_MS = 100.0
+
+#: A low watermark and a fast controller, so a few hundred queued
+#: invocations trip several shed passes inside scenario time.
+SCENARIO_QOS = dict(shed_queue_depth=32, shed_check_interval_s=0.05)
 
 #: Chaos-heavy but fast lifecycle: short beats so heartbeat loss
 #: degrades and kills within scenario time; nonzero dispatch overhead
@@ -64,10 +94,12 @@ class Step:
 
 @dataclass(frozen=True)
 class Submit(Step):
-    """Submit ``count`` async invocations against object ``object_key``."""
+    """Submit ``count`` async invocations against object ``object_key``
+    of class ``cls``."""
 
     count: int = 1
     object_key: int = 0
+    cls: str = "Probe"
 
 
 @dataclass(frozen=True)
@@ -125,6 +157,8 @@ class Scenario:
     objects: int = 3
     settle_s: float = 30.0
     scheduler: dict[str, Any] = field(default_factory=lambda: dict(SCENARIO_SCHEDULER))
+    #: ``QosConfig`` kwargs; ``None`` leaves the QoS plane off.
+    qos: dict[str, Any] | None = None
 
 
 @dataclass
@@ -135,6 +169,17 @@ class WorkerRecord:
     epoch: int
     final_state: str
     machine: WorkerStateMachine
+
+
+@dataclass
+class Outcome:
+    """How one submission ended, read back from the ledger."""
+
+    cls: str
+    state: str
+    ok: bool | None
+    error_type: str | None
+    latency_s: float | None
 
 
 @dataclass
@@ -149,6 +194,8 @@ class ScenarioResult:
     workers: list[WorkerRecord]
     settled: bool
     skipped_steps: list[str]
+    shed: int = 0
+    outcomes: list[Outcome] = field(default_factory=list)
 
 
 # -- runner -----------------------------------------------------------------
@@ -167,22 +214,24 @@ def build_platform(scenario: Scenario) -> Oparaca:
             seed=scenario.seed,
             events_enabled=True,
             scheduler=SchedulerConfig(**scenario.scheduler),
+            qos=QosConfig(enabled=scenario.qos is not None, **(scenario.qos or {})),
         )
     )
     platform.register_image("probe/bump", _bump, service_time_s=0.002)
-    platform.deploy(CONFORMANCE_YAML)
+    platform.deploy(CONFORMANCE_YAML if scenario.qos is None else QOS_CONFORMANCE_YAML)
     return platform
 
 
-def _apply(platform, step: Step, object_ids, completions, skipped) -> None:
+def _apply(platform, step: Step, object_ids, requests, skipped) -> None:
     plane = platform.scheduler_plane
     if isinstance(step, Submit):
+        ids = object_ids[step.cls]
         for _ in range(step.count):
             request = InvocationRequest(
-                object_id=object_ids[step.object_key % len(object_ids)],
-                fn_name="bump",
+                object_id=ids[step.object_key % len(ids)], fn_name="bump"
             )
-            completions.append(platform.queue.submit(request))
+            platform.queue.submit(request)
+            requests.append((step.cls, request))
     elif isinstance(step, RegisterWorker):
         try:
             plane.register_worker(step.name)
@@ -220,22 +269,23 @@ def _apply(platform, step: Step, object_ids, completions, skipped) -> None:
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     platform = build_platform(scenario)
     plane = platform.scheduler_plane
-    object_ids = []
-    for index in range(scenario.objects):
-        response = platform.http(
-            "POST", "/api/classes/Probe", {"id": f"Probe/o{index}"}
-        )
-        assert response.ok, response.body
-        object_ids.append(response.body["id"])
+    object_ids: dict[str, list[str]] = {}
+    for cls in platform.crm.deployed_classes():
+        for index in range(scenario.objects):
+            response = platform.http(
+                "POST", f"/api/classes/{cls}", {"id": f"{cls}/o{index}"}
+            )
+            assert response.ok, response.body
+            object_ids.setdefault(cls, []).append(response.body["id"])
 
-    completions: list[Any] = []
+    requests: list[tuple[str, InvocationRequest]] = []
     skipped: list[str] = []
     # Steps run in timeline order; ties keep authored order (stable sort).
     steps = sorted(scenario.steps, key=lambda s: s.at)
     for step in steps:
         if step.at > platform.now:
             platform.advance(step.at - platform.now)
-        _apply(platform, step, object_ids, completions, skipped)
+        _apply(platform, step, object_ids, requests, skipped)
 
     # Settle: the pool self-heals (replacements register), so every
     # accepted invocation must eventually complete.  Bounded, not
@@ -255,6 +305,23 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         )
         for worker in plane.all_workers
     ]
+    outcomes = []
+    for cls, request in requests:
+        entry = plane.ledger.entry(request.request_id)
+        result = platform.queue.result(request.request_id)
+        outcomes.append(
+            Outcome(
+                cls=cls,
+                state=entry.state.value,
+                ok=entry.ok,
+                error_type=result.error_type if result is not None else None,
+                latency_s=(
+                    entry.completed_at - entry.accepted_at
+                    if entry.completed_at is not None
+                    else None
+                ),
+            )
+        )
     audit = plane.ledger.audit()
     delivered = plane.delivered
     resolved = platform.queue.completed
@@ -272,6 +339,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         workers=workers,
         settled=settled,
         skipped_steps=skipped,
+        shed=platform.queue.shed,
+        outcomes=outcomes,
     )
 
 
@@ -351,11 +420,36 @@ def check_monotone(result: ScenarioResult) -> list[str]:
     return problems
 
 
+def check_shed_is_ledgered(result: ScenarioResult) -> list[str]:
+    """Every shed submission is a ledger completion (a failed one) and
+    the invoker's and the controller's shed counts match."""
+    problems = []
+    shed = [o for o in result.outcomes if o.error_type == "OverloadError"]
+    if len(shed) != result.shed:
+        problems.append(f"{len(shed)} OverloadError results != shed {result.shed}")
+    evented = sum(
+        e.fields["count"] for e in result.events if e.type == "qos.shed"
+    )
+    if evented != result.shed:
+        problems.append(f"qos.shed events total {evented} != shed {result.shed}")
+    for outcome in shed:
+        if outcome.state != "COMPLETED" or outcome.ok is not False:
+            problems.append(f"shed submission not a failed completion: {outcome}")
+    return problems
+
+
+def latency_p95_ms(outcomes: list[Outcome]) -> float:
+    """Accept-to-completion p95 of the successful ``outcomes``."""
+    latencies = sorted(o.latency_s for o in outcomes if o.ok)
+    return latencies[int(0.95 * len(latencies))] * 1000.0
+
+
 def check_all(result: ScenarioResult) -> list[str]:
     return (
         check_exactly_once(result)
         + check_no_dispatch_to_unready(result)
         + check_monotone(result)
+        + check_shed_is_ledgered(result)
     )
 
 
@@ -412,3 +506,50 @@ def random_scenario(seed: int, *, heavy: bool = False) -> Scenario:
             failed_node = True
             steps.append(FailNode(at=at, node=f"vm-{rng.randrange(3)}"))
     return Scenario(name=f"random-{seed}", steps=tuple(steps), seed=seed)
+
+
+#: When the flood starts: late enough that the warm-up submissions at
+#: t=0.05 have paid every class's first-touch cold start (~1.8 s).
+FLOOD_AT = 2.5
+
+
+def qos_flood_scenario(seed: int | None = None) -> Scenario:
+    """Noisy floods (150 deep, every 0.2 s) beside a steady 50 rps Hot
+    stream, with the scheduler *and* QoS planes on.  With a ``seed``,
+    :func:`random_scenario`'s chaos steps for that seed play out,
+    compressed into the flood window; without one, a drain and a crash
+    land in the first flood."""
+    warm = tuple(
+        Submit(at=0.05, object_key=key, cls=cls)
+        for cls in ("Hot", "Noisy")
+        for key in range(6)
+    )
+    flood = tuple(
+        Submit(at=round(FLOOD_AT + 0.2 * wave, 4), count=25, object_key=key, cls="Noisy")
+        for wave in range(4)
+        for key in range(6)
+    )
+    hot = tuple(
+        Submit(at=round(FLOOD_AT + 0.02 * i, 4), object_key=i, cls="Hot")
+        for i in range(50)
+    )
+    if seed is None:
+        name = "qos-flood-drain-crash"
+        chaos: tuple[Step, ...] = (
+            Drain(at=FLOOD_AT + 0.01, worker="worker-0"),
+            Crash(at=FLOOD_AT + 0.03, worker="worker-1"),
+        )
+    else:
+        name = f"qos-flood-{seed}"
+        chaos = tuple(
+            replace(step, at=round(FLOOD_AT + (step.at - 0.2) / 3.5, 4))
+            for step in random_scenario(seed).steps
+            if not isinstance(step, Submit)
+        )
+    return Scenario(
+        name=name,
+        steps=warm + flood + hot + chaos,
+        seed=seed or 0,
+        objects=6,
+        qos=dict(SCENARIO_QOS),
+    )

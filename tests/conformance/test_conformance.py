@@ -10,6 +10,7 @@ import pytest
 from repro.scheduler import WorkerState
 
 from tests.conformance.dsl import (
+    HOT_LATENCY_MS,
     Crash,
     Drain,
     FailNode,
@@ -20,6 +21,8 @@ from tests.conformance.dsl import (
     Submit,
     check_all,
     check_exactly_once,
+    latency_p95_ms,
+    qos_flood_scenario,
     random_scenario,
     run_scenario,
 )
@@ -141,6 +144,47 @@ def test_node_failure_kills_colocated_workers():
     }
     assert "node-failure" in reasons
     assert check_all(result) == []
+
+
+# -- scheduler and QoS planes together ---------------------------------------
+
+
+def test_qos_flood_with_drain_and_crash_keeps_hot_fast_and_ledger_whole():
+    """Fair queueing and shedding act inside the ``SimWorker`` pool: Hot
+    is served around the Noisy flood, Noisy is shed past the watermark
+    through the ledger, and a drain plus a crash mid-flood lose and
+    duplicate nothing."""
+    result = run_scenario(qos_flood_scenario())
+    assert check_all(result) == []
+    assert result.audit["requeues"] > 0
+    measured = result.outcomes[12:]  # past the 12 warm-up submissions
+    hot = [o for o in measured if o.cls == "Hot"]
+    assert len(hot) == 50 and all(o.ok for o in hot)
+    assert latency_p95_ms(hot) <= HOT_LATENCY_MS
+    noisy = [o for o in measured if o.cls == "Noisy"]
+    shed = [o for o in noisy if o.error_type == "OverloadError"]
+    assert len(shed) == result.shed > 0  # only Noisy paid
+    assert sum(1 for o in noisy if o.ok) + len(shed) == len(noisy) == 600
+    assert result.audit["accepted"] == result.audit["completed"] == 662
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_qos_flood_under_random_interleaving_invariants(seed):
+    result = run_scenario(qos_flood_scenario(seed))
+    problems = check_all(result)
+    assert problems == [], (
+        f"seed {seed} violated invariants: {problems}\n"
+        f"skipped steps: {result.skipped_steps}"
+    )
+    assert result.shed > 0
+    assert all(o.state == "COMPLETED" for o in result.outcomes)
+
+
+def test_qos_flood_replays_byte_identically():
+    first = run_scenario(qos_flood_scenario(7))
+    second = run_scenario(qos_flood_scenario(7))
+    assert first.events_text == second.events_text
+    assert first.audit == second.audit
 
 
 # -- 100 seeded random interleavings ---------------------------------------

@@ -17,6 +17,8 @@ from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.sim.kernel import all_of
 from repro.sim.rng import RngStreams
 
+from tests.helpers import listing1_platform, make_platform
+
 
 class TestObjectIds:
     def test_make_and_split(self):
@@ -406,7 +408,100 @@ class TestAsyncQueue:
         events = [
             platform.invoke_async(obj, "resize", {"width": w}) for w in (1, 2, 3, 4, 5)
         ]
-        platform.run(all_of(platform.env, events))
+        results = platform.run(all_of(platform.env, events))
         assert platform.get_object(obj)["state"]["width"] == 5
         # Queue serializes per object: no CAS conflicts at all.
         assert platform.engine.cas_conflicts == 0
+        # Same key -> same queue: one port served all five.
+        ledger = platform.queue.core.ledger
+        assert len({ledger.entry(r.request_id).worker for r in results}) == 1
+
+    def test_one_server_per_queue_in_arrival_order(self):
+        """Many objects share the pool: every port serves one item at a
+        time, each object's items in submission order, and at no instant
+        is an accepted submission anywhere but queued or in flight."""
+        starts = []
+        platform = make_platform()
+        platform.register_image(
+            "t/rec",
+            lambda ctx: starts.append((ctx.payload["seq"], platform.now)) or {},
+            0.004,
+        )
+        platform.deploy(
+            "name: rec\nclasses:\n  - name: Rec\n    functions:\n"
+            "      - name: work\n        image: t/rec\n"
+        )
+        objects = [platform.new_object("Rec") for _ in range(12)]
+        events = {
+            seq: platform.invoke_async(objects[seq % 12], "work", {"seq": seq})
+            for seq in range(60)
+        }
+        queue = platform.queue
+        ports = list(queue.core.workers.values())
+        while queue.pending:
+            held = sum(p.queue.depth() + (p.in_flight is not None) for p in ports)
+            assert held == queue.pending
+            platform.advance(0.001)
+        assert queue.completed == queue.submitted == 60
+        assert all(event.value.ok for event in events.values())
+        by_object: dict[int, list[int]] = {}
+        by_port: dict[str, list[float]] = {}
+        for seq, at in starts:
+            by_object.setdefault(seq % 12, []).append(seq)
+            worker = queue.core.ledger.entry(events[seq].value.request_id).worker
+            by_port.setdefault(worker, []).append(at)
+        assert all(seqs == sorted(seqs) for seqs in by_object.values())
+        assert 1 < len(by_port) <= 8
+        for times in by_port.values():
+            assert all(b - a >= 0.004 - 1e-9 for a, b in zip(times, times[1:]))
+        assert queue.stop() == {"pending": 0}
+
+    def test_idle_queue_serves_a_late_submission(self, platform):
+        obj = platform.new_object("Image")
+        platform.run(platform.invoke_async(obj, "resize", {"width": 1}))
+        platform.advance(2.0)  # every port idle, blocked on its empty queue
+        assert platform.run(platform.invoke_async(obj, "resize", {"width": 2})).ok
+        assert platform.queue.pending == 0
+
+    def test_stop_report_counts_queued_and_in_flight_work(self, platform):
+        obj = platform.new_object("Image")
+        for width in range(10):
+            platform.invoke_async(obj, "resize", {"width": width})
+        queue = platform.queue
+        while queue.completed < 3:
+            platform.advance(0.001)
+        report = queue.stop()
+        ports = queue.core.workers.values()
+        in_flight = sum(p.in_flight is not None for p in ports)
+        assert in_flight == 1
+        assert report == {"pending": 10 - queue.completed}
+        assert report["pending"] == in_flight + sum(p.queue.depth() for p in ports)
+        # Stopped means stopped: nothing more is handled, and a late
+        # submission is accounted for rather than vanishing.
+        handled = queue.completed
+        late = platform.invoke_async(obj, "resize", {"width": 99})
+        platform.advance(1.0)
+        assert not late.triggered and queue.completed == handled
+        assert queue.stop() == {"pending": report["pending"] + 1}
+
+    def test_undeployed_class_fails_typed_instead_of_parking(self, platform):
+        request = InvocationRequest(object_id="Ghost~x", fn_name="f", cls="Ghost")
+        result = platform.run(platform.queue.submit(request))
+        assert not result.ok and result.error_type == "UnknownClassError"
+        assert platform.queue.pending == 0
+
+    def test_baseline_narrates_no_scheduler_events_spans_or_keys(self):
+        platform = listing1_platform(events_enabled=True, tracing_enabled=True)
+        obj = platform.new_object("Image")
+        platform.run(platform.invoke_async(obj, "resize", {"width": 3}))
+        assert platform.queue.core.ledger.audit()["completed"] == 1
+        # ("scheduler.place" is the orchestrator's pod scheduler, which
+        # the baseline always had; the worker pool adds nothing.)
+        assert {
+            e.type for e in platform.platform_events() if e.type.startswith("scheduler.")
+        } <= {"scheduler.place"}
+        assert not [
+            s for s in platform.tracer.spans() if s.name.startswith("scheduler.")
+        ]
+        assert not [k for k in platform.snapshot() if k.startswith("scheduler.")]
+        platform.shutdown()

@@ -1,106 +1,11 @@
-"""Unit tests for messaging (topic log) and monitoring."""
+"""Unit tests for monitoring (the async queue behaviours the topic log
+used to pin live in ``tests/test_invoker.py`` against ``AsyncInvoker``)."""
 
 import pytest
 
-from repro.errors import MessagingError, ValidationError
-from repro.messaging.topic import ConsumerGroup, Topic
+from repro.errors import ValidationError
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.metrics import Counter, Gauge, Histogram, MetricsRegistry, SlidingWindow
-
-
-class TestTopic:
-    def test_partition_count_validation(self, env):
-        with pytest.raises(MessagingError):
-            Topic(env, "t", partitions=0)
-
-    def test_publish_assigns_offsets_per_partition(self, env):
-        topic = Topic(env, "t", partitions=1)
-        first = topic.publish("a", 1)
-        second = topic.publish("b", 2)
-        assert (first.offset, second.offset) == (0, 1)
-
-    def test_same_key_same_partition(self, env):
-        topic = Topic(env, "t", partitions=8)
-        partitions = {topic.publish("hot", i).partition for i in range(10)}
-        assert len(partitions) == 1
-
-    def test_empty_key_rejected(self, env):
-        with pytest.raises(MessagingError):
-            Topic(env, "t").publish("", 1)
-
-    def test_get_out_of_range_partition(self, env):
-        with pytest.raises(MessagingError):
-            Topic(env, "t", partitions=2).get(5)
-
-    def test_depth_and_history(self, env):
-        topic = Topic(env, "t", partitions=1)
-        topic.publish("a", 1)
-        topic.publish("a", 2)
-        assert topic.depth() == 2
-        assert [m.value for m in topic.history(0)] == [1, 2]
-
-    def test_consume_blocks_until_publish(self, env):
-        topic = Topic(env, "t", partitions=1)
-        got = []
-
-        def consumer(env):
-            message = yield topic.get(0)
-            got.append((message.value, env.now))
-
-        def producer(env):
-            yield env.timeout(2.0)
-            topic.publish("k", "data")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [("data", 2.0)]
-
-
-class TestConsumerGroup:
-    def test_processes_all_messages(self, env):
-        topic = Topic(env, "t", partitions=4)
-        seen = []
-
-        def handler(message):
-            yield env.timeout(0.01)
-            seen.append(message.value)
-
-        group = ConsumerGroup(env, topic, handler)
-        for i in range(20):
-            topic.publish(f"key-{i}", i)
-        env.run(until=5.0)
-        assert sorted(seen) == list(range(20))
-        assert group.consumed == 20
-        group.stop()
-
-    def test_per_key_ordering(self, env):
-        topic = Topic(env, "t", partitions=4)
-        seen = []
-
-        def handler(message):
-            yield env.timeout(0.05)
-            seen.append(message.value)
-
-        ConsumerGroup(env, topic, handler)
-        for i in range(10):
-            topic.publish("same-key", i)
-        env.run(until=5.0)
-        assert seen == list(range(10))
-
-    def test_fewer_workers_than_partitions(self, env):
-        topic = Topic(env, "t", partitions=4)
-        seen = []
-
-        def handler(message):
-            yield env.timeout(0.01)
-            seen.append(message.value)
-
-        ConsumerGroup(env, topic, handler, workers=2)
-        for i in range(8):
-            topic.publish(f"k{i}", i)
-        env.run(until=5.0)
-        assert len(seen) == 8
 
 
 class TestMetrics:

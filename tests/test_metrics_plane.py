@@ -3,9 +3,7 @@ SLO burn-rate evaluation, kernel profiling, and the platform wiring."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -638,41 +636,3 @@ class TestCliCommands:
         )
         doc = json.loads(capsys.readouterr().out)
         assert {"evaluations", "objectives", "alerts", "firing"} <= set(doc)
-
-
-# -- bench harness ------------------------------------------------------------
-
-
-def _load_bench_macro():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_macro.py"
-    spec = importlib.util.spec_from_file_location("bench_macro", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchMacro:
-    def test_smoke_and_gate(self):
-        bench = _load_bench_macro()
-        result = bench.run_macro(seed=0, objects=2, rounds=10)
-        assert result["sim"]["invocations"] > 0
-        assert result["sim"]["dispatches"] > 0
-        assert result["wall"]["peak_rss_kb"] > 0
-        # A result never regresses against itself.
-        assert bench._gate(result, result, threshold=0.10) == []
-        # A 2x latency regression trips the gate.
-        worse = json.loads(json.dumps(result))
-        worse["sim"]["latency_p95_ms"] = result["sim"]["latency_p95_ms"] * 2
-        failures = bench._gate(worse, result, threshold=0.10)
-        assert any("latency_p95_ms" in f for f in failures)
-        # Wall metrics gate only on a matching host fingerprint.
-        other_host = json.loads(json.dumps(result))
-        other_host["host"] = {"platform": "elsewhere"}
-        other_host["wall"]["events_per_sec"] = 1.0
-        assert bench._gate(other_host, result, threshold=0.10) == []
-
-    def test_deterministic_sim_section(self):
-        bench = _load_bench_macro()
-        a = bench.run_macro(seed=3, objects=2, rounds=10)
-        b = bench.run_macro(seed=3, objects=2, rounds=10)
-        assert a["sim"] == b["sim"]

@@ -7,14 +7,9 @@ from repro.qos.policy import QosPolicy
 from repro.qos.shedder import OverloadController
 
 
-def drain(env, queue, count):
-    """Serve ``count`` items synchronously (queue is non-empty)."""
-    got = []
-    for _ in range(count):
-        event = queue.get()
-        env.run(until=event)
-        got.append(event.value)
-    return got
+def serve(queue, count):
+    """Serve ``count`` items (queue is non-empty)."""
+    return [queue.pop() for _ in range(count)]
 
 
 class TestWeightedFairQueue:
@@ -22,7 +17,7 @@ class TestWeightedFairQueue:
         queue = WeightedFairQueue(env)
         for i in range(5):
             queue.push("A", i)
-        assert [item.value for item in drain(env, queue, 5)] == [0, 1, 2, 3, 4]
+        assert [item.value for item in serve(queue, 5)] == [0, 1, 2, 3, 4]
 
     def test_drr_serves_proportionally_to_weight(self, env):
         queue = WeightedFairQueue(env)
@@ -31,7 +26,7 @@ class TestWeightedFairQueue:
         for i in range(40):
             queue.push("Hot", ("hot", i))
             queue.push("Cold", ("cold", i))
-        first = [item.cls for item in drain(env, queue, 18)]
+        first = [item.cls for item in serve(queue, 18)]
         # One full rotation serves 8 Hot + 1 Cold; two rotations = 16:2.
         assert first.count("Hot") == 16
         assert first.count("Cold") == 2
@@ -41,32 +36,44 @@ class TestWeightedFairQueue:
         queue.push("A", "lax", deadline_s=9.0)
         queue.push("A", "urgent", deadline_s=1.0)
         queue.push("A", "middle", deadline_s=5.0)
-        values = [item.value for item in drain(env, queue, 3)]
+        values = [item.value for item in serve(queue, 3)]
         assert values == ["urgent", "middle", "lax"]
 
     def test_no_deadline_sorts_after_deadlines(self, env):
         queue = WeightedFairQueue(env)
         queue.push("A", "whenever")
         queue.push("A", "urgent", deadline_s=1.0)
-        values = [item.value for item in drain(env, queue, 2)]
+        values = [item.value for item in serve(queue, 2)]
         assert values == ["urgent", "whenever"]
 
-    def test_blocked_getter_woken_by_push(self, env):
+    def test_pop_on_empty_queue_is_none(self, env):
         queue = WeightedFairQueue(env)
-        got = []
+        assert queue.pop() is None
+        queue.push("A", "data")
+        assert queue.pop().value == "data"
+        assert queue.pop() is None
+        assert queue.stats()["served"] == 1
 
-        def consumer(env):
-            item = yield queue.get()
-            got.append((item.value, env.now))
+    def test_drain_hands_back_service_order_without_serving(self, env):
+        """What a dying worker owes its peers: everything, in the order
+        pop() would have produced it (DRR across flows, EDF within)."""
 
-        def producer(env):
-            yield env.timeout(2.0)
-            queue.push("A", "data")
+        def fill(queue):
+            queue.set_weight("Hot", 2)
+            queue.set_weight("Cold", 1)
+            for i in range(4):
+                queue.push("Cold", ("cold", i))
+                queue.push("Hot", ("hot", i), deadline_s=10.0 - i)
 
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [("data", 2.0)]
+        served, drained = WeightedFairQueue(env), WeightedFairQueue(env)
+        fill(served)
+        fill(drained)
+        expected = [item.value for item in serve(served, 8)]
+        assert [item.value for item in drained.drain()] == expected
+        assert [v for v in expected if v[0] == "cold"] == [("cold", i) for i in range(4)]
+        assert drained.depth() == 0
+        assert drained.stats()["served"] == 0
+        assert drained.pop() is None
 
     def test_queue_delay_measured_from_enqueue(self, env):
         queue = WeightedFairQueue(env)
@@ -82,7 +89,7 @@ class TestWeightedFairQueue:
         assert sorted(item.value for item in victims) == [3, 4]
         assert queue.depth("A") == 3
         assert queue.shed_count == {"A": 2}
-        survivors = [item.value for item in drain(env, queue, 3)]
+        survivors = [item.value for item in serve(queue, 3)]
         assert survivors == [0, 1, 2]
 
     def test_shed_unknown_class_is_noop(self, env):
@@ -97,7 +104,7 @@ class TestWeightedFairQueue:
         queue = WeightedFairQueue(env)
         queue.push("A", 1)
         queue.push("B", 2)
-        drain(env, queue, 1)
+        serve(queue, 1)
         stats = queue.stats()
         assert stats["pushed"] == 2
         assert stats["served"] == 1

@@ -391,6 +391,38 @@ class TestBugfixSweep:
         assert [w.heartbeats_sent for w in plane.workers.values()] == sent
         platform.shutdown()
 
+    def test_dead_workers_queue_leaves_the_shedders_sight(self):
+        """With QoS on, each worker queues in a plane-issued fair queue;
+        a dead worker's is retired (the shedder watches live queues
+        only) without the plane's totals running backwards."""
+        from repro.qos.plane import QosConfig
+
+        platform = make_platform(
+            SCHED_YAML,
+            {"s/bump": (_bump, 0.002)},
+            nodes=3,
+            seed=9,
+            scheduler=SchedulerConfig(enabled=True, pool_size=3),
+            qos=QosConfig(enabled=True),
+        )
+        plane, qos = platform.scheduler_plane, platform.qos
+        objects = [platform.new_object("Task", object_id=f"t-{i}") for i in range(6)]
+        for obj in objects * 5:
+            platform.invoke_async(obj, "bump")
+        platform.advance(0.2)
+        live = lambda: [w.queue for w in plane.workers.values() if not w.machine.is_dead]
+        assert qos.queues == live() and qos.shedder.queues is qos.queues
+        before = qos.stats()["fair_queue"]
+        assert before["pushed"] == 30
+        plane.crash_worker("worker-0", reason="test")
+        plane.drain_worker("worker-1")
+        platform.advance(5.0)
+        assert len(qos.queues) == 3 and qos.queues == live()
+        after = qos.stats()["fair_queue"]
+        assert after["pushed"] >= before["pushed"] and after["served"] >= 30
+        assert plane.ledger.audit()["completed"] == 30 == platform.queue.completed
+        platform.shutdown()
+
     def test_transport_config_validated(self):
         with pytest.raises(ValidationError):
             SchedulerConfig(enabled=True, transport="carrier-pigeon")

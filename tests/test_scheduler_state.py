@@ -201,6 +201,10 @@ class TestInvocationLedger:
         ledger.dispatch(requests[1].request_id, "worker-0", epoch=0)
         ledger.complete(requests[1].request_id, ok=True, at=5.0)
         assert [e.seq for e in ledger.outstanding()] == [1, 3, 4]
+        assert ledger.outstanding_count == 3
+        # A suppressed duplicate completion moves neither.
+        assert not ledger.complete(requests[1].request_id, ok=True, at=6.0)
+        assert ledger.outstanding_count == len(ledger.outstanding()) == 3
 
 
 # -- ledger property test ----------------------------------------------------
@@ -238,7 +242,11 @@ class TestLedgerProperties:
                 ledger.requeue(request_id, worker)
             elif ledger.complete(request_id, ok=True, at=1.0):
                 delivered[request_id] = delivered.get(request_id, 0) + 1
+            # The O(1) count and the scan agree after every transition,
+            # suppressed duplicates and refused requeues included.
+            assert ledger.outstanding_count == len(ledger.outstanding())
         audit = ledger.audit()
+        assert audit["outstanding"] == len(ledger.outstanding())
         assert audit["accepted"] == audit["completed"] + audit["outstanding"]
         assert all(count == 1 for count in delivered.values())
         assert len(delivered) == audit["completed"]

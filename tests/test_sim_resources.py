@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.resources import Container, Gate, RateLimiter, Resource, Store
+from repro.sim.resources import Container, Gate, RateLimiter, Resource
 
 
 class TestResource:
@@ -189,56 +189,6 @@ class TestContainer:
         env.process(feeder(env))
         env.run()
         assert order == ["big", "small"]
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        store.put("a")
-
-        def getter(env):
-            item = yield store.get()
-            return item
-
-        assert env.run(until=env.process(getter(env))) == "a"
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-        got = []
-
-        def getter(env):
-            item = yield store.get()
-            got.append((item, env.now))
-
-        def putter(env):
-            yield env.timeout(3)
-            store.put("x")
-
-        env.process(getter(env))
-        env.process(putter(env))
-        env.run()
-        assert got == [("x", 3.0)]
-
-    def test_fifo_item_order(self, env):
-        store = Store(env)
-        for item in (1, 2, 3):
-            store.put(item)
-
-        def getter(env):
-            items = []
-            for _ in range(3):
-                items.append((yield store.get()))
-            return items
-
-        assert env.run(until=env.process(getter(env))) == [1, 2, 3]
-
-    def test_len_and_drain(self, env):
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-        assert store.drain() == [1, 2]
-        assert len(store) == 0
 
 
 class TestRateLimiter:

@@ -201,6 +201,13 @@ class TestDispatchCore:
         ).name
         assert picks == {expected}
 
+    def test_rendezvous_scores_are_pinned(self):
+        """The score is the repo's one stable hash over ``object|worker``;
+        these values predate the move onto ``storage.hashring``."""
+        assert rendezvous_score("Probe/o0", "worker-0") == 2849716734782318387
+        assert rendezvous_score("Image~abc", "worker-3") == 13835038256753212102
+        assert rendezvous_score("o-17", "static-5") == 8176572375896078426
+
     def test_reroute_respects_requeue_guard(self):
         core, _ = make_core()
         core.note_class("C")
