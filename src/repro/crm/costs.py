@@ -69,7 +69,6 @@ class CostModel:
 
     replica_usd_per_hour: float = 0.048  # ~a small container
     db_usd_per_million_units: float = 1.25
-    object_storage_usd_per_gb_month: float = 0.023
 
 
 class ClassCostMeter:

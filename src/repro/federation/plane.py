@@ -51,9 +51,6 @@ class FederationConfig:
             latency NFR (latency-constrained classes pin to the edge);
             ``"core-only"`` consolidates everything on the highest tier
             — the ABL-FEDERATION control arm.
-        enforce_jurisdiction: reject cross-jurisdiction reads/writes
-            with :class:`~repro.errors.JurisdictionError` and count them
-            into the ``jurisdiction`` NFR verdict.
     """
 
     enabled: bool = False
@@ -61,7 +58,6 @@ class FederationConfig:
     zone_rtt_s: tuple[tuple[str, str, float], ...] = ()
     default_origin_zone: str | None = None
     placement: str = "nfr"
-    enforce_jurisdiction: bool = True
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENT_MODES:
@@ -185,10 +181,8 @@ class FederationPlane:
         zone = self.topology.zone(origin_zone)
         stats = self._stats.setdefault(cls, _ClassFederationStats())
         stats.accesses += 1
-        if (
-            self.config.enforce_jurisdiction
-            and jurisdictions
-            and not self.topology.matches_jurisdiction(zone.name, jurisdictions)
+        if jurisdictions and not self.topology.matches_jurisdiction(
+            zone.name, jurisdictions
         ):
             stats.rejections += 1
             if self.events is not None:

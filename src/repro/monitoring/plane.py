@@ -42,18 +42,17 @@ class MetricsConfig:
             plane and no collector, scraper, or SLO evaluator exists.
         scrape_interval_s: simulated seconds between scrapes.
         retention_points: ring-buffer capacity per time series.
-        slo_enabled: build the SLO evaluator on top of the scraper.
-        slo: burn-rate evaluation tuning.
-        kernel_profiling: enable per-event-type dispatch profiling on
-            the simulation kernel and export it as metrics.
+        slo: burn-rate evaluation tuning of the SLO evaluator that runs
+            on top of the scraper.
+
+    The plane also turns on the simulation kernel's per-event-type
+    dispatch profiling and exports it as metrics.
     """
 
     enabled: bool = False
     scrape_interval_s: float = 0.5
     retention_points: int = 720
-    slo_enabled: bool = True
     slo: SloConfig = field(default_factory=SloConfig)
-    kernel_profiling: bool = True
 
     def __post_init__(self) -> None:
         if self.scrape_interval_s <= 0:
@@ -105,10 +104,8 @@ class MetricsPlane:
             interval_s=self.config.scrape_interval_s,
             capacity=self.config.retention_points,
         )
-        self.slo: SloEvaluator | None = None
-        if self.config.slo_enabled:
-            self.slo = SloEvaluator(env, monitoring, events=events, config=self.config.slo)
-            self.scraper.on_scrape.append(self.slo.evaluate)
+        self.slo = SloEvaluator(env, monitoring, events=events, config=self.config.slo)
+        self.scraper.on_scrape.append(self.slo.evaluate)
         self._platform: "Oparaca | None" = None
 
     # -- wiring ------------------------------------------------------------
@@ -116,11 +113,9 @@ class MetricsPlane:
     def install(self, platform: "Oparaca") -> None:
         """Attach collectors over every plane the platform runs."""
         self._platform = platform
-        if self.config.kernel_profiling:
-            platform.env.enable_profiling()
+        platform.env.enable_profiling()
         self.scraper.collectors.append(self._collect)
-        if self.slo is not None:
-            self.slo.watch_durability(platform.durability)
+        self.slo.watch_durability(platform.durability)
 
     def start(self) -> None:
         self.scraper.start()
@@ -148,11 +143,8 @@ class MetricsPlane:
             platform.federation.collect_metrics(registry)
         if platform.chaos is not None:
             platform.chaos.collect_metrics(registry)
-        profile = platform.env.profile
-        if profile is not None:
-            profile.collect_metrics(registry)
-        if self.slo is not None:
-            self._watch_new_classes(platform)
+        platform.env.profile.collect_metrics(registry)
+        self._watch_new_classes(platform)
 
     def _collect_front_door(self, platform: "Oparaca", registry: MetricsRegistry) -> None:
         """Gateway, invocation engine, and document store counters."""
@@ -229,18 +221,16 @@ class MetricsPlane:
         return metrics_json(self.registry, scraper=self.scraper, indent=indent)
 
     def slo_report(self) -> dict[str, Any]:
-        """The ``slo`` section (empty when the evaluator is off)."""
-        return self.slo.report() if self.slo is not None else {}
+        """The ``slo`` section."""
+        return self.slo.report()
 
     def stats(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+        return {
             "scrapes": self.scraper.scrapes,
             "scrape_interval_s": self.scraper.interval_s,
             "series": len(self.scraper),
             "instruments": len(self.registry),
+            "slo_evaluations": self.slo.evaluations,
+            "slo_alerts": len(self.slo.alerts),
+            "slo_firing": len(self.slo.firing()),
         }
-        if self.slo is not None:
-            out["slo_evaluations"] = self.slo.evaluations
-            out["slo_alerts"] = len(self.slo.alerts)
-            out["slo_firing"] = len(self.slo.firing())
-        return out

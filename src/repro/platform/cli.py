@@ -64,6 +64,7 @@ import argparse
 import importlib
 import json
 import sys
+from typing import Any, Callable, NamedTuple
 
 from repro.crm.template import default_catalog
 from repro.errors import OaasError
@@ -493,63 +494,29 @@ def _register_stub_handlers(platform, package: Package) -> None:
         platform.register_image(image, make_stub(image), service_time_s=0.001)
 
 
-def _build_platform(
-    args: argparse.Namespace,
-    package: Package,
-    tracing: bool = False,
-    events: bool = False,
-    qos_config=None,
-    durability_config=None,
-    metrics_config=None,
-    scheduler_config=None,
-    federation_config=None,
-    regions=(),
-):
+def _build_platform(args: argparse.Namespace, package: Package, **overrides: Any):
     """An ephemeral platform with the workload's handlers registered, or
-    ``None`` (after printing the error) when handler wiring is invalid."""
+    ``None`` (after printing the error) when handler wiring is invalid.
+    ``overrides`` are :class:`PlatformConfig` fields — the plane configs
+    and observability switches a subcommand turns on."""
     from repro.durability.plane import DurabilityConfig
-    from repro.federation.plane import FederationConfig
-    from repro.monitoring.plane import MetricsConfig
     from repro.platform.oparaca import Oparaca, PlatformConfig
-    from repro.qos.plane import QosConfig
-    from repro.scheduler.plane import SchedulerConfig
     from repro.storage.backends import StorageConfig
 
-    storage_config = StorageConfig(
+    storage = StorageConfig(
         backend=getattr(args, "backend", "dict"), path=getattr(args, "db", None)
     )
-    if storage_config.backend == "sqlite" and durability_config is None:
+    if storage.backend == "sqlite":
         # A durable engine without the durability plane would still lose
         # queued write-behind commits on a kill; enabling the plane makes
         # strong-persistence classes write through synchronously.
-        durability_config = DurabilityConfig(enabled=True)
+        overrides.setdefault("durability", DurabilityConfig(enabled=True))
     platform = Oparaca(
         PlatformConfig(
             nodes=args.nodes,
-            regions=tuple(regions),
             seed=getattr(args, "seed", 0),
-            tracing_enabled=tracing,
-            events_enabled=events,
-            storage=storage_config,
-            qos=qos_config if qos_config is not None else QosConfig(),
-            durability=(
-                durability_config
-                if durability_config is not None
-                else DurabilityConfig()
-            ),
-            metrics=(
-                metrics_config if metrics_config is not None else MetricsConfig()
-            ),
-            scheduler=(
-                scheduler_config
-                if scheduler_config is not None
-                else SchedulerConfig()
-            ),
-            federation=(
-                federation_config
-                if federation_config is not None
-                else FederationConfig()
-            ),
+            storage=storage,
+            **overrides,
         )
     )
     if args.handlers:
@@ -570,22 +537,31 @@ def _build_platform(
     return platform
 
 
+def _parse_invoke(spec: str) -> tuple[str, dict]:
+    """``FN[:PAYLOAD_JSON]`` -> ``(fn, payload)``."""
+    fn, _, payload_text = spec.partition(":")
+    return fn, json.loads(payload_text) if payload_text else {}
+
+
+def _create_object(platform, args: argparse.Namespace) -> str:
+    body = {"state": json.loads(args.state)} if args.state != "{}" else {}
+    created = platform.http("POST", f"/api/classes/{args.new_cls}", body)
+    if not created.ok:
+        raise OaasError(f"object creation failed: {created.body.get('error')}")
+    return created.body["id"]
+
+
 def _run_workload(platform, args: argparse.Namespace, quiet: bool = False) -> str:
     """Create the object and run each ``--invoke``; returns the object id.
 
     Goes through the gateway's REST surface (not the engine directly) so
     traces start at the ``gateway`` span, like a real client's would.
     """
-    body = {"state": json.loads(args.state)} if args.state != "{}" else {}
-    created = platform.http("POST", f"/api/classes/{args.new_cls}", body)
-    if not created.ok:
-        raise OaasError(f"object creation failed: {created.body.get('error')}")
-    object_id = created.body["id"]
+    object_id = _create_object(platform, args)
     if not quiet:
         print(f"created {object_id}")
     for spec in args.invoke:
-        fn, _, payload_text = spec.partition(":")
-        payload = json.loads(payload_text) if payload_text else {}
+        fn, payload = _parse_invoke(spec)
         response = platform.http("POST", f"/api/objects/{object_id}/invokes/{fn}", payload)
         if not quiet:
             status = "ok" if response.ok else f"FAILED: {response.body.get('error')}"
@@ -593,6 +569,54 @@ def _run_workload(platform, args: argparse.Namespace, quiet: bool = False) -> st
             if response.ok and response.body:
                 print(f"  output: {json.dumps(response.body, default=str)}")
     return object_id
+
+
+class _Rounds(NamedTuple):
+    """How the gateway answered the invokes :func:`_drive_rounds` made."""
+
+    ok: int
+    #: Answered 429/503: admission or overload refused the request.
+    rejected: int
+    failed: int
+
+    @property
+    def not_ok(self) -> int:
+        return self.rejected + self.failed
+
+
+def _drive_rounds(
+    platform,
+    args: argparse.Namespace,
+    *,
+    async_per_round: int = 0,
+    halfway: Callable[[], None] | None = None,
+) -> _Rounds:
+    """Create the object, then drive ``--rounds`` rounds ``--interval``
+    simulated seconds apart (the cadence the scraper, the SLO evaluator
+    and the fault plans are built for).  A round makes every ``--invoke``
+    through the gateway, then submits ``async_per_round`` fire-and-forget
+    copies of the first one; ``halfway`` runs before the middle round."""
+    object_id = _create_object(platform, args)
+    invokes = args.invoke or ["get"]
+    ok = rejected = failed = 0
+    for round_index in range(args.rounds):
+        if halfway is not None and round_index == max(1, args.rounds // 2):
+            halfway()
+        for spec in invokes:
+            fn, payload = _parse_invoke(spec)
+            response = platform.http(
+                "POST", f"/api/objects/{object_id}/invokes/{fn}", payload
+            )
+            if response.ok:
+                ok += 1
+            elif response.status in (429, 503):
+                rejected += 1
+            else:
+                failed += 1
+        for _ in range(async_per_round):
+            platform.invoke_async(object_id, *_parse_invoke(invokes[0]))
+        platform.advance(args.interval)
+    return _Rounds(ok, rejected, failed)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -615,7 +639,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     package = _load_pkg(args.package)
-    platform = _build_platform(args, package, tracing=True)
+    platform = _build_platform(args, package, tracing_enabled=True)
     if platform is None:
         return 2
     platform.deploy(package)
@@ -635,7 +659,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_events(args: argparse.Namespace) -> int:
     package = _load_pkg(args.package)
-    platform = _build_platform(args, package, events=True)
+    platform = _build_platform(args, package, events_enabled=True)
     if platform is None:
         return 2
     platform.deploy(package)
@@ -654,7 +678,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.monitoring.nfr_report import format_nfr_report
 
     package = _load_pkg(args.package)
-    platform = _build_platform(args, package, tracing=True, events=True)
+    platform = _build_platform(
+        args, package, tracing_enabled=True, events_enabled=True
+    )
     if platform is None:
         return 2
     platform.deploy(package)
@@ -675,7 +701,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.monitoring.nfr_report import format_nfr_report
 
     package = _load_pkg(args.package)
-    platform = _build_platform(args, package, tracing=True, events=True)
+    platform = _build_platform(
+        args, package, tracing_enabled=True, events_enabled=True
+    )
     if platform is None:
         return 2
     platform.deploy(package)
@@ -684,31 +712,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for fault in plan.describe()["faults"]:
         print(f"  {json.dumps(fault, default=str)}")
     injector = platform.inject_chaos(plan)
-
-    body = {"state": json.loads(args.state)} if args.state != "{}" else {}
-    created = platform.http("POST", f"/api/classes/{args.new_cls}", body)
-    if not created.ok:
-        raise OaasError(f"object creation failed: {created.body.get('error')}")
-    object_id = created.body["id"]
-    invokes = args.invoke or ["get"]
-    ok = failed = 0
-    for _round in range(args.rounds):
-        for spec in invokes:
-            fn, _, payload_text = spec.partition(":")
-            payload = json.loads(payload_text) if payload_text else {}
-            response = platform.http(
-                "POST", f"/api/objects/{object_id}/invokes/{fn}", payload
-            )
-            if response.ok:
-                ok += 1
-            else:
-                failed += 1
-        platform.advance(args.interval)
+    run = _drive_rounds(platform, args)
     # Let the plan finish (and breakers settle) before judging.
     platform.advance(max(0.0, plan.end_s - platform.now) + 1.0)
     platform.shutdown()
 
-    print(f"\nworkload: {ok} ok / {failed} failed over {args.rounds} rounds")
+    print(f"\nworkload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds")
     summary = injector.summary()
     print(
         f"chaos: injected={summary['injected']} recovered={summary['recovered']} "
@@ -734,51 +743,21 @@ def _cmd_qos(args: argparse.Namespace) -> int:
     platform = _build_platform(
         args,
         package,
-        events=True,
-        qos_config=QosConfig(enabled=True, concurrency_limit=args.concurrency_limit),
+        events_enabled=True,
+        qos=QosConfig(enabled=True, concurrency_limit=args.concurrency_limit),
     )
     if platform is None:
         return 2
     platform.deploy(package)
 
-    body = {"state": json.loads(args.state)} if args.state != "{}" else {}
-    created = platform.http("POST", f"/api/classes/{args.new_cls}", body)
-    if not created.ok:
-        raise OaasError(f"object creation failed: {created.body.get('error')}")
-    object_id = created.body["id"]
-    invokes = args.invoke or ["get"]
-    ok = failed = rejected = 0
-    completions = []
-    for _round in range(args.rounds):
-        for spec in invokes:
-            fn, _, payload_text = spec.partition(":")
-            payload = json.loads(payload_text) if payload_text else {}
-            response = platform.http(
-                "POST", f"/api/objects/{object_id}/invokes/{fn}", payload
-            )
-            if response.ok:
-                ok += 1
-            elif response.status in (429, 503):
-                rejected += 1
-            else:
-                failed += 1
-        fn0, _, payload_text0 = invokes[0].partition(":")
-        for _ in range(args.async_per_round):
-            completions.append(
-                platform.invoke_async(
-                    object_id,
-                    fn0,
-                    json.loads(payload_text0) if payload_text0 else {},
-                )
-            )
-        platform.advance(args.interval)
+    run = _drive_rounds(platform, args, async_per_round=args.async_per_round)
     platform.advance(2.0)  # drain the async backlog
     platform.shutdown()
 
     print(
-        f"workload: {ok} ok / {rejected} rejected / {failed} failed "
+        f"workload: {run.ok} ok / {run.rejected} rejected / {run.failed} failed "
         f"over {args.rounds} rounds "
-        f"(+{len(completions)} async submissions)"
+        f"(+{args.rounds * args.async_per_round} async submissions)"
     )
     stats = platform.qos_report()
     print("\nresolved policies:")
@@ -822,32 +801,6 @@ def _cmd_qos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _drive_steady(platform, args: argparse.Namespace) -> tuple[str, int, int]:
-    """Create the object, then drive ``--invoke`` rounds on a fixed
-    cadence (the shape the scraper and SLO evaluator are built for).
-    Returns ``(object_id, ok, failed)``."""
-    body = {"state": json.loads(args.state)} if args.state != "{}" else {}
-    created = platform.http("POST", f"/api/classes/{args.new_cls}", body)
-    if not created.ok:
-        raise OaasError(f"object creation failed: {created.body.get('error')}")
-    object_id = created.body["id"]
-    invokes = args.invoke or ["get"]
-    ok = failed = 0
-    for _round in range(args.rounds):
-        for spec in invokes:
-            fn, _, payload_text = spec.partition(":")
-            payload = json.loads(payload_text) if payload_text else {}
-            response = platform.http(
-                "POST", f"/api/objects/{object_id}/invokes/{fn}", payload
-            )
-            if response.ok:
-                ok += 1
-            else:
-                failed += 1
-        platform.advance(args.interval)
-    return object_id, ok, failed
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.monitoring.plane import MetricsConfig
 
@@ -855,15 +808,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     platform = _build_platform(
         args,
         package,
-        events=True,
-        metrics_config=MetricsConfig(
-            enabled=True, scrape_interval_s=args.scrape_interval
-        ),
+        events_enabled=True,
+        metrics=MetricsConfig(enabled=True, scrape_interval_s=args.scrape_interval),
     )
     if platform is None:
         return 2
     platform.deploy(package)
-    _, ok, failed = _drive_steady(platform, args)
+    run = _drive_rounds(platform, args)
     platform.shutdown()
     # One final scrape after the flush so the exported counters include
     # everything the shutdown drained.
@@ -874,7 +825,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(platform.metrics_exposition(), end="")
     stats = platform.metrics.stats()
     print(
-        f"workload: {ok} ok / {failed} failed; "
+        f"workload: {run.ok} ok / {run.not_ok} failed; "
         f"scrapes={stats['scrapes']} series={stats['series']} "
         f"instruments={stats['instruments']}",
         file=sys.stderr,
@@ -889,10 +840,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     platform = _build_platform(
         args,
         package,
-        events=True,
-        metrics_config=MetricsConfig(
-            enabled=True, scrape_interval_s=args.scrape_interval
-        ),
+        events_enabled=True,
+        metrics=MetricsConfig(enabled=True, scrape_interval_s=args.scrape_interval),
     )
     if platform is None:
         return 2
@@ -903,14 +852,14 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         plan = named_plan(args.chaos_plan, list(platform.cluster.node_names))
         platform.inject_chaos(plan)
         print(f"injecting plan {plan.name!r}", file=sys.stderr)
-    _, ok, failed = _drive_steady(platform, args)
+    run = _drive_rounds(platform, args)
     platform.shutdown()
     platform.metrics.scraper.scrape_once()
     report = platform.slo_report()
     if args.as_json:
         print(json.dumps(report, indent=2, default=str))
         return 0
-    print(f"workload: {ok} ok / {failed} failed over {args.rounds} rounds")
+    print(f"workload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds")
     print(f"\nobjectives ({report['evaluations']} evaluations):")
     for row in report["objectives"]:
         if row["slo"] == "throughput":
@@ -954,7 +903,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     platform = _build_platform(
         args,
         package,
-        scheduler_config=SchedulerConfig(
+        scheduler=SchedulerConfig(
             enabled=True,
             transport="asyncio",
             pool_size=args.pool,
@@ -1012,8 +961,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         crash_at = args.requests // 2
 
         async def one(index: int) -> None:
-            fn, _, payload_text = invokes[index % len(invokes)].partition(":")
-            payload = json.loads(payload_text) if payload_text else {}
+            fn, payload = _parse_invoke(invokes[index % len(invokes)])
             async with semaphore:
                 if args.crash_worker and index == crash_at:
                     for worker in front.workers:
@@ -1070,62 +1018,34 @@ def _cmd_workers(args: argparse.Namespace) -> int:
     platform = _build_platform(
         args,
         package,
-        events=True,
-        scheduler_config=SchedulerConfig(enabled=True, pool_size=args.pool),
+        events_enabled=True,
+        scheduler=SchedulerConfig(enabled=True, pool_size=args.pool),
     )
     if platform is None:
         return 2
     platform.deploy(package)
 
-    body = {"state": json.loads(args.state)} if args.state != "{}" else {}
-    created = platform.http("POST", f"/api/classes/{args.new_cls}", body)
-    if not created.ok:
-        raise OaasError(f"object creation failed: {created.body.get('error')}")
-    object_id = created.body["id"]
-    invokes = args.invoke or ["get"]
-    ok = failed = 0
-    completions = []
-    halfway = max(1, args.rounds // 2)
-    for round_index in range(args.rounds):
-        if round_index == halfway:
-            if args.drain_worker:
-                response = platform.http(
-                    "POST", f"/api/workers/{args.drain_worker}/drain"
-                )
-                verb = "draining" if response.ok else "drain FAILED:"
-                print(f"{verb} {args.drain_worker} at t={platform.now:.3f}s")
-            if args.crash_worker:
-                crashed = platform.scheduler_plane.crash_worker(
-                    args.crash_worker, reason="cli"
-                )
-                verb = "crashed" if crashed else "crash no-op (unknown/dead):"
-                print(f"{verb} {args.crash_worker} at t={platform.now:.3f}s")
-        for spec in invokes:
-            fn, _, payload_text = spec.partition(":")
-            payload = json.loads(payload_text) if payload_text else {}
-            response = platform.http(
-                "POST", f"/api/objects/{object_id}/invokes/{fn}", payload
+    def retire_halfway() -> None:
+        if args.drain_worker:
+            response = platform.http("POST", f"/api/workers/{args.drain_worker}/drain")
+            verb = "draining" if response.ok else "drain FAILED:"
+            print(f"{verb} {args.drain_worker} at t={platform.now:.3f}s")
+        if args.crash_worker:
+            crashed = platform.scheduler_plane.crash_worker(
+                args.crash_worker, reason="cli"
             )
-            if response.ok:
-                ok += 1
-            else:
-                failed += 1
-        fn0, _, payload_text0 = invokes[0].partition(":")
-        for _ in range(args.async_per_round):
-            completions.append(
-                platform.invoke_async(
-                    object_id,
-                    fn0,
-                    json.loads(payload_text0) if payload_text0 else {},
-                )
-            )
-        platform.advance(args.interval)
+            verb = "crashed" if crashed else "crash no-op (unknown/dead):"
+            print(f"{verb} {args.crash_worker} at t={platform.now:.3f}s")
+
+    run = _drive_rounds(
+        platform, args, async_per_round=args.async_per_round, halfway=retire_halfway
+    )
     platform.advance(2.0)  # settle the worker queues
     platform.shutdown()
 
     print(
-        f"workload: {ok} ok / {failed} failed over {args.rounds} rounds "
-        f"(+{len(completions)} async submissions through worker queues)"
+        f"workload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds "
+        f"(+{args.rounds * args.async_per_round} async submissions through worker queues)"
     )
     stats = platform.scheduler_report()
     print("\nworkers:")
@@ -1168,8 +1088,8 @@ def _durability_platform(args: argparse.Namespace, package: Package):
     return _build_platform(
         args,
         package,
-        events=True,
-        durability_config=DurabilityConfig(
+        events_enabled=True,
+        durability=DurabilityConfig(
             enabled=True, default_interval_s=args.snapshot_interval
         ),
     )
@@ -1242,8 +1162,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         )
     # Mutate past the cut so the rewind is visible.
     for spec in args.invoke:
-        fn, _, payload_text = spec.partition(":")
-        payload = json.loads(payload_text) if payload_text else {}
+        fn, payload = _parse_invoke(spec)
         platform.http("POST", f"/api/objects/{object_id}/invokes/{fn}", payload)
     before = platform.get_object(object_id)
     body = {} if args.at is None else {"at": args.at}
@@ -1284,8 +1203,8 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     platform = _build_platform(
         args,
         package,
-        events=True,
-        federation_config=FederationConfig(
+        events_enabled=True,
+        federation=FederationConfig(
             enabled=True, zones=zones, default_origin_zone=args.origin
         ),
         regions=tuple(zone.name for zone in zones),

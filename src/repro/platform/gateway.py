@@ -46,7 +46,7 @@ import urllib.parse
 from dataclasses import dataclass, field
 from typing import Any, Generator, Mapping
 
-from repro.errors import OaasError, ValidationError
+from repro.errors import OaasError, SchedulingError, ValidationError
 from repro.invoker.engine import InvocationEngine, split_object_id
 from repro.invoker.request import InvocationRequest
 from repro.monitoring.tracing import Tracer
@@ -54,7 +54,7 @@ from repro.qos.admission import REJECT_CONCURRENCY
 from repro.qos.plane import QosPlane
 from repro.sim.kernel import Environment, Process
 
-__all__ = ["HttpRequest", "HttpResponse", "Gateway"]
+__all__ = ["HttpRequest", "HttpResponse", "Gateway", "workers_route"]
 
 _STATUS_BY_ERROR = {
     "UnknownObjectError": 404,
@@ -116,6 +116,30 @@ class HttpResponse:
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
+
+
+def workers_route(core: Any, http: HttpRequest) -> HttpResponse | None:
+    """The worker-pool admin routes over a
+    :class:`~repro.scheduler.transport.core.DispatchCore` — the sim
+    gateway's (scheduler plane on) and the asyncio HTTP front's."""
+    parts = [p for p in http.path.split("/") if p]
+    if len(parts) < 2 or parts[0] != "api" or parts[1] != "workers":
+        return None
+    if len(parts) == 2 and http.method == "GET":
+        workers = core.describe_workers()
+        return HttpResponse(
+            200,
+            {"workers": workers, "count": len(workers), "ledger": core.ledger.audit()},
+        )
+    if len(parts) == 4 and parts[3] == "drain" and http.method == "POST":
+        name = parts[2]
+        try:
+            worker = core.drain(name)
+        except SchedulingError as exc:
+            status = 404 if "unknown worker" in str(exc) else 409
+            return HttpResponse(status, {"error": str(exc), "type": "SchedulingError"})
+        return HttpResponse(202, {"worker": name, "state": worker.machine.state.value})
+    return None
 
 
 class Gateway:
@@ -181,8 +205,8 @@ class Gateway:
         admin = self._storage_route(http)
         if admin is None:
             admin = self._durability_route(http)
-        if admin is None:
-            admin = self._scheduler_route(http)
+        if admin is None and self.scheduler is not None:
+            admin = workers_route(self.scheduler.core, http)
         if admin is None:
             admin = self._federation_route(http)
         if admin is not None:
@@ -323,40 +347,6 @@ class Gateway:
         else:
             summary = yield self.durability.restore_class(cls, at)
         return HttpResponse(200, dict(summary))
-
-    def _scheduler_route(self, http: HttpRequest) -> HttpResponse | None:
-        """Worker-pool admin routes, live only when the scheduler plane
-        is wired; otherwise fall through to the baseline 404."""
-        if self.scheduler is None:
-            return None
-        parts = [p for p in http.path.split("/") if p]
-        if len(parts) < 2 or parts[0] != "api" or parts[1] != "workers":
-            return None
-        if len(parts) == 2 and http.method == "GET":
-            workers = self.scheduler.describe_workers()
-            return HttpResponse(
-                200,
-                {
-                    "workers": workers,
-                    "count": len(workers),
-                    "ledger": self.scheduler.ledger.audit(),
-                },
-            )
-        if len(parts) == 4 and parts[3] == "drain" and http.method == "POST":
-            from repro.errors import SchedulingError
-
-            name = parts[2]
-            try:
-                worker = self.scheduler.drain_worker(name)
-            except SchedulingError as exc:
-                status = 404 if "unknown worker" in str(exc) else 409
-                return HttpResponse(
-                    status, {"error": str(exc), "type": "SchedulingError"}
-                )
-            return HttpResponse(
-                202, {"worker": name, "state": worker.state.value}
-            )
-        return None
 
     def _federation_route(
         self, http: HttpRequest

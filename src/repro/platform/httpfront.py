@@ -25,7 +25,12 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import OaasError, ValidationError
 from repro.invoker.request import InvocationRequest
-from repro.platform.gateway import _STATUS_BY_ERROR, HttpRequest, HttpResponse
+from repro.platform.gateway import (
+    _STATUS_BY_ERROR,
+    HttpRequest,
+    HttpResponse,
+    workers_route,
+)
 from repro.scheduler.transport.aio import AsyncSchedulerServer, AsyncWorkerClient
 from repro.scheduler.transport.protocol import Dispatch
 
@@ -66,7 +71,7 @@ class AsyncPlatformServer:
         self._next_worker = 0
         self._running = False
         self._spawn_tasks: set[asyncio.Task] = set()
-        self.scheduler.on_worker_lost = self._on_worker_lost
+        self.scheduler.core.on_worker_dead = self._on_worker_dead
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -115,7 +120,9 @@ class AsyncPlatformServer:
         self.workers.append(worker)
         return worker
 
-    def _on_worker_lost(self, name: str) -> None:
+    def _on_worker_dead(self, worker: Any, reason: str) -> None:
+        """Self-heal: a worker that crashed or finished draining is
+        replaced while the front runs."""
         if self._running:
             task = asyncio.ensure_future(self._spawn_worker())
             self._spawn_tasks.add(task)
@@ -215,7 +222,7 @@ class AsyncPlatformServer:
 
     async def _respond(self, http: HttpRequest) -> HttpResponse:
         self.requests += 1
-        admin = self._scheduler_route(http)
+        admin = workers_route(self.scheduler.core, http)
         if admin is not None:
             return admin
         storage = self.platform.gateway._storage_route(http)
@@ -248,39 +255,6 @@ class AsyncPlatformServer:
         return HttpResponse(
             status, {"error": result.error, "type": result.error_type}
         )
-
-    def _scheduler_route(self, http: HttpRequest) -> HttpResponse | None:
-        """Same admin surface as the sim gateway, served from the async
-        scheduler's state."""
-        parts = [p for p in http.path.split("/") if p]
-        if len(parts) < 2 or parts[0] != "api" or parts[1] != "workers":
-            return None
-        if len(parts) == 2 and http.method == "GET":
-            workers = self.scheduler.describe_workers()
-            return HttpResponse(
-                200,
-                {
-                    "workers": workers,
-                    "count": len(workers),
-                    "ledger": self.scheduler.core.ledger.audit(),
-                },
-            )
-        if len(parts) == 4 and parts[3] == "drain" and http.method == "POST":
-            from repro.errors import SchedulingError
-
-            name = parts[2]
-            try:
-                self.scheduler.drain(name)
-            except SchedulingError as exc:
-                status = 404 if "unknown worker" in str(exc) else 409
-                return HttpResponse(
-                    status, {"error": str(exc), "type": "SchedulingError"}
-                )
-            worker = self.scheduler.core.workers[name]
-            return HttpResponse(
-                202, {"worker": name, "state": worker.machine.state.value}
-            )
-        return None
 
     def _write_response(
         self, writer: asyncio.StreamWriter, response: HttpResponse

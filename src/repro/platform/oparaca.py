@@ -694,9 +694,7 @@ class Oparaca:
             report["federation"] = self.federation.stats()
         if self.metrics is not None:
             report["metrics"] = self.metrics.stats()
-            slo = self.metrics.slo_report()
-            if slo:
-                report["slo"] = slo
+            report["slo"] = self.metrics.slo_report()
         return report
 
     def snapshot(self) -> dict[str, float]:

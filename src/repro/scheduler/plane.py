@@ -10,11 +10,12 @@ when off, async dispatch runs the same :class:`DispatchCore` over a
 records no ``scheduler.*`` events or spans.
 
 The plane is the **sim transport** of the worker protocol: the
-dispatch/ledger/fencing state machine lives in
-:class:`~repro.scheduler.transport.core.DispatchCore` (shared with the
-real asyncio transport in :mod:`repro.scheduler.transport.aio`), and
-this class supplies the sim-kernel half — worker pods, heartbeat
-monitoring as a sim process, chaos seams, and platform hooks.
+dispatch/ledger/fencing state machine *and the worker lifecycle* live
+in :class:`~repro.scheduler.transport.core.DispatchCore` (shared with
+the real asyncio transport in :mod:`repro.scheduler.transport.aio`),
+and this class supplies the sim-kernel half — worker pods, the health
+sweep's timer as a sim process, pool replacement, chaos seams, and
+platform hooks.
 
 When enabled:
 
@@ -28,14 +29,15 @@ When enabled:
   id (stable per-object affinity, minimal movement when the pool
   changes); with the QoS plane also on, every worker's queue is a
   weighted-fair queue the overload controller can shed from;
-* a monitor process watches heartbeats, degrades silent workers (new
-  dispatch stops, queued work is rebound), and declares persistently
-  silent workers dead — fencing their epoch and requeueing everything
-  they held, so *an accepted invocation is never lost and never
-  completed twice* no matter how workers fail;
+* a monitor process sweeps heartbeats: the core degrades silent workers
+  (new dispatch stops, queued work is rebound) and declares
+  persistently silent workers dead — fencing their epoch and requeueing
+  everything they held, so *an accepted invocation is never lost and
+  never completed twice* no matter how workers fail;
 * drain performs a graceful handoff: queued items move to peers, the
-  in-flight invocation finishes normally, then the worker retires and
-  (optionally) a replacement registers.
+  in-flight invocation finishes normally, then the worker retires;
+* a worker that died — crashed or drained — is replaced while the
+  plane runs (``replace_dead_workers``).
 
 Every lifecycle moment is recorded as a ``scheduler.*`` platform event
 (and an instantaneous span under the ``"scheduler"`` trace), which is
@@ -51,7 +53,6 @@ from repro.errors import SchedulingError, ValidationError
 from repro.invoker.request import InvocationRequest
 from repro.orchestrator.pod import PodSpec
 from repro.orchestrator.resources import ResourceSpec
-from repro.scheduler.state import WorkerState
 from repro.scheduler.transport.core import DispatchCore
 from repro.scheduler.worker import SimWorker
 from repro.sim.kernel import Environment
@@ -70,8 +71,9 @@ __all__ = ["SchedulerConfig", "SchedulerPlane"]
 #: Scheduler lifecycle spans share one synthetic trace (like ``"chaos"``).
 SCHEDULER_TRACE_ID = "scheduler"
 
-#: Image name worker pods are stamped from.
+#: Image name worker pods are stamped from, and what each one requests.
 WORKER_IMAGE = "oaas/worker-runtime"
+WORKER_RESOURCES = ResourceSpec(cpu_millis=100, memory_mb=128)
 
 #: The transports the scheduler protocol can be spoken over.
 TRANSPORTS = ("sim", "asyncio")
@@ -95,8 +97,6 @@ class SchedulerConfig:
     install_delay_s: float = 0.05
     dispatch_overhead_s: float = 0.0
     replace_dead_workers: bool = True
-    worker_cpu_millis: int = 100
-    worker_memory_mb: int = 128
 
     def __post_init__(self) -> None:
         if self.transport not in TRANSPORTS:
@@ -117,8 +117,6 @@ class SchedulerConfig:
         for field_name in ("register_delay_s", "install_delay_s", "dispatch_overhead_s"):
             if getattr(self, field_name) < 0:
                 raise ValidationError(f"{field_name} must be >= 0")
-        if self.worker_cpu_millis < 1 or self.worker_memory_mb < 1:
-            raise ValidationError("worker pod resources must be positive")
 
 
 class SchedulerPlane:
@@ -145,7 +143,7 @@ class SchedulerPlane:
         self.config = config or SchedulerConfig(enabled=True)
         self.qos = qos
         self.core = DispatchCore(clock=lambda: self.env.now, emit=self._emit)
-        self.heartbeats = 0
+        self.core.on_worker_dead = self._maybe_replace
         self._next_worker = 0
         self._running = False
 
@@ -164,16 +162,16 @@ class SchedulerPlane:
         return self.core.registrations  # type: ignore[return-value]
 
     @property
-    def dispatched(self) -> int:
-        return self.core.dispatched
-
-    @property
     def delivered(self) -> int:
         return self.core.delivered
 
     @property
     def parked_total(self) -> int:
         return self.core.parked_total
+
+    @property
+    def heartbeats(self) -> int:
+        return self.core.heartbeats
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -201,9 +199,6 @@ class SchedulerPlane:
                 worker.halt()
         return report
 
-    def deployed_classes(self) -> list[str]:
-        return self.core.deployed_classes()
-
     def register_worker(self, name: str | None = None) -> SimWorker:
         """Admit one worker: place its pod, start its processes."""
         if name is None:
@@ -220,9 +215,7 @@ class SchedulerPlane:
             raise SchedulingError(f"worker {name!r} is already registered")
         spec = PodSpec(
             image=WORKER_IMAGE,
-            resources=ResourceSpec(
-                self.config.worker_cpu_millis, self.config.worker_memory_mb
-            ),
+            resources=WORKER_RESOURCES,
             concurrency=1,
             labels={"app": "oaas-worker", "worker": name},
         )
@@ -238,143 +231,40 @@ class SchedulerPlane:
         """Accept one invocation into the ledger and route it."""
         self.core.submit(request)
 
-    # -- worker callbacks ---------------------------------------------------
-
-    def on_worker_ready(self, worker: SimWorker) -> None:
-        worker.machine.transition(WorkerState.READY, self.env.now, "activated")
-        worker.last_beat = self.env.now
-        self._emit("scheduler.ready", worker=worker.name, node=worker.node)
-        self.core.flush_unassigned()
-
-    def on_worker_installed(self, worker: SimWorker, cls: str) -> None:
-        self._emit("scheduler.install", worker=worker.name, cls=cls)
-        if worker.machine.is_dispatchable:
-            self.core.flush_unassigned()
-
-    def on_worker_drained(self, worker: SimWorker) -> None:
-        """The work loop emptied out after a drain: retire the worker."""
-        self._retire(worker, "drained")
-
-    def heartbeat(self, worker: SimWorker) -> None:
-        if self.workers.get(worker.name) is not worker:
-            return  # a fenced registration's stale beat
-        worker.last_beat = self.env.now
-        self.heartbeats += 1
-        if worker.machine.state is WorkerState.DEGRADED:
-            worker.machine.transition(
-                WorkerState.READY, self.env.now, "heartbeat-resumed"
-            )
-            self._emit("scheduler.recovered", worker=worker.name)
-            self.core.flush_unassigned()
-
     # -- health monitoring --------------------------------------------------
 
     def _monitor(self) -> Generator:
-        interval = self.config.heartbeat_interval_s
+        config = self.config
         while self._running:
-            yield self.env.timeout(interval)
+            yield self.env.timeout(config.heartbeat_interval_s)
             if not self._running:
                 return
-            now = self.env.now
-            for name in sorted(self.workers):
-                worker = self.workers[name]
-                if worker.machine.state not in (
-                    WorkerState.READY,
-                    WorkerState.DEGRADED,
-                ):
-                    continue
-                silent_for = now - worker.last_beat
-                if silent_for >= self.config.dead_after_misses * interval - 1e-9:
-                    self.crash_worker(name, reason="heartbeat-timeout")
-                elif (
-                    worker.machine.state is WorkerState.READY
-                    and silent_for
-                    >= self.config.degraded_after_misses * interval - 1e-9
-                ):
-                    self._degrade(worker)
-
-    def _degrade(self, worker: SimWorker) -> None:
-        worker.machine.transition(
-            WorkerState.DEGRADED, self.env.now, "missed-heartbeats"
-        )
-        self._emit("scheduler.degraded", worker=worker.name)
-        self._rebind_queued(worker, "degraded")
-
-    def _rebind_queued(self, worker: SimWorker, reason: str) -> None:
-        """Move everything *queued* (not in-flight) off ``worker``."""
-        moved = self.core.reroute(worker.name, worker.take_queue())
-        if moved:
-            self._emit(
-                "scheduler.rebind", worker=worker.name, moved=moved, reason=reason
+            self.core.sweep(
+                config.heartbeat_interval_s,
+                config.degraded_after_misses,
+                config.dead_after_misses,
             )
 
     # -- drain / crash / node failure ---------------------------------------
 
     def drain_worker(self, name: str) -> SimWorker:
-        """Gracefully retire ``name``: hand queued work to peers, let the
-        in-flight invocation finish, then terminate the pod."""
-        worker = self.workers.get(name)
-        if worker is None:
-            raise SchedulingError(f"unknown worker {name!r}")
-        if worker.machine.state is WorkerState.DRAINING:
-            return worker
-        if not worker.machine.can_transition(WorkerState.DRAINING):
-            raise SchedulingError(
-                f"worker {name!r} cannot drain from {worker.state.value}"
-            )
-        worker.machine.transition(WorkerState.DRAINING, self.env.now, "drain")
-        self._emit("scheduler.draining", worker=name)
-        self._rebind_queued(worker, "drain-handoff")
-        worker.drain()
-        return worker
+        return self.core.drain(name)  # type: ignore[return-value]
 
     def crash_worker(self, name: str, reason: str = "crash") -> bool:
-        """Declare ``name`` dead *now* (fault injection or heartbeat
-        timeout): fence its epoch and requeue everything it held."""
-        worker = self.workers.get(name)
-        if worker is None or worker.machine.is_dead:
-            return False
-        dropped = worker.crash()
-        worker.machine.transition(WorkerState.DEAD, self.env.now, reason)
-        self._emit(
-            "scheduler.dead", worker=name, reason=reason, requeued=len(dropped)
-        )
-        self._teardown(worker)
-        self.core.reroute(name, dropped)
-        self._maybe_replace()
-        return True
+        return self.core.crash(name, reason)
 
     def on_node_failed(self, node: str) -> None:
         """Platform hook: every worker on a failed node dies with it."""
         for name in sorted(self.workers):
-            worker = self.workers[name]
-            if worker.node == node and not worker.machine.is_dead:
-                self.crash_worker(name, reason="node-failure")
+            if self.workers[name].node == node:
+                self.core.crash(name, "node-failure")
 
-    def _retire(self, worker: SimWorker, reason: str) -> None:
-        worker.machine.transition(WorkerState.DEAD, self.env.now, reason)
-        self._emit("scheduler.dead", worker=worker.name, reason=reason, requeued=0)
-        self._teardown(worker)
-        self._maybe_replace()
-
-    def _teardown(self, worker: SimWorker) -> None:
-        """A worker just went DEAD: release its queue and its pod."""
-        if self.qos is not None:
-            self.qos.retire_queue(worker.queue)
-        if worker.pod is None:
-            return
-        if self.cluster.pod(worker.pod.name) is worker.pod:
-            self.cluster.terminate_pod(worker.pod.name)
-
-    def _maybe_replace(self) -> None:
+    def _maybe_replace(self, worker: SimWorker, reason: str) -> None:
+        """The core's ``on_worker_dead``: top the pool back up."""
         if not self.config.replace_dead_workers or not self._running:
             return
-        live = sum(
-            1 for worker in self.workers.values() if not worker.machine.is_dead
-        )
-        while live < self.config.pool_size:
+        for _ in range(self.config.pool_size - self.core.live_workers):
             self.register_worker()
-            live += 1
 
     # -- chaos seams --------------------------------------------------------
 
@@ -411,11 +301,7 @@ class SchedulerPlane:
     # -- platform hooks -----------------------------------------------------
 
     def on_deploy(self, cls: str) -> None:
-        """A class runtime was (re)deployed: install it everywhere."""
-        self.core.note_class(cls)
-        for _, worker in sorted(self.workers.items()):
-            if not worker.machine.is_dead:
-                worker.install(cls)
+        self.core.class_deployed(cls)
 
     @property
     def outstanding(self) -> int:
@@ -426,21 +312,10 @@ class SchedulerPlane:
         return self.core.live_workers
 
     def describe_workers(self) -> list[dict[str, Any]]:
-        return [self.workers[name].describe() for name in sorted(self.workers)]
+        return self.core.describe_workers()
 
     def stats(self) -> dict[str, Any]:
-        audit = self.ledger.audit()
-        return {
-            "workers": self.describe_workers(),
-            "ledger": audit,
-            "dispatched": self.dispatched,
-            "delivered": self.delivered,
-            "heartbeats": self.heartbeats,
-            "parked": self.core.parked,
-            "parked_total": self.parked_total,
-            "registrations": len(self.all_workers),
-            "live_workers": self.live_workers,
-        }
+        return self.core.stats()
 
     def collect_metrics(self, registry) -> None:
         """Metrics-plane pull hook: per-worker dispatch/completion

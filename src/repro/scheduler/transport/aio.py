@@ -41,7 +41,7 @@ from typing import Any, Awaitable, Callable
 
 from repro.errors import SchedulingError, TransportError
 from repro.invoker.request import InvocationRequest, InvocationResult
-from repro.scheduler.state import WorkerState, WorkerStateMachine
+from repro.scheduler.state import WorkerStateMachine
 from repro.scheduler.transport.core import DispatchCore, DispatchItem
 from repro.scheduler.transport.protocol import (
     Complete,
@@ -83,12 +83,10 @@ class TransportEvent:
 
 
 class RemoteWorker:
-    """The server's view of one connected worker registration.
-
-    Satisfies the :class:`~repro.scheduler.transport.core.WorkerPort`
-    protocol: ``push`` writes a ``dispatch`` frame down the connection,
-    ``take_queue`` hands back the items the server still believes are
-    queued (not yet reported ``executing``)."""
+    """The server's view of one connected worker registration — the
+    asyncio transport's :class:`~repro.scheduler.transport.core.WorkerPort`:
+    every port method is a frame down (or the end of) the connection,
+    over the items the server believes the worker still holds."""
 
     def __init__(
         self,
@@ -113,11 +111,14 @@ class RemoteWorker:
         self.dispatched_count = 0
         self.completed_count = 0
         self.heartbeats_sent = 0
-        self.retired = False
 
     @property
-    def state(self) -> WorkerState:
-        return self.machine.state
+    def queue_depth(self) -> int:
+        return len(self.items) - len(self.executing)
+
+    @property
+    def in_flight(self) -> set[str]:
+        return self.executing
 
     def push(self, item: DispatchItem) -> None:
         request = item.request
@@ -146,45 +147,46 @@ class RemoteWorker:
             del self.items[item.request.request_id]
         return queued
 
-    def take_all(self) -> list[DispatchItem]:
-        items = list(self.items.values())
+    def crash(self) -> list[DispatchItem]:
+        # Fence FIRST: anything the old connection says after this
+        # carries a stale epoch and is discarded.
+        self.epoch += 1
+        self.server.note_epoch(self.name, self.epoch)
+        held = list(self.items.values())
         self.items.clear()
         self.executing.clear()
-        return items
+        return held
+
+    def install(self, cls: str) -> None:
+        self.send(Install(cls=cls))
+
+    def begin_drain(self) -> None:
+        self.send(DrainCmd())
+
+    def release(self) -> None:
+        self.writer.close()
 
     def send(self, message: Message) -> None:
         if self.writer.is_closing():
             return
         self.writer.write(encode_frame(message))
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            "worker": self.name,
-            "state": self.state.value,
-            "node": self.node,
-            "epoch": self.epoch,
-            "installed": sorted(self.installed),
-            "queue_depth": len(self.items) - len(self.executing),
-            "in_flight": bool(self.executing),
-            "dispatched": self.dispatched_count,
-            "completed": self.completed_count,
-            "heartbeats": self.heartbeats_sent,
-        }
-
 
 class AsyncSchedulerServer:
     """The scheduler side of the protocol over real asyncio streams.
 
     Owns a :class:`DispatchCore` (the same state machine the sim plane
-    drives), a TCP listener, and a heartbeat monitor task.  Submissions
-    return futures resolved on first completion."""
+    drives), a TCP listener, and a monitor task timing the core's health
+    sweep; decodes each worker message into one core call.  Submissions
+    return futures resolved on first completion.  Replacing a worker the
+    core reports dead is up to whoever owns the worker processes: set
+    ``server.core.on_worker_dead``."""
 
     def __init__(
         self,
         *,
         config: Any = None,
         classes: list[str] | None = None,
-        emit: Callable[..., None] | None = None,
     ) -> None:
         # config is a SchedulerConfig; typed loosely to avoid importing
         # the plane module (which imports this package).
@@ -195,11 +197,7 @@ class AsyncSchedulerServer:
         for cls in classes or ():
             self.core.note_class(cls)
         self.events: list[TransportEvent] = []
-        self.heartbeats = 0
         self.fenced = 0
-        self.on_complete: Callable[[InvocationRequest, InvocationResult], None] | None = None
-        self.on_worker_lost: Callable[[str], None] | None = None
-        self._external_emit = emit
         self._server: asyncio.AbstractServer | None = None
         self._monitor_task: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -247,6 +245,18 @@ class AsyncSchedulerServer:
             return 0.0
         return self._loop.time() - self._t0
 
+    async def _monitor(self) -> None:
+        config = self.config
+        while self._running:
+            await asyncio.sleep(config.heartbeat_interval_s)
+            if not self._running:
+                return
+            self.core.sweep(
+                config.heartbeat_interval_s,
+                config.degraded_after_misses,
+                config.dead_after_misses,
+            )
+
     # -- submission ---------------------------------------------------------
 
     def submit(self, request: InvocationRequest) -> "asyncio.Future[InvocationResult]":
@@ -261,15 +271,9 @@ class AsyncSchedulerServer:
         future = self._futures.pop(request.request_id, None)
         if future is not None and not future.done():
             future.set_result(result)
-        if self.on_complete is not None:
-            self.on_complete(request, result)
 
     def on_deploy(self, cls: str) -> None:
-        """A class was (re)deployed: install it on every live worker."""
-        self.core.note_class(cls)
-        for _, worker in sorted(self.core.workers.items()):
-            if not worker.machine.is_dead:
-                worker.send(Install(cls=cls))  # type: ignore[attr-defined]
+        self.core.class_deployed(cls)
 
     # -- connection handling -------------------------------------------------
 
@@ -296,8 +300,10 @@ class AsyncSchedulerServer:
         finally:
             self._connections.discard(writer)
             writer.close()
-            if worker is not None:
-                self._connection_lost(worker)
+            # A live registration is the current one under its name (a
+            # rejoin is refused until the old one is dead).
+            if worker is not None and not worker.machine.is_dead:
+                self.core.crash(worker.name, "connection-lost")
 
     def _register(
         self, message: Message, writer: asyncio.StreamWriter
@@ -338,6 +344,11 @@ class AsyncSchedulerServer:
         )
         return worker
 
+    def note_epoch(self, name: str, epoch: int) -> None:
+        """A registration fenced itself at ``epoch``: the next one under
+        that name must be handed a later one."""
+        self._epochs[name] = max(self._epochs[name], epoch)
+
     def _fenced(self, worker: RemoteWorker, epoch: int) -> bool:
         """Is a message from this connection speaking for a fenced past?"""
         if (
@@ -350,51 +361,33 @@ class AsyncSchedulerServer:
         return False
 
     def _on_message(self, worker: RemoteWorker, message: Message) -> None:
+        """One worker→scheduler message is one core call."""
+        if not isinstance(
+            message, (Ready, Heartbeat, InstallAck, Executing, Complete, Drained)
+        ):
+            return
+        if self._fenced(worker, message.epoch):
+            # A zombie connection the scheduler already declared dead.
+            # Its items were requeued when the epoch was fenced, so even
+            # a ``complete`` is dropped without touching the ledger — it
+            # would wrongly close a redispatched entry — exactly like
+            # the sim work loop.
+            return
         if isinstance(message, Ready):
-            if self._fenced(worker, message.epoch):
-                return
-            worker.machine.transition(WorkerState.READY, self.now(), "activated")
-            worker.last_beat = self.now()
-            self._emit("scheduler.ready", worker=worker.name, node=worker.node)
-            self.core.flush_unassigned()
+            self.core.worker_ready(worker)
         elif isinstance(message, Heartbeat):
-            if self._fenced(worker, message.epoch):
-                return
-            worker.last_beat = self.now()
-            worker.heartbeats_sent += 1
-            self.heartbeats += 1
-            if worker.machine.state is WorkerState.DEGRADED:
-                worker.machine.transition(
-                    WorkerState.READY, self.now(), "heartbeat-resumed"
-                )
-                self._emit("scheduler.recovered", worker=worker.name)
-                self.core.flush_unassigned()
+            self.core.heartbeat(worker)
         elif isinstance(message, InstallAck):
-            if self._fenced(worker, message.epoch):
-                return
-            worker.installed.add(message.cls)
-            self._emit("scheduler.install", worker=worker.name, cls=message.cls)
-            if worker.machine.is_dispatchable:
-                self.core.flush_unassigned()
+            self.core.worker_installed(worker, message.cls)
         elif isinstance(message, Executing):
-            if self._fenced(worker, message.epoch):
-                return
             if message.request_id in worker.items:
                 worker.executing.add(message.request_id)
         elif isinstance(message, Complete):
             self._on_complete_msg(worker, message)
-        elif isinstance(message, Drained):
-            if self._fenced(worker, message.epoch):
-                return
-            self._retire(worker, "drained")
+        else:  # Drained
+            self.core.retire(worker, "drained")
 
     def _on_complete_msg(self, worker: RemoteWorker, message: Complete) -> None:
-        if self._fenced(worker, message.epoch):
-            # A zombie connection the scheduler already declared dead:
-            # its item was requeued when the epoch was fenced, so
-            # completing it here would wrongly close a redispatched
-            # entry.  Drop silently, exactly like the sim work loop.
-            return
         item = worker.items.pop(message.request_id, None)
         worker.executing.discard(message.request_id)
         if item is not None:
@@ -421,135 +414,25 @@ class AsyncSchedulerServer:
         )
         self.core.complete(worker.name, request, result)
 
-    def _connection_lost(self, worker: RemoteWorker) -> None:
-        if worker.retired or worker.machine.is_dead:
-            return
-        self._crash(worker, "connection-lost")
-
-    # -- failure handling ----------------------------------------------------
-
-    def _crash(self, worker: RemoteWorker, reason: str) -> None:
-        # Fence FIRST: anything the old connection says after this
-        # carries a stale epoch and is discarded.
-        worker.epoch += 1
-        self._epochs[worker.name] = max(self._epochs[worker.name], worker.epoch)
-        held = worker.take_all()
-        worker.machine.transition(WorkerState.DEAD, self.now(), reason)
-        self._emit(
-            "scheduler.dead", worker=worker.name, reason=reason, requeued=len(held)
-        )
-        self.core.reroute(worker.name, held)
-        if self.on_worker_lost is not None:
-            self.on_worker_lost(worker.name)
+    # -- the core's control surface, by the names callers know ---------------
 
     def crash_worker(self, name: str, reason: str = "crash") -> bool:
-        """Declare ``name`` dead now and sever its connection."""
-        worker = self.core.workers.get(name)
-        if worker is None or worker.machine.is_dead:
-            return False
-        assert isinstance(worker, RemoteWorker)
-        self._crash(worker, reason)
-        worker.writer.close()
-        return True
+        return self.core.crash(name, reason)
 
-    def drain(self, name: str) -> None:
-        """Gracefully retire ``name``: hand queued work to peers, tell
-        the worker to finish in-flight and report drained."""
-        worker = self.core.workers.get(name)
-        if worker is None:
-            raise SchedulingError(f"unknown worker {name!r}")
-        assert isinstance(worker, RemoteWorker)
-        if worker.machine.state is WorkerState.DRAINING:
-            return
-        if not worker.machine.can_transition(WorkerState.DRAINING):
-            raise SchedulingError(
-                f"worker {name!r} cannot drain from {worker.state.value}"
-            )
-        worker.machine.transition(WorkerState.DRAINING, self.now(), "drain")
-        self._emit("scheduler.draining", worker=name)
-        moved = self.core.reroute(name, worker.take_queue())
-        if moved:
-            self._emit(
-                "scheduler.rebind", worker=name, moved=moved, reason="drain-handoff"
-            )
-        worker.send(DrainCmd())
-
-    def _retire(self, worker: RemoteWorker, reason: str) -> None:
-        worker.retired = True
-        worker.machine.transition(WorkerState.DEAD, self.now(), reason)
-        self._emit("scheduler.dead", worker=worker.name, reason=reason, requeued=0)
-        worker.writer.close()
-
-    # -- health monitoring ---------------------------------------------------
-
-    async def _monitor(self) -> None:
-        interval = self.config.heartbeat_interval_s
-        while self._running:
-            await asyncio.sleep(interval)
-            if not self._running:
-                return
-            now = self.now()
-            for name in sorted(self.core.workers):
-                worker = self.core.workers[name]
-                assert isinstance(worker, RemoteWorker)
-                if worker.machine.state not in (
-                    WorkerState.READY,
-                    WorkerState.DEGRADED,
-                ):
-                    continue
-                silent_for = now - worker.last_beat
-                if silent_for >= self.config.dead_after_misses * interval:
-                    self.crash_worker(name, reason="heartbeat-timeout")
-                elif (
-                    worker.machine.state is WorkerState.READY
-                    and silent_for >= self.config.degraded_after_misses * interval
-                ):
-                    self._degrade(worker)
-
-    def _degrade(self, worker: RemoteWorker) -> None:
-        worker.machine.transition(
-            WorkerState.DEGRADED, self.now(), "missed-heartbeats"
-        )
-        self._emit("scheduler.degraded", worker=worker.name)
-        moved = self.core.reroute(worker.name, worker.take_queue())
-        if moved:
-            self._emit(
-                "scheduler.rebind",
-                worker=worker.name,
-                moved=moved,
-                reason="degraded",
-            )
-
-    # -- observability -------------------------------------------------------
+    def drain(self, name: str) -> RemoteWorker:
+        return self.core.drain(name)  # type: ignore[return-value]
 
     def describe_workers(self) -> list[dict[str, Any]]:
-        return [
-            self.core.workers[name].describe()  # type: ignore[attr-defined]
-            for name in sorted(self.core.workers)
-        ]
+        return self.core.describe_workers()
 
     def stats(self) -> dict[str, Any]:
-        audit = self.core.ledger.audit()
-        return {
-            "workers": self.describe_workers(),
-            "ledger": audit,
-            "dispatched": self.core.dispatched,
-            "delivered": self.core.delivered,
-            "heartbeats": self.heartbeats,
-            "fenced": self.fenced,
-            "parked": self.core.parked,
-            "parked_total": self.core.parked_total,
-            "registrations": len(self.core.registrations),
-            "live_workers": self.core.live_workers,
-        }
+        return {**self.core.stats(), "fenced": self.fenced}
 
     def _emit(self, type: str, **fields: Any) -> None:
         self.events.append(
             TransportEvent(seq=self._seq, at=self.now(), type=type, fields=fields)
         )
         self._seq += 1
-        if self._external_emit is not None:
-            self._external_emit(type, **fields)
 
 
 class AsyncWorkerClient:

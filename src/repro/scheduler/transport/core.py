@@ -1,10 +1,12 @@
 """The transport-neutral half of the scheduler.
 
-:class:`DispatchCore` owns everything about dispatch that does *not*
-depend on how workers are reached: the invocation ledger, the deployed
-class list, the parked-request buffer, rendezvous worker selection, and
-the first-completion-wins delivery rule.  Both transports drive this
-one state machine:
+:class:`DispatchCore` owns everything about the worker pool that does
+*not* depend on how workers are reached: the invocation ledger, the
+deployed class list, the parked-request buffer, rendezvous worker
+selection, the first-completion-wins delivery rule, and the worker
+**lifecycle** — what happens when a worker reports ready, beats, goes
+silent, is drained, crashes or retires.  Both transports drive this one
+state machine:
 
 * the **sim** transport (:class:`~repro.scheduler.plane.SchedulerPlane`)
   calls it with :class:`~repro.scheduler.worker.SimWorker` ports and the
@@ -18,30 +20,32 @@ reaches the engine: :class:`~repro.invoker.queue.AsyncInvoker` submits
 every accepted request here, over the scheduler plane's ``SimWorker``
 pool when that plane is on and over a
 :class:`~repro.scheduler.worker.StaticPool` of always-READY in-process
-ports when it is off.
+ports when it is off (those ports have no lifecycle: nothing sweeps
+them and they are never installed on, drained or released).
 
-A *worker port* is anything exposing the attributes the core reads
-(``name``, ``epoch``, ``installed``, ``machine``) and the two methods it
-calls (``push(item)`` to deliver a dispatch, ``take_queue()`` to hand
-queued items back, in service order, on rebind).  The conformance
-invariants — exactly-once completion, dispatch-only-to-READY,
-phase-monotone histories — are properties of this class, which is why
-they hold identically over both transports.
+A *worker port* (:class:`WorkerPort`) is what a transport genuinely
+differs in: how a dispatch is delivered, how held work is handed back,
+how an install or a drain is started, and what going away means (a pod
+to terminate, a socket to close).  The conformance invariants —
+exactly-once completion, dispatch-only-to-READY, phase-monotone
+histories — are properties of this class, which is why they hold
+identically over both transports.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Container, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_checkable
 
+from repro.errors import SchedulingError
 from repro.invoker.engine import split_object_id
-from repro.scheduler.ledger import InvocationLedger
+from repro.scheduler.ledger import EntryState, InvocationLedger
+from repro.scheduler.state import WorkerState, WorkerStateMachine
 from repro.storage.hashring import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.invoker.request import InvocationRequest, InvocationResult
-    from repro.scheduler.state import WorkerStateMachine
 
 __all__ = [
     "DispatchItem",
@@ -63,16 +67,47 @@ class DispatchItem:
 
 @runtime_checkable
 class WorkerPort(Protocol):
-    """What the dispatch core needs from a transport-side worker."""
+    """What the dispatch core needs from a transport-side worker.  A
+    pool with no lifecycle (``StaticPool``) gets by with what dispatch
+    touches: ``name``, ``epoch``, ``installed``, ``machine``, ``push``."""
 
     name: str
+    node: str | None
     epoch: int
-    installed: Container[str]
-    machine: "WorkerStateMachine"
+    installed: set[str]
+    machine: WorkerStateMachine
+    last_beat: float
+    dispatched_count: int
+    completed_count: int
+    heartbeats_sent: int
 
-    def push(self, item: DispatchItem) -> None: ...
+    @property
+    def queue_depth(self) -> int: ...
 
-    def take_queue(self) -> list[DispatchItem]: ...
+    @property
+    def in_flight(self) -> Any:
+        """Truthy while the worker is executing something."""
+
+    def push(self, item: DispatchItem) -> None:
+        """Deliver one dispatch."""
+
+    def take_queue(self) -> list[DispatchItem]:
+        """Hand back what is queued (not in flight), in service order."""
+
+    def crash(self) -> list[DispatchItem]:
+        """Fence the epoch and give up everything held, queued and in
+        flight; whatever the old epoch says afterwards is discarded."""
+
+    def install(self, cls: str) -> None:
+        """Start installing a class runtime; the transport reports back
+        through :meth:`DispatchCore.worker_installed`."""
+
+    def begin_drain(self) -> None:
+        """Finish what is in flight, then have the transport call
+        :meth:`DispatchCore.retire`."""
+
+    def release(self) -> None:
+        """The worker just went DEAD: free what the transport holds."""
 
 
 def rendezvous_score(object_id: str, worker: str) -> int:
@@ -86,7 +121,8 @@ def request_class(request: "InvocationRequest") -> str | None:
 
 
 class DispatchCore:
-    """Ledger + routing + fencing state shared by every transport."""
+    """Ledger, routing, fencing and worker lifecycle shared by every
+    transport."""
 
     def __init__(
         self,
@@ -103,9 +139,13 @@ class DispatchCore:
         #: conformance suite checks monotonicity over all of them.
         self.registrations: list[WorkerPort] = []
         self.on_complete: Callable[["InvocationRequest", "InvocationResult"], None] | None = None
+        #: Told once per worker that went DEAD — crashed, timed out or
+        #: finished draining — so the transport can replace it.
+        self.on_worker_dead: Callable[[WorkerPort, str], None] | None = None
         self.dispatched = 0
         self.delivered = 0
         self.parked_total = 0
+        self.heartbeats = 0
         self._unassigned: deque["InvocationRequest"] = deque()
         self._classes: list[str] = []
 
@@ -122,6 +162,14 @@ class DispatchCore:
 
     def deployed_classes(self) -> list[str]:
         return list(self._classes)
+
+    def class_deployed(self, cls: str) -> None:
+        """A class runtime was (re)deployed: install it on every live
+        worker."""
+        self.note_class(cls)
+        for _, worker in sorted(self.workers.items()):
+            if not worker.machine.is_dead:
+                worker.install(cls)
 
     # -- dispatch path -------------------------------------------------------
 
@@ -183,9 +231,13 @@ class DispatchCore:
         parked = list(self._unassigned)
         self._unassigned.clear()
         for request in parked:
-            self.route(request)
+            # A parked request may already be done: it was rebound off a
+            # worker that had pulled it and went on to complete it.
+            entry = self.ledger.entry(request.request_id)
+            if entry.state is not EntryState.COMPLETED:
+                self.route(request)
 
-    def reroute(self, worker_name: str, items: list[DispatchItem]) -> int:
+    def reroute(self, worker_name: str, items: Sequence[DispatchItem]) -> int:
         """Requeue ``items`` taken off ``worker_name`` and route each one
         that was still dispatched there (the ledger's requeue guard drops
         completions that won the race and entries already moved)."""
@@ -225,6 +277,118 @@ class DispatchCore:
             self.on_complete(request, result)
         return True
 
+    # -- worker lifecycle ----------------------------------------------------
+
+    def worker_ready(self, worker: WorkerPort) -> None:
+        """``worker`` finished activating and may be dispatched to."""
+        now = self.clock()
+        worker.machine.transition(WorkerState.READY, now, "activated")
+        worker.last_beat = now
+        self._emit("scheduler.ready", worker=worker.name, node=worker.node)
+        self.flush_unassigned()
+
+    def worker_installed(self, worker: WorkerPort, cls: str) -> None:
+        worker.installed.add(cls)
+        self._emit("scheduler.install", worker=worker.name, cls=cls)
+        if worker.machine.is_dispatchable:
+            self.flush_unassigned()
+
+    def heartbeat(self, worker: WorkerPort) -> None:
+        if self.workers.get(worker.name) is not worker or worker.machine.is_dead:
+            return  # a fenced registration's stale beat
+        now = self.clock()
+        worker.last_beat = now
+        worker.heartbeats_sent += 1
+        self.heartbeats += 1
+        if worker.machine.state is WorkerState.DEGRADED:
+            worker.machine.transition(WorkerState.READY, now, "heartbeat-resumed")
+            self._emit("scheduler.recovered", worker=worker.name)
+            self.flush_unassigned()
+
+    def sweep(
+        self, interval_s: float, degraded_after_misses: int, dead_after_misses: int
+    ) -> None:
+        """One pass of the health monitor: degrade workers silent for
+        ``degraded_after_misses`` beat intervals, declare dead those
+        silent for ``dead_after_misses``."""
+        now = self.clock()
+        for name in sorted(self.workers):
+            worker = self.workers[name]
+            state = worker.machine.state
+            if state not in (WorkerState.READY, WorkerState.DEGRADED):
+                continue
+            # The slack is for sim clocks, where beats and sweeps land on
+            # sums of the same float interval.
+            silent_for = now - worker.last_beat
+            if silent_for >= dead_after_misses * interval_s - 1e-9:
+                self.crash(name, "heartbeat-timeout")
+            elif (
+                state is WorkerState.READY
+                and silent_for >= degraded_after_misses * interval_s - 1e-9
+            ):
+                self.degrade(worker)
+
+    def degrade(self, worker: WorkerPort) -> None:
+        """Stop dispatching to a silent worker and rebind what it has
+        queued; what it is executing stays with it."""
+        worker.machine.transition(
+            WorkerState.DEGRADED, self.clock(), "missed-heartbeats"
+        )
+        self._emit("scheduler.degraded", worker=worker.name)
+        self._rebind_queued(worker, "degraded")
+
+    def _rebind_queued(self, worker: WorkerPort, reason: str) -> None:
+        moved = self.reroute(worker.name, worker.take_queue())
+        if moved:
+            self._emit(
+                "scheduler.rebind", worker=worker.name, moved=moved, reason=reason
+            )
+
+    def drain(self, name: str) -> WorkerPort:
+        """Gracefully retire ``name``: hand queued work to peers, let
+        the in-flight invocation finish, then the transport reports back
+        through :meth:`retire`."""
+        worker = self.workers.get(name)
+        if worker is None:
+            raise SchedulingError(f"unknown worker {name!r}")
+        if worker.machine.state is WorkerState.DRAINING:
+            return worker
+        if not worker.machine.can_transition(WorkerState.DRAINING):
+            raise SchedulingError(
+                f"worker {name!r} cannot drain from {worker.machine.state.value}"
+            )
+        worker.machine.transition(WorkerState.DRAINING, self.clock(), "drain")
+        self._emit("scheduler.draining", worker=name)
+        self._rebind_queued(worker, "drain-handoff")
+        worker.begin_drain()
+        return worker
+
+    def crash(self, name: str, reason: str = "crash") -> bool:
+        """Declare ``name`` dead *now* (fault injection, connection
+        loss, heartbeat timeout): fence its epoch and requeue everything
+        it held.  False when there is no such live worker."""
+        worker = self.workers.get(name)
+        if worker is None or worker.machine.is_dead:
+            return False
+        self.retire(worker, reason, worker.crash())
+        return True
+
+    def retire(
+        self, worker: WorkerPort, reason: str, held: Sequence[DispatchItem] = ()
+    ) -> None:
+        """``worker`` is gone — drained empty, or crashed holding
+        ``held``.  The order is what the sim event log shows: dead,
+        whatever releasing the worker narrates, redispatches, then the
+        replacement."""
+        worker.machine.transition(WorkerState.DEAD, self.clock(), reason)
+        self._emit(
+            "scheduler.dead", worker=worker.name, reason=reason, requeued=len(held)
+        )
+        worker.release()
+        self.reroute(worker.name, held)
+        if self.on_worker_dead is not None:
+            self.on_worker_dead(worker, reason)
+
     # -- queries -------------------------------------------------------------
 
     @property
@@ -240,6 +404,36 @@ class DispatchCore:
         return sum(
             1 for worker in self.workers.values() if not worker.machine.is_dead
         )
+
+    def describe_workers(self) -> list[dict[str, Any]]:
+        return [
+            {
+                "worker": name,
+                "state": worker.machine.state.value,
+                "node": worker.node,
+                "epoch": worker.epoch,
+                "installed": sorted(worker.installed),
+                "queue_depth": worker.queue_depth,
+                "in_flight": bool(worker.in_flight),
+                "dispatched": worker.dispatched_count,
+                "completed": worker.completed_count,
+                "heartbeats": worker.heartbeats_sent,
+            }
+            for name, worker in sorted(self.workers.items())
+        ]
+
+    def stats(self) -> dict[str, Any]:
+        return {
+            "workers": self.describe_workers(),
+            "ledger": self.ledger.audit(),
+            "dispatched": self.dispatched,
+            "delivered": self.delivered,
+            "heartbeats": self.heartbeats,
+            "parked": self.parked,
+            "parked_total": self.parked_total,
+            "registrations": len(self.registrations),
+            "live_workers": self.live_workers,
+        }
 
     def stop_report(self) -> dict[str, int]:
         """What a transport's ``stop()`` owes its caller: submissions not

@@ -14,13 +14,14 @@ Two pools stand on it:
 
 * :class:`StaticPool` — the baseline: a fixed set of always-READY
   in-process ports.  No pods, no heartbeats, no lifecycle events.
-* :class:`SimWorker` — the worker half of the scheduler plane's
-  control-plane protocol, adding an **activation** process
-  (registration delay, then one timed package install per deployed
-  class, then the READY report) and a **heartbeat** process (periodic
-  beats to the scheduler, which chaos can suppress (``HeartbeatLoss``)
-  without stopping execution, producing the zombie-worker case the
-  scheduler must fence).
+* :class:`SimWorker` — the scheduler plane's
+  :class:`~repro.scheduler.transport.core.WorkerPort`, adding a pod, an
+  **activation** process (registration delay, then one timed package
+  install per deployed class, then the READY report) and a
+  **heartbeat** process (periodic beats, which chaos can suppress
+  (``HeartbeatLoss``) without stopping execution, producing the
+  zombie-worker case the scheduler must fence).  It reports to the
+  plane's :class:`DispatchCore`, which owns what each report means.
 
 Epoch fencing makes crash recovery lossless *and* duplicate-free: every
 dispatched item carries the worker's epoch; :meth:`QueueWorker.crash`
@@ -32,7 +33,7 @@ discards its result instead of reporting a second completion.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Container, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.invoker.request import InvocationRequest, InvocationResult
 from repro.qos.fairqueue import WeightedFairQueue
@@ -58,7 +59,8 @@ FIFO_FLOW = ""
 class _EveryClass:
     """``installed`` of an in-process port: the engine it calls resolves
     every deployed class itself and fails an unknown one with a typed
-    result, so nothing is ever "not installed yet"."""
+    result, so nothing is ever "not installed yet" (and nothing is ever
+    installed: a static port has no lifecycle)."""
 
     def __contains__(self, cls: object) -> bool:
         return True
@@ -84,7 +86,7 @@ class QueueWorker:
         self.qos = qos
         self.machine = WorkerStateMachine(state)
         self.epoch = 0
-        self.installed: Container[str] = set()
+        self.installed: set[str] = set()
         self.queue = qos.new_fair_queue() if qos is not None else WeightedFairQueue(env)
         self.in_flight: DispatchItem | None = None
         self.dispatched_count = 0
@@ -107,6 +109,10 @@ class QueueWorker:
             self.queue.push(cls, item, deadline_s=self.qos.deadline_for(cls))
         self.dispatched_count += 1
         self._wake_up()
+
+    @property
+    def queue_depth(self) -> int:
+        return self.queue.depth()
 
     def take_queue(self) -> list[DispatchItem]:
         """Hand back everything queued, in service order (drain/rebind
@@ -200,7 +206,7 @@ class StaticPool:
                 qos=qos,
                 state=WorkerState.READY,
             )
-            port.installed = _EveryClass()
+            port.installed = _EveryClass()  # type: ignore[assignment]
             self.core.add_worker(port)
 
     def on_deploy(self, cls: str) -> None:
@@ -215,8 +221,8 @@ class StaticPool:
 
 
 class SimWorker(QueueWorker):
-    """One registered worker: a :class:`QueueWorker` with a pod, a
-    lifecycle state machine driven by the plane, and heartbeats."""
+    """One registered worker: a :class:`QueueWorker` with a pod, an
+    activation process and heartbeats, reporting to the plane's core."""
 
     def __init__(
         self,
@@ -234,12 +240,13 @@ class SimWorker(QueueWorker):
             dispatch_overhead_s=plane.config.dispatch_overhead_s,
         )
         self.plane = plane
+        self.core = plane.core
         self.pod = pod
         self.config = plane.config
         self.last_beat = env.now
         self.heartbeats_sent = 0
         self._suppress_until = -1.0
-        self._pending_classes: deque[str] = deque(plane.deployed_classes())
+        self._pending_classes: deque[str] = deque(self.core.deployed_classes())
         env.process(self._activate())
         env.process(self._heartbeat_loop())
 
@@ -253,21 +260,7 @@ class SimWorker(QueueWorker):
     def state(self) -> WorkerState:
         return self.machine.state
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            "worker": self.name,
-            "state": self.state.value,
-            "node": self.node,
-            "epoch": self.epoch,
-            "installed": sorted(self.installed),
-            "queue_depth": self.queue.depth(),
-            "in_flight": self.in_flight is not None,
-            "dispatched": self.dispatched_count,
-            "completed": self.completed_count,
-            "heartbeats": self.heartbeats_sent,
-        }
-
-    # -- scheduler-facing control ------------------------------------------
+    # -- dispatch-core-facing control --------------------------------------
 
     def install(self, cls: str) -> None:
         """Install a class-runtime binding (timed package install)."""
@@ -279,10 +272,20 @@ class SimWorker(QueueWorker):
         else:
             self.env.process(self._install(cls))
 
-    def drain(self) -> None:
-        """Stop accepting; the work loop finishes in-flight then reports
-        itself drained.  (The scheduler hands off the queue first.)"""
+    def begin_drain(self) -> None:
+        """The work loop finishes what is in flight, finds the queue
+        handed off, and retires."""
         self._wake_up()
+
+    def release(self) -> None:
+        """Retire the QoS queue and terminate the pod."""
+        if self.qos is not None:
+            self.qos.retire_queue(self.queue)
+        cluster = self.plane.cluster
+        if self.pod is not None and cluster.pod(self.pod.name) is self.pod:
+            cluster.terminate_pod(self.pod.name)
+
+    # -- chaos seams --------------------------------------------------------
 
     def suppress_heartbeats(self, duration_s: float) -> None:
         self._suppress_until = self.env.now + duration_s
@@ -293,7 +296,7 @@ class SimWorker(QueueWorker):
     # -- sim processes ------------------------------------------------------
 
     def _on_drained(self) -> None:
-        self.plane.on_worker_drained(self)
+        self.core.retire(self, "drained")
 
     def _activate(self) -> Generator:
         if self.config.register_delay_s:
@@ -302,7 +305,7 @@ class SimWorker(QueueWorker):
             cls = self._pending_classes.popleft()
             yield from self._install(cls)
         if self.machine.state is WorkerState.REGISTERED and not self._halted:
-            self.plane.on_worker_ready(self)
+            self.core.worker_ready(self)
 
     def _install(self, cls: str) -> Generator:
         if self.machine.is_dead or cls in self.installed:
@@ -313,8 +316,7 @@ class SimWorker(QueueWorker):
             yield self.env.timeout(0)
         if self.machine.is_dead or self._halted or cls in self.installed:
             return
-        self.installed.add(cls)
-        self.plane.on_worker_installed(self, cls)
+        self.core.worker_installed(self, cls)
 
     def _heartbeat_loop(self) -> Generator:
         while not self.machine.is_dead and not self._halted:
@@ -323,5 +325,4 @@ class SimWorker(QueueWorker):
                 return
             if self.env.now < self._suppress_until:
                 continue
-            self.heartbeats_sent += 1
-            self.plane.heartbeat(self)
+            self.core.heartbeat(self)

@@ -104,9 +104,10 @@ class _Pool:
             return None
         return client
 
-    def replace_lost(self, name: str) -> None:
-        """Self-heal like the sim pool: every lost worker is replaced by
-        a fresh registration so the scenario can settle."""
+    def replace_lost(self, worker: Any, reason: str) -> None:
+        """Self-heal like the sim pool: every worker that died, crashed
+        or drained, is replaced by a fresh registration so the scenario
+        can settle."""
         task = asyncio.ensure_future(self.spawn_quietly())
         self.spawn_tasks.add(task)
         task.add_done_callback(self.spawn_tasks.discard)
@@ -192,7 +193,7 @@ async def _run(scenario: Scenario) -> ScenarioResult:
     overrides = dict(scenario.scheduler)
     # Sim-only knobs have no transport analogue: registration/install
     # latency is the real TCP handshake here, and self-healing is the
-    # pool's on_worker_lost hook below.
+    # pool's on_worker_dead hook below.
     for key in (
         "register_delay_s",
         "install_delay_s",
@@ -203,7 +204,7 @@ async def _run(scenario: Scenario) -> ScenarioResult:
     config = SchedulerConfig(transport="asyncio", **overrides)
     server = AsyncSchedulerServer(config=config, classes=["Probe"])
     pool = _Pool(server, config)
-    server.on_worker_lost = pool.replace_lost
+    server.core.on_worker_dead = pool.replace_lost
     await server.start()
     for _ in range(config.pool_size):
         await pool.spawn()

@@ -1,5 +1,7 @@
 """Tests for the ocli command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.platform.cli import main
@@ -163,3 +165,78 @@ class TestReport:
         doc = json.loads(capsys.readouterr().out)
         assert "spans" in doc
         assert "nfr" in doc
+
+
+CHAOS_DEMO = str(
+    Path(__file__).resolve().parent.parent / "examples" / "packages" / "chaos_demo.yaml"
+)
+
+#: (ocli arguments before the package, extra arguments) -> headline lines
+#: the run must print.  Simulated time, so the numbers are exact.
+PLANE_COMMANDS = {
+    "qos": (
+        ["qos"],
+        [
+            "workload: 60 ok / 0 rejected / 0 failed over 60 rounds "
+            "(+240 async submissions)",
+            "fair queue: pushed=240 served=240 depth=0",
+        ],
+    ),
+    # Not "chaos": conftest skips anything carrying that keyword.
+    "fault-plan": (
+        ["chaos", "--plan", "node-crash"],
+        [
+            "workload: 60 ok / 0 failed over 60 rounds",
+            "chaos: injected=1 recovered=1 fault_time_s=6.00",
+        ],
+    ),
+    "workers-drain": (
+        ["workers", "--drain", "worker-1"],
+        [
+            "draining worker-1 at t=2.865s",
+            "workload: 40 ok / 0 failed over 40 rounds "
+            "(+160 async submissions through worker queues)",
+            "ledger: accepted=160 completed=160 outstanding=0 requeues=0 suppressed=0",
+            "pool: registrations=5 live=4 parked_total=0",
+            "  [   2.8649s] scheduler.dead         worker=worker-1 reason=drained requeued=0",
+            "  [   2.8649s] scheduler.register     worker=worker-4 node=vm-1",
+        ],
+    ),
+    "workers-crash": (
+        ["workers", "--crash", "worker-2"],
+        [
+            "crashed worker-2 at t=2.865s",
+            "ledger: accepted=160 completed=160 outstanding=0 requeues=0 suppressed=0",
+            "  [   2.8649s] scheduler.dead         worker=worker-2 reason=cli requeued=0",
+        ],
+    ),
+    "snapshot": (
+        ["snapshot"],
+        [
+            "retained generations (1):",
+            "durability: cuts=1 skipped=1 bytes=361 epoch_writes=0",
+        ],
+    ),
+    "restore": (
+        ["restore"],
+        ["restored 1 object(s) from generation 1 (purged 0 newer)"],
+    ),
+    "migrate": (
+        ["migrate", "--to", "core"],
+        [
+            # The object id is a uuid, so where it starts out varies.
+            "post-migration owner: vm-2, version 1",
+            "federation: migrations=1 failed=0 cross_zone=0 rejections=0",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PLANE_COMMANDS)
+def test_plane_command_on_chaos_demo(case, capsys):
+    (command, *options), headlines = PLANE_COMMANDS[case]
+    argv = [command, CHAOS_DEMO, "--auto-handlers", "--new", "Ledger", "--invoke", "add"]
+    assert main(argv + options) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for headline in headlines:
+        assert headline in lines

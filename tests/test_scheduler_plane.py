@@ -149,6 +149,29 @@ class TestGatewayRoutes:
         assert platform.http("POST", "/api/workers/worker-1/drain").status == 409
         platform.shutdown()
 
+    def test_draining_every_worker_still_serves(self):
+        """Sim twin of the asyncio front's test: a drained worker is
+        replaced like a crashed one, so draining the whole pool through
+        the gateway leaves two fresh workers serving."""
+        platform = sched_platform(pool_size=2)
+        obj = platform.new_object("Task", object_id="t-0")
+        platform.advance(0.5)
+        for name in ("worker-0", "worker-1"):
+            response = platform.http("POST", f"/api/workers/{name}/drain")
+            assert (response.status, response.body["state"]) == (202, "DRAINING")
+        completion = platform.invoke_async(obj, "bump")
+        platform.advance(3.0)  # replacements activate; first-touch cold start
+        assert completion.value.ok
+        listing = platform.http("GET", "/api/workers").body
+        assert {w["worker"]: w["state"] for w in listing["workers"]} == {
+            "worker-0": "DEAD",
+            "worker-1": "DEAD",
+            "worker-2": "READY",
+            "worker-3": "READY",
+        }
+        assert listing["ledger"]["outstanding"] == 0
+        platform.shutdown()
+
     def test_routes_404_when_plane_off(self):
         platform = make_platform(SCHED_YAML, {"s/bump": (_bump, 0.002)}, nodes=2)
         for method, path in (

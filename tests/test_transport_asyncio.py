@@ -17,6 +17,7 @@ import pytest
 from repro.errors import SchedulingError
 from repro.invoker.request import InvocationRequest
 from repro.scheduler.plane import SchedulerConfig
+from repro.scheduler.state import WorkerState
 from repro.scheduler.transport.aio import AsyncSchedulerServer, AsyncWorkerClient
 from repro.scheduler.transport.protocol import (
     Complete,
@@ -40,8 +41,8 @@ CONFIG = SchedulerConfig(
 )
 
 
-async def start_server(classes=("C",)) -> AsyncSchedulerServer:
-    server = AsyncSchedulerServer(config=CONFIG, classes=list(classes))
+async def start_server(classes=("C",), config=CONFIG) -> AsyncSchedulerServer:
+    server = AsyncSchedulerServer(config=config, classes=list(classes))
     await server.start()
     return server
 
@@ -396,6 +397,71 @@ class TestFencingAndDuplicates:
         asyncio.run(scenario())
 
 
+class TestDegradeRebind:
+    def test_parked_request_the_client_already_pulled_completes_once(self):
+        """One worker, two requests; the second is still queued at the
+        client when silence degrades the worker, so the server rebinds
+        it and — with no peer — parks it.  The client had pulled the
+        frame and completes both, then beats again: the flush on
+        recovery must drop the finished entry, not dispatch it (which
+        used to raise inside the connection handler and read as a
+        crash)."""
+
+        async def scenario():
+            # Degrade after 0.1 s of silence, die only after 5 s: the
+            # worker is meant to come back.
+            config = SchedulerConfig(
+                enabled=True,
+                transport="asyncio",
+                pool_size=1,
+                heartbeat_interval_s=0.05,
+                degraded_after_misses=2,
+                dead_after_misses=100,
+            )
+            server = await start_server(config=config)
+            hold = asyncio.Event()
+
+            async def gated(dispatch: Dispatch, client: AsyncWorkerClient) -> dict:
+                await hold.wait()
+                return {"ok": True, "output": {}}
+
+            client = await connect_worker(server, "w-0", gated)
+            port = server.core.workers["w-0"]
+            await wait_for(lambda: port.machine.is_dispatchable)
+            first, second = request_for("a"), request_for("b")
+            futures = [server.submit(first), server.submit(second)]
+            await wait_for(
+                lambda: first.request_id in port.executing, message="first executing"
+            )
+            client.suppress_heartbeats(30.0)
+            await wait_for(lambda: server.core.parked == 1, message="second parked")
+            assert port.machine.state is WorkerState.DEGRADED
+            assert second.request_id not in port.items
+            hold.set()
+            results = await asyncio.wait_for(asyncio.gather(*futures), 5)
+            assert all(r.ok for r in results)
+            client.suppress_heartbeats(0.0)  # resume beating
+            await wait_for(
+                lambda: any(e.type == "scheduler.recovered" for e in server.events),
+                message="worker recovered",
+            )
+            types = [e.type for e in server.events]
+            assert "scheduler.dead" not in types
+            assert types.count("scheduler.complete") == 2
+            assert server.core.parked == 0 and server.core.delivered == 2
+            assert server.core.ledger.audit() == {
+                "accepted": 2,
+                "completed": 2,
+                "outstanding": 0,
+                "requeues": 1,
+                "suppressed": 0,
+            }
+            await client.close()
+            await server.stop()
+
+        asyncio.run(scenario())
+
+
 class TestDrain:
     def test_drain_hands_off_and_retires(self):
         async def scenario():
@@ -499,6 +565,59 @@ class TestHttpFrontEnd:
             assert listing["ledger"]["completed"] == 13
             status, body = await self._request(host, port, "GET", "/api/nope")
             assert status == 404 and body["type"] == "NoRouteError"
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        asyncio.run(scenario())
+        platform.shutdown()
+
+    def test_draining_every_worker_still_serves(self):
+        """A drained worker is replaced like a crashed one: with the
+        whole pool drained over HTTP the front keeps answering."""
+        from tests.helpers import listing1_platform
+
+        platform = listing1_platform(
+            scheduler=SchedulerConfig(
+                enabled=True,
+                transport="asyncio",
+                pool_size=2,
+                heartbeat_interval_s=0.25,
+                degraded_after_misses=2,
+                dead_after_misses=4,
+            )
+        )
+
+        async def scenario():
+            front = await platform.serve_http()
+            host, port = front.host, front.port
+            status, body = await self._request(
+                host, port, "POST", "/api/classes/Image", {"state": {"width": 2}}
+            )
+            assert status == 201
+            object_id = body["id"]
+            for name in ("worker-0", "worker-1"):
+                status, body = await self._request(
+                    host, port, "POST", f"/api/workers/{name}/drain"
+                )
+                assert (status, body["state"]) == (202, "DRAINING")
+            status, _ = await asyncio.wait_for(
+                self._request(
+                    host,
+                    port,
+                    "POST",
+                    f"/api/objects/{object_id}/invokes/resize",
+                    {"width": 3},
+                ),
+                5,
+            )
+            assert status == 200
+            _, listing = await self._request(host, port, "GET", "/api/workers")
+            states = {w["worker"]: w["state"] for w in listing["workers"]}
+            assert states == {
+                "worker-0": "DEAD",
+                "worker-1": "DEAD",
+                "worker-2": "READY",
+                "worker-3": "READY",
+            }
             assert await front.stop() == {"pending": 0, "parked": 0}
 
         asyncio.run(scenario())

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransportError, ValidationError
+from repro.errors import SchedulingError, TransportError, ValidationError
 from repro.invoker.request import InvocationRequest, InvocationResult
 from repro.scheduler.state import WorkerState, WorkerStateMachine
 from repro.scheduler.transport import (
@@ -119,16 +119,31 @@ class TestCodec:
 
 
 class FakePort:
-    """A minimal WorkerPort for driving DispatchCore directly."""
+    """A minimal WorkerPort for driving DispatchCore directly: ``pushed``
+    is its queue, ``executing`` what a test moved in flight, ``calls``
+    the port methods the core invoked."""
 
     def __init__(self, name: str, *, ready: bool = True):
         self.name = name
+        self.node = None
         self.epoch = 1
         self.installed: set[str] = set()
         self.machine = WorkerStateMachine()
         self.pushed = []
+        self.executing = []
+        self.last_beat = 0.0
+        self.dispatched_count = self.completed_count = self.heartbeats_sent = 0
+        self.calls = []
         if ready:
             self.machine.transition(WorkerState.READY, 0.0, "test")
+
+    @property
+    def queue_depth(self):
+        return len(self.pushed)
+
+    @property
+    def in_flight(self):
+        return self.executing
 
     def push(self, item):
         self.pushed.append(item)
@@ -137,6 +152,21 @@ class FakePort:
         items = list(self.pushed)
         self.pushed.clear()
         return items
+
+    def crash(self):
+        self.epoch += 1
+        held = self.take_queue() + self.executing
+        self.executing = []
+        return held
+
+    def install(self, cls):
+        self.calls.append(("install", cls))
+
+    def begin_drain(self):
+        self.calls.append("begin_drain")
+
+    def release(self):
+        self.calls.append("release")
 
 
 def _result(request: InvocationRequest, ok: bool = True) -> InvocationResult:
@@ -149,10 +179,10 @@ def _result(request: InvocationRequest, ok: bool = True) -> InvocationResult:
     )
 
 
-def make_core():
+def make_core(clock=lambda: 0.0):
     events = []
     core = DispatchCore(
-        clock=lambda: 0.0,
+        clock=clock,
         emit=lambda type, **fields: events.append((type, fields)),
     )
     return core, events
@@ -250,3 +280,221 @@ class TestDispatchCore:
         request = InvocationRequest(object_id="Ghost~a", fn_name="f", cls="Ghost")
         core.submit(request)
         assert core.stop_report() == {"pending": 1, "parked": 1}
+
+    def test_parked_request_completed_meanwhile_is_dropped_at_flush(self):
+        """A request rebound off a degraded worker parks when nobody else
+        can take it; the worker had already pulled it and completes it;
+        the flush on recovery must not dispatch a finished entry."""
+        core, _ = make_core()
+        worker = FakePort("w-0")
+        worker.installed.add("C")
+        core.add_worker(worker)
+        request = InvocationRequest(object_id="C~a", fn_name="f", cls="C")
+        core.submit(request)
+        worker.machine.transition(WorkerState.DEGRADED, 0.0, "test")
+        assert core.reroute("w-0", worker.take_queue()) == 1
+        assert core.parked == 1
+        assert core.complete("w-0", request, _result(request)) is True
+        worker.machine.transition(WorkerState.READY, 0.0, "test")
+        core.flush_unassigned()
+        assert core.parked == 0 and worker.pushed == []
+        assert core.ledger.audit() == {
+            "accepted": 1,
+            "completed": 1,
+            "outstanding": 0,
+            "requeues": 1,
+            "suppressed": 0,
+        }
+
+
+# -- the worker lifecycle, with no transport --------------------------------
+
+#: The health budget every lifecycle case sweeps with.
+INTERVAL_S, DEGRADED_AFTER, DEAD_AFTER = 0.5, 2, 5
+
+
+class Rig:
+    """A core on a hand-turned clock over two fake ports that both have
+    ``C`` installed: ``subject`` is the worker a case is about, ``peer``
+    the one that takes over its work."""
+
+    def __init__(self, *, subject_ready: bool = True):
+        self.now = 0.0
+        self.core, self.events = make_core(lambda: self.now)
+        self.dead = []
+        self.core.on_worker_dead = lambda worker, reason: self.dead.append(
+            (worker.name, reason)
+        )
+        self.subject = FakePort("subject", ready=subject_ready)
+        self.peer = FakePort("peer")
+        for port in (self.subject, self.peer):
+            port.installed.add("C")
+            self.core.add_worker(port)
+
+    def submit_to_subject(self, count: int) -> list[InvocationRequest]:
+        """``count`` requests that rendezvous hashing routes to the
+        subject while both ports are READY."""
+        requests = []
+        for index in range(256):
+            request = InvocationRequest(object_id=f"C~{index}", fn_name="f", cls="C")
+            if self.core.pick(request) is self.subject:
+                self.core.submit(request)
+                requests.append(request)
+                if len(requests) == count:
+                    return requests
+        raise AssertionError("rendezvous never picked the subject")
+
+    def sweep_at(self, now: float, *, peer_beats: bool = True) -> None:
+        self.now = now
+        if peer_beats:
+            self.core.heartbeat(self.peer)
+        self.core.sweep(INTERVAL_S, DEGRADED_AFTER, DEAD_AFTER)
+
+    def narrative(self) -> list[str]:
+        """The event log, one short line per event."""
+        lines = []
+        for type, fields in self.events:
+            line = f"{type.removeprefix('scheduler.')} {fields['worker']}"
+            for key in ("reason", "moved", "requeued"):
+                if key in fields:
+                    line += f" {key}={fields[key]}"
+            lines.append(line)
+        return lines
+
+
+def _silence_degrades_then_a_beat_recovers(rig: Rig) -> None:
+    rig.core.worker_ready(rig.subject)
+    (request,) = rig.submit_to_subject(1)
+    rig.sweep_at(0.5)
+    assert rig.subject.machine.state is WorkerState.READY  # one miss: fine
+    rig.sweep_at(1.0)
+    assert rig.subject.machine.state is WorkerState.DEGRADED
+    assert [item.request for item in rig.peer.pushed] == [request]
+    assert rig.core.pick(request) is rig.peer  # no new work for the silent one
+    rig.now = 1.2
+    rig.core.heartbeat(rig.subject)
+    assert rig.subject.machine.is_dispatchable
+    assert rig.subject.heartbeats_sent == 1 and rig.core.heartbeats == 3
+
+
+def _long_silence_is_death(rig: Rig) -> None:
+    running, queued = rig.submit_to_subject(2)
+    rig.subject.executing.append(rig.subject.pushed.pop(0))
+    rig.sweep_at(1.0)  # degraded: the queued one moves, the running one stays
+    assert [item.request for item in rig.peer.pushed] == [queued]
+    rig.sweep_at(2.5)
+    assert rig.subject.machine.is_dead and rig.subject.epoch == 2  # fenced
+    assert [item.request for item in rig.peer.pushed] == [queued, running]
+    assert rig.subject.calls == ["release"]
+    assert rig.dead == [("subject", "heartbeat-timeout")]
+    assert rig.core.ledger.audit()["requeues"] == 2
+    # The zombie's late beat is a fenced registration's: ignored.
+    rig.core.heartbeat(rig.subject)
+    assert rig.subject.heartbeats_sent == 0
+
+
+def _drain_hands_the_queue_off_in_order(rig: Rig) -> None:
+    requests = rig.submit_to_subject(3)
+    assert rig.core.drain("subject") is rig.subject
+    assert rig.core.drain("subject") is rig.subject  # already draining: no-op
+    assert rig.subject.calls == ["begin_drain"]
+    assert [item.request for item in rig.peer.pushed] == requests
+    assert rig.dead == []
+    rig.core.retire(rig.subject, "drained")  # the transport's "drained" report
+    assert rig.subject.calls == ["begin_drain", "release"]
+    assert rig.dead == [("subject", "drained")]
+    with pytest.raises(SchedulingError, match="cannot drain from DEAD"):
+        rig.core.drain("subject")
+    with pytest.raises(SchedulingError, match="unknown worker"):
+        rig.core.drain("ghost")
+
+
+def _crash_of_unknown_or_dead_worker_is_a_noop(rig: Rig) -> None:
+    assert rig.core.crash("ghost") is False
+    assert rig.core.crash("subject", "first") is True
+    assert rig.core.crash("subject", "again") is False
+    assert rig.dead == [("subject", "first")]
+
+
+def _deploy_installs_on_live_workers_and_ack_flushes(rig: Rig) -> None:
+    request = InvocationRequest(object_id="Late~a", fn_name="f", cls="Late")
+    rig.core.submit(request)
+    assert rig.core.parked == 1
+    rig.core.crash("peer", "gone")
+    rig.core.class_deployed("Late")
+    assert rig.subject.calls == [("install", "Late")]
+    assert ("install", "Late") not in rig.peer.calls
+    rig.core.worker_installed(rig.subject, "Late")
+    assert [item.request for item in rig.subject.pushed] == [request]
+    (row,) = [w for w in rig.core.describe_workers() if w["worker"] == "subject"]
+    assert row["installed"] == ["C", "Late"] and row["queue_depth"] == 1
+    assert rig.core.stats()["live_workers"] == 1
+
+
+LIFECYCLE_CASES = [
+    (
+        _silence_degrades_then_a_beat_recovers,
+        False,
+        [
+            "ready subject",
+            "dispatch subject",
+            "degraded subject",
+            "dispatch peer",
+            "rebind subject reason=degraded moved=1",
+            "recovered subject",
+        ],
+    ),
+    (
+        _long_silence_is_death,
+        True,
+        [
+            "dispatch subject",
+            "dispatch subject",
+            "degraded subject",
+            "dispatch peer",
+            "rebind subject reason=degraded moved=1",
+            "dead subject reason=heartbeat-timeout requeued=1",
+            "dispatch peer",
+        ],
+    ),
+    (
+        _drain_hands_the_queue_off_in_order,
+        True,
+        [
+            "dispatch subject",
+            "dispatch subject",
+            "dispatch subject",
+            "draining subject",
+            "dispatch peer",
+            "dispatch peer",
+            "dispatch peer",
+            "rebind subject reason=drain-handoff moved=3",
+            "dead subject reason=drained requeued=0",
+        ],
+    ),
+    (
+        _crash_of_unknown_or_dead_worker_is_a_noop,
+        True,
+        ["dead subject reason=first requeued=0"],
+    ),
+    (
+        _deploy_installs_on_live_workers_and_ack_flushes,
+        True,
+        [
+            "dead peer reason=gone requeued=0",
+            "install subject",
+            "dispatch subject",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "drive, subject_ready, narrative",
+    LIFECYCLE_CASES,
+    ids=[case[0].__name__.strip("_") for case in LIFECYCLE_CASES],
+)
+def test_worker_lifecycle(drive, subject_ready, narrative):
+    rig = Rig(subject_ready=subject_ready)
+    drive(rig)
+    assert rig.narrative() == narrative
