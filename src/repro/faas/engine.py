@@ -126,9 +126,16 @@ class FunctionService(abc.ABC):
         Application failures become failed completions; only platform
         failures (no capacity at all) raise :class:`InvocationError`.
         """
-        return self.env.process(self._invoke(task))
+        return self.env.process(self.invoke_steps(task))
 
-    def _invoke(self, task: InvocationTask) -> Generator[Any, Any, TaskCompletion]:
+    def invoke_steps(
+        self, task: InvocationTask
+    ) -> Generator[Any, Any, TaskCompletion]:
+        """The body of :meth:`invoke`, for a caller that is already a
+        process and only waits for the completion: ``completion = yield
+        from service.invoke_steps(task)`` — same steps, same simulated
+        times, no child process.  A caller that races the offload
+        against a deadline needs the process: use :meth:`invoke`."""
         self.invocations += 1
         queue_span = exec_span = None
         if self.tracer.enabled:

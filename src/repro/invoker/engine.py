@@ -159,18 +159,26 @@ class InvocationEngine:
         Application-level problems (unknown object, failed handler,
         access violations) become error results, never exceptions.
         """
-        return self.env.process(self._invoke(request))
+        return self.env.process(self.invoke_steps(request))
 
-    def _invoke(self, request: InvocationRequest) -> Generator[Any, Any, InvocationResult]:
+    def invoke_steps(
+        self, request: InvocationRequest
+    ) -> Generator[Any, Any, InvocationResult]:
+        """The body of :meth:`invoke`, for a caller that is already a
+        process and only waits for the result: ``result = yield from
+        engine.invoke_steps(request)`` runs the same steps at the same
+        simulated times without scheduling a child process."""
         self.invocations += 1
         started = self.env.now
         trace_id = request.trace_id or request.request_id
-        root = self.tracer.start(
-            trace_id,
-            f"invoke {request.fn_name}",
-            parent=request.trace_parent,
-            object_id=request.object_id,
-        )
+        root = None
+        if self.tracer.enabled:
+            root = self.tracer.start(
+                trace_id,
+                f"invoke {request.fn_name}",
+                parent=request.trace_parent,
+                object_id=request.object_id,
+            )
         try:
             result = yield from self._dispatch(request, trace_id, root)
         except OaasError as exc:
@@ -192,22 +200,11 @@ class InvocationEngine:
         # accounting sees them (a lost object still counts against its
         # class's error rate).
         cls = result.cls or request.cls or split_object_id(request.object_id)[0]
-        result = InvocationResult(
-            request_id=result.request_id,
-            cls=cls,
-            object_id=result.object_id,
-            fn_name=result.fn_name,
-            ok=result.ok,
-            output=result.output,
-            error=result.error,
-            error_type=result.error_type,
-            created_object_id=result.created_object_id,
-            latency_s=latency,
-            retries=result.retries,
-        )
-        self.tracer.finish(root, ok=result.ok, cls=result.cls, retries=result.retries)
-        if result.cls:
-            self.monitoring.for_class(result.cls).record_invocation(latency, result.ok)
+        result.stamp(cls, latency)
+        if root is not None:
+            self.tracer.finish(root, ok=result.ok, cls=cls, retries=result.retries)
+        if cls:
+            self.monitoring.for_class(cls).record_invocation(latency, result.ok)
         return result
 
     # -- dispatch -----------------------------------------------------------------
@@ -410,12 +407,12 @@ class InvocationEngine:
         self, service: FunctionService, task: InvocationTask, policy: ResiliencePolicy
     ) -> Generator[Any, Any, TaskCompletion]:
         """Offload to the FaaS service, bounded by the policy deadline."""
-        proc = service.invoke(task)
         if policy.deadline_s is None:
-            completion = yield proc
-            return completion
+            return (yield from service.invoke_steps(task))
+        # The deadline races the offload, so it stays a process of its own.
         _, value = yield any_of(
-            self.env, [proc, self.env.timeout(policy.deadline_s, _TIMED_OUT)]
+            self.env,
+            [service.invoke(task), self.env.timeout(policy.deadline_s, _TIMED_OUT)],
         )
         if value is _TIMED_OUT:
             raise InvocationTimeoutError(
@@ -479,7 +476,7 @@ class InvocationEngine:
             )
             try:
                 dht.network.check_path(None, caller)
-                doc = yield dht.get(request.object_id, caller=caller, fresh=fresh)
+                doc = yield from dht.get_steps(request.object_id, caller, fresh)
             except TransportError as exc:
                 self.tracer.finish(span, ok=False, error=type(exc).__name__)
                 attempt += 1
@@ -496,9 +493,10 @@ class InvocationEngine:
                         return ObjectRecord.from_doc(doc)
                 raise
             self.breakers.record_success(resolved.name, caller)
-            self.tracer.finish(
-                span, hit=doc is not None, owner=dht.owner(request.object_id)
-            )
+            if span is not None:
+                self.tracer.finish(
+                    span, hit=doc is not None, owner=dht.owner(request.object_id)
+                )
             if doc is None:
                 raise UnknownObjectError(f"no object {request.object_id!r}")
             return ObjectRecord.from_doc(doc)
@@ -526,9 +524,11 @@ class InvocationEngine:
                 resolved.name, dht, request.object_id, exclude,
                 origin_zone=request.origin_zone,
             )
-            offload = self.tracer.start(
-                trace_id, f"task.offload {service.name}", parent=root
-            )
+            offload = None
+            if self.tracer.enabled:
+                offload = self.tracer.start(
+                    trace_id, f"task.offload {service.name}", parent=root
+                )
             task = self._build_task(request, binding, record, trace_id, offload)
             try:
                 dht.network.check_path(None, caller)
@@ -671,9 +671,7 @@ class InvocationEngine:
                     f"state key of class {resolved.name!r}"
                 )
         updated = record.with_updates(completion.state_updates, completion.file_updates)
-        yield dht.compare_and_put(
-            updated.to_doc(), expected_version=record.version, caller=caller
-        )
+        yield from dht.put_steps(updated.to_doc(), caller, record.version)
         return updated
 
     def _materialize_output(

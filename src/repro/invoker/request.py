@@ -68,6 +68,13 @@ class InvocationResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "output", dict(self.output))
 
+    def stamp(self, cls: str, latency_s: float) -> None:
+        """Fill in the serving class and the measured latency — the
+        engine's last step on a result it has just built and not yet
+        handed to anyone, in place of rebuilding it field by field."""
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "latency_s", latency_s)
+
     @classmethod
     def failure(
         cls,

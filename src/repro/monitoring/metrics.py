@@ -197,7 +197,7 @@ class Histogram:
         return self._max if self._max is not None else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _WindowSample:
     at: float
     value: float

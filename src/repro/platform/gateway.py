@@ -274,7 +274,7 @@ class Gateway:
                 )
             if isinstance(invocation, HttpResponse):
                 return invocation
-            result = yield self.engine.invoke(invocation)
+            result = yield from self.engine.invoke_steps(invocation)
             if result.ok:
                 status = 201 if invocation.fn_name == "new" else 200
                 body: dict[str, Any] = dict(result.output)

@@ -148,6 +148,10 @@ class DispatchCore:
         self.heartbeats = 0
         self._unassigned: deque["InvocationRequest"] = deque()
         self._classes: list[str] = []
+        #: object id -> its rendezvous winner among ``_winners_pool``,
+        #: the eligible ports of the latest pick.
+        self._winners: dict[str, WorkerPort] = {}
+        self._winners_pool: tuple[WorkerPort, ...] = ()
 
     # -- registration --------------------------------------------------------
 
@@ -204,9 +208,18 @@ class DispatchCore:
         ]
         if not eligible:
             return None
-        return max(
-            eligible, key=lambda w: rendezvous_score(request.object_id, w.name)
-        )
+        # An object's rendezvous winner only moves when the eligible
+        # pool does: score it against the pool once, not once per submit.
+        pool = tuple(eligible)
+        if pool != self._winners_pool:
+            self._winners_pool = pool
+            self._winners.clear()
+        winner = self._winners.get(request.object_id)
+        if winner is None:
+            winner = self._winners[request.object_id] = max(
+                eligible, key=lambda w: rendezvous_score(request.object_id, w.name)
+            )
+        return winner
 
     def dispatch(self, worker: WorkerPort, request: "InvocationRequest") -> None:
         entry = self.ledger.dispatch(request.request_id, worker.name, worker.epoch)

@@ -170,7 +170,9 @@ class QueueWorker:
             overhead = self.dispatch_overhead_s * self.slow_factor
             if overhead:
                 yield self.env.timeout(overhead)
-            result: InvocationResult = yield self.engine.invoke(item.request)
+            result: InvocationResult = yield from self.engine.invoke_steps(
+                item.request
+            )
             self.in_flight = None
             if self._halted:
                 return

@@ -54,7 +54,12 @@ class Event:
     An event starts *pending*; it is *triggered* by :meth:`succeed` or
     :meth:`fail` (which schedules it), and *processed* once the kernel
     has run its callbacks.  Processes wait on events by yielding them.
+
+    Kernel events are slotted: an invocation allocates a dozen of them,
+    so none carries a ``__dict__``.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -135,14 +140,20 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated time units in the future."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ and env._schedule, inlined: with Process below,
+        # the two constructors every hop of every request runs.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self.delay = delay
+        env._seq += 1
+        heapq.heappush(env._queue, (env.now + delay, NORMAL, env._seq, self))
 
 
 class Process(Event):
@@ -152,7 +163,15 @@ class Process(Event):
     resumes the generator with the event's value (or throws the event's
     exception into it).  The process itself is an event that fires with
     the generator's return value.
+
+    A process costs two dispatches (its starter and its completion).  A
+    caller that would only ``yield`` the new process on the next line —
+    nothing else holds it, races it or fans it out — delegates with
+    ``yield from generator`` instead (docs/architecture.md, "Hot-path
+    rules").
     """
+
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator[Any, Any, Any]) -> None:
         if not isinstance(generator, Generator):
@@ -160,15 +179,18 @@ class Process(Event):
                 f"Process requires a generator, got {type(generator).__name__}; "
                 "did you forget a 'yield' in the process function?"
             )
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
         self._generator = generator
-        self._target: Event | None = None
         # Kick off the generator at the current time.
         starter = Event(env)
         starter._ok = True
         starter._value = None
         starter.callbacks.append(self._resume)
-        env._schedule(starter, priority=URGENT)
+        env._seq += 1
+        heapq.heappush(env._queue, (env.now, URGENT, env._seq, starter))
 
     @property
     def is_alive(self) -> bool:
@@ -176,7 +198,6 @@ class Process(Event):
         return self._value is _PENDING
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -184,36 +205,33 @@ class Process(Event):
                 else:
                     target = self._generator.throw(event._value)
             except StopIteration as stop:
-                self.env._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - propagate via event
-                self.env._active_process = None
                 self.fail(exc)
                 if not self.callbacks:
                     # Nobody is waiting: surface the crash to run().
                     self.env._crashed.append((self, exc))
                 return
             if not isinstance(target, Event):
-                self.env._active_process = None
                 exc2 = SimulationError(
                     f"process yielded {target!r}; processes may only yield events"
                 )
                 self.fail(exc2)
                 self.env._crashed.append((self, exc2))
                 return
-            if target.processed:
+            if target.callbacks is None:
                 # Already fired; loop and feed its value straight back in.
                 event = target
                 continue
-            self._target = target
-            target._add_callback(self._resume)
-            self.env._active_process = None
+            target.callbacks.append(self._resume)
             return
 
 
 class _Condition(Event):
     """Base for all_of / any_of composition."""
+
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -224,17 +242,12 @@ class _Condition(Event):
                 self._on_child(ev)
                 return
         for ev in self._events:
-            if ev.processed:
-                self._on_processed(ev)
-            else:
+            if not ev.processed:
                 self._pending += 1
                 ev._add_callback(self._on_child)
         self._check_start()
 
     def _check_start(self) -> None:
-        raise NotImplementedError
-
-    def _on_processed(self, ev: Event) -> None:
         raise NotImplementedError
 
     def _on_child(self, ev: Event) -> None:
@@ -244,12 +257,11 @@ class _Condition(Event):
 class AllOf(_Condition):
     """Fires when every child event has fired; value is a list of values."""
 
+    __slots__ = ()
+
     def _check_start(self) -> None:
         if self._pending == 0 and not self.triggered:
             self.succeed([ev.value for ev in self._events])
-
-    def _on_processed(self, ev: Event) -> None:
-        pass
 
     def _on_child(self, ev: Event) -> None:
         if self.triggered:
@@ -265,15 +277,14 @@ class AllOf(_Condition):
 class AnyOf(_Condition):
     """Fires when the first child fires; value is (index, value)."""
 
+    __slots__ = ()
+
     def _check_start(self) -> None:
         if not self._events:
             raise SimulationError("any_of() requires at least one event")
         for index, ev in enumerate(self._events):
             if ev.processed and not self.triggered:
                 self.succeed((index, ev.value))
-
-    def _on_processed(self, ev: Event) -> None:
-        pass
 
     def _on_child(self, ev: Event) -> None:
         if self.triggered:
@@ -371,7 +382,6 @@ class Environment:
         self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Process | None = None
         self._crashed: list[tuple[Process, BaseException]] = []
         #: Dispatch profiler; ``None`` (the default) keeps :meth:`step`
         #: on its original fast path.
@@ -388,10 +398,6 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, priority, self._seq, event))
-
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Public hook used by resources to schedule pre-valued events."""
-        self._schedule(event, delay=delay)
 
     # -- factories -------------------------------------------------------
 
@@ -434,11 +440,12 @@ class Environment:
                 callback(event)
             profile.record(type(event).__name__, perf_counter() - started)
         if self._crashed:
-            process, exc = self._crashed.pop(0)
-            self._crashed.clear()
-            raise SimulationError(
-                f"unhandled failure in {process!r}: {exc!r}"
-            ) from exc
+            self._raise_crashed()
+
+    def _raise_crashed(self) -> None:
+        process, exc = self._crashed.pop(0)
+        self._crashed.clear()
+        raise SimulationError(f"unhandled failure in {process!r}: {exc!r}") from exc
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the horizon, an event fires, or the queue drains.
@@ -448,6 +455,8 @@ class Environment:
         * ``until=<Event>`` — run until that event fires and return its
           value (raising its exception if it failed).
         """
+        stop: Event | None = None
+        horizon = float("inf")
         if isinstance(until, Event):
             stop = until
             if stop.callbacks is not None:
@@ -455,21 +464,37 @@ class Environment:
                 # process is delivered via `raise` below, not treated as
                 # an unhandled crash.
                 stop.callbacks.append(lambda _ev: None)
-            while not stop.processed:
-                if not self._queue:
-                    raise SimulationError(
-                        "run(until=event) exhausted the schedule before the "
-                        "event fired — deadlock?"
-                    )
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self.now:
+                raise SimulationError(
+                    f"run(until={horizon}) is in the past (now={self.now})"
+                )
+        queue, crashed, pop = self._queue, self._crashed, heapq.heappop
+        while (
+            queue
+            and queue[0][0] <= horizon
+            and (stop is None or stop.callbacks is not None)
+        ):
+            if self.profile is not None:
                 self.step()
+                continue
+            # step(), inlined: the unprofiled loop pays no call per event.
+            self.now, _prio, _seq, event = pop(queue)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks or ():
+                callback(event)
+            if crashed:
+                self._raise_crashed()
+        if stop is not None:
+            if stop.callbacks is not None:
+                raise SimulationError(
+                    "run(until=event) exhausted the schedule before the "
+                    "event fired — deadlock?"
+                )
             if stop.ok:
                 return stop.value
             raise stop.value
-        horizon = float("inf") if until is None else float(until)
-        if horizon < self.now:
-            raise SimulationError(f"run(until={horizon}) is in the past (now={self.now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
         if horizon != float("inf"):
             self.now = horizon
         return None

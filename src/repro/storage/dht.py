@@ -15,7 +15,6 @@ which is what the locality-aware router (ABL-LOCALITY) exploits.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 from typing import Any, Generator
@@ -29,6 +28,7 @@ from repro.monitoring.tracing import Tracer
 from repro.sim.kernel import Environment, Process, all_of
 from repro.sim.network import Network
 from repro.sim.resources import Gate
+from repro.storage.document import copy_doc
 from repro.storage.hashring import HashRing
 from repro.storage.kv import DocumentStore
 from repro.storage.read_path import ReadBatchConfig, ReadBatcher
@@ -135,6 +135,10 @@ class Dht:
         #: (read_coalescing); later misses wait here instead of issuing
         #: their own read.
         self._inflight_reads: dict[str, Gate] = {}
+        #: key -> (resident version, its wire size): a version is
+        #: serialised for sizing once, not on every get.  Matched by
+        #: identity, so a stale entry can only miss; dropped with the key.
+        self._sizes: dict[str, tuple[dict[str, Any], int]] = {}
         self._queues: dict[str, WriteBehindQueue] = {}
         if self.model.persistent:
             for node in nodes:
@@ -223,9 +227,16 @@ class Dht:
         on CAS-conflict reloads so an optimistic retry can never spin on
         a stale near-cache copy.
         """
-        return self.env.process(self._get(key, caller, fresh))
+        return self.env.process(self.get_steps(key, caller, fresh))
 
-    def _get(self, key: str, caller: str | None, fresh: bool = False) -> Generator:
+    def get_steps(
+        self, key: str, caller: str | None = None, fresh: bool = False
+    ) -> Generator:
+        """The body of :meth:`get`, for a caller that is already a
+        process and only waits for the document: ``doc = yield from
+        dht.get_steps(key, caller)`` — same steps, same simulated
+        times, no child process.  The returned document is the caller's
+        own copy."""
         self.gets += 1
         if self.model.near_cache_entries and not fresh and caller is not None:
             cached = self._near_lookup(caller, key)
@@ -236,7 +247,7 @@ class Dht:
                 yield self.network.transfer(caller, caller, 128)
                 if self.model.op_cost_s:
                     yield self.env.timeout(self.model.op_cost_s)
-                return copy.deepcopy(cached)
+                return copy_doc(cached)
         owners = self.owners(key)
         first = caller if caller in owners else owners[0]
         # Read failover: try the nearest owner first, then the remaining
@@ -257,16 +268,17 @@ class Dht:
                 self.mem_hits += 1
                 self._touch(node, key)
                 self._trim(node, protect=key)
-                yield self.network.transfer(node, caller, doc_size_bytes(doc))
+                yield self.network.transfer(node, caller, self._size_of(key, doc))
                 self._near_install(caller, key, doc)
-                return copy.deepcopy(doc)
+                return copy_doc(doc)
             self.mem_misses += 1
             if self.store is not None and self.model.persistent:
                 loaded = yield from self._load_miss(key, node, owners)
                 if loaded is not None:
-                    yield self.network.transfer(node, caller, doc_size_bytes(loaded))
+                    yield self.network.transfer(node, caller, self._size_of(key, loaded))
                     self._near_install(caller, key, loaded)
-                    return copy.deepcopy(loaded)
+                    return copy_doc(loaded)
+            self._forget(key)
             return None
         raise partition_error
 
@@ -304,10 +316,8 @@ class Dht:
     def _store_read(self, key: str) -> Generator:
         """One document-store read, through the miss batcher when on."""
         if self._read_batcher is not None:
-            doc = yield from self._read_batcher.read(key)
-            return copy.deepcopy(doc) if doc is not None else None
-        doc = yield self.store.read(self.collection, key)
-        return doc
+            return (yield from self._read_batcher.read(key))
+        return (yield self.store.read(self.collection, key))
 
     def _install_owners(
         self, key: str, node: str, owners: list[str], loaded: dict[str, Any]
@@ -316,11 +326,11 @@ class Dht:
             # Never push a (possibly stale) store copy into an
             # unreachable owner's memory over a partition.
             if replica == node or not self.network.is_partitioned(node, replica):
-                self._install(replica, key, copy.deepcopy(loaded))
+                self._install(replica, key, loaded)
 
     def put(self, doc: dict[str, Any], caller: str | None = None) -> Process:
         """Store a record unconditionally; resolves to the stored doc."""
-        return self.env.process(self._put(doc, caller, expected_version=None))
+        return self.env.process(self._put_and_copy(doc, caller, None))
 
     def compare_and_put(
         self, doc: dict[str, Any], expected_version: int, caller: str | None = None
@@ -331,11 +341,26 @@ class Dht:
         another writer committed in between — the invoker's optimistic
         concurrency control.
         """
-        return self.env.process(self._put(doc, caller, expected_version=expected_version))
+        return self.env.process(self._put_and_copy(doc, caller, expected_version))
 
-    def _put(
+    def _put_and_copy(
         self, doc: dict[str, Any], caller: str | None, expected_version: int | None
     ) -> Generator:
+        """The public puts resolve to a copy the caller may keep."""
+        return copy_doc((yield from self.put_steps(doc, caller, expected_version)))
+
+    def put_steps(
+        self,
+        doc: dict[str, Any],
+        caller: str | None = None,
+        expected_version: int | None = None,
+    ) -> Generator:
+        """The body of :meth:`put` (and, with ``expected_version``, of
+        :meth:`compare_and_put`), for a caller that is already a process
+        and only waits for the commit: ``yield from dht.put_steps(doc,
+        caller, version)``.  ``doc`` is copied on the way in; what comes
+        back is the stored version itself, shared with the tier — read
+        it, never mutate it."""
         key = doc.get("id")
         if not key:
             raise StorageError("DHT put of a document without 'id'")
@@ -380,8 +405,11 @@ class Dht:
             raise ConcurrentModificationError(
                 f"object {key!r}: ownership migrated while the commit was in flight"
             )
-        stored = copy.deepcopy(doc)
+        # The one copy of the write path: memory, replicas, the
+        # write-behind buffer and the durability tracker share it.
+        stored = copy_doc(doc)
         self._install(primary, key, stored)
+        self._sizes[key] = (stored, size)
         # Commit invalidates every near-cached copy: the next non-fresh
         # read on any caller refetches from an owner.
         self._near_invalidate(key)
@@ -397,13 +425,13 @@ class Dht:
                     [self.network.transfer(primary, r, size) for r in reachable],
                 )
                 for replica in reachable:
-                    self._install(replica, key, copy.deepcopy(stored))
+                    self._install(replica, key, stored)
         queue = self._queues.get(primary)
         if queue is not None:
-            yield from queue.enqueue_blocking(copy.deepcopy(stored))
+            yield from queue.enqueue_blocking(stored)
         if self._durability is not None:
             yield from self._durability.on_put(stored)
-        return copy.deepcopy(stored)
+        return stored
 
     def stale_get(self, key: str) -> Process:
         """Last-resort read straight from the document store, bypassing
@@ -436,6 +464,7 @@ class Dht:
             yield self.env.timeout(self.model.op_cost_s)
         for node in owners:
             self._mem[node].pop(key, None)
+        self._forget(key)
         self._near_invalidate(key)
         # A buffered (not yet flushed) update must not resurrect the
         # object after the store delete lands.  Check EVERY node's
@@ -450,6 +479,18 @@ class Dht:
             self._durability.on_delete(key)
 
     # -- residency helpers -------------------------------------------------------
+
+    def _size_of(self, key: str, doc: dict[str, Any]) -> int:
+        """Wire size of the resident version ``doc`` of ``key``."""
+        sized = self._sizes.get(key)
+        if sized is None or sized[0] is not doc:
+            sized = self._sizes[key] = (doc, doc_size_bytes(doc))
+        return sized[1]
+
+    def _forget(self, key: str) -> None:
+        """Drop what is memoised per key once no copy of it is resident."""
+        self._sizes.pop(key, None)
+        self.ring.forget(key)
 
     def _touch(self, node: str, key: str) -> None:
         """Move ``key`` to the recently-used end of the node's map."""
@@ -484,6 +525,7 @@ class Dht:
             if victim is None:
                 return  # everything resident is pinned
             del mem[victim]
+            self._forget(victim)
             self.evictions += 1
 
     # -- near cache (non-owner callers) ------------------------------------
@@ -512,7 +554,7 @@ class Dht:
         if cache is None:
             return
         cache.pop(key, None)
-        cache[key] = copy.deepcopy(doc)
+        cache[key] = doc
         while len(cache) > cap:
             del cache[next(iter(cache))]
             self.near_evictions += 1
@@ -599,10 +641,11 @@ class Dht:
         moved = 0
         for node in self._mem:
             self._mem[node] = {}
+        self._sizes.clear()
         for key, doc in merged.items():
             for owner in self.owners(key):
                 moved += 1
-                self._mem[owner][key] = copy.deepcopy(doc)
+                self._mem[owner][key] = doc
         return {"keys_moved": moved, "keys_resident": len(merged)}
 
     # -- live migration (federation plane) -----------------------------------
@@ -634,7 +677,7 @@ class Dht:
                 best is None or doc.get("version", 0) > best.get("version", 0)
             ):
                 best = doc
-        return copy.deepcopy(best) if best is not None else None
+        return copy_doc(best)
 
     def complete_migration(
         self, key: str, target: str, doc: dict[str, Any] | None
@@ -651,12 +694,13 @@ class Dht:
             if node not in owners:
                 mem.pop(key, None)
         if doc is not None:
+            stored = copy_doc(doc)
             for node in owners:
                 current = self._mem[node].get(key)
                 if current is None or doc.get("version", 0) > current.get(
                     "version", 0
                 ):
-                    self._install(node, key, copy.deepcopy(doc))
+                    self._install(node, key, stored)
         self._near_invalidate(key)
 
     def unpin(self, key: str) -> None:
@@ -715,10 +759,11 @@ class Dht:
         key = doc.get("id")
         if not key:
             raise StorageError("cannot seed a document without 'id'")
+        stored = copy_doc(doc)
         for node in self.owners(key):
-            self._mem[node][key] = copy.deepcopy(doc)
+            self._mem[node][key] = stored
         if persist and self.store is not None and self.model.persistent:
-            self.store.put_sync(self.collection, doc)
+            self.store.put_sync(self.collection, stored)
 
     def purge(self, key: str) -> Process:
         """Remove a record from every node's memory and buffered queue,
@@ -731,6 +776,7 @@ class Dht:
     def _purge(self, key: str) -> Generator:
         for mem in self._mem.values():
             mem.pop(key, None)
+        self._forget(key)
         self._near_invalidate(key)
         for queue in self._queues.values():
             queue.discard(key)
@@ -739,8 +785,7 @@ class Dht:
 
     def peek(self, key: str) -> dict[str, Any] | None:
         """Instant read of the primary's memory (tests/diagnostics)."""
-        doc = self._mem[self.owner(key)].get(key)
-        return copy.deepcopy(doc) if doc is not None else None
+        return copy_doc(self._mem[self.owner(key)].get(key))
 
     def scan_ids(self) -> list[str]:
         """All object ids known to this cache: resident primaries plus

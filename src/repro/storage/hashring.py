@@ -32,6 +32,13 @@ class HashRing:
         self._points: list[int] = []
         self._owners: dict[int, str] = {}
         self._nodes: set[str] = set()
+        #: key -> the distinct nodes met walking clockwise from the
+        #: key's point, as far as any caller has asked so far: a key is
+        #: hashed and bisected once per membership, not once per
+        #: lookup.  The few distinct walks are interned, so an entry
+        #: costs one dict slot; the DHT drops entries with its keys.
+        self._walks: dict[str, tuple[str, ...]] = {}
+        self._interned: dict[tuple[str, ...], tuple[str, ...]] = {}
         for node in nodes or []:
             self.add_node(node)
 
@@ -50,6 +57,8 @@ class HashRing:
         if node in self._nodes:
             raise StorageError(f"node {node!r} already in ring")
         self._nodes.add(node)
+        self._walks.clear()
+        self._interned.clear()
         for i in range(self.vnodes):
             point = stable_hash(f"{node}#{i}")
             # Collisions across distinct nodes are astronomically rare
@@ -64,6 +73,8 @@ class HashRing:
         if node not in self._nodes:
             raise StorageError(f"node {node!r} not in ring")
         self._nodes.remove(node)
+        self._walks.clear()
+        self._interned.clear()
         dropped = [p for p, n in self._owners.items() if n == node]
         for point in dropped:
             del self._owners[point]
@@ -71,29 +82,38 @@ class HashRing:
 
     def owner(self, key: str) -> str:
         """The primary owner node of ``key``."""
-        if not self._nodes:
-            raise StorageError("hash ring is empty")
-        point = stable_hash(key)
-        index = bisect.bisect_right(self._points, point) % len(self._points)
-        return self._owners[self._points[index]]
+        return self._walk(key, 1)[0]
 
     def owners(self, key: str, count: int) -> list[str]:
         """Primary plus the next ``count - 1`` distinct replica nodes."""
-        if not self._nodes:
-            raise StorageError("hash ring is empty")
         if count < 1:
             raise StorageError(f"replica count must be >= 1, got {count}")
+        return list(self._walk(key, count)[:count])
+
+    def forget(self, key: str) -> None:
+        """Drop ``key``'s memoised walk (its owner no longer holds it)."""
+        self._walks.pop(key, None)
+
+    def _walk(self, key: str, count: int) -> tuple[str, ...]:
+        """At least the first ``min(count, len(self))`` distinct nodes
+        clockwise from ``key``'s point, memoised."""
+        if not self._nodes:
+            raise StorageError("hash ring is empty")
         count = min(count, len(self._nodes))
-        point = stable_hash(key)
-        index = bisect.bisect_right(self._points, point)
-        found: list[str] = []
-        for offset in range(len(self._points)):
-            node = self._owners[self._points[(index + offset) % len(self._points)]]
-            if node not in found:
-                found.append(node)
-                if len(found) == count:
-                    break
-        return found
+        walk = self._walks.get(key)
+        if walk is None or len(walk) < count:
+            points = self._points
+            index = bisect.bisect_right(points, stable_hash(key))
+            found: list[str] = []
+            for offset in range(len(points)):
+                node = self._owners[points[(index + offset) % len(points)]]
+                if node not in found:
+                    found.append(node)
+                    if len(found) == count:
+                        break
+            walk = tuple(found)
+            walk = self._walks[key] = self._interned.setdefault(walk, walk)
+        return walk
 
     def distribution(self, keys: list[str]) -> dict[str, int]:
         """Histogram of key ownership (diagnostics/tests)."""

@@ -12,7 +12,8 @@ All mutations are applied when their simulated service completes, so a
 read issued after a write's completion event observes it.
 
 The store owns *when* storage work completes — work units, the rate
-limiter, chaos fault injection, defensive copies.  *Where* documents
+limiter, chaos fault injection — and the copies at its edge
+(:mod:`repro.storage.document`).  *Where* documents
 live is delegated to a pluggable :class:`~repro.storage.backends.base.
 StoreBackend`: the default dict engine (byte-identical to the
 historical in-memory store) or SQLite (durable files with keySpec
@@ -23,7 +24,6 @@ uniform across engines by construction.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Mapping
@@ -32,6 +32,7 @@ from repro.errors import StorageError
 from repro.sim.kernel import Environment, Process
 from repro.sim.resources import RateLimiter
 from repro.storage.backends.memory import DictBackend
+from repro.storage.document import copy_doc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.types import DataType
@@ -145,7 +146,8 @@ class DocumentStore:
         for doc in docs:
             if "id" not in doc:
                 raise StorageError(f"document without 'id' in write to {collection!r}")
-        return self.env.process(self._write(collection, [copy.deepcopy(dict(d)) for d in docs]))
+        copies = [copy_doc(d if type(d) is dict else dict(d)) for d in docs]
+        return self.env.process(self._write(collection, copies))
 
     def _write(self, collection: str, docs: list[dict[str, Any]]) -> Generator:
         # An empty batch consumes no work units and must not count as an
@@ -177,8 +179,7 @@ class DocumentStore:
         doc = self.backend.get(collection, key)
         if doc is not None:
             self.docs_read += 1
-            return copy.deepcopy(doc)
-        return None
+        return copy_doc(doc)
 
     def read_many(self, collection: str, keys: list[str]) -> Process:
         """Read a batch of documents as ONE operation (multi-get).
@@ -206,9 +207,7 @@ class DocumentStore:
             doc = self.backend.get(collection, key)
             if doc is not None:
                 self.docs_read += 1
-                out[key] = copy.deepcopy(doc)
-            else:
-                out[key] = None
+            out[key] = copy_doc(doc)
         return out
 
     def delete(self, collection: str, key: str) -> Process:
@@ -250,15 +249,14 @@ class DocumentStore:
             yield self._limiter.acquire(scan_units)
         self.query_ops += 1
         self.query_docs_scanned += result.scanned
-        result.docs = [copy.deepcopy(doc) for doc in result.docs]
+        result.docs = [copy_doc(doc) for doc in result.docs]
         return result
 
     # -- instant inspection (control plane / tests) ------------------------
 
     def get_sync(self, collection: str, key: str) -> dict[str, Any] | None:
         """Read without consuming DB capacity (tests and bookkeeping)."""
-        doc = self.backend.get(collection, key)
-        return copy.deepcopy(doc) if doc is not None else None
+        return copy_doc(self.backend.get(collection, key))
 
     def put_sync(self, collection: str, doc: Mapping[str, Any]) -> None:
         """Seed a document without consuming DB capacity."""

@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment, all_of, any_of
+from repro.sim.resources import Container, Gate, RateLimiter, Resource
 
 
 def run_process(env, generator):
@@ -268,3 +271,102 @@ class TestStep:
 
     def test_peek_empty_is_inf(self, env):
         assert env.peek() == float("inf")
+
+
+class TestSlottedEvents:
+    def test_kernel_events_carry_no_dict(self, env):
+        def nothing(env):
+            yield env.timeout(0)
+
+        pending = env.event()
+        events = [
+            pending,
+            env.timeout(1.0),
+            env.process(nothing(env)),
+            all_of(env, [pending]),
+            any_of(env, [pending]),
+            Resource(env, 1).request(),
+            Container(env, 1.0).get(1.0),
+            RateLimiter(env, 1.0).acquire(),
+            Gate(env).wait(),
+        ]
+        for event in events:
+            assert not hasattr(event, "__dict__"), type(event).__name__
+
+
+class Boom(Exception):
+    pass
+
+
+# A random generator tree: each node runs its steps in order — sleep, run
+# a child, or raise — and returns its value; a node either catches a
+# child's failure or lets it through.
+def _nodes(children):
+    step = st.one_of(
+        st.tuples(st.just("sleep"), st.sampled_from([0.0, 0.25, 1.0, 2.5])),
+        st.tuples(st.just("raise"), st.none()),
+        st.tuples(st.just("child"), children),
+    )
+    return st.fixed_dictionaries(
+        {"steps": st.lists(step, max_size=4), "value": st.integers(0, 9), "catches": st.booleans()}
+    )
+
+
+_LEAF = _nodes(st.nothing())
+_TREES = st.recursive(_LEAF, _nodes, max_leaves=10)
+
+
+def _run_tree(env, node, through, log, path=()):
+    """Run ``node``; children are awaited as processes, or — with
+    ``through`` — delegated to with ``yield from``."""
+    for index, (kind, arg) in enumerate(node["steps"]):
+        if kind == "sleep":
+            yield env.timeout(arg)
+        elif kind == "raise":
+            log.append((env.now, path, index, "raise"))
+            raise Boom(path)
+        else:
+            child = _run_tree(env, arg, through, log, path + (index,))
+            try:
+                if through:
+                    value = yield from child
+                else:
+                    value = yield env.process(child)
+            except Boom:
+                log.append((env.now, path, index, "caught"))
+                if not node["catches"]:
+                    raise
+            else:
+                log.append((env.now, path, index, value))
+    return node["value"]
+
+
+def _outcomes(trees, through):
+    """Run the trees side by side in one environment; per tree, what it
+    returned or raised, when it finished, and what it saw at each step."""
+    env = Environment()
+    logs = [[] for _ in trees]
+    finished = []
+
+    def root(tree, log):
+        try:
+            outcome = yield from _run_tree(env, tree, through, log)
+        except Boom as exc:
+            outcome = type(exc).__name__
+        finished.append(env.now)
+        return outcome
+
+    roots = [env.process(root(tree, log)) for tree, log in zip(trees, logs)]
+    env.run()
+    return [(proc.value, log) for proc, log in zip(roots, logs)], sorted(finished)
+
+
+class TestCallThrough:
+    """``x = yield env.process(g())`` and ``x = yield from g()`` are the
+    same computation: same simulated times, same values, same failures
+    at the same yield points."""
+
+    @given(st.lists(_TREES, min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_delegating_equals_spawning(self, trees):
+        assert _outcomes(trees, through=True) == _outcomes(trees, through=False)
