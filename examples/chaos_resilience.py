@@ -145,7 +145,7 @@ def main() -> int:
     print(f"committed-state check: {'OK' if lost == 0 else f'{lost} objects lost data'}")
 
     print("\nchaos summary:")
-    summary = injector.summary()
+    summary = injector.stats()
     print(f"  injected={summary['injected']} recovered={summary['recovered']}")
     print(f"  fault_time_s={summary['fault_time_s']:.2f}")
     for cls, availability in sorted(summary["availability_under_fault"].items()):

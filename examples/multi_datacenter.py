@@ -190,7 +190,7 @@ def run_demo(seed: int) -> dict[str, Any]:
         if v.requirement == "jurisdiction"
     ]
     summary["federation"] = {
-        key: platform.federation_report()[key]
+        key: platform.report("federation")[key]
         for key in ("migrations_total", "rejections_total", "cross_zone_total")
     }
     platform.shutdown()

@@ -42,6 +42,9 @@ from repro.chaos.plan import (
     ZonePartition,
 )
 from repro.errors import SimulationError
+from repro.monitoring.events import emit
+from repro.monitoring.metrics import set_counter
+from repro.plane import Plane
 from repro.sim.kernel import Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,8 +71,10 @@ class FaultWindow:
         return {"started_at": self.started_at, "ended_at": self.ended_at}
 
 
-class ChaosInjector:
+class ChaosInjector(Plane):
     """Executes one fault plan against one platform instance."""
+
+    name = "chaos"
 
     def __init__(self, platform: "Oparaca", plan: FaultPlan) -> None:
         self.platform = platform
@@ -252,17 +257,18 @@ class ChaosInjector:
         # which the latency metrics capture; no availability window.
         return inject, None
 
-    def _scheduler_plane(self, fault: Fault):
-        plane = self.platform.scheduler_plane
+    def _plane(self, fault: Fault, name: str):
+        """The plane a fault targets, from the platform's registry."""
+        plane = self.platform.planes.get(name)
         if plane is None:
             raise SimulationError(
-                f"{fault.kind} targets the scheduler plane; enable it with "
-                "PlatformConfig(scheduler=SchedulerConfig(enabled=True))"
+                f"{fault.kind} targets the {name} plane; enable it with "
+                f"PlatformConfig({name}={name.capitalize()}Config(enabled=True))"
             )
         return plane
 
     def _compile_worker_crash(self, fault: WorkerCrash):
-        plane = self._scheduler_plane(fault)
+        plane = self._plane(fault, "scheduler")
 
         def inject() -> None:
             plane.crash_worker(fault.worker, reason="chaos")
@@ -282,7 +288,7 @@ class ChaosInjector:
         return inject, recover
 
     def _compile_heartbeat_loss(self, fault: HeartbeatLoss):
-        plane = self._scheduler_plane(fault)
+        plane = self._plane(fault, "scheduler")
 
         def inject() -> None:
             plane.suppress_heartbeats(fault.worker, fault.duration_s)
@@ -295,7 +301,7 @@ class ChaosInjector:
         return inject, recover
 
     def _compile_slow_worker(self, fault: SlowWorker):
-        plane = self._scheduler_plane(fault)
+        plane = self._plane(fault, "scheduler")
 
         def inject() -> None:
             plane.set_worker_slow(fault.worker, fault.factor)
@@ -307,21 +313,12 @@ class ChaosInjector:
 
         return inject, recover
 
-    def _federation_plane(self, fault: Fault):
-        plane = self.platform.federation
-        if plane is None:
-            raise SimulationError(
-                f"{fault.kind} targets the federation plane; enable it with "
-                "PlatformConfig(federation=FederationConfig(enabled=True))"
-            )
-        return plane
-
     def _zone_nodes(self, plane, zone: str) -> list[str]:
         plane.topology.zone(zone)  # raises ValidationError for unknown zones
         return plane.planner.nodes_in_zone(zone)
 
     def _compile_zone_partition(self, fault: ZonePartition):
-        plane = self._federation_plane(fault)
+        plane = self._plane(fault, "federation")
 
         def inject() -> None:
             nodes = self._zone_nodes(plane, fault.zone)
@@ -341,7 +338,7 @@ class ChaosInjector:
         return inject, recover
 
     def _compile_wan_degradation(self, fault: WanDegradation):
-        plane = self._federation_plane(fault)
+        plane = self._plane(fault, "federation")
         token_box: list[object] = [None]
 
         def inject() -> None:
@@ -367,13 +364,10 @@ class ChaosInjector:
     def _emit(self, kind: str, fault: Fault) -> None:
         fields = fault.describe()
         fields.pop("at", None)
-        if self.events.enabled:
-            self.events.record(kind, plan=self.plan.name, **fields)
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.start(
-                CHAOS_TRACE_ID, f"{kind} {fault.kind}", plan=self.plan.name
-            )
-            self.tracer.finish(span)
+        # The event carries the fault's fields; the span is named after
+        # the fault kind and carries only the plan.
+        emit(self.events, None, CHAOS_TRACE_ID, kind, plan=self.plan.name, **fields)
+        emit(None, self.tracer, CHAOS_TRACE_ID, f"{kind} {fault.kind}", plan=self.plan.name)
 
     def _on_inject(self, fault: Fault) -> None:
         self.injected += 1
@@ -443,15 +437,13 @@ class ChaosInjector:
 
     def collect_metrics(self, registry) -> None:
         """Metrics-plane pull hook: injection totals and live fault state."""
-        from repro.monitoring.plane import set_counter
-
         labels = {"plane": "chaos"}
         set_counter(registry, "chaos.injected", float(self.injected), labels)
         set_counter(registry, "chaos.recovered", float(self.recovered), labels)
         registry.gauge("chaos.active_faults", labels).set(float(self._active))
         registry.gauge("chaos.fault_time_s", labels).set(self.fault_time_s())
 
-    def summary(self) -> dict[str, Any]:
+    def stats(self) -> dict[str, Any]:
         return {
             "plan": self.plan.describe(),
             "injected": self.injected,

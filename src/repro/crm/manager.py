@@ -17,7 +17,7 @@ from typing import Any, Mapping
 
 from repro.crm.costs import CostModel, CostTracker
 from repro.crm.runtime import ClassRuntime
-from repro.crm.template import ClassRuntimeTemplate, TemplateCatalog, default_catalog
+from repro.crm.template import ClassRuntimeTemplate, RuntimeConfig, TemplateCatalog, default_catalog
 from repro.errors import (
     DeploymentError,
     SchedulingError,
@@ -47,6 +47,9 @@ from repro.storage.object_store import ObjectStore
 
 __all__ = ["ClassRuntimeManager"]
 
+#: Simulated seconds one DHT operation costs on its owner node.
+DHT_OP_COST_S = 0.00002
+
 
 class ClassRuntimeManager:
     """Deploys classes onto runtimes and serves as the runtime directory."""
@@ -65,7 +68,6 @@ class ClassRuntimeManager:
         catalog: TemplateCatalog | None = None,
         knative_model: KnativeModel | None = None,
         deployment_model: DeploymentModel | None = None,
-        dht_op_cost_s: float = 0.00002,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
     ) -> None:
@@ -79,7 +81,6 @@ class ClassRuntimeManager:
         self.monitoring = monitoring
         self.rng = rng or RngStreams(0)
         self.catalog = catalog or default_catalog()
-        self.dht_op_cost_s = dht_op_cost_s
         self.tracer = tracer
         self.events = events if events is not None else EventLog(env)
         self.knative = KnativeEngine(
@@ -138,7 +139,7 @@ class ClassRuntimeManager:
             self.network,
             self.store if config.persistent else None,
             DhtModel(
-                op_cost_s=self.dht_op_cost_s,
+                op_cost_s=DHT_OP_COST_S,
                 replication=min(config.replication, len(allowed_nodes)),
                 persistent=config.persistent,
                 write_behind=config.write_behind,
@@ -164,34 +165,7 @@ class ClassRuntimeManager:
                 },
             )
         router = ObjectRouter(dht, config.placement, self.rng)
-        services: dict[str, FunctionService] = {}
-        try:
-            for method in sorted(resolved.methods):
-                binding = resolved.methods[method]
-                if binding.function.ftype is not FunctionType.TASK:
-                    continue
-                definition = binding.function
-                if config.min_scale_override is not None:
-                    provision = dataclasses.replace(
-                        definition.provision,
-                        min_scale=config.min_scale_override,
-                        max_scale=max(
-                            definition.provision.max_scale, config.min_scale_override
-                        ),
-                    )
-                    definition = dataclasses.replace(definition, provision=provision)
-                engine = self.knative if config.engine == "knative" else self.deployment
-                services[method] = engine.deploy(
-                    f"{resolved.name}.{method}",
-                    definition,
-                    services=self.handler_services,
-                    node_hints=node_hints,
-                )
-        except Exception:
-            for svc in services.values():
-                engine = self.knative if config.engine == "knative" else self.deployment
-                engine.delete(svc.name)
-            raise
+        services = self._provision(resolved, config, node_hints)
         runtime = ClassRuntime(
             cls=resolved.name,
             resolved=resolved,
@@ -219,8 +193,45 @@ class ClassRuntimeManager:
             )
         return runtime
 
+    def _provision(
+        self,
+        resolved: ResolvedClass,
+        config: RuntimeConfig,
+        node_hints: list[str] | None,
+    ) -> dict[str, FunctionService]:
+        """One FaaS service per TASK method, on the template's engine;
+        a failure part-way deletes what was already provisioned."""
+        engine = self.knative if config.engine == "knative" else self.deployment
+        services: dict[str, FunctionService] = {}
+        try:
+            for method in sorted(resolved.methods):
+                binding = resolved.methods[method]
+                if binding.function.ftype is not FunctionType.TASK:
+                    continue
+                definition = binding.function
+                if config.min_scale_override is not None:
+                    provision = dataclasses.replace(
+                        definition.provision,
+                        min_scale=config.min_scale_override,
+                        max_scale=max(
+                            definition.provision.max_scale, config.min_scale_override
+                        ),
+                    )
+                    definition = dataclasses.replace(definition, provision=provision)
+                services[method] = engine.deploy(
+                    f"{resolved.name}.{method}",
+                    definition,
+                    services=self.handler_services,
+                    node_hints=node_hints,
+                )
+        except Exception:
+            for svc in services.values():
+                engine.delete(svc.name)
+            raise
+        return services
+
     def _placement_for(
-        self, resolved: ResolvedClass
+        self, resolved: ResolvedClass, deployed: bool = False
     ) -> tuple[list[str], list[str] | None]:
         """The class's node domain plus ordered pod-placement hints.
 
@@ -230,7 +241,9 @@ class ClassRuntimeManager:
         jurisdiction-constrained classes keep the flat region-label
         filter and unconstrained classes are unrestricted.  Constraint
         names matching no region/zone raise :class:`DeploymentError`
-        naming the labels that exist.
+        naming the labels that exist — except for an already
+        ``deployed`` class, where a region whose last node died is
+        membership change, not a typo.
         """
         jurisdictions = resolved.nfr.constraint.jurisdictions
         try:
@@ -244,6 +257,8 @@ class ClassRuntimeManager:
                     )
                 return list(planned), list(planned)
             if jurisdictions:
+                if deployed:
+                    jurisdictions = [j for j in jurisdictions if j in self.cluster.regions]
                 allowed_nodes = self.cluster.nodes_in_regions(jurisdictions)
                 if not allowed_nodes:
                     raise DeploymentError(
@@ -260,6 +275,15 @@ class ClassRuntimeManager:
             ) from exc
         return list(self.cluster.node_names), None
 
+    def placement_nodes(self, resolved: ResolvedClass) -> list[str]:
+        """The class's current node domain — flat region labels or the
+        federation planner, whichever placed it; empty when no node
+        satisfies its constraints."""
+        try:
+            return self._placement_for(resolved, deployed=True)[0]
+        except DeploymentError:
+            return []
+
     def refresh_placement(self, runtime: ClassRuntime) -> None:
         """Re-run placement for a deployed class after cluster
         membership changed, pushing fresh hints into every service's
@@ -267,7 +291,7 @@ class ClassRuntimeManager:
         same constraints as the initial deploy.  No-op for classes that
         were deployed unconstrained (hints stay ``None``-equivalent)."""
         try:
-            _, node_hints = self._placement_for(runtime.resolved)
+            _, node_hints = self._placement_for(runtime.resolved, deployed=True)
         except DeploymentError:
             # Every allowed node is gone.  Keep the stale (dead) hints:
             # the deployment refuses to place rather than spilling the
@@ -321,28 +345,7 @@ class ClassRuntimeManager:
         )
         for svc in old_runtime.services.values():
             old_engine.delete(svc.name)
-        engine = self.knative if config.engine == "knative" else self.deployment
-        services: dict[str, FunctionService] = {}
-        for method in sorted(resolved.methods):
-            binding = resolved.methods[method]
-            if binding.function.ftype is not FunctionType.TASK:
-                continue
-            definition = binding.function
-            if config.min_scale_override is not None:
-                provision = dataclasses.replace(
-                    definition.provision,
-                    min_scale=config.min_scale_override,
-                    max_scale=max(
-                        definition.provision.max_scale, config.min_scale_override
-                    ),
-                )
-                definition = dataclasses.replace(definition, provision=provision)
-            services[method] = engine.deploy(
-                f"{resolved.name}.{method}",
-                definition,
-                services=self.handler_services,
-                node_hints=node_hints,
-            )
+        services = self._provision(resolved, config, node_hints)
         old_runtime.router.policy = config.placement
         if config.persistent and old_runtime.dht.store is not None:
             # Additive schema evolution: the engine indexes any keys the

@@ -3,8 +3,8 @@
 One object owns the whole subsystem so the platform wires a single
 dependency, exactly like the QoS plane (PR 4): the CRM calls
 :meth:`DurabilityPlane.attach` as classes deploy, the platform calls
-:meth:`on_node_failed` from ``fail_node``, and the gateway/CLI call the
-snapshot/restore entry points.
+:meth:`node_failed` from ``fail_node``, and the snapshot/restore REST
+routes (:meth:`admin_route`) call the operator entry points.
 
 The plane is **off by default**: ``PlatformConfig().durability.enabled``
 is False and a disabled plane is never constructed, so the Fig. 3
@@ -15,16 +15,20 @@ module imported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Generator, Mapping
 
 from repro.durability.policy import DurabilityPolicy
 from repro.durability.restore import RestoreManager
 from repro.durability.snapshot import ClassDurabilityState, SnapshotCoordinator
 from repro.errors import UnknownClassError, ValidationError
+from repro.http import HttpRequest, HttpResponse
 from repro.model.nfr import _checked_number
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
+from repro.monitoring.metrics import set_counter
+from repro.monitoring.nfr_report import NfrVerdict, _judge
 from repro.monitoring.tracing import Tracer
+from repro.plane import Plane
 from repro.sim.kernel import Environment, Process
 from repro.storage.object_store import ObjectStore
 
@@ -71,8 +75,10 @@ class DurabilityConfig:
                 )
 
 
-class DurabilityPlane:
+class DurabilityPlane(Plane):
     """Owns snapshots, restore, and crash recovery for one platform."""
+
+    name = "durability"
 
     def __init__(
         self,
@@ -210,9 +216,63 @@ class DurabilityPlane:
         """Retained snapshot generations of ``cls`` (oldest first)."""
         return [dict(entry) for entry in self._tracker(cls).generations]
 
+    # -- REST surface --------------------------------------------------------
+
+    def admin_route(self, http: HttpRequest) -> Generator | HttpResponse | None:
+        """``POST|GET /api/classes/{cls}/snapshots`` and ``POST
+        /api/classes/{cls}/restore``."""
+        parts = [p for p in http.path.split("/") if p]
+        if len(parts) != 4 or parts[0] != "api" or parts[1] != "classes":
+            return None
+        cls = parts[2]
+        if parts[3] == "snapshots":
+            if http.method == "POST":
+                return self._snapshot_route(cls)
+            if http.method == "GET":
+                generations = self.generations(cls)
+                return HttpResponse(
+                    200,
+                    {"class": cls, "generations": generations, "count": len(generations)},
+                )
+            return None
+        if parts[3] == "restore" and http.method == "POST":
+            return self._restore_route(cls, http.body)
+        return None
+
+    def _snapshot_route(self, cls: str) -> Generator[Any, Any, HttpResponse]:
+        manifest = yield self.snapshot_class(cls)
+        if manifest is None:
+            return HttpResponse(
+                200, {"class": cls, "generation": None, "captured": 0}
+            )
+        return HttpResponse(
+            201,
+            {
+                "class": cls,
+                "generation": manifest["generation"],
+                "captured": len(manifest["captured"]),
+                "cut_time": manifest["cut_time"],
+            },
+        )
+
+    def _restore_route(
+        self, cls: str, body: Mapping[str, Any]
+    ) -> Generator[Any, Any, HttpResponse]:
+        at = body.get("at")
+        if at is not None:
+            if isinstance(at, bool) or not isinstance(at, (int, float)):
+                raise ValidationError(f"restore 'at' must be a number, got {at!r}")
+            at = float(at)
+        object_id = body.get("object")
+        if object_id is not None:
+            summary = yield self.restore_object(cls, str(object_id), at)
+        else:
+            summary = yield self.restore_class(cls, at)
+        return HttpResponse(200, dict(summary))
+
     # -- platform hooks ------------------------------------------------------
 
-    def on_node_failed(
+    def node_failed(
         self, node: str, stats: dict[str, dict[str, int]]
     ) -> list[Process]:
         """Launch crash recovery for every enforced class that lost the
@@ -234,11 +294,6 @@ class DurabilityPlane:
         self._recoveries.extend(launched)
         return launched
 
-    def on_node_joined(self, node: str) -> None:
-        """Membership growth needs no durability action — the DHT
-        rebalance re-spreads live state and the next cut captures it —
-        but the hook keeps the platform seam explicit."""
-
     def stop(self) -> None:
         """Stop every periodic-cut loop (platform shutdown)."""
         self._running = False
@@ -258,8 +313,6 @@ class DurabilityPlane:
     def collect_metrics(self, registry) -> None:
         """Metrics-plane pull hook: per-class snapshot/epoch/recovery
         counters and the last measured RPO/RTO, labeled by class."""
-        from repro.monitoring.plane import set_counter
-
         for cls, tracker in self._trackers.items():
             labels = {"class": cls, "plane": "durability"}
             set_counter(registry, "durability.cuts", float(tracker.cuts_taken), labels)
@@ -286,6 +339,42 @@ class DurabilityPlane:
                 registry.gauge("durability.last_rto_s", labels).set(
                     float(recovery["rto_s"])
                 )
+
+    def verdicts(self, cls: str, runtime: Any) -> list[NfrVerdict]:
+        """RPO verdict for a class whose crash recovery has been
+        measured: the sim-seconds of acknowledged writes lost, judged
+        against the policy's RPO budget (0 for ``persistence: strong``,
+        one snapshot interval for ``standard``)."""
+        policy = self._policies.get(cls)
+        tracker = self._trackers.get(cls)
+        if policy is None or not policy.enabled or tracker is None:
+            return []
+        recovery = tracker.last_recovery
+        if recovery is None:
+            return []
+        return [
+            _judge(
+                cls,
+                "durability_rpo_s",
+                float(policy.rpo_budget_s),
+                float(recovery["rpo_s"]),
+                at_most=True,
+                detail=(
+                    f"{recovery['lost_writes']} write(s) lost, "
+                    f"RTO {recovery['rto_s']:.4f}s after node "
+                    f"{recovery['node']} crash"
+                ),
+            )
+        ]
+
+    def snapshot(self) -> dict[str, float]:
+        stats = self.stats()
+        return {
+            "durability.cuts": float(stats["cuts_total"]),
+            "durability.epoch_writes": float(stats["epoch_writes_total"]),
+            "durability.recoveries": float(stats["recoveries_total"]),
+            "durability.restores": float(stats["restores_total"]),
+        }
 
     def stats(self) -> dict[str, Any]:
         """Plane-wide statistics for the observability report."""

@@ -11,21 +11,24 @@ existed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Generator, Mapping
 
 from repro.errors import JurisdictionError, MigrationError, ValidationError
 from repro.federation.migration import FEDERATION_TRACE_ID, MigrationManager
 from repro.federation.placement import PLACEMENT_MODES, PlacementPlanner
 from repro.federation.topology import Zone, ZoneTopology
+from repro.http import HttpRequest, HttpResponse
 from repro.monitoring.events import EventLog
+from repro.monitoring.metrics import set_counter
+from repro.monitoring.nfr_report import NfrVerdict, _judge
 from repro.monitoring.tracing import Tracer
+from repro.plane import Plane
 from repro.sim.kernel import Environment, Process
 from repro.sim.network import Network
 from repro.storage.dht import Dht
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crm.manager import ClassRuntimeManager
-    from repro.crm.runtime import ClassRuntime
     from repro.model.nfr import NonFunctionalRequirements
     from repro.orchestrator.cluster import Cluster
 
@@ -87,9 +90,11 @@ class _ClassFederationStats:
     rejections: int = 0
 
 
-class FederationPlane:
+class FederationPlane(Plane):
     """Topology + planner + migration + geo-routing, built only when
     ``FederationConfig(enabled=True)``."""
+
+    name = "federation"
 
     def __init__(
         self,
@@ -209,20 +214,6 @@ class FederationPlane:
         """Ranked node domain for a class (partition ring + pod hints)."""
         return self.planner.plan(nfr)
 
-    def node_eligible(self, nfr: "NonFunctionalRequirements", node: str) -> bool:
-        """Whether a (just-joined) node belongs in the class's domain."""
-        return node in set(self.planner.plan(nfr))
-
-    def refresh_placement(self, runtime: "ClassRuntime") -> list[str]:
-        """Recompute the class's placement after membership change and
-        push it into every service deployment's hint set — the planner
-        stays in charge on scale-up and self-heal, not just at deploy."""
-        hints = self.planner.plan(runtime.resolved.nfr)
-        if hints:
-            for service in runtime.services.values():
-                service.deployment.set_hints(hints)
-        return hints
-
     # -- migration (operator surface) ----------------------------------------
 
     def migrate_object(self, cls: str, object_id: str, target_zone: str) -> Process:
@@ -241,15 +232,30 @@ class FederationPlane:
             )
         return self.migration.migrate(runtime, object_id, target_zone)
 
-    # -- membership hooks ----------------------------------------------------
+    def admin_route(self, http: HttpRequest) -> Generator | HttpResponse | None:
+        """``POST /api/classes/{cls}/objects/{oid}/migrate``."""
+        parts = [p for p in http.path.split("/") if p]
+        if (
+            len(parts) != 6
+            or parts[0] != "api"
+            or parts[1] != "classes"
+            or parts[3] != "objects"
+            or parts[5] != "migrate"
+            or http.method != "POST"
+        ):
+            return None
+        return self._migrate_route(parts[2], parts[4], http.body)
 
-    def on_node_failed(self, node: str) -> None:
-        for runtime in self.crm.runtimes.values():
-            self.refresh_placement(runtime)
-
-    def on_node_joined(self, node: str) -> None:
-        for runtime in self.crm.runtimes.values():
-            self.refresh_placement(runtime)
+    def _migrate_route(
+        self, cls: str, object_id: str, body: Mapping[str, Any]
+    ) -> Generator[Any, Any, HttpResponse]:
+        zone = body.get("zone")
+        if not zone or not isinstance(zone, str):
+            raise ValidationError(
+                "migrate requires a target 'zone' (string) in the body"
+            )
+        summary = yield self.migrate_object(cls, object_id, zone)
+        return HttpResponse(200, dict(summary))
 
     # -- reporting -----------------------------------------------------------
 
@@ -263,6 +269,38 @@ class FederationPlane:
             "accesses": stats.accesses,
             "cross_zone": stats.cross_zone,
             "rejections": stats.rejections,
+        }
+
+    def verdicts(self, cls: str, runtime: Any) -> list[NfrVerdict]:
+        """Jurisdiction verdict for a constrained class: the target is
+        zero rejected cross-jurisdiction accesses; every rejection this
+        plane counted is one violation."""
+        jurisdictions = runtime.resolved.nfr.constraint.jurisdictions
+        if not jurisdictions:
+            return []
+        stats = self.class_stats(cls)
+        rejections = stats["rejections"]
+        return [
+            _judge(
+                cls,
+                "jurisdiction",
+                0.0,
+                float(rejections),
+                at_most=True,
+                detail=(
+                    f"constrained to {sorted(jurisdictions)}; "
+                    f"{stats['accesses']} access(es), {rejections} rejected"
+                ),
+            )
+        ]
+
+    def snapshot(self) -> dict[str, float]:
+        stats = self.stats()
+        return {
+            "federation.migrations": float(stats["migrations_total"]),
+            "federation.migrations_failed": float(stats["migrations_failed"]),
+            "federation.cross_zone": float(stats["cross_zone_total"]),
+            "federation.rejections": float(stats["rejections_total"]),
         }
 
     def stats(self) -> dict[str, Any]:
@@ -279,8 +317,6 @@ class FederationPlane:
 
     def collect_metrics(self, registry) -> None:
         """Metrics-plane pull hook (mirrors the other planes)."""
-        from repro.monitoring.plane import set_counter
-
         labels = {"plane": "federation"}
         stats = self.stats()
         for key in (

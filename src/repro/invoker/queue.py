@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.invoker.engine import InvocationEngine
 from repro.invoker.request import InvocationRequest, InvocationResult
+from repro.monitoring.metrics import set_counter
 from repro.qos.fairqueue import QueuedItem
 from repro.qos.plane import QosPlane
 from repro.scheduler.transport.core import request_class
@@ -96,8 +97,6 @@ class AsyncInvoker:
 
     def collect_metrics(self, registry) -> None:
         """Metrics-plane pull hook: async-path submission accounting."""
-        from repro.monitoring.plane import set_counter
-
         labels = {"plane": "invoker", "path": "async"}
         set_counter(registry, "async.submitted", float(self.submitted), labels)
         set_counter(registry, "async.completed", float(self.completed), labels)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 from repro.model.nfr import NonFunctionalRequirements
-from repro.monitoring.events import EventLog
+from repro.monitoring.events import EventLog, emit
 from repro.monitoring.tracing import Tracer
 from repro.sim.kernel import Environment
 
@@ -234,13 +234,7 @@ class BreakerBoard:
         )
 
     def _emit(self, kind: str, cls: str, node: str, **fields) -> None:
-        if self.events is not None:
-            self.events.record(kind, cls=cls, node=node, **fields)
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.start(
-                RESILIENCE_TRACE_ID, kind, cls=cls, node=node, **fields
-            )
-            self.tracer.finish(span)
+        emit(self.events, self.tracer, RESILIENCE_TRACE_ID, kind, cls=cls, node=node, **fields)
 
     def allow(self, cls: str, node: str) -> bool:
         """Whether placement may send traffic at ``node`` for ``cls``."""

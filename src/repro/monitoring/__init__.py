@@ -1,7 +1,7 @@
 """Monitoring: metrics, tracing, control-plane events, and reporting."""
 
 from repro.monitoring.collector import ClassObservations, MonitoringSystem
-from repro.monitoring.events import EventLog, PlatformEvent
+from repro.monitoring.events import EventLog, PlatformEvent, emit
 from repro.monitoring.export import (
     chrome_trace_json,
     format_summary,
@@ -22,6 +22,7 @@ __all__ = [
     "Tracer",
     "EventLog",
     "PlatformEvent",
+    "emit",
     "ClassObservations",
     "MonitoringSystem",
     "Counter",

@@ -62,9 +62,12 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-__all__ = ["PlatformEvent", "EventLog"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.monitoring.tracing import Tracer
+
+__all__ = ["PlatformEvent", "EventLog", "emit"]
 
 
 @dataclass(frozen=True)
@@ -141,3 +144,17 @@ class EventLog:
             attrs = " ".join(f"{k}={v}" for k, v in event.fields.items())
             lines.append(f"[{event.at:10.4f}s] {event.type:<20} {attrs}".rstrip())
         return "\n".join(lines)
+
+
+def emit(
+    events: EventLog | None, tracer: Tracer | None, trace_id: str, type: str, /, **fields: Any
+) -> None:
+    """The single emission point for control-plane narration: record a
+    ``type`` event with ``fields`` and, when tracing is on, an
+    instantaneous span of the same name and fields under the synthetic
+    ``trace_id`` (``"scheduler"``, ``"qos"``, ``"chaos"``, ...) — such
+    actions belong to the platform, not to one request's trace."""
+    if events is not None:
+        events.record(type, **fields)
+    if tracer is not None and tracer.enabled:
+        tracer.finish(tracer.start(trace_id, type, **fields))

@@ -33,6 +33,7 @@ __all__ = [
     "MetricsRegistry",
     "label_key",
     "render_series_name",
+    "set_counter",
 ]
 
 #: Canonical form of a label set: sorted ``(key, value)`` string pairs.
@@ -322,3 +323,21 @@ class MetricsRegistry:
             out[f"{base}.mean"] = histogram.mean
             out[f"{base}.p99"] = histogram.percentile(99) if histogram.count else 0.0
         return out
+
+
+def set_counter(
+    registry: MetricsRegistry,
+    name: str,
+    value: float,
+    labels: Mapping[str, str] | None = None,
+) -> None:
+    """Pull-model counter update: raise the instrument to ``value``.
+
+    Collectors read cumulative statistics off components and mirror
+    them into registry counters; the counter moves by the positive
+    delta (a stale or equal value is a no-op, keeping monotonicity).
+    """
+    counter = registry.counter(name, labels)
+    delta = value - counter.value
+    if delta > 0:
+        counter.inc(delta)

@@ -20,11 +20,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.chaos.injector import ChaosInjector
-    from repro.durability.plane import DurabilityPlane
-    from repro.federation.plane import FederationPlane
     from repro.monitoring.collector import MonitoringSystem
-    from repro.qos.plane import QosPlane
+    from repro.plane import Plane
 
 __all__ = ["NfrVerdict", "nfr_compliance_report", "format_nfr_report"]
 
@@ -58,6 +55,26 @@ class NfrVerdict:
         }
 
 
+def _judge(
+    cls: str,
+    requirement: str,
+    target: float,
+    observed: float,
+    *,
+    at_most: bool,
+    detail: str,
+    excused: bool = False,
+) -> NfrVerdict:
+    """One verdict row: ``observed`` must stay at most (a ceiling, e.g.
+    latency) or at least (a floor, e.g. availability) ``target``;
+    ``excused`` waives a miss without hiding its margin."""
+    if at_most:
+        met, margin = observed <= target, target - observed
+    else:
+        met, margin = observed >= target, observed - target
+    return NfrVerdict(cls, requirement, target, observed, met or excused, margin, detail)
+
+
 def _saturated(runtime: Any) -> bool:
     """Whether any of the class's services is running at capacity
     (mirrors the optimizer's 80%-of-slots saturation test)."""
@@ -72,49 +89,39 @@ def _saturated(runtime: Any) -> bool:
 def nfr_compliance_report(
     runtimes: Mapping[str, Any],
     monitoring: "MonitoringSystem",
-    chaos: "ChaosInjector | None" = None,
-    qos: "QosPlane | None" = None,
-    durability: "DurabilityPlane | None" = None,
-    federation: "FederationPlane | None" = None,
+    planes: Mapping[str, Plane] | None = None,
 ) -> list[NfrVerdict]:
     """Judge every deployed class's declared QoS against observations.
 
     ``runtimes`` maps class name to its runtime (duck-typed: only
     ``resolved.nfr.qos`` and ``services`` are read — the CRM's
     ``runtimes`` mapping fits directly).  Classes with no declared QoS
-    produce no verdicts.
+    produce no built-in verdicts.
 
-    With a ``chaos`` injector supplied, classes declaring an
-    availability target additionally get an ``availability_under_fault``
-    verdict: the success fraction restricted to invocations completed
-    while the injector held at least one fault active — the number that
-    separates a replicated class riding out a crash from an ephemeral
-    one losing its state.
+    ``planes`` is the platform's plane registry.  Each plane first adds
+    the rows it owns through :meth:`~repro.plane.Plane.verdicts` — the
+    durability plane a ``durability_rpo_s`` row for a class whose crash
+    recovery was measured, the federation plane a ``jurisdiction`` row
+    for a constrained class.  Two built-in rows depend on a plane being
+    present:
 
-    With a ``qos`` plane supplied, latency-declared classes also get a
-    ``latency_p95_ms`` verdict against the same target — the percentile
-    the overload controller's brownout trigger watches, so the report
-    shows the exact signal that drives shedding.
-
-    With a ``durability`` plane supplied, classes that have gone through
-    a measured crash recovery get a ``durability_rpo_s`` verdict: the
-    sim-seconds of acknowledged writes lost, judged against the policy's
-    RPO budget (0 for ``persistence: strong``, one snapshot interval for
-    ``standard``).
-
-    With a ``federation`` plane supplied, jurisdiction-constrained
-    classes get a ``jurisdiction`` verdict: the count of rejected
-    cross-jurisdiction accesses, judged against a target of zero.
+    * with ``"qos"``, latency-declared classes also get a
+      ``latency_p95_ms`` verdict against the same target — the
+      percentile the overload controller's brownout trigger watches, so
+      the report shows the exact signal that drives shedding;
+    * with ``"chaos"``, classes declaring an availability target also
+      get ``availability_under_fault``: the success fraction restricted
+      to invocations completed while the injector held at least one
+      fault active — the number that separates a replicated class
+      riding out a crash from an ephemeral one losing its state.
     """
-    fault_counts = chaos.fault_counts() if chaos is not None else {}
-    qos_plane = qos  # the loop below rebinds ``qos`` to each class's block
+    planes = planes or {}
+    fault_counts = planes["chaos"].fault_counts() if "chaos" in planes else {}
     verdicts: list[NfrVerdict] = []
     for cls in sorted(runtimes):
         runtime = runtimes[cls]
-        if durability is not None:
-            verdicts.extend(_durability_verdicts(cls, durability))
-        if federation is not None:
-            verdicts.extend(_jurisdiction_verdicts(cls, runtime, federation))
+        for plane in planes.values():
+            verdicts.extend(plane.verdicts(cls, runtime))
         qos = runtime.resolved.nfr.qos
         if qos.is_empty:
             continue
@@ -129,48 +136,35 @@ def nfr_compliance_report(
                 observed = obs.latency.percentile(99) * 1000.0 if obs.latency.count else 0.0
                 source = f"lifetime p99 over {obs.latency.count} samples"
             verdicts.append(
-                NfrVerdict(
-                    cls=cls,
-                    requirement="latency_p99_ms",
-                    target=qos.latency_ms,
-                    observed=observed,
-                    met=observed <= qos.latency_ms,
-                    margin=qos.latency_ms - observed,
-                    detail=source,
-                )
+                _judge(cls, "latency_p99_ms", qos.latency_ms, observed, at_most=True, detail=source)
             )
-            if qos_plane is not None and window_samples:
-                observed_p95 = obs.latency_pct_ms(95)
+            if "qos" in planes and window_samples:
                 verdicts.append(
-                    NfrVerdict(
-                        cls=cls,
-                        requirement="latency_p95_ms",
-                        target=qos.latency_ms,
-                        observed=observed_p95,
-                        met=observed_p95 <= qos.latency_ms,
-                        margin=qos.latency_ms - observed_p95,
+                    _judge(
+                        cls,
+                        "latency_p95_ms",
+                        qos.latency_ms,
+                        obs.latency_pct_ms(95),
+                        at_most=True,
                         detail=f"brownout signal over {window_samples} samples",
                     )
                 )
 
         if qos.throughput_rps is not None:
-            observed = obs.throughput_rps
             saturated = _saturated(runtime)
-            met = observed >= qos.throughput_rps or not saturated
-            detail = (
-                "services saturated"
-                if saturated
-                else "capacity target; services not saturated"
-            )
             verdicts.append(
-                NfrVerdict(
-                    cls=cls,
-                    requirement="throughput_rps",
-                    target=qos.throughput_rps,
-                    observed=observed,
-                    met=met,
-                    margin=observed - qos.throughput_rps,
-                    detail=detail,
+                _judge(
+                    cls,
+                    "throughput_rps",
+                    qos.throughput_rps,
+                    obs.throughput_rps,
+                    at_most=False,
+                    excused=not saturated,
+                    detail=(
+                        "services saturated"
+                        if saturated
+                        else "capacity target; services not saturated"
+                    ),
                 )
             )
 
@@ -182,91 +176,24 @@ def nfr_compliance_report(
                 total = obs.completed + obs.failed
                 observed = obs.completed / total if total else 1.0
                 source = f"lifetime over {total} invocations"
+            target = qos.availability
             verdicts.append(
-                NfrVerdict(
-                    cls=cls,
-                    requirement="availability",
-                    target=qos.availability,
-                    observed=observed,
-                    met=observed >= qos.availability,
-                    margin=observed - qos.availability,
-                    detail=source,
-                )
+                _judge(cls, "availability", target, observed, at_most=False, detail=source)
             )
             completed, failed = fault_counts.get(cls, (0, 0))
             under_fault = completed + failed
             if under_fault:
-                observed = completed / under_fault
                 verdicts.append(
-                    NfrVerdict(
-                        cls=cls,
-                        requirement="availability_under_fault",
-                        target=qos.availability,
-                        observed=observed,
-                        met=observed >= qos.availability,
-                        margin=observed - qos.availability,
+                    _judge(
+                        cls,
+                        "availability_under_fault",
+                        target,
+                        completed / under_fault,
+                        at_most=False,
                         detail=f"{under_fault} invocations during fault windows",
                     )
                 )
     return verdicts
-
-
-def _durability_verdicts(
-    cls: str, durability: "DurabilityPlane"
-) -> list[NfrVerdict]:
-    """RPO verdict for a class whose crash recovery has been measured."""
-    policy = durability.policy_for(cls)
-    tracker = durability.tracker_for(cls)
-    if policy is None or not policy.enabled or tracker is None:
-        return []
-    recovery = tracker.last_recovery
-    if recovery is None:
-        return []
-    observed = float(recovery["rpo_s"])
-    target = float(policy.rpo_budget_s)
-    return [
-        NfrVerdict(
-            cls=cls,
-            requirement="durability_rpo_s",
-            target=target,
-            observed=observed,
-            met=observed <= target,
-            margin=target - observed,
-            detail=(
-                f"{recovery['lost_writes']} write(s) lost, "
-                f"RTO {recovery['rto_s']:.4f}s after node "
-                f"{recovery['node']} crash"
-            ),
-        )
-    ]
-
-
-def _jurisdiction_verdicts(
-    cls: str, runtime: Any, federation: "FederationPlane"
-) -> list[NfrVerdict]:
-    """Jurisdiction verdict for a constrained class: the target is zero
-    rejected cross-jurisdiction accesses; every rejection counted by the
-    federation plane is one violation."""
-    jurisdictions = runtime.resolved.nfr.constraint.jurisdictions
-    if not jurisdictions:
-        return []
-    stats = federation.class_stats(cls)
-    rejections = float(stats["rejections"])
-    return [
-        NfrVerdict(
-            cls=cls,
-            requirement="jurisdiction",
-            target=0.0,
-            observed=rejections,
-            met=rejections == 0.0,
-            margin=-rejections,
-            detail=(
-                f"constrained to {sorted(jurisdictions)}; "
-                f"{stats['accesses']} access(es), "
-                f"{int(rejections)} rejected"
-            ),
-        )
-    ]
 
 
 def format_nfr_report(verdicts: list[NfrVerdict]) -> str:

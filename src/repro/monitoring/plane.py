@@ -16,15 +16,17 @@ ring-buffered time series and hands the clock to the SLO evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ValidationError
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.exposition import metrics_json, render_openmetrics
-from repro.monitoring.metrics import MetricsRegistry
+from repro.monitoring.metrics import MetricsRegistry, set_counter
+from repro.monitoring.nfr_report import _saturated
 from repro.monitoring.scraper import MetricsScraper
 from repro.monitoring.slo import SloConfig, SloEvaluator
+from repro.plane import Plane
 from repro.sim.kernel import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -65,26 +67,10 @@ class MetricsConfig:
             )
 
 
-def set_counter(
-    registry: MetricsRegistry,
-    name: str,
-    value: float,
-    labels: Mapping[str, str] | None = None,
-) -> None:
-    """Pull-model counter update: raise the instrument to ``value``.
-
-    Collectors read cumulative statistics off components and mirror
-    them into registry counters; the counter moves by the positive
-    delta (a stale or equal value is a no-op, keeping monotonicity).
-    """
-    counter = registry.counter(name, labels)
-    delta = value - counter.value
-    if delta > 0:
-        counter.inc(delta)
-
-
-class MetricsPlane:
+class MetricsPlane(Plane):
     """Owns scraping, exposition, and SLO evaluation for one platform."""
+
+    name = "metrics"
 
     def __init__(
         self,
@@ -133,16 +119,8 @@ class MetricsPlane:
         self._collect_front_door(platform, registry)
         self._collect_runtimes(platform, registry)
         platform.queue.collect_metrics(registry)
-        if platform.qos is not None:
-            platform.qos.collect_metrics(registry)
-        if platform.durability is not None:
-            platform.durability.collect_metrics(registry)
-        if platform.scheduler_plane is not None:
-            platform.scheduler_plane.collect_metrics(registry)
-        if platform.federation is not None:
-            platform.federation.collect_metrics(registry)
-        if platform.chaos is not None:
-            platform.chaos.collect_metrics(registry)
+        for plane in platform.planes.values():
+            plane.collect_metrics(registry)
         platform.env.profile.collect_metrics(registry)
         self._watch_new_classes(platform)
 
@@ -201,8 +179,6 @@ class MetricsPlane:
             registry.gauge("class.throughput_rps", cls_labels).set(obs.throughput_rps)
 
     def _watch_new_classes(self, platform: "Oparaca") -> None:
-        from repro.monitoring.nfr_report import _saturated
-
         for cls, runtime in platform.crm.runtimes.items():
             self.slo.watch_class(
                 cls,

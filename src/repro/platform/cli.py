@@ -415,12 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_pkg(path: str) -> Package:
-    return load_package(path)
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    package = _load_pkg(args.package)
+    package = load_package(args.package)
     resolved = package.resolved_classes()
     print(f"package {package.name!r}: OK")
     print(f"  classes:   {len(package.classes)}")
@@ -436,7 +432,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    package = _load_pkg(args.package)
+    package = load_package(args.package)
     resolved = package.resolved_classes()
     names = [args.cls] if args.cls else sorted(resolved)
     for name in names:
@@ -494,15 +490,20 @@ def _register_stub_handlers(platform, package: Package) -> None:
         platform.register_image(image, make_stub(image), service_time_s=0.001)
 
 
-def _build_platform(args: argparse.Namespace, package: Package, **overrides: Any):
-    """An ephemeral platform with the workload's handlers registered, or
-    ``None`` (after printing the error) when handler wiring is invalid.
-    ``overrides`` are :class:`PlatformConfig` fields — the plane configs
-    and observability switches a subcommand turns on."""
+class _UsageError(Exception):
+    """Invalid handler wiring; ``main`` prints it and exits 2."""
+
+
+def _deploy(args: argparse.Namespace, **overrides: Any):
+    """An ephemeral platform with the workload's handlers registered and
+    ``args.package`` deployed.  ``overrides`` are :class:`PlatformConfig`
+    fields — the plane configs and observability switches a subcommand
+    turns on."""
     from repro.durability.plane import DurabilityConfig
     from repro.platform.oparaca import Oparaca, PlatformConfig
     from repro.storage.backends import StorageConfig
 
+    package = load_package(args.package)
     storage = StorageConfig(
         backend=getattr(args, "backend", "dict"), path=getattr(args, "db", None)
     )
@@ -522,18 +523,14 @@ def _build_platform(args: argparse.Namespace, package: Package, **overrides: Any
     if args.handlers:
         module_name, _, attr = args.handlers.partition(":")
         if not attr:
-            print("error: --handlers must be module:callable", file=sys.stderr)
-            return None
+            raise _UsageError("--handlers must be module:callable")
         register = getattr(importlib.import_module(module_name), attr)
         register(platform)
     elif args.auto_handlers:
         _register_stub_handlers(platform, package)
     else:
-        print(
-            "error: provide --handlers module:callable or --auto-handlers",
-            file=sys.stderr,
-        )
-        return None
+        raise _UsageError("provide --handlers module:callable or --auto-handlers")
+    platform.deploy(package)
     return platform
 
 
@@ -620,11 +617,7 @@ def _drive_rounds(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    package = _load_pkg(args.package)
-    platform = _build_platform(args, package)
-    if platform is None:
-        return 2
-    platform.deploy(package)
+    platform = _deploy(args)
     for runtime in platform.describe():
         print(
             f"deployed {runtime['class']} via template {runtime['template']!r} "
@@ -638,11 +631,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    package = _load_pkg(args.package)
-    platform = _build_platform(args, package, tracing_enabled=True)
-    if platform is None:
-        return 2
-    platform.deploy(package)
+    platform = _deploy(args, tracing_enabled=True)
     _run_workload(platform, args, quiet=True)
     platform.shutdown()
     if args.chrome:
@@ -658,11 +647,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_events(args: argparse.Namespace) -> int:
-    package = _load_pkg(args.package)
-    platform = _build_platform(args, package, events_enabled=True)
-    if platform is None:
-        return 2
-    platform.deploy(package)
+    platform = _deploy(args, events_enabled=True)
     _run_workload(platform, args, quiet=True)
     platform.shutdown()
     print(platform.events.render(type=args.event_type, limit=args.limit))
@@ -677,13 +662,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.monitoring.export import format_summary
     from repro.monitoring.nfr_report import format_nfr_report
 
-    package = _load_pkg(args.package)
-    platform = _build_platform(
-        args, package, tracing_enabled=True, events_enabled=True
-    )
-    if platform is None:
-        return 2
-    platform.deploy(package)
+    platform = _deploy(args, tracing_enabled=True, events_enabled=True)
     _run_workload(platform, args, quiet=True)
     platform.shutdown()
     if args.as_json:
@@ -700,13 +679,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import named_plan
     from repro.monitoring.nfr_report import format_nfr_report
 
-    package = _load_pkg(args.package)
-    platform = _build_platform(
-        args, package, tracing_enabled=True, events_enabled=True
-    )
-    if platform is None:
-        return 2
-    platform.deploy(package)
+    platform = _deploy(args, tracing_enabled=True, events_enabled=True)
     plan = named_plan(args.plan, list(platform.cluster.node_names))
     print(f"injecting plan {plan.name!r}:")
     for fault in plan.describe()["faults"]:
@@ -718,7 +691,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     platform.shutdown()
 
     print(f"\nworkload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds")
-    summary = injector.summary()
+    summary = injector.stats()
     print(
         f"chaos: injected={summary['injected']} recovered={summary['recovered']} "
         f"fault_time_s={summary['fault_time_s']:.2f}"
@@ -739,16 +712,11 @@ def _cmd_qos(args: argparse.Namespace) -> int:
     from repro.monitoring.nfr_report import format_nfr_report
     from repro.qos.plane import QosConfig
 
-    package = _load_pkg(args.package)
-    platform = _build_platform(
+    platform = _deploy(
         args,
-        package,
         events_enabled=True,
         qos=QosConfig(enabled=True, concurrency_limit=args.concurrency_limit),
     )
-    if platform is None:
-        return 2
-    platform.deploy(package)
 
     run = _drive_rounds(platform, args, async_per_round=args.async_per_round)
     platform.advance(2.0)  # drain the async backlog
@@ -759,7 +727,7 @@ def _cmd_qos(args: argparse.Namespace) -> int:
         f"over {args.rounds} rounds "
         f"(+{args.rounds * args.async_per_round} async submissions)"
     )
-    stats = platform.qos_report()
+    stats = platform.report("qos")
     print("\nresolved policies:")
     print(
         f"  {'class':<16} {'rate_rps':>9} {'burst':>7} {'weight':>7} "
@@ -804,16 +772,11 @@ def _cmd_qos(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.monitoring.plane import MetricsConfig
 
-    package = _load_pkg(args.package)
-    platform = _build_platform(
+    platform = _deploy(
         args,
-        package,
         events_enabled=True,
         metrics=MetricsConfig(enabled=True, scrape_interval_s=args.scrape_interval),
     )
-    if platform is None:
-        return 2
-    platform.deploy(package)
     run = _drive_rounds(platform, args)
     platform.shutdown()
     # One final scrape after the flush so the exported counters include
@@ -836,16 +799,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.monitoring.plane import MetricsConfig
 
-    package = _load_pkg(args.package)
-    platform = _build_platform(
+    platform = _deploy(
         args,
-        package,
         events_enabled=True,
         metrics=MetricsConfig(enabled=True, scrape_interval_s=args.scrape_interval),
     )
-    if platform is None:
-        return 2
-    platform.deploy(package)
     if args.chaos_plan:
         from repro.chaos import named_plan
 
@@ -899,10 +857,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.scheduler.plane import SchedulerConfig
 
-    package = _load_pkg(args.package)
-    platform = _build_platform(
+    platform = _deploy(
         args,
-        package,
         scheduler=SchedulerConfig(
             enabled=True,
             transport="asyncio",
@@ -914,9 +870,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             dead_after_misses=4,
         ),
     )
-    if platform is None:
-        return 2
-    platform.deploy(package)
 
     async def request(host, port, method, path, body=None):
         reader, writer = await asyncio.open_connection(host, port)
@@ -1014,16 +967,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_workers(args: argparse.Namespace) -> int:
     from repro.scheduler.plane import SchedulerConfig
 
-    package = _load_pkg(args.package)
-    platform = _build_platform(
+    platform = _deploy(
         args,
-        package,
         events_enabled=True,
         scheduler=SchedulerConfig(enabled=True, pool_size=args.pool),
     )
-    if platform is None:
-        return 2
-    platform.deploy(package)
 
     def retire_halfway() -> None:
         if args.drain_worker:
@@ -1047,7 +995,7 @@ def _cmd_workers(args: argparse.Namespace) -> int:
         f"workload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds "
         f"(+{args.rounds * args.async_per_round} async submissions through worker queues)"
     )
-    stats = platform.scheduler_report()
+    stats = platform.report("scheduler")
     print("\nworkers:")
     print(
         f"  {'worker':<12} {'state':<10} {'node':<8} {'epoch':>5} "
@@ -1082,36 +1030,34 @@ def _cmd_workers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _durability_platform(args: argparse.Namespace, package: Package):
+def _snapshot_run(args: argparse.Namespace):
+    """The shared opening of ``snapshot`` and ``restore``: a platform
+    with the durability plane on, the workload, then one cut through the
+    gateway.  Returns ``(platform, object_id, cut_body)``."""
     from repro.durability.plane import DurabilityConfig
 
-    return _build_platform(
+    platform = _deploy(
         args,
-        package,
         events_enabled=True,
         durability=DurabilityConfig(
             enabled=True, default_interval_s=args.snapshot_interval
         ),
     )
+    object_id = _run_workload(platform, args, quiet=True)
+    cut = platform.http("POST", f"/api/classes/{args.new_cls}/snapshots")
+    if cut.status not in (200, 201):
+        raise OaasError(f"snapshot failed: {cut.body.get('error')}")
+    return platform, object_id, cut.body
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    package = _load_pkg(args.package)
-    platform = _durability_platform(args, package)
-    if platform is None:
-        return 2
-    platform.deploy(package)
-    _run_workload(platform, args, quiet=True)
-    cut = platform.http("POST", f"/api/classes/{args.new_cls}/snapshots")
-    if cut.status not in (200, 201):
-        print(f"error: snapshot failed: {cut.body.get('error')}", file=sys.stderr)
-        return 1
-    if cut.body.get("generation") is None:
+    platform, _, cut = _snapshot_run(args)
+    if cut.get("generation") is None:
         print(f"nothing to capture for {args.new_cls} (no changes since last cut)")
     else:
         print(
-            f"cut generation {cut.body['generation']} at "
-            f"t={cut.body['cut_time']:.4f}s: {cut.body['captured']} object(s)"
+            f"cut generation {cut['generation']} at "
+            f"t={cut['cut_time']:.4f}s: {cut['captured']} object(s)"
         )
     listing = platform.http("GET", f"/api/classes/{args.new_cls}/snapshots")
     print(f"\nretained generations ({listing.body.get('count', 0)}):")
@@ -1120,7 +1066,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
             f"  gen {entry['generation']:>4} cut_time={entry['cut_time']:.4f}s "
             f"captured={entry['captured']} tombstones={entry['tombstones']}"
         )
-    stats = platform.durability_report()
+    stats = platform.report("durability")
     row = stats["classes"].get(args.new_cls, {})
     print(
         f"\ndurability: cuts={row.get('cuts_taken', 0)} "
@@ -1133,17 +1079,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
-    package = _load_pkg(args.package)
-    platform = _durability_platform(args, package)
-    if platform is None:
-        return 2
-    platform.deploy(package)
-    object_id = _run_workload(platform, args, quiet=True)
-    cut = platform.http("POST", f"/api/classes/{args.new_cls}/snapshots")
-    if cut.status not in (200, 201):
-        print(f"error: snapshot failed: {cut.body.get('error')}", file=sys.stderr)
-        return 1
-    if cut.body.get("generation") is None:
+    platform, object_id, cut = _snapshot_run(args)
+    if cut.get("generation") is None:
         # The periodic loop already covered the workload; restore from
         # the latest retained generation instead.
         listing = platform.http("GET", f"/api/classes/{args.new_cls}/snapshots")
@@ -1157,9 +1094,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
             f"at t={latest['cut_time']:.4f}s"
         )
     else:
-        print(
-            f"cut generation {cut.body['generation']} at t={cut.body['cut_time']:.4f}s"
-        )
+        print(f"cut generation {cut['generation']} at t={cut['cut_time']:.4f}s")
     # Mutate past the cut so the rewind is visible.
     for spec in args.invoke:
         fn, payload = _parse_invoke(spec)
@@ -1198,20 +1133,15 @@ def _parse_zones(text: str):
 def _cmd_migrate(args: argparse.Namespace) -> int:
     from repro.federation.plane import FederationConfig
 
-    package = _load_pkg(args.package)
     zones = _parse_zones(args.zones)
-    platform = _build_platform(
+    platform = _deploy(
         args,
-        package,
         events_enabled=True,
         federation=FederationConfig(
             enabled=True, zones=zones, default_origin_zone=args.origin
         ),
         regions=tuple(zone.name for zone in zones),
     )
-    if platform is None:
-        return 2
-    platform.deploy(package)
     object_id = _run_workload(platform, args, quiet=True)
     plane = platform.federation
     runtime = platform.crm.runtime(args.new_cls)
@@ -1238,7 +1168,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     owner = runtime.dht.owner(object_id)
     record = platform.get_object(object_id)
     print(f"post-migration owner: {owner}, version {record['version']}")
-    stats = platform.federation_report()
+    stats = platform.report("federation")
     print(
         f"federation: migrations={stats['migrations_total']} "
         f"failed={stats['migrations_failed']} "
@@ -1252,11 +1182,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     import urllib.parse
 
-    package = _load_pkg(args.package)
-    platform = _build_platform(args, package)
-    if platform is None:
-        return 2
-    platform.deploy(package)
+    platform = _deploy(args)
     _run_workload(platform, args, quiet=True)
     for state_text in args.create:
         body = {"state": json.loads(state_text)}
@@ -1323,6 +1249,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OaasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

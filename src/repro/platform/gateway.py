@@ -23,11 +23,14 @@ POST      /api/workers/{name}/drain                  drain worker [s]
 POST      /api/classes/{cls}/objects/{oid}/migrate   live migration [f]
 ========  =========================================  ==================
 
-Routes marked ``[d]`` exist only when the durability plane is enabled,
-routes marked ``[s]`` only when the scheduler plane is enabled, and
-routes marked ``[f]`` only when the federation plane is enabled;
-otherwise they fall through to the usual 404 ``NoRouteError`` body, so
-a baseline platform's route surface is unchanged.
+Routes marked ``[d]`` / ``[s]`` / ``[f]`` belong to the durability /
+scheduler / federation plane (its ``admin_route``) and exist only while
+that plane is enabled; otherwise they fall through to the usual 404
+``NoRouteError`` body, so a baseline platform's route surface is
+unchanged.  The invocation routes are matched first and the admin chain
+(the object query, then each plane in registry order) is walked only
+for a request they do not know, so an invocation never pays for it and
+a plane route cannot shadow an invocation route.
 
 With the federation plane, requests may carry an ``x-origin-zone``
 header (or inherit ``FederationConfig.default_origin_zone``); the
@@ -43,18 +46,25 @@ from __future__ import annotations
 
 import dataclasses
 import urllib.parse
-from dataclasses import dataclass, field
 from typing import Any, Generator, Mapping
 
-from repro.errors import OaasError, SchedulingError, ValidationError
+from repro.errors import OaasError, UnknownClassError
+from repro.http import HttpRequest, HttpResponse
 from repro.invoker.engine import InvocationEngine, split_object_id
-from repro.invoker.request import InvocationRequest
+from repro.invoker.request import InvocationRequest, InvocationResult
 from repro.monitoring.tracing import Tracer
+from repro.plane import Plane
 from repro.qos.admission import REJECT_CONCURRENCY
 from repro.qos.plane import QosPlane
 from repro.sim.kernel import Environment, Process
+from repro.storage.query import parse_query
 
-__all__ = ["HttpRequest", "HttpResponse", "Gateway", "workers_route"]
+__all__ = [
+    "HttpRequest", "HttpResponse", "Gateway", "error_response", "no_route", "result_response"
+]
+
+#: Simulated seconds of gateway processing charged to every request.
+GATEWAY_OVERHEAD_S = 0.0002
 
 _STATUS_BY_ERROR = {
     "UnknownObjectError": 404,
@@ -84,62 +94,25 @@ _STATUS_BY_ERROR = {
 }
 
 
-@dataclass(frozen=True)
-class HttpRequest:
-    """A minimal HTTP request representation."""
-
-    method: str
-    path: str
-    body: Mapping[str, Any] = field(default_factory=dict)
-    #: Request headers (case-insensitive; normalised to lower-case).
-    #: The federation plane reads ``x-origin-zone`` for geo-routing.
-    headers: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "method", self.method.upper())
-        object.__setattr__(self, "body", dict(self.body))
-        object.__setattr__(
-            self, "headers", {k.lower(): v for k, v in dict(self.headers).items()}
-        )
+def error_response(error_type: str | None, message: str | None) -> HttpResponse:
+    """The structured body every failed request answers with."""
+    status = _STATUS_BY_ERROR.get(error_type, 500)
+    return HttpResponse(status, {"error": message, "type": error_type})
 
 
-@dataclass(frozen=True)
-class HttpResponse:
-    """A minimal HTTP response representation."""
-
-    status: int
-    body: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", dict(self.body))
-
-    @property
-    def ok(self) -> bool:
-        return 200 <= self.status < 300
+def result_response(request: InvocationRequest, result: InvocationResult) -> HttpResponse:
+    """Map an invocation's result onto HTTP — shared by the sim gateway
+    and the asyncio HTTP front."""
+    if not result.ok:
+        return error_response(result.error_type, result.error)
+    body: dict[str, Any] = dict(result.output)
+    if result.created_object_id is not None:
+        body.setdefault("id", result.created_object_id)
+    return HttpResponse(201 if request.fn_name == "new" else 200, body)
 
 
-def workers_route(core: Any, http: HttpRequest) -> HttpResponse | None:
-    """The worker-pool admin routes over a
-    :class:`~repro.scheduler.transport.core.DispatchCore` — the sim
-    gateway's (scheduler plane on) and the asyncio HTTP front's."""
-    parts = [p for p in http.path.split("/") if p]
-    if len(parts) < 2 or parts[0] != "api" or parts[1] != "workers":
-        return None
-    if len(parts) == 2 and http.method == "GET":
-        workers = core.describe_workers()
-        return HttpResponse(
-            200,
-            {"workers": workers, "count": len(workers), "ledger": core.ledger.audit()},
-        )
-    if len(parts) == 4 and parts[3] == "drain" and http.method == "POST":
-        name = parts[2]
-        try:
-            worker = core.drain(name)
-        except SchedulingError as exc:
-            status = 404 if "unknown worker" in str(exc) else 409
-            return HttpResponse(status, {"error": str(exc), "type": "SchedulingError"})
-        return HttpResponse(202, {"worker": name, "state": worker.machine.state.value})
-    return None
+def no_route(http: HttpRequest) -> HttpResponse:
+    return error_response("NoRouteError", f"no route {http.method} {http.path}")
 
 
 class Gateway:
@@ -149,39 +122,29 @@ class Gateway:
         self,
         env: Environment,
         engine: InvocationEngine,
-        overhead_s: float = 0.0002,
+        overhead_s: float = GATEWAY_OVERHEAD_S,
         tracer: Tracer | None = None,
         qos: QosPlane | None = None,
-        durability: Any | None = None,
-        scheduler: Any | None = None,
-        federation: Any | None = None,
+        planes: Mapping[str, Plane] | None = None,
+        default_origin_zone: str | None = None,
     ) -> None:
         self.env = env
         self.engine = engine
         self.overhead_s = overhead_s
         # Explicit None check: an empty Tracer is falsy (it has __len__).
         self.tracer = tracer if tracer is not None else Tracer(env)
-        self.qos = qos
-        self.durability = durability
-        self.scheduler = scheduler
-        self.federation = federation
+        self.qos = qos  # admission: per-request enforcement, held directly
+        #: The platform's live plane registry: each plane contributes
+        #: its REST surface to the admin chain.
+        self.planes: Mapping[str, Plane] = planes if planes is not None else {}
+        #: Stamped on requests that carry no ``x-origin-zone`` header.
+        self.default_origin_zone = default_origin_zone
         self.requests = 0
         self.rejected = 0
 
     def handle(self, request: HttpRequest) -> Process:
         """Process one HTTP request; resolves to an :class:`HttpResponse`."""
         return self.env.process(self._handle(request))
-
-    async def serve_http(self, platform: Any, *, host: str = "127.0.0.1", port: int = 0):
-        """Serve this gateway's route table over a real asyncio HTTP
-        front end, with invocations flowing through the asyncio
-        scheduler transport to a worker pool over TCP.  Requires
-        ``SchedulerConfig(enabled=True, transport="asyncio")``."""
-        from repro.platform.httpfront import AsyncPlatformServer
-
-        front = AsyncPlatformServer(platform, host=host, port=port)
-        await front.start()
-        return front
 
     def _handle(self, http: HttpRequest) -> Generator[Any, Any, HttpResponse]:
         self.requests += 1
@@ -190,37 +153,36 @@ class Gateway:
         except OaasError as exc:
             # Defensive boundary: platform errors raised outside the
             # engine (routing, listing) still produce structured payloads.
-            status = _STATUS_BY_ERROR.get(type(exc).__name__, 500)
-            return HttpResponse(status, {"error": str(exc), "type": type(exc).__name__})
+            return error_response(type(exc).__name__, str(exc))
         except Exception as exc:  # noqa: BLE001 - the REST boundary
-            return HttpResponse(
-                500,
-                {
-                    "error": f"internal platform error: {type(exc).__name__}: {exc}",
-                    "type": "InternalError",
-                },
+            return error_response(
+                "InternalError",
+                f"internal platform error: {type(exc).__name__}: {exc}",
             )
 
-    def _handle_inner(self, http: HttpRequest) -> Generator[Any, Any, HttpResponse]:
+    def admin_route(self, http: HttpRequest) -> Generator | HttpResponse | None:
+        """The non-invocation surface: the object query, then each
+        plane's routes in registry order.  ``None``: nobody's route."""
         admin = self._storage_route(http)
-        if admin is None:
-            admin = self._durability_route(http)
-        if admin is None and self.scheduler is not None:
-            admin = workers_route(self.scheduler.core, http)
-        if admin is None:
-            admin = self._federation_route(http)
-        if admin is not None:
-            if self.overhead_s:
-                yield self.env.timeout(self.overhead_s)
-            if isinstance(admin, HttpResponse):
-                return admin
-            return (yield from admin)
+        for plane in self.planes.values():
+            if admin is not None:
+                break
+            admin = plane.admin_route(http)
+        return admin
+
+    def _handle_inner(self, http: HttpRequest) -> Generator[Any, Any, HttpResponse]:
         invocation = self._route(http)
-        if self.federation is not None and isinstance(invocation, InvocationRequest):
-            origin = (
-                http.headers.get("x-origin-zone")
-                or self.federation.config.default_origin_zone
-            )
+        if invocation is None:
+            admin = self.admin_route(http)
+            if admin is not None:
+                if self.overhead_s:
+                    yield self.env.timeout(self.overhead_s)
+                if isinstance(admin, HttpResponse):
+                    return admin
+                return (yield from admin)
+        if self.engine.federation is not None and isinstance(invocation, InvocationRequest):
+            # The engine geo-routes: tell it where the request came from.
+            origin = http.headers.get("x-origin-zone") or self.default_origin_zone
             if origin is not None:
                 invocation = dataclasses.replace(invocation, origin_zone=origin)
         admitted = False
@@ -265,118 +227,16 @@ class Gateway:
             if self.overhead_s:
                 yield self.env.timeout(self.overhead_s)
             if invocation is None:
-                return HttpResponse(
-                    404,
-                    {
-                        "error": f"no route {http.method} {http.path}",
-                        "type": "NoRouteError",
-                    },
-                )
+                return no_route(http)
             if isinstance(invocation, HttpResponse):
                 return invocation
             result = yield from self.engine.invoke_steps(invocation)
-            if result.ok:
-                status = 201 if invocation.fn_name == "new" else 200
-                body: dict[str, Any] = dict(result.output)
-                if result.created_object_id is not None:
-                    body.setdefault("id", result.created_object_id)
-                self.tracer.finish(span, status=status)
-                return HttpResponse(status, body)
-            status = _STATUS_BY_ERROR.get(result.error_type or "", 500)
-            self.tracer.finish(span, status=status)
-            return HttpResponse(status, {"error": result.error, "type": result.error_type})
+            response = result_response(invocation, result)
+            self.tracer.finish(span, status=response.status)
+            return response
         finally:
             if admitted:
                 self.qos.release_http()
-
-    def _durability_route(
-        self, http: HttpRequest
-    ) -> Generator | HttpResponse | None:
-        """Durability admin routes, live only when the plane is wired.
-
-        Returns ``None`` (fall through to the usual routing — and so the
-        baseline 404 ``NoRouteError``) when the plane is off or the path
-        does not match."""
-        if self.durability is None:
-            return None
-        parts = [p for p in http.path.split("/") if p]
-        if len(parts) != 4 or parts[0] != "api" or parts[1] != "classes":
-            return None
-        cls = parts[2]
-        if parts[3] == "snapshots":
-            if http.method == "POST":
-                return self._snapshot_class(cls)
-            if http.method == "GET":
-                generations = self.durability.generations(cls)
-                return HttpResponse(
-                    200,
-                    {"class": cls, "generations": generations, "count": len(generations)},
-                )
-            return None
-        if parts[3] == "restore" and http.method == "POST":
-            return self._restore_class(cls, http.body)
-        return None
-
-    def _snapshot_class(self, cls: str) -> Generator[Any, Any, HttpResponse]:
-        manifest = yield self.durability.snapshot_class(cls)
-        if manifest is None:
-            return HttpResponse(
-                200, {"class": cls, "generation": None, "captured": 0}
-            )
-        return HttpResponse(
-            201,
-            {
-                "class": cls,
-                "generation": manifest["generation"],
-                "captured": len(manifest["captured"]),
-                "cut_time": manifest["cut_time"],
-            },
-        )
-
-    def _restore_class(
-        self, cls: str, body: Mapping[str, Any]
-    ) -> Generator[Any, Any, HttpResponse]:
-        at = body.get("at")
-        if at is not None:
-            if isinstance(at, bool) or not isinstance(at, (int, float)):
-                raise ValidationError(f"restore 'at' must be a number, got {at!r}")
-            at = float(at)
-        object_id = body.get("object")
-        if object_id is not None:
-            summary = yield self.durability.restore_object(cls, str(object_id), at)
-        else:
-            summary = yield self.durability.restore_class(cls, at)
-        return HttpResponse(200, dict(summary))
-
-    def _federation_route(
-        self, http: HttpRequest
-    ) -> Generator | HttpResponse | None:
-        """Live-migration admin route, live only when the federation
-        plane is wired; otherwise fall through to the baseline 404."""
-        if self.federation is None:
-            return None
-        parts = [p for p in http.path.split("/") if p]
-        if (
-            len(parts) != 6
-            or parts[0] != "api"
-            or parts[1] != "classes"
-            or parts[3] != "objects"
-            or parts[5] != "migrate"
-            or http.method != "POST"
-        ):
-            return None
-        return self._migrate_object(parts[2], parts[4], http.body)
-
-    def _migrate_object(
-        self, cls: str, object_id: str, body: Mapping[str, Any]
-    ) -> Generator[Any, Any, HttpResponse]:
-        zone = body.get("zone")
-        if not zone or not isinstance(zone, str):
-            raise ValidationError(
-                "migrate requires a target 'zone' (string) in the body"
-            )
-        summary = yield self.federation.migrate_object(cls, object_id, zone)
-        return HttpResponse(200, dict(summary))
 
     def _storage_route(
         self, http: HttpRequest
@@ -407,8 +267,6 @@ class Gateway:
     def _query_objects_route(
         self, cls: str, params: Mapping[str, str]
     ) -> Generator[Any, Any, HttpResponse]:
-        from repro.storage.query import parse_query
-
         resolved = self.engine.directory.resolved(cls)
         schema = {
             spec.name: spec.dtype for spec in resolved.state if not spec.is_file
@@ -439,8 +297,6 @@ class Gateway:
             and parts[3] == "objects"
             and http.method == "GET"
         ):
-            from repro.errors import UnknownClassError
-
             try:
                 ids = self.engine.list_objects(parts[2])
             except UnknownClassError as exc:

@@ -6,8 +6,9 @@
 each worker an :class:`~repro.scheduler.transport.aio.AsyncWorkerClient`
 connected to an
 :class:`~repro.scheduler.transport.aio.AsyncSchedulerServer` over TCP.
-Routing reuses the sim gateway's route table verbatim
-(:meth:`Gateway._route`) so the HTTP surface is identical; execution
+Routing reuses the sim gateway's route table and admin chain verbatim
+(:meth:`Gateway._route`, :meth:`Gateway.admin_route`) so the HTTP
+surface is identical, plane routes included; execution
 reuses the platform's real invocation engine (each worker drives
 ``platform.run(engine.invoke(...))`` for its dispatches).
 
@@ -26,12 +27,14 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import OaasError, ValidationError
 from repro.invoker.request import InvocationRequest
 from repro.platform.gateway import (
-    _STATUS_BY_ERROR,
     HttpRequest,
     HttpResponse,
-    workers_route,
+    error_response,
+    no_route,
+    result_response,
 )
 from repro.scheduler.transport.aio import AsyncSchedulerServer, AsyncWorkerClient
+from repro.scheduler.transport.core import workers_route
 from repro.scheduler.transport.protocol import Dispatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -222,39 +225,26 @@ class AsyncPlatformServer:
 
     async def _respond(self, http: HttpRequest) -> HttpResponse:
         self.requests += 1
-        admin = workers_route(self.scheduler.core, http)
-        if admin is not None:
-            return admin
-        storage = self.platform.gateway._storage_route(http)
-        if storage is not None:
-            if isinstance(storage, HttpResponse):
-                return storage
-            # Query routes are sim generators; drive them on the shared
+        gateway = self.platform.gateway
+        routed = gateway._route(http)
+        if routed is None:
+            # This front's own worker pool first, then the gateway's
+            # admin chain (object query + every plane's routes).
+            admin = workers_route(self.scheduler.core, http) or gateway.admin_route(http)
+            if admin is None:
+                return no_route(http)
+            if isinstance(admin, HttpResponse):
+                return admin
+            # Admin routes are sim generators; drive them on the shared
             # kernel like the workers drive invocations (no await inside,
             # so engine runs cannot interleave).
             try:
-                return self.platform.run(storage)
+                return self.platform.run(admin)
             except OaasError as exc:
-                status = _STATUS_BY_ERROR.get(type(exc).__name__, 500)
-                return HttpResponse(
-                    status, {"error": str(exc), "type": type(exc).__name__}
-                )
-        routed = self.platform.gateway._route(http)
-        if routed is None:
-            return HttpResponse(
-                404,
-                {"error": f"no route {http.method} {http.path}", "type": "NoRouteError"},
-            )
+                return error_response(type(exc).__name__, str(exc))
         if isinstance(routed, HttpResponse):
             return routed
-        result = await self.scheduler.submit(routed)
-        if result.ok:
-            status = 201 if routed.fn_name == "new" else 200
-            return HttpResponse(status, dict(result.output))
-        status = _STATUS_BY_ERROR.get(result.error_type or "", 500)
-        return HttpResponse(
-            status, {"error": result.error, "type": result.error_type}
-        )
+        return result_response(routed, await self.scheduler.submit(routed))
 
     def _write_response(
         self, writer: asyncio.StreamWriter, response: HttpResponse

@@ -55,6 +55,7 @@ from repro.monitoring.tracing import Tracer
 from repro.orchestrator.cluster import Cluster
 from repro.orchestrator.resources import ResourceSpec
 from repro.orchestrator.scheduler import Scheduler
+from repro.plane import Plane
 from repro.platform.gateway import Gateway, HttpRequest, HttpResponse
 from repro.qos.plane import QosConfig, QosPlane
 from repro.scheduler.plane import SchedulerConfig, SchedulerPlane
@@ -93,42 +94,30 @@ class PlatformConfig:
     knative: KnativeModel = field(default_factory=KnativeModel)
     deployment: DeploymentModel = field(default_factory=DeploymentModel)
     catalog: TemplateCatalog | None = None
-    scheduler_policy: str = "least-allocated"
     optimizer_enabled: bool = False
-    optimizer_interval_s: float = 5.0
     tracing_enabled: bool = False
     #: Structured control-plane event log (scheduler placements, scale
     #: decisions, pod lifecycle, ...).  Off by default: like tracing,
     #: recording costs nothing when disabled.
     events_enabled: bool = False
-    dht_op_cost_s: float = 0.00002
-    gateway_overhead_s: float = 0.0002
-    #: QoS enforcement plane (admission control, weighted-fair async
-    #: scheduling, load shedding).  Off by default: with
-    #: ``qos.enabled == False`` no plane is constructed and the data
-    #: paths run their original (baseline) code.
+    # -- the optional planes (see docs/architecture.md, "Planes") --------
+    # Each is off by default, and a disabled plane is never constructed:
+    # it is absent from ``Oparaca.planes`` and every data path runs its
+    # original (baseline) code.
+    #: Admission control, weighted-fair async scheduling, load shedding.
     qos: QosConfig = field(default_factory=QosConfig)
-    #: Durability plane (snapshots, point-in-time restore, measured
-    #: crash recovery).  Off by default: with
-    #: ``durability.enabled == False`` no plane is constructed and the
-    #: storage write path runs its original (baseline) code.
+    #: Snapshots, point-in-time restore, measured crash recovery.
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    #: Metrics plane (labeled time-series scraping, OpenMetrics
-    #: exposition, NFR-derived SLO burn-rate alerts, kernel profiling).
-    #: Off by default: with ``metrics.enabled == False`` no scraper or
-    #: evaluator is constructed and no collector ever runs.
+    #: Labeled time-series scraping, OpenMetrics exposition, NFR-derived
+    #: SLO burn-rate alerts, kernel profiling.
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
-    #: Scheduler plane (explicit worker-pool control plane: registration,
-    #: heartbeats, class installs, drain/rebind, exactly-once dispatch
-    #: ledger).  Off by default: with ``scheduler.enabled == False`` no
-    #: plane is constructed and async dispatch runs the same dispatch
-    #: core over a static pool of in-process ports.
+    #: Explicit worker-pool control plane (registration, heartbeats,
+    #: drain/rebind, exactly-once dispatch ledger); when off, async
+    #: dispatch runs the same dispatch core over a static in-process pool.
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    #: Federation plane (hierarchical edge/regional/core zone topology,
-    #: NFR-scored placement, live object migration, geo-routing).  Off
-    #: by default: with ``federation.enabled == False`` no plane is
-    #: constructed, the flat ``regions`` behavior is untouched, and
-    #: every data path runs its original (baseline) code.
+    #: Edge/regional/core zone topology, NFR-scored placement, live
+    #: object migration, geo-routing; when off, the flat ``regions``
+    #: behavior is untouched.
     federation: FederationConfig = field(default_factory=FederationConfig)
 
 
@@ -151,9 +140,7 @@ class Oparaca:
                 ResourceSpec(self.config.node_cpu_millis, self.config.node_memory_mb),
                 labels=labels,
             )
-        self.scheduler = Scheduler(
-            self.cluster, policy=self.config.scheduler_policy, events=self.events
-        )
+        self.scheduler = Scheduler(self.cluster, events=self.events)
         self.registry = FunctionRegistry()
         region_of = self.cluster.region_of if self.config.regions else None
         self.network = Network(self.env, self.config.network, region_of=region_of)
@@ -175,7 +162,6 @@ class Oparaca:
             catalog=self.config.catalog,
             knative_model=self.config.knative,
             deployment_model=self.config.deployment,
-            dht_op_cost_s=self.config.dht_op_cost_s,
             tracer=self.tracer,
             events=self.events,
         )
@@ -188,9 +174,24 @@ class Oparaca:
             rng=self.rng,
             events=self.events,
         )
+        # The composition root: each enabled plane is built here, by
+        # name, and registered in ``planes`` (wiring order; a disabled
+        # plane is absent).  Past this point the platform only loops
+        # over the registry; the typed aliases are for callers.
+        self.planes: dict[str, Plane] = {}
+        self.qos: QosPlane | None = None
+        if self.config.qos.enabled:
+            self.qos = self.planes["qos"] = QosPlane(
+                self.env,
+                self.crm,
+                monitoring=self.monitoring,
+                events=self.events,
+                tracer=self.tracer,
+                config=self.config.qos,
+            )
         self.durability: DurabilityPlane | None = None
         if self.config.durability.enabled:
-            self.durability = DurabilityPlane(
+            self.durability = self.planes["durability"] = DurabilityPlane(
                 self.env,
                 self.crm,
                 self.object_store,
@@ -200,23 +201,13 @@ class Oparaca:
                 config=self.config.durability,
             )
             self.crm.durability = self.durability
-        self.qos: QosPlane | None = None
-        if self.config.qos.enabled:
-            self.qos = QosPlane(
-                self.env,
-                self.crm,
-                monitoring=self.monitoring,
-                events=self.events,
-                tracer=self.tracer,
-                config=self.config.qos,
-            )
         self.scheduler_plane: SchedulerPlane | None = None
         # The sim plane only exists on the sim transport; with
         # transport="asyncio" sim-side async dispatch keeps its static
         # pool and the same protocol is served over real sockets by
         # serve_http().
         if self.config.scheduler.enabled and self.config.scheduler.transport == "sim":
-            self.scheduler_plane = SchedulerPlane(
+            self.scheduler_plane = self.planes["scheduler"] = SchedulerPlane(
                 self.env,
                 self.engine,
                 self.cluster,
@@ -229,7 +220,7 @@ class Oparaca:
             self.scheduler_plane.start()
         self.federation: FederationPlane | None = None
         if self.config.federation.enabled:
-            self.federation = FederationPlane(
+            self.federation = self.planes["federation"] = FederationPlane(
                 self.env,
                 self.cluster,
                 self.network,
@@ -249,27 +240,21 @@ class Oparaca:
         self.gateway = Gateway(
             self.env,
             self.engine,
-            overhead_s=self.config.gateway_overhead_s,
             tracer=self.tracer,
             qos=self.qos,
-            durability=self.durability,
-            scheduler=self.scheduler_plane,
-            federation=self.federation,
+            planes=self.planes,
+            default_origin_zone=self.config.federation.default_origin_zone,
         )
         self._http_fronts: list[Any] = []
         self.chaos: ChaosInjector | None = None
         self.optimizer: RequirementOptimizer | None = None
         if self.config.optimizer_enabled:
             self.optimizer = RequirementOptimizer(
-                self.env,
-                self.crm,
-                self.monitoring,
-                interval_s=self.config.optimizer_interval_s,
-                events=self.events,
+                self.env, self.crm, self.monitoring, events=self.events
             )
         self.metrics: MetricsPlane | None = None
         if self.config.metrics.enabled:
-            self.metrics = MetricsPlane(
+            self.metrics = self.planes["metrics"] = MetricsPlane(
                 self.env,
                 self.monitoring,
                 events=self.events,
@@ -489,7 +474,10 @@ class Oparaca:
         ``SchedulerConfig(enabled=True, transport="asyncio")``; returns
         the running :class:`~repro.platform.httpfront.AsyncPlatformServer`.
         """
-        front = await self.gateway.serve_http(self, host=host, port=port)
+        from repro.platform.httpfront import AsyncPlatformServer  # lazy: pulls in asyncio
+
+        front = AsyncPlatformServer(self, host=host, port=port)
+        await front.start()
         self._http_fronts.append(front)
         return front
 
@@ -505,11 +493,11 @@ class Oparaca:
         Returns per-class failover statistics.
         """
         self.cluster.remove_node(name)
-        if self.federation is not None:
-            # Re-plan placement hints before the reconciles below so
-            # replacement pods land where the planner says, not on
-            # whatever capacity happens to be free.
-            self.federation.on_node_failed(name)
+        # Re-plan every class's placement hints before the reconciles
+        # below (the planner scores by free capacity), so replacement
+        # pods land where placement says, not on whatever is free.
+        for runtime in self.crm.runtimes.values():
+            self.crm.refresh_placement(runtime)
         stats: dict[str, dict[str, int]] = {}
         for cls, runtime in self.crm.runtimes.items():
             if name in runtime.dht.nodes:
@@ -517,10 +505,8 @@ class Oparaca:
                 runtime.router.refresh()
             for svc in runtime.services.values():
                 svc.deployment.reconcile()
-        if self.durability is not None:
-            self.durability.on_node_failed(name, stats)
-        if self.scheduler_plane is not None:
-            self.scheduler_plane.on_node_failed(name)
+        for plane in self.planes.values():
+            plane.node_failed(name, stats)
         return stats
 
     def add_node(self, name: str, region: str | None = None) -> None:
@@ -532,21 +518,13 @@ class Oparaca:
             labels=labels,
         )
         for runtime in self.crm.runtimes.values():
-            if self.federation is not None:
-                # The planner decides eligibility: jurisdiction AND tier
-                # pinning, exactly as at deploy time.
-                if not self.federation.node_eligible(runtime.resolved.nfr, name):
-                    continue
-            else:
-                jurisdictions = runtime.resolved.nfr.constraint.jurisdictions
-                if jurisdictions and region not in jurisdictions:
-                    continue
-            runtime.dht.add_node(name)
-            runtime.router.refresh()
-        if self.durability is not None:
-            self.durability.on_node_joined(name)
-        if self.federation is not None:
-            self.federation.on_node_joined(name)
+            # Placement decides eligibility (jurisdiction, and with the
+            # federation planner tier pinning), exactly as at deploy time.
+            if name in self.crm.placement_nodes(runtime.resolved):
+                runtime.dht.add_node(name)
+                runtime.router.refresh()
+        for runtime in self.crm.runtimes.values():
+            self.crm.refresh_placement(runtime)
 
     # -- federation (live migration) ---------------------------------------------------
 
@@ -579,7 +557,7 @@ class Oparaca:
         ``availability_under_fault`` verdicts.  Returns the (started)
         injector for inspection.
         """
-        self.chaos = ChaosInjector(self, plan)
+        self.chaos = self.planes["chaos"] = ChaosInjector(self, plan)
         self.chaos.start()
         return self.chaos
 
@@ -622,38 +600,14 @@ class Oparaca:
 
     def nfr_report(self) -> list[NfrVerdict]:
         """Per-class QoS compliance verdicts from live observations."""
-        return nfr_compliance_report(
-            self.crm.runtimes,
-            self.monitoring,
-            chaos=self.chaos,
-            qos=self.qos,
-            durability=self.durability,
-            federation=self.federation,
-        )
+        return nfr_compliance_report(self.crm.runtimes, self.monitoring, self.planes)
 
-    def qos_report(self) -> dict[str, Any]:
-        """QoS-plane statistics: resolved policies, admission counters,
-        fair-queue depths, and shed totals.  Empty when the plane is
-        disabled."""
-        return self.qos.stats() if self.qos is not None else {}
-
-    def durability_report(self) -> dict[str, Any]:
-        """Durability-plane statistics: per-class policies, snapshot
-        generations, and the last measured recovery (RPO/RTO).  Empty
-        when the plane is disabled."""
-        return self.durability.stats() if self.durability is not None else {}
-
-    def federation_report(self) -> dict[str, Any]:
-        """Federation-plane statistics: zone topology, placement mode,
-        migration counters, and per-class access/rejection counts.
-        Empty when the plane is disabled."""
-        return self.federation.stats() if self.federation is not None else {}
-
-    def scheduler_report(self) -> dict[str, Any]:
-        """Scheduler-plane statistics: worker table (state, node, queue
-        depth, epochs), dispatch ledger audit, and parking-buffer
-        counters.  Empty when the plane is disabled."""
-        return self.scheduler_plane.stats() if self.scheduler_plane is not None else {}
+    def report(self, plane: str) -> dict[str, Any]:
+        """One plane's statistics by registry name — ``"qos"``,
+        ``"durability"``, ``"scheduler"``, ``"federation"``,
+        ``"metrics"``, ``"chaos"`` — as in its section of
+        :meth:`observability_report`.  Empty when that plane is off."""
+        return self.planes[plane].stats() if plane in self.planes else {}
 
     def metrics_exposition(self) -> str:
         """The metrics registry as OpenMetrics/Prometheus text.  Empty
@@ -682,19 +636,10 @@ class Oparaca:
             runtimes=self.crm.runtimes,
         )
         report["nfr"] = [verdict.to_dict() for verdict in self.nfr_report()]
-        if self.chaos is not None:
-            report["chaos"] = self.chaos.summary()
-        if self.qos is not None:
-            report["qos"] = self.qos.stats()
-        if self.durability is not None:
-            report["durability"] = self.durability.stats()
-        if self.scheduler_plane is not None:
-            report["scheduler"] = self.scheduler_plane.stats()
-        if self.federation is not None:
-            report["federation"] = self.federation.stats()
-        if self.metrics is not None:
-            report["metrics"] = self.metrics.stats()
-            report["slo"] = self.metrics.slo_report()
+        for plane in self.planes.values():
+            report[plane.name] = plane.stats()
+        if "metrics" in report:
+            report["slo"] = self.slo_report()
         return report
 
     def snapshot(self) -> dict[str, float]:
@@ -710,42 +655,16 @@ class Oparaca:
         snap["engine.timeouts"] = float(self.engine.timeouts)
         snap["engine.stale_reads"] = float(self.engine.stale_reads)
         snap["engine.open_breakers"] = float(self.engine.breakers.open_count())
-        if self.qos is not None:
-            snap["gateway.rejected"] = float(self.gateway.rejected)
-            snap["qos.in_flight"] = float(self.qos.admission.in_flight)
-            snap["qos.queue_depth"] = float(self.qos.queue_depth())
-            snap["qos.shed"] = float(self.queue.shed)
-            snap["qos.rejected_async"] = float(self.queue.rejected)
-        if self.durability is not None:
-            stats = self.durability.stats()
-            snap["durability.cuts"] = float(stats["cuts_total"])
-            snap["durability.epoch_writes"] = float(stats["epoch_writes_total"])
-            snap["durability.recoveries"] = float(stats["recoveries_total"])
-            snap["durability.restores"] = float(stats["restores_total"])
-        if self.scheduler_plane is not None:
-            audit = self.scheduler_plane.ledger.audit()
-            snap["scheduler.accepted"] = float(audit["accepted"])
-            snap["scheduler.completed"] = float(audit["completed"])
-            snap["scheduler.outstanding"] = float(audit["outstanding"])
-            snap["scheduler.requeues"] = float(audit["requeues"])
-            snap["scheduler.suppressed"] = float(audit["suppressed"])
-            snap["scheduler.workers_live"] = float(self.scheduler_plane.live_workers)
-        if self.federation is not None:
-            fed = self.federation.stats()
-            snap["federation.migrations"] = float(fed["migrations_total"])
-            snap["federation.migrations_failed"] = float(fed["migrations_failed"])
-            snap["federation.cross_zone"] = float(fed["cross_zone_total"])
-            snap["federation.rejections"] = float(fed["rejections_total"])
+        for plane in self.planes.values():
+            snap.update(plane.snapshot())
         return snap
 
     def shutdown(self) -> None:
         """Stop background loops and flush durable state."""
         if self.optimizer is not None:
             self.optimizer.stop()
-        if self.metrics is not None:
-            self.metrics.stop()
-        if self.durability is not None:
-            self.durability.stop()
+        for plane in self.planes.values():
+            plane.stop()
         self.queue.stop()
         for runtime in self.crm.runtimes.values():
             for svc in runtime.services.values():

@@ -30,8 +30,10 @@ from typing import Any, Callable, Protocol
 from repro.errors import UnknownClassError, ValidationError
 from repro.model.nfr import NonFunctionalRequirements
 from repro.monitoring.collector import MonitoringSystem
-from repro.monitoring.events import EventLog
+from repro.monitoring.events import EventLog, emit
+from repro.monitoring.metrics import set_counter
 from repro.monitoring.tracing import Tracer
+from repro.plane import Plane
 from repro.qos.admission import AdmissionController, AdmissionDecision
 from repro.qos.fairqueue import QueuedItem, WeightedFairQueue
 from repro.qos.policy import DEFAULT_QOS_POLICY, QosPolicy
@@ -55,28 +57,18 @@ class QosConfig:
         enabled: master switch; when False the platform never builds a
             plane: no admission checks, worker queues are plain FIFO and
             nothing is shed.
-        burst_window_s: token-bucket burst credit, as seconds of the
-            declared rate.
         concurrency_limit: platform-wide in-flight HTTP ceiling
             (``None`` = unbounded).
         shed_queue_depth: total async backlog that trips a shed pass.
-        shed_target_fraction: shed down to this fraction of the trip
-            depth.
         shed_check_interval_s: overload-controller wake-up period.
     """
 
     enabled: bool = False
-    burst_window_s: float = 0.25
     concurrency_limit: int | None = None
     shed_queue_depth: int = 256
-    shed_target_fraction: float = 0.5
     shed_check_interval_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.burst_window_s <= 0:
-            raise ValidationError(
-                f"burst_window_s must be > 0, got {self.burst_window_s}"
-            )
         if self.concurrency_limit is not None and self.concurrency_limit < 1:
             raise ValidationError(
                 f"concurrency_limit must be >= 1, got {self.concurrency_limit}"
@@ -85,11 +77,6 @@ class QosConfig:
             raise ValidationError(
                 f"shed_queue_depth must be >= 1, got {self.shed_queue_depth}"
             )
-        if not 0.0 <= self.shed_target_fraction < 1.0:
-            raise ValidationError(
-                f"shed_target_fraction must be in [0, 1), got "
-                f"{self.shed_target_fraction}"
-            )
         if self.shed_check_interval_s <= 0:
             raise ValidationError(
                 f"shed_check_interval_s must be > 0, got "
@@ -97,8 +84,10 @@ class QosConfig:
             )
 
 
-class QosPlane:
+class QosPlane(Plane):
     """Owns admission, fair queuing, and shedding for one platform."""
+
+    name = "qos"
 
     def __init__(
         self,
@@ -127,6 +116,8 @@ class QosPlane:
         self._retired_shed: dict[str, int] = {}
         self.shedder: OverloadController | None = None
         self._policies: dict[str, QosPolicy] = {}
+        #: Refusals by path, counted where they are narrated.
+        self._rejected = {"http": 0, "async": 0}
 
     # -- policies ----------------------------------------------------------
 
@@ -146,9 +137,7 @@ class QosPlane:
             nfr: NonFunctionalRequirements = self.directory.resolved(cls).nfr
         except UnknownClassError:
             return dataclasses.replace(DEFAULT_QOS_POLICY, cls=cls)
-        policy = QosPolicy.from_nfr(
-            cls, nfr, burst_window_s=self.config.burst_window_s
-        )
+        policy = QosPolicy.from_nfr(cls, nfr)
         self._policies[cls] = policy
         self._propagate_weight(policy)
         return policy
@@ -187,17 +176,17 @@ class QosPlane:
         return decision
 
     def _emit_reject(self, decision: AdmissionDecision, path: str) -> None:
-        fields = {
-            "cls": decision.cls,
-            "reason": decision.reason,
-            "path": path,
-            "retry_after_s": round(decision.retry_after_s, 6),
-        }
-        if self.events is not None:
-            self.events.record("qos.reject", **fields)
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.start(QOS_TRACE_ID, "qos.reject", **fields)
-            self.tracer.finish(span)
+        self._rejected[path] += 1
+        emit(
+            self.events,
+            self.tracer,
+            QOS_TRACE_ID,
+            "qos.reject",
+            cls=decision.cls,
+            reason=decision.reason,
+            path=path,
+            retry_after_s=round(decision.retry_after_s, 6),
+        )
 
     # -- fair queues -------------------------------------------------------
 
@@ -249,7 +238,6 @@ class QosPlane:
             events=self.events,
             tracer=self.tracer,
             queue_depth_high=self.config.shed_queue_depth,
-            target_fraction=self.config.shed_target_fraction,
             check_interval_s=self.config.shed_check_interval_s,
         )
         self.shedder.start()
@@ -283,8 +271,6 @@ class QosPlane:
     def collect_metrics(self, registry) -> None:
         """Metrics-plane pull hook: admission verdicts per class, fair-
         queue depth/throughput, and sheds — labeled by class and plane."""
-        from repro.monitoring.plane import set_counter
-
         for cls, row in self.admission.stats().items():
             labels = {"class": cls, "plane": "qos"}
             set_counter(registry, "qos.admitted", float(row["admitted"]), labels)
@@ -314,6 +300,15 @@ class QosPlane:
                 registry, "qos.shed_passes",
                 float(self.shedder.stats()["passes"]), plane_labels,
             )
+
+    def snapshot(self) -> dict[str, float]:
+        return {
+            "gateway.rejected": float(self._rejected["http"]),
+            "qos.in_flight": float(self.admission.in_flight),
+            "qos.queue_depth": float(self.queue_depth()),
+            "qos.shed": float(sum(self._queue_totals()[2].values())),
+            "qos.rejected_async": float(self._rejected["async"]),
+        }
 
     def stats(self) -> dict[str, Any]:
         """The full enforcement picture, JSON-friendly."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.monitoring.collector import MonitoringSystem
-from repro.monitoring.events import EventLog
+from repro.monitoring.events import EventLog, emit
 from repro.monitoring.tracing import Tracer
 from repro.qos.fairqueue import QueuedItem, WeightedFairQueue
 from repro.qos.policy import QosPolicy
@@ -38,6 +38,9 @@ __all__ = ["OverloadController", "QOS_TRACE_ID"]
 #: Shed/admission spans share one synthetic trace (cf. ``"resilience"``):
 #: they are platform defence actions, not attributable to one request.
 QOS_TRACE_ID = "qos"
+
+#: A shed pass sheds down to this fraction of the trip depth.
+SHED_TARGET_FRACTION = 0.5
 
 #: Windowed percentile the brownout trigger watches.
 BROWNOUT_PCT = 95
@@ -74,7 +77,7 @@ class OverloadController:
         events: EventLog | None = None,
         tracer: Tracer | None = None,
         queue_depth_high: int = 256,
-        target_fraction: float = 0.5,
+        target_fraction: float = SHED_TARGET_FRACTION,
         check_interval_s: float = 0.25,
     ) -> None:
         if queue_depth_high < 1:
@@ -203,11 +206,7 @@ class OverloadController:
         }
         if brownout:
             fields["brownout"] = ",".join(sorted(brownout))
-        if self.events is not None:
-            self.events.record("qos.shed", **fields)
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.start(QOS_TRACE_ID, "qos.shed", **fields)
-            self.tracer.finish(span)
+        emit(self.events, self.tracer, QOS_TRACE_ID, "qos.shed", **fields)
 
     def stats(self) -> dict[str, Any]:
         return {

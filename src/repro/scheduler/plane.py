@@ -47,19 +47,23 @@ what the conformance harness replays and asserts over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import SchedulingError, ValidationError
+from repro.http import HttpRequest, HttpResponse
 from repro.invoker.request import InvocationRequest
+from repro.monitoring.events import EventLog, emit
+from repro.monitoring.metrics import set_counter
 from repro.orchestrator.pod import PodSpec
 from repro.orchestrator.resources import ResourceSpec
-from repro.scheduler.transport.core import DispatchCore
+from repro.plane import Plane
+from repro.scheduler.transport.core import DispatchCore, workers_route
 from repro.scheduler.worker import SimWorker
 from repro.sim.kernel import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.invoker.engine import InvocationEngine
-    from repro.monitoring.events import EventLog
     from repro.monitoring.tracing import Tracer
     from repro.orchestrator.cluster import Cluster
     from repro.orchestrator.scheduler import Scheduler
@@ -119,8 +123,10 @@ class SchedulerConfig:
                 raise ValidationError(f"{field_name} must be >= 0")
 
 
-class SchedulerPlane:
+class SchedulerPlane(Plane):
     """Owns worker registrations, per-worker queues, and the run ledger."""
+
+    name = "scheduler"
 
     def __init__(
         self,
@@ -142,6 +148,9 @@ class SchedulerPlane:
         self.tracer = tracer
         self.config = config or SchedulerConfig(enabled=True)
         self.qos = qos
+        #: Lifecycle narration: a ``scheduler.*`` event plus an
+        #: instantaneous span under the ``"scheduler"`` trace.
+        self._emit = partial(emit, events, tracer, SCHEDULER_TRACE_ID)
         self.core = DispatchCore(clock=lambda: self.env.now, emit=self._emit)
         self.core.on_worker_dead = self._maybe_replace
         self._next_worker = 0
@@ -253,7 +262,7 @@ class SchedulerPlane:
     def crash_worker(self, name: str, reason: str = "crash") -> bool:
         return self.core.crash(name, reason)
 
-    def on_node_failed(self, node: str) -> None:
+    def node_failed(self, node: str, stats: Any) -> None:
         """Platform hook: every worker on a failed node dies with it."""
         for name in sorted(self.workers):
             if self.workers[name].node == node:
@@ -317,11 +326,24 @@ class SchedulerPlane:
     def stats(self) -> dict[str, Any]:
         return self.core.stats()
 
+    def admin_route(self, http: HttpRequest) -> HttpResponse | None:
+        """``GET /api/workers`` and ``POST /api/workers/{name}/drain``."""
+        return workers_route(self.core, http)
+
+    def snapshot(self) -> dict[str, float]:
+        audit = self.ledger.audit()
+        return {
+            "scheduler.accepted": float(audit["accepted"]),
+            "scheduler.completed": float(audit["completed"]),
+            "scheduler.outstanding": float(audit["outstanding"]),
+            "scheduler.requeues": float(audit["requeues"]),
+            "scheduler.suppressed": float(audit["suppressed"]),
+            "scheduler.workers_live": float(self.live_workers),
+        }
+
     def collect_metrics(self, registry) -> None:
         """Metrics-plane pull hook: per-worker dispatch/completion
         counters and queue depths, labeled by worker, plus plane totals."""
-        from repro.monitoring.plane import set_counter
-
         for name in sorted(self.workers):
             worker = self.workers[name]
             labels = {"worker": name, "plane": "scheduler"}
@@ -351,12 +373,3 @@ class SchedulerPlane:
             float(audit["outstanding"])
         )
         registry.gauge("scheduler.parked", totals).set(float(self.core.parked))
-
-    # -- internals ----------------------------------------------------------
-
-    def _emit(self, type: str, **fields: Any) -> None:
-        if self.events is not None:
-            self.events.record(type, **fields)
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.start(SCHEDULER_TRACE_ID, type, **fields)
-            self.tracer.finish(span)

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import SchedulingError
+from repro.http import HttpRequest, HttpResponse
 from repro.invoker.engine import split_object_id
 from repro.scheduler.ledger import EntryState, InvocationLedger
 from repro.scheduler.state import WorkerState, WorkerStateMachine
@@ -53,6 +54,7 @@ __all__ = [
     "DispatchCore",
     "rendezvous_score",
     "request_class",
+    "workers_route",
 ]
 
 
@@ -452,3 +454,26 @@ class DispatchCore:
         """What a transport's ``stop()`` owes its caller: submissions not
         fully processed, with the parked subset broken out."""
         return {"pending": self.outstanding, "parked": self.parked}
+
+
+def workers_route(core: DispatchCore, http: HttpRequest) -> HttpResponse | None:
+    """The worker-pool admin routes over a :class:`DispatchCore` — the
+    sim scheduler plane's and the asyncio HTTP front's."""
+    parts = [p for p in http.path.split("/") if p]
+    if len(parts) < 2 or parts[0] != "api" or parts[1] != "workers":
+        return None
+    if len(parts) == 2 and http.method == "GET":
+        workers = core.describe_workers()
+        return HttpResponse(
+            200,
+            {"workers": workers, "count": len(workers), "ledger": core.ledger.audit()},
+        )
+    if len(parts) == 4 and parts[3] == "drain" and http.method == "POST":
+        name = parts[2]
+        try:
+            worker = core.drain(name)
+        except SchedulingError as exc:
+            status = 404 if "unknown worker" in str(exc) else 409
+            return HttpResponse(status, {"error": str(exc), "type": "SchedulingError"})
+        return HttpResponse(202, {"worker": name, "state": worker.machine.state.value})
+    return None

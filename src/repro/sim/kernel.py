@@ -349,7 +349,9 @@ class KernelProfile:
 
     def collect_metrics(self, registry) -> None:
         """Mirror dispatch statistics into labeled registry instruments."""
-        from repro.monitoring.plane import set_counter
+        # The one true cycle: everything in repro.monitoring runs on
+        # this kernel, so the import cannot sit at module level.
+        from repro.monitoring.metrics import set_counter
 
         for name, count in self.dispatch_count.items():
             labels = {"event": name, "plane": "kernel"}

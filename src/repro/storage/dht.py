@@ -24,6 +24,7 @@ from repro.errors import (
     NetworkPartitionError,
     StorageError,
 )
+from repro.monitoring.metrics import set_counter
 from repro.monitoring.tracing import Tracer
 from repro.sim.kernel import Environment, Process, all_of
 from repro.sim.network import Network
@@ -850,8 +851,6 @@ class Dht:
         statistics into labeled registry instruments.  Never called on a
         baseline platform (the plane registers collectors only when
         enabled), so the data path stays untouched."""
-        from repro.monitoring.plane import set_counter
-
         set_counter(registry, "dht.gets", float(self.gets), labels)
         set_counter(registry, "dht.puts", float(self.puts), labels)
         set_counter(registry, "dht.mem_hits", float(self.mem_hits), labels)

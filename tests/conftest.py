@@ -30,7 +30,6 @@ from tests.helpers import (  # noqa: F401  (re-exported for older imports)
     listing1_platform,
     make_platform,
     register_image_handlers,
-    seeded_baseline_run,
 )
 
 # -- suite options -----------------------------------------------------------

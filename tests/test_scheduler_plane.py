@@ -21,7 +21,7 @@ from tests.conformance.dsl import (
     check_exactly_once,
     run_scenario,
 )
-from tests.helpers import make_platform, seeded_baseline_run
+from tests.helpers import make_platform
 
 SCHED_YAML = """
 name: sched-app
@@ -191,7 +191,7 @@ class TestReportsAndBaseline:
         for _ in range(5):
             platform.invoke_async(obj, "bump")
         platform.advance(3.0)  # covers the first invocation's cold start
-        report = platform.scheduler_report()
+        report = platform.report("scheduler")
         assert report["ledger"]["completed"] == 5
         assert report["live_workers"] == 3
         assert "scheduler" in platform.observability_report()
@@ -222,13 +222,6 @@ class TestReportsAndBaseline:
         text = platform.metrics_exposition()
         assert 'scheduler_completed{plane="scheduler",worker="worker-0"}' in text
         assert 'scheduler_accepted{plane="scheduler"}' in text
-
-    def test_disabled_plane_runs_identically_to_seed_baseline(self):
-        default = seeded_baseline_run()
-        explicit_off = seeded_baseline_run(
-            scheduler=SchedulerConfig(enabled=False)
-        )
-        assert default == explicit_off
 
 
 class TestChaosDeterminism:

@@ -623,6 +623,56 @@ class TestHttpFrontEnd:
         asyncio.run(scenario())
         platform.shutdown()
 
+    @pytest.mark.parametrize("durable", [True, False], ids=["durability-on", "durability-off"])
+    def test_plane_routes_exist_over_sockets_only_while_the_plane_is_on(self, durable):
+        """The real front walks the same admin chain as the sim gateway:
+        the durability routes answer over sockets while the plane is on
+        and are the baseline 404 when it is off."""
+        from repro.durability.plane import DurabilityConfig
+        from tests.helpers import listing1_platform
+
+        platform = listing1_platform(
+            scheduler=SchedulerConfig(
+                enabled=True,
+                transport="asyncio",
+                pool_size=2,
+                heartbeat_interval_s=0.25,
+                degraded_after_misses=2,
+                dead_after_misses=4,
+            ),
+            durability=DurabilityConfig(enabled=durable),
+        )
+
+        async def scenario():
+            front = await platform.serve_http()
+            host, port = front.host, front.port
+            status, _ = await self._request(
+                host, port, "POST", "/api/classes/Image", {"state": {"width": 2}}
+            )
+            assert status == 201
+            answers = [
+                await self._request(host, port, method, f"/api/classes/Image/{leaf}")
+                for method, leaf in (("POST", "snapshots"), ("GET", "snapshots"), ("POST", "restore"))
+            ]
+            if durable:
+                assert [status for status, _ in answers] == [201, 200, 200]
+                assert answers[0][1]["captured"] == 1
+                assert answers[1][1]["count"] == 1
+                assert answers[2][1]["restored"] == 1
+                # A plane's typed errors keep their status over sockets.
+                status, body = await self._request(
+                    host, port, "POST", "/api/classes/Image/restore", {"at": "noon"}
+                )
+                assert (status, body["type"]) == (400, "ValidationError")
+            else:
+                assert [(status, body["type"]) for status, body in answers] == [
+                    (404, "NoRouteError")
+                ] * 3
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        asyncio.run(scenario())
+        platform.shutdown()
+
     def test_serve_http_requires_asyncio_transport(self):
         from repro.errors import ValidationError
         from tests.helpers import make_platform
