@@ -283,14 +283,16 @@ class SnapshotCoordinator:
         del cut_open
         # Commits covered by this cut (version <= the captured version)
         # are durable now; drop them so recovery never counts them lost.
-        for key, (_, version) in new_index.items():
-            entries = tracker.commits.get(key)
-            if entries:
-                kept = [entry for entry in entries if entry[1] > version]
+        # Walk the pending commits, not the index: the cut must not cost
+        # a pass over every live object per thing it can skip.
+        for key in list(tracker.commits):
+            ref = new_index.get(key)
+            if ref is not None:
+                kept = [entry for entry in tracker.commits[key] if entry[1] > ref[1]]
                 if kept:
                     tracker.commits[key] = kept
                 else:
-                    tracker.commits.pop(key, None)
+                    del tracker.commits[key]
         for key in tombstoned:
             tracker.commits.pop(key, None)
         data_bytes = json.dumps(captured, sort_keys=True, default=str).encode()
@@ -299,7 +301,8 @@ class SnapshotCoordinator:
             "generation": generation,
             "cut_time": cut_time,
             "seq": seq_at_cut,
-            "index": {key: list(ref) for key, ref in sorted(new_index.items())},
+            # As is: dumps sorts the keys and writes a tuple as a list.
+            "index": new_index,
             "captured": sorted(captured),
             "tombstones": tombstoned,
         }

@@ -159,7 +159,7 @@ class AsyncPlatformServer:
             object_id=dispatch.object_id,
             fn_name=dispatch.fn_name,
             cls=dispatch.cls,
-            payload=dict(dispatch.payload),
+            payload=dispatch.payload,
         )
         result = self.platform.run(self.platform.engine.invoke(request))
         output = dict(result.output)

@@ -4,11 +4,15 @@
 same :class:`~repro.scheduler.transport.core.DispatchCore` the sim
 plane uses; :class:`AsyncWorkerClient` processes connect to it and
 speak the length-prefixed JSON frames from
-:mod:`~repro.scheduler.transport.protocol`.  Concurrency is real:
-every connection is an event-loop task, and crashes are *connection
+:mod:`~repro.scheduler.transport.protocol`.  Both ends of a connection
+are :class:`asyncio.Protocol` links: a frame is decoded and *handled* in
+the read callback that delivered its last byte — no stream, no reader
+task in between.  Concurrency is real, and crashes are *connection
 drops* — :meth:`AsyncWorkerClient.kill` aborts the socket without a
 goodbye, which the server treats exactly like a sim crash (fence the
-epoch, requeue everything the worker held, replace it).
+epoch, requeue everything the worker held, replace it).  A peer that
+sends a well-framed payload that is not a message is dropped the same
+way, counted in :attr:`AsyncSchedulerServer.protocol_errors`.
 
 Fencing over reconnects
 -----------------------
@@ -39,7 +43,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
-from repro.errors import SchedulingError, TransportError
+from repro.errors import SchedulingError, TransportError, ValidationError
 from repro.invoker.request import InvocationRequest, InvocationResult
 from repro.scheduler.state import WorkerStateMachine
 from repro.scheduler.transport.core import DispatchCore, DispatchItem
@@ -67,7 +71,35 @@ __all__ = [
     "AsyncWorkerClient",
 ]
 
-_READ_CHUNK = 65536
+
+class _Link(asyncio.Protocol):
+    """One end of a scheduler/worker connection: frames are decoded and
+    handled in the read callback itself."""
+
+    #: Set by ``connection_made``, which precedes every other callback.
+    transport: asyncio.Transport
+
+    def __init__(self) -> None:
+        self._decoder = FrameDecoder()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for message in self._decoder.feed(data):
+                if self.transport.is_closing():
+                    return  # an earlier frame of this read ended the link
+                self.on_message(message)
+        except (TransportError, ValidationError):
+            # Well-framed or not, the peer is not speaking the protocol.
+            self.on_protocol_error()
+
+    def on_message(self, message: Message) -> None:
+        raise NotImplementedError
+
+    def on_protocol_error(self) -> None:
+        self.transport.close()
 
 
 @dataclass(frozen=True)
@@ -93,13 +125,13 @@ class RemoteWorker:
         server: "AsyncSchedulerServer",
         name: str,
         epoch: int,
-        writer: asyncio.StreamWriter,
+        transport: asyncio.Transport,
         node: str | None = None,
     ) -> None:
         self.server = server
         self.name = name
         self.epoch = epoch
-        self.writer = writer
+        self.transport = transport
         self.node = node
         self.machine = WorkerStateMachine()
         self.installed: set[str] = set()
@@ -133,7 +165,7 @@ class RemoteWorker:
                 epoch=item.epoch,
                 seq=entry.seq if entry is not None else -1,
                 cls=request.cls,
-                payload=dict(request.payload),
+                payload=request.payload,
             )
         )
 
@@ -164,16 +196,50 @@ class RemoteWorker:
         self.send(DrainCmd())
 
     def release(self) -> None:
-        self.writer.close()
+        self.transport.close()
 
     def send(self, message: Message) -> None:
-        if self.writer.is_closing():
-            return
-        self.writer.write(encode_frame(message))
+        if not self.transport.is_closing():
+            self.transport.write(encode_frame(message))
+
+
+class _ServerLink(_Link):
+    """The scheduler's end of one accepted connection: the first frame
+    registers it, every later one is a core call."""
+
+    def __init__(self, server: "AsyncSchedulerServer") -> None:
+        super().__init__()
+        self.server = server
+        self.worker: RemoteWorker | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.server._links.add(self)
+
+    def on_message(self, message: Message) -> None:
+        if self.worker is None:
+            self.worker = self.server._register(message, self.transport)
+        else:
+            self.server._on_message(self.worker, message)
+
+    def on_protocol_error(self) -> None:
+        self.server.protocol_errors += 1
+        super().on_protocol_error()
+        self._retire("protocol-error")
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._links.discard(self)
+        self._retire("connection-lost")
+
+    def _retire(self, reason: str) -> None:
+        # A live registration is the current one under its name (a
+        # rejoin is refused until the old one is dead).
+        if self.worker is not None and not self.worker.machine.is_dead:
+            self.server.core.crash(self.worker.name, reason)
 
 
 class AsyncSchedulerServer:
-    """The scheduler side of the protocol over real asyncio streams.
+    """The scheduler side of the protocol over real asyncio sockets.
 
     Owns a :class:`DispatchCore` (the same state machine the sim plane
     drives), a TCP listener, and a monitor task timing the core's health
@@ -198,13 +264,16 @@ class AsyncSchedulerServer:
             self.core.note_class(cls)
         self.events: list[TransportEvent] = []
         self.fenced = 0
+        #: Connections dropped for sending something that is not a
+        #: protocol message.
+        self.protocol_errors = 0
         self._server: asyncio.AbstractServer | None = None
         self._monitor_task: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0 = 0.0
         self._epochs: dict[str, int] = {}
         self._futures: dict[str, asyncio.Future] = {}
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._links: set[_ServerLink] = set()
         self._seq = 0
         self._running = False
         self.core.on_complete = self._resolve
@@ -214,7 +283,9 @@ class AsyncSchedulerServer:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await self._loop.create_server(
+            lambda: _ServerLink(self), host, port
+        )
         self._running = True
         self._monitor_task = asyncio.ensure_future(self._monitor())
 
@@ -234,9 +305,11 @@ class AsyncSchedulerServer:
             self._monitor_task.cancel()
         if self._server is not None:
             self._server.close()
+        for link in list(self._links):
+            link.transport.close()
+        if self._server is not None:
+            # From Python 3.12 on this waits for the connections too.
             await self._server.wait_closed()
-        for writer in list(self._connections):
-            writer.close()
         await asyncio.sleep(0)
         return report
 
@@ -277,64 +350,22 @@ class AsyncSchedulerServer:
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        decoder = FrameDecoder()
-        worker: RemoteWorker | None = None
-        try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                for message in decoder.feed(data):
-                    if worker is None:
-                        worker = self._register(message, writer)
-                        if worker is None:
-                            return  # rejected; frame already sent
-                    else:
-                        self._on_message(worker, message)
-        except (ConnectionError, TransportError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            # A live registration is the current one under its name (a
-            # rejoin is refused until the old one is dead).
-            if worker is not None and not worker.machine.is_dead:
-                self.core.crash(worker.name, "connection-lost")
-
     def _register(
-        self, message: Message, writer: asyncio.StreamWriter
+        self, message: Message, transport: asyncio.Transport
     ) -> RemoteWorker | None:
+        """The first frame of a connection: a registration, or a refusal
+        that answers and closes (which ends the reading too)."""
         if not isinstance(message, Register):
-            writer.write(
-                encode_frame(
-                    RegisterAck(
-                        worker="?", epoch=-1, error="expected register first"
-                    )
-                )
-            )
-            writer.close()
-            return None
+            return self._refuse(transport, "?", "expected register first")
         name = message.worker
         current = self.core.workers.get(name)
         if current is not None and not current.machine.is_dead:
-            writer.write(
-                encode_frame(
-                    RegisterAck(
-                        worker=name,
-                        epoch=-1,
-                        error=f"worker {name!r} is already registered",
-                    )
-                )
+            return self._refuse(
+                transport, name, f"worker {name!r} is already registered"
             )
-            writer.close()
-            return None
         epoch = self._epochs.get(name, 0) + 1
         self._epochs[name] = epoch
-        worker = RemoteWorker(self, name, epoch, writer, node=message.node)
+        worker = RemoteWorker(self, name, epoch, transport, node=message.node)
         self.core.add_worker(worker)
         self._emit("scheduler.register", worker=name, node=worker.node)
         worker.send(
@@ -343,6 +374,11 @@ class AsyncSchedulerServer:
             )
         )
         return worker
+
+    @staticmethod
+    def _refuse(transport: asyncio.Transport, name: str, error: str) -> None:
+        transport.write(encode_frame(RegisterAck(worker=name, epoch=-1, error=error)))
+        transport.close()
 
     def note_epoch(self, name: str, epoch: int) -> None:
         """A registration fenced itself at ``epoch``: the next one under
@@ -408,7 +444,7 @@ class AsyncSchedulerServer:
             object_id=request.object_id,
             fn_name=request.fn_name,
             ok=message.ok,
-            output=dict(message.output),
+            output=message.output,
             error=message.error,
             error_type=message.error_type,
         )
@@ -426,13 +462,31 @@ class AsyncSchedulerServer:
         return self.core.describe_workers()
 
     def stats(self) -> dict[str, Any]:
-        return {**self.core.stats(), "fenced": self.fenced}
+        return {
+            **self.core.stats(),
+            "fenced": self.fenced,
+            "protocol_errors": self.protocol_errors,
+        }
 
     def _emit(self, type: str, **fields: Any) -> None:
         self.events.append(
             TransportEvent(seq=self._seq, at=self.now(), type=type, fields=fields)
         )
         self._seq += 1
+
+
+class _ClientLink(_Link):
+    """The worker's end of its one connection."""
+
+    def __init__(self, client: "AsyncWorkerClient") -> None:
+        super().__init__()
+        self.client = client
+
+    def on_message(self, message: Message) -> None:
+        self.client._on_message(message)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.client._on_connection_lost()
 
 
 class AsyncWorkerClient:
@@ -466,8 +520,10 @@ class AsyncWorkerClient:
         self.slow_factor = 1.0
         self.completed = 0
         self.draining = False
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._transport: asyncio.Transport | None = None
+        #: The ``executing`` of the item just started, kept back for one
+        #: turn of the loop (see :meth:`_work_loop`).
+        self._held: Executing | None = None
         self._queue: asyncio.Queue[Dispatch | None] = asyncio.Queue()
         self._in_flight: Dispatch | None = None
         self._tasks: list[asyncio.Task] = []
@@ -480,11 +536,10 @@ class AsyncWorkerClient:
         """Open the connection, register, install, report ready, and
         start the heartbeat + work loops.  Raises ``SchedulingError``
         if the scheduler rejects the registration."""
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+        self._transport, _ = await asyncio.get_running_loop().create_connection(
+            lambda: _ClientLink(self), self.host, self.port
         )
         self._send(Register(worker=self.name, node=self.node))
-        self._tasks.append(asyncio.ensure_future(self._read_loop()))
         await self._registered.wait()
         if self._register_error is not None:
             await self.close()
@@ -499,10 +554,8 @@ class AsyncWorkerClient:
         sees a connection drop and fences this registration's epoch."""
         for task in self._tasks:
             task.cancel()
-        if self._writer is not None:
-            transport = self._writer.transport
-            if transport is not None:
-                transport.abort()
+        if self._transport is not None:
+            self._transport.abort()  # unlike close(): nothing buffered is sent
         self._done.set()
 
     async def close(self) -> None:
@@ -510,8 +563,8 @@ class AsyncWorkerClient:
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self._writer is not None:
-            self._writer.close()
+        if self._transport is not None:
+            self._transport.close()
         self._done.set()
 
     async def wait_done(self) -> None:
@@ -524,27 +577,30 @@ class AsyncWorkerClient:
     # -- protocol loops ------------------------------------------------------
 
     def _send(self, message: Message) -> None:
-        if self._writer is None or self._writer.is_closing():
+        """Write one frame — behind the held ``executing`` if there is
+        one (wire order is send order, and the two share a write), or
+        instead of it when this is that item's own ``complete``."""
+        transport = self._transport
+        if transport is None or transport.is_closing():
             return
-        self._writer.write(encode_frame(message))
+        held, self._held = self._held, None
+        data = encode_frame(message)
+        if held is not None and not (
+            isinstance(message, Complete) and message.request_id == held.request_id
+        ):
+            data = encode_frame(held) + data
+        transport.write(data)
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        decoder = FrameDecoder()
-        try:
-            while True:
-                data = await self._reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                for message in decoder.feed(data):
-                    self._on_message(message)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if not self._registered.is_set():
-                self._register_error = "connection closed during registration"
-                self._registered.set()
-            self._done.set()
+    def _flush_held(self, executing: Executing) -> None:
+        if self._held is executing:
+            self._held = None
+            self._send(executing)
+
+    def _on_connection_lost(self) -> None:
+        if not self._registered.is_set():
+            self._register_error = "connection closed during registration"
+            self._registered.set()
+        self._done.set()
 
     def _on_message(self, message: Message) -> None:
         if isinstance(message, RegisterAck):
@@ -594,22 +650,22 @@ class AsyncWorkerClient:
             self._send(Heartbeat(worker=self.name, epoch=self.epoch))
 
     async def _work_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             dispatch = await self._queue.get()
             if dispatch is None:  # drain sentinel
                 self._send(Drained(worker=self.name, epoch=self.epoch))
-                if self._writer is not None:
-                    await self._writer.drain()
                 self._done.set()
                 return
             self._in_flight = dispatch
-            self._send(
-                Executing(
-                    worker=self.name,
-                    epoch=self.epoch,
-                    request_id=dispatch.request_id,
-                )
+            # ``executing`` waits one turn of the loop: an executor that
+            # awaits anything lets it out ahead of its ``complete``; one
+            # that returns without yielding was never observable as in
+            # flight, and its ``complete`` goes out alone.
+            self._held = Executing(
+                worker=self.name, epoch=self.epoch, request_id=dispatch.request_id
             )
+            loop.call_soon(self._flush_held, self._held)
             try:
                 fields = await self.executor(dispatch, self)
             except asyncio.CancelledError:
@@ -628,7 +684,7 @@ class AsyncWorkerClient:
                     epoch=dispatch.epoch,
                     request_id=dispatch.request_id,
                     ok=bool(fields.get("ok", True)),
-                    output=dict(fields.get("output", {})),
+                    output=fields.get("output", {}),
                     error=fields.get("error"),
                     error_type=fields.get("error_type"),
                 )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, ClassVar, Iterator
 
 from repro.errors import TransportError, ValidationError
@@ -50,6 +50,8 @@ __all__ = [
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+#: ``json.dumps`` with these arguments builds this encoder on every call.
+_ENCODE_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,10 @@ class Message:
     TYPE: ClassVar[str] = ""
 
     def to_wire(self) -> dict[str, Any]:
-        wire = asdict(self)
+        """The message's own fields plus ``"type"`` — one flat dict, the
+        values shared with the message rather than copied: whoever built
+        the message is about to turn it into bytes."""
+        wire = {name: getattr(self, name) for name in _WIRE_FIELDS[type(self)]}
         wire["type"] = self.TYPE
         return wire
 
@@ -198,6 +203,27 @@ _MESSAGE_TYPES: dict[str, type[Message]] = {
 }
 
 
+#: The codec's tables, built once: what each message class puts on the
+#: wire, which of those a frame may not leave out, and which are used
+#: as JSON objects unchecked once decoded.  (A field added to a message
+#: shows up here by itself.)
+_WIRE_FIELDS: dict[type[Message], tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)) for cls in _MESSAGE_TYPES.values()
+}
+_REQUIRED_FIELDS: dict[type[Message], frozenset[str]] = {
+    cls: frozenset(
+        f.name
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    )
+    for cls in _MESSAGE_TYPES.values()
+}
+_OBJECT_FIELDS: dict[type[Message], tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls) if f.default_factory is dict)
+    for cls in _MESSAGE_TYPES.values()
+}
+
+
 def encode_message(message: Message) -> dict[str, Any]:
     return message.to_wire()
 
@@ -205,30 +231,26 @@ def encode_message(message: Message) -> dict[str, Any]:
 def decode_message(wire: dict[str, Any]) -> Message:
     """Rebuild a typed message from its wire dict."""
     kind = wire.get("type")
-    cls = _MESSAGE_TYPES.get(kind)
+    cls = _MESSAGE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValidationError(f"unknown message type {kind!r}")
-    names = {f.name for f in fields(cls)}
-    kwargs = {k: v for k, v in wire.items() if k in names}
-    if isinstance(kwargs.get("classes"), list):
-        kwargs["classes"] = tuple(kwargs["classes"])
-    missing = {
-        f.name
-        for f in fields(cls)
-        if f.default is MISSING and f.default_factory is MISSING
-    } - set(kwargs)
+    kwargs = {name: wire[name] for name in _WIRE_FIELDS[cls] if name in wire}
+    missing = _REQUIRED_FIELDS[cls] - kwargs.keys()
     if missing:
         raise ValidationError(
             f"{kind} message missing fields: {', '.join(sorted(missing))}"
         )
+    for name in _OBJECT_FIELDS[cls]:
+        if not isinstance(kwargs.get(name, {}), dict):
+            raise ValidationError(f"{kind} message field {name!r} is not an object")
+    if cls is RegisterAck and isinstance(kwargs.get("classes"), list):
+        kwargs["classes"] = tuple(kwargs["classes"])
     return cls(**kwargs)
 
 
 def encode_frame(message: Message) -> bytes:
     """One wire frame: 4-byte big-endian length + JSON payload."""
-    payload = json.dumps(
-        message.to_wire(), separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    payload = _ENCODE_JSON(message.to_wire()).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise TransportError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES"
@@ -263,8 +285,12 @@ class FrameDecoder:
             del self._buffer[:end]
             try:
                 wire = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise TransportError(f"undecodable frame payload: {exc}") from exc
+            if not isinstance(wire, dict):
+                raise TransportError(
+                    f"frame payload is a JSON {type(wire).__name__}, not an object"
+                )
             yield decode_message(wire)
 
     @property

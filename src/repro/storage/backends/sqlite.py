@@ -83,6 +83,9 @@ class SqliteBackend(StoreBackend):
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
         self._schemas: dict[str, dict[str, DataType]] = {}
+        #: collection -> its upsert statement, built from the schema on
+        #: first use and dropped when the schema changes.
+        self._upserts: dict[str, str] = {}
         self._load_existing_schemas()
 
     # -- schema ------------------------------------------------------------
@@ -135,6 +138,7 @@ class SqliteBackend(StoreBackend):
         documents, and a fresh index.
         """
         self._ensure_table(collection)
+        self._upserts.pop(collection, None)
         known = self._schemas[collection]
         existing_columns = {
             row[1]
@@ -200,14 +204,30 @@ class SqliteBackend(StoreBackend):
 
     # -- documents ---------------------------------------------------------
 
-    def _row_values(self, collection: str, doc: Mapping[str, Any]) -> tuple[list[str], list[Any]]:
+    def _upsert_sql(self, collection: str) -> str:
+        """``INSERT … ON CONFLICT(id) DO UPDATE``: unlike ``INSERT OR
+        REPLACE`` (delete + insert), an update leaves the index entries
+        of key columns whose value did not change alone."""
+        sql = self._upserts.get(collection)
+        if sql is None:
+            columns = ["doc", *(f"k_{key}" for key in self._schemas[collection])]
+            names = ", ".join(_quote(column) for column in ["id", *columns])
+            updates = ", ".join(
+                f"{_quote(column)} = excluded.{_quote(column)}" for column in columns
+            )
+            sql = self._upserts[collection] = (
+                f"INSERT INTO {_quote(collection)} ({names}) "
+                f"VALUES ({', '.join('?' * (len(columns) + 1))}) "
+                f"ON CONFLICT(id) DO UPDATE SET {updates}"
+            )
+        return sql
+
+    def _row_values(self, collection: str, doc: Mapping[str, Any]) -> list[Any]:
         state = doc.get("state") or {}
-        columns = ["id", "doc"]
         values: list[Any] = [doc["id"], _dump_doc(doc)]
-        for key in self._schemas.get(collection, {}):
-            columns.append(f"k_{key}")
+        for key in self._schemas[collection]:
             values.append(self._column_value(collection, key, state.get(key)))
-        return columns, values
+        return values
 
     def put(self, collection: str, doc: dict[str, Any]) -> None:
         self.put_many(collection, [doc])
@@ -216,17 +236,11 @@ class SqliteBackend(StoreBackend):
         if not docs:
             return
         self._ensure_table(collection)
+        sql = self._upsert_sql(collection)
         self._conn.execute("BEGIN")
         try:
             for doc in docs:
-                columns, values = self._row_values(collection, doc)
-                placeholders = ", ".join("?" for _ in columns)
-                column_sql = ", ".join(_quote(c) for c in columns)
-                self._conn.execute(
-                    f"INSERT OR REPLACE INTO {_quote(collection)} "
-                    f"({column_sql}) VALUES ({placeholders})",
-                    values,
-                )
+                self._conn.execute(sql, self._row_values(collection, doc))
             self._conn.execute("COMMIT")
         except sqlite3.Error as exc:
             self._conn.execute("ROLLBACK")

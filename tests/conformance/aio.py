@@ -47,6 +47,7 @@ from tests.conformance.dsl import (
     Submit,
     WorkerRecord,
 )
+from tests.helpers import run_async
 
 #: Wall-clock ceiling on the settle phase.  The sim runner can afford a
 #: 30s virtual settle; here every second is real, and a healthy run
@@ -113,6 +114,8 @@ class _Pool:
         task.add_done_callback(self.spawn_tasks.discard)
 
     async def close(self) -> None:
+        # Teardown drops every connection; none of those is a loss to heal.
+        self.server.core.on_worker_dead = None
         for task in self.spawn_tasks:
             task.cancel()
         if self.spawn_tasks:
@@ -261,7 +264,7 @@ async def _run(scenario: Scenario) -> ScenarioResult:
 def run_scenario_asyncio(scenario: Scenario) -> ScenarioResult:
     """Blocking wrapper: replay ``scenario`` over the asyncio transport
     in a fresh event loop and return the sim-shaped result."""
-    return asyncio.run(_run(scenario))
+    return run_async(_run(scenario))
 
 
 def describe(result: ScenarioResult) -> dict[str, Any]:

@@ -10,11 +10,16 @@ the one home for that plumbing:
   ``conftest`` for fixtures).
 * :func:`make_platform` — build + register + deploy in one call.
 * :func:`listing1_platform` — a platform with Listing 1 deployed.
+* :func:`run_async` — ``asyncio.run`` for the real-transport suites,
+  failing the test on anything the loop's exception handler received;
+  :func:`wait_for` — their bounded poll.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import asyncio
+import gc
+from typing import Any, Callable, Coroutine
 
 from repro.platform.oparaca import Oparaca, PlatformConfig
 
@@ -118,3 +123,36 @@ def listing1_platform(*, nodes: int = 3, **config_kwargs: Any) -> Oparaca:
     register_image_handlers(platform)
     platform.deploy(LISTING1_YAML)
     return platform
+
+
+async def wait_for(
+    predicate: Callable[[], Any], timeout_s: float = 5.0, message: str = "condition"
+) -> None:
+    """Poll ``predicate`` on the running loop until it holds; an
+    ``AssertionError`` naming ``message`` after ``timeout_s``."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while loop.time() < deadline:
+        if predicate():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"timed out waiting for {message}")
+
+
+def run_async(main: Coroutine[Any, Any, Any]) -> Any:
+    """``asyncio.run(main)``, except that what reaches the loop's
+    exception handler — an exception escaping a protocol callback or a
+    connection task, a task destroyed with its exception unread — fails
+    the test instead of becoming a log line nobody reads."""
+    reported: list[dict[str, Any]] = []
+
+    async def guarded() -> Any:
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context)
+        )
+        return await main
+
+    result = asyncio.run(guarded())
+    gc.collect()  # an unread task exception is reported when the task is freed
+    assert not reported, f"the event loop's exception handler received: {reported}"
+    return result

@@ -1,6 +1,8 @@
 """Consistent cuts, incremental generations, GC, and point-in-time
 restore, exercised through a real platform (DHT + write-behind + store)."""
 
+import json
+
 import pytest
 
 from repro.durability.plane import DurabilityConfig
@@ -92,6 +94,71 @@ class TestCuts:
         for generation in (1, 2):
             assert store.head_object(bucket, data_key("Cart", generation))
             assert store.head_object(bucket, manifest_key("Cart", generation))
+        platform.shutdown()
+
+    def test_stored_manifests_keep_their_bytes_and_restore_by_them(self):
+        """The cut hands its index to the manifest as it is (no re-sort,
+        no re-boxing): the stored bytes must stay what sorting and
+        boxing every live entry produced, across creates, updates, a
+        delete and objects no cut after their first touches."""
+        platform = dura_platform()
+        tracker = platform.durability.tracker_for("Cart")
+        store = platform.durability.object_store
+        bucket = platform.durability.config.bucket
+        # Ids chosen so insertion order is not sorted order.
+        ids = [
+            platform.new_object("Cart", object_id=name)
+            for name in ("cart-m", "cart-b", "cart-z", "cart-a")
+        ]
+        m, b, z, a = ids
+        expected = []  # (generation, manifest bytes, {id: count}) per cut
+
+        def cut(captured, tombstones, counts):
+            body = take_cut(platform, "Cart")
+            entry = tracker.generations[-1]
+            assert body["generation"] == entry["generation"]
+            manifest = {
+                "cls": "Cart",
+                "generation": entry["generation"],
+                "cut_time": entry["cut_time"],
+                "seq": tracker.seq,
+                "index": {key: list(ref) for key, ref in sorted(tracker.index.items())},
+                "captured": sorted(captured),
+                "tombstones": sorted(tombstones),
+            }
+            expected.append(
+                (entry["generation"], json.dumps(manifest, sort_keys=True).encode(), counts)
+            )
+
+        cut(ids, [], {m: 0, b: 0, z: 0, a: 0})
+        platform.advance(1.0)
+        platform.invoke(z, "bump")
+        platform.invoke(b, "bump")
+        platform.invoke(z, "bump")
+        late = platform.new_object("Cart", object_id="cart-c")
+        cut([z, b, late], [], {m: 0, b: 1, z: 2, a: 0, late: 0})
+        second_cut_time = tracker.generations[-1]["cut_time"]
+        platform.advance(1.0)
+        platform.delete_object(m)
+        platform.invoke(late, "bump")
+        cut([late], [m], {b: 1, z: 2, a: 0, late: 1})
+
+        assert [generation for generation, _, _ in expected] == [1, 2, 3]
+        for generation, manifest_bytes, _ in expected:
+            stored = store.get_object(bucket, manifest_key("Cart", generation)).data
+            assert stored == manifest_bytes
+        assert tracker.commits == {}  # every commit so far is covered by a cut
+
+        platform.invoke(a, "bump")
+        summary = platform.run(
+            platform.durability.restore_class("Cart", at=second_cut_time + 0.5)
+        )
+        assert summary["generation"] == 2
+        counts = expected[1][2]
+        runtime = platform.crm.runtime("Cart")
+        assert sorted(runtime.dht.scan_ids()) == sorted(counts)
+        for object_id, count in counts.items():
+            assert platform.get_object(object_id)["state"]["count"] == count
         platform.shutdown()
 
     def test_delete_tombstones_drop_object_from_next_cut(self):

@@ -211,6 +211,45 @@ class TestSqliteSpecifics:
         assert result.index_used is True
         second.close()
 
+    def test_put_changing_one_key_keeps_the_other_keys_index_entry(self, tmp_path):
+        """A put is an upsert (``ON CONFLICT(id) DO UPDATE``), not a
+        delete + insert: the index entries of key columns it does not
+        change are left where they are and must still answer; a class
+        update that adds a key rebuilds the cached statement."""
+        backend = SqliteBackend(str(tmp_path / "upsert.db"))
+        backend.register_schema("orders", SCHEMA)
+        docs = [dict(d, state=dict(d["state"])) for d in corpus()]
+        backend.put_many("orders", [dict(d) for d in docs])
+        moved = docs[3]
+        assert "total" in moved["state"]
+        moved["state"]["total"] = 250.0  # only one indexed key changes
+        moved["version"] = 2
+        backend.put("orders", dict(moved))
+        for query in (
+            Query(where=(Predicate("region", "eq", moved["state"]["region"]),), order_by="region"),
+            Query(where=(Predicate("priority", "ge", moved["state"]["priority"]),), order_by="priority"),
+            Query(where=(Predicate("total", "ge", 200.0),), order_by="total"),
+            Query(where=(Predicate("total", "lt", 200.0),), order_by="total"),
+        ):
+            result = backend.query("orders", query)
+            expected = evaluate_query(docs, query)
+            assert result.index_used is True
+            assert result.docs == expected.docs
+        assert backend.count("orders") == len(docs)
+        assert backend.get("orders", moved["id"]) == moved
+        # Dropping a key from a document nulls its column, as a replace did.
+        del moved["state"]["region"]
+        backend.put("orders", dict(moved))
+        query = Query(where=(Predicate("region", "ge", ""),), order_by="region")
+        assert moved["id"] not in [d["id"] for d in backend.query("orders", query).docs]
+        # A new key after the statement was cached.
+        backend.register_schema("orders", {"tier": DataType.STR})
+        moved["state"]["tier"] = "gold"
+        backend.put("orders", dict(moved))
+        result = backend.query("orders", Query(where=(Predicate("tier", "eq", "gold"),)))
+        assert [d["id"] for d in result.docs] == [moved["id"]]
+        backend.close()
+
     def test_bool_and_json_values_round_trip(self, tmp_path):
         backend = SqliteBackend(str(tmp_path / "types.db"))
         backend.register_schema("t", {"flag": DataType.BOOL, "blob": DataType.JSON})

@@ -2,8 +2,10 @@
 dispatch/complete round trips, connection-drop crashes with epoch
 fencing, stale/duplicate completions, drain, and the HTTP front end.
 
-All asyncio here is driven through ``asyncio.run`` inside sync tests so
-the suite needs no pytest plugin.  Wall-clock timings are generous
+All asyncio here is driven through :func:`tests.helpers.run_async`
+(``asyncio.run`` plus a loop exception handler that fails the test on
+anything it receives) inside sync tests, so the suite needs no pytest
+plugin.  Wall-clock timings are generous
 multiples of the heartbeat interval — the assertions are about protocol
 invariants, never about exact timing.
 """
@@ -11,6 +13,7 @@ invariants, never about exact timing.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -20,6 +23,8 @@ from repro.scheduler.plane import SchedulerConfig
 from repro.scheduler.state import WorkerState
 from repro.scheduler.transport.aio import AsyncSchedulerServer, AsyncWorkerClient
 from repro.scheduler.transport.protocol import (
+    MAX_FRAME_BYTES,
+    _LENGTH,
     Complete,
     Dispatch,
     FrameDecoder,
@@ -30,6 +35,8 @@ from repro.scheduler.transport.protocol import (
     RegisterAck,
     encode_frame,
 )
+
+from tests.helpers import run_async, wait_for
 
 CONFIG = SchedulerConfig(
     enabled=True,
@@ -68,16 +75,6 @@ async def connect_worker(
     )
     await client.connect()
     return client
-
-
-async def wait_for(predicate, timeout_s: float = 5.0, message: str = "condition"):
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout_s
-    while loop.time() < deadline:
-        if predicate():
-            return
-        await asyncio.sleep(0.005)
-    raise AssertionError(f"timed out waiting for {message}")
 
 
 def request_for(suffix: str) -> InvocationRequest:
@@ -123,6 +120,9 @@ class RawWorker:
 
     def send(self, message: Message) -> None:
         self._writer.write(encode_frame(message))
+
+    def send_raw(self, data: bytes) -> None:
+        self._writer.write(data)
 
     async def recv(self, kind, timeout_s: float = 5.0):
         loop = asyncio.get_running_loop()
@@ -178,7 +178,7 @@ class TestRoundTrip:
                 await worker.close()
             assert await server.stop() == {"pending": 0, "parked": 0}
 
-        asyncio.run(scenario())
+        run_async(scenario())
 
     def test_duplicate_registration_rejected(self):
         async def scenario():
@@ -191,7 +191,7 @@ class TestRoundTrip:
             await first.close()
             await server.stop()
 
-        asyncio.run(scenario())
+        run_async(scenario())
 
     def test_unknown_class_parks_until_deploy(self):
         async def scenario():
@@ -209,7 +209,7 @@ class TestRoundTrip:
             await worker.close()
             await server.stop()
 
-        asyncio.run(scenario())
+        run_async(scenario())
 
 
 class TestConnectionDropCrash:
@@ -262,7 +262,7 @@ class TestConnectionDropCrash:
             await backup.close()
             await server.stop()
 
-        asyncio.run(scenario())
+        run_async(scenario())
 
     def test_heartbeat_timeout_crashes_zombie(self):
         async def scenario():
@@ -292,7 +292,7 @@ class TestConnectionDropCrash:
             await zombie.close()
             await server.stop()
 
-        asyncio.run(scenario())
+        run_async(scenario())
 
     def test_lost_worker_can_rejoin_with_fresh_epoch(self):
         async def scenario():
@@ -314,7 +314,7 @@ class TestConnectionDropCrash:
             await second.close()
             await server.stop()
 
-        asyncio.run(scenario())
+        run_async(scenario())
 
 
 class TestFencingAndDuplicates:
@@ -352,7 +352,7 @@ class TestFencingAndDuplicates:
             await raw.close()
             await server.stop()
 
-        asyncio.run(scenario())
+        run_async(scenario())
 
     def test_stale_epoch_complete_is_fenced_silently(self):
         """A completion carrying a fenced (old) epoch must be dropped
@@ -394,7 +394,121 @@ class TestFencingAndDuplicates:
             await raw.close()
             await server.stop()
 
-        asyncio.run(scenario())
+        run_async(scenario())
+
+
+def _framed(payload) -> bytes:
+    body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    return _LENGTH.pack(len(body)) + body
+
+
+#: What a registered worker can send that is framed like the protocol
+#: but is not it.  The first three escaped the connection handler before
+#: the links caught ``ValidationError`` and non-object payloads.
+HOSTILE_FRAMES = {
+    "not-an-object": _framed([1, 2]),
+    "unknown-type": _framed({"type": "teleport"}),
+    "missing-field": _framed({"type": "ready", "worker": "w"}),
+    "unhashable-type": _framed({"type": ["ready"]}),
+    "output-not-an-object": _framed(
+        {"type": "complete", "worker": "hostile", "epoch": 1, "request_id": "r",
+         "ok": True, "output": [1]}
+    ),
+    "oversized-length": _LENGTH.pack(MAX_FRAME_BYTES + 1),
+    "invalid-utf8": _framed(b"\xff\xfe\x00\x01"),
+}
+
+
+class TestHostileFrames:
+    @pytest.mark.parametrize("frame", HOSTILE_FRAMES.values(), ids=HOSTILE_FRAMES.keys())
+    def test_hostile_frame_retires_the_sender_typed_and_counted(self, frame):
+        """A registered worker holding one dispatched item sends bytes
+        that are not a protocol message: its connection is closed, the
+        registration retired as a protocol error, and the item it held
+        completes on the peer — with nothing left for the loop's
+        exception handler to report."""
+
+        async def scenario():
+            server = await start_server()
+            hostile = RawWorker("hostile")
+            await hostile.connect(server.port)
+            peer = await connect_worker(server, "peer")
+            await wait_for(
+                lambda: all(
+                    w.machine.is_dispatchable for w in server.core.workers.values()
+                )
+            )
+            suffix = next(
+                s
+                for s in (f"o{i}" for i in range(64))
+                if server.core.pick(request_for(s)).name == "hostile"
+            )
+            future = server.submit(request_for(suffix))
+            await hostile.recv(Dispatch)
+            hostile.send_raw(frame)
+            result = await asyncio.wait_for(future, 10)
+            assert result.ok
+            port = server.core.registrations[0]
+            assert port.name == "hostile" and port.machine.state is WorkerState.DEAD
+            # The connection was closed: the sender's pump ran into EOF.
+            await asyncio.wait_for(hostile._task, 5)
+            dead = [e for e in server.events if e.type == "scheduler.dead"]
+            assert [(e.fields["reason"], e.fields["requeued"]) for e in dead] == [
+                ("protocol-error", 1)
+            ]
+            audit = server.core.ledger.audit()
+            assert audit["accepted"] == audit["completed"] + audit["outstanding"] == 1
+            assert audit["requeues"] == 1
+            assert server.protocol_errors == 1
+            assert server.stats()["protocol_errors"] == 1
+            await hostile.close()
+            await peer.close()
+            await server.stop()
+
+        run_async(scenario())
+
+    def test_garbage_before_registration_is_counted_and_dropped(self):
+        async def scenario():
+            server = await start_server()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(_framed("hello"))
+            assert await asyncio.wait_for(reader.read(), 5) == b""  # closed on us
+            writer.close()
+            assert server.protocol_errors == 1
+            assert server.core.registrations == [] and server.events == []
+            await server.stop()
+
+        run_async(scenario())
+
+    def test_worker_drops_a_scheduler_that_stops_speaking_the_protocol(self):
+        """The worker end of the link fails the same way: it closes the
+        connection and reports itself done."""
+
+        async def scenario():
+            accepted = asyncio.get_running_loop().create_future()
+
+            async def fake_scheduler(reader, writer):
+                accepted.set_result((reader, writer))
+
+            listener = await asyncio.start_server(fake_scheduler, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            client = AsyncWorkerClient("w-0", "127.0.0.1", port, echo_executor())
+            connecting = asyncio.ensure_future(client.connect())
+            reader, writer = await asyncio.wait_for(accepted, 5)
+            writer.write(
+                encode_frame(RegisterAck(worker="w-0", epoch=1)) + _framed([1, 2])
+            )
+            await asyncio.wait_for(connecting, 5)
+            await asyncio.wait_for(client.wait_done(), 5)
+            # The worker hung up: everything it sent, then end-of-stream.
+            sent = await asyncio.wait_for(reader.read(), 5)
+            assert isinstance(next(FrameDecoder().feed(sent)), Register)
+            await client.close()
+            writer.close()
+            listener.close()
+            await listener.wait_closed()
+
+        run_async(scenario())
 
 
 class TestDegradeRebind:
@@ -459,7 +573,7 @@ class TestDegradeRebind:
             await client.close()
             await server.stop()
 
-        asyncio.run(scenario())
+        run_async(scenario())
 
 
 class TestDrain:
@@ -495,7 +609,7 @@ class TestDrain:
             await peer.close()
             await server.stop()
 
-        asyncio.run(scenario())
+        run_async(scenario())
 
 
 class TestHttpFrontEnd:
@@ -567,7 +681,7 @@ class TestHttpFrontEnd:
             assert status == 404 and body["type"] == "NoRouteError"
             assert await front.stop() == {"pending": 0, "parked": 0}
 
-        asyncio.run(scenario())
+        run_async(scenario())
         platform.shutdown()
 
     def test_draining_every_worker_still_serves(self):
@@ -620,7 +734,7 @@ class TestHttpFrontEnd:
             }
             assert await front.stop() == {"pending": 0, "parked": 0}
 
-        asyncio.run(scenario())
+        run_async(scenario())
         platform.shutdown()
 
     @pytest.mark.parametrize("durable", [True, False], ids=["durability-on", "durability-off"])
@@ -670,7 +784,7 @@ class TestHttpFrontEnd:
                 ] * 3
             assert await front.stop() == {"pending": 0, "parked": 0}
 
-        asyncio.run(scenario())
+        run_async(scenario())
         platform.shutdown()
 
     def test_serve_http_requires_asyncio_transport(self):
@@ -683,5 +797,5 @@ class TestHttpFrontEnd:
             with pytest.raises(ValidationError, match="serve_http requires"):
                 await platform.serve_http()
 
-        asyncio.run(scenario())
+        run_async(scenario())
         platform.shutdown()

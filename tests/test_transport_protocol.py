@@ -3,7 +3,11 @@ transport-neutral dispatch core both transports drive."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError, TransportError, ValidationError
 from repro.invoker.request import InvocationRequest, InvocationResult
@@ -26,7 +30,11 @@ from repro.scheduler.transport import (
     encode_frame,
     rendezvous_score,
 )
-from repro.scheduler.transport.protocol import MAX_FRAME_BYTES, _LENGTH
+from repro.scheduler.transport.protocol import (
+    MAX_FRAME_BYTES,
+    _LENGTH,
+    _MESSAGE_TYPES,
+)
 
 ALL_MESSAGES = [
     Register(worker="w-0", node="node-1"),
@@ -60,7 +68,120 @@ ALL_MESSAGES = [
 ]
 
 
+#: The frames of these thirteen messages, hashed: the value the codec
+#: produced while ``to_wire`` was ``dataclasses.asdict`` (commit 03ce2da).
+#: It changes only when the wire format is changed on purpose.
+GOLDEN_MESSAGES = [
+    Register(worker="w-0", node="node-1"),
+    Register(worker="w-1"),
+    RegisterAck(worker="w-0", epoch=3, classes=("Ledger", "Image")),
+    RegisterAck(worker="w-0", epoch=-1, error="worker 'w-0' is already registered"),
+    Ready(worker="w-0", epoch=3),
+    Heartbeat(worker="w-0", epoch=3),
+    Install(cls="Ledger"),
+    InstallAck(worker="w-0", epoch=3, cls="Ledger"),
+    Dispatch(
+        request_id="req-1",
+        object_id="Ledger~a",
+        fn_name="add",
+        epoch=3,
+        seq=7,
+        payload={"z": [1, {"b": None, "a": 2.5}], "a": {"y": "é", "x": True}},
+    ),
+    Executing(worker="w-0", epoch=3, request_id="req-1"),
+    Complete(
+        worker="w-0",
+        epoch=3,
+        request_id="req-2",
+        ok=False,
+        error="boom",
+        error_type="FunctionExecutionError",
+    ),
+    DrainCmd(),
+    Drained(worker="w-0", epoch=3),
+]
+GOLDEN_DIGEST = "77a506fd42555c3bfdc3dcd2780b2ee6d98dc7b7793c0c7cce323c48b2fbd3ef"
+
+_names = st.text(max_size=12)
+_maybe_names = st.none() | _names
+_epochs = st.integers(-1, 2**40)
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_json_objects = st.dictionaries(st.text(max_size=8), _json, max_size=4)
+MESSAGE_STRATEGIES = {
+    Register: st.builds(Register, worker=_names, node=_maybe_names),
+    RegisterAck: st.builds(
+        RegisterAck,
+        worker=_names,
+        epoch=_epochs,
+        classes=st.lists(_names, max_size=3).map(tuple),
+        error=_maybe_names,
+    ),
+    Ready: st.builds(Ready, worker=_names, epoch=_epochs),
+    Heartbeat: st.builds(Heartbeat, worker=_names, epoch=_epochs),
+    Install: st.builds(Install, cls=_names),
+    InstallAck: st.builds(InstallAck, worker=_names, epoch=_epochs, cls=_names),
+    Dispatch: st.builds(
+        Dispatch,
+        request_id=_names,
+        object_id=_names,
+        fn_name=_names,
+        epoch=_epochs,
+        seq=_epochs,
+        cls=_maybe_names,
+        payload=_json_objects,
+    ),
+    Executing: st.builds(Executing, worker=_names, epoch=_epochs, request_id=_names),
+    Complete: st.builds(
+        Complete,
+        worker=_names,
+        epoch=_epochs,
+        request_id=_names,
+        ok=st.booleans(),
+        output=_json_objects,
+        error=_maybe_names,
+        error_type=_maybe_names,
+    ),
+    DrainCmd: st.just(DrainCmd()),
+    Drained: st.builds(Drained, worker=_names, epoch=_epochs),
+}
+
+
 class TestCodec:
+    def test_frames_are_byte_compatible_with_the_pinned_wire_format(self):
+        digest = hashlib.sha256()
+        for message in GOLDEN_MESSAGES:
+            digest.update(encode_frame(message))
+        assert digest.hexdigest() == GOLDEN_DIGEST
+
+    def test_every_message_type_has_a_strategy(self):
+        assert set(MESSAGE_STRATEGIES) == set(_MESSAGE_TYPES.values())
+        assert len(MESSAGE_STRATEGIES) == 11
+
+    @given(message=st.one_of(*MESSAGE_STRATEGIES.values()))
+    def test_any_message_round_trips(self, message):
+        decoder = FrameDecoder()
+        assert list(decoder.feed(encode_frame(message))) == [message]
+        assert decoder.pending_bytes == 0
+
+    def test_encoding_shares_the_payload_and_never_mutates_it(self):
+        payload = {"b": [1, {"d": 1, "c": 2}], "a": 1}
+        message = Dispatch(
+            request_id="r", object_id="o", fn_name="f", epoch=1, seq=1, payload=payload
+        )
+        wire = message.to_wire()
+        assert wire["payload"] is payload and wire["type"] == "dispatch"
+        encode_frame(message)
+        assert list(payload) == ["b", "a"] and list(payload["b"][1]) == ["d", "c"]
+
     @pytest.mark.parametrize("message", ALL_MESSAGES, ids=lambda m: m.TYPE)
     def test_round_trip(self, message):
         decoder = FrameDecoder()
@@ -111,6 +232,32 @@ class TestCodec:
         decoder = FrameDecoder()
         with pytest.raises(TransportError):
             list(decoder.feed(_LENGTH.pack(4) + b"\xff\xfe\x00\x01"))
+
+    @pytest.mark.parametrize(
+        "payload", [b"[1,2]", b'"ready"', b"7", b"null", b"[" * 100_000]
+    )
+    def test_payload_that_is_not_a_json_object_rejected(self, payload):
+        decoder = FrameDecoder()
+        with pytest.raises(TransportError):
+            list(decoder.feed(_LENGTH.pack(len(payload)) + payload))
+
+    def test_unhashable_type_rejected(self):
+        with pytest.raises(ValidationError, match="unknown message type"):
+            decode_message({"type": ["ready"]})
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            {"type": "complete", "worker": "w", "epoch": 1, "request_id": "r",
+             "ok": True, "output": [1]},
+            {"type": "dispatch", "request_id": "r", "object_id": "o",
+             "fn_name": "f", "epoch": 1, "seq": 1, "payload": None},
+        ],
+        ids=["complete.output", "dispatch.payload"],
+    )
+    def test_object_field_that_is_not_an_object_rejected(self, wire):
+        with pytest.raises(ValidationError, match="is not an object"):
+            decode_message(wire)
 
     def test_unknown_wire_fields_ignored(self):
         wire = Heartbeat(worker="w-0", epoch=2).to_wire()
