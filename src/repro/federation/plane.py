@@ -132,7 +132,16 @@ class FederationPlane(Plane):
         # Generalise the flat inter-region RTT into the zone matrix for
         # every node-to-node transfer.
         network.zone_rtt = self._node_pair_rtt
+        network.forget_regions()
         self._stats: dict[str, _ClassFederationStats] = {}
+        #: (owner tuple, origin zone) -> (nearest replica, its zone, the
+        #: client-leg RTT).  The owner tuple already carries ring
+        #: membership and migration pins, so an entry goes stale only
+        #: when a node *name* changes zone (it fails, then rejoins
+        #: elsewhere): :meth:`forget_routes` drops the memo then.
+        self._routes: dict[
+            tuple[tuple[str, ...], str], tuple[str, str | None, float]
+        ] = {}
 
     # -- latency model -------------------------------------------------------
 
@@ -156,16 +165,32 @@ class FederationPlane(Plane):
         """The eligible replica nearest to the origin zone.
 
         Deterministic: replicas are compared by client-leg RTT, ties
-        resolved by the baseline owner order.
+        resolved by the baseline owner order.  Decided once per (owner
+        tuple, origin zone); a request looks the answer up.
         """
-        owners = dht.owners(object_id)
+        return self._routed(dht.owners(object_id), origin_zone)[0]
 
-        def leg(node: str) -> float:
-            zone = self.planner.zone_of_node(node)
-            return self.zone_rtt_s(origin_zone, zone.name if zone else None)
+    def _routed(
+        self, owners: tuple[str, ...], origin_zone: str
+    ) -> tuple[str, str | None, float]:
+        routed = self._routes.get((owners, origin_zone))
+        if routed is None:
+            zones = [self.planner.zone_of_node(node) for node in owners]
+            names = [zone.name if zone else None for zone in zones]
+            legs = [self.zone_rtt_s(origin_zone, name) for name in names]
+            index = min(range(len(owners)), key=lambda i: (legs[i], i))
+            routed = self._routes[(owners, origin_zone)] = (
+                owners[index], names[index], legs[index]
+            )
+        return routed
 
-        index = min(range(len(owners)), key=lambda i: (leg(owners[i]), i))
-        return owners[index]
+    def forget_routes(self) -> None:
+        """Drop the geo-routing memo: a node left or joined, so a name
+        may sit in another zone than when its routes were decided."""
+        self._routes.clear()
+
+    def node_failed(self, node: str, stats: dict[str, dict[str, int]]) -> None:
+        self.forget_routes()
 
     def admit(
         self,
@@ -184,7 +209,9 @@ class FederationPlane(Plane):
         ``jurisdiction`` NFR verdict).
         """
         zone = self.topology.zone(origin_zone)
-        stats = self._stats.setdefault(cls, _ClassFederationStats())
+        stats = self._stats.get(cls)
+        if stats is None:
+            stats = self._stats[cls] = _ClassFederationStats()
         stats.accesses += 1
         if jurisdictions and not self.topology.matches_jurisdiction(
             zone.name, jurisdictions
@@ -202,11 +229,10 @@ class FederationPlane(Plane):
                 f"origin zone {zone.name!r} is outside class {cls!r}'s "
                 f"jurisdictions {list(jurisdictions)}"
             )
-        target = self.route(dht, object_id, zone.name)
-        target_zone = self.planner.zone_of_node(target)
-        if target_zone is None or target_zone.name != zone.name:
+        _target, target_zone, leg = self._routed(dht.owners(object_id), zone.name)
+        if target_zone != zone.name:
             stats.cross_zone += 1
-        return self.zone_rtt_s(zone.name, target_zone.name if target_zone else None)
+        return leg
 
     # -- placement (CRM hooks) -----------------------------------------------
 

@@ -324,13 +324,12 @@ class InvocationEngine:
         node, then the object's owners, then any member — skipping nodes
         already failed this request and nodes with an open breaker.
         """
-        router = self.directory.router_for(cls)
         fed = self.federation
         if not exclude and not self.breakers.active:
             if fed is not None and origin_zone is not None:
                 return fed.route(dht, object_id, origin_zone)
-            return router.place(object_id)
-        primary = router.place(object_id)
+            return self.directory.router_for(cls).place(object_id)
+        primary = self.directory.router_for(cls).place(object_id)
         fallback: str | None = None
         seen: set[str] = set()
         for node in (primary, *dht.owners(object_id), *dht.nodes):

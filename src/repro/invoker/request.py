@@ -48,6 +48,20 @@ class InvocationRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "payload", dict(self.payload))
 
+    def stamp(
+        self,
+        origin_zone: str | None,
+        trace_id: str | None = None,
+        trace_parent: int | None = None,
+    ) -> None:
+        """Fill in where the request came from and the trace it belongs
+        to — the gateway's last step on a request it has just parsed and
+        not yet handed to anyone, in place of rebuilding it field by
+        field.  A request that arrived from a caller is never stamped."""
+        object.__setattr__(self, "origin_zone", origin_zone)
+        object.__setattr__(self, "trace_id", trace_id)
+        object.__setattr__(self, "trace_parent", trace_parent)
+
 
 @dataclass(frozen=True)
 class InvocationResult:

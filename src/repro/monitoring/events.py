@@ -70,17 +70,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["PlatformEvent", "EventLog", "emit"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlatformEvent:
-    """One recorded control-plane action."""
+    """One recorded control-plane action (slotted: the log retains up to
+    ``capacity`` of them)."""
 
     seq: int
     at: float
     type: str
     fields: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fields", dict(self.fields))
 
     def to_dict(self) -> dict[str, Any]:
         return {"seq": self.seq, "at": self.at, "type": self.type, **self.fields}
@@ -109,7 +107,8 @@ class EventLog:
         self._seq += 1
         if len(self._events) == self._events.maxlen:
             self.dropped += 1
-        event = PlatformEvent(seq=self._seq, at=self.env.now, type=type, fields=fields)
+        # ``fields`` is this call's own dict: the event keeps it.
+        event = PlatformEvent(self._seq, self.env.now, type, fields)
         self._events.append(event)
         return event
 
@@ -157,4 +156,5 @@ def emit(
     if events is not None:
         events.record(type, **fields)
     if tracer is not None and tracer.enabled:
-        tracer.finish(tracer.start(trace_id, type, **fields))
+        span = tracer.start(trace_id, type, **fields)
+        span.end = span.start  # opened and closed in the one call

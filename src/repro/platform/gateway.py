@@ -44,7 +44,6 @@ platform.
 
 from __future__ import annotations
 
-import dataclasses
 import urllib.parse
 from typing import Any, Generator, Mapping
 
@@ -180,13 +179,17 @@ class Gateway:
                 if isinstance(admin, HttpResponse):
                     return admin
                 return (yield from admin)
-        if self.engine.federation is not None and isinstance(invocation, InvocationRequest):
+        if not isinstance(invocation, InvocationRequest):
+            # A listing, a 405 or nobody's route: answered here.
+            if self.overhead_s:
+                yield self.env.timeout(self.overhead_s)
+            return no_route(http) if invocation is None else invocation
+        origin = None
+        if self.engine.federation is not None:
             # The engine geo-routes: tell it where the request came from.
             origin = http.headers.get("x-origin-zone") or self.default_origin_zone
-            if origin is not None:
-                invocation = dataclasses.replace(invocation, origin_zone=origin)
         admitted = False
-        if isinstance(invocation, InvocationRequest) and self.qos is not None:
+        if self.qos is not None:
             # Admission runs before any overhead is spent: a rejected
             # request costs the platform (almost) nothing, which is what
             # makes declared throughput enforceable under flood.
@@ -213,23 +216,17 @@ class Gateway:
                 )
             admitted = True
         try:
+            # _route built this request and nobody else holds it yet:
+            # origin and trace context are stamped into it, not copied.
             span = None
-            if self.tracer.enabled and isinstance(invocation, InvocationRequest):
-                trace_id = invocation.trace_id or invocation.request_id
-                span = self.tracer.start(
-                    trace_id,
-                    f"gateway {http.method} {http.path}",
-                    parent=invocation.trace_parent,
-                )
-                invocation = dataclasses.replace(
-                    invocation, trace_id=trace_id, trace_parent=span.span_id
-                )
+            if self.tracer.enabled:
+                trace_id = invocation.request_id
+                span = self.tracer.start(trace_id, f"gateway {http.method} {http.path}")
+                invocation.stamp(origin, trace_id, span.span_id)
+            elif origin is not None:
+                invocation.stamp(origin)
             if self.overhead_s:
                 yield self.env.timeout(self.overhead_s)
-            if invocation is None:
-                return no_route(http)
-            if isinstance(invocation, HttpResponse):
-                return invocation
             result = yield from self.engine.invoke_steps(invocation)
             response = result_response(invocation, result)
             self.tracer.finish(span, status=response.status)

@@ -493,6 +493,7 @@ class Oparaca:
         Returns per-class failover statistics.
         """
         self.cluster.remove_node(name)
+        self.network.forget_regions()
         # Re-plan every class's placement hints before the reconciles
         # below (the planner scores by free capacity), so replacement
         # pods land where placement says, not on whatever is free.
@@ -517,6 +518,11 @@ class Oparaca:
             ResourceSpec(self.config.node_cpu_millis, self.config.node_memory_mb),
             labels=labels,
         )
+        # The name may have sat in another zone before: what was decided
+        # per node name (pair RTTs, geo-routes) is decided again.
+        self.network.forget_regions()
+        if self.federation is not None:
+            self.federation.forget_routes()
         for runtime in self.crm.runtimes.values():
             # Placement decides eligibility (jurisdiction, and with the
             # federation planner tier pinning), exactly as at deploy time.

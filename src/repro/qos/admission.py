@@ -118,12 +118,15 @@ class AdmissionController:
         self.concurrency_limit = concurrency_limit
         self.in_flight = 0
         self._buckets: dict[str, TokenBucket] = {}
+        #: cls -> the (frozen) decision every admitted request of the
+        #: class gets: built once, handed out per request.
+        self._admits: dict[str, AdmissionDecision] = {}
         self.admitted: dict[str, int] = {}
         self.rejected_rate: dict[str, int] = {}
         self.rejected_concurrency: dict[str, int] = {}
 
     def _bucket_for(self, policy: QosPolicy) -> TokenBucket | None:
-        if policy.unlimited:
+        if policy.rate_rps is None:  # unlimited
             return None
         bucket = self._buckets.get(policy.cls)
         if bucket is None:
@@ -175,7 +178,10 @@ class AdmissionController:
         if use_ceiling:
             self.in_flight += 1
         self.admitted[cls] = self.admitted.get(cls, 0) + 1
-        return AdmissionDecision(admitted=True, reason=ADMIT, cls=cls)
+        decision = self._admits.get(cls)
+        if decision is None:
+            decision = self._admits[cls] = AdmissionDecision(True, ADMIT, cls)
+        return decision
 
     def release(self) -> None:
         """Return an in-flight slot taken by an admitted ceiling check."""

@@ -177,22 +177,40 @@ class Network:
         #: zone-pair latency matrix.  ``None`` (the baseline) keeps
         #: cross-region transfers on the flat model, byte-identical.
         self.zone_rtt: Callable[[str, str], float | None] | None = None
+        #: (src, dst) -> (crosses a region border?, matrix RTT minus the
+        #: flat inter-region RTT): what the two resolvers say about an
+        #: endpoint pair, asked once.  A function of which region each
+        #: node name sits in — :meth:`forget_regions` drops it when a
+        #: node leaves or joins.
+        self._pairs: dict[tuple[str | None, str | None], tuple[bool, float]] = {}
         self.total_transfers = 0
         self.total_bytes = 0
         self.remote_transfers = 0
         self.cross_region_transfers = 0
         self.dropped_transfers = 0
 
-    def _cross_region(self, src: str | None, dst: str | None) -> bool:
-        if self.region_of is None or src is None or dst is None:
-            return False
-        src_region = self.region_of(src)
-        dst_region = self.region_of(dst)
-        return (
-            src_region is not None
-            and dst_region is not None
-            and src_region != dst_region
-        )
+    def _resolve_pair(self, src: str | None, dst: str | None) -> tuple[bool, float]:
+        cross, adjust = False, 0.0
+        if self.region_of is not None and src is not None and dst is not None:
+            src_region = self.region_of(src)
+            dst_region = self.region_of(dst)
+            cross = (
+                src_region is not None
+                and dst_region is not None
+                and src_region != dst_region
+            )
+        if cross and self.zone_rtt is not None:
+            matrix_rtt = self.zone_rtt(src, dst)  # type: ignore[arg-type]
+            if matrix_rtt is not None:
+                adjust = matrix_rtt - self.model.inter_region_rtt_s
+        self._pairs[(src, dst)] = cross, adjust
+        return cross, adjust
+
+    def forget_regions(self) -> None:
+        """Drop what was resolved per endpoint pair: cluster membership
+        (or the zone resolver) changed, so a node name may now sit in
+        another region."""
+        self._pairs.clear()
 
     def transfer(self, src: str | None, dst: str | None, nbytes: int = 0) -> Event:
         """Return an event firing when the exchange completes.
@@ -204,16 +222,11 @@ class Network:
         self.total_bytes += nbytes
         if src is None or src != dst:
             self.remote_transfers += 1
-        cross = self._cross_region(src, dst)
+        cross, adjust = self._pairs.get((src, dst)) or self._resolve_pair(src, dst)
+        delay = self.model.transfer_time(src, dst, nbytes, cross)
         if cross:
             self.cross_region_transfers += 1
-        delay = self.model.transfer_time(src, dst, nbytes, cross)
-        if cross and self.zone_rtt is not None:
-            # src/dst are non-None here: _cross_region already resolved
-            # both to (distinct) regions.
-            matrix_rtt = self.zone_rtt(src, dst)  # type: ignore[arg-type]
-            if matrix_rtt is not None:
-                delay += matrix_rtt - self.model.inter_region_rtt_s
+            delay += adjust
         faults = self.faults
         if faults is not None and faults.active:
             if faults.partitioned(src, dst):

@@ -209,13 +209,13 @@ class Dht:
                 return pinned
         return self.ring.owner(key)
 
-    def owners(self, key: str) -> list[str]:
+    def owners(self, key: str) -> tuple[str, ...]:
         ring_owners = self.ring.owners(key, self.model.replication)
         if self._pins:
             pinned = self._pins.get(key)
             if pinned is not None:
                 followers = [n for n in ring_owners if n != pinned]
-                return [pinned] + followers[: self.model.replication - 1]
+                return (pinned, *followers[: self.model.replication - 1])
         return ring_owners
 
     # -- data path -----------------------------------------------------------
@@ -283,7 +283,7 @@ class Dht:
             return None
         raise partition_error
 
-    def _load_miss(self, key: str, node: str, owners: list[str]) -> Generator:
+    def _load_miss(self, key: str, node: str, owners: tuple[str, ...]) -> Generator:
         """Load a missed key from the document store via owner ``node``.
 
         With ``read_coalescing`` the first miss becomes the *leader*: it
@@ -321,7 +321,7 @@ class Dht:
         return (yield self.store.read(self.collection, key))
 
     def _install_owners(
-        self, key: str, node: str, owners: list[str], loaded: dict[str, Any]
+        self, key: str, node: str, owners: tuple[str, ...], loaded: dict[str, Any]
     ) -> None:
         for replica in owners:
             # Never push a (possibly stale) store copy into an

@@ -84,11 +84,12 @@ class HashRing:
         """The primary owner node of ``key``."""
         return self._walk(key, 1)[0]
 
-    def owners(self, key: str, count: int) -> list[str]:
-        """Primary plus the next ``count - 1`` distinct replica nodes."""
+    def owners(self, key: str, count: int) -> tuple[str, ...]:
+        """Primary plus the next ``count - 1`` distinct replica nodes —
+        the interned walk itself whenever it is exactly that long."""
         if count < 1:
             raise StorageError(f"replica count must be >= 1, got {count}")
-        return list(self._walk(key, count)[:count])
+        return self._walk(key, count)[:count]
 
     def forget(self, key: str) -> None:
         """Drop ``key``'s memoised walk (its owner no longer holds it)."""
@@ -97,10 +98,12 @@ class HashRing:
     def _walk(self, key: str, count: int) -> tuple[str, ...]:
         """At least the first ``min(count, len(self))`` distinct nodes
         clockwise from ``key``'s point, memoised."""
+        walk = self._walks.get(key)
+        if walk is not None and len(walk) >= count:
+            return walk  # membership changes clear the memo: still current
         if not self._nodes:
             raise StorageError("hash ring is empty")
         count = min(count, len(self._nodes))
-        walk = self._walks.get(key)
         if walk is None or len(walk) < count:
             points = self._points
             index = bisect.bisect_right(points, stable_hash(key))

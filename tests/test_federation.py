@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import FaultPlan, WanDegradation, ZonePartition
+from repro.crm.template import ClassRuntimeTemplate, RuntimeConfig, TemplateCatalog
 from repro.errors import (
     DeploymentError,
     SchedulingError,
@@ -373,6 +374,141 @@ class TestMigration:
         assert dht.owner(obj) != target
         # Replicated state survives the pinned node's crash.
         assert platform.invoke(obj, "bump", {}).ok
+
+
+GEO_YAML = """
+name: geo-app
+classes:
+  - name: Doc
+    keySpecs: [{name: n, type: INT, default: 0}]
+    functions: [{name: bump, image: f/bump}]
+"""
+ORIGINS = ("edge-a", "region-a", "core")
+
+
+def nearest_replica(fed, owners, origin):
+    """Geo-routing as it was written before it was memoised: every
+    replica's client leg evaluated fresh, ties to the owner order."""
+
+    def leg(node):
+        zone = fed.planner.zone_of_node(node)
+        return fed.zone_rtt_s(origin, zone.name if zone else None)
+
+    return owners[min(range(len(owners)), key=lambda i: (leg(owners[i]), i))]
+
+
+class TestRoutingUnderTopologyChange:
+    """Geo-routes and pair RTTs are decided once and looked up per
+    request; these are the three ways the decision can change."""
+
+    def platform(self):
+        # Two replicas per object over six nodes in three zones: where a
+        # request is served depends on where it comes from.
+        platform = make_platform(
+            GEO_YAML,
+            {"f/bump": (_bump, 0.002)},
+            nodes=6,
+            seed=7,
+            regions=ORIGINS,
+            catalog=TemplateCatalog(
+                [ClassRuntimeTemplate("replicated", config=RuntimeConfig(replication=2))]
+            ),
+            federation=FederationConfig(enabled=True, zones=THREE_TIER, zone_rtt_s=RTT),
+        )
+        ids = [platform.new_object("Doc", object_id=f"d-{i}") for i in range(40)]
+        return platform, platform.federation, platform.crm.dht_for("Doc"), ids
+
+    def zones_of(self, fed, nodes):
+        return [fed.planner.zone_of_node(node).name for node in nodes]
+
+    def warm(self, platform, fed, dht, ids):
+        """Ask every question once, so a stale answer would be served."""
+        for obj in ids:
+            for origin in ORIGINS:
+                fed.route(dht, obj, origin)
+        for src in platform.cluster.node_names:
+            for dst in platform.cluster.node_names:
+                platform.network.transfer(src, dst)
+
+    def assert_routes_fresh(self, fed, dht, ids):
+        for obj in ids:
+            for origin in ORIGINS:
+                assert fed.route(dht, obj, origin) == nearest_replica(
+                    fed, dht.owners(obj), origin
+                )
+
+    def test_node_rejoining_in_another_zone_is_routed_and_priced_there(self):
+        platform, fed, dht, ids = self.platform()
+        model = platform.network.model
+        assert platform.cluster.region_of("vm-2") == "core"
+        # Replicas on vm-2 (core) and a region-a node: from the edge the
+        # regional copy is nearer (20 ms against 80 ms).
+        obj = next(
+            o for o in ids
+            if "vm-2" in dht.owners(o)
+            and sorted(self.zones_of(fed, dht.owners(o))) == ["core", "region-a"]
+        )
+        owners = dht.owners(obj)
+        regional = next(node for node in owners if node != "vm-2")
+        self.warm(platform, fed, dht, ids)
+        assert fed.route(dht, obj, "edge-a") == regional
+        assert fed.admit("edge-a", "Doc", (), dht, obj) == pytest.approx(0.02)
+        assert platform.network.transfer("vm-2", regional).delay == pytest.approx(0.03)
+        assert fed.class_stats("Doc")["cross_zone"] == 1
+
+        platform.fail_node("vm-2")
+        platform.add_node("vm-2", region="edge-a")
+        # Same name, same ring points, same owner tuple — another zone.
+        assert dht.owners(obj) == owners
+        assert fed.route(dht, obj, "edge-a") == "vm-2"
+        assert fed.admit("edge-a", "Doc", (), dht, obj) == model.rtt_s
+        assert fed.class_stats("Doc")["cross_zone"] == 1  # served in-zone now
+        assert platform.network.transfer("vm-2", regional).delay == pytest.approx(0.02)
+        assert platform.network.transfer("vm-2", "vm-0").delay == model.rtt_s
+        reply = platform.http(
+            "POST", f"/api/objects/{obj}/invokes/bump", {},
+            headers={"X-Origin-Zone": "edge-a"},
+        )
+        assert reply.status == 200
+        assert fed.class_stats("Doc") == {"accesses": 3, "cross_zone": 1, "rejections": 0}
+        self.assert_routes_fresh(fed, dht, ids)
+
+    def test_migration_pin_reorders_owners_and_route_follows(self):
+        platform, fed, dht, ids = self.platform()
+        # Both replicas at the edge: a core client crosses zones.
+        obj = next(
+            o for o in ids if self.zones_of(fed, dht.owners(o)) == ["edge-a", "edge-a"]
+        )
+        self.warm(platform, fed, dht, ids)
+        assert fed.route(dht, obj, "core") == dht.owners(obj)[0]
+        fed.admit("core", "Doc", (), dht, obj)
+        assert fed.class_stats("Doc")["cross_zone"] == 1
+
+        summary = platform.migrate_object(obj, "core", cls="Doc")
+        pinned = summary["target"]
+        assert dht.owners(obj)[0] == pinned
+        assert fed.route(dht, obj, "core") == pinned
+        assert fed.admit("core", "Doc", (), dht, obj) == platform.network.model.rtt_s
+        assert fed.class_stats("Doc")["cross_zone"] == 1  # no longer crossing
+        # An edge client still has an edge follower to read from.
+        assert fed.planner.zone_of_node(fed.route(dht, obj, "edge-a")).name == "edge-a"
+        self.assert_routes_fresh(fed, dht, ids)
+
+    def test_added_nearer_replica_is_routed_to(self):
+        platform, fed, dht, ids = self.platform()
+        self.warm(platform, fed, dht, ids)
+        before = {obj: fed.route(dht, obj, "core") for obj in ids}
+        platform.add_node("vm-6", region="core")
+        assert "vm-6" in dht.nodes
+        gained = [
+            obj for obj in ids
+            if "vm-6" in dht.owners(obj)
+            and fed.planner.zone_of_node(before[obj]).name != "core"
+        ]
+        assert gained  # some object had no core replica until now
+        for obj in gained:
+            assert fed.route(dht, obj, "core") == "vm-6"
+        self.assert_routes_fresh(fed, dht, ids)
 
 
 class TestPlacementLifecycle:

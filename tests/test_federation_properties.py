@@ -1,18 +1,22 @@
 """Property-based tests (hypothesis) for the federation plane: the
-placement scorer's determinism and constraint-safety, and the migration
-protocol's version monotonicity / exactly-once visibility."""
+placement scorer's determinism and constraint-safety, geo-routing's
+memo against the expression it memoises, and the migration protocol's
+version monotonicity / exactly-once visibility."""
 
 from __future__ import annotations
 
 import string
+from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.federation import FederationConfig, PlacementPlanner, Zone, ZoneTopology
+from repro.federation.plane import FederationPlane
 from repro.model.nfr import Constraint, NonFunctionalRequirements, QosRequirement
 from repro.orchestrator.cluster import Cluster
 from repro.sim.kernel import Environment
+from repro.sim.network import Network, NetworkModel
 
 from tests.helpers import make_platform
 
@@ -121,6 +125,55 @@ class TestPlannerProperties:
         plan = planner.plan(NonFunctionalRequirements())
         # "b" sits near both others; "a"/"c" each have one far edge.
         assert planner.zone_of_node(plan[0]).name == "b"
+
+
+class TestGeoRouteProperties:
+    @given(topo=topologies(), data=st.data())
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    def test_memoised_route_equals_the_fresh_ranking(self, topo, data):
+        zones, rtt = topo
+        env = Environment()
+        cluster = Cluster(env)
+        nodes = [f"vm-{index}" for index in range(2 * len(zones))]
+        for index, node in enumerate(nodes):
+            cluster.add_node(node, labels={"region": zones[index % len(zones)].name})
+        network = Network(env, NetworkModel(), region_of=cluster.region_of)
+        fed = FederationPlane(
+            env, cluster, network, crm=None,
+            config=FederationConfig(enabled=True, zones=zones, zone_rtt_s=rtt),
+        )
+
+        def reference(owners, origin):
+            # The ranking as written before it was memoised.
+            def leg(node):
+                zone = fed.planner.zone_of_node(node)
+                return fed.zone_rtt_s(origin, zone.name if zone else None)
+
+            return owners[min(range(len(owners)), key=lambda i: (leg(owners[i]), i))]
+
+        owner_orders = st.lists(st.sampled_from(nodes), min_size=1, max_size=4, unique=True)
+        origins = st.sampled_from([zone.name for zone in zones])
+        queries = data.draw(
+            st.lists(st.tuples(owner_orders.map(tuple), origins), min_size=1, max_size=8)
+        )
+
+        def ask_all():
+            for owners, origin in queries:
+                dht = SimpleNamespace(owners=lambda _key: owners)  # a DHT's one question
+                expected = reference(owners, origin)
+                # Asked twice: the second answer is the remembered one.
+                assert fed.route(dht, "k", origin) == expected
+                assert fed.route(dht, "k", origin) == expected
+
+        ask_all()
+        for _ in range(data.draw(st.integers(0, 3))):
+            # A node fails and rejoins under another zone's label: every
+            # remembered answer that involved it may have changed.
+            moved = data.draw(st.sampled_from(nodes))
+            cluster.remove_node(moved)
+            fed.node_failed(moved, {})
+            cluster.add_node(moved, labels={"region": data.draw(origins)})
+            ask_all()
 
 
 MIG_YAML = """

@@ -1,12 +1,17 @@
 """Tests for the REST gateway and the Oparaca facade."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import OaasError
+from repro.invoker.request import InvocationRequest
 from repro.platform.gateway import HttpRequest, HttpResponse
 from repro.platform.oparaca import Oparaca, PlatformConfig
+from repro.sim.kernel import all_of
 
 from tests.conftest import LISTING1_YAML, register_image_handlers
+from tests.test_federation import fed_platform
 
 
 class TestGatewayRouting:
@@ -97,6 +102,79 @@ class TestGatewayRouting:
     def test_response_ok_property(self):
         assert HttpResponse(200).ok
         assert not HttpResponse(404).ok
+
+
+class TestRequestStamping:
+    """The gateway fills origin zone and trace context into the request
+    it has just parsed — and only into that one."""
+
+    def traced(self, **federation):
+        platform = fed_platform(**federation)
+        platform.tracer.enable()
+        return platform
+
+    def test_callers_request_is_never_mutated(self):
+        platform = self.traced(default_origin_zone="edge-a")
+        obj = platform.new_object("Sensor", object_id="s-1")
+        requests = [
+            InvocationRequest(object_id=obj, fn_name="bump", payload={"by": 1}),
+            InvocationRequest(
+                object_id=obj, fn_name="bump", origin_zone="region-a",
+                trace_id="t-7", trace_parent=7,
+            ),
+        ]
+        before = [dataclasses.asdict(request) for request in requests]
+        for request in requests:
+            assert platform.run(platform.engine.invoke(request)).ok
+            assert platform.run(platform.queue.submit(request)).ok
+        assert [dataclasses.asdict(request) for request in requests] == before
+        assert platform.invoke(obj, "bump", {}).ok  # the facade builds its own
+        # The caller's trace context was honoured, not replaced.
+        roots = [span for span in platform.tracer.trace("t-7") if span.name == "invoke bump"]
+        assert roots and {span.parent_id for span in roots} == {7}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            requests[0].origin_zone = "core"
+
+    def test_concurrent_requests_for_one_object_get_their_own_trace(self):
+        platform = self.traced(default_origin_zone="edge-a")
+        obj = platform.new_object("Sensor", object_id="s-2")
+        http = HttpRequest("POST", f"/api/objects/{obj}/invokes/bump", {})
+        replies = platform.run(
+            all_of(platform.env, [platform.gateway.handle(http) for _ in range(2)])
+        )
+        assert [reply.status for reply in replies] == [200, 200]
+        gateway_spans = [s for s in platform.tracer.spans() if s.name.startswith("gateway ")]
+        invoke_spans = [s for s in platform.tracer.spans() if s.name == "invoke bump"]
+        assert len(gateway_spans) == len(invoke_spans) == 2
+        assert len({span.trace_id for span in gateway_spans}) == 2
+        # Each invocation hangs under the gateway span of its own request.
+        assert [(s.trace_id, s.parent_id) for s in invoke_spans] == [
+            (s.trace_id, s.span_id) for s in gateway_spans
+        ]
+
+    def test_origin_header_wins_over_the_default_zone(self):
+        # Sensor admits edge-a / region-a only; the default origin is outside.
+        platform = self.traced(default_origin_zone="core")
+        obj = platform.new_object("Sensor", object_id="s-3")
+        path = f"/api/objects/{obj}/invokes/bump"
+        assert platform.http("POST", path, {}).status == 451
+        assert platform.http("POST", path, {}, headers={"X-Origin-Zone": "edge-a"}).status == 200
+        assert platform.federation.class_stats("Sensor") == {
+            "accesses": 2, "cross_zone": 0, "rejections": 1
+        }
+
+    def test_unknown_origin_zone_answers_as_before(self):
+        platform = self.traced(default_origin_zone="core")
+        obj = platform.new_object("Sensor", object_id="s-4")
+        reply = platform.http(
+            "POST", f"/api/objects/{obj}/invokes/bump", {}, headers={"X-Origin-Zone": "mars"}
+        )
+        assert reply.status == 400
+        assert reply.body == {
+            "error": "unknown zone 'mars'; known zones: ['core', 'edge-a', 'region-a']",
+            "type": "ValidationError",
+        }
+        assert platform.federation.class_stats("Sensor")["accesses"] == 0
 
 
 class TestFacade:

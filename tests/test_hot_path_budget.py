@@ -5,18 +5,31 @@ input to a pure function, commit through write-behind.  What the
 simulator spends on them is held here as exact, seeded counts (they
 repeat to the last unit, so nothing is timed): kernel dispatches, md5
 hashes, ``json.dumps`` calls and document copies per operation, on a
-three-node platform with every plane off.  docs/architecture.md,
-"Hot-path rules", says what keeps them there.
+three-node platform with every plane off.  A second arm turns every
+plane on (the benchmark's ``sim-planes`` configuration) and holds what
+the planes may *not* spend per request: no rebuilt request, no zone or
+region resolved again, no call per kernel event for the profile — with
+the dispatches and spans per operation pinned, so the saving cannot come
+from doing less.  docs/architecture.md, "Hot-path rules", says what
+keeps them there.
 """
 
+import dataclasses
+import functools
 import hashlib
 import json
 import random
 
 import repro.storage.dht
 import repro.storage.kv
+from repro.durability.plane import DurabilityConfig
+from repro.federation import FederationConfig, PlacementPlanner, Zone
+from repro.monitoring.plane import MetricsConfig
+from repro.orchestrator.cluster import Cluster
 from repro.platform.gateway import HttpRequest
-from repro.sim.kernel import all_of
+from repro.qos.plane import QosConfig
+from repro.scheduler.plane import SchedulerConfig
+from repro.sim.kernel import Environment, all_of
 
 from tests.helpers import make_platform
 
@@ -47,7 +60,8 @@ def add(ctx):
 
 
 class CallCounter:
-    """Counts calls to a function it stands in for."""
+    """Counts calls to a function (or, patched onto a class, a method)
+    it stands in for."""
 
     def __init__(self, wrapped):
         self.wrapped = wrapped
@@ -57,6 +71,20 @@ class CallCounter:
         self.calls += 1
         return self.wrapped(*args, **kwargs)
 
+    def __get__(self, instance, owner=None):
+        return self if instance is None else functools.partial(self, instance)
+
+
+def draw_targets(rng, ids, count):
+    """``count`` targets dealt round the clients.  Each client works its
+    own slice of the objects: commits never conflict, so the counts are
+    the path's and not the contention's."""
+    slices = [ids[client::CLIENTS] for client in range(CLIENTS)]
+    targets = [[] for _ in range(CLIENTS)]
+    for index in range(count):
+        targets[index % CLIENTS].append(rng.choice(slices[index % CLIENTS]))
+    return targets
+
 
 def run_workload(monkeypatch, seed=7):
     platform = make_platform(ORDER_YAML, {"budget/add": (add, 0.002)}, nodes=3, seed=seed)
@@ -65,18 +93,9 @@ def run_workload(monkeypatch, seed=7):
         for index in range(OBJECTS)
     ]
     platform.flush()
-    # Each client works its own slice of the objects: commits never
-    # conflict, so the counts are the path's and not the contention's.
     rng = random.Random(seed)
-    slices = [ids[client::CLIENTS] for client in range(CLIENTS)]
-
-    def draw(count):
-        targets = [[] for _ in range(CLIENTS)]
-        for index in range(count):
-            targets[index % CLIENTS].append(rng.choice(slices[index % CLIENTS]))
-        return targets
-
-    sync_targets, async_targets = draw(SYNC_ADDS), draw(ASYNC_ADDS)
+    sync_targets = draw_targets(rng, ids, SYNC_ADDS)
+    async_targets = draw_targets(rng, ids, ASYNC_ADDS)
     env = platform.env
 
     md5 = CallCounter(hashlib.md5)
@@ -136,3 +155,147 @@ def test_counts_per_operation_stay_within_budget(monkeypatch):
 
 def test_counts_repeat_exactly(monkeypatch):
     assert run_workload(monkeypatch) == run_workload(monkeypatch)
+
+
+# -- every plane on -------------------------------------------------------------
+
+PLANES_YAML = """
+name: budget
+classes:
+  - name: Order
+    qos: {throughput: 1000000}
+    constraint: {persistence: standard}
+    keySpecs:
+      - {name: total, type: INT, default: 0}
+      - {name: note, type: STR, default: ""}
+    functions:
+      - {name: add, image: budget/add, provision: {minScale: 3}}
+      - {name: peek, image: budget/peek, mutable: false, provision: {minScale: 3}}
+"""
+
+ZONES = (
+    Zone("edge", tier="edge", parent="regional"),
+    Zone("regional", tier="regional", parent="core"),
+    Zone("core", tier="core"),
+)
+ZONE_RTT = (("edge", "regional", 0.004), ("regional", "core", 0.010), ("edge", "core", 0.020))
+PEEKS = 400
+WARMUP = 80
+
+#: Exact for the seed, and equal to what the same script measured on the
+#: commit before the planes were paid for (where ``replace`` ran twice
+#: per gateway request, ``zone_of_node`` + ``region_of`` 7.1 times per
+#: op and ``step`` once per dispatch): no event and no span was added
+#: or removed.
+PLANES_DISPATCHES_PER_OP = 9333 / 900
+PLANES_SPANS_PER_OP = 6972 / 900
+#: The memos are filled during warm-up; a periodic plane (the snapshot
+#: cut, a scrape) may still resolve a node now and then.
+PLANES_BUDGET = {"replace": 0, "zone_lookups_per_op": 0.1, "step": 0}
+
+
+def peek(ctx):
+    return {"total": ctx.state.get("total", 0)}
+
+
+def planes_platform(seed=7):
+    """Every plane on, as ``benchmarks/perf`` configures ``sim-planes``."""
+    return make_platform(
+        PLANES_YAML,
+        {"budget/add": (add, 0.002), "budget/peek": (peek, 0.002)},
+        nodes=3,
+        seed=seed,
+        qos=QosConfig(enabled=True),
+        durability=DurabilityConfig(
+            enabled=True, default_interval_s=0.25, default_retention_s=2.0
+        ),
+        metrics=MetricsConfig(enabled=True, scrape_interval_s=0.25),
+        tracing_enabled=True,
+        events_enabled=True,
+        scheduler=SchedulerConfig(enabled=True, transport="sim"),
+        regions=tuple(zone.name for zone in ZONES),
+        federation=FederationConfig(
+            enabled=True, zones=ZONES, zone_rtt_s=ZONE_RTT, default_origin_zone="regional"
+        ),
+    )
+
+
+def run_planes_workload(monkeypatch, seed=7):
+    platform = planes_platform(seed)
+    ids = [
+        platform.new_object("Order", {"note": "x" * 64}, object_id=f"o-{index}")
+        for index in range(OBJECTS)
+    ]
+    platform.flush()
+    rng = random.Random(seed)
+    env = platform.env
+    acknowledged = []
+
+    def sync_client(fn, payload):
+        def client(targets):
+            for oid in targets:
+                reply = yield platform.gateway.handle(
+                    HttpRequest("POST", f"/api/objects/{oid}/invokes/{fn}", payload)
+                )
+                acknowledged.append(reply.status == 200)
+
+        return client
+
+    def async_client(targets):
+        for oid in targets:
+            result = yield platform.invoke_async(oid, "add", {"n": 1})
+            acknowledged.append(result.ok)
+
+    def run_clients(client, targets):
+        env.run(until=all_of(env, [env.process(client(own)) for own in targets]))
+        platform.flush()
+
+    run_clients(sync_client("add", {"n": 1}), draw_targets(rng, ids, WARMUP))  # fills the memos
+
+    def counted(owner, name):
+        counter = CallCounter(getattr(owner, name))
+        monkeypatch.setattr(owner, name, counter)
+        return counter
+
+    replaces = counted(dataclasses, "replace")
+    zone_lookups = counted(PlacementPlanner, "zone_of_node")
+    region_lookups = counted(Cluster, "region_of")
+    steps = counted(Environment, "step")
+    dispatched = env.profile.total_dispatches
+    spans = len(platform.tracer)
+    run_clients(sync_client("add", {"n": 1}), draw_targets(rng, ids, SYNC_ADDS))
+    run_clients(sync_client("peek", {}), draw_targets(rng, ids, PEEKS))
+    run_clients(async_client, draw_targets(rng, ids, ASYNC_ADDS))
+    ops = SYNC_ADDS + PEEKS + ASYNC_ADDS
+    counts = {
+        "replace": replaces.calls,
+        "zone_lookups_per_op": (zone_lookups.calls + region_lookups.calls) / ops,
+        "step": steps.calls,
+        "dispatches_per_op": (env.profile.total_dispatches - dispatched) / ops,
+        "spans_per_op": (len(platform.tracer) - spans) / ops,
+    }
+    monkeypatch.undo()
+    adds = WARMUP + SYNC_ADDS + ASYNC_ADDS
+    totals = sum(platform.get_object(oid)["state"]["total"] for oid in ids)
+    conflicts = platform.engine.cas_conflicts
+    platform.shutdown()
+    assert all(acknowledged) and len(acknowledged) == WARMUP + ops
+    assert totals == adds
+    assert conflicts == 0
+    return counts
+
+
+def test_planes_spend_nothing_per_request_on_what_was_decided_before_it(monkeypatch):
+    counts = run_planes_workload(monkeypatch)
+    over = {
+        name: (counts[name], budget)
+        for name, budget in PLANES_BUDGET.items()
+        if counts[name] > budget
+    }
+    assert not over, f"planes over budget (count, budget): {over}; all counts: {counts}"
+    assert counts["dispatches_per_op"] == PLANES_DISPATCHES_PER_OP
+    assert counts["spans_per_op"] == PLANES_SPANS_PER_OP
+
+
+def test_plane_counts_repeat_exactly(monkeypatch):
+    assert run_planes_workload(monkeypatch) == run_planes_workload(monkeypatch)

@@ -1,12 +1,17 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.monitoring.plane import MetricsConfig
 from repro.sim.kernel import Environment, all_of, any_of
 from repro.sim.resources import Container, Gate, RateLimiter, Resource
+
+from tests.helpers import listing1_platform
 
 
 def run_process(env, generator):
@@ -271,6 +276,123 @@ class TestStep:
 
     def test_peek_empty_is_inf(self, env):
         assert env.peek() == float("inf")
+
+
+def _seeded_graph(env, seed):
+    """Workers that sleep, queue on a shared resource, fan out to
+    children and race them — every event type the kernel dispatches."""
+    rng = random.Random(seed)
+    resource = Resource(env, 2)
+    results = []
+
+    def child(tag, delay):
+        yield env.timeout(delay)
+        return tag
+
+    def worker(tag):
+        for round_ in range(rng.randint(2, 5)):
+            yield env.timeout(rng.choice([0.0, 0.25, 1.0]))
+            slot = resource.request()
+            yield slot
+            yield env.timeout(rng.random())
+            resource.release()
+            children = [
+                env.process(child((tag, round_, k), rng.random())) for k in range(rng.randint(1, 3))
+            ]
+            combine = all_of if rng.random() < 0.5 else any_of
+            results.append((env.now, tag, (yield combine(env, children))))
+        return tag
+
+    return [env.process(worker(tag)) for tag in range(6)], results
+
+
+def _single_step(env):
+    while env.peek() < float("inf"):
+        env.step()
+
+
+class TestRunAndStepAccountIdentically:
+    """``run()`` and ``step()`` drive one loop: the same graph driven
+    either way dispatches the same events, profiled or not."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_counts_clock_and_results(self, seed):
+        outcomes = []
+        for drive in (Environment.run, _single_step):
+            env = Environment()
+            profile = env.enable_profiling()
+            workers, results = _seeded_graph(env, seed)
+            drive(env)
+            assert set(profile.dispatch_seconds) == set(profile.dispatch_count)
+            assert all(seconds >= 0.0 for seconds in profile.dispatch_seconds.values())
+            assert {name: row["count"] for name, row in profile.stats().items()} == (
+                profile.dispatch_count
+            )
+            outcomes.append(
+                (profile.dispatch_count, env.now, [w.value for w in workers], results)
+            )
+        assert outcomes[0] == outcomes[1]
+        assert set(outcomes[0][0]) == {"Event", "Timeout", "Process", "AllOf", "AnyOf"}
+
+    def test_profile_does_not_change_the_run(self):
+        outcomes = []
+        for profiled in (False, True):
+            env = Environment()
+            if profiled:
+                env.enable_profiling()
+            workers, results = _seeded_graph(env, 3)
+            env.run()
+            outcomes.append((env.now, [w.value for w in workers], results))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_crash_surfaces_the_same_either_way(self, profiled):
+        def crasher(env):
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        errors = []
+        for drive in (Environment.run, _single_step):
+            env = Environment()
+            if profiled:
+                env.enable_profiling()
+            env.process(crasher(env))
+            env.timeout(5.0)
+            with pytest.raises(SimulationError, match="unhandled failure") as caught:
+                drive(env)
+            assert isinstance(caught.value.__cause__, ValueError)
+            counts = dict(env.profile.dispatch_count) if profiled else None
+            errors.append((env.now, env.peek(), counts))
+        assert errors[0] == errors[1]
+
+
+class TestMetricsPlaneProfile:
+    def test_plane_dispatches_what_a_hand_enabled_profile_sees(self):
+        """The metrics plane turns the kernel profile on; the profile
+        observes and never perturbs, so the plane's run differs from the
+        same script profiled by hand only by the plane's own scraper —
+        its start and one timeout per scrape."""
+
+        def script(**config):
+            platform = listing1_platform(seed=11, **config)
+            profile = platform.env.enable_profiling()
+            image = platform.new_object("Image", {"width": 640})
+            for width in range(12):
+                assert platform.invoke(image, "resize", {"width": 100 + width}).ok
+            platform.advance(2.0)
+            return platform, profile
+
+        by_hand, hand_profile = script()
+        plane, plane_profile = script(metrics=MetricsConfig(enabled=True))
+        assert plane.env.profile is plane_profile  # the one the plane installed
+        assert plane.now == by_hand.now
+        scrapes = plane.metrics.scraper.scrapes
+        assert scrapes >= 1
+        expected = dict(hand_profile.dispatch_count)
+        expected["Event"] += 1
+        expected["Timeout"] += scrapes
+        assert plane_profile.dispatch_count == expected
+        assert plane_profile.total_dispatches == hand_profile.total_dispatches + 1 + scrapes
 
 
 class TestSlottedEvents:
