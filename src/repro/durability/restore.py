@@ -2,8 +2,9 @@
 
 Restore is the *operator* path: roll a class (or a single object) back
 to the latest snapshot generation at or before a requested point in
-time, paying timed object-store reads for the manifest and every data
-blob the manifest's index references.
+time, paying timed object-store reads for the generation's manifest
+chain (read concurrently) and every data blob the folded index
+references.
 
 Recovery is the *platform* path: after ``Dht.fail_node`` drops a
 partition (and its unflushed write-behind buffer), the plane reloads
@@ -33,7 +34,7 @@ from repro.errors import BucketNotFoundError, KeyNotFoundError, SnapshotNotFound
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.tracing import Tracer
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, all_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crm.runtime import ClassRuntime
@@ -87,12 +88,7 @@ class RestoreManager:
                 kind="pit",
                 generation=generation,
             )
-        store = tracker.object_store
-        manifest_obj = yield store.get_timed(
-            tracker.bucket, manifest_key(tracker.cls, generation)
-        )
-        manifest = json.loads(manifest_obj.data)
-        index = {key: (ref[0], ref[1]) for key, ref in manifest["index"].items()}
+        index, folded = yield from self._index_at(tracker, entry)
         docs = yield from self._fetch_indexed_docs(tracker, index)
         dht = runtime.dht
         purged = 0
@@ -102,7 +98,7 @@ class RestoreManager:
                 purged += 1
         for key in sorted(docs):
             dht.seed(docs[key], persist=True)
-        tracker.index = index
+        tracker.reset_index(index, base=generation, delta_entries=folded)
         self._reset_epochs(tracker, docs)
         tracker.dirty.clear()
         tracker.tombstones.clear()
@@ -136,17 +132,14 @@ class RestoreManager:
         entry = self._generation_at(tracker, at)
         generation = entry["generation"]
         store = tracker.object_store
-        manifest_obj = yield store.get_timed(
-            tracker.bucket, manifest_key(tracker.cls, generation)
-        )
-        manifest = json.loads(manifest_obj.data)
-        ref = manifest["index"].get(object_id)
+        index, _ = yield from self._index_at(tracker, entry)
+        ref = index.get(object_id)
         if ref is None:
             raise SnapshotNotFoundError(
                 f"object {object_id!r} of class {tracker.cls!r} is not in "
                 f"snapshot generation {generation} (cut at {entry['cut_time']})"
             )
-        source_gen, version = int(ref[0]), int(ref[1])
+        source_gen, version = ref
         blob = yield store.get_timed(
             tracker.bucket, data_key(tracker.cls, source_gen)
         )
@@ -158,8 +151,10 @@ class RestoreManager:
             )
         runtime.dht.seed(doc, persist=True)
         self._reset_epochs(tracker, {object_id: doc})
-        tracker.index[object_id] = (source_gen, version)
-        tracker.dirty.pop(object_id, None)
+        tracker.reindex({object_id: ref}, (), at=tracker.next_generation)
+        # Dirty, so the next cut's manifest carries the entry: the index
+        # may differ from the manifests only at dirty and tombstoned keys.
+        tracker.dirty[object_id] = tracker.seq
         tracker.tombstones.pop(object_id, None)
         tracker.commits.pop(object_id, None)
         tracker.restores += 1
@@ -329,7 +324,8 @@ class RestoreManager:
         candidates = [
             entry
             for entry in tracker.generations
-            if at is None or entry["cut_time"] <= at
+            if entry["generation"] >= tracker.restorable_from
+            and (at is None or entry["cut_time"] <= at)
         ]
         if not candidates:
             when = "any point" if at is None else f"t={at}"
@@ -338,6 +334,39 @@ class RestoreManager:
                 f"({len(tracker.generations)} generation(s) retained)"
             )
         return candidates[-1]
+
+    def _index_at(
+        self, tracker: ClassDurabilityState, entry: dict[str, Any]
+    ) -> Generator:
+        """Rebuild the index as of ``entry``'s cut: its nearest full
+        checkpoint (a manifest with no ``base`` — a format-2 checkpoint,
+        or any format-1 manifest) with each delta up to it folded in.
+        The chain's manifests are read concurrently, so a restore waits
+        for one modelled read however long the chain.  Resolves to the
+        index and how many entries the folded deltas held."""
+        store = tracker.object_store
+        blobs = yield all_of(
+            self.env,
+            [
+                store.get_timed(
+                    tracker.bucket, manifest_key(tracker.cls, link["generation"])
+                )
+                for link in tracker.chain(entry)
+            ],
+        )
+        index: dict[str, tuple[int, int]] = {}
+        folded = 0
+        for blob in blobs:
+            manifest = json.loads(blob.data)
+            entries = {key: (ref[0], ref[1]) for key, ref in manifest["index"].items()}
+            if manifest.get("base") is None:
+                index, folded = entries, 0
+            else:
+                for key in manifest["tombstones"]:
+                    index.pop(key, None)
+                index.update(entries)
+                folded += len(entries) + len(manifest["tombstones"])
+        return index, folded
 
     def _fetch_indexed_docs(
         self, tracker: ClassDurabilityState, index: dict[str, tuple[int, int]]

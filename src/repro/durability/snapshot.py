@@ -10,18 +10,27 @@ The :class:`SnapshotCoordinator` turns that bookkeeping into durable
 fences and drains every write-behind queue so a cut never splits a
 batch, captures the objects dirtied since the previous cut at one
 consistent instant, and uploads an incremental delta snapshot (data
-blob + manifest + latest pointer) to the object store.  The manifest's
-``index`` maps every live object to the generation holding its bytes,
-so restore never has to fold a delta chain blindly and GC knows which
-old generations are still referenced.
+blob + manifest + latest pointer) to the object store.
+
+The live ``index`` maps every live object to the generation holding its
+bytes.  A generation's manifest (``"format": 2``) carries the part of it
+that cut changed and the ``base`` generation it builds on; every so
+often — when the deltas since the last one together hold as many entries
+as the live index — a cut writes the whole index instead (a *full*
+checkpoint, ``base`` null), so a cut costs what it dirtied, amortised,
+and a restore folds a bounded chain.  docs/durability.md has the format
+and the GC invariant.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Generator
+from bisect import bisect_left
+from collections import Counter
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Generator, Iterable
 
-from repro.errors import BucketNotFoundError, KeyNotFoundError
+from repro.errors import BucketNotFoundError, KeyNotFoundError, SnapshotNotFoundError
 from repro.durability.policy import MODE_ON_COMMIT, DurabilityPolicy
 from repro.monitoring.events import EventLog
 from repro.monitoring.tracing import Tracer
@@ -52,6 +61,9 @@ def epoch_key(cls: str, object_id: str) -> str:
 
 def latest_key(cls: str) -> str:
     return f"{cls}/latest"
+
+
+_GENERATION = itemgetter("generation")
 
 
 class ClassDurabilityState:
@@ -90,11 +102,29 @@ class ClassDurabilityState:
         #: object id -> latest version persisted as a commit epoch
         #: (``persistence: strong`` only).
         self.epoch_versions: dict[str, int] = {}
-        #: Live object id -> (generation, version) across all cuts.
+        #: Live object id -> (generation, version) across all cuts.  It
+        #: differs from what the manifests say only at ``dirty`` and
+        #: ``tombstones`` keys — what the next cut writes.
         self.index: dict[str, tuple[int, int]] = {}
-        #: Minted generations: {"generation", "cut_time", "captured",
-        #: "tombstones"} — GC prunes this list in step with the store.
+        #: Generations with blobs in the store, in minting order:
+        #: {"generation", "cut_time", "captured", "tombstones", "kind"
+        #: ("full" | "delta"), "base", "chain" (manifests a restore
+        #: reads)} — GC prunes this list in step with the store.
         self.generations: list[dict[str, Any]] = []
+        #: generation -> live index entries whose bytes it holds (absent
+        #: at zero), and generation -> the generation from which on no
+        #: index references it (set when its count reaches zero): what
+        #: GC reads instead of the index.
+        self.refs: dict[int, int] = {}
+        self.superseded_at: dict[int, int] = {}
+        #: Generations older than this are kept for their blobs only
+        #: (GC moves it; nothing below it can be restored to).
+        self.restorable_from = 0
+        #: The generation whose manifest chain says what ``index`` said
+        #: at the last cut or class restore — what the next delta builds
+        #: on — and how many entries the deltas on that chain hold.
+        self.base: int | None = None
+        self.delta_entries = 0
         #: Event-log entries older than this are ignored by
         #: :meth:`commit_history` (reset by point-in-time restore, which
         #: discards history beyond the restore point).
@@ -162,6 +192,59 @@ class ClassDurabilityState:
                 self.object_store.delete_object(self.bucket, epoch_key(self.cls, key))
             except (KeyNotFoundError, BucketNotFoundError):
                 pass
+
+    # -- index and generations ----------------------------------------------
+
+    def generation(self, number: int) -> dict[str, Any]:
+        """The retained entry of generation ``number``."""
+        at = bisect_left(self.generations, number, key=_GENERATION)
+        if at == len(self.generations) or self.generations[at]["generation"] != number:
+            raise SnapshotNotFoundError(
+                f"generation {number} of class {self.cls!r} is not retained"
+            )
+        return self.generations[at]
+
+    def chain(self, entry: dict[str, Any]) -> list[dict[str, Any]]:
+        """The entries whose manifests rebuild the index as of
+        ``entry``: its nearest full checkpoint, then each delta up to it."""
+        chain = [entry]
+        while chain[-1]["base"] is not None:
+            chain.append(self.generation(chain[-1]["base"]))
+        return chain[::-1]
+
+    def reindex(
+        self,
+        changes: dict[str, tuple[int, int]],
+        removed: Iterable[str],
+        at: int,
+    ) -> None:
+        """Apply one cut's (or one object restore's) entries to the live
+        index in place, moving the reference counts with them; a
+        generation that loses its last reference was superseded ``at``."""
+        index, refs = self.index, self.refs
+        dropped = [index.pop(key, None) for key in removed]
+        for key, ref in changes.items():
+            dropped.append(index.get(key))
+            index[key] = ref
+            refs[ref[0]] = refs.get(ref[0], 0) + 1
+        for old in dropped:
+            if old is not None:
+                refs[old[0]] -= 1
+                if not refs[old[0]]:
+                    del refs[old[0]]
+                    self.superseded_at[old[0]] = at
+
+    def reset_index(
+        self, index: dict[str, tuple[int, int]], base: int, delta_entries: int
+    ) -> None:
+        """Replace the live index wholesale (class restore) with the one
+        folded from ``base``'s chain, and recount every reference."""
+        refs = dict(Counter(ref[0] for ref in index.values()))
+        for number in self.refs.keys() - refs.keys():
+            self.superseded_at[number] = self.next_generation
+        self.index, self.refs = index, refs
+        self.base = base
+        self.delta_entries = delta_entries
 
     # -- history ------------------------------------------------------------
 
@@ -267,11 +350,10 @@ class SnapshotCoordinator:
                 if doc is not None:
                     captured[key] = doc
             tombstoned = sorted(tracker.tombstones)
-            new_index = dict(tracker.index)
-            for key in tombstoned:
-                new_index.pop(key, None)
-            for key, doc in captured.items():
-                new_index[key] = (generation, int(doc.get("version", 0) or 0))
+            changes = {
+                key: (generation, int(doc.get("version", 0) or 0))
+                for key, doc in captured.items()
+            }
             seq_at_cut = tracker.seq
             tracker.dirty.clear()
             tracker.tombstones.clear()
@@ -286,7 +368,7 @@ class SnapshotCoordinator:
         # Walk the pending commits, not the index: the cut must not cost
         # a pass over every live object per thing it can skip.
         for key in list(tracker.commits):
-            ref = new_index.get(key)
+            ref = changes.get(key) or tracker.index.get(key)
             if ref is not None:
                 kept = [entry for entry in tracker.commits[key] if entry[1] > ref[1]]
                 if kept:
@@ -296,13 +378,31 @@ class SnapshotCoordinator:
         for key in tombstoned:
             tracker.commits.pop(key, None)
         data_bytes = json.dumps(captured, sort_keys=True, default=str).encode()
+        # A full checkpoint once the deltas since the last one hold as
+        # many entries as the index itself: writing the whole index then
+        # costs no more than what the deltas already did, so a cut stays
+        # O(dirty) amortised — and a class that dirties everything every
+        # cut checkpoints every cut.
+        base = tracker.base
+        entries = len(changes) + len(tombstoned)
+        if base is None or tracker.delta_entries + entries >= len(tracker.index):
+            base, delta_entries = None, 0
+            index = dict(tracker.index)
+            for key in tombstoned:
+                index.pop(key, None)
+            index.update(changes)
+        else:
+            delta_entries = tracker.delta_entries + entries
+            index = changes
         manifest = {
             "cls": tracker.cls,
             "generation": generation,
             "cut_time": cut_time,
             "seq": seq_at_cut,
+            "format": 2,
+            "base": base,
             # As is: dumps sorts the keys and writes a tuple as a list.
-            "index": new_index,
+            "index": index,
             "captured": sorted(captured),
             "tombstones": tombstoned,
         }
@@ -320,15 +420,20 @@ class SnapshotCoordinator:
         yield store.put_timed(
             tracker.bucket, latest_key(tracker.cls), pointer, "application/json"
         )
-        tracker.index = new_index
         tracker.generations.append(
             {
                 "generation": generation,
                 "cut_time": cut_time,
                 "captured": len(captured),
                 "tombstones": len(tombstoned),
+                "kind": "full" if base is None else "delta",
+                "base": base,
+                "chain": 1 if base is None else tracker.generation(base)["chain"] + 1,
             }
         )
+        tracker.reindex(changes, tombstoned, at=generation)
+        tracker.base = generation
+        tracker.delta_entries = delta_entries
         tracker.cuts_taken += 1
         tracker.docs_captured += len(captured)
         tracker.snapshot_bytes += len(data_bytes) + len(manifest_bytes)
@@ -346,26 +451,42 @@ class SnapshotCoordinator:
         return manifest
 
     def _gc(self) -> None:
-        """Delete generations past retention that the live index no
-        longer references.  The latest generation always survives, and a
-        referenced generation survives regardless of age — the index is
-        incremental, so an unchanged object's bytes may live many
-        generations back."""
+        """Delete generations past retention that nothing needs.  The
+        generations cut inside the retention window (always the latest)
+        stay restorable; an older one survives, for its blobs only, while
+        the live index references it — an unchanged object's bytes may
+        live many generations back —, while a restorable generation's
+        index does, or while a restorable generation's manifest chain
+        passes through it.  Reads per-generation counts, never the index."""
         tracker = self.tracker
         retention = tracker.policy.retention_s
         if retention is None or not tracker.generations:
             return
-        referenced = {ref[0] for ref in tracker.index.values()}
-        latest = tracker.generations[-1]["generation"]
         cutoff = self.env.now - retention
+        young = next(
+            (entry for entry in tracker.generations if entry["cut_time"] >= cutoff),
+            tracker.generations[-1],
+        )
+        # Never backwards (a class update may lengthen the retention):
+        # below it, what a generation's index needs may be gone already.
+        oldest = tracker.restorable_from = max(
+            tracker.restorable_from, young["generation"]
+        )
+        chained: set[int] = set()
         survivors = []
-        for entry in tracker.generations:
+        for entry in reversed(tracker.generations):
             generation = entry["generation"]
+            on_chain = generation >= oldest or generation in chained
+            if on_chain and entry["base"] is not None:
+                chained.add(entry["base"])
             if (
-                generation != latest
-                and generation not in referenced
-                and entry["cut_time"] < cutoff
+                on_chain
+                or generation in tracker.refs
+                or tracker.superseded_at.get(generation, generation) > oldest
             ):
+                survivors.append(entry)
+            else:
+                tracker.superseded_at.pop(generation, None)
                 for key in (
                     data_key(tracker.cls, generation),
                     manifest_key(tracker.cls, generation),
@@ -375,6 +496,5 @@ class SnapshotCoordinator:
                     except (KeyNotFoundError, BucketNotFoundError):
                         pass
                 tracker.gc_generations += 1
-            else:
-                survivors.append(entry)
+        survivors.reverse()
         tracker.generations = survivors

@@ -29,6 +29,7 @@ holds under shedding too.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.invoker.engine import InvocationEngine
@@ -36,6 +37,7 @@ from repro.invoker.request import InvocationRequest, InvocationResult
 from repro.monitoring.metrics import set_counter
 from repro.qos.fairqueue import QueuedItem
 from repro.qos.plane import QosPlane
+from repro.scheduler.ledger import COMPLETION_HORIZON
 from repro.scheduler.transport.core import request_class
 from repro.scheduler.worker import StaticPool
 from repro.sim.kernel import Environment, Event
@@ -61,7 +63,8 @@ class AsyncInvoker:
         self.pool = scheduler if scheduler is not None else StaticPool(env, engine, qos)
         self.core = self.pool.core
         self.core.on_complete = self._resolve
-        self.results: dict[str, InvocationResult] = {}
+        #: The last ``COMPLETION_HORIZON`` results, oldest first.
+        self.results: OrderedDict[str, InvocationResult] = OrderedDict()
         self._completions: dict[str, Event] = {}
         self.submitted = 0
         self.rejected = 0
@@ -92,7 +95,12 @@ class AsyncInvoker:
         return completion
 
     def result(self, request_id: str) -> InvocationResult | None:
-        """Poll a completed result by request id."""
+        """Poll a completed result by request id.  Only the most recent
+        :data:`~repro.scheduler.ledger.COMPLETION_HORIZON` results are
+        kept: ``None`` means not completed yet, evicted, or never
+        submitted — an evicted id is indistinguishable from an unknown
+        one.  A caller that needs the result for certain awaits the
+        completion event :meth:`submit` returned."""
         return self.results.get(request_id)
 
     def collect_metrics(self, registry) -> None:
@@ -119,6 +127,8 @@ class AsyncInvoker:
         core's callback for the single delivered completion, and the
         direct path for a submission admission refused."""
         self.results[request.request_id] = result
+        if len(self.results) > COMPLETION_HORIZON:
+            self.results.popitem(last=False)
         completion = self._completions.pop(request.request_id, None)
         if completion is not None and not completion.triggered:
             completion.succeed(result)

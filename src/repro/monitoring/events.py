@@ -85,7 +85,9 @@ class PlatformEvent:
 
 
 class EventLog:
-    """Collects platform events into a bounded buffer."""
+    """Collects platform events into a bounded buffer, stamped with
+    ``env.now`` — the sim environment's clock, or any object with a
+    ``now`` (the asyncio scheduler server stamps with its loop's)."""
 
     def __init__(self, env, enabled: bool = False, capacity: int = 100_000) -> None:
         self.env = env
@@ -129,6 +131,9 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self._events)
+
+    def __iter__(self):
+        return iter(self._events)
 
     def render(self, type: str | None = None, limit: int | None = None) -> str:
         """A human-readable listing (newest last)."""

@@ -1064,7 +1064,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     for entry in listing.body.get("generations", []):
         print(
             f"  gen {entry['generation']:>4} cut_time={entry['cut_time']:.4f}s "
-            f"captured={entry['captured']} tombstones={entry['tombstones']}"
+            f"captured={entry['captured']} tombstones={entry['tombstones']} "
+            f"{entry['kind']} chain={entry['chain']}"
         )
     stats = platform.report("durability")
     row = stats["classes"].get(args.new_cls, {})

@@ -11,6 +11,11 @@ its attempt count; a completion reported for an entry that is already
 completed — a fenced worker's orphan attempt racing a redispatched one —
 is *suppressed* and counted, never delivered twice.
 
+The ledger is a cache of what is not settled yet.  A completed entry
+lets go of its request and stays addressable only while it is among the
+last :data:`COMPLETION_HORIZON` completions; conservation lives in the
+counters, so it survives the forgetting.
+
 :meth:`InvocationLedger.audit` is the conformance harness's ground
 truth: ``accepted == completed + outstanding`` must hold at all times,
 and after a scenario settles ``outstanding`` must be zero (nothing
@@ -20,6 +25,7 @@ dropped) with ``delivered == completed`` (nothing double-delivered).
 from __future__ import annotations
 
 import enum
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SchedulingError
@@ -27,7 +33,16 @@ from repro.errors import SchedulingError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.invoker.request import InvocationRequest
 
-__all__ = ["EntryState", "LedgerEntry", "InvocationLedger"]
+__all__ = ["COMPLETION_HORIZON", "EntryState", "LedgerEntry", "InvocationLedger"]
+
+#: The duplicate-suppression horizon: how many of the most recent
+#: completions stay addressable by request id — in the ledger, and in
+#: ``AsyncInvoker.results``.  A duplicate ``complete`` can only come from
+#: an attempt that was dispatched before the first one landed, so what
+#: has to be covered is the work a pool can hold at once (workers x their
+#: in-flight ceiling, tens); the rest is margin.  Past the horizon an id is
+#: indistinguishable from one never accepted.
+COMPLETION_HORIZON = 1024
 
 
 class EntryState(str, enum.Enum):
@@ -40,6 +55,7 @@ class LedgerEntry:
     """Run state of one accepted invocation."""
 
     __slots__ = (
+        "request_id",
         "request",
         "seq",
         "state",
@@ -54,7 +70,10 @@ class LedgerEntry:
     def __init__(
         self, request: "InvocationRequest", accepted_at: float, seq: int = 0
     ) -> None:
-        self.request = request
+        self.request_id = request.request_id
+        #: Pinned until the entry completes (a requeue routes it again),
+        #: ``None`` after.
+        self.request: "InvocationRequest | None" = request
         #: Acceptance order within this ledger (1-based).  Events embed
         #: this instead of the raw request id: request ids come from a
         #: process-global counter, so they are unique but not
@@ -70,7 +89,7 @@ class LedgerEntry:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "request_id": self.request.request_id,
+            "request_id": self.request_id,
             "seq": self.seq,
             "state": self.state.value,
             "worker": self.worker,
@@ -86,6 +105,8 @@ class InvocationLedger:
 
     def __init__(self) -> None:
         self._entries: dict[str, LedgerEntry] = {}
+        #: Completed ids, oldest first; at most ``COMPLETION_HORIZON``.
+        self._recent: deque[str] = deque()
         self.accepted = 0
         self.completed = 0
         self.requeues = 0
@@ -146,7 +167,11 @@ class InvocationLedger:
         entry.state = EntryState.COMPLETED
         entry.completed_at = at
         entry.ok = ok
+        entry.request = None
         self.completed += 1
+        self._recent.append(request_id)
+        if len(self._recent) > COMPLETION_HORIZON:
+            del self._entries[self._recent.popleft()]
         return True
 
     def _entry(self, request_id: str) -> LedgerEntry:
@@ -186,6 +211,11 @@ class InvocationLedger:
             "requeues": self.requeues,
             "suppressed": self.suppressed,
         }
+
+    @property
+    def retained_completions(self) -> int:
+        """Completed entries still addressable (<= the horizon)."""
+        return len(self._recent)
 
     def __len__(self) -> int:
         return len(self._entries)

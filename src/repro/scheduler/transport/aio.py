@@ -40,11 +40,11 @@ at-least-once, as in any real distributed dispatch).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
 from repro.errors import SchedulingError, TransportError, ValidationError
 from repro.invoker.request import InvocationRequest, InvocationResult
+from repro.monitoring.events import EventLog
 from repro.scheduler.state import WorkerStateMachine
 from repro.scheduler.transport.core import DispatchCore, DispatchItem
 from repro.scheduler.transport.protocol import (
@@ -65,7 +65,7 @@ from repro.scheduler.transport.protocol import (
 )
 
 __all__ = [
-    "TransportEvent",
+    "EVENT_CAPACITY",
     "RemoteWorker",
     "AsyncSchedulerServer",
     "AsyncWorkerClient",
@@ -102,16 +102,9 @@ class _Link(asyncio.Protocol):
         self.transport.close()
 
 
-@dataclass(frozen=True)
-class TransportEvent:
-    """One ``scheduler.*`` event recorded by the async server, shaped
-    like the sim event log's records so the conformance invariants can
-    replay either."""
-
-    seq: int
-    at: float
-    type: str
-    fields: dict[str, Any]
+#: How many ``scheduler.*`` events a server keeps: the recent past, for
+#: a person or a conformance replay to read — not a history.
+EVENT_CAPACITY = 1024
 
 
 class RemoteWorker:
@@ -139,7 +132,7 @@ class RemoteWorker:
         #: executing); ``executing`` marks the in-flight subset.
         self.items: dict[str, DispatchItem] = {}
         self.executing: set[str] = set()
-        self.last_beat = server.now()
+        self.last_beat = server.now
         self.dispatched_count = 0
         self.completed_count = 0
         self.heartbeats_sent = 0
@@ -259,10 +252,12 @@ class AsyncSchedulerServer:
         from repro.scheduler.plane import SchedulerConfig
 
         self.config = config or SchedulerConfig(enabled=True, transport="asyncio")
-        self.core = DispatchCore(clock=self.now, emit=self._emit)
+        #: The same log type the sim plane narrates into (so the
+        #: conformance invariants replay either), on this server's clock.
+        self.events = EventLog(self, enabled=True, capacity=EVENT_CAPACITY)
+        self.core = DispatchCore(clock=lambda: self.now, emit=self.events.record)
         for cls in classes or ():
             self.core.note_class(cls)
-        self.events: list[TransportEvent] = []
         self.fenced = 0
         #: Connections dropped for sending something that is not a
         #: protocol message.
@@ -274,7 +269,6 @@ class AsyncSchedulerServer:
         self._epochs: dict[str, int] = {}
         self._futures: dict[str, asyncio.Future] = {}
         self._links: set[_ServerLink] = set()
-        self._seq = 0
         self._running = False
         self.core.on_complete = self._resolve
 
@@ -313,7 +307,9 @@ class AsyncSchedulerServer:
         await asyncio.sleep(0)
         return report
 
+    @property
     def now(self) -> float:
+        """Seconds since :meth:`start`, on the event loop's clock."""
         if self._loop is None:
             return 0.0
         return self._loop.time() - self._t0
@@ -367,7 +363,7 @@ class AsyncSchedulerServer:
         self._epochs[name] = epoch
         worker = RemoteWorker(self, name, epoch, transport, node=message.node)
         self.core.add_worker(worker)
-        self._emit("scheduler.register", worker=name, node=worker.node)
+        self.events.record("scheduler.register", worker=name, node=worker.node)
         worker.send(
             RegisterAck(
                 worker=name, epoch=epoch, classes=tuple(self.core.deployed_classes())
@@ -435,9 +431,12 @@ class AsyncSchedulerServer:
             # had already pulled.  The ledger still decides: first
             # completion wins, later ones emit ``scheduler.suppressed``.
             entry = self.core.ledger.entry(message.request_id)
-            if entry is None:
-                return  # never accepted here: bogus frame
-            request = entry.request
+            request = entry.request if entry is not None else None
+            if request is None:
+                # Settled already, forgotten since, or never accepted
+                # here: there is nobody to deliver to.
+                self.core.settle(worker.name, message.request_id, message.ok)
+                return
         result = InvocationResult(
             request_id=request.request_id,
             cls=request.cls or "",
@@ -466,13 +465,8 @@ class AsyncSchedulerServer:
             **self.core.stats(),
             "fenced": self.fenced,
             "protocol_errors": self.protocol_errors,
+            "events_dropped": self.events.dropped,
         }
-
-    def _emit(self, type: str, **fields: Any) -> None:
-        self.events.append(
-            TransportEvent(seq=self._seq, at=self.now(), type=type, fields=fields)
-        )
-        self._seq += 1
 
 
 class _ClientLink(_Link):

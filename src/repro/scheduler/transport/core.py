@@ -146,6 +146,9 @@ class DispatchCore:
         self.on_worker_dead: Callable[[WorkerPort, str], None] | None = None
         self.dispatched = 0
         self.delivered = 0
+        #: Completions reported for an id the ledger had already forgotten
+        #: (past ``COMPLETION_HORIZON``): counted, never delivered.
+        self.late = 0
         self.parked_total = 0
         self.heartbeats = 0
         self._unassigned: deque["InvocationRequest"] = deque()
@@ -246,10 +249,11 @@ class DispatchCore:
         parked = list(self._unassigned)
         self._unassigned.clear()
         for request in parked:
-            # A parked request may already be done: it was rebound off a
-            # worker that had pulled it and went on to complete it.
+            # A parked request may already be done — and, by now, forgotten:
+            # it was rebound off a worker that had pulled it and went on
+            # to complete it.
             entry = self.ledger.entry(request.request_id)
-            if entry.state is not EntryState.COMPLETED:
+            if entry is not None and entry.state is not EntryState.COMPLETED:
                 self.route(request)
 
     def reroute(self, worker_name: str, items: Sequence[DispatchItem]) -> int:
@@ -272,24 +276,26 @@ class DispatchCore:
         """Record a worker's completion.  First completion wins;
         duplicates (a fenced attempt racing its redispatched twin) are
         suppressed.  Returns True when delivered."""
-        entry = self.ledger.entry(request.request_id)
-        first = self.ledger.complete(request.request_id, result.ok, self.clock())
-        if not first:
-            self._emit(
-                "scheduler.suppressed",
-                worker=worker_name,
-                request=entry.seq if entry is not None else -1,
-            )
+        if not self.settle(worker_name, request.request_id, result.ok):
             return False
-        self.delivered += 1
-        self._emit(
-            "scheduler.complete",
-            worker=worker_name,
-            request=entry.seq if entry is not None else -1,
-            ok=result.ok,
-        )
         if self.on_complete is not None:
             self.on_complete(request, result)
+        return True
+
+    def settle(self, worker_name: str, request_id: str, ok: bool) -> bool:
+        """Enter a completion in the ledger; True when it is the first
+        (the caller delivers it).  A duplicate of a completion the ledger
+        still holds is narrated as suppressed, one of a completion it has
+        forgotten is counted ``late`` — neither is delivered or raised."""
+        entry = self.ledger.entry(request_id)
+        if entry is None:
+            self.late += 1
+            return False
+        if not self.ledger.complete(request_id, ok, self.clock()):
+            self._emit("scheduler.suppressed", worker=worker_name, request=entry.seq)
+            return False
+        self.delivered += 1
+        self._emit("scheduler.complete", worker=worker_name, request=entry.seq, ok=ok)
         return True
 
     # -- worker lifecycle ----------------------------------------------------
@@ -441,6 +447,8 @@ class DispatchCore:
         return {
             "workers": self.describe_workers(),
             "ledger": self.ledger.audit(),
+            "retained_completions": self.ledger.retained_completions,
+            "late": self.late,
             "dispatched": self.dispatched,
             "delivered": self.delivered,
             "heartbeats": self.heartbeats,

@@ -214,7 +214,7 @@ PLANE_COMMANDS = {
         ["snapshot"],
         [
             "retained generations (1):",
-            "durability: cuts=1 skipped=1 bytes=361 epoch_writes=0",
+            "durability: cuts=1 skipped=1 bytes=388 epoch_writes=0",
         ],
     ),
     "restore": (

@@ -100,7 +100,11 @@ class TestCuts:
         """The cut hands its index to the manifest as it is (no re-sort,
         no re-boxing): the stored bytes must stay what sorting and
         boxing every live entry produced, across creates, updates, a
-        delete and objects no cut after their first touches."""
+        delete and objects no cut after their first touches.
+
+        Pinned for manifest format 2: a full checkpoint's bytes are the
+        format-1 bytes plus ``format`` and a null ``base``; a delta's
+        ``index`` is the entries its cut changed, listed here."""
         platform = dura_platform()
         tracker = platform.durability.tracker_for("Cart")
         store = platform.durability.object_store
@@ -113,7 +117,7 @@ class TestCuts:
         m, b, z, a = ids
         expected = []  # (generation, manifest bytes, {id: count}) per cut
 
-        def cut(captured, tombstones, counts):
+        def cut(captured, tombstones, counts, delta=None):
             body = take_cut(platform, "Cart")
             entry = tracker.generations[-1]
             assert body["generation"] == entry["generation"]
@@ -122,10 +126,14 @@ class TestCuts:
                 "generation": entry["generation"],
                 "cut_time": entry["cut_time"],
                 "seq": tracker.seq,
+                "format": 2,
+                "base": None,
                 "index": {key: list(ref) for key, ref in sorted(tracker.index.items())},
                 "captured": sorted(captured),
                 "tombstones": sorted(tombstones),
             }
+            if delta is not None:
+                manifest["base"], manifest["index"] = delta
             expected.append(
                 (entry["generation"], json.dumps(manifest, sort_keys=True).encode(), counts)
             )
@@ -136,11 +144,16 @@ class TestCuts:
         platform.invoke(b, "bump")
         platform.invoke(z, "bump")
         late = platform.new_object("Cart", object_id="cart-c")
-        cut([z, b, late], [], {m: 0, b: 1, z: 2, a: 0, late: 0})
+        # 3 changed entries against 5 live: a delta on generation 1.
+        cut(
+            [z, b, late], [], {m: 0, b: 1, z: 2, a: 0, late: 0},
+            delta=(1, {b: [2, 2], late: [2, 1], z: [2, 3]}),
+        )
         second_cut_time = tracker.generations[-1]["cut_time"]
         platform.advance(1.0)
         platform.delete_object(m)
         platform.invoke(late, "bump")
+        # 3 + 2 entries in deltas now match the 5 live: a checkpoint.
         cut([late], [m], {b: 1, z: 2, a: 0, late: 1})
 
         assert [generation for generation, _, _ in expected] == [1, 2, 3]

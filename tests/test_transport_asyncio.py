@@ -475,7 +475,7 @@ class TestHostileFrames:
             assert await asyncio.wait_for(reader.read(), 5) == b""  # closed on us
             writer.close()
             assert server.protocol_errors == 1
-            assert server.core.registrations == [] and server.events == []
+            assert server.core.registrations == [] and len(server.events) == 0
             await server.stop()
 
         run_async(scenario())
