@@ -71,8 +71,7 @@ def build_platform(seed: int) -> Oparaca:
     platform = Oparaca(
         PlatformConfig(
             seed=seed,
-            nodes=6,
-            regions=("eu-edge", "eu-region", "core"),
+            nodes=6,  # labelled round-robin over the zones, in order
             network=NetworkModel(rtt_s=0.0005, inter_region_rtt_s=0.08),
             federation=FederationConfig(
                 enabled=True, zones=ZONES, zone_rtt_s=ZONE_RTT_S

@@ -36,21 +36,27 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable, Mapping
 
 from repro.bench.config import Fig3Config
 from repro.bench.systems import OprcSystem
-from repro.faas.knative import KnativeModel
+from repro.durability.plane import DurabilityConfig
+from repro.faas.knative import KnativeEngine, KnativeModel, KnativeService
+from repro.federation import FederationConfig, Zone
 from repro.invoker.router import PlacementPolicy
 from repro.model.function import FunctionDefinition, ProvisionSpec
+from repro.monitoring.events import EventLog
+from repro.monitoring.tracing import Tracer
 from repro.orchestrator.cluster import Cluster
 from repro.orchestrator.resources import ResourceSpec
 from repro.orchestrator.scheduler import Scheduler
 from repro.faas.registry import FunctionRegistry
 from repro.faas.runtime import InvocationTask
-from repro.sim.kernel import Environment, all_of, any_of
+from repro.platform.oparaca import Oparaca, PlatformConfig
+from repro.qos.plane import QosConfig
+from repro.sim.kernel import Environment, Event, all_of, any_of
 from repro.sim.network import Network, NetworkModel
-from repro.sim.workload import ClosedLoopGenerator
+from repro.sim.workload import ClosedLoopGenerator, PhasedOpenLoopGenerator
 from repro.storage.object_store import ObjectStore, ObjectStoreModel
 
 __all__ = [
@@ -75,6 +81,83 @@ __all__ = [
     "FederationRow",
     "run_federation_ablation",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Shared rig openers
+# ---------------------------------------------------------------------------
+
+
+def _platform_arm(
+    config: PlatformConfig,
+    package: str,
+    images: Mapping[str, tuple[Callable[..., Any], float]],
+    objects: Mapping[str, int],
+) -> tuple[Oparaca, dict[str, list[str]]]:
+    """Open one arm of a platform-based ablation: build the platform,
+    register ``images`` (image → handler, service time), deploy
+    ``package`` and create ``objects[cls]`` objects per class — under
+    explicit ids, as the default uuid4-based ones would randomize DHT
+    placement (and so latency) run-to-run."""
+    platform = Oparaca(config)
+    for image, (handler, service_time_s) in images.items():
+        platform.register_image(image, handler, service_time_s)
+    platform.deploy(package)
+    ids = {
+        cls: [
+            platform.new_object(cls, object_id=f"{cls.lower()}-{index}")
+            for index in range(count)
+        ]
+        for cls, count in objects.items()
+    }
+    return platform, ids
+
+
+def _p95_ms(latencies: Iterable[float]) -> float:
+    """Nearest-rank p95 of latencies in seconds, as milliseconds."""
+    ordered = sorted(latencies)
+    if not ordered:
+        return 0.0
+    rank = max(0, min(len(ordered) - 1, int(0.95 * len(ordered))))
+    return ordered[rank] * 1000.0
+
+
+def _knative_service(
+    env: Environment,
+    name: str,
+    nodes: int,
+    handler: Callable[..., Any],
+    service_time_s: float,
+    model: KnativeModel,
+    min_scale: int,
+    **observers: Any,
+) -> tuple[KnativeService, Callable[[int], Event]]:
+    """One Knative service ``name`` (image ``abl/<name>``, concurrency
+    8, up to 16 replicas) deployed on a fresh ``nodes``-VM cluster, and
+    the function that offers it request number ``index``; ``observers``
+    are the engine's ``tracer=`` / ``events=``."""
+    cluster = Cluster(env)
+    for index in range(nodes):
+        cluster.add_node(f"vm-{index}", ResourceSpec(4000, 16384))
+    registry = FunctionRegistry()
+    registry.register(f"abl/{name}", handler, service_time_s=service_time_s)
+    engine = KnativeEngine(env, Scheduler(cluster), registry, model, **observers)
+    service = engine.deploy(
+        name,
+        FunctionDefinition(
+            name=name,
+            image=f"abl/{name}",
+            provision=ProvisionSpec(concurrency=8, min_scale=min_scale, max_scale=16),
+        ),
+    )
+
+    def invoke(index: int) -> Event:
+        task = InvocationTask(
+            request_id=f"b{index}", cls="-", object_id="x", fn_name=name, image=f"abl/{name}"
+        )
+        return service.invoke(task)
+
+    return service, invoke
 
 
 # ---------------------------------------------------------------------------
@@ -183,33 +266,18 @@ def run_coldstart_ablation(
     results: list[ColdStartResult] = []
     for min_scale in min_scales:
         env = Environment()
-        cluster = Cluster(env)
-        for index in range(3):
-            cluster.add_node(f"vm-{index}", ResourceSpec(4000, 16384))
-        scheduler = Scheduler(cluster)
-        registry = FunctionRegistry()
-        registry.register("abl/echo", lambda ctx: {"ok": True}, service_time_s=service_time_s)
-        from repro.faas.knative import KnativeEngine
-        from repro.monitoring.events import EventLog
-        from repro.monitoring.tracing import Tracer
-
         tracer = Tracer(env, enabled=True)
         events = EventLog(env, enabled=True)
-        engine = KnativeEngine(
+        service, invoke = _knative_service(
             env,
-            scheduler,
-            registry,
+            "echo",
+            3,
+            lambda ctx: {"ok": True},
+            service_time_s,
             KnativeModel(cold_start_s=cold_start_s, scale_to_zero_grace_s=30.0),
+            min_scale,
             tracer=tracer,
             events=events,
-        )
-        service = engine.deploy(
-            "echo",
-            FunctionDefinition(
-                name="echo",
-                image="abl/echo",
-                provision=ProvisionSpec(concurrency=8, min_scale=min_scale, max_scale=16),
-            ),
         )
         # Let the service go idle past the grace period.
         env.run(until=idle_s)
@@ -217,20 +285,11 @@ def run_coldstart_ablation(
         latencies: list[float] = []
 
         def one_request(index: int) -> Generator:
-            task = InvocationTask(
-                request_id=f"b{index}",
-                cls="-",
-                object_id="x",
-                fn_name="echo",
-                image="abl/echo",
-            )
             started = env.now
-            yield service.invoke(task)
+            yield invoke(index)
             latencies.append(env.now - started)
 
         processes = [env.process(one_request(i)) for i in range(burst)]
-        from repro.sim.kernel import all_of
-
         env.run(until=all_of(env, processes))
         ordered = sorted(latencies)
         results.append(
@@ -408,45 +467,22 @@ def run_burst_ablation(
     ``min_scale``) buys the tail down — the trade the tutorial's
     configuration discussion is about.
     """
-    from repro.faas.knative import KnativeEngine, KnativeModel
-    from repro.faas.runtime import InvocationTask
-    from repro.sim.workload import PhasedOpenLoopGenerator
-
     rows: list[BurstRow] = []
     for min_scale in min_scales:
         env = Environment()
-        cluster = Cluster(env)
-        for index in range(4):
-            cluster.add_node(f"vm-{index}", ResourceSpec(4000, 16384))
-        registry = FunctionRegistry()
-        registry.register("abl/burst", lambda ctx: {}, service_time_s=service_time_s)
-        engine = KnativeEngine(
+        service, invoke = _knative_service(
             env,
-            Scheduler(cluster),
-            registry,
-            KnativeModel(cold_start_s=1.5, autoscale_interval_s=2.0, scale_to_zero_grace_s=3600),
-        )
-        service = engine.deploy(
             "burst",
-            FunctionDefinition(
-                name="burst",
-                image="abl/burst",
-                provision=ProvisionSpec(
-                    concurrency=8, min_scale=min_scale, max_scale=16
-                ),
-            ),
+            4,
+            lambda ctx: {},
+            service_time_s,
+            KnativeModel(cold_start_s=1.5, autoscale_interval_s=2.0, scale_to_zero_grace_s=3600),
+            min_scale,
         )
         peak = {"replicas": 0}
 
         def one_request(index: int) -> Generator:
-            task = InvocationTask(
-                request_id=f"b{index}",
-                cls="-",
-                object_id="x",
-                fn_name="burst",
-                image="abl/burst",
-            )
-            yield service.invoke(task)
+            yield invoke(index)
             peak["replicas"] = max(peak["replicas"], service.replicas)
 
         # Let the initial replicas finish booting before offering load,
@@ -698,32 +734,19 @@ def run_qos_ablation(
     must then still be identical run-to-run for one seed, which is what
     the determinism gate in CI asserts.
     """
-    from repro.platform.oparaca import Oparaca, PlatformConfig
-    from repro.qos.plane import QosConfig
-
     rows: list[QosRow] = []
     for mode in modes:
-        platform = Oparaca(
-            PlatformConfig(
-                nodes=3,
-                seed=seed,
-                qos=QosConfig(enabled=(mode == "qos")),
-            )
+        platform, ids = _platform_arm(
+            PlatformConfig(nodes=3, seed=seed, qos=QosConfig(enabled=(mode == "qos"))),
+            QOS_PACKAGE,
+            {
+                "bench/hot": (lambda ctx: {"ok": True}, 0.002),
+                "bench/noisy": (lambda ctx: {"ok": True}, 0.02),
+            },
+            {"Hot": hot_objects, "Noisy": noisy_objects},
         )
         env = platform.env
-        platform.register_image("bench/hot", lambda ctx: {"ok": True}, 0.002)
-        platform.register_image("bench/noisy", lambda ctx: {"ok": True}, 0.02)
-        platform.deploy(QOS_PACKAGE)
-        # Explicit object ids: the platform's default ids are uuid4-based,
-        # which would randomize DHT placement (and so latency) run-to-run.
-        hot_ids = [
-            platform.new_object("Hot", object_id=f"hot-{index}")
-            for index in range(hot_objects)
-        ]
-        noisy_ids = [
-            platform.new_object("Noisy", object_id=f"noisy-{index}")
-            for index in range(noisy_objects)
-        ]
+        hot_ids, noisy_ids = ids["Hot"], ids["Noisy"]
         # Warm both classes so the measured phase exercises queueing, not
         # first-touch cold starts.
         for oid in (hot_ids[0], noisy_ids[0]):
@@ -769,14 +792,7 @@ def run_qos_ablation(
         done = all_of(env, waiters)
         env.run(until=any_of(env, [done, env.timeout(120.0)]))
 
-        hot_ok = sorted(
-            latency for latency, result in hot_results if result.ok
-        )
-        if hot_ok:
-            rank = max(0, min(len(hot_ok) - 1, int(0.95 * len(hot_ok))))
-            hot_p95_ms = hot_ok[rank] * 1000.0
-        else:
-            hot_p95_ms = 0.0
+        hot_ok = [latency for latency, result in hot_results if result.ok]
         noisy_ok = sum(1 for _, r in noisy_results if r.ok)
         noisy_rejected = sum(
             1 for _, r in noisy_results if r.error_type == "RateLimitedError"
@@ -787,7 +803,7 @@ def run_qos_ablation(
         rows.append(
             QosRow(
                 mode=mode,
-                hot_p95_ms=hot_p95_ms,
+                hot_p95_ms=_p95_ms(hot_ok),
                 hot_target_ms=50.0,
                 hot_completed=len(hot_ok),
                 hot_failed=sum(1 for _, r in hot_results if not r.ok),
@@ -890,16 +906,13 @@ def run_durability_ablation(
     Deterministic for a fixed seed: object ids are explicit so DHT
     placement never depends on uuid4.
     """
-    from repro.durability.plane import DurabilityConfig
-    from repro.platform.oparaca import Oparaca, PlatformConfig
-
     def bump(ctx):
         ctx.state["count"] = int(ctx.state.get("count") or 0) + 1
         return {"count": ctx.state["count"]}
 
     rows: list[DurabilityRow] = []
     for mode in modes:
-        platform = Oparaca(
+        platform, ids = _platform_arm(
             PlatformConfig(
                 nodes=3,
                 seed=seed,
@@ -908,18 +921,12 @@ def run_durability_ablation(
                     enabled=(mode == "on"),
                     default_interval_s=snapshot_interval_s,
                 ),
-            )
+            ),
+            DURABILITY_PACKAGE,
+            {"bench/bump": (bump, 0.001)},
+            {"Ledger": objects_per_class, "Cart": objects_per_class},
         )
         env = platform.env
-        platform.register_image("bench/bump", bump, 0.001)
-        platform.deploy(DURABILITY_PACKAGE)
-        ids = {
-            cls: [
-                platform.new_object(cls, object_id=f"{cls.lower()}-{index}")
-                for index in range(objects_per_class)
-            ]
-            for cls in ("Ledger", "Cart")
-        }
         acked = {cls: 0 for cls in ids}
         for round_index in range(rounds):
             for cls in ("Ledger", "Cart"):
@@ -1088,9 +1095,6 @@ def run_federation_ablation(
     Jurisdiction rejections for Vault must be zero in the first two
     arms and exactly ``objects * rounds`` in the misconfigured one.
     """
-    from repro.federation import FederationConfig, Zone
-    from repro.platform.oparaca import Oparaca, PlatformConfig
-
     zones = (
         Zone("edge-a", tier="edge", region="edge", parent="region-a"),
         Zone("edge-b", tier="edge", region="edge", parent="region-a"),
@@ -1109,33 +1113,22 @@ def run_federation_ablation(
     rows: list[FederationRow] = []
     for mode in modes:
         placement = "core-only" if mode == "core-only" else "nfr"
-        platform = Oparaca(
+        platform, ids = _platform_arm(
             PlatformConfig(
                 nodes=8,
                 seed=seed,
-                regions=("edge-a", "edge-b", "region-a", "core"),
                 federation=FederationConfig(
                     enabled=True,
                     zones=zones,
                     zone_rtt_s=rtt,
                     placement=placement,
                 ),
-            )
+            ),
+            FEDERATION_PACKAGE,
+            {"bench/geo-bump": (lambda ctx: {"n": ctx.state.setdefault("n", 0)}, 0.002)},
+            {"Sensor": objects, "Vault": objects},
         )
-        platform.register_image(
-            "bench/geo-bump",
-            lambda ctx: {"n": ctx.state.setdefault("n", 0)},
-            0.002,
-        )
-        platform.deploy(FEDERATION_PACKAGE)
-        sensor_ids = [
-            platform.new_object("Sensor", object_id=f"sensor-{index}")
-            for index in range(objects)
-        ]
-        vault_ids = [
-            platform.new_object("Vault", object_id=f"vault-{index}")
-            for index in range(objects)
-        ]
+        sensor_ids, vault_ids = ids["Sensor"], ids["Vault"]
         # Warm every replica so the measured phase is routing, not
         # cold starts.
         for oid in sensor_ids + vault_ids:
@@ -1172,18 +1165,12 @@ def run_federation_ablation(
                 )
                 if response.status == 200:
                     vault_completed += 1
-        latencies.sort()
-        if latencies:
-            rank = max(0, min(len(latencies) - 1, int(0.95 * len(latencies))))
-            sensor_p95_ms = latencies[rank] * 1000.0
-        else:
-            sensor_p95_ms = 0.0
         sensor_stats = platform.federation.class_stats("Sensor")
         rows.append(
             FederationRow(
                 mode=mode,
                 placement=placement,
-                sensor_p95_ms=sensor_p95_ms,
+                sensor_p95_ms=_p95_ms(latencies),
                 sensor_target_ms=20.0,
                 completed=completed,
                 failed=failed,

@@ -31,6 +31,7 @@ from repro.faas.registry import FunctionRegistry
 from repro.invoker.resilience import ResiliencePolicy
 from repro.invoker.router import ObjectRouter
 from repro.model.function import FunctionType
+from repro.model.nfr import NonFunctionalRequirements
 from repro.model.pkg import Package
 from repro.model.resolver import ResolvedClass
 from repro.monitoring.collector import MonitoringSystem
@@ -49,6 +50,12 @@ __all__ = ["ClassRuntimeManager"]
 
 #: Simulated seconds one DHT operation costs on its owner node.
 DHT_OP_COST_S = 0.00002
+
+
+def unranked(nfr: NonFunctionalRequirements, eligible: list[str]) -> list[str] | None:
+    """Baseline ranking: the eligible nodes as listed when a jurisdiction
+    restricts the class, else ``None`` — pods go where the scheduler says."""
+    return list(eligible) if nfr.constraint.jurisdictions else None
 
 
 class ClassRuntimeManager:
@@ -96,11 +103,10 @@ class ClassRuntimeManager:
         #: CRM attaches every (re)deployed class to it.  ``None`` in the
         #: baseline — deployment takes the original code path.
         self.durability: Any | None = None
-        #: The federation plane, set by the platform when enabled; the
-        #: placement planner then scores every class's node domain.
-        #: ``None`` in the baseline — deployment takes the original
-        #: jurisdiction-label path.
-        self.federation: Any | None = None
+        #: (NFRs, eligible nodes) -> the nodes to pin the class to, in pod
+        #: hint order, or ``None`` to leave it on every eligible node
+        #: unhinted; the federation plane installs its planner's ranking.
+        self.rank_placement = unranked
         self._runtimes: dict[str, ClassRuntime] = {}
         self._resolved: dict[str, ResolvedClass] = {}
 
@@ -130,8 +136,6 @@ class ClassRuntimeManager:
                 engine=config.engine,
                 explicit=template is not None,
             )
-        # Jurisdiction constraints (§II-C, §VI): the class's state and
-        # function pods may only live on nodes in the allowed regions.
         allowed_nodes, node_hints = self._placement_for(resolved)
         dht = Dht(
             self.env,
@@ -231,76 +235,52 @@ class ClassRuntimeManager:
         return services
 
     def _placement_for(
-        self, resolved: ResolvedClass, deployed: bool = False
+        self, resolved: ResolvedClass
     ) -> tuple[list[str], list[str] | None]:
         """The class's node domain plus ordered pod-placement hints.
 
-        With the federation plane attached, the placement planner scores
-        the domain (jurisdiction hard filter, latency-NFR tier pinning,
-        capacity, deterministic tie-breaks).  Without it,
-        jurisdiction-constrained classes keep the flat region-label
-        filter and unconstrained classes are unrestricted.  Constraint
-        names matching no region/zone raise :class:`DeploymentError`
-        naming the labels that exist — except for an already
-        ``deployed`` class, where a region whose last node died is
-        membership change, not a typo.
+        Eligibility is the cluster's jurisdiction filter (§II-C, §VI:
+        state and pods live only in zones the constraint names); order
+        and pod pinning are :attr:`rank_placement`'s.  A constraint
+        naming no zone, or satisfied by no live node, raises
+        :class:`DeploymentError` naming the labels that exist.
         """
         jurisdictions = resolved.nfr.constraint.jurisdictions
         try:
-            if self.federation is not None:
-                planned = self.federation.placement_nodes(resolved.nfr)
-                if not planned:
-                    raise DeploymentError(
-                        f"class {resolved.name!r} is constrained to jurisdictions "
-                        f"{list(jurisdictions)}, but no cluster node sits in a "
-                        f"matching zone (regions: {list(self.cluster.regions)})"
-                    )
-                return list(planned), list(planned)
-            if jurisdictions:
-                if deployed:
-                    jurisdictions = [j for j in jurisdictions if j in self.cluster.regions]
-                allowed_nodes = self.cluster.nodes_in_regions(jurisdictions)
-                if not allowed_nodes:
-                    raise DeploymentError(
-                        f"class {resolved.name!r} is constrained to jurisdictions "
-                        f"{list(jurisdictions)}, but no cluster node carries a "
-                        f"matching 'region' label "
-                        f"(regions: {list(self.cluster.regions)})"
-                    )
-                return allowed_nodes, list(allowed_nodes)
+            eligible = self.cluster.nodes_in_regions(jurisdictions)
         except SchedulingError as exc:
             raise DeploymentError(
                 f"class {resolved.name!r}: jurisdiction constraint "
                 f"{list(jurisdictions)} cannot be satisfied: {exc}"
             ) from exc
-        return list(self.cluster.node_names), None
+        if not eligible:
+            raise DeploymentError(
+                f"class {resolved.name!r} is constrained to jurisdictions "
+                f"{list(jurisdictions)}, but no cluster node sits in a "
+                f"matching zone (regions: {list(self.cluster.regions)})"
+            )
+        hints = self.rank_placement(resolved.nfr, eligible)
+        return (eligible if hints is None else list(hints)), hints
 
-    def placement_nodes(self, resolved: ResolvedClass) -> list[str]:
-        """The class's current node domain — flat region labels or the
-        federation planner, whichever placed it; empty when no node
-        satisfies its constraints."""
-        try:
-            return self._placement_for(resolved, deployed=True)[0]
-        except DeploymentError:
-            return []
-
-    def refresh_placement(self, runtime: ClassRuntime) -> None:
+    def refresh_placement(self, runtime: ClassRuntime) -> list[str]:
         """Re-run placement for a deployed class after cluster
         membership changed, pushing fresh hints into every service's
         deployment — so scale-up and self-heal replacements obey the
-        same constraints as the initial deploy.  No-op for classes that
-        were deployed unconstrained (hints stay ``None``-equivalent)."""
+        same constraints as the initial deploy (classes deployed
+        unconstrained have no hints to refresh).  Returns the class's
+        current node domain, empty when no node satisfies its
+        constraints."""
         try:
-            _, node_hints = self._placement_for(runtime.resolved, deployed=True)
+            domain, node_hints = self._placement_for(runtime.resolved)
         except DeploymentError:
             # Every allowed node is gone.  Keep the stale (dead) hints:
             # the deployment refuses to place rather than spilling the
             # class outside its jurisdiction.
-            return
-        if node_hints is None:
-            return
-        for svc in runtime.services.values():
-            svc.deployment.set_hints(node_hints)
+            return []
+        if node_hints is not None:
+            for svc in runtime.services.values():
+                svc.deployment.set_hints(node_hints)
+        return domain
 
     def update_class(
         self, resolved: ResolvedClass, template: ClassRuntimeTemplate | None = None

@@ -35,6 +35,10 @@ from repro.sim.kernel import Environment
 
 __all__ = ["KnativeModel", "KnativeService", "KnativeEngine"]
 
+#: The KPA's per-pod target: the share of a pod's declared concurrency
+#: the autoscaler aims to keep in flight.
+TARGET_UTILIZATION = 0.7
+
 
 @dataclass(frozen=True)
 class KnativeModel(EngineModel):
@@ -42,7 +46,6 @@ class KnativeModel(EngineModel):
 
     request_overhead_s: float = 0.002
     cold_start_s: float = 1.8
-    target_utilization: float = 0.7
     autoscale_interval_s: float = 2.0
     scale_to_zero_grace_s: float = 30.0
 
@@ -142,7 +145,7 @@ class KnativeService(FunctionService):
             if idle >= model.scale_to_zero_grace_s:
                 return self.min_scale
             return max(self.min_scale, min(self.deployment.replicas, self.max_scale))
-        target_per_pod = max(1.0, self.definition.provision.concurrency * model.target_utilization)
+        target_per_pod = max(1.0, self.definition.provision.concurrency * TARGET_UTILIZATION)
         desired = math.ceil(in_flight / target_per_pod)
         return max(self.min_scale, 1, min(self.max_scale, desired))
 

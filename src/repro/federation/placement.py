@@ -7,12 +7,13 @@ the deployment engines, and — because the CRM refreshes hints on every
 node join/leave — as the constraint obeyed on scale-up and self-heal,
 not just at initial deploy.
 
-Scoring is pure arithmetic over the topology and the cluster inventory
-(no RNG): jurisdiction is a hard filter, the latency NFR picks the
-preferred tier (declared latency → pin to the lowest tier with capacity,
-i.e. the edge; no latency → consolidate on the core), zone centrality
-(mean matrix RTT to the other candidate zones) breaks tier ties, then
-free CPU and finally the node name.
+Scoring is pure arithmetic over the cluster's topology and inventory
+(no RNG): jurisdiction is a hard filter (the cluster's own, shared
+with the flat path), the latency NFR picks the preferred tier (declared
+latency → pin to the lowest tier with capacity, i.e. the edge; no
+latency → consolidate on the core), zone centrality (mean RTT to the
+other candidate zones) breaks tier ties, then free CPU and finally the
+node name.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import SchedulingError
-from repro.federation.topology import Zone, ZoneTopology
+from repro.orchestrator.topology import Zone, ZoneTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model.nfr import NonFunctionalRequirements
@@ -39,7 +40,6 @@ class PlacementPlanner:
         cluster: "Cluster",
         topology: ZoneTopology,
         mode: str = "nfr",
-        default_rtt_s: float = 0.04,
     ) -> None:
         if mode not in PLACEMENT_MODES:
             raise SchedulingError(
@@ -48,7 +48,6 @@ class PlacementPlanner:
         self.cluster = cluster
         self.topology = topology
         self.mode = mode
-        self.default_rtt_s = default_rtt_s
 
     # -- zone lookups --------------------------------------------------------
 
@@ -65,28 +64,8 @@ class PlacementPlanner:
         ]
 
     def allowed_nodes(self, jurisdictions: tuple[str, ...]) -> list[str]:
-        """Nodes whose zone satisfies the jurisdiction constraint.
-
-        Constraint entries may name a zone or a zone's jurisdiction
-        region; entries naming neither raise :class:`SchedulingError`
-        listing the labels that exist.
-        """
-        if not jurisdictions:
-            return self.cluster.node_names
-        known = self.topology.jurisdiction_labels()
-        unknown = set(jurisdictions) - known
-        if unknown:
-            raise SchedulingError(
-                f"unknown jurisdiction(s) {sorted(unknown)}; "
-                f"known zones/regions: {sorted(known)}"
-            )
-        return [
-            name
-            for name in self.cluster.node_names
-            if self.topology.matches_jurisdiction(
-                self.cluster.region_of(name), jurisdictions
-            )
-        ]
+        """Nodes whose zone satisfies the jurisdiction constraint."""
+        return self.cluster.nodes_in_regions(jurisdictions)
 
     # -- scoring -------------------------------------------------------------
 
@@ -97,7 +76,14 @@ class PlacementPlanner:
         these nodes) and a preference order (earlier nodes are hinted
         first).  Empty when no node satisfies the constraint.
         """
-        candidates = self.allowed_nodes(nfr.constraint.jurisdictions)
+        return self.rank(nfr, self.allowed_nodes(nfr.constraint.jurisdictions))
+
+    def rank(
+        self, nfr: "NonFunctionalRequirements", candidates: list[str]
+    ) -> list[str]:
+        """The CRM's ranking hook — what the planner adds to eligibility:
+        tier pinning, then the order (tier, zone centrality, free CPU,
+        name)."""
         if not candidates:
             return []
         latency_ms = nfr.qos.latency_ms
@@ -153,12 +139,11 @@ class PlacementPlanner:
         """Mean RTT from ``zone`` to the other candidate zones — the
         lower-latency zone wins when tiers tie."""
         if zone is None:
-            return self.default_rtt_s
+            return self.topology.default_rtt_s
         others = [name for name in candidate_zones if name != zone.name]
         if not others:
             return 0.0
         total = 0.0
         for other in others:
-            rtt = self.topology.rtt_s(zone.name, other)
-            total += rtt if rtt is not None else self.default_rtt_s
+            total += self.topology.cross_rtt_s(zone.name, other)
         return total / len(others)

@@ -3,9 +3,9 @@
 Mirrors the QoS/durability/scheduler plane pattern: a frozen
 :class:`FederationConfig` with ``enabled=False`` rides on
 ``PlatformConfig``, and when disabled **no plane object is built** — no
-topology, no zone RTT resolver on the network, no hook on the invoker —
-so a baseline run is byte-identical to one built before this package
-existed.
+planner ranking in the CRM, no hook on the invoker — so a baseline run
+is byte-identical to one built before this package existed.  The zone
+topology is the cluster's; the plane ranks, migrates and routes over it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Generator, Mapping
 from repro.errors import JurisdictionError, MigrationError, ValidationError
 from repro.federation.migration import FEDERATION_TRACE_ID, MigrationManager
 from repro.federation.placement import PLACEMENT_MODES, PlacementPlanner
-from repro.federation.topology import Zone, ZoneTopology
+from repro.orchestrator.topology import Zone, ZoneTopology
 from repro.http import HttpRequest, HttpResponse
 from repro.monitoring.events import EventLog
 from repro.monitoring.metrics import set_counter
@@ -29,7 +29,6 @@ from repro.storage.dht import Dht
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crm.manager import ClassRuntimeManager
-    from repro.model.nfr import NonFunctionalRequirements
     from repro.orchestrator.cluster import Cluster
 
 __all__ = ["FEDERATION_TRACE_ID", "FederationConfig", "FederationPlane"]
@@ -42,8 +41,10 @@ class FederationConfig:
     Attributes:
         enabled: build the plane.  ``False`` (the default) constructs
             nothing and leaves every data path untouched.
-        zones: the hierarchy — each cluster ``region`` label must name
-            one of these zones.
+        zones: the hierarchy, declared as the cluster's topology — each
+            node ``region`` label must name one of these zones; with
+            ``PlatformConfig.regions`` empty, nodes are labelled
+            round-robin over the zone names in declaration order.
         zone_rtt_s: symmetric ``(zone_a, zone_b, seconds)`` matrix
             entries; pairs left out fall back to the network model's
             flat ``inter_region_rtt_s``.
@@ -71,15 +72,12 @@ class FederationConfig:
             raise ValidationError(
                 "federation requires at least one zone when enabled"
             )
-        # Topology construction validates zone/tier/parent/matrix shape.
-        topology = ZoneTopology(self.zones, self.zone_rtt_s)
-        if (
-            self.default_origin_zone is not None
-            and topology.get(self.default_origin_zone) is None
-        ):
+        # Zone/tier/parent/matrix shape: validated by the topology built of it.
+        names = sorted(zone.name for zone in self.zones)
+        if self.default_origin_zone is not None and self.default_origin_zone not in names:
             raise ValidationError(
                 f"default_origin_zone {self.default_origin_zone!r} is not a "
-                f"declared zone (zones: {list(topology.zone_names)})"
+                f"declared zone (zones: {names})"
             )
 
 
@@ -91,8 +89,8 @@ class _ClassFederationStats:
 
 
 class FederationPlane(Plane):
-    """Topology + planner + migration + geo-routing, built only when
-    ``FederationConfig(enabled=True)``."""
+    """Planner + migration + geo-routing over the cluster's topology,
+    built only when ``FederationConfig(enabled=True)``."""
 
     name = "federation"
 
@@ -107,57 +105,42 @@ class FederationPlane(Plane):
         config: FederationConfig | None = None,
     ) -> None:
         self.env = env
-        self.cluster = cluster
         self.network = network
         self.crm = crm
         self.events = events
         self.tracer = tracer
         self.config = config or FederationConfig(enabled=True)
-        self.topology = ZoneTopology(self.config.zones, self.config.zone_rtt_s)
+        if cluster.topology.open:
+            # Built over a bare cluster, not by the platform: the config's
+            # hierarchy becomes that cluster's topology here.
+            cluster.topology = ZoneTopology(self.config.zones, self.config.zone_rtt_s)
+            for region in cluster.regions:
+                cluster.topology.admit(region)
+        self.topology = cluster.topology
         self.planner = PlacementPlanner(
-            cluster,
-            self.topology,
-            mode=self.config.placement,
-            default_rtt_s=network.model.inter_region_rtt_s,
+            cluster, self.topology, mode=self.config.placement
         )
         self.migration = MigrationManager(
             env, network, self.planner, events=events, tracer=tracer
         )
-        for region in cluster.regions:
-            if self.topology.get(region) is None:
-                raise ValidationError(
-                    f"cluster region label {region!r} names no declared zone "
-                    f"(zones: {list(self.topology.zone_names)})"
-                )
-        # Generalise the flat inter-region RTT into the zone matrix for
-        # every node-to-node transfer.
-        network.zone_rtt = self._node_pair_rtt
-        network.forget_regions()
         self._stats: dict[str, _ClassFederationStats] = {}
         #: (owner tuple, origin zone) -> (nearest replica, its zone, the
         #: client-leg RTT).  The owner tuple already carries ring
         #: membership and migration pins, so an entry goes stale only
         #: when a node *name* changes zone (it fails, then rejoins
-        #: elsewhere): :meth:`forget_routes` drops the memo then.
+        #: elsewhere): the cluster clears its ``memos`` then.
         self._routes: dict[
             tuple[tuple[str, ...], str], tuple[str, str | None, float]
         ] = {}
+        cluster.memos.append(self._routes)
 
     # -- latency model -------------------------------------------------------
 
-    def _node_pair_rtt(self, src: str, dst: str) -> float | None:
-        return self.topology.rtt_s(
-            self.cluster.region_of(src), self.cluster.region_of(dst)
-        )
-
     def zone_rtt_s(self, origin_zone: str, zone_name: str | None) -> float:
         """Client-leg RTT from an origin zone to a serving zone."""
-        if zone_name is None:
+        if zone_name is None or origin_zone == zone_name:
             return self.network.model.rtt_s
-        if origin_zone == zone_name:
-            return self.network.model.rtt_s
-        matrix = self.topology.rtt_s(origin_zone, zone_name)
-        return matrix if matrix is not None else self.network.model.inter_region_rtt_s
+        return self.topology.cross_rtt_s(origin_zone, zone_name)
 
     # -- geo-routing (invoker hooks) -----------------------------------------
 
@@ -183,14 +166,6 @@ class FederationPlane(Plane):
                 owners[index], names[index], legs[index]
             )
         return routed
-
-    def forget_routes(self) -> None:
-        """Drop the geo-routing memo: a node left or joined, so a name
-        may sit in another zone than when its routes were decided."""
-        self._routes.clear()
-
-    def node_failed(self, node: str, stats: dict[str, dict[str, int]]) -> None:
-        self.forget_routes()
 
     def admit(
         self,
@@ -233,12 +208,6 @@ class FederationPlane(Plane):
         if target_zone != zone.name:
             stats.cross_zone += 1
         return leg
-
-    # -- placement (CRM hooks) -----------------------------------------------
-
-    def placement_nodes(self, nfr: "NonFunctionalRequirements") -> list[str]:
-        """Ranked node domain for a class (partition ring + pod hints)."""
-        return self.planner.plan(nfr)
 
     # -- migration (operator surface) ----------------------------------------
 

@@ -16,8 +16,8 @@ Objectives compiled per class:
 * ``availability`` — bad event = failed invocation; budget =
   ``1 - declared availability``.
 * ``latency_p95`` — bad event = invocation slower than the declared
-  ``latency_ms``; budget = ``1 - latency_objective`` (default 5%: a
-  p95-style objective over the declared bound).
+  ``latency_ms``; budget = ``1 - LATENCY_OBJECTIVE`` (5%: a p95-style
+  objective over the declared bound).
 * ``throughput`` — deficit alert: windowed observed throughput below
   the declared capacity while the class's services are saturated.
 * ``durability_rpo`` — point alert: a measured crash recovery lost more
@@ -80,41 +80,33 @@ DEFAULT_WINDOWS = (
 )
 
 
+#: Fraction of requests that must meet a declared latency bound
+#: (0.95 = a p95 objective).
+LATENCY_OBJECTIVE = 0.95
+#: Deficit fraction tolerated before a saturated class's throughput
+#: alert fires (observed may run 10% under the declared capacity).
+THROUGHPUT_TOLERANCE = 0.1
+
+
 @dataclass(frozen=True)
 class SloConfig:
     """Evaluator tuning.
 
     Attributes:
         windows: the multi-window burn-rate rules, strictest first.
-        latency_objective: fraction of requests that must meet the
-            declared latency bound (0.95 = a p95 objective).
         min_requests: fewer requests than this inside the long window
             yields burn rate 0 (no alerting on statistical noise).
-        throughput_tolerance: deficit fraction tolerated before a
-            saturated class's throughput alert fires (0.1 = observed
-            may run 10% under the declared capacity).
     """
 
     windows: tuple[BurnWindow, ...] = DEFAULT_WINDOWS
-    latency_objective: float = 0.95
     min_requests: int = 5
-    throughput_tolerance: float = 0.1
 
     def __post_init__(self) -> None:
         if not self.windows:
             raise ValidationError("SloConfig requires at least one burn window")
-        if not 0 < self.latency_objective < 1:
-            raise ValidationError(
-                f"latency_objective must be in (0, 1), got {self.latency_objective}"
-            )
         if self.min_requests < 1:
             raise ValidationError(
                 f"min_requests must be >= 1, got {self.min_requests}"
-            )
-        if not 0 <= self.throughput_tolerance < 1:
-            raise ValidationError(
-                f"throughput_tolerance must be in [0, 1), got "
-                f"{self.throughput_tolerance}"
             )
 
 
@@ -286,11 +278,11 @@ class SloEvaluator:
                     cls,
                     "latency_p95",
                     qos.latency_ms,
-                    1.0 - self.config.latency_objective,
+                    1.0 - LATENCY_OBJECTIVE,
                     lambda o=obs: (o.completed + o.failed, o.slow),
                     detail=(
                         f"bad = latency > {qos.latency_ms:g}ms "
-                        f"(objective p{self.config.latency_objective * 100:g})"
+                        f"(objective p{LATENCY_OBJECTIVE * 100:g})"
                     ),
                 )
             )
@@ -356,7 +348,7 @@ class SloEvaluator:
         # Track scrape ticks where the class ran saturated *and* under
         # target; burn semantics: bad tick / total tick vs a 10% budget.
         is_sat = bool(saturated())
-        deficit = observed < target * (1.0 - self.config.throughput_tolerance)
+        deficit = observed < target * (1.0 - THROUGHPUT_TOLERANCE)
         last_total, last_bad = series.window_counts(at, float("inf"))
         series.append(at, last_total + 1, last_bad + (1 if (is_sat and deficit) else 0))
         window = self.config.windows[0]
@@ -480,7 +472,7 @@ class SloEvaluator:
                     "cls": cls,
                     "slo": "throughput",
                     "target": target,
-                    "budget": self.config.throughput_tolerance,
+                    "budget": THROUGHPUT_TOLERANCE,
                     "observed_rps": obs.throughput_rps,
                     "detail": "capacity objective while saturated",
                 }

@@ -13,6 +13,7 @@ from repro.errors import SchedulingError, ValidationError
 from repro.monitoring.events import EventLog
 from repro.orchestrator.pod import Pod, PodPhase, PodSpec
 from repro.orchestrator.resources import ResourceSpec
+from repro.orchestrator.topology import ZoneTopology
 from repro.sim.kernel import Environment
 
 __all__ = ["Node", "Cluster"]
@@ -53,11 +54,22 @@ class Node:
 
 
 class Cluster:
-    """Node inventory plus pod lifecycle (bind, terminate)."""
+    """Node inventory, its zone topology, pod lifecycle (bind, terminate)."""
 
-    def __init__(self, env: Environment, events: EventLog | None = None) -> None:
+    def __init__(
+        self,
+        env: Environment,
+        events: EventLog | None = None,
+        topology: ZoneTopology | None = None,
+    ) -> None:
         self.env = env
         self.events = events if events is not None else EventLog(env)
+        #: The zones node ``region`` labels name; open (flat) by default.
+        self.topology = topology if topology is not None else ZoneTopology()
+        #: Dicts remembering an answer per node *name* (a pair's RTT, a
+        #: geo-route).  A name may come back in another zone, so every
+        #: join and leave clears them.
+        self.memos: list[dict] = []
         self._nodes: dict[str, Node] = {}
         self._pods: dict[str, Pod] = {}
         self._pod_seq = itertools.count(1)
@@ -73,7 +85,9 @@ class Cluster:
         if name in self._nodes:
             raise ValidationError(f"node {name!r} already exists")
         node = Node(name, capacity or ResourceSpec(4000, 16384), labels)
+        self.topology.admit(node.labels.get("region"))
         self._nodes[name] = node
+        self._membership_changed()
         return node
 
     def remove_node(self, name: str) -> None:
@@ -81,8 +95,13 @@ class Cluster:
         node = self._nodes.pop(name, None)
         if node is None:
             raise ValidationError(f"no node {name!r}")
+        self._membership_changed()
         for pod in list(node.pods.values()):
             self.terminate_pod(pod.name)
+
+    def _membership_changed(self) -> None:
+        for memo in self.memos:
+            memo.clear()
 
     def node(self, name: str) -> Node:
         node = self._nodes.get(name)
@@ -108,24 +127,24 @@ class Cluster:
         return node.labels.get("region") if node is not None else None
 
     def nodes_in_regions(self, regions: tuple[str, ...] | list[str]) -> list[str]:
-        """Node names whose ``region`` label is in ``regions``.
+        """The jurisdiction filter: nodes whose zone is in ``regions`` by
+        name or by jurisdiction region (all nodes when empty).
 
-        Region names that no node carries raise :class:`SchedulingError`
-        listing the known regions — a silent ``[]`` here used to surface
+        Entries naming neither raise :class:`SchedulingError` listing
+        the labels that exist — a silent ``[]`` here used to surface
         much later as a confusing "no cluster node" failure.
         """
-        wanted = set(regions)
-        known = set(self.regions)
-        unknown = wanted - known
+        known = self.topology.jurisdiction_labels()
+        unknown = set(regions) - known
         if unknown:
             raise SchedulingError(
-                f"unknown region(s) {sorted(unknown)}; "
-                f"known regions: {sorted(known)}"
+                f"unknown jurisdiction(s) {sorted(unknown)}; "
+                f"known zones/regions: {sorted(known)}"
             )
         return [
             name
             for name in sorted(self._nodes)
-            if self._nodes[name].labels.get("region") in wanted
+            if self.topology.matches_jurisdiction(self.region_of(name), regions)
         ]
 
     @property

@@ -1,4 +1,4 @@
-"""Hierarchical zone topology: edge sites → regional DCs → core.
+"""The cluster's zone topology: edge sites → regional DCs → core.
 
 A :class:`Zone` is one latency/failure domain.  Cluster nodes join a
 zone through their ``region`` label (the zone *name*); each zone also
@@ -6,10 +6,12 @@ carries a ``region`` attribute — the *jurisdiction* label that NFR
 ``constraint.jurisdictions`` entries match, so several zones
 (``eu-edge``, ``eu-core``) can share one legal region (``eu``).
 
-:class:`ZoneTopology` adds a symmetric per-zone-pair RTT matrix that
-generalises the network model's single flat ``inter_region_rtt_s``:
-pairs absent from the matrix fall back to the flat value, so a topology
-with an empty matrix behaves exactly like the pre-federation network.
+:class:`ZoneTopology` adds a symmetric per-zone-pair RTT matrix over one
+default RTT (the network model's flat ``inter_region_rtt_s``).  Each
+cluster owns one.  Declared with zones it is **closed**: a node label
+must name one of them.  Declared with none it is **open** — the flat
+``regions=`` deployment, the one-tier case — and learns an untiered zone
+per label its nodes carry.
 """
 
 from __future__ import annotations
@@ -60,9 +62,14 @@ class ZoneTopology:
 
     def __init__(
         self,
-        zones: tuple[Zone, ...] | list[Zone],
+        zones: tuple[Zone, ...] | list[Zone] = (),
         rtt_s: tuple[tuple[str, str, float], ...] | list[tuple[str, str, float]] = (),
+        default_rtt_s: float = 0.04,
     ) -> None:
+        #: Cross-zone RTT of every pair the matrix leaves out.
+        self.default_rtt_s = default_rtt_s
+        #: No zone declared: labels are learned from the nodes that join.
+        self.open = not zones
         self._zones: dict[str, Zone] = {}
         for zone in zones:
             if not isinstance(zone, Zone):
@@ -124,15 +131,31 @@ class ZoneTopology:
             )
         return zone
 
+    def admit(self, label: str | None) -> None:
+        """A node labelled ``label`` joins: an open topology learns the
+        label as an untiered zone, a closed one refuses an unknown one."""
+        if label is None or label in self._zones:
+            return
+        if not self.open:
+            raise ValidationError(
+                f"cluster region label {label!r} names no declared zone "
+                f"(known zones: {list(self.zone_names)})"
+            )
+        self._zones[label] = Zone(label)
+
     def rtt_s(self, a: str | None, b: str | None) -> float | None:
         """Matrix RTT between two zones, ``None`` when the pair is not
-        declared (callers fall back to the flat inter-region RTT).
-        Same-zone pairs are intra-DC: 0.0 extra."""
+        declared.  Same-zone pairs are intra-DC: 0.0 extra."""
         if a is None or b is None:
             return None
         if a == b:
             return 0.0
         return self._rtt.get(self._pair(a, b))
+
+    def cross_rtt_s(self, a: str, b: str) -> float:
+        """What crossing between two distinct zones costs: the matrix
+        RTT when the pair is declared, else the default."""
+        return self._rtt.get(self._pair(a, b), self.default_rtt_s)
 
     def matches_jurisdiction(
         self, zone_name: str | None, jurisdictions: tuple[str, ...]

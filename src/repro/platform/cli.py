@@ -1119,7 +1119,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
 
 def _parse_zones(text: str):
-    from repro.federation.topology import Zone
+    from repro.orchestrator.topology import Zone
 
     zones = []
     for part in text.split(","):
@@ -1141,7 +1141,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         federation=FederationConfig(
             enabled=True, zones=zones, default_origin_zone=args.origin
         ),
-        regions=tuple(zone.name for zone in zones),
     )
     object_id = _run_workload(platform, args, quiet=True)
     plane = platform.federation

@@ -55,6 +55,7 @@ from repro.monitoring.tracing import Tracer
 from repro.orchestrator.cluster import Cluster
 from repro.orchestrator.resources import ResourceSpec
 from repro.orchestrator.scheduler import Scheduler
+from repro.orchestrator.topology import ZoneTopology
 from repro.plane import Plane
 from repro.platform.gateway import Gateway, HttpRequest, HttpResponse
 from repro.qos.plane import QosConfig, QosPlane
@@ -80,7 +81,9 @@ class PlatformConfig:
     #: work).  Nodes are distributed round-robin across the regions and
     #: labelled; inter-region traffic pays ``network.inter_region_rtt_s``
     #: and jurisdiction-constrained classes deploy only onto matching
-    #: regions.
+    #: regions.  When ``federation.zones`` declares a hierarchy each
+    #: label must name one of its zones; left empty, the labels are the
+    #: zone names in declaration order.
     regions: tuple[str, ...] = ()
     seed: int = 0
     db: DbModel = field(default_factory=DbModel)
@@ -115,9 +118,9 @@ class PlatformConfig:
     #: drain/rebind, exactly-once dispatch ledger); when off, async
     #: dispatch runs the same dispatch core over a static in-process pool.
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    #: Edge/regional/core zone topology, NFR-scored placement, live
-    #: object migration, geo-routing; when off, the flat ``regions``
-    #: behavior is untouched.
+    #: NFR-scored placement, live object migration and geo-routing
+    #: over the zone topology its ``zones`` / ``zone_rtt_s`` declare
+    #: for the cluster.
     federation: FederationConfig = field(default_factory=FederationConfig)
 
 
@@ -130,20 +133,29 @@ class Oparaca:
         self.rng = RngStreams(self.config.seed)
         self.tracer = Tracer(self.env, enabled=self.config.tracing_enabled)
         self.events = EventLog(self.env, enabled=self.config.events_enabled)
-        self.cluster = Cluster(self.env, events=self.events)
+        # The one topology: the declared hierarchy or, with no zones, an
+        # open one that learns ``regions`` as untiered zones.
+        declared = self.config.federation
+        topology = ZoneTopology(
+            declared.zones, declared.zone_rtt_s, self.config.network.inter_region_rtt_s
+        )
+        regions = self.config.regions or tuple(zone.name for zone in declared.zones)
+        self.cluster = Cluster(self.env, events=self.events, topology=topology)
         for index in range(self.config.nodes):
-            labels = {}
-            if self.config.regions:
-                labels["region"] = self.config.regions[index % len(self.config.regions)]
             self.cluster.add_node(
                 f"vm-{index}",
                 ResourceSpec(self.config.node_cpu_millis, self.config.node_memory_mb),
-                labels=labels,
+                labels={"region": regions[index % len(regions)]} if regions else {},
             )
         self.scheduler = Scheduler(self.cluster, events=self.events)
         self.registry = FunctionRegistry()
-        region_of = self.cluster.region_of if self.config.regions else None
-        self.network = Network(self.env, self.config.network, region_of=region_of)
+        self.network = Network(
+            self.env,
+            self.config.network,
+            region_of=self.cluster.region_of,
+            topology=topology,
+        )
+        self.cluster.memos.append(self.network._pairs)
         self.store = DocumentStore(
             self.env, self.config.db, backend=make_backend(self.config.storage)
         )
@@ -229,7 +241,7 @@ class Oparaca:
                 tracer=self.tracer,
                 config=self.config.federation,
             )
-            self.crm.federation = self.federation
+            self.crm.rank_placement = self.federation.planner.rank
             self.engine.federation = self.federation
         self.queue = AsyncInvoker(
             self.env,
@@ -493,7 +505,6 @@ class Oparaca:
         Returns per-class failover statistics.
         """
         self.cluster.remove_node(name)
-        self.network.forget_regions()
         # Re-plan every class's placement hints before the reconciles
         # below (the planner scores by free capacity), so replacement
         # pods land where placement says, not on whatever is free.
@@ -511,26 +522,20 @@ class Oparaca:
         return stats
 
     def add_node(self, name: str, region: str | None = None) -> None:
-        """Join a new worker VM; eligible class runtimes rebalance onto it."""
+        """Join a new worker VM; eligible class runtimes rebalance onto
+        it.  Under a declared hierarchy ``region`` must name a zone."""
         labels = {"region": region} if region else {}
         self.cluster.add_node(
             name,
             ResourceSpec(self.config.node_cpu_millis, self.config.node_memory_mb),
             labels=labels,
         )
-        # The name may have sat in another zone before: what was decided
-        # per node name (pair RTTs, geo-routes) is decided again.
-        self.network.forget_regions()
-        if self.federation is not None:
-            self.federation.forget_routes()
         for runtime in self.crm.runtimes.values():
             # Placement decides eligibility (jurisdiction, and with the
             # federation planner tier pinning), exactly as at deploy time.
-            if name in self.crm.placement_nodes(runtime.resolved):
+            if name in self.crm.refresh_placement(runtime):
                 runtime.dht.add_node(name)
                 runtime.router.refresh()
-        for runtime in self.crm.runtimes.values():
-            self.crm.refresh_placement(runtime)
 
     # -- federation (live migration) ---------------------------------------------------
 

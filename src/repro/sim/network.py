@@ -10,16 +10,20 @@ Multi-datacenter support (the paper's §VI future work): when the
 network is given a ``region_of`` resolver, transfers between nodes in
 *different* regions pay the (much larger) inter-region round trip —
 which is what makes jurisdiction-constrained placement and
-latency-aware multi-DC deployment measurable.
+latency-aware multi-DC deployment measurable.  Given the cluster's
+``topology`` too, a pair its RTT matrix declares pays that RTT instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import NetworkPartitionError
 from repro.sim.kernel import Environment, Event
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.orchestrator.topology import ZoneTopology
 
 __all__ = ["NetworkModel", "NetworkFaults", "Network"]
 
@@ -166,22 +170,19 @@ class Network:
         env: Environment,
         model: NetworkModel | None = None,
         region_of: Callable[[str], str | None] | None = None,
+        topology: ZoneTopology | None = None,
     ) -> None:
         self.env = env
         self.model = model or INSTANT
         self.region_of = region_of
+        #: The cluster's topology (its default RTT is the model's
+        #: ``inter_region_rtt_s``); ``None`` = every crossing is flat.
+        self.topology = topology
         #: Fault state injected by the chaos plane; ``None`` = healthy.
         self.faults: NetworkFaults | None = None
-        #: Per-endpoint-pair RTT resolver installed by the federation
-        #: plane: generalises the flat ``inter_region_rtt_s`` into a
-        #: zone-pair latency matrix.  ``None`` (the baseline) keeps
-        #: cross-region transfers on the flat model, byte-identical.
-        self.zone_rtt: Callable[[str, str], float | None] | None = None
-        #: (src, dst) -> (crosses a region border?, matrix RTT minus the
-        #: flat inter-region RTT): what the two resolvers say about an
-        #: endpoint pair, asked once.  A function of which region each
-        #: node name sits in — :meth:`forget_regions` drops it when a
-        #: node leaves or joins.
+        #: (src, dst) -> (crosses a region border?, the pair's RTT minus
+        #: the flat inter-region RTT), asked once.  A function of which
+        #: region each node name sits in: listed in ``Cluster.memos``.
         self._pairs: dict[tuple[str | None, str | None], tuple[bool, float]] = {}
         self.total_transfers = 0
         self.total_bytes = 0
@@ -199,18 +200,13 @@ class Network:
                 and dst_region is not None
                 and src_region != dst_region
             )
-        if cross and self.zone_rtt is not None:
-            matrix_rtt = self.zone_rtt(src, dst)  # type: ignore[arg-type]
-            if matrix_rtt is not None:
-                adjust = matrix_rtt - self.model.inter_region_rtt_s
+            if cross and self.topology is not None:
+                adjust = (
+                    self.topology.cross_rtt_s(src_region, dst_region)
+                    - self.topology.default_rtt_s
+                )
         self._pairs[(src, dst)] = cross, adjust
         return cross, adjust
-
-    def forget_regions(self) -> None:
-        """Drop what was resolved per endpoint pair: cluster membership
-        (or the zone resolver) changed, so a node name may now sit in
-        another region."""
-        self._pairs.clear()
 
     def transfer(self, src: str | None, dst: str | None, nbytes: int = 0) -> Event:
         """Return an event firing when the exchange completes.

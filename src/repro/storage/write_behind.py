@@ -26,6 +26,12 @@ from repro.storage.kv import DocumentStore
 #: All write-behind flush spans share one synthetic trace: flushes are
 #: background work not attributable to any single request.
 FLUSH_TRACE_ID = "write-behind"
+#: Delay before retrying a failed flush (store write errors); doubles
+#: per consecutive failure up to the cap.  A batch is retried
+#: indefinitely — accepted writes are never dropped on transient store
+#: faults — so durability is preserved across bounded fault windows.
+RETRY_BACKOFF_S = 0.05
+MAX_RETRY_BACKOFF_S = 2.0
 
 __all__ = ["WriteBehindConfig", "WriteBehindQueue"]
 
@@ -43,19 +49,11 @@ class WriteBehindConfig:
             the backpressure that ties the in-memory tier's accept rate
             to the database's sustainable write rate.  Updates that
             coalesce into an already-buffered document never block.
-        retry_backoff_s: initial delay before retrying a failed flush
-            (store write errors); doubles per consecutive failure.
-        max_retry_backoff_s: cap on the flush retry delay.  A batch is
-            retried indefinitely — accepted writes are never dropped on
-            transient store faults — so durability is preserved across
-            bounded fault windows.
     """
 
     batch_size: int = 100
     linger_s: float = 0.02
     max_pending: int = 2000
-    retry_backoff_s: float = 0.05
-    max_retry_backoff_s: float = 2.0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -66,15 +64,6 @@ class WriteBehindConfig:
             raise StorageError(
                 f"max_pending ({self.max_pending}) must be >= batch_size "
                 f"({self.batch_size})"
-            )
-        if self.retry_backoff_s <= 0:
-            raise StorageError(
-                f"retry_backoff_s must be > 0, got {self.retry_backoff_s}"
-            )
-        if self.max_retry_backoff_s < self.retry_backoff_s:
-            raise StorageError(
-                f"max_retry_backoff_s ({self.max_retry_backoff_s}) must be >= "
-                f"retry_backoff_s ({self.retry_backoff_s})"
             )
 
 
@@ -277,7 +266,7 @@ class WriteBehindQueue:
         the batch as lost in :meth:`stop`'s report).
         """
         self._inflight = batch
-        backoff = self.config.retry_backoff_s
+        backoff = RETRY_BACKOFF_S
         while True:
             if not self._running:
                 return
@@ -300,7 +289,7 @@ class WriteBehindQueue:
                 if not self._running:
                     return
                 yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, self.config.max_retry_backoff_s)
+                backoff = min(backoff * 2, MAX_RETRY_BACKOFF_S)
                 continue
             if span is not None:
                 self.tracer.finish(span)
