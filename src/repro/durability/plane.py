@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Mapping
 
-from repro.durability.policy import DurabilityPolicy
+from repro.durability.policy import MODE_ON_COMMIT, DurabilityPolicy
 from repro.durability.restore import RestoreManager
 from repro.durability.snapshot import ClassDurabilityState, SnapshotCoordinator
 from repro.errors import UnknownClassError, ValidationError
@@ -140,18 +140,17 @@ class DurabilityPlane(Plane):
             # over with the DHT; only the policy is re-derived.
             tracker.policy = policy
         dht = runtime.dht
-        if (
-            dht.store is not None
+        # Strong-persistence commits on a durable store backend (SQLite)
+        # are written through alongside the epoch write, so a restarted
+        # process finds its objects in the database file itself.
+        tracker.write_through = (
+            (dht.store, dht.collection)
+            if policy.mode == MODE_ON_COMMIT
+            and dht.store is not None
             and dht.model.persistent
             and getattr(dht.store, "durable", False)
-        ):
-            # A durable store backend (SQLite) gets every strong-
-            # persistence commit written through alongside the epoch
-            # write, so a restarted process finds its objects in the
-            # database file itself.
-            tracker.write_through = (dht.store, dht.collection)
-        else:
-            tracker.write_through = None
+            else None
+        )
         runtime.dht.attach_durability(tracker)
         coordinator = SnapshotCoordinator(self.env, runtime.dht, tracker, self.tracer)
         self._coordinators[runtime.cls] = coordinator

@@ -139,13 +139,12 @@ class ClassDurabilityState:
         self.recoveries = 0
         self.restores = 0
         self.last_recovery: dict[str, Any] | None = None
-        #: ``(document_store, collection)`` when the platform's store
-        #: backend is durable (e.g. SQLite): strong-persistence commits
-        #: are written through to it synchronously with the epoch write,
-        #: so an acknowledged commit survives process death in the
-        #: backend itself, not just the modeled object store.
+        #: ``(document_store, collection)`` when this class's commits are
+        #: written through (``persistence: strong`` on a durable store
+        #: backend, e.g. SQLite): synchronously with the epoch write, so
+        #: an acknowledged commit survives process death in the backend
+        #: itself, and instead of being buffered for write-behind.
         self.write_through: tuple[Any, str] | None = None
-        self.write_through_docs = 0
 
     # -- DHT write-path hooks (see Dht.attach_durability) -------------------
 
@@ -172,13 +171,10 @@ class ClassDurabilityState:
             self.epoch_writes += 1
             self.epoch_versions[key] = version
             if self.write_through is not None:
-                # The timed epoch write above is the modeled durability
-                # cost; landing the same doc in the durable backend is
-                # bookkeeping on the same commit, so it charges no
-                # additional simulated work.
+                # The timed epoch write above is what the commit waits
+                # for; the store books the write-through's units itself.
                 store, collection = self.write_through
-                store.put_sync(collection, doc)
-                self.write_through_docs += 1
+                store.write_through(collection, doc)
 
     def on_delete(self, key: str) -> None:
         """Record one committed delete (the store delete already landed,

@@ -27,6 +27,7 @@ strong-persistence commits).
 
 from __future__ import annotations
 
+import functools
 import json
 import sqlite3
 from typing import Any, Mapping
@@ -34,13 +35,7 @@ from typing import Any, Mapping
 from repro.errors import StorageError
 from repro.model.types import DataType
 from repro.storage.backends.base import StoreBackend
-from repro.storage.query import (
-    Predicate,
-    Query,
-    QueryResult,
-    encode_cursor,
-    evaluate_query,
-)
+from repro.storage.query import Query, QueryResult, encode_cursor, evaluate_query
 
 __all__ = ["SqliteBackend"]
 
@@ -54,19 +49,41 @@ _AFFINITY = {
     DataType.JSON: "TEXT",
 }
 
-_SQL_OPS = {"eq": "=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+#: A prefix is the half-open range it spans (its upper bound is added
+#: where the predicate is compiled), so it is index-sargable too.
+_SQL_OPS = {"eq": "=", "lt": "<", "le": "<=", "gt": ">", "ge": ">=", "prefix": ">="}
 
 #: Sorts after every other character in a TEXT column, closing the
 #: half-open range that implements prefix matching.
 _PREFIX_CEILING = "￿"
+
+#: Page statements whose plan text is kept: a client chooses them.
+_PLAN_MEMO_SIZE = 256
 
 
 def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
-def _dump_doc(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, default=str)
+#: One encoder for every document written (``json.dumps`` with
+#: non-default arguments builds one per call).
+_dump_doc = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def _typed(method):
+    """Engine failures (closed, locked or read-only database) leave the
+    backend as :class:`StorageError`, like every other store failure."""
+
+    @functools.wraps(method)
+    def call(self, collection, *args):
+        try:
+            return method(self, collection, *args)
+        except sqlite3.Error as exc:
+            raise StorageError(
+                f"sqlite {method.__name__} on {collection!r} failed: {exc}"
+            ) from exc
+
+    return call
 
 
 class SqliteBackend(StoreBackend):
@@ -86,6 +103,9 @@ class SqliteBackend(StoreBackend):
         #: collection -> its upsert statement, built from the schema on
         #: first use and dropped when the schema changes.
         self._upserts: dict[str, str] = {}
+        #: page statement text -> its ``EXPLAIN QUERY PLAN`` text; the
+        #: plan is a function of the statement and the schema only.
+        self._plans: dict[str, str] = {}
         self._load_existing_schemas()
 
     # -- schema ------------------------------------------------------------
@@ -139,6 +159,7 @@ class SqliteBackend(StoreBackend):
         """
         self._ensure_table(collection)
         self._upserts.pop(collection, None)
+        self._plans.clear()
         known = self._schemas[collection]
         existing_columns = {
             row[1]
@@ -169,27 +190,23 @@ class SqliteBackend(StoreBackend):
             self._backfill(collection, new_keys)
 
     def _backfill(self, collection: str, keys: list[str]) -> None:
-        rows = self._conn.execute(
-            f"SELECT id, doc FROM {_quote(collection)}"
-        ).fetchall()
-        if not rows:
-            return
+        rows = []
+        for raw, object_id in self._conn.execute(f"SELECT doc, id FROM {_quote(collection)}"):
+            state = json.loads(raw).get("state") or {}
+            values = [self._column_value(collection, key, state.get(key)) for key in keys]
+            rows.append([*values, object_id])
         assignments = ", ".join(f"{_quote(f'k_{key}')} = ?" for key in keys)
+        self._batch(f"UPDATE {_quote(collection)} SET {assignments} WHERE id = ?", rows)
+
+    def _batch(self, sql: str, rows: list[list[Any]]) -> None:
+        """``sql`` once per row, all of them or none."""
         self._conn.execute("BEGIN")
         try:
-            for object_id, raw in rows:
-                doc = json.loads(raw)
-                values = [
-                    self._column_value(collection, key, (doc.get("state") or {}).get(key))
-                    for key in keys
-                ]
-                self._conn.execute(
-                    f"UPDATE {_quote(collection)} SET {assignments} WHERE id = ?",
-                    [*values, object_id],
-                )
+            self._conn.executemany(sql, rows)
             self._conn.execute("COMMIT")
         except BaseException:
-            self._conn.execute("ROLLBACK")
+            if self._conn.in_transaction:
+                self._conn.execute("ROLLBACK")
             raise
 
     def _column_value(self, collection: str, key: str, value: Any) -> Any:
@@ -199,7 +216,7 @@ class SqliteBackend(StoreBackend):
         if dtype is DataType.BOOL:
             return int(bool(value))
         if dtype is DataType.JSON and not isinstance(value, str):
-            return json.dumps(value, sort_keys=True, default=str)
+            return _dump_doc(value)
         return value
 
     # -- documents ---------------------------------------------------------
@@ -232,20 +249,21 @@ class SqliteBackend(StoreBackend):
     def put(self, collection: str, doc: dict[str, Any]) -> None:
         self.put_many(collection, [doc])
 
+    @_typed
     def put_many(self, collection: str, docs: list[dict[str, Any]]) -> None:
         if not docs:
             return
         self._ensure_table(collection)
         sql = self._upsert_sql(collection)
-        self._conn.execute("BEGIN")
-        try:
-            for doc in docs:
-                self._conn.execute(sql, self._row_values(collection, doc))
-            self._conn.execute("COMMIT")
-        except sqlite3.Error as exc:
-            self._conn.execute("ROLLBACK")
-            raise StorageError(f"sqlite write to {collection!r} failed: {exc}") from exc
+        rows = [self._row_values(collection, doc) for doc in docs]
+        if len(rows) == 1:
+            # Under ``isolation_level = None`` a statement is its own
+            # transaction: one document needs no BEGIN … COMMIT.
+            self._conn.execute(sql, rows[0])
+        else:
+            self._batch(sql, rows)
 
+    @_typed
     def get(self, collection: str, key: str) -> dict[str, Any] | None:
         if collection not in self._schemas:
             return None
@@ -254,6 +272,7 @@ class SqliteBackend(StoreBackend):
         ).fetchone()
         return json.loads(row[0]) if row else None
 
+    @_typed
     def delete(self, collection: str, key: str) -> None:
         if collection not in self._schemas:
             return
@@ -261,6 +280,7 @@ class SqliteBackend(StoreBackend):
             f"DELETE FROM {_quote(collection)} WHERE id = ?", (key,)
         )
 
+    @_typed
     def keys(self, collection: str) -> list[str]:
         if collection not in self._schemas:
             return []
@@ -269,6 +289,7 @@ class SqliteBackend(StoreBackend):
         ).fetchall()
         return [row[0] for row in rows]
 
+    @_typed
     def count(self, collection: str) -> int:
         if collection not in self._schemas:
             return 0
@@ -282,6 +303,7 @@ class SqliteBackend(StoreBackend):
 
     # -- queries -----------------------------------------------------------
 
+    @_typed
     def query(self, collection: str, query: Query) -> QueryResult:
         if collection not in self._schemas:
             return QueryResult(docs=[], scanned=0, plan="empty-collection")
@@ -302,64 +324,54 @@ class SqliteBackend(StoreBackend):
         docs = [json.loads(row[0]) for row in rows]
         return evaluate_query(docs, query, plan="table-scan")
 
-    def _compile_predicate(self, pred: Predicate, collection: str) -> tuple[str, list[Any]]:
-        column = _quote(f"k_{pred.key}")
-        value = self._column_value(collection, pred.key, pred.value)
-        if pred.op == "prefix":
-            return (
-                f"({column} >= ? AND {column} < ?)",
-                [value, str(value) + _PREFIX_CEILING],
-            )
-        return f"{column} {_SQL_OPS[pred.op]} ?", [value]
-
     def _indexed_query(self, collection: str, query: Query) -> QueryResult:
         conditions: list[str] = []
         params: list[Any] = []
+        comparator = "<" if query.descending else ">"
+        seeks = query.cursor is not None and query.order_by is not None
         for pred in query.where:
-            sql, values = self._compile_predicate(pred, collection)
-            conditions.append(sql)
-            params.extend(values)
+            column = _quote(f"k_{pred.key}")
+            value = self._column_value(collection, pred.key, pred.value)
+            bounds = [(_SQL_OPS[pred.op], value)]
+            if pred.op == "prefix":
+                bounds.append(("<", str(value) + _PREFIX_CEILING))
+            for op, bound in bounds:
+                # A bound on the order key that the cursor already
+                # implies stays as a filter (a forged cursor may lie
+                # outside it) but behind a unary ``+``, out of the
+                # planner's reach: the index seek is the cursor's.
+                implied = seeks and pred.key == query.order_by and op[0] == comparator
+                conditions.append(f"{'+' if implied else ''}{column} {op} ?")
+                params.append(bound)
         order_sql = "id ASC"
         if query.order_by is not None:
             order_column = _quote(f"k_{query.order_by}")
             conditions.append(f"{order_column} IS NOT NULL")
             direction = "DESC" if query.descending else "ASC"
             order_sql = f"{order_column} {direction}, id {direction}"
-        where_sql = " AND ".join(conditions) if conditions else "1"
-
-        # What the query is billed for: rows the filter must examine,
-        # independent of pagination position or page size.
-        scanned = int(
-            self._conn.execute(
-                f"SELECT COUNT(*) FROM {_quote(collection)} WHERE {where_sql}",
-                params,
-            ).fetchone()[0]
-        )
-
-        page_conditions = list(conditions)
-        page_params = list(params)
         if query.cursor is not None:
-            sql, values = self._cursor_condition(query)
-            page_conditions.append(sql)
-            page_params.extend(values)
-        page_where = " AND ".join(page_conditions) if page_conditions else "1"
+            sql, values = self._cursor_condition(query, comparator)
+            conditions.append(sql)
+            params.extend(values)
         select = (
             f"SELECT doc FROM {_quote(collection)} "
-            f"WHERE {page_where} ORDER BY {order_sql}"
+            f"WHERE {' AND '.join(conditions) or '1'} ORDER BY {order_sql}"
         )
         if query.limit is not None:
             # One row past the page tells us whether a next page exists.
-            select += f" LIMIT {query.limit + 1}"
+            select += " LIMIT ?"
+            params.append(query.limit + 1)
 
-        plan_rows = self._conn.execute(
-            f"EXPLAIN QUERY PLAN {select}", page_params
-        ).fetchall()
-        plan = "; ".join(str(row[-1]) for row in plan_rows)
-        # Only our "ix_*" secondary indexes count — a scan that happens
-        # to walk the PK autoindex is still a scan.
-        index_used = "INDEX IX_" in plan.upper()
+        plan = self._plans.get(select)
+        if plan is None:
+            if len(self._plans) >= _PLAN_MEMO_SIZE:
+                self._plans.clear()
+            plan = self._plans[select] = "; ".join(
+                str(row[-1])
+                for row in self._conn.execute(f"EXPLAIN QUERY PLAN {select}", params)
+            )
 
-        rows = self._conn.execute(select, page_params).fetchall()
+        rows = self._conn.execute(select, params).fetchall()
         docs = [json.loads(row[0]) for row in rows]
         next_cursor = None
         if query.limit is not None and len(docs) > query.limit:
@@ -367,20 +379,27 @@ class SqliteBackend(StoreBackend):
             next_cursor = encode_cursor(docs[-1], query.order_by)
         return QueryResult(
             docs=docs,
-            scanned=scanned,
-            index_used=index_used,
+            # What the query is billed for: the rows this one statement
+            # produced — the page and its look-ahead row, wherever the
+            # page lies in the match set.
+            scanned=len(rows),
+            # Only our "ix_*" secondary indexes count — a scan that
+            # happens to walk the PK autoindex is still a scan.
+            index_used="INDEX IX_" in plan.upper(),
             plan=plan,
             next_cursor=next_cursor,
         )
 
-    def _cursor_condition(self, query: Query) -> tuple[str, list[Any]]:
+    def _cursor_condition(self, query: Query, comparator: str) -> tuple[str, list[Any]]:
         if query.order_by is None:
             return "id > ?", [query.cursor[0]]
         order_column = _quote(f"k_{query.order_by}")
         cursor_value, cursor_id = query.cursor
-        comparator = "<" if query.descending else ">"
-        return (
-            f"({order_column} {comparator} ? OR "
-            f"({order_column} = ? AND id {comparator} ?))",
-            [cursor_value, cursor_value, cursor_id],
-        )
+        if any(
+            pred.key == query.order_by and pred.op == "eq" and pred.value == cursor_value
+            for pred in query.where
+        ):
+            # The order key is pinned to the cursor's value: only the id
+            # moves, and ``k = ? AND id > ?`` is one seek.
+            return f"id {comparator} ?", [cursor_id]
+        return f"({order_column}, id) {comparator} (?, ?)", [cursor_value, cursor_id]

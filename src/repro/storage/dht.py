@@ -428,7 +428,16 @@ class Dht:
                 for replica in reachable:
                     self._install(replica, key, stored)
         queue = self._queues.get(primary)
-        if queue is not None:
+        # A version the tracker writes through lands in the store with
+        # the commit itself; it goes behind only while the queue still
+        # holds something (a class just updated to ``strong`` may have
+        # left an older version there, which must not land last).
+        if queue is not None and (
+            self._durability is None
+            or self._durability.write_through is None
+            or queue._buffer
+            or queue._inflight is not None
+        ):
             yield from queue.enqueue_blocking(stored)
         if self._durability is not None:
             yield from self._durability.on_put(stored)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Mapping
 
 from repro.errors import StorageError
-from repro.sim.kernel import Environment, Process
+from repro.sim.kernel import Environment, Event, Process
 from repro.sim.resources import RateLimiter
 from repro.storage.backends.memory import DictBackend
 from repro.storage.document import copy_doc
@@ -140,6 +140,14 @@ class DocumentStore:
 
     # -- timed operations (data plane) ------------------------------------
 
+    def _charge(self, collection: str, units: float) -> Event:
+        """Bill ``units`` to ``collection`` and queue them on the
+        limiter; the event fires when the store has served them."""
+        self._units_by_collection[collection] = (
+            self._units_by_collection.get(collection, 0.0) + units
+        )
+        return self._limiter.acquire(units)
+
     def write(self, collection: str, docs: list[Mapping[str, Any]]) -> Process:
         """Durably write ``docs`` (upsert by ``id``).  Returns a process
         event that fires once the DB has committed the batch."""
@@ -154,27 +162,31 @@ class DocumentStore:
         # operation either, or flush_ops-per-doc accounting is skewed.
         if not docs:
             return 0
-        units = self.model.write_units(len(docs))
-        self._units_by_collection[collection] = (
-            self._units_by_collection.get(collection, 0.0) + units
-        )
-        yield self._limiter.acquire(units)
+        yield self._charge(collection, self.model.write_units(len(docs)))
         self._maybe_fail_write(collection)
         self.backend.put_many(collection, docs)
         self.write_ops += 1
         self.docs_written += len(docs)
         return len(docs)
 
+    def write_through(self, collection: str, doc: dict[str, Any]) -> None:
+        """Land one committed version in a durable engine *now* (the
+        store write of a ``persistence: strong`` commit): faulted and
+        billed like a one-document :meth:`write`, but the caller does not
+        wait the units out — its modeled wait is the epoch write — and
+        ``doc`` is not copied, the engine serialises it."""
+        self._charge(collection, self.model.write_units(1))
+        self._maybe_fail_write(collection)
+        self.backend.put_many(collection, [doc])
+        self.write_ops += 1
+        self.docs_written += 1
+
     def read(self, collection: str, key: str) -> Process:
         """Read one document; the process resolves to the doc or ``None``."""
         return self.env.process(self._read(collection, key))
 
     def _read(self, collection: str, key: str) -> Generator:
-        units = self.model.read_units(1)
-        self._units_by_collection[collection] = (
-            self._units_by_collection.get(collection, 0.0) + units
-        )
-        yield self._limiter.acquire(units)
+        yield self._charge(collection, self.model.read_units(1))
         self.read_ops += 1
         doc = self.backend.get(collection, key)
         if doc is not None:
@@ -195,11 +207,7 @@ class DocumentStore:
     def _read_many(self, collection: str, keys: list[str]) -> Generator:
         if not keys:
             return {}
-        units = self.model.read_units(len(keys))
-        self._units_by_collection[collection] = (
-            self._units_by_collection.get(collection, 0.0) + units
-        )
-        yield self._limiter.acquire(units)
+        yield self._charge(collection, self.model.read_units(len(keys)))
         self.read_ops += 1
         self.multi_read_ops += 1
         out: dict[str, Any] = {}
@@ -215,11 +223,7 @@ class DocumentStore:
         return self.env.process(self._delete(collection, key))
 
     def _delete(self, collection: str, key: str) -> Generator:
-        units = self.model.write_units(1)
-        self._units_by_collection[collection] = (
-            self._units_by_collection.get(collection, 0.0) + units
-        )
-        yield self._limiter.acquire(units)
+        yield self._charge(collection, self.model.write_units(1))
         self.write_ops += 1
         self.backend.delete(collection, key)
 
@@ -229,24 +233,19 @@ class DocumentStore:
 
         Cost is two-phase and deterministic: the fixed ``op_cost`` is
         charged up front (the round trip), then ``scanned * read_cost``
-        once the engine reports how many documents the plan actually
-        examined — an indexed range query over few matches is cheap, a
+        once the engine reports what the operation touched
+        (:attr:`QueryResult.scanned`) — an indexed page is cheap, a
         full scan of a large collection is priced like the multi-get
         that it is.
         """
         return self.env.process(self._query(collection, query))
 
     def _query(self, collection: str, query: "Query") -> Generator:
-        units = self.model.op_cost
-        self._units_by_collection[collection] = (
-            self._units_by_collection.get(collection, 0.0) + units
-        )
-        yield self._limiter.acquire(units)
+        yield self._charge(collection, self.model.op_cost)
         result = self.backend.query(collection, query)
         scan_units = result.scanned * self.model.read_cost
         if scan_units > 0:
-            self._units_by_collection[collection] += scan_units
-            yield self._limiter.acquire(scan_units)
+            yield self._charge(collection, scan_units)
         self.query_ops += 1
         self.query_docs_scanned += result.scanned
         result.docs = [copy_doc(doc) for doc in result.docs]

@@ -91,8 +91,11 @@ class QueryResult:
     """What a backend's ``query`` resolves to."""
 
     docs: list[dict[str, Any]] = field(default_factory=list)
-    #: Documents the engine had to examine — what the operation is
-    #: billed for.  A secondary index scans fewer than a full scan.
+    #: Documents the engine produced to answer — what the operation is
+    #: billed for.  The indexed engine reports the rows its one page
+    #: statement returned (the page plus the look-ahead row under
+    #: ``limit``, every match without one; rows a residual filter
+    #: skipped are not billed); a scan touches every document and says so.
     scanned: int = 0
     index_used: bool = False
     plan: str = ""
@@ -186,17 +189,22 @@ def parse_query(params: Mapping[str, str], schema: Mapping[str, DataType]) -> Qu
             raise QueryError(f"limit must be an integer, got {params['limit']!r}") from None
         if limit < 1:
             raise QueryError(f"limit must be >= 1, got {limit}")
-    query = Query(where=where, order_by=order_by, descending=descending, limit=limit)
+    cursor: tuple | None = None
     cursor_text = params.get("cursor", "").strip()
     if cursor_text:
-        query = Query(
-            where=where,
-            order_by=order_by,
-            descending=descending,
-            limit=limit,
-            cursor=decode_cursor(cursor_text, order_by),
-        )
-    return query
+        cursor = decode_cursor(cursor_text, order_by)
+        # Engines compare a mistyped value differently (SQLite coerces
+        # by column affinity, Python refuses), so neither ever sees one.
+        if order_by is not None and (
+            cursor[0] is None or not schema[order_by].accepts(cursor[0])
+        ):
+            raise QueryError(
+                f"cursor value {cursor[0]!r} is not a valid "
+                f"{schema[order_by].value} for order key {order_by!r}"
+            )
+    return Query(
+        where=where, order_by=order_by, descending=descending, limit=limit, cursor=cursor
+    )
 
 
 # -- cursors -----------------------------------------------------------------
@@ -218,7 +226,11 @@ def decode_cursor(text: str, order_by: str | None) -> tuple:
     except (ValueError, binascii.Error):
         raise QueryError(f"malformed cursor {text!r}") from None
     expected = 1 if order_by is None else 2
-    if not isinstance(payload, list) or len(payload) != expected:
+    if (
+        not isinstance(payload, list)
+        or len(payload) != expected
+        or not isinstance(payload[-1], str)
+    ):
         raise QueryError(
             f"cursor {text!r} does not match this query's ordering"
         )

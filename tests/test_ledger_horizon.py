@@ -18,6 +18,7 @@ from repro.scheduler.state import WorkerState
 from repro.scheduler.transport.protocol import Complete, Dispatch
 
 from tests.helpers import make_platform, run_async, wait_for
+from tests.test_real_path_budget import QUIET
 from tests.test_transport_asyncio import RawWorker, request_for, start_server
 from tests.test_transport_protocol import FakePort, _result, make_core
 
@@ -123,7 +124,12 @@ class TestOverSockets:
         handler (``run_async`` would fail the test)."""
 
         async def scenario():
-            server = await start_server()
+            # ``RawWorker`` sends no heartbeats: under the default 0.05 s
+            # × 4 silence budget a 200 ms stall of the host retires it in
+            # the middle of the 1 024 dispatches below.
+            server = await start_server(
+                config=SchedulerConfig(enabled=True, transport="asyncio", pool_size=2, **QUIET)
+            )
             raw = RawWorker("raw-0")
             await raw.connect(server.port)
             await wait_for(lambda: server.core.workers["raw-0"].machine.is_dispatchable)

@@ -179,7 +179,7 @@ def test_real_path_retains_under_300_bytes_a_request_and_no_more_later(tmp_path)
 
 
 def test_real_path_with_finite_retention_is_flat(tmp_path):
-    (first, second), _, tracker = real_path_halves(tmp_path, retention_s=8.0)
+    (first, second), _, tracker = real_path_halves(tmp_path, retention_s=1.0)
     assert tracker.gc_generations > 0
     assert abs(second) <= FLAT, (first, second)
 

@@ -7,6 +7,7 @@ recovery, and backfill behaviour.
 """
 
 import random
+import sqlite3
 
 import pytest
 
@@ -258,6 +259,74 @@ class TestSqliteSpecifics:
         assert backend.get("t", "x") == doc
         result = backend.query("t", Query(where=(Predicate("flag", "eq", True),)))
         assert [d["id"] for d in result.docs] == ["x"]
+        backend.close()
+
+
+class TestSqliteFailsTyped:
+    """Closed, read-only or locked, the engine answers ``StorageError``
+    naming the collection and carrying SQLite's own message — on the
+    read side too, where a raw ``sqlite3`` exception used to get out."""
+
+    @staticmethod
+    def calls(backend):
+        pair = [{"id": "x", "state": {}}, {"id": "y", "state": {}}]
+        return {
+            "get": lambda: backend.get("orders", "Order~001"),
+            "query": lambda: backend.query("orders", Query(order_by="total", limit=3)),
+            "delete": lambda: backend.delete("orders", "Order~001"),
+            "keys": lambda: backend.keys("orders"),
+            "count": lambda: backend.count("orders"),
+            "put": lambda: backend.put("orders", pair[0]),
+            "put_many": lambda: backend.put_many("orders", pair),
+        }
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        backend = SqliteBackend(str(tmp_path / "typed.db"))
+        backend.register_schema("orders", SCHEMA)
+        backend.put_many("orders", [dict(d) for d in corpus()])
+        backend.close()
+        return str(tmp_path / "typed.db")
+
+    def test_closed_connection(self, path):
+        backend = SqliteBackend(path)
+        backend.close()
+        for name, call in self.calls(backend).items():
+            # Including the batch, whose failed ``BEGIN`` says so itself
+            # and is not replaced by "no transaction is active".
+            with pytest.raises(StorageError, match="'orders' failed: .*closed database") as info:
+                call()
+            assert isinstance(info.value.__cause__, sqlite3.Error), name
+
+    def test_read_only_database_file(self, path):
+        backend = SqliteBackend(path)
+        backend._conn.close()
+        backend._conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        backend._conn.isolation_level = None
+        calls = self.calls(backend)
+        assert calls["get"]()["id"] == "Order~001" and calls["count"]() == 40
+        assert len(calls["keys"]()) == 40 and calls["query"]().scanned == 4
+        for name in ("delete", "put", "put_many"):
+            with pytest.raises(StorageError, match="'orders' failed: .*readonly database"):
+                calls[name]()
+            assert not backend._conn.in_transaction, name
+        backend.close()
+
+    def test_locked_database_file(self, path):
+        backend = SqliteBackend(path)
+        backend._conn.execute("PRAGMA busy_timeout = 0")
+        holder = sqlite3.connect(path)
+        holder.execute("BEGIN IMMEDIATE")
+        try:
+            for name in ("delete", "put", "put_many"):
+                with pytest.raises(StorageError, match="'orders' failed: .*locked"):
+                    self.calls(backend)[name]()
+                assert not backend._conn.in_transaction, name
+        finally:
+            holder.rollback()
+            holder.close()
+        self.calls(backend)["put_many"]()  # and the connection is usable again
+        assert backend.count("orders") == 42
         backend.close()
 
 

@@ -1,6 +1,7 @@
 """The typed query layer: grammar, evaluation semantics, the gateway
 surface, and the ``ocli query`` command."""
 
+import base64
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from repro.errors import QueryError
 from repro.model.types import DataType
 from repro.platform.cli import main
+from repro.storage.backends import StorageConfig
 from repro.storage.query import (
     Predicate,
     Query,
@@ -28,6 +30,12 @@ SCHEMA = {
     "active": DataType.BOOL,
     "tags": DataType.JSON,
 }
+
+
+def forged_cursor(payload):
+    """The token a client would send to claim the last page ended at
+    ``payload``."""
+    return base64.urlsafe_b64encode(json.dumps(payload).encode()).decode()
 
 
 def doc(object_id, **state):
@@ -104,6 +112,17 @@ class TestParseQuery:
         token = encode_cursor(doc("C~b", width=7), "width")
         query = parse_query({"order": "width", "cursor": token}, SCHEMA)
         assert query.cursor == (7, "C~b")
+
+    def test_mistyped_cursor_names_the_order_key(self):
+        """Engines compare a mistyped cursor value differently (SQLite
+        coerces ``"5"`` by column affinity, Python refuses), so the
+        parser answers before either sees one."""
+        for payload in (["5", "C~b"], [None, "C~b"], [True, "C~b"]):
+            with pytest.raises(QueryError, match="not a valid INT for order key 'width'"):
+                parse_query({"order": "width", "cursor": forged_cursor(payload)}, SCHEMA)
+        # The id half is always a string.
+        with pytest.raises(QueryError, match="does not match"):
+            parse_query({"order": "width", "cursor": forged_cursor([7, 7])}, SCHEMA)
 
     def test_malformed_cursor(self):
         with pytest.raises(QueryError, match="malformed cursor"):
@@ -210,6 +229,24 @@ class TestGatewaySurface:
         response = platform.http("GET", "/api/classes/Image/objects?where=ghost==1")
         assert response.status == 400
         assert response.body["type"] == "QueryError"
+
+    @pytest.mark.parametrize("backend", ["dict", "sqlite"])
+    def test_mistyped_cursor_is_400_on_both_engines(self, backend):
+        """``["5", …]`` on an INT order key used to page on SQLite and
+        return nothing from the dict engine."""
+        platform = listing1_platform(nodes=2, storage=StorageConfig(backend))
+        try:
+            for width in (3, 5, 6, 7):
+                platform.new_object("Image", {"width": width})
+            token = forged_cursor(["5", "Image~0"])
+            response = platform.http(
+                "GET", f"/api/classes/Image/objects?order=width&limit=2&cursor={token}"
+            )
+            assert response.status == 400
+            assert response.body["type"] == "QueryError"
+            assert "'width'" in response.body["error"]
+        finally:
+            platform.shutdown()
 
     def test_file_key_not_queryable(self, platform):
         response = platform.http("GET", "/api/classes/Image/objects?where=image==x")
