@@ -56,21 +56,102 @@ Commands:
 Workload commands accept ``--backend {dict,sqlite}`` and ``--db PATH``
 to choose the store engine; with ``--backend sqlite --db FILE`` the
 platform's objects survive process death (see ``serve --linger``).
+
+A subcommand is one row of :data:`COMMANDS`: its name, help, handler,
+the option groups it takes (each group is declared once, in
+:data:`GROUPS`), options of its own, its ``--rounds``/``--interval``
+defaults, the :class:`PlatformConfig` fields it turns on, and a printer.
+A workload row's handler runs inside :func:`_platform` — the one owner
+of the platform's lifetime, which builds it, registers handlers, deploys
+the package and, however the handler exits (return, error, Ctrl-C),
+calls ``shutdown()``: write-behind is drained and the store closed, so
+no acknowledged write is left behind.  The printer, if any, runs after
+that, on what the shutdown settled.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import sys
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
+from repro.chaos import PLAN_NAMES, named_plan
 from repro.crm.template import default_catalog
+from repro.durability.plane import DurabilityConfig
 from repro.errors import OaasError
+from repro.federation.plane import FederationConfig
 from repro.model.pkg import Package, load_package
+from repro.monitoring.plane import MetricsConfig
+from repro.qos.plane import QosConfig
+from repro.scheduler.plane import SchedulerConfig
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "COMMANDS"]
+
+
+def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
+
+
+#: Option groups by name; a row lists the ones it takes.
+GROUPS: dict[str, tuple] = {
+    "workload": (
+        _opt("package"),
+        _opt("--handlers", help="module:callable registering images"),
+        _opt("--auto-handlers", action="store_true",
+             help="register stub handlers for every image in the package"),
+        _opt("--new", dest="new_cls", required=True, help="class to instantiate"),
+        _opt("--state", default="{}", help="initial state JSON"),
+        _opt("--invoke", action="append", default=[], metavar="FN[:PAYLOAD_JSON]",
+             help="function to invoke on the new object (repeatable)"),
+        _opt("--nodes", type=int, default=3, help="worker VM count"),
+        _opt("--backend", choices=("dict", "sqlite"), default="dict",
+             help="store engine behind the document store (sqlite survives "
+             "process death and auto-enables the durability plane)"),
+        _opt("--db", default=None, metavar="PATH",
+             help="SQLite database file (default: in-memory); requires --backend sqlite"),
+    ),
+    "seed": (_opt("--seed", type=int, default=0, help="platform RNG seed"),),
+    "pool": (_opt("--pool", type=int, default=4, help="worker pool size"),),
+    "async-per-round": (
+        _opt("--async-per-round", type=int, default=4,
+             help="fire-and-forget invocations submitted per round "
+             "(copies of the first --invoke)"),
+    ),
+    "scrape-interval": (
+        _opt("--scrape-interval", type=float, default=0.5,
+             help="metrics scrape interval (simulated seconds)"),
+    ),
+    "snapshot-interval": (
+        _opt("--snapshot-interval", type=float, default=1.0,
+             help="periodic cut interval (simulated seconds)"),
+    ),
+    "json": (
+        _opt("--json", dest="as_json", action="store_true", help="emit JSON instead of text"),
+    ),
+}
+
+
+class Command(NamedTuple):
+    """One subcommand.  ``handler(args)`` for a row without the workload
+    group; ``handler(platform, args)`` inside the platform's lifetime for
+    one with it, whose result ``printer(platform, args, result)`` turns
+    into the exit code after ``shutdown()`` (no printer: the result is
+    the exit code)."""
+
+    name: str
+    help: str
+    handler: Callable[..., Any]
+    groups: tuple[str, ...] = ()
+    options: tuple = ()
+    #: ``(--rounds, --interval)`` defaults; ``None``: no paced rounds.
+    rounds: tuple[int, float] | None = None
+    #: ``args`` -> the :class:`PlatformConfig` fields this command turns on.
+    planes: Callable[[argparse.Namespace], dict[str, Any]] | None = None
+    printer: Callable[..., int] | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,340 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ocli", description="Oparaca platform CLI (OaaS reproduction)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    validate = sub.add_parser("validate", help="parse and resolve a package file")
-    validate.add_argument("package", help="path to a YAML/JSON package file")
-
-    show = sub.add_parser("show", help="print resolved class details")
-    show.add_argument("package")
-    show.add_argument("--cls", help="show only this class")
-
-    sub.add_parser("templates", help="list class-runtime templates")
-
-    def add_workload_args(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("package")
-        cmd.add_argument("--handlers", help="module:callable registering images")
-        cmd.add_argument(
-            "--auto-handlers",
-            action="store_true",
-            help="register stub handlers for every image in the package",
-        )
-        cmd.add_argument(
-            "--new", dest="new_cls", required=True, help="class to instantiate"
-        )
-        cmd.add_argument("--state", default="{}", help="initial state JSON")
-        cmd.add_argument(
-            "--invoke",
-            action="append",
-            default=[],
-            metavar="FN[:PAYLOAD_JSON]",
-            help="function to invoke on the new object (repeatable)",
-        )
-        cmd.add_argument("--nodes", type=int, default=3, help="worker VM count")
-        cmd.add_argument(
-            "--backend",
-            choices=("dict", "sqlite"),
-            default="dict",
-            help="store engine behind the document store (sqlite survives "
-            "process death and auto-enables the durability plane)",
-        )
-        cmd.add_argument(
-            "--db",
-            default=None,
-            metavar="PATH",
-            help="SQLite database file (default: in-memory); requires "
-            "--backend sqlite",
-        )
-
-    run = sub.add_parser("run", help="deploy a package and invoke functions")
-    add_workload_args(run)
-
-    trace = sub.add_parser(
-        "trace", help="run a workload with tracing on and print span trees"
-    )
-    add_workload_args(trace)
-    trace.add_argument(
-        "--chrome",
-        metavar="FILE",
-        help="also write Chrome trace_event JSON to FILE ('-' for stdout)",
-    )
-
-    events = sub.add_parser(
-        "events", help="run a workload and print control-plane events"
-    )
-    add_workload_args(events)
-    events.add_argument("--type", dest="event_type", help="only this event type")
-    events.add_argument("--limit", type=int, help="only the newest N events")
-
-    report = sub.add_parser(
-        "report", help="run a workload and print the observability report"
-    )
-    add_workload_args(report)
-    report.add_argument(
-        "--json", dest="as_json", action="store_true", help="emit JSON instead of text"
-    )
-
-    from repro.chaos import PLAN_NAMES
-
-    chaos = sub.add_parser(
-        "chaos", help="run a workload under a named fault plan"
-    )
-    add_workload_args(chaos)
-    chaos.add_argument(
-        "--plan",
-        default="node-crash",
-        choices=PLAN_NAMES,
-        help="builtin fault plan to inject",
-    )
-    chaos.add_argument(
-        "--rounds", type=int, default=60, help="workload rounds to drive"
-    )
-    chaos.add_argument(
-        "--interval",
-        type=float,
-        default=0.15,
-        help="simulated seconds between rounds",
-    )
-    chaos.add_argument("--seed", type=int, default=0, help="platform RNG seed")
-
-    qos = sub.add_parser(
-        "qos",
-        help="run a workload with the QoS enforcement plane on and print "
-        "admission / fair-queue / shedding statistics",
-    )
-    add_workload_args(qos)
-    qos.add_argument(
-        "--rounds", type=int, default=60, help="workload rounds to drive"
-    )
-    qos.add_argument(
-        "--interval",
-        type=float,
-        default=0.05,
-        help="simulated seconds between rounds",
-    )
-    qos.add_argument(
-        "--async-per-round",
-        type=int,
-        default=4,
-        help="fire-and-forget invocations submitted per round "
-        "(exercises the weighted-fair queue)",
-    )
-    qos.add_argument(
-        "--concurrency-limit",
-        type=int,
-        default=None,
-        help="platform-wide in-flight HTTP ceiling",
-    )
-    qos.add_argument("--seed", type=int, default=0, help="platform RNG seed")
-
-    def add_steady_args(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--rounds", type=int, default=60, help="workload rounds to drive"
-        )
-        cmd.add_argument(
-            "--interval",
-            type=float,
-            default=0.1,
-            help="simulated seconds between rounds",
-        )
-        cmd.add_argument(
-            "--scrape-interval",
-            type=float,
-            default=0.5,
-            help="metrics scrape interval (simulated seconds)",
-        )
-        cmd.add_argument("--seed", type=int, default=0, help="platform RNG seed")
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run a workload with the metrics plane on and print the "
-        "registry as OpenMetrics text",
-    )
-    add_workload_args(metrics)
-    add_steady_args(metrics)
-    metrics.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the JSON snapshot (instruments + sampled series) instead",
-    )
-
-    slo = sub.add_parser(
-        "slo",
-        help="run a workload with the SLO evaluator on and print burn-rate "
-        "alerts and budget consumption",
-    )
-    add_workload_args(slo)
-    add_steady_args(slo)
-    slo.add_argument(
-        "--chaos",
-        dest="chaos_plan",
-        default=None,
-        choices=PLAN_NAMES,
-        help="also inject this fault plan (burns error budget)",
-    )
-    slo.add_argument(
-        "--json", dest="as_json", action="store_true", help="emit JSON instead of text"
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help="serve the platform over the real asyncio HTTP front end "
-        "(scheduler transport=asyncio) and drive concurrent requests at it",
-    )
-    add_workload_args(serve)
-    serve.add_argument("--pool", type=int, default=4, help="worker pool size")
-    serve.add_argument(
-        "--port", type=int, default=0, help="HTTP port (0 picks an ephemeral one)"
-    )
-    serve.add_argument(
-        "--requests", type=int, default=24, help="invocations to drive over HTTP"
-    )
-    serve.add_argument(
-        "--concurrency", type=int, default=8, help="concurrent HTTP connections"
-    )
-    serve.add_argument("--seed", type=int, default=0, help="platform RNG seed")
-    serve.add_argument(
-        "--crash-worker",
-        dest="crash_worker",
-        default=None,
-        metavar="WORKER",
-        help="abort this worker's connection mid-run (epoch fence + requeue)",
-    )
-    serve.add_argument(
-        "--linger",
-        action="store_true",
-        help="serve until killed instead of driving a benchmark workload "
-        "(no object is created; pair with --backend sqlite --db FILE for "
-        "a store that survives the kill)",
-    )
-
-    query = sub.add_parser(
-        "query",
-        help="deploy a package, create objects, and run a typed query "
-        "(where/order/limit) over a class's declared keySpecs",
-    )
-    add_workload_args(query)
-    query.add_argument(
-        "--create",
-        action="append",
-        default=[],
-        metavar="STATE_JSON",
-        help="additional object to create with this initial state "
-        "(repeatable)",
-    )
-    query.add_argument(
-        "--where",
-        default=None,
-        help="predicate conjunction, e.g. 'total>=10,region^=eu'",
-    )
-    query.add_argument("--order", default=None, help="order key, e.g. 'total:desc'")
-    query.add_argument("--limit", type=int, default=None, help="page size")
-    query.add_argument("--cursor", default=None, help="resume token from a previous page")
-    query.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the engine's query plan and whether an index was used",
-    )
-
-    workers = sub.add_parser(
-        "workers",
-        help="run a workload with the scheduler plane on and print the "
-        "worker table, ledger audit, and lifecycle events",
-    )
-    add_workload_args(workers)
-    workers.add_argument("--pool", type=int, default=4, help="worker pool size")
-    workers.add_argument(
-        "--rounds", type=int, default=40, help="workload rounds to drive"
-    )
-    workers.add_argument(
-        "--interval",
-        type=float,
-        default=0.05,
-        help="simulated seconds between rounds",
-    )
-    workers.add_argument(
-        "--async-per-round",
-        type=int,
-        default=4,
-        help="fire-and-forget invocations submitted per round "
-        "(dispatched through the worker queues)",
-    )
-    workers.add_argument(
-        "--drain",
-        dest="drain_worker",
-        default=None,
-        metavar="WORKER",
-        help="drain this worker halfway through (graceful handoff)",
-    )
-    workers.add_argument(
-        "--crash",
-        dest="crash_worker",
-        default=None,
-        metavar="WORKER",
-        help="crash this worker halfway through (epoch fence + requeue)",
-    )
-    workers.add_argument("--seed", type=int, default=0, help="platform RNG seed")
-
-    snapshot = sub.add_parser(
-        "snapshot",
-        help="run a workload with the durability plane on and take a "
-        "consistent snapshot cut",
-    )
-    add_workload_args(snapshot)
-    snapshot.add_argument(
-        "--snapshot-interval",
-        type=float,
-        default=1.0,
-        help="periodic cut interval (simulated seconds)",
-    )
-
-    restore = sub.add_parser(
-        "restore",
-        help="run a workload, snapshot, mutate further, then restore the "
-        "class to the snapshot point",
-    )
-    add_workload_args(restore)
-    restore.add_argument(
-        "--snapshot-interval",
-        type=float,
-        default=1.0,
-        help="periodic cut interval (simulated seconds)",
-    )
-    restore.add_argument(
-        "--at",
-        type=float,
-        default=None,
-        help="restore point in simulated seconds (default: latest cut)",
-    )
-
-    migrate = sub.add_parser(
-        "migrate",
-        help="run a workload with the federation plane on and live-migrate "
-        "the object into another zone",
-    )
-    add_workload_args(migrate)
-    migrate.add_argument(
-        "--zones",
-        default="edge-a:edge,region-a:regional,core:core",
-        metavar="NAME:TIER[,NAME:TIER...]",
-        help="zone topology; cluster nodes are labelled round-robin "
-        "across the zones (tiers: edge, regional, core)",
-    )
-    migrate.add_argument(
-        "--to",
-        dest="target_zone",
-        required=True,
-        metavar="ZONE",
-        help="target zone for the live migration",
-    )
-    migrate.add_argument(
-        "--origin",
-        default=None,
-        metavar="ZONE",
-        help="origin zone stamped on workload requests (geo-routing)",
-    )
-    migrate.add_argument("--seed", type=int, default=0, help="platform RNG seed")
+    for row in COMMANDS:
+        cmd = sub.add_parser(row.name, help=row.help)
+        options = [option for group in row.groups for option in GROUPS[group]]
+        if row.rounds is not None:
+            rounds, interval = row.rounds
+            options += [
+                _opt("--rounds", type=int, default=rounds, help="workload rounds to drive"),
+                _opt("--interval", type=float, default=interval,
+                     help="simulated seconds between rounds"),
+            ]
+        for flags, kwargs in (*options, *row.options):
+            cmd.add_argument(*flags, **kwargs)
+        cmd.set_defaults(handler=row)
     return parser
 
 
@@ -469,14 +229,8 @@ def _cmd_templates(_args: argparse.Namespace) -> int:
 
 
 def _register_stub_handlers(platform, package: Package) -> None:
-    images = set()
-    for fn in package.functions:
-        if fn.image:
-            images.add(fn.image)
-    for cls in package.classes:
-        for binding in cls.bindings:
-            if binding.function.image:
-                images.add(binding.function.image)
+    functions = [*package.functions, *(b.function for c in package.classes for b in c.bindings)]
+    images = {fn.image for fn in functions if fn.image}
 
     def make_stub(image: str):
         # Stubs must not touch state: the class schema is arbitrary and
@@ -491,22 +245,32 @@ def _register_stub_handlers(platform, package: Package) -> None:
 
 
 class _UsageError(Exception):
-    """Invalid handler wiring; ``main`` prints it and exits 2."""
+    """Invalid flags or handler wiring; ``main`` prints it and exits 2."""
 
 
-def _deploy(args: argparse.Namespace, **overrides: Any):
-    """An ephemeral platform with the workload's handlers registered and
-    ``args.package`` deployed.  ``overrides`` are :class:`PlatformConfig`
-    fields — the plane configs and observability switches a subcommand
-    turns on."""
-    from repro.durability.plane import DurabilityConfig
+def _check_usage(args: argparse.Namespace) -> None:
+    """Refuse what the parser accepts but the platform would ignore or
+    mis-report."""
+    if args.db is not None and args.backend != "sqlite":
+        raise _UsageError("--db requires --backend sqlite")
+    for flag in ("rounds", "interval"):
+        if getattr(args, flag, 0) < 0:
+            raise _UsageError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
+
+
+@contextlib.contextmanager
+def _platform(args: argparse.Namespace, **overrides: Any) -> Iterator[Any]:
+    """The platform's one lifetime: an ephemeral :class:`Oparaca` with
+    the workload's handlers registered and ``args.package`` deployed,
+    shut down however the block exits.  ``overrides`` are
+    :class:`PlatformConfig` fields — the plane configs and observability
+    switches a subcommand turns on."""
     from repro.platform.oparaca import Oparaca, PlatformConfig
     from repro.storage.backends import StorageConfig
 
+    _check_usage(args)
     package = load_package(args.package)
-    storage = StorageConfig(
-        backend=getattr(args, "backend", "dict"), path=getattr(args, "db", None)
-    )
+    storage = StorageConfig(backend=args.backend, path=args.db)
     if storage.backend == "sqlite":
         # A durable engine without the durability plane would still lose
         # queued write-behind commits on a kill; enabling the plane makes
@@ -520,18 +284,21 @@ def _deploy(args: argparse.Namespace, **overrides: Any):
             **overrides,
         )
     )
-    if args.handlers:
-        module_name, _, attr = args.handlers.partition(":")
-        if not attr:
-            raise _UsageError("--handlers must be module:callable")
-        register = getattr(importlib.import_module(module_name), attr)
-        register(platform)
-    elif args.auto_handlers:
-        _register_stub_handlers(platform, package)
-    else:
-        raise _UsageError("provide --handlers module:callable or --auto-handlers")
-    platform.deploy(package)
-    return platform
+    try:
+        if args.handlers:
+            module_name, _, attr = args.handlers.partition(":")
+            if not attr:
+                raise _UsageError("--handlers must be module:callable")
+            register = getattr(importlib.import_module(module_name), attr)
+            register(platform)
+        elif args.auto_handlers:
+            _register_stub_handlers(platform, package)
+        else:
+            raise _UsageError("provide --handlers module:callable or --auto-handlers")
+        platform.deploy(package)
+        yield platform
+    finally:
+        platform.shutdown()
 
 
 def _parse_invoke(spec: str) -> tuple[str, dict]:
@@ -540,37 +307,21 @@ def _parse_invoke(spec: str) -> tuple[str, dict]:
     return fn, json.loads(payload_text) if payload_text else {}
 
 
-def _create_object(platform, args: argparse.Namespace) -> str:
-    body = {"state": json.loads(args.state)} if args.state != "{}" else {}
-    created = platform.http("POST", f"/api/classes/{args.new_cls}", body)
+def _state_body(state_text: str) -> dict:
+    return {"state": json.loads(state_text)} if state_text != "{}" else {}
+
+
+def _create_object(platform, cls: str, state_text: str) -> str:
+    created = platform.http("POST", f"/api/classes/{cls}", _state_body(state_text))
     if not created.ok:
         raise OaasError(f"object creation failed: {created.body.get('error')}")
     return created.body["id"]
 
 
-def _run_workload(platform, args: argparse.Namespace, quiet: bool = False) -> str:
-    """Create the object and run each ``--invoke``; returns the object id.
+class _Driven(NamedTuple):
+    """The object :func:`_drive` invoked, and how the gateway answered."""
 
-    Goes through the gateway's REST surface (not the engine directly) so
-    traces start at the ``gateway`` span, like a real client's would.
-    """
-    object_id = _create_object(platform, args)
-    if not quiet:
-        print(f"created {object_id}")
-    for spec in args.invoke:
-        fn, payload = _parse_invoke(spec)
-        response = platform.http("POST", f"/api/objects/{object_id}/invokes/{fn}", payload)
-        if not quiet:
-            status = "ok" if response.ok else f"FAILED: {response.body.get('error')}"
-            print(f"invoke {fn}: {status}")
-            if response.ok and response.body:
-                print(f"  output: {json.dumps(response.body, default=str)}")
-    return object_id
-
-
-class _Rounds(NamedTuple):
-    """How the gateway answered the invokes :func:`_drive_rounds` made."""
-
+    object_id: str
     ok: int
     #: Answered 429/503: admission or overload refused the request.
     rejected: int
@@ -581,22 +332,36 @@ class _Rounds(NamedTuple):
         return self.rejected + self.failed
 
 
-def _drive_rounds(
+def _drive(
     platform,
     args: argparse.Namespace,
     *,
-    async_per_round: int = 0,
+    object_id: str | None = None,
+    echo: bool = False,
     halfway: Callable[[], None] | None = None,
-) -> _Rounds:
-    """Create the object, then drive ``--rounds`` rounds ``--interval``
-    simulated seconds apart (the cadence the scraper, the SLO evaluator
-    and the fault plans are built for).  A round makes every ``--invoke``
-    through the gateway, then submits ``async_per_round`` fire-and-forget
-    copies of the first one; ``halfway`` runs before the middle round."""
-    object_id = _create_object(platform, args)
-    invokes = args.invoke or ["get"]
+    creates: tuple[str, ...] | list[str] = (),
+) -> _Driven:
+    """The one workload loop.  Creates the object (unless ``object_id``
+    names one), makes every ``--invoke`` on it through the gateway's
+    REST surface — so traces start at the ``gateway`` span, like a real
+    client's would — then creates one more object per ``creates`` state.
+
+    A command with paced rounds drives ``--rounds`` rounds
+    ``--interval`` simulated seconds apart (the cadence the scraper, the
+    SLO evaluator and the fault plans are built for), invoking ``get``
+    when no ``--invoke`` is given, submitting ``--async-per-round``
+    fire-and-forget copies of the first invoke per round, and running
+    ``halfway`` before the middle round.  Otherwise it makes one pass and
+    leaves the clock alone.  ``echo`` narrates each step."""
+    if object_id is None:
+        object_id = _create_object(platform, args.new_cls, args.state)
+        if echo:
+            print(f"created {object_id}")
+    paced = hasattr(args, "rounds")
+    invokes = (args.invoke or ["get"]) if paced else args.invoke
+    async_per_round = getattr(args, "async_per_round", 0)
     ok = rejected = failed = 0
-    for round_index in range(args.rounds):
+    for round_index in range(args.rounds if paced else 1):
         if halfway is not None and round_index == max(1, args.rounds // 2):
             halfway()
         for spec in invokes:
@@ -604,6 +369,11 @@ def _drive_rounds(
             response = platform.http(
                 "POST", f"/api/objects/{object_id}/invokes/{fn}", payload
             )
+            if echo:
+                status = "ok" if response.ok else f"FAILED: {response.body.get('error')}"
+                print(f"invoke {fn}: {status}")
+                if response.ok and response.body:
+                    print(f"  output: {json.dumps(response.body, default=str)}")
             if response.ok:
                 ok += 1
             elif response.status in (429, 503):
@@ -612,28 +382,26 @@ def _drive_rounds(
                 failed += 1
         for _ in range(async_per_round):
             platform.invoke_async(object_id, *_parse_invoke(invokes[0]))
-        platform.advance(args.interval)
-    return _Rounds(ok, rejected, failed)
+        if paced:
+            platform.advance(args.interval)
+    for state_text in creates:
+        _create_object(platform, args.new_cls, state_text)
+    return _Driven(object_id, ok, rejected, failed)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    platform = _deploy(args)
+def _cmd_run(platform, args: argparse.Namespace) -> int:
     for runtime in platform.describe():
         print(
             f"deployed {runtime['class']} via template {runtime['template']!r} "
             f"on {runtime['engine']}"
         )
-    object_id = _run_workload(platform, args)
+    object_id = _drive(platform, args, echo=True).object_id
     record = platform.get_object(object_id)
     print(f"final state: {json.dumps(record['state'], default=str)}")
-    platform.shutdown()
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    platform = _deploy(args, tracing_enabled=True)
-    _run_workload(platform, args, quiet=True)
-    platform.shutdown()
+def _print_trace(platform, args: argparse.Namespace, _driven) -> int:
     if args.chrome:
         if args.chrome == "-":
             print(platform.export_chrome_trace())
@@ -646,10 +414,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_events(args: argparse.Namespace) -> int:
-    platform = _deploy(args, events_enabled=True)
-    _run_workload(platform, args, quiet=True)
-    platform.shutdown()
+def _print_events(platform, args: argparse.Namespace, _driven) -> int:
     print(platform.events.render(type=args.event_type, limit=args.limit))
     counts = platform.events.type_counts()
     if counts and not args.event_type:
@@ -658,40 +423,42 @@ def _cmd_events(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _print_report(platform, args: argparse.Namespace, _driven) -> int:
     from repro.monitoring.export import format_summary
     from repro.monitoring.nfr_report import format_nfr_report
 
-    platform = _deploy(args, tracing_enabled=True, events_enabled=True)
-    _run_workload(platform, args, quiet=True)
-    platform.shutdown()
-    if args.as_json:
-        print(json.dumps(platform.observability_report(), indent=2, default=str))
-        return 0
     report = platform.observability_report()
+    if args.as_json:
+        print(json.dumps(report, indent=2, default=str))
+        return 0
     print(format_summary(report))
     print("\nNFR compliance (declared QoS vs observed):")
     print(format_nfr_report(platform.nfr_report()))
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import named_plan
-    from repro.monitoring.nfr_report import format_nfr_report
+def _inject(platform, plan_name: str):
+    plan = named_plan(plan_name, list(platform.cluster.node_names))
+    platform.inject_chaos(plan)
+    return plan
 
-    platform = _deploy(args, tracing_enabled=True, events_enabled=True)
-    plan = named_plan(args.plan, list(platform.cluster.node_names))
+
+def _cmd_chaos(platform, args: argparse.Namespace) -> _Driven:
+    plan = _inject(platform, args.plan)
     print(f"injecting plan {plan.name!r}:")
     for fault in plan.describe()["faults"]:
         print(f"  {json.dumps(fault, default=str)}")
-    injector = platform.inject_chaos(plan)
-    run = _drive_rounds(platform, args)
+    driven = _drive(platform, args)
     # Let the plan finish (and breakers settle) before judging.
     platform.advance(max(0.0, plan.end_s - platform.now) + 1.0)
-    platform.shutdown()
+    return driven
+
+
+def _print_chaos(platform, args: argparse.Namespace, run: _Driven) -> int:
+    from repro.monitoring.nfr_report import format_nfr_report
 
     print(f"\nworkload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds")
-    summary = injector.stats()
+    summary = platform.report("chaos")
     print(
         f"chaos: injected={summary['injected']} recovered={summary['recovered']} "
         f"fault_time_s={summary['fault_time_s']:.2f}"
@@ -708,19 +475,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_qos(args: argparse.Namespace) -> int:
-    from repro.monitoring.nfr_report import format_nfr_report
-    from repro.qos.plane import QosConfig
-
-    platform = _deploy(
-        args,
-        events_enabled=True,
-        qos=QosConfig(enabled=True, concurrency_limit=args.concurrency_limit),
-    )
-
-    run = _drive_rounds(platform, args, async_per_round=args.async_per_round)
+def _drive_and_settle(platform, args: argparse.Namespace, halfway=None) -> _Driven:
+    driven = _drive(platform, args, halfway=halfway)
     platform.advance(2.0)  # drain the async backlog
-    platform.shutdown()
+    return driven
+
+
+def _print_qos(platform, args: argparse.Namespace, run: _Driven) -> int:
+    from repro.monitoring.nfr_report import format_nfr_report
 
     print(
         f"workload: {run.ok} ok / {run.rejected} rejected / {run.failed} failed "
@@ -769,16 +531,7 @@ def _cmd_qos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.monitoring.plane import MetricsConfig
-
-    platform = _deploy(
-        args,
-        events_enabled=True,
-        metrics=MetricsConfig(enabled=True, scrape_interval_s=args.scrape_interval),
-    )
-    run = _drive_rounds(platform, args)
-    platform.shutdown()
+def _print_metrics(platform, args: argparse.Namespace, run: _Driven) -> int:
     # One final scrape after the flush so the exported counters include
     # everything the shutdown drained.
     platform.metrics.scraper.scrape_once()
@@ -796,22 +549,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.monitoring.plane import MetricsConfig
-
-    platform = _deploy(
-        args,
-        events_enabled=True,
-        metrics=MetricsConfig(enabled=True, scrape_interval_s=args.scrape_interval),
-    )
+def _cmd_slo(platform, args: argparse.Namespace) -> _Driven:
     if args.chaos_plan:
-        from repro.chaos import named_plan
-
-        plan = named_plan(args.chaos_plan, list(platform.cluster.node_names))
-        platform.inject_chaos(plan)
+        plan = _inject(platform, args.chaos_plan)
         print(f"injecting plan {plan.name!r}", file=sys.stderr)
-    run = _drive_rounds(platform, args)
-    platform.shutdown()
+    return _drive(platform, args)
+
+
+def _print_slo(platform, args: argparse.Namespace, run: _Driven) -> int:
     platform.metrics.scraper.scrape_once()
     report = platform.slo_report()
     if args.as_json:
@@ -852,24 +597,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(platform, args: argparse.Namespace) -> int:
     import asyncio
-
-    from repro.scheduler.plane import SchedulerConfig
-
-    platform = _deploy(
-        args,
-        scheduler=SchedulerConfig(
-            enabled=True,
-            transport="asyncio",
-            pool_size=args.pool,
-            # Wall-clock heartbeats: keep the silence budget generous so
-            # a busy event loop doesn't read as worker death.
-            heartbeat_interval_s=0.25,
-            degraded_after_misses=2,
-            dead_after_misses=4,
-        ),
-    )
 
     async def request(host, port, method, path, body=None):
         reader, writer = await asyncio.open_connection(host, port)
@@ -896,14 +625,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host, port = front.host, front.port
         print(f"serving on http://{host}:{port} with {args.pool} workers", flush=True)
         if args.linger:
-            # Serve real clients until the process is killed.  This is
-            # the mode the sqlite durability drill runs: kill -9 this
-            # process, restart it on the same --db file, and the objects
-            # are still there.
+            # Serve real clients until Ctrl-C (the lifetime then drains
+            # and closes the store) or until killed.  This is the mode
+            # the sqlite durability drill runs: kill -9 this process,
+            # restart it on the same --db file, and the objects are
+            # still there.
             await asyncio.Event().wait()
-        body = {"state": json.loads(args.state)} if args.state != "{}" else {}
         status, created = await request(
-            host, port, "POST", f"/api/classes/{args.new_cls}", body
+            host, port, "POST", f"/api/classes/{args.new_cls}", _state_body(args.state)
         )
         if status != 201:
             raise OaasError(f"object creation failed: {created.get('error')}")
@@ -964,15 +693,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_workers(args: argparse.Namespace) -> int:
-    from repro.scheduler.plane import SchedulerConfig
-
-    platform = _deploy(
-        args,
-        events_enabled=True,
-        scheduler=SchedulerConfig(enabled=True, pool_size=args.pool),
-    )
-
+def _cmd_workers(platform, args: argparse.Namespace) -> _Driven:
     def retire_halfway() -> None:
         if args.drain_worker:
             response = platform.http("POST", f"/api/workers/{args.drain_worker}/drain")
@@ -985,12 +706,10 @@ def _cmd_workers(args: argparse.Namespace) -> int:
             verb = "crashed" if crashed else "crash no-op (unknown/dead):"
             print(f"{verb} {args.crash_worker} at t={platform.now:.3f}s")
 
-    run = _drive_rounds(
-        platform, args, async_per_round=args.async_per_round, halfway=retire_halfway
-    )
-    platform.advance(2.0)  # settle the worker queues
-    platform.shutdown()
+    return _drive_and_settle(platform, args, halfway=retire_halfway)
 
+
+def _print_workers(platform, args: argparse.Namespace, run: _Driven) -> int:
     print(
         f"workload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds "
         f"(+{args.rounds * args.async_per_round} async submissions through worker queues)"
@@ -1030,28 +749,18 @@ def _cmd_workers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _snapshot_run(args: argparse.Namespace):
-    """The shared opening of ``snapshot`` and ``restore``: a platform
-    with the durability plane on, the workload, then one cut through the
-    gateway.  Returns ``(platform, object_id, cut_body)``."""
-    from repro.durability.plane import DurabilityConfig
-
-    platform = _deploy(
-        args,
-        events_enabled=True,
-        durability=DurabilityConfig(
-            enabled=True, default_interval_s=args.snapshot_interval
-        ),
-    )
-    object_id = _run_workload(platform, args, quiet=True)
+def _snapshot_cut(platform, args: argparse.Namespace) -> tuple[str, dict]:
+    """The shared opening of ``snapshot`` and ``restore``: the workload,
+    then one cut through the gateway.  Returns ``(object_id, cut_body)``."""
+    object_id = _drive(platform, args).object_id
     cut = platform.http("POST", f"/api/classes/{args.new_cls}/snapshots")
     if cut.status not in (200, 201):
         raise OaasError(f"snapshot failed: {cut.body.get('error')}")
-    return platform, object_id, cut.body
+    return object_id, cut.body
 
 
-def _cmd_snapshot(args: argparse.Namespace) -> int:
-    platform, _, cut = _snapshot_run(args)
+def _cmd_snapshot(platform, args: argparse.Namespace) -> int:
+    _, cut = _snapshot_cut(platform, args)
     if cut.get("generation") is None:
         print(f"nothing to capture for {args.new_cls} (no changes since last cut)")
     else:
@@ -1075,12 +784,11 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         f"bytes={row.get('snapshot_bytes', 0)} "
         f"epoch_writes={row.get('epoch_writes', 0)}"
     )
-    platform.shutdown()
     return 0
 
 
-def _cmd_restore(args: argparse.Namespace) -> int:
-    platform, object_id, cut = _snapshot_run(args)
+def _cmd_restore(platform, args: argparse.Namespace) -> int:
+    object_id, cut = _snapshot_cut(platform, args)
     if cut.get("generation") is None:
         # The periodic loop already covered the workload; restore from
         # the latest retained generation instead.
@@ -1097,9 +805,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     else:
         print(f"cut generation {cut['generation']} at t={cut['cut_time']:.4f}s")
     # Mutate past the cut so the rewind is visible.
-    for spec in args.invoke:
-        fn, payload = _parse_invoke(spec)
-        platform.http("POST", f"/api/objects/{object_id}/invokes/{fn}", payload)
+    _drive(platform, args, object_id=object_id)
     before = platform.get_object(object_id)
     body = {} if args.at is None else {"at": args.at}
     restored = platform.http("POST", f"/api/classes/{args.new_cls}/restore", body)
@@ -1114,7 +820,6 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     after = platform.get_object(object_id)
     print(f"state before restore: {json.dumps(before['state'], default=str)}")
     print(f"state after restore:  {json.dumps(after['state'], default=str)}")
-    platform.shutdown()
     return 0
 
 
@@ -1131,18 +836,8 @@ def _parse_zones(text: str):
     return tuple(zones)
 
 
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.federation.plane import FederationConfig
-
-    zones = _parse_zones(args.zones)
-    platform = _deploy(
-        args,
-        events_enabled=True,
-        federation=FederationConfig(
-            enabled=True, zones=zones, default_origin_zone=args.origin
-        ),
-    )
-    object_id = _run_workload(platform, args, quiet=True)
+def _cmd_migrate(platform, args: argparse.Namespace) -> int:
+    object_id = _drive(platform, args).object_id
     plane = platform.federation
     runtime = platform.crm.runtime(args.new_cls)
     source = runtime.dht.owner(object_id)
@@ -1175,31 +870,24 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         f"cross_zone={stats['cross_zone_total']} "
         f"rejections={stats['rejections_total']}"
     )
-    platform.shutdown()
     return 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _cmd_query(platform, args: argparse.Namespace) -> int:
     import urllib.parse
 
-    platform = _deploy(args)
-    _run_workload(platform, args, quiet=True)
-    for state_text in args.create:
-        body = {"state": json.loads(state_text)}
-        created = platform.http("POST", f"/api/classes/{args.new_cls}", body)
-        if not created.ok:
-            raise OaasError(f"object creation failed: {created.body.get('error')}")
-    params = []
-    if args.where:
-        params.append(("where", args.where))
-    if args.order:
-        params.append(("order", args.order))
-    if args.limit is not None:
-        params.append(("limit", str(args.limit)))
-    if args.cursor:
-        params.append(("cursor", args.cursor))
-    if args.explain:
-        params.append(("explain", "1"))
+    _drive(platform, args, creates=args.create)
+    params = [
+        (name, value)
+        for name, value in (
+            ("where", args.where),
+            ("order", args.order),
+            ("limit", None if args.limit is None else str(args.limit)),
+            ("cursor", args.cursor),
+            ("explain", "1" if args.explain else None),
+        )
+        if value
+    ]
     # A bare "?" still selects the query route (an unfiltered query),
     # which is the point: same surface, same accounting.
     query_string = urllib.parse.urlencode(params)
@@ -1221,41 +909,152 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.explain:
         print(f"plan: {body.get('plan')}")
         print(f"index used: {body.get('index_used')}")
-    platform.shutdown()
     return 0
 
 
+_WORKLOAD = ("workload",)
+_TRACING = {"tracing_enabled": True}
+_EVENTS = {"events_enabled": True}
+_OBSERVED = {**_TRACING, **_EVENTS}
+
+
+def _metrics(args: argparse.Namespace) -> dict[str, Any]:
+    return {**_EVENTS, "metrics": MetricsConfig(
+        enabled=True, scrape_interval_s=args.scrape_interval)}
+
+
+def _durability(args: argparse.Namespace) -> dict[str, Any]:
+    return {**_EVENTS, "durability": DurabilityConfig(
+        enabled=True, default_interval_s=args.snapshot_interval)}
+
+
+#: Every subcommand, in ``--help`` order.
+COMMANDS: tuple[Command, ...] = (
+    Command("validate", "parse and resolve a package file", _cmd_validate,
+            options=(_opt("package", help="path to a YAML/JSON package file"),)),
+    Command("show", "print resolved class details", _cmd_show,
+            options=(_opt("package"), _opt("--cls", help="show only this class"))),
+    Command("templates", "list class-runtime templates", _cmd_templates),
+    Command("run", "deploy a package and invoke functions", _cmd_run, _WORKLOAD),
+    Command("trace", "run a workload with tracing on and print span trees", _drive, _WORKLOAD,
+            options=(_opt("--chrome", metavar="FILE", help="also write Chrome trace_event "
+                          "JSON to FILE ('-' for stdout)"),),
+            planes=lambda args: _TRACING, printer=_print_trace),
+    Command("events", "run a workload and print control-plane events", _drive, _WORKLOAD,
+            options=(_opt("--type", dest="event_type", help="only this event type"),
+                     _opt("--limit", type=int, help="only the newest N events")),
+            planes=lambda args: _EVENTS, printer=_print_events),
+    Command("report", "run a workload and print the observability report", _drive,
+            ("workload", "json"), planes=lambda args: _OBSERVED, printer=_print_report),
+    Command("chaos", "run a workload under a named fault plan", _cmd_chaos, ("workload", "seed"),
+            options=(_opt("--plan", default="node-crash", choices=PLAN_NAMES,
+                          help="builtin fault plan to inject"),),
+            rounds=(60, 0.15), planes=lambda args: _OBSERVED, printer=_print_chaos),
+    Command("qos", "run a workload with the QoS enforcement plane on and print "
+            "admission / fair-queue / shedding statistics", _drive_and_settle,
+            ("workload", "async-per-round", "seed"),
+            options=(_opt("--concurrency-limit", type=int, default=None,
+                          help="platform-wide in-flight HTTP ceiling"),),
+            rounds=(60, 0.05),
+            planes=lambda args: {**_EVENTS, "qos": QosConfig(
+                enabled=True, concurrency_limit=args.concurrency_limit)},
+            printer=_print_qos),
+    Command("metrics", "run a workload with the metrics plane on and print the registry as "
+            "OpenMetrics text", _drive, ("workload", "scrape-interval", "seed", "json"),
+            rounds=(60, 0.1), planes=_metrics, printer=_print_metrics),
+    Command("slo", "run a workload with the SLO evaluator on and print burn-rate alerts and "
+            "budget consumption", _cmd_slo, ("workload", "scrape-interval", "seed", "json"),
+            options=(_opt("--chaos", dest="chaos_plan", default=None, choices=PLAN_NAMES,
+                          help="also inject this fault plan (burns error budget)"),),
+            rounds=(60, 0.1), planes=_metrics, printer=_print_slo),
+    Command("serve", "serve the platform over the real asyncio HTTP front end (scheduler "
+            "transport=asyncio) and drive concurrent requests at it", _cmd_serve,
+            ("workload", "pool", "seed"),
+            options=(
+                _opt("--port", type=int, default=0, help="HTTP port (0 picks an ephemeral one)"),
+                _opt("--requests", type=int, default=24, help="invocations to drive over HTTP"),
+                _opt("--concurrency", type=int, default=8, help="concurrent HTTP connections"),
+                _opt("--crash-worker", dest="crash_worker", default=None, metavar="WORKER",
+                     help="abort this worker's connection mid-run (epoch fence + requeue)"),
+                _opt("--linger", action="store_true",
+                     help="serve until interrupted instead of driving a benchmark workload "
+                     "(no object is created; pair with --backend sqlite --db FILE for a "
+                     "store that survives the process)"),
+            ),
+            # Wall-clock heartbeats: keep the silence budget generous so
+            # a busy event loop doesn't read as worker death.
+            planes=lambda args: {"scheduler": SchedulerConfig(
+                enabled=True, transport="asyncio", pool_size=args.pool,
+                heartbeat_interval_s=0.25, degraded_after_misses=2, dead_after_misses=4)}),
+    Command("query", "deploy a package, create objects, and run a typed query "
+            "(where/order/limit) over a class's declared keySpecs", _cmd_query, _WORKLOAD,
+            options=(
+                _opt("--create", action="append", default=[], metavar="STATE_JSON",
+                     help="additional object to create with this initial state (repeatable)"),
+                _opt("--where", default=None,
+                     help="predicate conjunction, e.g. 'total>=10,region^=eu'"),
+                _opt("--order", default=None, help="order key, e.g. 'total:desc'"),
+                _opt("--limit", type=int, default=None, help="page size"),
+                _opt("--cursor", default=None, help="resume token from a previous page"),
+                _opt("--explain", action="store_true",
+                     help="print the engine's query plan and whether an index was used"),
+            )),
+    Command("workers", "run a workload with the scheduler plane on and print the worker "
+            "table, ledger audit, and lifecycle events", _cmd_workers,
+            ("workload", "pool", "async-per-round", "seed"),
+            options=(
+                _opt("--drain", dest="drain_worker", default=None, metavar="WORKER",
+                     help="drain this worker halfway through (graceful handoff)"),
+                _opt("--crash", dest="crash_worker", default=None, metavar="WORKER",
+                     help="crash this worker halfway through (epoch fence + requeue)"),
+            ),
+            rounds=(40, 0.05),
+            planes=lambda args: {**_EVENTS, "scheduler": SchedulerConfig(
+                enabled=True, pool_size=args.pool)},
+            printer=_print_workers),
+    Command("snapshot", "run a workload with the durability plane on and take a consistent "
+            "snapshot cut", _cmd_snapshot, ("workload", "snapshot-interval"),
+            planes=_durability),
+    Command("restore", "run a workload, snapshot, mutate further, then restore the class to "
+            "the snapshot point", _cmd_restore, ("workload", "snapshot-interval"),
+            options=(_opt("--at", type=float, default=None,
+                          help="restore point in simulated seconds (default: latest cut)"),),
+            planes=_durability),
+    Command("migrate", "run a workload with the federation plane on and live-migrate the "
+            "object into another zone", _cmd_migrate, ("workload", "seed"),
+            options=(
+                _opt("--zones", default="edge-a:edge,region-a:regional,core:core",
+                     metavar="NAME:TIER[,NAME:TIER...]",
+                     help="zone topology; cluster nodes are labelled round-robin "
+                     "across the zones (tiers: edge, regional, core)"),
+                _opt("--to", dest="target_zone", required=True, metavar="ZONE",
+                     help="target zone for the live migration"),
+                _opt("--origin", default=None, metavar="ZONE",
+                     help="origin zone stamped on workload requests (geo-routing)"),
+            ),
+            planes=lambda args: {**_EVENTS, "federation": FederationConfig(
+                enabled=True, zones=_parse_zones(args.zones),
+                default_origin_zone=args.origin)}),
+)
+
+
+def _execute(row: Command, args: argparse.Namespace) -> int:
+    if "workload" not in row.groups:
+        return row.handler(args)
+    planes = row.planes(args) if row.planes is not None else {}
+    with _platform(args, **planes) as platform:
+        result = row.handler(platform, args)
+    return result if row.printer is None else row.printer(platform, args, result)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "validate": _cmd_validate,
-        "show": _cmd_show,
-        "templates": _cmd_templates,
-        "run": _cmd_run,
-        "trace": _cmd_trace,
-        "events": _cmd_events,
-        "report": _cmd_report,
-        "chaos": _cmd_chaos,
-        "qos": _cmd_qos,
-        "metrics": _cmd_metrics,
-        "slo": _cmd_slo,
-        "serve": _cmd_serve,
-        "workers": _cmd_workers,
-        "snapshot": _cmd_snapshot,
-        "restore": _cmd_restore,
-        "migrate": _cmd_migrate,
-        "query": _cmd_query,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _execute(args.handler, args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OaasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (OaasError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
