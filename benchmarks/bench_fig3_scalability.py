@@ -13,14 +13,14 @@ from repro.bench.report import format_fig3, format_fig3_chart
 from repro.bench.scalability import run_cell
 from repro.bench.systems import SYSTEMS
 
-from conftest import fig3_config, fig3_nodes
+from conftest import fig3_config, fig3_nodes, full_scale, golden_rows
 
 _ROWS = []
 
 
 @pytest.mark.parametrize("nodes", fig3_nodes())
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_fig3_cell(benchmark, system, nodes):
+def test_fig3_cell(benchmark, golden, system, nodes):
     cfg = fig3_config()
 
     def run():
@@ -33,6 +33,8 @@ def test_fig3_cell(benchmark, system, nodes):
     benchmark.extra_info["throughput_rps"] = round(row.throughput_rps, 1)
     benchmark.extra_info["p99_ms"] = round(row.p99_latency_ms, 1)
     assert row.completed > 0
+    if not full_scale():
+        assert golden_rows([row]) == [golden["FIG3"][f"{system}@{nodes}"]]
 
 
 def teardown_module(module):

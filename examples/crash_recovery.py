@@ -32,7 +32,7 @@ import dataclasses
 import json
 import sys
 
-from repro.bench.ablations import run_durability_ablation
+from repro.bench.ablations import run_ablation
 
 #: Cart's RPO bound at the drill's default cadence: one snapshot
 #: interval (0.25 s) plus the write-behind linger it rides on.
@@ -40,7 +40,7 @@ CART_RPO_BOUND_S = 0.5
 
 
 def run_drill(seed: int):
-    return run_durability_ablation(modes=("off", "on"), seed=seed)
+    return run_ablation("ABL-DURABILITY", arms=("off", "on"), seed=seed)
 
 
 def main() -> int:

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench.ablations import run_qos_ablation
+from repro.bench.ablations import run_ablation
 
 
 def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
 
     print(f"=== noisy neighbour, plane off vs on (seed {seed}, no chaos) ===")
-    for row in run_qos_ablation(seed=seed):
+    for row in run_ablation("ABL-QOS", seed=seed):
         verdict = "met" if row.hot_met else "VIOLATED"
         print(
             f"  {row.mode:<5} hot p95 {row.hot_p95_ms:8.1f} ms "
@@ -38,8 +38,8 @@ def main() -> int:
         )
 
     print(f"\n=== determinism gate: 'overload' chaos plan, twice at seed {seed} ===")
-    first = run_qos_ablation(modes=("qos",), chaos=True, seed=seed)[0]
-    second = run_qos_ablation(modes=("qos",), chaos=True, seed=seed)[0]
+    first = run_ablation("ABL-QOS", arms=("qos",), chaos=True, seed=seed)[0]
+    second = run_ablation("ABL-QOS", arms=("qos",), chaos=True, seed=seed)[0]
     for label, row in (("run 1", first), ("run 2", second)):
         print(
             f"  {label}: hot p95 {row.hot_p95_ms:.4f} ms  "

@@ -1,44 +1,56 @@
 """Ablations for the design choices DESIGN.md calls out.
 
-* :func:`run_batching_ablation` (ABL-BATCH) — the write-behind batch
-  size is *the* knob behind Oparaca's Fig. 3 advantage: batch 1 turns
-  every object update into an individual DB write (Knative-like cost),
-  larger batches amortize the per-operation overhead.
-* :func:`run_coldstart_ablation` (ABL-COLD) — scale-to-zero saves idle
-  replicas but charges the first burst a cold start; pre-warming
-  (``min_scale > 0``) trades idle cost for tail latency.  This is the
-  "optimal configurations to avoid potential overheads" discussion of
-  the tutorial abstract.
-* :func:`run_locality_ablation` (ABL-LOCALITY) — routing invocations to
-  the node owning the object's DHT partition vs spraying them randomly
-  (§II-A's data-locality optimization).
-* :func:`run_presigned_ablation` (ABL-PRESIGN) — presigned direct
-  object-store access vs proxying file bytes through the platform
-  (§III-D), across payload sizes.
-* :func:`run_readpath_ablation` (ABL-READPATH) — the read-side levers
-  (single-flight coalescing, miss-read batching, near cache) under the
-  thundering-herd miss storm that follows a node failure.
-* :func:`run_qos_ablation` (ABL-QOS) — the QoS enforcement plane under
-  a noisy neighbour: a latency-declared class sharing the async path
-  with a flooding batch class, with the plane off (FIFO) vs on
-  (admission + weighted-fair queueing + load shedding).
-* :func:`run_durability_ablation` (ABL-DURABILITY) — a crash drill over
-  a ``persistence: strong`` ledger and a ``persistence: standard``
-  write-behind-backed cart, with the durability plane off vs on:
-  acknowledged increments are audited against post-crash state, and the
-  plane's measured RPO/RTO is reported per class.
-* :func:`run_federation_ablation` (ABL-FEDERATION) — edge-pinned
-  (NFR-scored) vs core-only placement under a geo-distributed workload
-  on a three-tier topology, plus a deliberately misconfigured control
-  arm whose cross-jurisdiction accesses are rejected and counted.
+Each ablation is one row of :data:`ABLATIONS`: its default arms (the
+rows of its EXPERIMENTS.md table) and the function that measures one arm
+on a fresh rig.  :func:`run_ablation` runs the arms in order and returns
+their typed rows:
+
+* ABL-BATCH — the write-behind batch size is *the* knob behind
+  Oparaca's Fig. 3 advantage: batch 1 turns every object update into an
+  individual DB write (Knative-like cost), larger batches amortize the
+  per-operation overhead.
+* ABL-COLD — scale-to-zero saves idle replicas but charges the first
+  burst a cold start; pre-warming (``min_scale > 0``) trades idle cost
+  for tail latency.  This is the "optimal configurations to avoid
+  potential overheads" discussion of the tutorial abstract.
+* ABL-LOCALITY — routing invocations to the node owning the object's
+  DHT partition vs spraying them randomly (§II-A's data-locality
+  optimization).
+* ABL-PRESIGN — presigned direct object-store access vs proxying file
+  bytes through the platform (§III-D), across payload sizes.
+* ABL-REPL — the DHT replication factor: write fan-out cost vs the share
+  of state that survives a node crash on the memory-only system.
+* ABL-BURST — autoscaler tracking of bursty arrivals (§II-D): an
+  open-loop workload alternates quiet and burst phases, and
+  pre-warming buys down the burst-phase tail the autoscaler's reaction
+  time costs.
+* ABL-READPATH — the read-side levers (single-flight coalescing,
+  miss-read batching, near cache) under the thundering-herd miss storm
+  that follows a node failure.
+* ABL-QOS — the QoS enforcement plane under a noisy neighbour: a
+  latency-declared class sharing the async path with a flooding batch
+  class, with the plane off (FIFO) vs on (admission + weighted-fair
+  queueing + load shedding).
+* ABL-DURABILITY — a crash drill over a ``persistence: strong`` ledger
+  and a ``persistence: standard`` write-behind-backed cart, with the
+  durability plane off vs on: acknowledged increments are audited
+  against post-crash state, and the plane's measured RPO/RTO is
+  reported per class.
+* ABL-FEDERATION — edge-pinned (NFR-scored) vs core-only placement
+  under a geo-distributed workload on a three-tier topology, plus a
+  deliberately misconfigured control arm whose cross-jurisdiction
+  accesses are rejected and counted.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Mapping
+from typing import Any, Callable, Generator, Iterable, Iterator, Mapping
 
 from repro.bench.config import Fig3Config
+from repro.bench.scalability import run_closed_loop
 from repro.bench.systems import OprcSystem
 from repro.durability.plane import DurabilityConfig
 from repro.faas.knative import KnativeEngine, KnativeModel, KnativeService
@@ -56,31 +68,48 @@ from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.qos.plane import QosConfig
 from repro.sim.kernel import Environment, Event, all_of, any_of
 from repro.sim.network import Network, NetworkModel
-from repro.sim.workload import ClosedLoopGenerator, PhasedOpenLoopGenerator
+from repro.sim.workload import PhasedOpenLoopGenerator
+from repro.storage.dht import Dht, DhtModel
+from repro.storage.kv import DbModel, DocumentStore
 from repro.storage.object_store import ObjectStore, ObjectStoreModel
+from repro.storage.read_path import ReadBatchConfig
 
 __all__ = [
+    "Ablation",
+    "ABLATIONS",
+    "run_ablation",
     "BatchingRow",
-    "run_batching_ablation",
     "ColdStartResult",
-    "run_coldstart_ablation",
     "LocalityRow",
-    "run_locality_ablation",
     "PresignRow",
-    "run_presigned_ablation",
     "ReplicationRow",
-    "run_replication_ablation",
     "BurstRow",
-    "run_burst_ablation",
     "ReadPathRow",
-    "run_readpath_ablation",
     "QosRow",
-    "run_qos_ablation",
     "DurabilityRow",
-    "run_durability_ablation",
     "FederationRow",
-    "run_federation_ablation",
 ]
+
+
+@dataclass(frozen=True)
+class Ablation:
+    """One ablation: the arms its benchmark runs, and ``arm(value,
+    **params)``, which measures one arm on a fresh rig and returns its
+    typed row (ABL-DURABILITY: the list of its two class rows)."""
+
+    arms: tuple[Any, ...]
+    arm: Callable[..., Any]
+
+
+def run_ablation(name: str, arms: Iterable[Any] | None = None, **params: Any) -> list[Any]:
+    """Run ablation ``name`` over ``arms`` (default: its benchmark arms)
+    with ``params`` passed to every arm; the rows come out in arm order."""
+    ablation = ABLATIONS[name]
+    rows: list[Any] = []
+    for value in ablation.arms if arms is None else arms:
+        measured = ablation.arm(value, **params)
+        rows.extend(measured if isinstance(measured, list) else [measured])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +117,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
 def _platform_arm(
     config: PlatformConfig,
     package: str,
     images: Mapping[str, tuple[Callable[..., Any], float]],
     objects: Mapping[str, int],
-) -> tuple[Oparaca, dict[str, list[str]]]:
+) -> Iterator[tuple[Oparaca, dict[str, list[str]]]]:
     """Open one arm of a platform-based ablation: build the platform,
     register ``images`` (image → handler, service time), deploy
     ``package`` and create ``objects[cls]`` objects per class — under
     explicit ids, as the default uuid4-based ones would randomize DHT
-    placement (and so latency) run-to-run."""
+    placement (and so latency) run-to-run.  The platform shuts down
+    when the arm's block exits."""
     platform = Oparaca(config)
     for image, (handler, service_time_s) in images.items():
         platform.register_image(image, handler, service_time_s)
@@ -110,7 +141,10 @@ def _platform_arm(
         ]
         for cls, count in objects.items()
     }
-    return platform, ids
+    try:
+        yield platform, ids
+    finally:
+        platform.shutdown()
 
 
 def _p95_ms(latencies: Iterable[float]) -> float:
@@ -180,12 +214,8 @@ class BatchingRow:
         return self.db_docs_written / self.db_write_ops
 
 
-def run_batching_ablation(
-    batch_sizes: Iterable[int] = (1, 10, 50, 100, 200),
-    nodes: int = 6,
-    cfg: Fig3Config | None = None,
-) -> list[BatchingRow]:
-    """Sweep the write-behind batch size on the ``oprc-bypass`` system.
+def _batching_arm(batch: int, nodes: int = 6, cfg: Fig3Config | None = None) -> BatchingRow:
+    """One write-behind batch size on the ``oprc-bypass`` system.
 
     The default configuration differs from the Fig. 3 calibration in
     two deliberate ways: the DB cost profile is *operation-dominated*
@@ -194,42 +224,27 @@ def run_batching_ablation(
     much larger than the write-behind buffers so updates rarely coalesce
     — isolating batching from coalescing.
     """
-    base = cfg or Fig3Config.quick()
-    rows: list[BatchingRow] = []
-    for batch in batch_sizes:
-        cell_cfg = Fig3Config(
-            **{
-                **base.__dict__,
-                "batch_size": batch,
-                "db_op_cost": 20.0,
-                "db_doc_cost": 2.0,
-                "objects": 20000,
-                "max_pending": max(500, batch),
-                "linger_s": base.linger_s,
-            }
-        )
-        system = OprcSystem(cell_cfg, nodes, variant="oprc-bypass")
-        system.prepare()
-        generator = ClosedLoopGenerator(
-            system.env,
-            system.request,
-            clients=cell_cfg.clients(nodes),
-            horizon_s=cell_cfg.horizon_s,
-            warmup_s=cell_cfg.warmup_s,
-        )
-        system.env.run(until=cell_cfg.horizon_s)
-        extras = system.extras()
-        rows.append(
-            BatchingRow(
-                batch_size=batch,
-                throughput_rps=generator.stats.throughput(cell_cfg.horizon_s),
-                db_write_ops=extras["db_write_ops"],
-                db_docs_written=extras["db_docs_written"],
-                mean_latency_ms=generator.stats.mean_latency * 1000.0,
-            )
-        )
-        system.shutdown()
-    return rows
+    cell_cfg = dataclasses.replace(
+        cfg or Fig3Config.quick(),
+        batch_size=batch,
+        db_op_cost=20.0,
+        db_doc_cost=2.0,
+        objects=20000,
+        max_pending=max(500, batch),
+    )
+    system = OprcSystem(cell_cfg, nodes, variant="oprc-bypass")
+    system.prepare()
+    stats = run_closed_loop(system)
+    extras = system.extras()
+    row = BatchingRow(
+        batch_size=batch,
+        throughput_rps=stats.throughput(cell_cfg.horizon_s),
+        db_write_ops=extras["db_write_ops"],
+        db_docs_written=extras["db_docs_written"],
+        mean_latency_ms=stats.mean_latency * 1000.0,
+    )
+    system.shutdown()
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -251,60 +266,56 @@ class ColdStartResult:
     event_cold_starts: int = 0
 
 
-def run_coldstart_ablation(
-    min_scales: Iterable[int] = (0, 1, 2),
+def _coldstart_arm(
+    min_scale: int,
     burst: int = 24,
     idle_s: float = 60.0,
     cold_start_s: float = 1.8,
     service_time_s: float = 0.02,
-) -> list[ColdStartResult]:
+) -> ColdStartResult:
     """Idle past the scale-to-zero grace, then fire a burst.
 
-    Returns one row per pre-warm level: ``min_scale=0`` pays the cold
-    start on the first request; warm replicas answer immediately.
+    ``min_scale=0`` pays the cold start on the first request; warm
+    replicas answer immediately.
     """
-    results: list[ColdStartResult] = []
-    for min_scale in min_scales:
-        env = Environment()
-        tracer = Tracer(env, enabled=True)
-        events = EventLog(env, enabled=True)
-        service, invoke = _knative_service(
-            env,
-            "echo",
-            3,
-            lambda ctx: {"ok": True},
-            service_time_s,
-            KnativeModel(cold_start_s=cold_start_s, scale_to_zero_grace_s=30.0),
-            min_scale,
-            tracer=tracer,
-            events=events,
-        )
-        # Let the service go idle past the grace period.
-        env.run(until=idle_s)
-        idle_replicas = service.replicas
-        latencies: list[float] = []
+    env = Environment()
+    tracer = Tracer(env, enabled=True)
+    events = EventLog(env, enabled=True)
+    service, invoke = _knative_service(
+        env,
+        "echo",
+        3,
+        lambda ctx: {"ok": True},
+        service_time_s,
+        KnativeModel(cold_start_s=cold_start_s, scale_to_zero_grace_s=30.0),
+        min_scale,
+        tracer=tracer,
+        events=events,
+    )
+    # Let the service go idle past the grace period.
+    env.run(until=idle_s)
+    idle_replicas = service.replicas
+    latencies: list[float] = []
 
-        def one_request(index: int) -> Generator:
-            started = env.now
-            yield invoke(index)
-            latencies.append(env.now - started)
+    def one_request(index: int) -> Generator:
+        started = env.now
+        yield invoke(index)
+        latencies.append(env.now - started)
 
-        processes = [env.process(one_request(i)) for i in range(burst)]
-        env.run(until=all_of(env, processes))
-        ordered = sorted(latencies)
-        results.append(
-            ColdStartResult(
-                min_scale=min_scale,
-                first_latency_ms=ordered[0] * 1000.0,
-                burst_p99_ms=ordered[max(0, int(len(ordered) * 0.99) - 1)] * 1000.0,
-                cold_starts=service.cold_starts,
-                idle_replicas=idle_replicas,
-                traced_cold_starts=len(tracer.spans_named("faas.cold_start")),
-                event_cold_starts=len(events.of_type("faas.cold_start")),
-            )
-        )
-        service.stop()
-    return results
+    processes = [env.process(one_request(i)) for i in range(burst)]
+    env.run(until=all_of(env, processes))
+    ordered = sorted(latencies)
+    row = ColdStartResult(
+        min_scale=min_scale,
+        first_latency_ms=ordered[0] * 1000.0,
+        burst_p99_ms=ordered[max(0, int(len(ordered) * 0.99) - 1)] * 1000.0,
+        cold_starts=service.cold_starts,
+        idle_replicas=idle_replicas,
+        traced_cold_starts=len(tracer.spans_named("faas.cold_start")),
+        event_cold_starts=len(events.of_type("faas.cold_start")),
+    )
+    service.stop()
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -321,54 +332,40 @@ class LocalityRow:
     remote_transfers: int
 
 
-def run_locality_ablation(
-    nodes: int = 6, cfg: Fig3Config | None = None
-) -> list[LocalityRow]:
-    """Locality-aware routing vs random routing on ``oprc-bypass``.
+def _locality_arm(
+    policy: PlacementPolicy, nodes: int = 6, cfg: Fig3Config | None = None
+) -> LocalityRow:
+    """Locality-aware or random routing on ``oprc-bypass``.
 
     Uses a short function service time so the state round trips are a
     meaningful share of request latency.
     """
-    base = cfg or Fig3Config.quick()
-    cell_cfg = Fig3Config(
-        **{
-            **base.__dict__,
-            "service_time_s": 0.005,
-            "clients_per_vm": 24,
-            # A short steady-state window keeps the cell cheap: with a
-            # 5 ms service time the law of large numbers kicks in fast.
-            "horizon_s": 4.0,
-            "warmup_s": 2.0,
-            # Keep the DB out of the picture: this ablation is about the
-            # network path to the object's partition.
-            "db_capacity_units": 10_000_000.0,
-        }
+    cell_cfg = dataclasses.replace(
+        cfg or Fig3Config.quick(),
+        service_time_s=0.005,
+        clients_per_vm=24,
+        # A short steady-state window keeps the cell cheap: with a
+        # 5 ms service time the law of large numbers kicks in fast.
+        horizon_s=4.0,
+        warmup_s=2.0,
+        # Keep the DB out of the picture: this ablation is about the
+        # network path to the object's partition.
+        db_capacity_units=10_000_000.0,
     )
-    rows: list[LocalityRow] = []
-    for policy in (PlacementPolicy.LOCALITY, PlacementPolicy.RANDOM):
-        system = OprcSystem(cell_cfg, nodes, variant="oprc-bypass")
-        system.prepare()
-        runtime = system.platform.crm.runtime("Doc")
-        runtime.router.policy = policy
-        generator = ClosedLoopGenerator(
-            system.env,
-            system.request,
-            clients=cell_cfg.clients(nodes),
-            horizon_s=cell_cfg.horizon_s,
-            warmup_s=cell_cfg.warmup_s,
-        )
-        system.env.run(until=cell_cfg.horizon_s)
-        rows.append(
-            LocalityRow(
-                policy=policy.value,
-                throughput_rps=generator.stats.throughput(cell_cfg.horizon_s),
-                mean_latency_ms=generator.stats.mean_latency * 1000.0,
-                locality_ratio=runtime.router.locality_ratio,
-                remote_transfers=system.platform.network.remote_transfers,
-            )
-        )
-        system.shutdown()
-    return rows
+    system = OprcSystem(cell_cfg, nodes, variant="oprc-bypass")
+    system.prepare()
+    router = system.platform.crm.runtime("Doc").router
+    router.policy = policy
+    stats = run_closed_loop(system)
+    row = LocalityRow(
+        policy=policy.value,
+        throughput_rps=stats.throughput(cell_cfg.horizon_s),
+        mean_latency_ms=stats.mean_latency * 1000.0,
+        locality_ratio=router.locality_ratio,
+        remote_transfers=system.platform.network.remote_transfers,
+    )
+    system.shutdown()
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +381,12 @@ class ReplicationRow:
     survivors_pct: float
 
 
-def run_replication_ablation(
-    replications: Iterable[int] = (1, 2, 3),
+def _replication_arm(
+    replication: int,
     nodes: int = 6,
     cfg: Fig3Config | None = None,
     probe_objects: int = 300,
-) -> list[ReplicationRow]:
+) -> ReplicationRow:
     """DHT replication factor: write fan-out cost vs crash survival.
 
     Runs the memory-only system (so the document store cannot mask
@@ -397,39 +394,25 @@ def run_replication_ablation(
     probes what fraction of a sample of objects is still readable.
     """
     base = cfg or Fig3Config.quick()
-    rows: list[ReplicationRow] = []
-    for replication in replications:
-        system = OprcSystem(
-            base, nodes, variant="oprc-bypass-nonpersist", replication=replication
-        )
-        system.prepare()
-        generator = ClosedLoopGenerator(
-            system.env,
-            system.request,
-            clients=base.clients(nodes),
-            horizon_s=base.horizon_s,
-            warmup_s=base.warmup_s,
-        )
-        system.env.run(until=base.horizon_s)
-        platform = system.platform
-        victim = platform.cluster.node_names[0]
-        platform.fail_node(victim)
-        survivors = 0
-        probe = system._object_ids[:probe_objects]
-        for object_id in probe:
-            result = platform.invoke(object_id, "get", raise_on_error=False)
-            if result.ok:
-                survivors += 1
-        rows.append(
-            ReplicationRow(
-                replication=replication,
-                throughput_rps=generator.stats.throughput(base.horizon_s),
-                mean_latency_ms=generator.stats.mean_latency * 1000.0,
-                survivors_pct=100.0 * survivors / max(1, len(probe)),
-            )
-        )
-        system.shutdown()
-    return rows
+    system = OprcSystem(base, nodes, variant="oprc-bypass-nonpersist", replication=replication)
+    system.prepare()
+    stats = run_closed_loop(system)
+    platform = system.platform
+    platform.fail_node(platform.cluster.node_names[0])
+    probe = system._object_ids[:probe_objects]
+    survivors = sum(
+        1 for object_id in probe if platform.invoke(object_id, "get", raise_on_error=False).ok
+    )
+    # Read after the probe: requests in flight at the horizon finish
+    # (and are recorded) while it runs.
+    row = ReplicationRow(
+        replication=replication,
+        throughput_rps=stats.throughput(base.horizon_s),
+        mean_latency_ms=stats.mean_latency * 1000.0,
+        survivors_pct=100.0 * survivors / max(1, len(probe)),
+    )
+    system.shutdown()
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +434,14 @@ class BurstRow:
         return self.burst_p99_ms / self.base_p99_ms
 
 
-def run_burst_ablation(
-    min_scales: Iterable[int] = (1, 4),
+def _burst_arm(
+    min_scale: int,
     base_rate: float = 40.0,
     burst_rate: float = 400.0,
     phase_s: float = 15.0,
     cycles: int = 2,
     service_time_s: float = 0.05,
-) -> list[BurstRow]:
+) -> BurstRow:
     """Autoscaler tracking of bursty arrivals (paper §II-D).
 
     An open-loop workload alternates quiet and burst phases; the KPA
@@ -467,48 +450,43 @@ def run_burst_ablation(
     ``min_scale``) buys the tail down — the trade the tutorial's
     configuration discussion is about.
     """
-    rows: list[BurstRow] = []
-    for min_scale in min_scales:
-        env = Environment()
-        service, invoke = _knative_service(
-            env,
-            "burst",
-            4,
-            lambda ctx: {},
-            service_time_s,
-            KnativeModel(cold_start_s=1.5, autoscale_interval_s=2.0, scale_to_zero_grace_s=3600),
-            min_scale,
-        )
-        peak = {"replicas": 0}
+    env = Environment()
+    service, invoke = _knative_service(
+        env,
+        "burst",
+        4,
+        lambda ctx: {},
+        service_time_s,
+        KnativeModel(cold_start_s=1.5, autoscale_interval_s=2.0, scale_to_zero_grace_s=3600),
+        min_scale,
+    )
+    peak = {"replicas": 0}
 
-        def one_request(index: int) -> Generator:
-            yield invoke(index)
-            peak["replicas"] = max(peak["replicas"], service.replicas)
+    def one_request(index: int) -> Generator:
+        yield invoke(index)
+        peak["replicas"] = max(peak["replicas"], service.replicas)
 
-        # Let the initial replicas finish booting before offering load,
-        # so phase statistics measure steady behaviour, not deploy-time
-        # boot transients.
-        env.run(until=3.0)
-        horizon = env.now + phase_s * 2 * cycles
-        generator = PhasedOpenLoopGenerator(
-            env,
-            one_request,
-            phases=[(phase_s, base_rate), (phase_s, burst_rate)],
-            horizon_s=horizon,
-        )
-        env.run(until=horizon + 5.0)
-        base_stats = generator.phase_stats[0]
-        burst_stats = generator.phase_stats[1]
-        rows.append(
-            BurstRow(
-                min_scale=min_scale,
-                base_p99_ms=base_stats.latency_percentile(99) * 1000.0,
-                burst_p99_ms=burst_stats.latency_percentile(99) * 1000.0,
-                peak_replicas=peak["replicas"],
-            )
-        )
-        service.stop()
-    return rows
+    # Let the initial replicas finish booting before offering load,
+    # so phase statistics measure steady behaviour, not deploy-time
+    # boot transients.
+    env.run(until=3.0)
+    horizon = env.now + phase_s * 2 * cycles
+    generator = PhasedOpenLoopGenerator(
+        env,
+        one_request,
+        phases=[(phase_s, base_rate), (phase_s, burst_rate)],
+        horizon_s=horizon,
+    )
+    env.run(until=horizon + 5.0)
+    base_stats, burst_stats = generator.phase_stats
+    row = BurstRow(
+        min_scale=min_scale,
+        base_p99_ms=base_stats.latency_percentile(99) * 1000.0,
+        burst_p99_ms=burst_stats.latency_percentile(99) * 1000.0,
+        peak_replicas=peak["replicas"],
+    )
+    service.stop()
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +505,9 @@ class ReadPathRow:
     mean_get_ms: float
 
 
-def run_readpath_ablation(
-    modes: Iterable[str] = ("off", "coalesce", "coalesce+batch", "coalesce+batch+near"),
-    nodes: int = 4,
-    objects: int = 300,
-    readers_per_key: int = 4,
-) -> list[ReadPathRow]:
+def _readpath_arm(
+    mode: str, nodes: int = 4, objects: int = 300, readers_per_key: int = 4
+) -> ReadPathRow:
     """Read-path levers under a post-``fail_node`` miss storm.
 
     Seeds a persistent DHT, crashes one node (its partition's memory is
@@ -545,63 +520,53 @@ def run_readpath_ablation(
     per key, batching folds keys into multi-gets, and the near cache
     absorbs the repeat wave locally.
     """
-    from repro.sim.kernel import all_of
-    from repro.storage.dht import Dht, DhtModel
-    from repro.storage.kv import DbModel, DocumentStore
-    from repro.storage.read_path import ReadBatchConfig
+    env = Environment()
+    network = Network(env, NetworkModel())
+    store = DocumentStore(env, DbModel(capacity_units_per_s=50000.0))
+    model = DhtModel(
+        replication=1,
+        persistent=True,
+        read_coalescing="coalesce" in mode,
+        read_batch=(
+            ReadBatchConfig(max_batch=32, linger_s=0.002)
+            if "batch" in mode
+            else None
+        ),
+        near_cache_entries=objects if "near" in mode else 0,
+    )
+    node_names = [f"vm-{i}" for i in range(nodes)]
+    dht = Dht(env, node_names, network, store, model)
+    keys: list[str] = []
+    for index in range(objects):
+        key = f"obj-{index}"
+        dht.seed({"id": key, "version": 1, "payload": "x" * 64})
+        keys.append(key)
+    dht.fail_node(node_names[0])
+    callers = node_names[1:]
+    latencies: list[float] = []
 
-    rows: list[ReadPathRow] = []
-    for mode in modes:
-        env = Environment()
-        network = Network(env, NetworkModel())
-        store = DocumentStore(env, DbModel(capacity_units_per_s=50000.0))
-        model = DhtModel(
-            replication=1,
-            persistent=True,
-            read_coalescing="coalesce" in mode,
-            read_batch=(
-                ReadBatchConfig(max_batch=32, linger_s=0.002)
-                if "batch" in mode
-                else None
-            ),
-            near_cache_entries=objects if "near" in mode else 0,
-        )
-        node_names = [f"vm-{i}" for i in range(nodes)]
-        dht = Dht(env, node_names, network, store, model)
-        keys: list[str] = []
-        for index in range(objects):
-            key = f"obj-{index}"
-            dht.seed({"id": key, "version": 1, "payload": "x" * 64})
-            keys.append(key)
-        dht.fail_node(node_names[0])
-        callers = node_names[1:]
-        latencies: list[float] = []
+    def one_get(key: str, caller: str) -> Generator:
+        started = env.now
+        yield dht.get(key, caller=caller)
+        latencies.append(env.now - started)
 
-        def one_get(key: str, caller: str) -> Generator:
-            started = env.now
-            yield dht.get(key, caller=caller)
-            latencies.append(env.now - started)
-
-        for _wave in range(2):
-            processes = [
-                env.process(one_get(key, callers[(index + reader) % len(callers)]))
-                for index, key in enumerate(keys)
-                for reader in range(readers_per_key)
-            ]
-            env.run(until=all_of(env, processes))
-        stats = dht.read_path_stats
-        rows.append(
-            ReadPathRow(
-                mode=mode,
-                store_read_ops=store.read_ops,
-                store_multi_read_ops=store.multi_read_ops,
-                mem_misses=dht.mem_misses,
-                coalesced=stats["read_coalesced"],
-                near_hits=stats["near_hits"],
-                mean_get_ms=sum(latencies) / max(1, len(latencies)) * 1000.0,
-            )
-        )
-    return rows
+    for _wave in range(2):
+        processes = [
+            env.process(one_get(key, callers[(index + reader) % len(callers)]))
+            for index, key in enumerate(keys)
+            for reader in range(readers_per_key)
+        ]
+        env.run(until=all_of(env, processes))
+    stats = dht.read_path_stats
+    return ReadPathRow(
+        mode=mode,
+        store_read_ops=store.read_ops,
+        store_multi_read_ops=store.multi_read_ops,
+        mem_misses=dht.mem_misses,
+        coalesced=stats["read_coalesced"],
+        near_hits=stats["near_hits"],
+        mean_get_ms=sum(latencies) / max(1, len(latencies)) * 1000.0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +587,7 @@ class PresignRow:
         return self.proxied_ms / self.direct_ms
 
 
-def run_presigned_ablation(
-    sizes: Iterable[int] = (10_000, 1_000_000, 10_000_000),
-) -> list[PresignRow]:
+def _presigned_arm(size: int) -> PresignRow:
     """Presigned direct download vs platform-proxied download.
 
     The proxied path moves the bytes twice (store → platform, then
@@ -633,30 +596,27 @@ def run_presigned_ablation(
     hand the client a direct path and skip that hop entirely — §III-D's
     rationale for adopting the S3 presigning technique.
     """
-    rows: list[PresignRow] = []
-    for size in sizes:
-        env = Environment()
-        store = ObjectStore(env, ObjectStoreModel())
-        network = Network(env, NetworkModel())
-        store.create_bucket("media")
-        store.put_object("media", "blob", b"x" * size)
+    env = Environment()
+    store = ObjectStore(env, ObjectStoreModel())
+    network = Network(env, NetworkModel())
+    store.create_bucket("media")
+    store.put_object("media", "blob", b"x" * size)
 
-        def direct() -> Generator:
-            url = store.presign("media", "blob", "GET")
-            yield store.presigned_get_timed(url)
+    def direct() -> Generator:
+        url = store.presign("media", "blob", "GET")
+        yield store.presigned_get_timed(url)
 
-        def proxied() -> Generator:
-            obj = yield store.get_timed("media", "blob")  # store -> platform
-            yield network.transfer("gateway", "client", obj.size)  # platform -> client
+    def proxied() -> Generator:
+        obj = yield store.get_timed("media", "blob")  # store -> platform
+        yield network.transfer("gateway", "client", obj.size)  # platform -> client
 
-        started = env.now
-        env.run(until=env.process(direct()))
-        direct_ms = (env.now - started) * 1000.0
-        started = env.now
-        env.run(until=env.process(proxied()))
-        proxied_ms = (env.now - started) * 1000.0
-        rows.append(PresignRow(size_bytes=size, direct_ms=direct_ms, proxied_ms=proxied_ms))
-    return rows
+    started = env.now
+    env.run(until=env.process(direct()))
+    direct_ms = (env.now - started) * 1000.0
+    started = env.now
+    env.run(until=env.process(proxied()))
+    proxied_ms = (env.now - started) * 1000.0
+    return PresignRow(size_bytes=size, direct_ms=direct_ms, proxied_ms=proxied_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +663,8 @@ class QosRow:
         return self.hot_p95_ms <= self.hot_target_ms
 
 
-def run_qos_ablation(
-    modes: Iterable[str] = ("fifo", "qos"),
+def _qos_arm(
+    mode: str,
     seed: int = 0,
     chaos: bool = False,
     noisy_backlog: int = 800,
@@ -712,7 +672,7 @@ def run_qos_ablation(
     hot_duration_s: float = 5.0,
     hot_objects: int = 16,
     noisy_objects: int = 64,
-) -> list[QosRow]:
+) -> QosRow:
     """The noisy-neighbour experiment behind the QoS enforcement plane.
 
     A latency-sensitive class (``Hot``: declares ``throughput: 100``,
@@ -734,17 +694,15 @@ def run_qos_ablation(
     must then still be identical run-to-run for one seed, which is what
     the determinism gate in CI asserts.
     """
-    rows: list[QosRow] = []
-    for mode in modes:
-        platform, ids = _platform_arm(
-            PlatformConfig(nodes=3, seed=seed, qos=QosConfig(enabled=(mode == "qos"))),
-            QOS_PACKAGE,
-            {
-                "bench/hot": (lambda ctx: {"ok": True}, 0.002),
-                "bench/noisy": (lambda ctx: {"ok": True}, 0.02),
-            },
-            {"Hot": hot_objects, "Noisy": noisy_objects},
-        )
+    with _platform_arm(
+        PlatformConfig(nodes=3, seed=seed, qos=QosConfig(enabled=(mode == "qos"))),
+        QOS_PACKAGE,
+        {
+            "bench/hot": (lambda ctx: {"ok": True}, 0.002),
+            "bench/noisy": (lambda ctx: {"ok": True}, 0.02),
+        },
+        {"Hot": hot_objects, "Noisy": noisy_objects},
+    ) as (platform, ids):
         env = platform.env
         hot_ids, noisy_ids = ids["Hot"], ids["Noisy"]
         # Warm both classes so the measured phase exercises queueing, not
@@ -793,27 +751,18 @@ def run_qos_ablation(
         env.run(until=any_of(env, [done, env.timeout(120.0)]))
 
         hot_ok = [latency for latency, result in hot_results if result.ok]
-        noisy_ok = sum(1 for _, r in noisy_results if r.ok)
-        noisy_rejected = sum(
-            1 for _, r in noisy_results if r.error_type == "RateLimitedError"
+        return QosRow(
+            mode=mode,
+            hot_p95_ms=_p95_ms(hot_ok),
+            hot_target_ms=50.0,
+            hot_completed=len(hot_ok),
+            hot_failed=sum(1 for _, r in hot_results if not r.ok),
+            noisy_completed=sum(1 for _, r in noisy_results if r.ok),
+            noisy_rejected=sum(
+                1 for _, r in noisy_results if r.error_type == "RateLimitedError"
+            ),
+            noisy_shed=sum(1 for _, r in noisy_results if r.error_type == "OverloadError"),
         )
-        noisy_shed = sum(
-            1 for _, r in noisy_results if r.error_type == "OverloadError"
-        )
-        rows.append(
-            QosRow(
-                mode=mode,
-                hot_p95_ms=_p95_ms(hot_ok),
-                hot_target_ms=50.0,
-                hot_completed=len(hot_ok),
-                hot_failed=sum(1 for _, r in hot_results if not r.ok),
-                noisy_completed=noisy_ok,
-                noisy_rejected=noisy_rejected,
-                noisy_shed=noisy_shed,
-            )
-        )
-        platform.shutdown()
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +821,13 @@ class DurabilityRow:
         return self.acked_writes - self.surviving_count
 
 
-def run_durability_ablation(
-    modes: Iterable[str] = ("off", "on"),
+def _bump(ctx):
+    ctx.state["count"] = int(ctx.state.get("count") or 0) + 1
+    return {"count": ctx.state["count"]}
+
+
+def _durability_arm(
+    mode: str,
     seed: int = 0,
     objects_per_class: int = 8,
     rounds: int = 24,
@@ -906,26 +860,20 @@ def run_durability_ablation(
     Deterministic for a fixed seed: object ids are explicit so DHT
     placement never depends on uuid4.
     """
-    def bump(ctx):
-        ctx.state["count"] = int(ctx.state.get("count") or 0) + 1
-        return {"count": ctx.state["count"]}
-
-    rows: list[DurabilityRow] = []
-    for mode in modes:
-        platform, ids = _platform_arm(
-            PlatformConfig(
-                nodes=3,
-                seed=seed,
-                events_enabled=True,
-                durability=DurabilityConfig(
-                    enabled=(mode == "on"),
-                    default_interval_s=snapshot_interval_s,
-                ),
+    with _platform_arm(
+        PlatformConfig(
+            nodes=3,
+            seed=seed,
+            events_enabled=True,
+            durability=DurabilityConfig(
+                enabled=(mode == "on"),
+                default_interval_s=snapshot_interval_s,
             ),
-            DURABILITY_PACKAGE,
-            {"bench/bump": (bump, 0.001)},
-            {"Ledger": objects_per_class, "Cart": objects_per_class},
-        )
+        ),
+        DURABILITY_PACKAGE,
+        {"bench/bump": (_bump, 0.001)},
+        {"Ledger": objects_per_class, "Cart": objects_per_class},
+    ) as (platform, ids):
         env = platform.env
         acked = {cls: 0 for cls in ids}
         for round_index in range(rounds):
@@ -970,6 +918,7 @@ def run_durability_ablation(
             else:
                 platform.advance(interval_s)
         platform.advance(1.0)  # drain write-behind before the audit
+        rows: list[DurabilityRow] = []
         for cls in ("Ledger", "Cart"):
             surviving = 0
             readable = 0
@@ -1013,8 +962,7 @@ def run_durability_ablation(
                     restored_docs=restored_docs,
                 )
             )
-        platform.shutdown()
-    return rows
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -1044,6 +992,23 @@ classes:
         image: bench/geo-bump
 """
 
+#: The three-tier topology: two edge sites under one regional DC under
+#: the core, and the RTT of every zone pair.
+FEDERATION_ZONES = (
+    Zone("edge-a", tier="edge", region="edge", parent="region-a"),
+    Zone("edge-b", tier="edge", region="edge", parent="region-a"),
+    Zone("region-a", tier="regional", parent="core"),
+    Zone("core", tier="core"),
+)
+FEDERATION_RTT = (
+    ("edge-a", "edge-b", 0.012),
+    ("edge-a", "region-a", 0.02),
+    ("edge-b", "region-a", 0.02),
+    ("edge-a", "core", 0.08),
+    ("edge-b", "core", 0.08),
+    ("region-a", "core", 0.03),
+)
+
 
 @dataclass(frozen=True)
 class FederationRow:
@@ -1068,12 +1033,9 @@ class FederationRow:
         return self.sensor_p95_ms <= self.sensor_target_ms
 
 
-def run_federation_ablation(
-    modes: Iterable[str] = ("core-only", "edge-pinned", "misconfigured"),
-    seed: int = 0,
-    objects: int = 8,
-    rounds: int = 25,
-) -> list[FederationRow]:
+def _federation_arm(
+    mode: str, seed: int = 0, objects: int = 8, rounds: int = 25
+) -> FederationRow:
     """Edge-pinned vs core-only placement under a geo-distributed load.
 
     Eight nodes spread over a three-tier topology (two edge sites, one
@@ -1095,39 +1057,23 @@ def run_federation_ablation(
     Jurisdiction rejections for Vault must be zero in the first two
     arms and exactly ``objects * rounds`` in the misconfigured one.
     """
-    zones = (
-        Zone("edge-a", tier="edge", region="edge", parent="region-a"),
-        Zone("edge-b", tier="edge", region="edge", parent="region-a"),
-        Zone("region-a", tier="regional", parent="core"),
-        Zone("core", tier="core"),
-    )
-    rtt = (
-        ("edge-a", "edge-b", 0.012),
-        ("edge-a", "region-a", 0.02),
-        ("edge-b", "region-a", 0.02),
-        ("edge-a", "core", 0.08),
-        ("edge-b", "core", 0.08),
-        ("region-a", "core", 0.03),
-    )
     edge_origins = ("edge-a", "edge-b")
-    rows: list[FederationRow] = []
-    for mode in modes:
-        placement = "core-only" if mode == "core-only" else "nfr"
-        platform, ids = _platform_arm(
-            PlatformConfig(
-                nodes=8,
-                seed=seed,
-                federation=FederationConfig(
-                    enabled=True,
-                    zones=zones,
-                    zone_rtt_s=rtt,
-                    placement=placement,
-                ),
+    placement = "core-only" if mode == "core-only" else "nfr"
+    with _platform_arm(
+        PlatformConfig(
+            nodes=8,
+            seed=seed,
+            federation=FederationConfig(
+                enabled=True,
+                zones=FEDERATION_ZONES,
+                zone_rtt_s=FEDERATION_RTT,
+                placement=placement,
             ),
-            FEDERATION_PACKAGE,
-            {"bench/geo-bump": (lambda ctx: {"n": ctx.state.setdefault("n", 0)}, 0.002)},
-            {"Sensor": objects, "Vault": objects},
-        )
+        ),
+        FEDERATION_PACKAGE,
+        {"bench/geo-bump": (lambda ctx: {"n": ctx.state.setdefault("n", 0)}, 0.002)},
+        {"Sensor": objects, "Vault": objects},
+    ) as (platform, ids):
         sensor_ids, vault_ids = ids["Sensor"], ids["Vault"]
         # Warm every replica so the measured phase is routing, not
         # cold starts.
@@ -1165,21 +1111,32 @@ def run_federation_ablation(
                 )
                 if response.status == 200:
                     vault_completed += 1
-        sensor_stats = platform.federation.class_stats("Sensor")
-        rows.append(
-            FederationRow(
-                mode=mode,
-                placement=placement,
-                sensor_p95_ms=_p95_ms(latencies),
-                sensor_target_ms=20.0,
-                completed=completed,
-                failed=failed,
-                cross_zone=sensor_stats["cross_zone"],
-                vault_rejections=platform.federation.jurisdiction_rejections(
-                    "Vault"
-                ),
-                vault_completed=vault_completed,
-            )
+        return FederationRow(
+            mode=mode,
+            placement=placement,
+            sensor_p95_ms=_p95_ms(latencies),
+            sensor_target_ms=20.0,
+            completed=completed,
+            failed=failed,
+            cross_zone=platform.federation.class_stats("Sensor")["cross_zone"],
+            vault_rejections=platform.federation.jurisdiction_rejections("Vault"),
+            vault_completed=vault_completed,
         )
-        platform.shutdown()
-    return rows
+
+
+#: Every ablation, by the name its EXPERIMENTS.md section carries.  The
+#: default arms are that section's table rows.
+ABLATIONS: dict[str, Ablation] = {
+    "ABL-BATCH": Ablation((1, 10, 100), _batching_arm),
+    "ABL-COLD": Ablation((0, 1, 2), _coldstart_arm),
+    "ABL-LOCALITY": Ablation((PlacementPolicy.LOCALITY, PlacementPolicy.RANDOM), _locality_arm),
+    "ABL-PRESIGN": Ablation((10_000, 1_000_000, 10_000_000), _presigned_arm),
+    "ABL-REPL": Ablation((1, 2), _replication_arm),
+    "ABL-BURST": Ablation((1, 4), _burst_arm),
+    "ABL-READPATH": Ablation(
+        ("off", "coalesce", "coalesce+batch", "coalesce+batch+near"), _readpath_arm
+    ),
+    "ABL-QOS": Ablation(("fifo", "qos"), _qos_arm),
+    "ABL-DURABILITY": Ablation(("off", "on"), _durability_arm),
+    "ABL-FEDERATION": Ablation(("core-only", "edge-pinned", "misconfigured"), _federation_arm),
+}

@@ -52,12 +52,6 @@ class Fig3Config:
     warmup_s: float = 7.0
     json_fields: int = 8
     seed: int = 42
-    # Read-path levers (ABL-READPATH).  All off by default so the
-    # baseline sweep stays byte-identical to the historical Fig. 3.
-    read_coalescing: bool = False
-    read_batch_max: int = 0
-    read_batch_linger_s: float = 0.002
-    near_cache_entries: int = 0
 
     @property
     def pods_per_node(self) -> int:

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.bench.config import Fig3Config
-from repro.bench.systems import SYSTEMS, build_system
-from repro.sim.workload import ClosedLoopGenerator
+from repro.bench.systems import SYSTEMS, BenchSystem, build_system
+from repro.sim.workload import ClosedLoopGenerator, LoadStats
 
-__all__ = ["Fig3Row", "run_cell", "run_fig3"]
+__all__ = ["Fig3Row", "run_closed_loop", "run_cell", "run_fig3"]
 
 
 @dataclass(frozen=True)
@@ -38,20 +38,28 @@ class Fig3Row:
     extras: dict[str, Any] = field(default_factory=dict)
 
 
+def run_closed_loop(system: BenchSystem) -> LoadStats:
+    """Drive a prepared ``system`` with ``cfg.clients(nodes)`` saturating
+    closed-loop clients up to ``cfg.horizon_s``; return their stats (a
+    request still in flight at the horizon is recorded when it ends)."""
+    cfg = system.cfg
+    generator = ClosedLoopGenerator(
+        system.env,
+        system.request,
+        clients=cfg.clients(system.nodes),
+        horizon_s=cfg.horizon_s,
+        warmup_s=cfg.warmup_s,
+    )
+    system.env.run(until=cfg.horizon_s)
+    return generator.stats
+
+
 def run_cell(system_name: str, nodes: int, cfg: Fig3Config | None = None) -> Fig3Row:
     """Run one cell of the sweep and return its measurement."""
     cfg = cfg or Fig3Config()
     system = build_system(system_name, cfg, nodes)
     system.prepare()
-    generator = ClosedLoopGenerator(
-        system.env,
-        system.request,
-        clients=cfg.clients(nodes),
-        horizon_s=cfg.horizon_s,
-        warmup_s=cfg.warmup_s,
-    )
-    system.env.run(until=cfg.horizon_s)
-    stats = generator.stats
+    stats = run_closed_loop(system)
     row = Fig3Row(
         system=system_name,
         nodes=nodes,

@@ -47,7 +47,6 @@ from repro.sim.kernel import Environment
 from repro.sim.network import NetworkModel
 from repro.sim.rng import RngStreams
 from repro.storage.kv import DbModel, DocumentStore
-from repro.storage.read_path import ReadBatchConfig
 from repro.storage.write_behind import WriteBehindConfig
 
 __all__ = ["BenchSystem", "OprcSystem", "KnativeBaselineSystem", "build_system", "SYSTEMS"]
@@ -114,11 +113,6 @@ class OprcSystem(BenchSystem):
         write_behind = WriteBehindConfig(
             batch_size=cfg.batch_size, linger_s=cfg.linger_s, max_pending=cfg.max_pending
         )
-        read_batch = (
-            ReadBatchConfig(max_batch=cfg.read_batch_max, linger_s=cfg.read_batch_linger_s)
-            if cfg.read_batch_max > 0
-            else None
-        )
         template = ClassRuntimeTemplate(
             name=f"bench-{variant}",
             selector=TemplateSelector(),
@@ -129,9 +123,6 @@ class OprcSystem(BenchSystem):
                 persistent=persistent,
                 write_behind=write_behind,
                 min_scale_override=cfg.max_pods(nodes) if bypass else None,
-                read_coalescing=cfg.read_coalescing,
-                read_batch=read_batch,
-                near_cache_entries=cfg.near_cache_entries,
             ),
             priority=100,
             description="benchmark-pinned runtime",

@@ -15,8 +15,9 @@ Two consumable formats:
 from __future__ import annotations
 
 import json
-import math
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
+
+from repro.stats import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.monitoring.collector import MonitoringSystem
@@ -76,13 +77,6 @@ def chrome_trace_json(tracer: "Tracer", trace_id: str | None = None, indent: int
     return json.dumps(to_chrome_trace(spans), indent=indent, default=str)
 
 
-def _percentile(ordered: list[float], pct: float) -> float:
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, math.ceil(pct / 100 * len(ordered)) - 1))
-    return ordered[rank]
-
-
 def span_breakdown(spans: "Iterable[Span]") -> dict[str, dict[str, float]]:
     """Per-span-name latency statistics over *finished* spans.
 
@@ -101,7 +95,7 @@ def span_breakdown(spans: "Iterable[Span]") -> dict[str, dict[str, float]]:
         out[name] = {
             "count": len(durations),
             "mean_ms": sum(durations) / len(durations) * 1000.0,
-            "p95_ms": _percentile(durations, 95) * 1000.0,
+            "p95_ms": nearest_rank(durations, 95) * 1000.0,
             "max_ms": durations[-1] * 1000.0,
         }
     return out

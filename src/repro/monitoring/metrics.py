@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.errors import ValidationError
+from repro.stats import nearest_rank
 
 __all__ = [
     "Counter",
@@ -185,13 +186,10 @@ class Histogram:
         """Value at percentile ``pct`` (0 < pct <= 100)."""
         if not 0 < pct <= 100:
             raise ValidationError(f"percentile must be in (0, 100], got {pct}")
-        if not self._values:
-            return 0.0
         if not self._sorted:
             self._values.sort()
             self._sorted = True
-        rank = max(0, min(len(self._values) - 1, math.ceil(pct / 100 * len(self._values)) - 1))
-        return self._values[rank]
+        return nearest_rank(self._values, pct)
 
     @property
     def max(self) -> float:
@@ -249,11 +247,7 @@ class SlidingWindow:
 
     def latency_percentile(self, now: float, pct: float) -> float:
         self._evict(now)
-        if not self._samples:
-            return 0.0
-        ordered = sorted(s.value for s in self._samples)
-        rank = max(0, min(len(ordered) - 1, math.ceil(pct / 100 * len(ordered)) - 1))
-        return ordered[rank]
+        return nearest_rank(sorted(s.value for s in self._samples), pct)
 
     def __len__(self) -> int:
         return len(self._samples)

@@ -22,6 +22,7 @@ from typing import Any, Callable, Generator
 
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngStreams
+from repro.stats import nearest_rank
 
 __all__ = ["LoadStats", "OpenLoopGenerator", "ClosedLoopGenerator"]
 
@@ -61,11 +62,7 @@ class LoadStats:
 
     def latency_percentile(self, pct: float) -> float:
         """Latency percentile (0 < pct <= 100) over measured requests."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = max(0, min(len(ordered) - 1, math.ceil(pct / 100.0 * len(ordered)) - 1))
-        return ordered[rank]
+        return nearest_rank(sorted(self.latencies), pct)
 
     @property
     def mean_latency(self) -> float:

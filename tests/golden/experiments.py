@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.bench import ablations
+from repro.bench.ablations import ABLATIONS, run_ablation
 from repro.bench.config import Fig3Config
 from repro.bench.scalability import run_cell
 from repro.bench.systems import SYSTEMS
@@ -26,33 +26,13 @@ from repro.bench.systems import SYSTEMS
 GOLDEN = Path(__file__).resolve().parent / "experiments.json"
 
 
-def fig3_key(system: str, nodes: int) -> str:
-    return f"{system}@{nodes}"
-
-
 def capture() -> dict[str, object]:
-    runs = {
-        "ABL-BATCH": lambda: ablations.run_batching_ablation(batch_sizes=(1, 10, 100), nodes=6),
-        "ABL-COLD": lambda: ablations.run_coldstart_ablation(min_scales=(0, 1, 2), burst=24),
-        "ABL-LOCALITY": lambda: ablations.run_locality_ablation(nodes=6),
-        "ABL-PRESIGN": lambda: ablations.run_presigned_ablation((10_000, 1_000_000, 10_000_000)),
-        "ABL-REPL": lambda: ablations.run_replication_ablation(replications=(1, 2), nodes=6),
-        "ABL-BURST": lambda: ablations.run_burst_ablation(min_scales=(1, 4)),
-        "ABL-READPATH": lambda: ablations.run_readpath_ablation(
-            modes=("off", "coalesce", "coalesce+batch", "coalesce+batch+near")
-        ),
-        "ABL-QOS": lambda: ablations.run_qos_ablation(modes=("fifo", "qos")),
-        "ABL-DURABILITY": lambda: ablations.run_durability_ablation(modes=("off", "on")),
-        "ABL-FEDERATION": lambda: ablations.run_federation_ablation(
-            modes=("core-only", "edge-pinned", "misconfigured")
-        ),
-    }
     golden: dict[str, object] = {
-        name: [dataclasses.asdict(row) for row in run()] for name, run in runs.items()
+        name: [dataclasses.asdict(row) for row in run_ablation(name)] for name in ABLATIONS
     }
     cfg = Fig3Config.quick()
     golden["FIG3"] = {
-        fig3_key(system, nodes): dataclasses.asdict(run_cell(system, nodes, cfg))
+        f"{system}@{nodes}": dataclasses.asdict(run_cell(system, nodes, cfg))
         for system in SYSTEMS
         for nodes in cfg.nodes_sweep
     }

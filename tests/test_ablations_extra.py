@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.ablations import run_burst_ablation, run_replication_ablation
+from repro.bench.ablations import run_ablation
 from repro.sim.kernel import Environment
 from repro.sim.workload import PhasedOpenLoopGenerator
 
@@ -80,7 +80,7 @@ class TestReplicationAblation:
             cold_start_s=0.2,
             max_pending=2000,
         )
-        rows = run_replication_ablation(replications=(1, 2), nodes=3, cfg=cfg, probe_objects=150)
+        rows = run_ablation("ABL-REPL", arms=(1, 2), nodes=3, cfg=cfg, probe_objects=150)
         single, double = rows
         assert single.survivors_pct < 95.0
         assert double.survivors_pct > single.survivors_pct
@@ -89,8 +89,8 @@ class TestReplicationAblation:
 
 class TestBurstAblation:
     def test_prewarming_absorbs_bursts(self):
-        rows = run_burst_ablation(
-            min_scales=(1, 4), base_rate=20.0, burst_rate=200.0, phase_s=8.0, cycles=1
+        rows = run_ablation(
+            "ABL-BURST", arms=(1, 4), base_rate=20.0, burst_rate=200.0, phase_s=8.0, cycles=1
         )
         cold, warm = rows
         assert cold.burst_p99_ms > warm.burst_p99_ms * 2
@@ -100,9 +100,8 @@ class TestBurstAblation:
 
 class TestQosAblation:
     def test_plane_protects_hot_class(self):
-        from repro.bench.ablations import run_qos_ablation
-
-        rows = run_qos_ablation(
+        rows = run_ablation(
+            "ABL-QOS",
             noisy_backlog=200,
             hot_rps=40.0,
             hot_duration_s=2.0,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.abstraction import run_fig1
-from repro.bench.ablations import run_coldstart_ablation, run_presigned_ablation
+from repro.bench.ablations import run_ablation
 from repro.bench.config import Fig3Config
 from repro.bench.report import format_fig3, format_fig3_chart, format_table
 from repro.bench.scalability import Fig3Row, run_cell
@@ -117,7 +117,7 @@ class TestFig1:
 
 class TestAblations:
     def test_cold_start_gap(self):
-        results = run_coldstart_ablation(min_scales=(0, 1), burst=8, idle_s=40.0)
+        results = run_ablation("ABL-COLD", arms=(0, 1), burst=8, idle_s=40.0)
         cold, warm = results
         assert cold.min_scale == 0
         assert cold.idle_replicas == 0
@@ -127,7 +127,7 @@ class TestAblations:
         assert warm.cold_starts == 0
 
     def test_presigned_direct_cheaper(self):
-        rows = run_presigned_ablation(sizes=(10_000, 1_000_000))
+        rows = run_ablation("ABL-PRESIGN", arms=(10_000, 1_000_000))
         for row in rows:
             assert row.proxied_ms > row.direct_ms
 
