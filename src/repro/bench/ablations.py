@@ -69,6 +69,7 @@ from repro.qos.plane import QosConfig
 from repro.sim.kernel import Environment, Event, all_of, any_of
 from repro.sim.network import Network, NetworkModel
 from repro.sim.workload import PhasedOpenLoopGenerator
+from repro.stats import nearest_rank
 from repro.storage.dht import Dht, DhtModel
 from repro.storage.kv import DbModel, DocumentStore
 from repro.storage.object_store import ObjectStore, ObjectStoreModel
@@ -145,15 +146,6 @@ def _platform_arm(
         yield platform, ids
     finally:
         platform.shutdown()
-
-
-def _p95_ms(latencies: Iterable[float]) -> float:
-    """Nearest-rank p95 of latencies in seconds, as milliseconds."""
-    ordered = sorted(latencies)
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, int(0.95 * len(ordered))))
-    return ordered[rank] * 1000.0
 
 
 def _knative_service(
@@ -308,7 +300,7 @@ def _coldstart_arm(
     row = ColdStartResult(
         min_scale=min_scale,
         first_latency_ms=ordered[0] * 1000.0,
-        burst_p99_ms=ordered[max(0, int(len(ordered) * 0.99) - 1)] * 1000.0,
+        burst_p99_ms=nearest_rank(ordered, 99) * 1000.0,
         cold_starts=service.cold_starts,
         idle_replicas=idle_replicas,
         traced_cold_starts=len(tracer.spans_named("faas.cold_start")),
@@ -753,7 +745,7 @@ def _qos_arm(
         hot_ok = [latency for latency, result in hot_results if result.ok]
         return QosRow(
             mode=mode,
-            hot_p95_ms=_p95_ms(hot_ok),
+            hot_p95_ms=nearest_rank(sorted(hot_ok), 95) * 1000.0,
             hot_target_ms=50.0,
             hot_completed=len(hot_ok),
             hot_failed=sum(1 for _, r in hot_results if not r.ok),
@@ -1114,7 +1106,7 @@ def _federation_arm(
         return FederationRow(
             mode=mode,
             placement=placement,
-            sensor_p95_ms=_p95_ms(latencies),
+            sensor_p95_ms=nearest_rank(sorted(latencies), 95) * 1000.0,
             sensor_target_ms=20.0,
             completed=completed,
             failed=failed,

@@ -5,6 +5,7 @@ import pytest
 from repro.bench.ablations import run_ablation
 from repro.sim.kernel import Environment
 from repro.sim.workload import PhasedOpenLoopGenerator
+from repro.stats import nearest_rank
 
 
 class TestPhasedGenerator:
@@ -115,3 +116,23 @@ class TestQosAblation:
         assert qos.hot_p95_ms < fifo.hot_p95_ms / 5
         assert fifo.noisy_shed == 0
         assert fifo.noisy_completed == 200  # baseline drains everything
+
+
+class TestPercentileRule:
+    """Every percentile an ablation reports is the nearest rank."""
+
+    def test_nearest_rank(self):
+        samples = [float(rank) for rank in range(1, 25)]
+        assert nearest_rank(samples, 99) == 24.0  # ceil(23.76): the largest of 24
+        assert nearest_rank(samples, 95) == 23.0  # ceil(22.8)
+        assert nearest_rank(samples, 50) == 12.0
+        assert nearest_rank(samples, 100) == 24.0
+        assert nearest_rank([], 95) == 0.0
+
+    def test_cold_burst_p99_is_its_slowest_request(self):
+        # Nine requests onto one warm replica of concurrency 8: eight
+        # start at once, the ninth waits for a slot.  The slowest of nine
+        # is their p99.
+        row = run_ablation("ABL-COLD", arms=(1,), burst=9)[0]
+        assert row.first_latency_ms == pytest.approx(22.0)
+        assert row.burst_p99_ms == pytest.approx(44.0)
