@@ -2,7 +2,7 @@
 
 See DESIGN.md §4 for the experiment index: FIG3 (scalability sweep),
 FIG1 (abstraction comparison), FIG2 (template selection), and the
-ABL-* ablations (batching, cold start, locality, presigned URLs).
+ten ABL-* ablations (``repro.bench.ablations.ABLATIONS``).
 """
 
 from repro.bench.config import Fig3Config
