@@ -25,6 +25,8 @@ Cell = str | Callable[[Any], object]
 
 @dataclass(frozen=True)
 class Table:
+    """How one ablation's table prints, and the claim its rows must hold."""
+
     title: str
     columns: dict[str, Cell]
     claim: Callable[[list[Any]], None]
