@@ -16,6 +16,7 @@ The headline contracts:
   move keys whose owner set actually changed.
 """
 
+import json
 import random
 from collections import Counter
 
@@ -36,6 +37,8 @@ from repro.chaos import (
 from repro.errors import ValidationError
 from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.storage.hashring import HashRing
+
+from tests.golden import chaos as chaos_golden
 
 PACKAGE = """
 name: chaos-app
@@ -364,6 +367,20 @@ class TestDeterminism:
         _, _, summary, _ = self.run_scenario(11)
         assert summary["injected"] == 3
         assert summary["recovered"] == 3
+
+
+class TestGoldenNarration:
+    """Every pinned plan narrates exactly what ``tests/golden/chaos.json``
+    holds: requests, events, injector stats, NFR rows, chaos spans."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(chaos_golden.GOLDEN.read_text())
+
+    @pytest.mark.parametrize("name", list(chaos_golden.CASES))
+    def test_plan_narrates_as_pinned(self, golden, name):
+        captured = json.loads(json.dumps(chaos_golden.capture_plan(name)))
+        assert captured == golden[name]
 
 
 class TestHashRingFailoverProperties:
