@@ -1,13 +1,16 @@
 """The chaos injector: replays a :class:`FaultPlan` against a live
 platform, deterministically.
 
-The injector compiles the plan into a timeline of inject/recover
-actions, walks it as a simulation process, and applies each fault
-through the platform's own seams — node membership for crashes, the
-network fault state for partitions and delays, FaaS slowdown hooks for
-saturated hosts, the document store's write-fault knob, and deployment
-scaling for cold-start storms.  No fault bypasses the data path the
-workload actually uses.
+Each fault kind is one :class:`FaultKind` row of :data:`FAULT_KINDS`:
+an ``inject`` that applies the fault through the platform's own seam
+and returns a handle, a ``recover`` that releases exactly that handle,
+and the plane the kind needs.  The seams are node membership for
+crashes, the network fault state for partitions and delays, FaaS
+slowdown hooks for saturated hosts, the document store's write-fault
+knob, deployment scaling for cold-start storms, and the scheduler
+plane's worker knobs.  No fault bypasses the data path the workload
+actually uses.  A new kind is one dataclass in :mod:`repro.chaos.plan`
+plus one row here.
 
 Every action emits a ``chaos.inject``/``chaos.recover`` control-plane
 event (and an instantaneous span under the ``"chaos"`` trace), so fault
@@ -23,8 +26,7 @@ compares against each class's declared availability target.
 
 from __future__ import annotations
 
-import random
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, NamedTuple
 
 from repro.chaos.plan import (
     ColdStartStorm,
@@ -54,6 +56,157 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CHAOS_TRACE_ID = "chaos"
 
 __all__ = ["CHAOS_TRACE_ID", "ChaosInjector", "FaultWindow"]
+
+
+class FaultKind(NamedTuple):
+    """How one fault kind is applied and released."""
+
+    #: ``inject(injector, fault) -> handle``: apply the fault.
+    inject: Callable[[ChaosInjector, Any], Any]
+    #: ``recover(injector, fault, handle)``: release that handle and
+    #: nothing else.  ``None`` marks an instantaneous kind, which opens
+    #: no availability window.
+    recover: Callable[[ChaosInjector, Any, Any], None] | None
+    #: The plane the kind acts on, when it is not the baseline platform.
+    plane: str | None = None
+
+
+# -- the seams ---------------------------------------------------------------
+
+
+def _crash_node(injector: ChaosInjector, fault: NodeCrash) -> str | None:
+    region = injector.platform.cluster.region_of(fault.node)
+    injector.platform.fail_node(fault.node)
+    return region
+
+
+def _restart_node(injector: ChaosInjector, fault: NodeCrash, region: str | None) -> None:
+    injector.platform.add_node(fault.node, region=region)
+
+
+def _cut(injector: ChaosInjector, nodes) -> int:
+    return injector.platform.network.fault_state().isolate(nodes)
+
+
+def _heal(injector: ChaosInjector, nodes, token: int) -> None:
+    injector.platform.network.fault_state().heal(token)
+    # Anti-entropy: replicas on both sides reconverge on the newest
+    # version of every key they own.
+    isolated = set(nodes)
+    for runtime in injector.platform.crm.runtimes.values():
+        if isolated & set(runtime.dht.nodes):
+            runtime.dht.rebalance()
+
+
+def _delay(injector: ChaosInjector, extra_s: float, src, dst) -> int:
+    return injector.platform.network.fault_state().add_delay(extra_s, src=src, dst=dst)
+
+
+def _undelay(injector: ChaosInjector, fault: Fault, token: int) -> None:
+    injector.platform.network.fault_state().remove_delay(token)
+
+
+def _zone(injector: ChaosInjector, zone: str) -> list[str]:
+    # ValidationError for unknown zones.
+    return injector.platform.planes["federation"].planner.nodes_in_zone(zone)
+
+
+def _workers(injector: ChaosInjector):
+    return injector.platform.planes["scheduler"]
+
+
+def _services(injector: ChaosInjector, classes: tuple[str, ...]):
+    for cls, runtime in sorted(injector.platform.crm.runtimes.items()):
+        if classes and cls not in classes:
+            continue
+        for _name, svc in sorted(runtime.services.items()):
+            yield runtime, svc
+
+
+def _slow_pods(injector: ChaosInjector, fault: SlowPods) -> None:
+    for _runtime, svc in _services(injector, (fault.cls,) if fault.cls else ()):
+        svc.set_slowdown(fault.factor, node=fault.node)
+
+
+def _unslow_pods(injector: ChaosInjector, fault: SlowPods, _handle: None) -> None:
+    for _runtime, svc in _services(injector, (fault.cls,) if fault.cls else ()):
+        svc.clear_slowdown(node=fault.node)
+
+
+def _fail_writes(injector: ChaosInjector, fault: StorageFaults) -> None:
+    # Every StorageFaults of a run draws from the platform's one seeded
+    # "chaos.storage" stream (created on first use).
+    injector.platform.store.set_write_fault(
+        fault.error_rate, rng=injector.platform.rng.stream("chaos.storage")
+    )
+
+
+def _storm(injector: ChaosInjector, fault: ColdStartStorm) -> None:
+    for runtime, svc in _services(injector, fault.classes):
+        prior = max(1, svc.deployment.desired)
+        svc.deployment.scale(0)
+        if runtime.engine_name != "knative":
+            # Plain deployments cannot scale from zero; replace the
+            # evicted pods with cold-booting ones instead.
+            svc.deployment.scale(prior)
+
+
+def _restart_worker(injector: ChaosInjector, fault: WorkerCrash, _handle: bool) -> None:
+    plane = _workers(injector)
+    current = plane.workers.get(fault.worker)
+    if current is None or current.machine.is_dead:
+        plane.register_worker(fault.worker)
+
+
+#: One row per fault kind.  A fault gets a recover action only when its
+#: ``duration_s > 0``: a permanent crash holds (and keeps its
+#: availability window open) for the rest of the run.
+FAULT_KINDS: dict[type[Fault], FaultKind] = {
+    NodeCrash: FaultKind(_crash_node, _restart_node),
+    Partition: FaultKind(
+        lambda inj, f: _cut(inj, f.nodes),
+        lambda inj, f, token: _heal(inj, f.nodes, token),
+    ),
+    NetworkDelay: FaultKind(lambda inj, f: _delay(inj, f.extra_s, f.src, f.dst), _undelay),
+    SlowPods: FaultKind(_slow_pods, _unslow_pods),
+    StorageFaults: FaultKind(
+        _fail_writes, lambda inj, f, _handle: inj.platform.store.clear_write_fault()
+    ),
+    # Instantaneous: the storm's cost is the cold starts that follow,
+    # which the latency metrics capture.
+    ColdStartStorm: FaultKind(_storm, None),
+    WorkerCrash: FaultKind(
+        lambda inj, f: _workers(inj).crash_worker(f.worker, reason="chaos"),
+        _restart_worker,
+        "scheduler",
+    ),
+    HeartbeatLoss: FaultKind(
+        lambda inj, f: _workers(inj).suppress_heartbeats(f.worker, f.duration_s),
+        lambda inj, f, _handle: _workers(inj).resume_heartbeats(f.worker),
+        "scheduler",
+    ),
+    SlowWorker: FaultKind(
+        lambda inj, f: _workers(inj).set_worker_slow(f.worker, f.factor),
+        lambda inj, f, _handle: _workers(inj).clear_worker_slow(f.worker),
+        "scheduler",
+    ),
+    # The zone's nodes are looked up again at heal time.
+    ZonePartition: FaultKind(
+        lambda inj, f: _cut(inj, _zone(inj, f.zone)),
+        lambda inj, f, token: _heal(inj, _zone(inj, f.zone), token),
+        "federation",
+    ),
+    WanDegradation: FaultKind(
+        lambda inj, f: _delay(
+            inj,
+            f.extra_s,
+            _zone(inj, f.src_zone),
+            _zone(inj, f.dst_zone) if f.dst_zone is not None else None,
+        ),
+        _undelay,
+        "federation",
+    ),
+}
 
 
 class FaultWindow:
@@ -87,7 +240,6 @@ class ChaosInjector(Plane):
         self.windows: list[FaultWindow] = []
         self._active = 0
         self._process: Process | None = None
-        self._storage_rng: random.Random | None = None
         # Per-class (completed, failed) at the moment the current window
         # opened, and the accumulated under-fault deltas of closed windows.
         self._window_base: dict[str, tuple[int, int]] = {}
@@ -108,255 +260,36 @@ class ChaosInjector(Plane):
         return self._process is not None and self._process.triggered
 
     def _run(self) -> Generator[Any, Any, None]:
-        actions: list[tuple[float, int, int, Callable[[], None]]] = []
-        for index, fault in enumerate(
-            sorted(self.plan.faults, key=lambda f: (f.at, f.kind))
-        ):
-            inject, recover = self._compile(fault)
-            # Phase 0 = recover, 1 = inject: at the same instant, heal
-            # the previous fault before injecting the next one.
-            actions.append((fault.at, 1, index, inject))
-            if recover is not None:
-                actions.append((fault.at + fault.duration_s, 0, index, recover))
-        actions.sort(key=lambda entry: entry[:3])
-        for when, _phase, _index, action in actions:
+        faults = sorted(self.plan.faults, key=lambda f: (f.at, f.kind))
+        kinds = [FAULT_KINDS.get(type(fault)) for fault in faults]
+        for fault, kind in zip(faults, kinds):
+            if kind is None:
+                raise SimulationError(f"no injector row for fault kind {fault.kind!r}")
+            if kind.plane is not None and kind.plane not in self.platform.planes:
+                raise SimulationError(
+                    f"{fault.kind} targets the {kind.plane} plane; enable it with "
+                    f"PlatformConfig({kind.plane}={kind.plane.capitalize()}Config(enabled=True))"
+                )
+        # (when, phase, index) with phase 0 = recover, 1 = inject: at the
+        # same instant, heal the previous fault before injecting the next.
+        actions = [(fault.at, 1, index) for index, fault in enumerate(faults)]
+        actions += [
+            (fault.at + fault.duration_s, 0, index)
+            for index, fault in enumerate(faults)
+            if fault.duration_s > 0
+        ]
+        actions.sort()
+        handles: dict[int, Any] = {}
+        for when, phase, index in actions:
             if when > self.env.now:
                 yield self.env.timeout(when - self.env.now)
-            action()
-
-    # -- fault compilation ---------------------------------------------------
-
-    def _compile(
-        self, fault: Fault
-    ) -> tuple[Callable[[], None], Callable[[], None] | None]:
-        """Build the (inject, recover) closures for one fault."""
-        if isinstance(fault, NodeCrash):
-            return self._compile_node_crash(fault)
-        if isinstance(fault, Partition):
-            return self._compile_partition(fault)
-        if isinstance(fault, NetworkDelay):
-            return self._compile_delay(fault)
-        if isinstance(fault, SlowPods):
-            return self._compile_slow_pods(fault)
-        if isinstance(fault, StorageFaults):
-            return self._compile_storage(fault)
-        if isinstance(fault, ColdStartStorm):
-            return self._compile_storm(fault)
-        if isinstance(fault, WorkerCrash):
-            return self._compile_worker_crash(fault)
-        if isinstance(fault, HeartbeatLoss):
-            return self._compile_heartbeat_loss(fault)
-        if isinstance(fault, SlowWorker):
-            return self._compile_slow_worker(fault)
-        if isinstance(fault, ZonePartition):
-            return self._compile_zone_partition(fault)
-        if isinstance(fault, WanDegradation):
-            return self._compile_wan_degradation(fault)
-        raise NotImplementedError(f"no injector for fault kind {fault.kind!r}")
-
-    def _compile_node_crash(self, fault: NodeCrash):
-        region_box: list[str | None] = [None]
-
-        def inject() -> None:
-            region_box[0] = self.platform.cluster.region_of(fault.node)
-            self.platform.fail_node(fault.node)
-            self._on_inject(fault)
-
-        if not fault.duration_s:
-            # Permanent crash: the platform stays degraded, the
-            # availability window stays open for the rest of the run.
-            return inject, None
-
-        def recover() -> None:
-            self.platform.add_node(fault.node, region=region_box[0])
-            self._on_recover(fault)
-
-        return inject, recover
-
-    def _compile_partition(self, fault: Partition):
-        def inject() -> None:
-            self.platform.network.fault_state().isolate(fault.nodes)
-            self._on_inject(fault)
-
-        def recover() -> None:
-            self.platform.network.fault_state().clear_partition()
-            # Anti-entropy: replicas on both sides reconverge on the
-            # newest version of every key they own.
-            isolated = set(fault.nodes)
-            for runtime in self.platform.crm.runtimes.values():
-                if isolated & set(runtime.dht.nodes):
-                    runtime.dht.rebalance()
-            self._on_recover(fault)
-
-        return inject, recover
-
-    def _compile_delay(self, fault: NetworkDelay):
-        token_box: list[object] = [None]
-
-        def inject() -> None:
-            token_box[0] = self.platform.network.fault_state().add_delay(
-                fault.extra_s, src=fault.src, dst=fault.dst
-            )
-            self._on_inject(fault)
-
-        def recover() -> None:
-            self.platform.network.fault_state().remove_delay(token_box[0])
-            self._on_recover(fault)
-
-        return inject, recover
-
-    def _services_of(self, classes: tuple[str, ...]):
-        for cls, runtime in sorted(self.platform.crm.runtimes.items()):
-            if classes and cls not in classes:
-                continue
-            for _name, svc in sorted(runtime.services.items()):
-                yield runtime, svc
-
-    def _compile_slow_pods(self, fault: SlowPods):
-        classes = (fault.cls,) if fault.cls else ()
-
-        def inject() -> None:
-            for _runtime, svc in self._services_of(classes):
-                svc.set_slowdown(fault.factor, node=fault.node)
-            self._on_inject(fault)
-
-        def recover() -> None:
-            for _runtime, svc in self._services_of(classes):
-                svc.clear_slowdown(node=fault.node)
-            self._on_recover(fault)
-
-        return inject, recover
-
-    def _compile_storage(self, fault: StorageFaults):
-        def inject() -> None:
-            if self._storage_rng is None:
-                self._storage_rng = self.platform.rng.stream("chaos.storage")
-            self.platform.store.set_write_fault(
-                fault.error_rate, rng=self._storage_rng
-            )
-            self._on_inject(fault)
-
-        def recover() -> None:
-            self.platform.store.clear_write_fault()
-            self._on_recover(fault)
-
-        return inject, recover
-
-    def _compile_storm(self, fault: ColdStartStorm):
-        def inject() -> None:
-            for runtime, svc in self._services_of(fault.classes):
-                prior = max(1, svc.deployment.desired)
-                svc.deployment.scale(0)
-                if runtime.engine_name != "knative":
-                    # Plain deployments cannot scale from zero; replace
-                    # the evicted pods with cold-booting ones instead.
-                    svc.deployment.scale(prior)
-            self._on_inject(fault)
-
-        # Instantaneous: the storm's cost is the cold starts that follow,
-        # which the latency metrics capture; no availability window.
-        return inject, None
-
-    def _plane(self, fault: Fault, name: str):
-        """The plane a fault targets, from the platform's registry."""
-        plane = self.platform.planes.get(name)
-        if plane is None:
-            raise SimulationError(
-                f"{fault.kind} targets the {name} plane; enable it with "
-                f"PlatformConfig({name}={name.capitalize()}Config(enabled=True))"
-            )
-        return plane
-
-    def _compile_worker_crash(self, fault: WorkerCrash):
-        plane = self._plane(fault, "scheduler")
-
-        def inject() -> None:
-            plane.crash_worker(fault.worker, reason="chaos")
-            self._on_inject(fault)
-
-        if not fault.duration_s:
-            # Permanent: pool replacement policy (if on) already filled
-            # the slot; the named worker itself never returns.
-            return inject, None
-
-        def recover() -> None:
-            current = plane.workers.get(fault.worker)
-            if current is None or current.machine.is_dead:
-                plane.register_worker(fault.worker)
-            self._on_recover(fault)
-
-        return inject, recover
-
-    def _compile_heartbeat_loss(self, fault: HeartbeatLoss):
-        plane = self._plane(fault, "scheduler")
-
-        def inject() -> None:
-            plane.suppress_heartbeats(fault.worker, fault.duration_s)
-            self._on_inject(fault)
-
-        def recover() -> None:
-            plane.resume_heartbeats(fault.worker)
-            self._on_recover(fault)
-
-        return inject, recover
-
-    def _compile_slow_worker(self, fault: SlowWorker):
-        plane = self._plane(fault, "scheduler")
-
-        def inject() -> None:
-            plane.set_worker_slow(fault.worker, fault.factor)
-            self._on_inject(fault)
-
-        def recover() -> None:
-            plane.clear_worker_slow(fault.worker)
-            self._on_recover(fault)
-
-        return inject, recover
-
-    def _zone_nodes(self, plane, zone: str) -> list[str]:
-        return plane.planner.nodes_in_zone(zone)  # ValidationError for unknown zones
-
-    def _compile_zone_partition(self, fault: ZonePartition):
-        plane = self._plane(fault, "federation")
-
-        def inject() -> None:
-            nodes = self._zone_nodes(plane, fault.zone)
-            self.platform.network.fault_state().isolate(nodes)
-            self._on_inject(fault)
-
-        def recover() -> None:
-            self.platform.network.fault_state().clear_partition()
-            # Anti-entropy, exactly like a healed Partition: zone-side
-            # replicas reconverge with the rest of the federation.
-            isolated = set(self._zone_nodes(plane, fault.zone))
-            for runtime in self.platform.crm.runtimes.values():
-                if isolated & set(runtime.dht.nodes):
-                    runtime.dht.rebalance()
-            self._on_recover(fault)
-
-        return inject, recover
-
-    def _compile_wan_degradation(self, fault: WanDegradation):
-        plane = self._plane(fault, "federation")
-        token_box: list[object] = [None]
-
-        def inject() -> None:
-            src = self._zone_nodes(plane, fault.src_zone)
-            dst = (
-                self._zone_nodes(plane, fault.dst_zone)
-                if fault.dst_zone is not None
-                else None
-            )
-            token_box[0] = self.platform.network.fault_state().add_delay(
-                fault.extra_s, src=src, dst=dst
-            )
-            self._on_inject(fault)
-
-        def recover() -> None:
-            self.platform.network.fault_state().remove_delay(token_box[0])
-            self._on_recover(fault)
-
-        return inject, recover
+            fault, kind = faults[index], kinds[index]
+            if phase:
+                handles[index] = kind.inject(self, fault)
+                self._on_inject(fault, holds=kind.recover is not None)
+            else:
+                kind.recover(self, fault, handles.pop(index))
+                self._on_recover(fault)
 
     # -- window + event accounting -------------------------------------------
 
@@ -368,10 +301,10 @@ class ChaosInjector(Plane):
         emit(self.events, None, CHAOS_TRACE_ID, kind, plan=self.plan.name, **fields)
         emit(None, self.tracer, CHAOS_TRACE_ID, f"{kind} {fault.kind}", plan=self.plan.name)
 
-    def _on_inject(self, fault: Fault) -> None:
+    def _on_inject(self, fault: Fault, holds: bool) -> None:
         self.injected += 1
         self._emit("chaos.inject", fault)
-        if isinstance(fault, ColdStartStorm):
+        if not holds:
             return
         self._active += 1
         if self._active == 1:

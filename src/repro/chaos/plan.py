@@ -31,12 +31,20 @@ marked ``[f]`` target the federation plane and require
 ``PlatformConfig(federation=FederationConfig(enabled=True))``.
 Injecting either into a baseline platform raises
 :class:`SimulationError`.
+
+Partitions and delays are handles, so overlapping ones stack and each
+recover releases only its own.  The other seams hold one value — a
+node's membership, the store's write-fault rate, one worker's knob, a
+service's slowdown — so a plan holding two faults on one of them at
+once (see :attr:`Fault.target`) is rejected with a
+:class:`ValidationError` naming both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+import math
+from dataclasses import dataclass, field, fields
+from typing import Any, ClassVar
 
 from repro.errors import ValidationError
 
@@ -69,6 +77,11 @@ class Fault:
             like a :class:`NodeCrash` without a restart).
     """
 
+    #: The fields naming the single-valued seam a fault of this kind
+    #: holds (``None`` in a field matches anything), or ``None`` when
+    #: faults of the kind stack.
+    target: ClassVar[tuple[str, ...] | None] = None
+
     at: float = 0.0
     duration_s: float = 0.0
 
@@ -84,11 +97,36 @@ class Fault:
     def kind(self) -> str:
         return type(self).__name__
 
+    @property
+    def held_until(self) -> float:
+        """When the fault is reverted; a permanent one holds forever."""
+        return self.at + self.duration_s if self.duration_s else math.inf
+
     def describe(self) -> dict[str, Any]:
+        """Kind, time, duration when non-zero, then the kind's own
+        fields in declaration order (tuples as lists)."""
         out: dict[str, Any] = {"kind": self.kind, "at": self.at}
         if self.duration_s:
             out["duration_s"] = self.duration_s
+        for spec in fields(self):
+            if spec.name not in ("at", "duration_s"):
+                value = getattr(self, spec.name)
+                out[spec.name] = list(value) if isinstance(value, tuple) else value
         return out
+
+    def collides(self, other: Fault) -> bool:
+        """Whether ``self`` and ``other`` hold one single-valued seam at
+        the same time, so that the first to recover would undo both."""
+        if type(other) is not type(self) or self.target is None:
+            return False
+        if not (self.at < other.held_until and other.at < self.held_until):
+            return False
+        return all(
+            getattr(self, name) is None
+            or getattr(other, name) is None
+            or getattr(self, name) == getattr(other, name)
+            for name in self.target
+        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -99,6 +137,8 @@ class NodeCrash(Fault):
     after the outage and eligible class runtimes rebalance onto it.
     """
 
+    target: ClassVar[tuple[str, ...]] = ("node",)
+
     node: str
 
     def __post_init__(self) -> None:
@@ -106,15 +146,12 @@ class NodeCrash(Fault):
         if not self.node:
             raise ValidationError("NodeCrash requires a node name")
 
-    def describe(self) -> dict[str, Any]:
-        return {**super().describe(), "node": self.node}
-
 
 @dataclass(frozen=True, kw_only=True)
 class Partition(Fault):
     """A network partition isolating ``nodes`` from the rest (and from
-    the gateway side).  Healing clears the partition and runs DHT
-    anti-entropy so replicas reconverge."""
+    the gateway side).  Healing releases this partition's cut (others
+    hold) and runs DHT anti-entropy so replicas reconverge."""
 
     nodes: tuple[str, ...]
 
@@ -125,9 +162,6 @@ class Partition(Fault):
             raise ValidationError("Partition requires at least one node")
         if self.duration_s <= 0:
             raise ValidationError("Partition requires duration_s > 0")
-
-    def describe(self) -> dict[str, Any]:
-        return {**super().describe(), "nodes": list(self.nodes)}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -145,19 +179,15 @@ class NetworkDelay(Fault):
         if self.duration_s <= 0:
             raise ValidationError("NetworkDelay requires duration_s > 0")
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            **super().describe(),
-            "extra_s": self.extra_s,
-            "src": self.src,
-            "dst": self.dst,
-        }
-
 
 @dataclass(frozen=True, kw_only=True)
 class SlowPods(Fault):
     """Pods execute ``factor`` times slower — service-wide, or scoped to
-    one class and/or one node (a saturated host)."""
+    one class and/or one node (a saturated host).  A service-wide
+    recover also clears node-scoped slowdowns, so a ``None`` scope
+    overlaps every other scope."""
+
+    target: ClassVar[tuple[str, ...]] = ("cls", "node")
 
     factor: float
     cls: str | None = None
@@ -170,22 +200,17 @@ class SlowPods(Fault):
         if self.duration_s <= 0:
             raise ValidationError("SlowPods requires duration_s > 0")
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            **super().describe(),
-            "factor": self.factor,
-            "cls": self.cls,
-            "node": self.node,
-        }
-
 
 @dataclass(frozen=True, kw_only=True)
 class StorageFaults(Fault):
     """The document store fails a fraction of write batches.
 
     Draws come from the platform's seeded ``"chaos.storage"`` stream, so
-    which writes fail is deterministic per seed.
+    which writes fail is deterministic per seed.  The store has one
+    write-fault rate, so two of these never overlap.
     """
+
+    target: ClassVar[tuple[str, ...]] = ()
 
     error_rate: float
 
@@ -197,9 +222,6 @@ class StorageFaults(Fault):
             )
         if self.duration_s <= 0:
             raise ValidationError("StorageFaults requires duration_s > 0")
-
-    def describe(self) -> dict[str, Any]:
-        return {**super().describe(), "error_rate": self.error_rate}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -217,9 +239,6 @@ class ColdStartStorm(Fault):
                 "ColdStartStorm is instantaneous; duration_s must be 0"
             )
 
-    def describe(self) -> dict[str, Any]:
-        return {**super().describe(), "classes": list(self.classes)}
-
 
 @dataclass(frozen=True, kw_only=True)
 class WorkerCrash(Fault):
@@ -232,15 +251,14 @@ class WorkerCrash(Fault):
     happens next).
     """
 
+    target: ClassVar[tuple[str, ...]] = ("worker",)
+
     worker: str
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not self.worker:
             raise ValidationError("WorkerCrash requires a worker name")
-
-    def describe(self) -> dict[str, Any]:
-        return {**super().describe(), "worker": self.worker}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -251,6 +269,8 @@ class HeartbeatLoss(Fault):
     fences its epoch; results from the fenced registration are
     suppressed, never double-delivered."""
 
+    target: ClassVar[tuple[str, ...]] = ("worker",)
+
     worker: str
 
     def __post_init__(self) -> None:
@@ -260,14 +280,13 @@ class HeartbeatLoss(Fault):
         if self.duration_s <= 0:
             raise ValidationError("HeartbeatLoss requires duration_s > 0")
 
-    def describe(self) -> dict[str, Any]:
-        return {**super().describe(), "worker": self.worker}
-
 
 @dataclass(frozen=True, kw_only=True)
 class SlowWorker(Fault):
     """One worker's per-dispatch overhead is multiplied by ``factor``
     (a saturated or throttled worker process)."""
+
+    target: ClassVar[tuple[str, ...]] = ("worker",)
 
     worker: str
     factor: float
@@ -281,15 +300,12 @@ class SlowWorker(Fault):
         if self.duration_s <= 0:
             raise ValidationError("SlowWorker requires duration_s > 0")
 
-    def describe(self) -> dict[str, Any]:
-        return {**super().describe(), "worker": self.worker, "factor": self.factor}
-
 
 @dataclass(frozen=True, kw_only=True)
 class ZonePartition(Fault):
     """Every node of one federation zone is cut off from the rest of
     the cluster (and from clients) — an edge site dropping off the WAN.
-    Healing clears the partition and runs DHT anti-entropy on every
+    Healing releases this fault's cut and runs DHT anti-entropy on every
     class runtime with members in the zone."""
 
     zone: str
@@ -300,9 +316,6 @@ class ZonePartition(Fault):
             raise ValidationError("ZonePartition requires a zone name")
         if self.duration_s <= 0:
             raise ValidationError("ZonePartition requires duration_s > 0")
-
-    def describe(self) -> dict[str, Any]:
-        return {**super().describe(), "zone": self.zone}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -324,14 +337,6 @@ class WanDegradation(Fault):
         if self.duration_s <= 0:
             raise ValidationError("WanDegradation requires duration_s > 0")
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            **super().describe(),
-            "src_zone": self.src_zone,
-            "dst_zone": self.dst_zone,
-            "extra_s": self.extra_s,
-        }
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -352,6 +357,13 @@ class FaultPlan:
                     f"fault plan {self.name!r} contains a non-Fault entry: "
                     f"{fault!r}"
                 )
+        for index, fault in enumerate(self.faults):
+            for other in self.faults[index + 1 :]:
+                if fault.collides(other):
+                    raise ValidationError(
+                        f"fault plan {self.name!r}: {fault!r} and {other!r} hold "
+                        "one target at once; the first to recover would undo both"
+                    )
 
     @property
     def end_s(self) -> float:

@@ -48,9 +48,6 @@ class ClassRuntime:
             )
         return svc
 
-    def total_replicas(self) -> int:
-        return sum(svc.replicas for svc in self.services.values())
-
     def describe(self) -> dict[str, Any]:
         """A human-readable summary (used by the CLI and tests)."""
         summary = self._describe_base()

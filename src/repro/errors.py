@@ -53,10 +53,6 @@ class TemplateSelectionError(DeploymentError):
     """No class-runtime template matches the class requirements."""
 
 
-class InsufficientResourcesError(DeploymentError):
-    """The cluster cannot host the requested pods."""
-
-
 class TransportError(OaasError):
     """A network-level exchange could not complete."""
 

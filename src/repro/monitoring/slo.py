@@ -297,10 +297,6 @@ class SloEvaluator:
         """Judge measured crash recoveries against per-class RPO budgets."""
         self._durability = durability
 
-    @property
-    def watched_classes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._watched))
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, now: float | None = None) -> None:

@@ -51,9 +51,6 @@ class Deployment:
     def ready_replicas(self) -> int:
         return sum(1 for pod in self.pods if pod.is_ready)
 
-    def ready_pods(self) -> list[Pod]:
-        return [pod for pod in self.pods if pod.is_ready]
-
     def total_in_flight(self) -> int:
         """Requests executing or queued across all replicas."""
         return sum(pod.in_flight for pod in self.pods)
@@ -159,9 +156,6 @@ class Deployment:
         if starting:
             return min(starting, key=lambda p: (p.in_flight, p.name))
         return None
-
-    def pods_on_node(self, node: str) -> list[Pod]:
-        return [pod for pod in self.pods if pod.node == node]
 
     def delete(self) -> None:
         """Terminate every pod."""

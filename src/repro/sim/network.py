@@ -69,18 +69,23 @@ class NetworkModel:
 #: A zero-cost model for interactive (non-benchmark) use.
 INSTANT = NetworkModel(rtt_s=0.0, loopback_s=0.0, inter_region_rtt_s=0.0, bandwidth_bps=0.0)
 
+#: The side of a node (or client) no cut isolates.
+_NO_CUT: frozenset[int] = frozenset()
+
 
 class NetworkFaults:
     """Mutable fault state the chaos plane injects into a :class:`Network`.
 
-    Two fault families:
+    Two fault families, both held by token so that overlapping faults
+    release only their own share:
 
-    * **partitions** — nodes are assigned to *sides*; a transfer whose
-      endpoints sit on different sides fails with
-      :class:`NetworkPartitionError` after ``partition_timeout_s`` of
-      simulated time (a connect timeout, not an instant refusal).
-      External endpoints (``None`` — the gateway/client) sit on side 0,
-      the majority side.
+    * **partitions** — :meth:`isolate` cuts a set of nodes off and
+      returns a token for :meth:`heal`.  A node's *side* is the set of
+      cuts isolating it; a transfer whose endpoints sit on different
+      sides fails with :class:`NetworkPartitionError` after
+      ``partition_timeout_s`` of simulated time (a connect timeout, not
+      an instant refusal).  External endpoints (``None`` — the
+      gateway/client) are in no cut, on the majority side.
     * **added latency** — extra seconds charged on matching remote
       transfers (scoped by optional src/dst node sets; symmetric).
 
@@ -91,7 +96,9 @@ class NetworkFaults:
 
     def __init__(self, partition_timeout_s: float = 0.05) -> None:
         self.partition_timeout_s = partition_timeout_s
-        self._side_of: dict[str, int] = {}
+        self._cuts: dict[int, frozenset[str]] = {}
+        #: node -> the tokens of the cuts isolating it (its side).
+        self._side_of: dict[str, frozenset[int]] = {}
         self._delays: dict[int, tuple[frozenset[str] | None, frozenset[str] | None, float]] = {}
         self._next_token = 0
 
@@ -101,30 +108,35 @@ class NetworkFaults:
 
     # -- partitions -------------------------------------------------------
 
-    def set_partition(self, sides: Iterable[Iterable[str]]) -> None:
-        """Split the fabric into ``sides`` (lists of node names).
+    def isolate(self, nodes: Iterable[str]) -> int:
+        """Cut ``nodes`` off from the rest of the cluster (and clients);
+        returns a token for :meth:`heal`."""
+        self._next_token += 1
+        self._cuts[self._next_token] = frozenset(nodes)
+        self._split()
+        return self._next_token
 
-        Unlisted nodes (and external ``None`` endpoints) are on side 0.
-        """
-        side_of: dict[str, int] = {}
-        for index, side in enumerate(sides):
-            for node in side:
-                side_of[node] = index
-        self._side_of = side_of
-
-    def isolate(self, nodes: Iterable[str]) -> None:
-        """Cut ``nodes`` off from the rest of the cluster (and clients)."""
-        self.set_partition([(), tuple(nodes)])
+    def heal(self, token: int) -> None:
+        """Release one cut; every other cut holds."""
+        self._cuts.pop(token, None)
+        self._split()
 
     def clear_partition(self) -> None:
-        self._side_of = {}
+        """Release every cut."""
+        self._cuts.clear()
+        self._split()
+
+    def _split(self) -> None:
+        side_of: dict[str, set[int]] = {}
+        for token, nodes in self._cuts.items():
+            for node in nodes:
+                side_of.setdefault(node, set()).add(token)
+        self._side_of = {node: frozenset(tokens) for node, tokens in side_of.items()}
 
     def partitioned(self, a: str | None, b: str | None) -> bool:
         if not self._side_of:
             return False
-        side_a = self._side_of.get(a, 0) if a is not None else 0
-        side_b = self._side_of.get(b, 0) if b is not None else 0
-        return side_a != side_b
+        return self._side_of.get(a, _NO_CUT) != self._side_of.get(b, _NO_CUT)
 
     # -- added latency ----------------------------------------------------
 

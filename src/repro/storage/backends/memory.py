@@ -6,8 +6,8 @@ and returns document *references* — ``DocumentStore`` makes exactly the
 same defensive copies it always did around these calls, which is what
 keeps the default configuration byte-identical to the pre-backend
 store.  Queries run the shared reference evaluator over a full scan;
-there are no secondary indexes to maintain, so ``register_schema`` only
-remembers the declared keys for introspection.
+there are no secondary indexes to maintain, so ``register_schema`` does
+nothing.
 """
 
 from __future__ import annotations
@@ -29,15 +29,11 @@ class DictBackend(StoreBackend):
 
     def __init__(self) -> None:
         self._collections: dict[str, dict[str, dict[str, Any]]] = {}
-        self._schemas: dict[str, dict[str, DataType]] = {}
 
     def register_schema(
         self, collection: str, schema: Mapping[str, DataType]
     ) -> None:
-        self._schemas.setdefault(collection, {}).update(schema)
-
-    def schema_for(self, collection: str) -> dict[str, DataType]:
-        return dict(self._schemas.get(collection, {}))
+        """No indexes to maintain, so nothing to declare."""
 
     def put(self, collection: str, doc: dict[str, Any]) -> None:
         self._collections.setdefault(collection, {})[doc["id"]] = doc

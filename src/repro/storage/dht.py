@@ -660,10 +660,6 @@ class Dht:
 
     # -- live migration (federation plane) -----------------------------------
 
-    def pinned_node(self, key: str) -> str | None:
-        """The node a key is pinned to by migration, or ``None``."""
-        return self._pins.get(key)
-
     def pin_epoch(self, key: str) -> int:
         """The key's current migration epoch (0 = never migrated)."""
         return self._pin_epochs.get(key, 0)
@@ -712,10 +708,6 @@ class Dht:
                 ):
                     self._install(node, key, stored)
         self._near_invalidate(key)
-
-    def unpin(self, key: str) -> None:
-        """Drop a migration pin; ownership falls back to the hash ring."""
-        self._pins.pop(key, None)
 
     # -- durability (snapshot/restore plane) ---------------------------------
 

@@ -77,10 +77,13 @@ def _bump_n(ctx):
     return {"n": ctx.state["n"]}
 
 
+DEMO_HANDLERS = {"ledger/add": (_add, 0.002), "scratch/bump": (_bump_hits, 0.002)}
+
+
 def demo_platform() -> tuple[Oparaca, list[tuple[str, str]]]:
     platform = make_platform(
         DEMO_PACKAGE.read_text(),
-        {"ledger/add": (_add, 0.002), "scratch/bump": (_bump_hits, 0.002)},
+        DEMO_HANDLERS,
         seed=3,
         tracing_enabled=True,
         events_enabled=True,
