@@ -161,7 +161,8 @@ random_faults = st.lists(
             duration_s=SPAN,
             nodes=st.lists(st.sampled_from(NODES), min_size=1, max_size=3, unique=True),
         ),
-        # Unscoped only: a scoped NetworkDelay is a ROADMAP item of its own.
+        # Unscoped only: a scoped NetworkDelay matches no endpoint today
+        # (add_delay reads its node name as a set of characters).
         st.builds(NetworkDelay, at=GRID, duration_s=SPAN, extra_s=st.sampled_from((0.01, 0.05))),
         st.builds(StorageFaults, at=GRID, duration_s=SPAN, error_rate=st.sampled_from((0.25, 1.0))),
         st.builds(
