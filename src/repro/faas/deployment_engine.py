@@ -11,21 +11,14 @@ cost of idle replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Mapping
+from typing import Any, Generator
 
 from repro.errors import InvocationError
 from repro.faas.engine import EngineModel, FaasEngine, FunctionService
-from repro.faas.registry import FunctionRegistry
 from repro.faas.runtime import InvocationTask
-from repro.model.function import FunctionDefinition
-from repro.monitoring.events import EventLog
-from repro.monitoring.tracing import Span, Tracer
-from repro.orchestrator.deployment import Deployment
+from repro.monitoring.tracing import Span
 from repro.orchestrator.hpa import HorizontalPodAutoscaler
-from repro.orchestrator.pod import Pod, PodSpec
-from repro.orchestrator.resources import ResourceSpec
-from repro.orchestrator.scheduler import Scheduler
-from repro.sim.kernel import Environment
+from repro.orchestrator.pod import Pod
 
 __all__ = ["DeploymentModel", "DeploymentService", "DeploymentEngine"]
 
@@ -43,50 +36,23 @@ class DeploymentModel(EngineModel):
 class DeploymentService(FunctionService):
     """A pre-provisioned deployment behind a plain service."""
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        definition: FunctionDefinition,
-        entry,
-        scheduler: Scheduler,
-        model: DeploymentModel,
-        replicas: int,
-        services: Mapping[str, Any] | None = None,
-        node_hints: list[str] | None = None,
-        tracer: Tracer | None = None,
-        events: EventLog | None = None,
-    ) -> None:
-        provision = definition.provision
-        spec = PodSpec(
-            image=definition.image,
-            resources=ResourceSpec(provision.cpu_millis, provision.memory_mb),
-            concurrency=provision.concurrency,
-            startup_delay_s=model.cold_start_s,
-            labels={"app.oparaca.io/deployment": name},
-        )
-        deployment = Deployment(
-            env,
-            name=f"dep-{name}",
-            spec=spec,
-            scheduler=scheduler,
-            replicas=replicas,
-            node_hints=node_hints,
-        )
-        super().__init__(
-            env, name, definition, entry, deployment, model, services,
-            tracer=tracer, events=events,
-        )
+    deployment_prefix = "dep"
+    pod_label = "app.oparaca.io/deployment"
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        model: DeploymentModel = self.model
         self.hpa: HorizontalPodAutoscaler | None = None
         if model.autoscale:
+            provision = self.definition.provision
             self.hpa = HorizontalPodAutoscaler(
-                env,
-                deployment,
+                self.env,
+                self.deployment,
                 target_per_replica=max(1.0, provision.concurrency * 0.7),
-                min_replicas=max(1, replicas),
+                min_replicas=max(1, self.deployment.desired),
                 max_replicas=provision.max_scale,
                 interval_s=model.autoscale_interval_s,
-                events=events,
+                events=self.events,
             )
 
     def _acquire_pod(
@@ -120,46 +86,5 @@ class DeploymentService(FunctionService):
 class DeploymentEngine(FaasEngine):
     """Deploys functions as plain deployments."""
 
-    def __init__(
-        self,
-        env: Environment,
-        scheduler: Scheduler,
-        registry: FunctionRegistry,
-        model: DeploymentModel | None = None,
-        tracer: Tracer | None = None,
-        events: EventLog | None = None,
-    ) -> None:
-        super().__init__(env, registry, tracer=tracer, events=events)
-        self.scheduler = scheduler
-        self.model = model or DeploymentModel()
-
-    def deploy(
-        self,
-        name: str,
-        definition: FunctionDefinition,
-        services: Mapping[str, Any] | None = None,
-        node_hints: list[str] | None = None,
-        replicas: int | None = None,
-    ) -> DeploymentService:
-        entry = self.registry.get(definition.image)
-        svc = DeploymentService(
-            self.env,
-            name,
-            definition,
-            entry,
-            self.scheduler,
-            self.model,
-            replicas=replicas if replicas is not None else max(1, definition.provision.min_scale),
-            services=services,
-            node_hints=node_hints,
-            tracer=self.tracer,
-            events=self.events,
-        )
-        self._register(svc)
-        return svc
-
-    def delete(self, name: str) -> None:
-        svc = self._services.get(name)
-        if isinstance(svc, DeploymentService):
-            svc.stop()
-        super().delete(name)
+    service_type = DeploymentService
+    model_type = DeploymentModel

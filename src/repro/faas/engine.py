@@ -12,7 +12,11 @@ request for offloading a task, any FaaS engine can accept this task"
 
 Shared here: the execution core that occupies a pod slot, charges
 routing overhead and service time, runs the handler (plain or
-generator), and converts results/exceptions into completions.
+generator), and converts results/exceptions into completions; the one
+pod spec and deployment a service runs on; and the engine's deploy /
+delete bookkeeping.  An engine is a row: it names its
+:attr:`FaasEngine.service_type` and :attr:`FaasEngine.model_type`, and
+the service type brings its own pod acquisition and autoscaler.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from repro.model.function import FunctionDefinition
 from repro.monitoring.events import EventLog
 from repro.monitoring.tracing import Span, Tracer
 from repro.orchestrator.deployment import Deployment
-from repro.orchestrator.pod import Pod
+from repro.orchestrator.pod import Pod, PodSpec
+from repro.orchestrator.resources import ResourceSpec
+from repro.orchestrator.scheduler import Scheduler
 from repro.sim.kernel import Environment, Process
 
 __all__ = ["EngineModel", "FunctionService", "FaasEngine"]
@@ -50,7 +56,13 @@ class EngineModel:
 
 
 class FunctionService(abc.ABC):
-    """One deployed function on some engine."""
+    """One deployed function on some engine, running on one
+    :class:`Deployment` of ``max(1, min_scale)`` initial replicas."""
+
+    #: Prefix of the deployment's name (``<prefix>-<service>``).
+    deployment_prefix: str
+    #: Label key naming the service on each of its pods.
+    pod_label: str
 
     def __init__(
         self,
@@ -58,17 +70,33 @@ class FunctionService(abc.ABC):
         name: str,
         definition: FunctionDefinition,
         entry: RegisteredImage,
-        deployment: Deployment,
+        scheduler: Scheduler,
         model: EngineModel,
         services: Mapping[str, Any] | None = None,
+        node_hints: list[str] | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
     ) -> None:
+        provision = definition.provision
+        spec = PodSpec(
+            image=definition.image,
+            resources=ResourceSpec(provision.cpu_millis, provision.memory_mb),
+            concurrency=provision.concurrency,
+            startup_delay_s=model.cold_start_s,
+            labels={self.pod_label: name},
+        )
+        self.deployment = Deployment(
+            env,
+            name=f"{self.deployment_prefix}-{name}",
+            spec=spec,
+            scheduler=scheduler,
+            replicas=max(1, provision.min_scale),
+            node_hints=node_hints,
+        )
         self.env = env
         self.name = name
         self.definition = definition
         self.entry = entry
-        self.deployment = deployment
         self.model = model
         self.services = dict(services or {})
         self.tracer = tracer if tracer is not None else Tracer(env)
@@ -117,6 +145,9 @@ class FunctionService(abc.ABC):
         ``task``/``parent`` carry trace context so engines can attribute
         waits (cold starts) to the requesting trace.
         """
+
+    def stop(self) -> None:
+        """Stop the service's autoscaler, if it has one (teardown)."""
 
     # -- shared execution core ----------------------------------------------
 
@@ -210,23 +241,30 @@ class FunctionService(abc.ABC):
         return self.deployment.total_in_flight()
 
 
-class FaasEngine(abc.ABC):
-    """A pluggable code-execution runtime."""
+class FaasEngine:
+    """A pluggable code-execution runtime: one row per engine, naming
+    the service it deploys and the model that prices its data path."""
+
+    service_type: type[FunctionService]
+    model_type: type[EngineModel]
 
     def __init__(
         self,
         env: Environment,
+        scheduler: Scheduler,
         registry: FunctionRegistry,
+        model: EngineModel | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
     ) -> None:
         self.env = env
+        self.scheduler = scheduler
         self.registry = registry
+        self.model = model or self.model_type()
         self.tracer = tracer
         self.events = events
         self._services: dict[str, FunctionService] = {}
 
-    @abc.abstractmethod
     def deploy(
         self,
         name: str,
@@ -235,6 +273,22 @@ class FaasEngine(abc.ABC):
         node_hints: list[str] | None = None,
     ) -> FunctionService:
         """Create (and register) a service running ``definition``."""
+        if name in self._services:
+            raise ValidationError(f"service {name!r} already deployed")
+        svc = self.service_type(
+            self.env,
+            name,
+            definition,
+            self.registry.get(definition.image),
+            self.scheduler,
+            self.model,
+            services=services,
+            node_hints=node_hints,
+            tracer=self.tracer,
+            events=self.events,
+        )
+        self._services[name] = svc
+        return svc
 
     def service(self, name: str) -> FunctionService:
         svc = self._services.get(name)
@@ -252,10 +306,5 @@ class FaasEngine(abc.ABC):
     def delete(self, name: str) -> None:
         svc = self._services.pop(name, None)
         if svc is not None:
+            svc.stop()
             svc.deployment.delete()
-
-    def _register(self, svc: FunctionService) -> FunctionService:
-        if svc.name in self._services:
-            raise ValidationError(f"service {svc.name!r} already deployed")
-        self._services[svc.name] = svc
-        return svc

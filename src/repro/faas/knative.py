@@ -18,20 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Generator, Mapping
+from typing import Any, Generator
 
 from repro.errors import InvocationError, SchedulingError
 from repro.faas.engine import EngineModel, FaasEngine, FunctionService
-from repro.faas.registry import FunctionRegistry
 from repro.faas.runtime import InvocationTask
-from repro.model.function import FunctionDefinition
-from repro.monitoring.events import EventLog
-from repro.monitoring.tracing import Span, Tracer
-from repro.orchestrator.deployment import Deployment
-from repro.orchestrator.pod import Pod, PodSpec
-from repro.orchestrator.resources import ResourceSpec
-from repro.orchestrator.scheduler import Scheduler
-from repro.sim.kernel import Environment
+from repro.monitoring.tracing import Span
+from repro.orchestrator.pod import Pod
 
 __all__ = ["KnativeModel", "KnativeService", "KnativeEngine"]
 
@@ -53,44 +46,16 @@ class KnativeModel(EngineModel):
 class KnativeService(FunctionService):
     """A Knative service: autoscaled revision + activator semantics."""
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        definition: FunctionDefinition,
-        entry,
-        scheduler: Scheduler,
-        model: KnativeModel,
-        services: Mapping[str, Any] | None = None,
-        node_hints: list[str] | None = None,
-        tracer: Tracer | None = None,
-        events: EventLog | None = None,
-    ) -> None:
-        provision = definition.provision
-        spec = PodSpec(
-            image=definition.image,
-            resources=ResourceSpec(provision.cpu_millis, provision.memory_mb),
-            concurrency=provision.concurrency,
-            startup_delay_s=model.cold_start_s,
-            labels={"serving.oparaca.io/service": name},
-        )
-        deployment = Deployment(
-            env,
-            name=f"kn-{name}",
-            spec=spec,
-            scheduler=scheduler,
-            replicas=max(provision.min_scale, 1),
-            node_hints=node_hints,
-        )
-        super().__init__(
-            env, name, definition, entry, deployment, model, services,
-            tracer=tracer, events=events,
-        )
-        self.min_scale = provision.min_scale
-        self.max_scale = provision.max_scale
-        self._last_request_at = env.now
+    deployment_prefix = "kn"
+    pod_label = "serving.oparaca.io/service"
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.min_scale = self.definition.provision.min_scale
+        self.max_scale = self.definition.provision.max_scale
+        self._last_request_at = self.env.now
         self._running = True
-        self._autoscaler = env.process(self._autoscale_loop())
+        self._autoscaler = self.env.process(self._autoscale_loop())
 
     # -- activator path --------------------------------------------------------
 
@@ -186,44 +151,5 @@ class KnativeService(FunctionService):
 class KnativeEngine(FaasEngine):
     """Deploys functions as Knative services."""
 
-    def __init__(
-        self,
-        env: Environment,
-        scheduler: Scheduler,
-        registry: FunctionRegistry,
-        model: KnativeModel | None = None,
-        tracer: Tracer | None = None,
-        events: EventLog | None = None,
-    ) -> None:
-        super().__init__(env, registry, tracer=tracer, events=events)
-        self.scheduler = scheduler
-        self.model = model or KnativeModel()
-
-    def deploy(
-        self,
-        name: str,
-        definition: FunctionDefinition,
-        services: Mapping[str, Any] | None = None,
-        node_hints: list[str] | None = None,
-    ) -> KnativeService:
-        entry = self.registry.get(definition.image)
-        svc = KnativeService(
-            self.env,
-            name,
-            definition,
-            entry,
-            self.scheduler,
-            self.model,
-            services=services,
-            node_hints=node_hints,
-            tracer=self.tracer,
-            events=self.events,
-        )
-        self._register(svc)
-        return svc
-
-    def delete(self, name: str) -> None:
-        svc = self._services.get(name)
-        if isinstance(svc, KnativeService):
-            svc.stop()
-        super().delete(name)
+    service_type = KnativeService
+    model_type = KnativeModel

@@ -249,12 +249,12 @@ class TestKnativeEngine:
 class TestDeploymentEngine:
     def test_pre_provisioned_replicas(self, env, registry):
         engine = build_engine(env, DeploymentEngine, registry)
-        svc = engine.deploy("f", definition(), replicas=4)
+        svc = engine.deploy("f", definition(min_scale=4))
         assert svc.replicas == 4
 
     def test_no_scale_from_zero(self, env, registry):
         engine = build_engine(env, DeploymentEngine, registry)
-        svc = engine.deploy("f", definition(), replicas=1)
+        svc = engine.deploy("f", definition(min_scale=1))
         env.run(until=5.0)
         svc.deployment.scale(0)
 
@@ -288,7 +288,7 @@ class TestDeploymentEngine:
     def test_optional_hpa(self, env, registry):
         model = DeploymentModel(autoscale=True, cold_start_s=0.01)
         engine = build_engine(env, DeploymentEngine, registry, model)
-        svc = engine.deploy("f", definition(concurrency=1, max_scale=8), replicas=1)
+        svc = engine.deploy("f", definition(min_scale=1, concurrency=1, max_scale=8))
 
         def client(env):
             while env.now < 6.0:
@@ -313,9 +313,10 @@ class TestGeneratorHandlers:
         engine = build_engine(env, DeploymentEngine, registry)
         svc = engine.deploy(
             "io",
-            FunctionDefinition(name="io", image="img/io"),
+            FunctionDefinition(
+                name="io", image="img/io", provision=ProvisionSpec(min_scale=1)
+            ),
             services={"env": env},
-            replicas=1,
         )
         env.run(until=2.0)
 
