@@ -136,14 +136,19 @@ class CostTracker:
         self._meters: dict[str, ClassCostMeter] = {}
 
     def register(self, runtime: "ClassRuntime") -> ClassCostMeter:
-        """Start metering a class runtime (idempotent per class)."""
-        meter = self._meters.get(runtime.cls)
-        if meter is not None:
-            return meter
+        """Start metering a class runtime.  A class already metered (an
+        update) keeps its meter: the old shape is billed up to now, then
+        the new runtime's services are counted."""
         collection = runtime.dht.collection
 
         def replica_count(rt=runtime) -> int:
             return sum(svc.replicas for svc in rt.services.values())
+
+        meter = self._meters.get(runtime.cls)
+        if meter is not None:
+            meter.replica_fn = replica_count
+            meter.observe()
+            return meter
 
         def db_units(coll=collection) -> float:
             return self.store.units_for(coll)

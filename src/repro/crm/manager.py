@@ -25,7 +25,7 @@ from repro.errors import (
     UnknownFunctionError,
 )
 from repro.faas.deployment_engine import DeploymentEngine, DeploymentModel
-from repro.faas.engine import FunctionService
+from repro.faas.engine import FaasEngine, FunctionService
 from repro.faas.knative import KnativeEngine, KnativeModel
 from repro.faas.registry import FunctionRegistry
 from repro.invoker.resilience import ResiliencePolicy
@@ -34,7 +34,6 @@ from repro.model.function import FunctionType
 from repro.model.nfr import NonFunctionalRequirements
 from repro.model.pkg import Package
 from repro.model.resolver import ResolvedClass
-from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.tracing import Tracer
 from repro.orchestrator.cluster import Cluster
@@ -70,7 +69,6 @@ class ClassRuntimeManager:
         store: DocumentStore,
         object_store: ObjectStore,
         network: Network,
-        monitoring: MonitoringSystem,
         rng: RngStreams | None = None,
         catalog: TemplateCatalog | None = None,
         knative_model: KnativeModel | None = None,
@@ -85,7 +83,6 @@ class ClassRuntimeManager:
         self.store = store
         self.object_store = object_store
         self.network = network
-        self.monitoring = monitoring
         self.rng = rng or RngStreams(0)
         self.catalog = catalog or default_catalog()
         self.tracer = tracer
@@ -155,11 +152,31 @@ class ClassRuntimeManager:
             collection=f"objects.{resolved.name}",
             tracer=self.tracer,
         )
-        if config.persistent:
+        router = ObjectRouter(dht, config.placement, self.rng)
+        return self._install(resolved, chosen, dht, router, node_hints)
+
+    def _install(
+        self,
+        resolved: ResolvedClass,
+        template: ClassRuntimeTemplate,
+        dht: Dht,
+        router: ObjectRouter,
+        node_hints: list[str] | None,
+        **update: Any,
+    ) -> ClassRuntime:
+        """Provision ``resolved``'s services on ``template``'s engine and
+        install the runtime around ``dht`` and ``router``: the one path
+        a class runtime is built by, for a deploy and for an update
+        (``update=True``, the ``class.deploy`` event's last field)."""
+        config = template.config
+        services = self._provision(resolved, config, node_hints)
+        router.policy = config.placement
+        if config.persistent and dht.store is not None:
             # Compile the class's declared keySpecs into the store
             # engine's schema so it can maintain secondary indexes
             # (the SQLite engine creates typed columns + indexes; the
-            # dict engine just remembers the declaration).
+            # dict engine just remembers the declaration).  An update
+            # only ever adds keys; existing documents are backfilled.
             self.store.register_schema(
                 f"objects.{resolved.name}",
                 {
@@ -168,12 +185,10 @@ class ClassRuntimeManager:
                     if not spec.is_file
                 },
             )
-        router = ObjectRouter(dht, config.placement, self.rng)
-        services = self._provision(resolved, config, node_hints)
         runtime = ClassRuntime(
             cls=resolved.name,
             resolved=resolved,
-            template=chosen,
+            template=template,
             dht=dht,
             router=router,
             services=services,
@@ -191,9 +206,10 @@ class ClassRuntimeManager:
             self.events.record(
                 "class.deploy",
                 cls=resolved.name,
-                template=chosen.name,
+                template=template.name,
                 engine=config.engine,
                 services=len(services),
+                **update,
             )
         return runtime
 
@@ -205,7 +221,7 @@ class ClassRuntimeManager:
     ) -> dict[str, FunctionService]:
         """One FaaS service per TASK method, on the template's engine;
         a failure part-way deletes what was already provisioned."""
-        engine = self.knative if config.engine == "knative" else self.deployment
+        engine = self._engine(config.engine)
         services: dict[str, FunctionService] = {}
         try:
             for method in sorted(resolved.methods):
@@ -295,7 +311,9 @@ class ClassRuntimeManager:
         Schema evolution is additive-only: every state key of the old
         schema must survive with its type, otherwise live objects would
         stop validating.  Violations raise :class:`DeploymentError`
-        before anything is touched.
+        before anything is touched.  If the new definition cannot be
+        provisioned, the previous services are provisioned again and
+        the error re-raised: the class keeps serving its old version.
         """
         old_runtime = self.runtime(resolved.name)
         old_resolved = self._resolved[resolved.name]
@@ -313,56 +331,26 @@ class ClassRuntimeManager:
                     f"({old_spec.dtype.value} -> {new_spec.dtype.value})"
                 )
         chosen = template or self.catalog.select(resolved.nfr)
-        config = chosen.config
         # Re-run placement for the new definition before touching the
         # old services: re-provisioned pods must honour
         # jurisdiction/latency constraints exactly like the initial
         # deploy (updates used to spill outside them).
         _, node_hints = self._placement_for(resolved)
-        # Tear down old services, then provision per the new definition.
-        old_engine = (
-            self.knative if old_runtime.engine_name == "knative" else self.deployment
-        )
-        for svc in old_runtime.services.values():
-            old_engine.delete(svc.name)
-        services = self._provision(resolved, config, node_hints)
-        old_runtime.router.policy = config.placement
-        if config.persistent and old_runtime.dht.store is not None:
-            # Additive schema evolution: the engine indexes any keys the
-            # update introduced (existing documents are backfilled).
-            self.store.register_schema(
-                f"objects.{resolved.name}",
-                {
-                    spec.name: spec.dtype
-                    for spec in resolved.state
-                    if not spec.is_file
-                },
-            )
-        runtime = ClassRuntime(
-            cls=resolved.name,
-            resolved=resolved,
-            template=chosen,
-            dht=old_runtime.dht,  # state continuity
-            router=old_runtime.router,
-            services=services,
-            engine_name=config.engine,
-            resilience=ResiliencePolicy.from_nfr(
-                resolved.nfr, persistent=config.persistent
-            ),
-        )
-        self._runtimes[resolved.name] = runtime
-        self._resolved[resolved.name] = resolved
-        if self.durability is not None:
-            self.durability.attach(runtime)
-        if self.events.enabled:
-            self.events.record(
-                "class.deploy",
-                cls=resolved.name,
-                template=chosen.name,
-                engine=config.engine,
-                services=len(services),
+        self._teardown(old_runtime)
+        try:
+            runtime = self._install(
+                resolved, chosen, old_runtime.dht, old_runtime.router, node_hints,
                 update=True,
             )
+        except Exception:
+            # The new definition could not be provisioned (say, an
+            # unregistered image): bring the previous services back.
+            old_runtime.services = self._provision(
+                old_resolved,
+                old_runtime.template.config,
+                self._placement_for(old_resolved)[1],
+            )
+            raise
         return runtime
 
     def undeploy_class(self, cls: str) -> None:
@@ -373,7 +361,13 @@ class ClassRuntimeManager:
         self.costs.unregister(cls)
         if self.durability is not None:
             self.durability.detach(cls, runtime=runtime)
-        engine = self.knative if runtime.engine_name == "knative" else self.deployment
+        self._teardown(runtime)
+
+    def _engine(self, name: str) -> FaasEngine:
+        return self.knative if name == "knative" else self.deployment
+
+    def _teardown(self, runtime: ClassRuntime) -> None:
+        engine = self._engine(runtime.engine_name)
         for svc in runtime.services.values():
             engine.delete(svc.name)
 

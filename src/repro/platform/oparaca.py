@@ -169,7 +169,6 @@ class Oparaca:
             self.store,
             self.object_store,
             self.network,
-            self.monitoring,
             rng=self.rng,
             catalog=self.config.catalog,
             knative_model=self.config.knative,
@@ -679,9 +678,7 @@ class Oparaca:
         self.queue.stop()
         for runtime in self.crm.runtimes.values():
             for svc in runtime.services.values():
-                stop = getattr(svc, "stop", None)
-                if stop is not None:
-                    stop()
+                svc.stop()
         self.flush()
         self.store.close()
 

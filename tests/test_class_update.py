@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeploymentError, UnknownClassError
+from repro.errors import DeploymentError, UnknownClassError, ValidationError
 from repro.model.pkg import loads_package
 
 V1 = """
@@ -118,6 +118,27 @@ class TestUpdateClass:
         assert platform.invoke(obj, "process", {"text": "Still"}).output == {
             "processed_by": "v1"
         }
+
+    @pytest.mark.parametrize(
+        "engine, qos",
+        [("knative", ""), ("deployment", "    qos: { latency: 50 }\n")],
+        ids=["knative", "latency"],
+    )
+    def test_failed_provision_keeps_previous_services(self, bare_platform, engine, qos):
+        platform = bare_platform
+        platform.register_image("doc/v1", lambda ctx: {"processed_by": "v1"})
+        platform.deploy(V1.replace("    functions:", qos + "    functions:"))
+        assert platform.crm.runtime("Doc").engine_name == engine
+        engine = getattr(platform.crm, engine)
+        obj = platform.new_object("Doc")
+        unregistered = V1.replace("doc/v1", "doc/missing")
+        with pytest.raises(ValidationError, match="not registered"):
+            platform.crm.update_class(resolved_of(unregistered))
+        assert platform.invoke(obj, "process").output == {"processed_by": "v1"}
+        assert engine.service_names == ("Doc.process",)
+        assert platform.crm.runtime("Doc").services["process"] is engine.service(
+            "Doc.process"
+        )
 
     def test_update_unknown_class_rejected(self, versioned_platform):
         other = loads_package(

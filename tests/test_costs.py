@@ -5,6 +5,7 @@ import pytest
 from repro.crm.costs import HOURS_PER_MONTH, ClassCostMeter, CostModel
 from repro.crm.template import ClassRuntimeTemplate, RuntimeConfig, TemplateCatalog
 from repro.crm.optimizer import RequirementOptimizer
+from repro.model.pkg import loads_package
 from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.sim.kernel import Environment
 from repro.storage.kv import DocumentStore
@@ -84,6 +85,29 @@ class TestCostTracker:
         runtime = platform.crm.runtime("Image")
         meter = platform.crm.costs.register(runtime)
         assert platform.crm.costs.register(runtime) is meter
+
+    def test_update_meters_the_new_services(self, bare_platform):
+        # 2 replicas for an hour, then 3 for an hour, at 0.048 USD each.
+        platform = bare_platform
+        platform.register_image("b/work", lambda ctx: {})
+        capped = """
+classes:
+  - name: Capped
+    constraint: {{ budget: 500 }}
+    functions:
+      - name: work
+        image: b/work
+        provision: {{ minScale: {n} }}
+"""
+        platform.deploy(capped.format(n=2))
+        platform.advance(3600.0)
+        platform.crm.update_class(
+            loads_package(capped.format(n=3)).resolved_classes()["Capped"]
+        )
+        platform.advance(3600.0)
+        [row] = platform.crm.costs.report()
+        assert row["accrued_usd"] == pytest.approx(0.240)
+        assert row["monthly_run_rate_usd"] == pytest.approx(3 * 0.048 * HOURS_PER_MONTH)
 
 
 class TestBudgetEnforcement:
