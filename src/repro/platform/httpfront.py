@@ -179,7 +179,16 @@ class AsyncPlatformServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ValidationError as exc:
+                    # Past a malformed header the stream has no known
+                    # framing: answer 400, then close.
+                    self._write_response(
+                        writer, error_response(type(exc).__name__, str(exc))
+                    )
+                    await writer.drain()
+                    return
                 if request is None:
                     return
                 response = await self._respond(request)
@@ -209,7 +218,10 @@ class AsyncPlatformServer:
             if ":" in line:
                 key, _, value = line.partition(":")
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = headers.get("content-length", "0") or "0"
+        if not length.isdecimal():
+            raise ValidationError(f"malformed Content-Length {length!r}")
+        length = int(length)
         if length > _MAX_BODY_BYTES:
             return None
         body: dict[str, Any] = {}

@@ -787,6 +787,37 @@ class TestHttpFrontEnd:
         run_async(scenario())
         platform.shutdown()
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_hostile_content_length_is_answered_400_and_closed(self, length):
+        """A Content-Length that is not a count gets a typed 400 and the
+        connection closes; ``run_async`` fails the test if anything
+        reaches the loop's exception handler."""
+        import json
+
+        from tests.helpers import listing1_platform
+
+        platform = listing1_platform(
+            scheduler=SchedulerConfig(enabled=True, transport="asyncio", pool_size=1)
+        )
+
+        async def scenario():
+            front = await platform.serve_http()
+            reader, writer = await asyncio.open_connection(front.host, front.port)
+            writer.write(
+                f"POST /api/classes/Image HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+            )
+            head, _, body = (await reader.read()).partition(b"\r\n\r\n")
+            writer.close()
+            assert head.split(b" ")[1] == b"400"
+            assert json.loads(body) == {
+                "error": f"malformed Content-Length {length!r}",
+                "type": "ValidationError",
+            }
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        run_async(scenario())
+        platform.shutdown()
+
     def test_serve_http_requires_asyncio_transport(self):
         from repro.errors import ValidationError
         from tests.helpers import make_platform
