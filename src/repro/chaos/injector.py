@@ -167,7 +167,11 @@ FAULT_KINDS: dict[type[Fault], FaultKind] = {
         lambda inj, f: _cut(inj, f.nodes),
         lambda inj, f, token: _heal(inj, f.nodes, token),
     ),
-    NetworkDelay: FaultKind(lambda inj, f: _delay(inj, f.extra_s, f.src, f.dst), _undelay),
+    # A scoped endpoint is one node name, not a set of its characters.
+    NetworkDelay: FaultKind(
+        lambda inj, f: _delay(inj, f.extra_s, f.src and (f.src,), f.dst and (f.dst,)),
+        _undelay,
+    ),
     SlowPods: FaultKind(_slow_pods, _unslow_pods),
     StorageFaults: FaultKind(
         _fail_writes, lambda inj, f, _handle: inj.platform.store.clear_write_fault()

@@ -124,6 +124,19 @@ STACKS = {
 }
 
 
+class TestScopedDelay:
+    def test_a_scoped_delay_slows_its_own_path_only(self):
+        platform, _ = demo_platform()
+        delay = NetworkDelay(at=1.0, duration_s=4.0, extra_s=0.02, src="vm-0", dst="vm-2")
+        platform.inject_chaos(FaultPlan("scoped", (delay,)))
+        platform.advance(2.0 - platform.now)
+        network = platform.network.fault_state()
+        assert network.extra_latency("vm-0", "vm-2") == pytest.approx(0.02)
+        assert network.extra_latency("vm-2", "vm-0") == pytest.approx(0.02)
+        assert network.extra_latency("vm-0", "vm-1") == 0.0
+        assert network.extra_latency(None, "vm-2") == 0.0
+
+
 class TestSingleValuedSeams:
     @pytest.mark.parametrize("name", list(CLASHES))
     def test_overlap_on_one_target_is_rejected(self, name):
@@ -161,9 +174,14 @@ random_faults = st.lists(
             duration_s=SPAN,
             nodes=st.lists(st.sampled_from(NODES), min_size=1, max_size=3, unique=True),
         ),
-        # Unscoped only: a scoped NetworkDelay matches no endpoint today
-        # (add_delay reads its node name as a set of characters).
-        st.builds(NetworkDelay, at=GRID, duration_s=SPAN, extra_s=st.sampled_from((0.01, 0.05))),
+        st.builds(
+            NetworkDelay,
+            at=GRID,
+            duration_s=SPAN,
+            extra_s=st.sampled_from((0.01, 0.05)),
+            src=st.sampled_from((None, *NODES)),
+            dst=st.sampled_from((None, *NODES)),
+        ),
         st.builds(StorageFaults, at=GRID, duration_s=SPAN, error_rate=st.sampled_from((0.25, 1.0))),
         st.builds(
             SlowPods,
@@ -187,14 +205,23 @@ def check_seams(platform, faults, t):
     """At time ``t`` the seams hold exactly what the faults held imply."""
     network = platform.network.fault_state()
     cuts = held(faults, Partition, t)
-    extra = sum(f.extra_s for f in held(faults, NetworkDelay, t))
+    delays = held(faults, NetworkDelay, t)
+
+    def extra(a, b):
+        """Delays are symmetric; a ``None`` endpoint matches any node."""
+        return sum(
+            f.extra_s
+            for f in delays
+            if (f.src in (None, a) and f.dst in (None, b))
+            or (f.src in (None, b) and f.dst in (None, a))
+        )
 
     def side(node):
         return {index for index, cut in enumerate(cuts) if node in cut.nodes}
 
     for a, b in itertools.combinations((None, *NODES), 2):
         assert network.partitioned(a, b) == (side(a) != side(b)), (t, a, b)
-        assert network.extra_latency(a, b) == pytest.approx(extra), (t, a, b)
+        assert network.extra_latency(a, b) == pytest.approx(extra(a, b)), (t, a, b)
     storage = held(faults, StorageFaults, t)
     assert platform.store._write_fault_rate == (storage[0].error_rate if storage else 0.0), t
     slow = held(faults, SlowPods, t)
