@@ -139,8 +139,6 @@ class CostTracker:
         """Start metering a class runtime.  A class already metered (an
         update) keeps its meter: the old shape is billed up to now, then
         the new runtime's services are counted."""
-        collection = runtime.dht.collection
-
         def replica_count(rt=runtime) -> int:
             return sum(svc.replicas for svc in rt.services.values())
 
@@ -150,7 +148,7 @@ class CostTracker:
             meter.observe()
             return meter
 
-        def db_units(coll=collection) -> float:
+        def db_units(coll=runtime.dht.collection) -> float:
             return self.store.units_for(coll)
 
         meter = ClassCostMeter(self.env, runtime.cls, self.model, replica_count, db_units)

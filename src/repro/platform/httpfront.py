@@ -218,10 +218,10 @@ class AsyncPlatformServer:
             if ":" in line:
                 key, _, value = line.partition(":")
                 headers[key.strip().lower()] = value.strip()
-        length = headers.get("content-length", "0") or "0"
-        if not length.isdecimal():
-            raise ValidationError(f"malformed Content-Length {length!r}")
-        length = int(length)
+        declared = headers.get("content-length", "0") or "0"
+        if not declared.isdecimal():
+            raise ValidationError(f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY_BYTES:
             return None
         body: dict[str, Any] = {}
