@@ -106,6 +106,8 @@ class ClassRuntimeManager:
         self.rank_placement = unranked
         self._runtimes: dict[str, ClassRuntime] = {}
         self._resolved: dict[str, ResolvedClass] = {}
+        #: Bumped by every deploy, update and undeploy.
+        self.generation = 0
 
     # -- deployment -------------------------------------------------------------
 
@@ -199,6 +201,7 @@ class ClassRuntimeManager:
         )
         self._runtimes[resolved.name] = runtime
         self._resolved[resolved.name] = resolved
+        self.generation += 1
         self.costs.register(runtime)
         if self.durability is not None:
             self.durability.attach(runtime)
@@ -358,6 +361,7 @@ class ClassRuntimeManager:
         if runtime is None:
             raise UnknownClassError(f"class {cls!r} is not deployed")
         self._resolved.pop(cls, None)
+        self.generation += 1
         self.costs.unregister(cls)
         if self.durability is not None:
             self.durability.detach(cls, runtime=runtime)

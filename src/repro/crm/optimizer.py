@@ -1,35 +1,42 @@
-"""Requirement-driven optimization loop (paper §III-B).
+"""Requirement-driven optimization (paper §III-B).
 
-"To meet the requirements, Oparaca connects the runtime to the
-monitoring system and reacts to changes in workload or performance by
-adjusting the allocated resources or system configuration."
+Oparaca "reacts to changes in workload or performance by adjusting the
+allocated resources".  That is one loop, run by the metrics plane's
+scrape: scrape → ``SloEvaluator.evaluate`` → :meth:`RequirementOptimizer.tick`.
+The optimizer acts on the firing SLO alerts and moves only each
+function service's floor (``min_scale``):
 
-The optimizer periodically compares each deployed class's live metrics
-(sliding-window throughput and latency) against its declared QoS and
-adjusts the class runtime's function replicas:
+* a ``throughput`` / ``latency_p95`` alert → raise the floor of each
+  *saturated* service of the class to one above its replicas, at most
+  once per service per ``interval_s`` (a service with free slots gets
+  nothing: more replicas cannot help it);
+* sustained low in-flight depth → lower the floor, never below the
+  template's.
 
-* declared throughput not met while replicas are saturated → scale up;
-* declared p99 latency exceeded → scale up;
-* sustained over-provisioning (low utilization) → scale down, never
-  below the template's floor.
-
-Every action is recorded in :attr:`decisions` so experiments and tests
-can assert on *why* the platform reconfigured itself.
+The service scales up to its floor; its own autoscaler (the KPA or the
+optional HPA) moves replicas above it and never below, so one replica
+count has one writer.  :attr:`decisions` records every action and why.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING
 
 from repro.crm.manager import ClassRuntimeManager
 from repro.errors import SchedulingError
 from repro.faas.engine import FunctionService
-from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
+from repro.monitoring.nfr_report import _saturated
 from repro.sim.kernel import Environment
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from repro.monitoring.plane import MetricsPlane
+
 __all__ = ["OptimizerDecision", "RequirementOptimizer"]
+
+#: The SLO alerts more replicas can answer.
+SCALING_SLOS = ("throughput", "latency_p95")
 
 
 @dataclass(frozen=True)
@@ -39,20 +46,21 @@ class OptimizerDecision:
     at: float
     cls: str
     service: str
-    action: str  # "scale-up" | "scale-down"
+    action: str  # "scale-up" | "scale-down" | "budget-hold"
     replicas_before: int
     replicas_after: int
+    floor: int
     reason: str
 
 
 class RequirementOptimizer:
-    """Closes the loop between monitoring and class runtimes."""
+    """Closes the loop between SLO alerts and service floors."""
 
     def __init__(
         self,
         env: Environment,
         manager: ClassRuntimeManager,
-        monitoring: MonitoringSystem,
+        metrics: "MetricsPlane",
         interval_s: float = 5.0,
         scale_down_grace_s: float = 30.0,
         max_replicas: int = 64,
@@ -60,25 +68,15 @@ class RequirementOptimizer:
     ) -> None:
         self.env = env
         self.manager = manager
-        self.monitoring = monitoring
+        self.slo = metrics.slo
         self.interval_s = interval_s
         self.scale_down_grace_s = scale_down_grace_s
         self.max_replicas = max_replicas
         self.events = events if events is not None else EventLog(env)
         self.decisions: list[OptimizerDecision] = []
         self._idle_since: dict[str, float] = {}
-        self._running = True
-        self._proc = env.process(self._run())
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _run(self) -> Generator:
-        while self._running:
-            yield self.env.timeout(self.interval_s)
-            if not self._running:
-                return
-            self.tick()
+        self._acted_at: dict[str, float] = {}
+        metrics.scraper.on_scrape.append(self.tick)
 
     def _over_budget(self, cls: str, extra: int) -> bool:
         """Would adding ``extra`` replicas push the class past its
@@ -86,116 +84,84 @@ class RequirementOptimizer:
         budget = self.manager.resolved(cls).nfr.constraint.budget_usd_per_month
         if budget is None:
             return False
-        meter = self.manager.costs.meter(cls)
-        if meter is None:
-            return False
+        meter = self.manager.costs.meter(cls)  # every deployed class has one
         return meter.monthly_run_rate_usd(extra_replicas=extra) > budget
 
-    def tick(self) -> None:
-        """One optimization pass (exposed for deterministic tests)."""
+    def tick(self, _now: float | None = None) -> None:
+        """One optimization pass, run by the metrics plane's scrape right
+        after the SLO evaluation (callable directly in tests)."""
         self.manager.costs.observe_all()
+        alerts = {a.cls: a for a in self.slo.firing() if a.slo in SCALING_SLOS}
         for cls in self.manager.deployed_classes():
             runtime = self.manager.runtime(cls)
-            nfr = runtime.resolved.nfr
-            if nfr.qos.is_empty:
+            if runtime.resolved.nfr.qos.is_empty:
                 continue
-            observations = self.monitoring.for_class(cls)
-            for fn_name, svc in sorted(runtime.services.items()):
-                self._adjust_service(cls, fn_name, svc, nfr, observations)
+            alert = alerts.get(cls)
+            for _fn, svc in sorted(runtime.services.items()):
+                if alert is not None and _saturated(svc):
+                    self._idle_since.pop(svc.name, None)
+                    acted_at = self._acted_at.get(svc.name, -self.interval_s)
+                    if self.env.now - acted_at >= self.interval_s and (
+                        svc.replicas < self.max_replicas
+                    ):
+                        self._move_floor(
+                            cls, svc, svc.replicas + 1, "scale-up",
+                            f"{alert.slo} alert firing with saturated replicas "
+                            f"({alert.detail})",
+                        )
+                elif self._idle_past_grace(svc):
+                    provision = svc.definition.provision
+                    self._move_floor(
+                        cls, svc,
+                        max(provision.min_scale, min(svc.min_scale, svc.replicas - 1)),
+                        "scale-down",
+                        f"utilization {svc.total_in_flight()}/"
+                        f"{svc.replicas * provision.concurrency} sustained low",
+                    )
 
-    def _adjust_service(self, cls, fn_name, svc: FunctionService, nfr, observations) -> None:
-        concurrency = svc.definition.provision.concurrency
+    def _idle_past_grace(self, svc: FunctionService) -> bool:
+        """Replicas above the template's floor have run with in-flight
+        depth under 30% of one replica fewer for ``scale_down_grace_s``."""
+        provision = svc.definition.provision
         replicas = svc.replicas
-        in_flight = svc.total_in_flight()
-        saturated = replicas > 0 and in_flight >= replicas * concurrency * 0.8
-        key = f"{cls}.{fn_name}"
-
-        target_rps = nfr.qos.throughput_rps
-        if target_rps is not None and saturated and observations.throughput_rps < target_rps:
-            self._scale(
-                cls,
-                key,
-                svc,
-                replicas + 1,
-                f"throughput {observations.throughput_rps:.1f} rps below "
-                f"declared {target_rps:.1f} rps with saturated replicas",
-            )
-            return
-
-        bound_ms = nfr.qos.latency_ms
-        if (
-            bound_ms is not None
-            and len(observations.window) >= 10
-            and observations.latency_p99_ms() > bound_ms
+        if replicas <= max(provision.min_scale, 1) or (
+            svc.total_in_flight() >= (replicas - 1) * provision.concurrency * 0.3
         ):
-            self._scale(
-                cls,
-                key,
-                svc,
-                replicas + 1,
-                f"p99 latency {observations.latency_p99_ms():.1f} ms above "
-                f"declared bound {bound_ms:.1f} ms",
-            )
-            return
+            self._idle_since.pop(svc.name, None)
+            return False
+        since = self._idle_since.setdefault(svc.name, self.env.now)
+        if self.env.now - since < self.scale_down_grace_s:
+            return False
+        del self._idle_since[svc.name]
+        return True
 
-        floor = max(svc.definition.provision.min_scale, 1)
-        if replicas > floor and in_flight < (replicas - 1) * concurrency * 0.3:
-            since = self._idle_since.setdefault(key, self.env.now)
-            if self.env.now - since >= self.scale_down_grace_s:
-                self._scale(
-                    cls,
-                    key,
-                    svc,
-                    replicas - 1,
-                    f"utilization {in_flight}/{replicas * concurrency} sustained low",
-                )
-                self._idle_since.pop(key, None)
+    def _move_floor(
+        self, cls: str, svc: FunctionService, floor: int, action: str, reason: str
+    ) -> None:
+        before, old_floor = svc.replicas, svc.min_scale
+        self._acted_at[svc.name] = self.env.now
+        if floor > before and self._over_budget(cls, extra=floor - before):
+            reason = f"scale-up to {floor} would exceed the declared budget"
+            action, floor = "budget-hold", old_floor
         else:
-            self._idle_since.pop(key, None)
-
-    def _scale(self, cls: str, key: str, svc: FunctionService, to: int, reason: str) -> None:
-        to = max(1, min(self.max_replicas, to))
-        before = svc.replicas
-        if to == before:
-            return
-        if to > before and self._over_budget(cls, extra=to - before):
-            self._record(
-                OptimizerDecision(
-                    at=self.env.now,
-                    cls=cls,
-                    service=key,
-                    action="budget-hold",
-                    replicas_before=before,
-                    replicas_after=before,
-                    reason=f"scale-up to {to} would exceed the declared budget",
-                )
-            )
-            return
-        try:
-            svc.deployment.scale(to)
-        except SchedulingError:
-            return  # cluster full; try again next tick
-        self._record(
-            OptimizerDecision(
-                at=self.env.now,
-                cls=cls,
-                service=key,
-                action="scale-up" if to > before else "scale-down",
-                replicas_before=before,
-                replicas_after=svc.replicas,
-                reason=reason,
-            )
+            try:
+                svc.set_floor(floor)
+            except SchedulingError:
+                return  # cluster full; the floor stands, the scaler retries
+            if (svc.replicas, svc.min_scale) == (before, old_floor):
+                return
+        decision = OptimizerDecision(
+            self.env.now, cls, svc.name, action, before, svc.replicas, floor, reason
         )
-
-    def _record(self, decision: OptimizerDecision) -> None:
         self.decisions.append(decision)
         if self.events.enabled:
             self.events.record(
                 "optimizer.decision",
-                cls=decision.cls,
-                service=decision.service,
-                action=decision.action,
-                before=decision.replicas_before,
-                after=decision.replicas_after,
-                reason=decision.reason,
+                cls=cls,
+                service=svc.name,
+                action=action,
+                before=before,
+                after=svc.replicas,
+                floor=floor,
+                reason=reason,
             )

@@ -43,13 +43,14 @@ class DeploymentService(FunctionService):
         super().__init__(*args, **kwargs)
         model: DeploymentModel = self.model
         self.hpa: HorizontalPodAutoscaler | None = None
+        self.autoscaled = model.autoscale
         if model.autoscale:
             provision = self.definition.provision
             self.hpa = HorizontalPodAutoscaler(
                 self.env,
                 self.deployment,
                 target_per_replica=max(1.0, provision.concurrency * 0.7),
-                min_replicas=max(1, self.deployment.desired),
+                min_replicas=max(1, self.min_scale),
                 max_replicas=provision.max_scale,
                 interval_s=model.autoscale_interval_s,
                 events=self.events,
@@ -77,6 +78,11 @@ class DeploymentService(FunctionService):
             if pod is None:
                 raise InvocationError(f"service {self.name!r} lost all replicas")
         return pod
+
+    def set_floor(self, replicas: int) -> None:
+        super().set_floor(replicas)
+        if self.hpa is not None:
+            self.hpa.min_replicas = max(1, replicas)
 
     def stop(self) -> None:
         if self.hpa is not None:

@@ -59,6 +59,8 @@ class FunctionService(abc.ABC):
     """One deployed function on some engine, running on one
     :class:`Deployment` of ``max(1, min_scale)`` initial replicas."""
 
+    #: Whether an autoscaler of its own moves replicas above the floor.
+    autoscaled = False
     #: Prefix of the deployment's name (``<prefix>-<service>``).
     deployment_prefix: str
     #: Label key naming the service on each of its pods.
@@ -98,6 +100,8 @@ class FunctionService(abc.ABC):
         self.definition = definition
         self.entry = entry
         self.model = model
+        #: The floor no scaler goes below (the optimizer moves it).
+        self.min_scale = provision.min_scale
         self.services = dict(services or {})
         self.tracer = tracer if tracer is not None else Tracer(env)
         self.events = events if events is not None else EventLog(env)
@@ -148,6 +152,13 @@ class FunctionService(abc.ABC):
 
     def stop(self) -> None:
         """Stop the service's autoscaler, if it has one (teardown)."""
+
+    def set_floor(self, replicas: int) -> None:
+        """Move the floor and scale up to it; with no autoscaler, scale
+        to exactly the floor (at least one replica)."""
+        self.min_scale = replicas
+        if not self.autoscaled or self.deployment.replicas < replicas:
+            self.deployment.scale(max(1, replicas))
 
     # -- shared execution core ----------------------------------------------
 

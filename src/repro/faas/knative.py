@@ -46,12 +46,12 @@ class KnativeModel(EngineModel):
 class KnativeService(FunctionService):
     """A Knative service: autoscaled revision + activator semantics."""
 
+    autoscaled = True
     deployment_prefix = "kn"
     pod_label = "serving.oparaca.io/service"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.min_scale = self.definition.provision.min_scale
         self.max_scale = self.definition.provision.max_scale
         self._last_request_at = self.env.now
         self._running = True

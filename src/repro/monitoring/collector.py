@@ -25,9 +25,10 @@ class ClassObservations:
         #: Invocations slower than the SLO threshold (cumulative).
         self.slow = 0
 
-    def set_latency_slo(self, threshold_s: float) -> None:
-        """Start counting invocations slower than ``threshold_s``."""
+    def set_latency_slo(self, threshold_s: float | None) -> None:
+        """Count invocations slower than ``threshold_s`` from zero."""
         self.slo_threshold_s = threshold_s
+        self.slow = 0
 
     def record_invocation(self, latency_s: float, ok: bool) -> None:
         self.window.record(self.env.now, latency_s, ok)
@@ -46,9 +47,6 @@ class ClassObservations:
     @property
     def error_rate(self) -> float:
         return self.window.error_rate(self.env.now)
-
-    def latency_p99_ms(self) -> float:
-        return self.window.latency_percentile(self.env.now, 99) * 1000.0
 
     def latency_pct_ms(self, pct: float) -> float:
         """Windowed latency percentile in milliseconds (0 when empty).
@@ -84,5 +82,5 @@ class MonitoringSystem:
         for cls, obs in self._classes.items():
             out[f"class.{cls}.throughput_rps"] = obs.throughput_rps
             out[f"class.{cls}.error_rate"] = obs.error_rate
-            out[f"class.{cls}.latency_p99_ms"] = obs.latency_p99_ms()
+            out[f"class.{cls}.latency_p99_ms"] = obs.latency_pct_ms(99)
         return out

@@ -26,7 +26,8 @@ class.deploy                   CRM deploy_class — cls, services, nodes
 faas.cold_start                KnativeService — service, pod
 autoscale.knative              KnativeService.tick — service, before, after, desired
 autoscale.hpa                  HorizontalPodAutoscaler.tick — deployment, before, after
-optimizer.decision             RequirementOptimizer — cls, service, action, reason
+optimizer.decision             RequirementOptimizer.tick — cls, service, action, before,
+                               after, floor, reason (the alert behind a scale-up)
 chaos.inject                   ChaosInjector — plan, kind, fault-specific fields
 chaos.recover                  ChaosInjector — plan, kind, fault-specific fields
 resilience.retry               InvocationEngine — cls, node, attempt, error

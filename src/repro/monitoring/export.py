@@ -129,7 +129,7 @@ def summary_report(
                 "failed": obs.failed,
                 "throughput_rps": obs.throughput_rps,
                 "error_rate": obs.error_rate,
-                "latency_p99_ms": obs.latency_p99_ms(),
+                "latency_p99_ms": obs.latency_pct_ms(99),
             }
     if runtimes is not None:
         for cls, runtime in runtimes.items():
@@ -142,9 +142,7 @@ def summary_report(
             row["read_coalesced"] = read_path["read_coalesced"]
             row["near_hits"] = read_path["near_hits"]
             row["batched_reads"] = read_path["batched_reads"]
-            row["cold_starts"] = sum(
-                getattr(svc, "cold_starts", 0) for svc in runtime.services.values()
-            )
+            row["cold_starts"] = sum(svc.cold_starts for svc in runtime.services.values())
             row["queue_depth"] = sum(
                 svc.total_in_flight() for svc in runtime.services.values()
             )

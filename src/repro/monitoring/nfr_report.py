@@ -8,7 +8,8 @@ set target yields a per-class verdict (met / violated, by margin), so
 the platform's self-optimization is checkable rather than taken on
 faith.
 
-Throughput verdicts follow the optimizer's semantics: a declared
+Throughput verdicts follow the SLO evaluator's and the optimizer's
+semantics (one saturation test, :func:`_saturated`): a declared
 throughput is a *capacity* the class must be able to sustain, so falling
 short only counts as a violation while the class's services are
 saturated — an idle class trivially meets its capacity requirement.
@@ -75,15 +76,14 @@ def _judge(
     return NfrVerdict(cls, requirement, target, observed, met or excused, margin, detail)
 
 
-def _saturated(runtime: Any) -> bool:
-    """Whether any of the class's services is running at capacity
-    (mirrors the optimizer's 80%-of-slots saturation test)."""
-    for svc in getattr(runtime, "services", {}).values():
-        concurrency = svc.definition.provision.concurrency
-        replicas = svc.replicas
-        if replicas > 0 and svc.total_in_flight() >= replicas * concurrency * 0.8:
-            return True
-    return False
+def _saturated(svc: Any) -> bool:
+    """Whether one function service runs at capacity: 80% of its
+    replicas' request slots in flight.  The one saturation test — the
+    NFR report, the SLO throughput objective and the requirement
+    optimizer all ask it."""
+    replicas = svc.replicas
+    concurrency = svc.definition.provision.concurrency
+    return replicas > 0 and svc.total_in_flight() >= replicas * concurrency * 0.8
 
 
 def nfr_compliance_report(
@@ -130,7 +130,7 @@ def nfr_compliance_report(
 
         if qos.latency_ms is not None:
             if window_samples:
-                observed = obs.latency_p99_ms()
+                observed = obs.latency_pct_ms(99)
                 source = f"window p99 over {window_samples} samples"
             else:
                 observed = obs.latency.percentile(99) * 1000.0 if obs.latency.count else 0.0
@@ -151,7 +151,7 @@ def nfr_compliance_report(
                 )
 
         if qos.throughput_rps is not None:
-            saturated = _saturated(runtime)
+            saturated = any(map(_saturated, runtime.services.values()))
             verdicts.append(
                 _judge(
                     cls,

@@ -93,6 +93,7 @@ class MetricsPlane(Plane):
         self.slo = SloEvaluator(env, monitoring, events=events, config=self.config.slo)
         self.scraper.on_scrape.append(self.slo.evaluate)
         self._platform: "Oparaca | None" = None
+        self._generation = -1
 
     # -- wiring ------------------------------------------------------------
 
@@ -122,7 +123,7 @@ class MetricsPlane(Plane):
         for plane in platform.planes.values():
             plane.collect_metrics(registry)
         platform.env.profile.collect_metrics(registry)
-        self._watch_new_classes(platform)
+        self._watch_classes(platform)
 
     def _collect_front_door(self, platform: "Oparaca", registry: MetricsRegistry) -> None:
         """Gateway, invocation engine, and document store counters."""
@@ -161,9 +162,7 @@ class MetricsPlane(Plane):
         for cls, runtime in platform.crm.runtimes.items():
             labels = {"class": cls, "plane": "storage"}
             runtime.dht.collect_metrics(registry, labels)
-            cold = sum(
-                getattr(svc, "cold_starts", 0) for svc in runtime.services.values()
-            )
+            cold = sum(svc.cold_starts for svc in runtime.services.values())
             in_flight = sum(
                 svc.total_in_flight() for svc in runtime.services.values()
             )
@@ -178,12 +177,23 @@ class MetricsPlane(Plane):
             set_counter(registry, "class.failed", float(obs.failed), cls_labels)
             registry.gauge("class.throughput_rps", cls_labels).set(obs.throughput_rps)
 
-    def _watch_new_classes(self, platform: "Oparaca") -> None:
-        for cls, runtime in platform.crm.runtimes.items():
+    def _watch_classes(self, platform: "Oparaca") -> None:
+        """Compile each deployed class's current NFRs into objectives;
+        only after a deploy, update or undeploy."""
+        crm = platform.crm
+        if crm.generation == self._generation:
+            return
+        self._generation = crm.generation
+        runtimes = crm.runtimes
+        for cls in [cls for cls in self.slo.watched if cls not in runtimes]:
+            self.slo.unwatch_class(cls)
+        for cls, runtime in runtimes.items():
             self.slo.watch_class(
                 cls,
                 runtime.resolved.nfr,
-                saturated=lambda r=runtime: _saturated(r),
+                saturated=lambda c=cls: any(
+                    map(_saturated, crm.runtime(c).services.values())
+                ),
             )
 
     # -- reporting ---------------------------------------------------------
@@ -195,10 +205,6 @@ class MetricsPlane(Plane):
     def json_report(self, indent: int | None = None) -> str:
         """Instruments + sampled series history as JSON."""
         return metrics_json(self.registry, scraper=self.scraper, indent=indent)
-
-    def slo_report(self) -> dict[str, Any]:
-        """The ``slo`` section."""
-        return self.slo.report()
 
     def stats(self) -> dict[str, Any]:
         return {

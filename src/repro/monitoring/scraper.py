@@ -114,7 +114,6 @@ class MetricsScraper:
         self.scrapes = 0
         self._series: dict[tuple[str, LabelKey], TimeSeries] = {}
         self._running = False
-        self._proc = None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -123,7 +122,7 @@ class MetricsScraper:
         if self._running:
             return
         self._running = True
-        self._proc = self.env.process(self._run())
+        self.env.process(self._run())
 
     def stop(self) -> None:
         self._running = False

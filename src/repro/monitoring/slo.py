@@ -42,7 +42,7 @@ from repro.sim.kernel import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.durability.plane import DurabilityPlane
-    from repro.model.nfr import NonFunctionalRequirements
+    from repro.model.nfr import NonFunctionalRequirements, QosRequirement
 
 __all__ = ["BurnWindow", "SloConfig", "SloAlert", "SloEvaluator"]
 
@@ -231,12 +231,12 @@ class SloEvaluator:
         self.alerts: list[SloAlert] = []
         self.evaluations = 0
         self._objectives: list[_Objective] = []
-        self._watched: set[str] = set()
+        #: cls -> the declared QoS its objectives were compiled from.
+        self.watched: dict[str, "QosRequirement"] = {}
         #: (cls, slo, severity) -> the currently firing alert.
         self._firing: dict[tuple[str, str, str], SloAlert] = {}
-        #: Throughput deficit state per class: (target, saturated_fn).
-        self._throughput: dict[str, tuple[float, Callable[[], bool]]] = {}
-        self._throughput_series: dict[str, _BudgetSeries] = {}
+        #: Throughput deficit state per class: (target, saturated_fn, ticks).
+        self._throughput: dict[str, tuple[float, Callable[[], bool], _BudgetSeries]] = {}
         #: Durability recovery counts already judged, per class.
         self._rpo_seen: dict[str, int] = {}
         self._durability: "DurabilityPlane | None" = None
@@ -251,12 +251,14 @@ class SloEvaluator:
     ) -> None:
         """Compile one class's declared NFRs into objectives.
 
-        Idempotent per class; classes with no declared QoS add nothing.
+        Idempotent per (class, QoS); a changed QoS replaces the class's
+        objectives.  Classes with no declared QoS add nothing.
         """
-        if cls in self._watched:
-            return
-        self._watched.add(cls)
         qos = nfr.qos
+        if self.watched.get(cls) == qos:
+            return
+        self.unwatch_class(cls)
+        self.watched[cls] = qos
         obs = self.monitoring.for_class(cls)
         if qos.availability is not None:
             budget = 1.0 - qos.availability
@@ -290,8 +292,18 @@ class SloEvaluator:
             self._throughput[cls] = (
                 qos.throughput_rps,
                 saturated if saturated is not None else (lambda: False),
+                _BudgetSeries(),
             )
-            self._throughput_series[cls] = _BudgetSeries()
+
+    def unwatch_class(self, cls: str) -> None:
+        """Drop ``cls``'s objectives and resolve its firing alerts."""
+        if self.watched.pop(cls, None) is None:
+            return
+        self._objectives = [o for o in self._objectives if o.cls != cls]
+        self._throughput.pop(cls, None)
+        self.monitoring.for_class(cls).set_latency_slo(None)
+        for key in [key for key in self._firing if key[0] == cls]:
+            self._transition(key, False, self.env.now, 0.0, 0.0, None)
 
     def watch_durability(self, durability: "DurabilityPlane | None") -> None:
         """Judge measured crash recoveries against per-class RPO budgets."""
@@ -307,8 +319,8 @@ class SloEvaluator:
             total, bad = objective.sample()
             objective.series.append(at, total, bad)
             self._judge_burn(objective, at)
-        for cls, (target, saturated) in self._throughput.items():
-            self._judge_throughput(cls, target, saturated, at)
+        for cls in self._throughput:
+            self._judge_throughput(cls, at)
         if self._durability is not None:
             self._judge_rpo(at)
 
@@ -335,12 +347,9 @@ class SloEvaluator:
                 detail=objective.detail,
             )
 
-    def _judge_throughput(
-        self, cls: str, target: float, saturated: Callable[[], bool], at: float
-    ) -> None:
-        obs = self.monitoring.for_class(cls)
-        observed = obs.throughput_rps
-        series = self._throughput_series[cls]
+    def _judge_throughput(self, cls: str, at: float) -> None:
+        target, saturated, series = self._throughput[cls]
+        observed = self.monitoring.for_class(cls).throughput_rps
         # Track scrape ticks where the class ran saturated *and* under
         # target; burn semantics: bad tick / total tick vs a 10% budget.
         is_sat = bool(saturated())
@@ -371,7 +380,7 @@ class SloEvaluator:
 
     def _judge_rpo(self, at: float) -> None:
         durability = self._durability
-        for cls in self._watched:
+        for cls in self.watched:
             tracker = durability.tracker_for(cls)
             policy = durability.policy_for(cls)
             if tracker is None or policy is None or not policy.enabled:
@@ -461,7 +470,7 @@ class SloEvaluator:
             for objective in sorted(self._objectives, key=lambda o: (o.cls, o.slo))
         ]
         for cls in sorted(self._throughput):
-            target, _saturated = self._throughput[cls]
+            target = self._throughput[cls][0]
             obs = self.monitoring.for_class(cls)
             objectives.append(
                 {

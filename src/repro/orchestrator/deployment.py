@@ -38,9 +38,6 @@ class Deployment:
         self._seq = itertools.count(1)
         self.pods: list[Pod] = []
         self.desired = 0
-        self.scale_ups = 0
-        self.scale_downs = 0
-        self.replaced_pods = 0
         self.scale(replicas)
 
     @property
@@ -105,13 +102,11 @@ class Deployment:
                 self.spec, node_hint=self._next_hint(), name=f"{self.name}-{next(self._seq)}"
             )
             self.pods.append(pod)
-            self.scale_ups += 1
         if len(self.pods) > self.desired:
             victims = sorted(self.pods, key=lambda p: (p.in_flight, p.name))
             for pod in victims[: len(self.pods) - self.desired]:
                 self.pods.remove(pod)
                 self.scheduler.cluster.terminate_pod(pod.name)
-                self.scale_downs += 1
 
     def reconcile(self) -> int:
         """Replace pods that died underneath us (node failures).
@@ -123,7 +118,6 @@ class Deployment:
         dead = [pod for pod in self.pods if pod.phase is PodPhase.TERMINATED]
         for pod in dead:
             self.pods.remove(pod)
-        self.replaced_pods += len(dead)
         try:
             self._converge()
         except SchedulingError:

@@ -123,6 +123,13 @@ class PlatformConfig:
     #: for the cluster.
     federation: FederationConfig = field(default_factory=FederationConfig)
 
+    def __post_init__(self) -> None:
+        if self.optimizer_enabled and not self.metrics.enabled:
+            raise errors.ValidationError(
+                "optimizer_enabled=True needs metrics.enabled=True: the "
+                "optimizer acts on the metrics plane's SLO alerts"
+            )
+
 
 class Oparaca:
     """An in-process Oparaca platform instance."""
@@ -258,11 +265,6 @@ class Oparaca:
         )
         self._http_fronts: list[Any] = []
         self.chaos: ChaosInjector | None = None
-        self.optimizer: RequirementOptimizer | None = None
-        if self.config.optimizer_enabled:
-            self.optimizer = RequirementOptimizer(
-                self.env, self.crm, self.monitoring, events=self.events
-            )
         self.metrics: MetricsPlane | None = None
         if self.config.metrics.enabled:
             self.metrics = self.planes["metrics"] = MetricsPlane(
@@ -273,6 +275,11 @@ class Oparaca:
             )
             self.metrics.install(self)
             self.metrics.start()
+        self.optimizer: RequirementOptimizer | None = None
+        if self.config.optimizer_enabled:
+            self.optimizer = RequirementOptimizer(
+                self.env, self.crm, self.metrics, events=self.events
+            )
 
     # -- function images ----------------------------------------------------------
 
@@ -633,7 +640,7 @@ class Oparaca:
         """Burn-rate SLO evaluation: objectives, budget consumption, and
         the alert history.  Empty when the plane (or its evaluator) is
         disabled."""
-        return self.metrics.slo_report() if self.metrics is not None else {}
+        return self.metrics.slo.report() if self.metrics is not None else {}
 
     def observability_report(self) -> dict[str, Any]:
         """The full observability summary: span latency breakdowns,
@@ -671,8 +678,6 @@ class Oparaca:
 
     def shutdown(self) -> None:
         """Stop background loops and flush durable state."""
-        if self.optimizer is not None:
-            self.optimizer.stop()
         for plane in self.planes.values():
             plane.stop()
         self.queue.stop()

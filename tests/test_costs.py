@@ -6,6 +6,7 @@ from repro.crm.costs import HOURS_PER_MONTH, ClassCostMeter, CostModel
 from repro.crm.template import ClassRuntimeTemplate, RuntimeConfig, TemplateCatalog
 from repro.crm.optimizer import RequirementOptimizer
 from repro.model.pkg import loads_package
+from repro.monitoring.plane import MetricsConfig
 from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.sim.kernel import Environment
 from repro.storage.kv import DocumentStore
@@ -121,7 +122,9 @@ class TestBudgetEnforcement:
                 )
             ]
         )
-        platform = Oparaca(PlatformConfig(nodes=3, catalog=catalog))
+        platform = Oparaca(
+            PlatformConfig(nodes=3, catalog=catalog, metrics=MetricsConfig(enabled=True))
+        )
 
         @platform.function("b/slow", service_time_s=0.2)
         def slow(ctx):
@@ -154,14 +157,13 @@ classes:
         for _ in range(12):
             platform.env.process(client(platform.env))
         platform.env.run(until=seconds)
-        optimizer.stop()
 
     def test_tight_budget_blocks_scale_up(self):
         # ~0.048 USD/replica-hour * 730 h => one replica is ~35 USD/month;
         # a 40 USD budget cannot afford a second replica.
         platform = self._budget_platform(budget_usd=40)
         optimizer = RequirementOptimizer(
-            platform.env, platform.crm, platform.monitoring, interval_s=1.0
+            platform.env, platform.crm, platform.metrics, interval_s=1.0
         )
         self._drive(platform, optimizer)
         svc = platform.crm.runtime("Capped").services["work"]
@@ -172,7 +174,7 @@ classes:
     def test_loose_budget_allows_scale_up(self):
         platform = self._budget_platform(budget_usd=10_000)
         optimizer = RequirementOptimizer(
-            platform.env, platform.crm, platform.monitoring, interval_s=1.0
+            platform.env, platform.crm, platform.metrics, interval_s=1.0
         )
         self._drive(platform, optimizer)
         svc = platform.crm.runtime("Capped").services["work"]

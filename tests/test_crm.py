@@ -19,9 +19,13 @@ from repro.errors import (
 )
 from repro.invoker.router import PlacementPolicy
 from repro.model.nfr import Constraint, NonFunctionalRequirements, QosRequirement
+from repro.monitoring.plane import MetricsConfig
 from repro.platform.oparaca import Oparaca, PlatformConfig
 
 from tests.conftest import LISTING1_YAML, register_image_handlers
+from tests.helpers import listing1_platform
+
+METRICS_ON = MetricsConfig(enabled=True)
 
 
 def nfr(throughput=None, availability=None, latency=None, persistent=True, budget=None):
@@ -211,40 +215,60 @@ class TestManager:
 
 
 class TestOptimizer:
-    def _busy_platform(self):
-        # Pin the class to a plain deployment (no KPA) so every scaling
-        # decision observed comes from the requirement optimizer alone.
+    def _busy_platform(
+        self, engine="deployment", qos="throughput: 400", concurrency=2, min_scale=1
+    ):
+        # Pin the class to one engine (by default a plain deployment, no
+        # KPA) so every floor move observed comes from the optimizer.
         pinned = TemplateCatalog(
             [
                 ClassRuntimeTemplate(
                     name="pinned",
-                    config=RuntimeConfig(engine="deployment", min_scale_override=1),
+                    config=RuntimeConfig(engine=engine, min_scale_override=min_scale),
                 )
             ]
         )
-        platform = Oparaca(PlatformConfig(nodes=3, catalog=pinned))
+        platform = Oparaca(PlatformConfig(nodes=3, catalog=pinned, metrics=METRICS_ON))
 
         @platform.function("img/slow", service_time_s=0.2)
         def slow(ctx):
             return {}
 
         platform.deploy(
-            """
+            f"""
 classes:
   - name: Busy
-    qos: { throughput: 400 }
+    qos: {{ {qos} }}
     functions:
       - name: work
         image: img/slow
-        provision: { concurrency: 2, minScale: 1 }
+        provision: {{ concurrency: {concurrency}, minScale: {min_scale} }}
 """
         )
         return platform
 
+    @staticmethod
+    def _drive(platform, clients, until, stop_at=None):
+        """``clients`` closed-loop callers of ``Busy.work``; caller ``i``
+        stops at ``stop_at(i)`` (default ``until``)."""
+        from repro.invoker.request import InvocationRequest
+
+        obj = platform.new_object("Busy")
+
+        def client(env, stop):
+            while env.now < stop:
+                yield platform.engine.invoke(
+                    InvocationRequest(object_id=obj, fn_name="work")
+                )
+
+        for i in range(clients):
+            platform.env.process(client(platform.env, stop_at(i) if stop_at else until))
+        platform.env.run(until=until)
+
     def test_scales_up_on_throughput_shortfall(self):
         platform = self._busy_platform()
         optimizer = RequirementOptimizer(
-            platform.env, platform.crm, platform.monitoring, interval_s=1.0
+            platform.env, platform.crm, platform.metrics, interval_s=1.0
         )
         obj = platform.new_object("Busy")
 
@@ -259,21 +283,20 @@ classes:
         for _ in range(12):
             platform.env.process(client(platform.env))
         platform.env.run(until=12.0)
-        optimizer.stop()
         svc = platform.crm.runtime("Busy").services["work"]
         assert svc.replicas > 1
         assert any(d.action == "scale-up" for d in optimizer.decisions)
         reasons = [d.reason for d in optimizer.decisions]
         assert any("throughput" in reason for reason in reasons)
 
-    def test_no_action_without_qos(self, platform):
+    def test_no_action_without_qos(self):
+        platform = listing1_platform(metrics=METRICS_ON)
         optimizer = RequirementOptimizer(
-            platform.env, platform.crm, platform.monitoring, interval_s=1.0
+            platform.env, platform.crm, platform.metrics, interval_s=1.0
         )
         # Image declares throughput: 100 - but LabelledImage inherits it
         # too; with zero load, saturation never holds, so no decisions.
         platform.advance(5.0)
-        optimizer.stop()
         assert optimizer.decisions == []
 
     def test_scale_down_after_idle_grace(self):
@@ -281,13 +304,70 @@ classes:
         optimizer = RequirementOptimizer(
             platform.env,
             platform.crm,
-            platform.monitoring,
+            platform.metrics,
             interval_s=1.0,
             scale_down_grace_s=3.0,
         )
         svc = platform.crm.runtime("Busy").services["work"]
         svc.deployment.scale(4)
         platform.advance(10.0)
-        optimizer.stop()
         assert svc.replicas < 4
         assert any(d.action == "scale-down" for d in optimizer.decisions)
+
+    def test_alert_scales_on_the_same_scrape(self):
+        platform = self._busy_platform()
+        optimizer = RequirementOptimizer(
+            platform.env, platform.crm, platform.metrics, interval_s=1.0
+        )
+        self._drive(platform, clients=12, until=6.0)
+        [alert] = [a for a in platform.metrics.slo.alerts if a.slo == "throughput"]
+        first = optimizer.decisions[0]
+        assert first.action == "scale-up"
+        assert first.at == alert.fired_at
+        assert (first.replicas_before, first.floor) == (1, 2)
+        svc = platform.crm.runtime("Busy").services["work"]
+        assert svc.min_scale == svc.replicas > 1
+
+    def test_unsaturated_class_gets_no_scale_up(self):
+        # A 150 ms bound on a 200 ms handler: the latency objective
+        # fires, but 6 callers use 6 of 16 slots, and more replicas
+        # cannot make the handler faster.
+        platform = self._busy_platform(qos="latency: 150", concurrency=8, min_scale=2)
+        optimizer = RequirementOptimizer(
+            platform.env, platform.crm, platform.metrics, interval_s=1.0
+        )
+        self._drive(platform, clients=6, until=20.0)
+        assert any(a.slo == "latency_p95" for a in platform.metrics.slo.firing())
+        assert not [d for d in optimizer.decisions if d.action == "scale-up"]
+        assert platform.crm.runtime("Busy").services["work"].replicas == 2
+
+    def test_kpa_never_goes_below_the_floor(self):
+        platform = self._busy_platform(engine="knative", qos="latency: 300")
+        optimizer = RequirementOptimizer(
+            platform.env, platform.crm, platform.metrics, interval_s=1.0
+        )
+        svc = platform.crm.runtime("Busy").services["work"]
+        kpa_tick, ticks = svc.tick, []
+
+        def tick():
+            kpa_tick()
+            ticks.append((platform.now, svc.replicas, svc.min_scale))
+
+        svc.tick = tick
+        platform.advance(2.1)  # the first replica is warm
+        # A burst of 12 callers saturates the service until the KPA
+        # catches up; from t=6 one caller is left, which one replica
+        # serves.
+        self._drive(
+            platform, clients=12, until=16.0, stop_at=lambda i: 16.0 if i == 0 else 6.0
+        )
+        assert any(d.action == "scale-up" for d in optimizer.decisions)
+        assert svc.min_scale > 1
+        assert all(replicas >= floor for _at, replicas, floor in ticks)
+        assert [replicas for at, replicas, _floor in ticks if at > 7.0] == (
+            [svc.min_scale] * 5
+        )
+
+    def test_optimizer_needs_the_metrics_plane(self):
+        with pytest.raises(ValidationError, match="metrics"):
+            PlatformConfig(optimizer_enabled=True)

@@ -300,6 +300,20 @@ class TestDeploymentEngine:
         assert svc.replicas > 1
         svc.stop()
 
+    def test_hpa_takes_its_floor_from_the_service(self, env, registry):
+        model = DeploymentModel(autoscale=True, cold_start_s=0.01)
+        engine = build_engine(env, DeploymentEngine, registry, model)
+        svc = engine.deploy("f", definition(min_scale=1))
+        svc.set_floor(3)
+        assert svc.replicas == 3
+        assert svc.hpa.min_replicas == svc.min_scale == 3
+        env.run(until=40.0)  # idle HPA ticks past the stabilization window
+        assert svc.replicas == 3
+        svc.set_floor(1)
+        env.run(until=80.0)
+        assert svc.replicas == 1
+        svc.stop()
+
 
 class TestGeneratorHandlers:
     def test_handler_can_yield_timed_io(self, env):

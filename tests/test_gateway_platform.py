@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import OaasError
 from repro.invoker.request import InvocationRequest
+from repro.monitoring.plane import MetricsConfig
 from repro.platform.gateway import HttpRequest, HttpResponse
 from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.sim.kernel import all_of
@@ -251,6 +252,10 @@ class TestFacade:
             platform.invoke("Image~ghost", "resize", {"width": 1})
 
     def test_optimizer_enabled_by_config(self):
-        platform = Oparaca(PlatformConfig(nodes=2, optimizer_enabled=True))
+        platform = Oparaca(
+            PlatformConfig(
+                nodes=2, optimizer_enabled=True, metrics=MetricsConfig(enabled=True)
+            )
+        )
         assert platform.optimizer is not None
         platform.shutdown()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.model.nfr import NonFunctionalRequirements, QosRequirement
+from repro.model.pkg import loads_package
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.exposition import (
@@ -551,11 +552,80 @@ class TestPlatformIntegration:
             )
         assert results[0] == results[1]
 
+    def test_class_series_are_a_copy_of_class_observations(self):
+        """``class.completed`` / ``class.failed`` in the registry are what
+        the scrape copies from ``ClassObservations``: one observation
+        path, read twice."""
+        platform = make_platform(metrics=MetricsConfig(enabled=True))
+        obj = _workload(platform)
+        platform.invoke("Image~ghost", "resize", {}, raise_on_error=False)
+        platform.invoke(obj, "nosuch", {}, raise_on_error=False)
+        platform.metrics.scraper.scrape_once()
+        registry = platform.metrics.registry
+        for cls in platform.monitoring.observed_classes:
+            obs = platform.monitoring.for_class(cls)
+            labels = {"class": cls, "plane": "invoker"}
+            completed = registry.counter("class.completed", labels).value
+            failed = registry.counter("class.failed", labels).value
+            assert (completed, failed) == (obs.completed, obs.failed)
+        image = platform.monitoring.for_class("Image")
+        assert image.completed > 0 and image.failed == 2
+
+    def test_update_recompiles_objectives(self):
+        platform = make_platform(metrics=MetricsConfig(enabled=True))
+        platform.register_image("t/fn", lambda ctx: {}, 0.001)
+        platform.deploy(LATENCY_YAML.format(latency=50))
+        platform.advance(1.0)
+        obs = platform.monitoring.for_class("Fast")
+        assert _latency_target(platform) == 50
+        platform.crm.update_class(
+            loads_package(LATENCY_YAML.format(latency=5)).resolved_classes()["Fast"]
+        )
+        platform.advance(1.0)
+        assert _latency_target(platform) == 5
+        assert obs.slo_threshold_s == pytest.approx(0.005)
+        platform.crm.undeploy_class("Fast")
+        platform.advance(1.0)
+        assert _latency_target(platform) is None
+        assert obs.slo_threshold_s is None
+
+    def test_class_watch_runs_only_when_classes_change(self, monkeypatch):
+        platform = make_platform(metrics=MetricsConfig(enabled=True))
+        platform.register_image("t/fn", lambda ctx: {}, 0.001)
+        calls = []
+        watch = platform.metrics.slo.watch_class
+        monkeypatch.setattr(
+            platform.metrics.slo,
+            "watch_class",
+            lambda cls, *args, **kwargs: calls.append(cls) or watch(cls, *args, **kwargs),
+        )
+        platform.deploy(LATENCY_YAML.format(latency=50))
+        platform.advance(5.0)  # ten scrapes, one deploy
+        assert calls == ["Fast"]
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             MetricsConfig(scrape_interval_s=0)
         with pytest.raises(ValidationError):
             MetricsConfig(retention_points=1)
+
+
+LATENCY_YAML = """
+classes:
+  - name: Fast
+    qos: {{ latency: {latency} }}
+    functions:
+      - {{ name: work, image: t/fn }}
+"""
+
+
+def _latency_target(platform):
+    targets = [
+        row["target"]
+        for row in platform.slo_report()["objectives"]
+        if (row["cls"], row["slo"]) == ("Fast", "latency_p95")
+    ]
+    return targets[0] if targets else None
 
 
 def _and_report(platform):
