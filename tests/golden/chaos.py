@@ -80,13 +80,14 @@ def _bump_n(ctx):
 DEMO_HANDLERS = {"ledger/add": (_add, 0.002), "scratch/bump": (_bump_hits, 0.002)}
 
 
-def demo_platform() -> tuple[Oparaca, list[tuple[str, str]]]:
+def demo_platform(**config: Any) -> tuple[Oparaca, list[tuple[str, str]]]:
     platform = make_platform(
         DEMO_PACKAGE.read_text(),
         DEMO_HANDLERS,
         seed=3,
         tracing_enabled=True,
         events_enabled=True,
+        **config,
     )
     calls = [(platform.new_object("Ledger", object_id=f"acct-{i}"), "add") for i in range(3)]
     calls += [(platform.new_object("Scratch", object_id=f"pad-{i}"), "bump") for i in range(3)]
@@ -136,7 +137,7 @@ classes:
 """
 
 
-def federation_platform() -> tuple[Oparaca, list[tuple[str, str]]]:
+def federation_platform(**config: Any) -> tuple[Oparaca, list[tuple[str, str]]]:
     platform = make_platform(
         FED_PACKAGE,
         {"f/bump": (_bump_n, 0.002)},
@@ -158,6 +159,7 @@ def federation_platform() -> tuple[Oparaca, list[tuple[str, str]]]:
                 ("region-a", "core", 0.03),
             ),
         ),
+        **config,
     )
     calls = [(platform.new_object("Sensor", object_id=f"s-{i}"), "bump") for i in range(3)]
     calls += [(platform.new_object("Archive", object_id=f"a-{i}"), "bump") for i in range(3)]
