@@ -32,7 +32,7 @@ class NfrVerdict:
     """One requirement of one class, judged against live observations."""
 
     cls: str
-    requirement: str  # "latency_p99_ms" | "throughput_rps" | "availability"
+    requirement: str  # "latency_p95_ms" | "throughput_rps" | "availability"
     target: float
     observed: float
     met: bool
@@ -102,18 +102,13 @@ def nfr_compliance_report(
     the rows it owns through :meth:`~repro.plane.Plane.verdicts` — the
     durability plane a ``durability_rpo_s`` row for a class whose crash
     recovery was measured, the federation plane a ``jurisdiction`` row
-    for a constrained class.  Two built-in rows depend on a plane being
-    present:
-
-    * with ``"qos"``, latency-declared classes also get a
-      ``latency_p95_ms`` verdict against the same target — the
-      percentile the overload controller's brownout trigger watches, so
-      the report shows the exact signal that drives shedding;
-    * with ``"chaos"``, classes declaring an availability target also
-      get ``availability_under_fault``: the success fraction restricted
-      to invocations completed while the injector held at least one
-      fault active — the number that separates a replicated class
-      riding out a crash from an ephemeral one losing its state.
+    for a constrained class.  A declared latency is a p95 bound, as the
+    SLO evaluator, the brownout trigger and the optimizer read it.  With
+    ``"chaos"``, classes declaring an availability target also get
+    ``availability_under_fault``: the success fraction restricted to
+    invocations completed while the injector held at least one fault
+    active — the number that separates a replicated class riding out a
+    crash from an ephemeral one losing its state.
     """
     planes = planes or {}
     fault_counts = planes["chaos"].fault_counts() if "chaos" in planes else {}
@@ -130,25 +125,14 @@ def nfr_compliance_report(
 
         if qos.latency_ms is not None:
             if window_samples:
-                observed = obs.latency_pct_ms(99)
-                source = f"window p99 over {window_samples} samples"
+                observed = obs.latency_pct_ms(95)
+                source = f"window p95 over {window_samples} samples"
             else:
-                observed = obs.latency.percentile(99) * 1000.0 if obs.latency.count else 0.0
-                source = f"lifetime p99 over {obs.latency.count} samples"
+                observed = obs.latency.percentile(95) * 1000.0 if obs.latency.count else 0.0
+                source = f"lifetime p95 over {obs.latency.count} samples"
             verdicts.append(
-                _judge(cls, "latency_p99_ms", qos.latency_ms, observed, at_most=True, detail=source)
+                _judge(cls, "latency_p95_ms", qos.latency_ms, observed, at_most=True, detail=source)
             )
-            if "qos" in planes and window_samples:
-                verdicts.append(
-                    _judge(
-                        cls,
-                        "latency_p95_ms",
-                        qos.latency_ms,
-                        obs.latency_pct_ms(95),
-                        at_most=True,
-                        detail=f"brownout signal over {window_samples} samples",
-                    )
-                )
 
         if qos.throughput_rps is not None:
             saturated = any(map(_saturated, runtime.services.values()))
