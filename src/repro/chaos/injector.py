@@ -46,6 +46,7 @@ from repro.chaos.plan import (
 from repro.errors import SimulationError
 from repro.monitoring.events import emit
 from repro.monitoring.metrics import set_counter
+from repro.monitoring.nfr_table import Objective
 from repro.plane import Plane
 from repro.sim.kernel import Process
 
@@ -370,6 +371,25 @@ class ChaosInjector(Plane):
             total = completed + failed
             out[cls] = completed / total if total else None
         return out
+
+    def verdicts(self, cls: str, runtime: Any) -> list[Objective]:
+        """The ``availability_under_fault`` row: the success fraction of
+        invocations completed while a fault was held — what separates a
+        replicated class riding out a crash from an ephemeral one."""
+        floor = runtime.resolved.nfr.qos.availability
+        if floor is None:
+            return []
+
+        def under_fault() -> tuple[float, bool, str] | None:
+            completed, failed = self.fault_counts().get(cls, (0, 0))
+            if not completed + failed:
+                return None
+            observed = completed / (completed + failed)
+            return observed, observed >= floor, (
+                f"{completed + failed} invocations during fault windows"
+            )
+
+        return [Objective(cls, "availability_under_fault", floor, "resilience policy", under_fault)]
 
     def collect_metrics(self, registry) -> None:
         """Metrics-plane pull hook: injection totals and live fault state."""

@@ -35,6 +35,7 @@ from repro.model.nfr import NonFunctionalRequirements
 from repro.model.pkg import Package
 from repro.model.resolver import ResolvedClass
 from repro.monitoring.events import EventLog
+from repro.monitoring.nfr_table import enforcers
 from repro.monitoring.tracing import Tracer
 from repro.orchestrator.cluster import Cluster
 from repro.orchestrator.scheduler import Scheduler
@@ -104,6 +105,9 @@ class ClassRuntimeManager:
         #: hint order, or ``None`` to leave it on every eligible node
         #: unhinted; the federation plane installs its planner's ranking.
         self.rank_placement = unranked
+        #: What runs to enforce declared NFRs: the platform's plane
+        #: names, plus ``"optimizer"``; set by the platform.
+        self.mechanisms: frozenset[str] = frozenset()
         self._runtimes: dict[str, ClassRuntime] = {}
         self._resolved: dict[str, ResolvedClass] = {}
         #: Bumped by every deploy, update and undeploy.
@@ -169,7 +173,7 @@ class ClassRuntimeManager:
         """Provision ``resolved``'s services on ``template``'s engine and
         install the runtime around ``dht`` and ``router``: the one path
         a class runtime is built by, for a deploy and for an update
-        (``update=True``, the ``class.deploy`` event's last field)."""
+        (``update=True``, a field of the ``class.deploy`` event)."""
         config = template.config
         services = self._provision(resolved, config, node_hints)
         router.policy = config.placement
@@ -198,6 +202,7 @@ class ClassRuntimeManager:
             resilience=ResiliencePolicy.from_nfr(
                 resolved.nfr, persistent=config.persistent
             ),
+            enforcers=enforcers(resolved.nfr.qos, self.mechanisms),
         )
         self._runtimes[resolved.name] = runtime
         self._resolved[resolved.name] = resolved
@@ -206,6 +211,9 @@ class ClassRuntimeManager:
         if self.durability is not None:
             self.durability.attach(runtime)
         if self.events.enabled:
+            unenforced = [name for name, by in runtime.enforcers.items() if by is None]
+            if unenforced:
+                update["unenforced"] = unenforced
             self.events.record(
                 "class.deploy",
                 cls=resolved.name,

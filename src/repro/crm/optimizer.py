@@ -27,7 +27,7 @@ from repro.crm.manager import ClassRuntimeManager
 from repro.errors import SchedulingError
 from repro.faas.engine import FunctionService
 from repro.monitoring.events import EventLog
-from repro.monitoring.nfr_report import _saturated
+from repro.monitoring.nfr_table import _saturated
 from repro.sim.kernel import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles

@@ -38,6 +38,9 @@ class ClassRuntime:
     #: Durability policy derived from the ``persistence`` constraint;
     #: ``None`` until (and unless) the durability plane attaches.
     durability: Any | None = None
+    #: Declared QoS requirement -> the mechanism enforcing it (``None``:
+    #: nothing does), decided at deploy; the NFR table's enforcer column.
+    enforcers: dict[str, str | None] = field(default_factory=dict)
 
     def service(self, fn_name: str) -> FunctionService:
         svc = self.services.get(fn_name)

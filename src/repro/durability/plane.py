@@ -26,7 +26,7 @@ from repro.model.nfr import _checked_number
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.metrics import set_counter
-from repro.monitoring.nfr_report import NfrVerdict, _judge
+from repro.monitoring.nfr_table import Objective
 from repro.monitoring.tracing import Tracer
 from repro.plane import Plane
 from repro.sim.kernel import Environment, Process
@@ -339,29 +339,33 @@ class DurabilityPlane(Plane):
                     float(recovery["rto_s"])
                 )
 
-    def verdicts(self, cls: str, runtime: Any) -> list[NfrVerdict]:
-        """RPO verdict for a class whose crash recovery has been
-        measured: the sim-seconds of acknowledged writes lost, judged
-        against the policy's RPO budget (0 for ``persistence: strong``,
-        one snapshot interval for ``standard``)."""
-        policy = self._policies.get(cls)
-        tracker = self._trackers.get(cls)
+    def verdicts(self, cls: str, runtime: Any) -> list[Objective]:
+        """The RPO row of a class under an enabled policy: the sim-seconds
+        of acknowledged writes its last crash recovery lost, against the
+        policy's budget (0 for ``strong``, one cut interval for
+        ``standard``); each new recovery over budget is a point alert."""
+        policy, tracker = self._policies.get(cls), self._trackers.get(cls)
         if policy is None or not policy.enabled or tracker is None:
             return []
-        recovery = tracker.last_recovery
-        if recovery is None:
-            return []
+        budget = float(policy.rpo_budget_s)
+
+        def rpo() -> tuple[float, bool, str] | None:
+            recovery = tracker.last_recovery
+            if recovery is None:
+                return None
+            observed = float(recovery["rpo_s"])
+            return observed, observed <= budget, (
+                f"{recovery['lost_writes']} write(s) lost, RTO {recovery['rto_s']:.4f}s "
+                f"after node {recovery['node']} crash"
+            )
+
         return [
-            _judge(
-                cls,
-                "durability_rpo_s",
-                float(policy.rpo_budget_s),
-                float(recovery["rpo_s"]),
-                at_most=True,
-                detail=(
-                    f"{recovery['lost_writes']} write(s) lost, "
-                    f"RTO {recovery['rto_s']:.4f}s after node "
-                    f"{recovery['node']} crash"
+            Objective(
+                cls, "durability_rpo_s", budget, "durability policy", rpo, at_most=True,
+                slo="durability_rpo", rule="point", count=lambda: (tracker.recoveries, 0),
+                alert_detail=lambda v: (
+                    f"measured RPO {v.observed:.4f}s exceeds budget {v.target:.4f}s "
+                    f"({tracker.last_recovery['lost_writes']} write(s) lost)"
                 ),
             )
         ]

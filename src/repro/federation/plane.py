@@ -20,7 +20,7 @@ from repro.orchestrator.topology import Zone, ZoneTopology
 from repro.http import HttpRequest, HttpResponse
 from repro.monitoring.events import EventLog
 from repro.monitoring.metrics import set_counter
-from repro.monitoring.nfr_report import NfrVerdict, _judge
+from repro.monitoring.nfr_table import Objective
 from repro.monitoring.tracing import Tracer
 from repro.plane import Plane
 from repro.sim.kernel import Environment, Process
@@ -266,28 +266,23 @@ class FederationPlane(Plane):
             "rejections": stats.rejections,
         }
 
-    def verdicts(self, cls: str, runtime: Any) -> list[NfrVerdict]:
-        """Jurisdiction verdict for a constrained class: the target is
+    def verdicts(self, cls: str, runtime: Any) -> list[Objective]:
+        """The jurisdiction row of a constrained class: the target is
         zero rejected cross-jurisdiction accesses; every rejection this
         plane counted is one violation."""
         jurisdictions = runtime.resolved.nfr.constraint.jurisdictions
         if not jurisdictions:
             return []
-        stats = self.class_stats(cls)
-        rejections = stats["rejections"]
-        return [
-            _judge(
-                cls,
-                "jurisdiction",
-                0.0,
-                float(rejections),
-                at_most=True,
-                detail=(
-                    f"constrained to {sorted(jurisdictions)}; "
-                    f"{stats['accesses']} access(es), {rejections} rejected"
-                ),
+
+        def rejections() -> tuple[float, bool, str]:
+            stats = self.class_stats(cls)
+            return float(stats["rejections"]), stats["rejections"] == 0, (
+                f"constrained to {sorted(jurisdictions)}; "
+                f"{stats['accesses']} access(es), {stats['rejections']} rejected"
             )
-        ]
+
+        row = Objective(cls, "jurisdiction", 0.0, "federation placement", rejections, at_most=True)
+        return [row]
 
     def snapshot(self) -> dict[str, float]:
         stats = self.stats()

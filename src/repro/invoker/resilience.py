@@ -131,8 +131,8 @@ class ResiliencePolicy:
 
         Tighter availability targets buy more retries and a more
         trigger-happy breaker; a declared latency target sets the
-        offload deadline (generously above the p99 target, so cold
-        starts don't trip it).
+        offload deadline (generously above the declared p95 bound, so
+        cold starts don't trip it).
         """
         availability = nfr.qos.availability
         if availability is None:

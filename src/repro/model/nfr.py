@@ -63,7 +63,7 @@ class QosRequirement:
             support (Listing 1: ``throughput: 100``).
         availability: required availability as a fraction in (0, 1],
             e.g. ``0.999``.
-        latency_ms: p99 end-to-end invocation latency bound.
+        latency_ms: p95 end-to-end invocation latency bound.
         priority: scheduling priority relative to other classes
             (1 = lowest, :data:`MAX_PRIORITY` = highest).  Consumed by
             the QoS enforcement plane: it sets the class's weighted-fair

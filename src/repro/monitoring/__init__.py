@@ -11,7 +11,8 @@ from repro.monitoring.export import (
 )
 from repro.monitoring.exposition import metrics_json, render_openmetrics
 from repro.monitoring.metrics import Counter, Gauge, Histogram, MetricsRegistry, SlidingWindow
-from repro.monitoring.nfr_report import NfrVerdict, format_nfr_report, nfr_compliance_report
+from repro.monitoring.nfr_report import format_nfr_report, nfr_compliance_report
+from repro.monitoring.nfr_table import NfrVerdict
 from repro.monitoring.plane import MetricsConfig, MetricsPlane
 from repro.monitoring.scraper import MetricsScraper, TimeSeries
 from repro.monitoring.slo import BurnWindow, SloAlert, SloConfig, SloEvaluator

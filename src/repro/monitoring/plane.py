@@ -23,7 +23,6 @@ from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.exposition import metrics_json, render_openmetrics
 from repro.monitoring.metrics import MetricsRegistry, set_counter
-from repro.monitoring.nfr_report import _saturated
 from repro.monitoring.scraper import MetricsScraper
 from repro.monitoring.slo import SloConfig, SloEvaluator
 from repro.plane import Plane
@@ -102,7 +101,7 @@ class MetricsPlane(Plane):
         self._platform = platform
         platform.env.enable_profiling()
         self.scraper.collectors.append(self._collect)
-        self.slo.watch_durability(platform.durability)
+        self.slo.planes = platform.planes
 
     def start(self) -> None:
         self.scraper.start()
@@ -188,13 +187,7 @@ class MetricsPlane(Plane):
         for cls in [cls for cls in self.slo.watched if cls not in runtimes]:
             self.slo.unwatch_class(cls)
         for cls, runtime in runtimes.items():
-            self.slo.watch_class(
-                cls,
-                runtime.resolved.nfr,
-                saturated=lambda c=cls: any(
-                    map(_saturated, crm.runtime(c).services.values())
-                ),
-            )
+            self.slo.watch_class(cls, runtime)
 
     # -- reporting ---------------------------------------------------------
 

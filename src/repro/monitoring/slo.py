@@ -1,27 +1,16 @@
-"""SLO evaluation: declared NFRs compiled into burn-rate alerts.
+"""SLO evaluation: the NFR table's rows read as burn-rate alerts.
 
-The NFR report (:mod:`repro.monitoring.nfr_report`) judges *point in
-time* compliance; this module watches compliance *over time*, the way
-an SRE would run it: each declared requirement becomes a service-level
-objective with an error budget, and the evaluator computes **multi-
-window burn rates** — how fast the budget is being consumed over a long
-and a short trailing window.  An alert fires only when *both* windows
-burn above the pair's threshold (the long window proves the problem is
-real, the short window proves it is still happening), which is the
-standard construction that pages quickly on cliffs without flapping on
-blips.
-
-Objectives compiled per class:
-
-* ``availability`` — bad event = failed invocation; budget =
-  ``1 - declared availability``.
-* ``latency_p95`` — bad event = invocation slower than the declared
-  ``latency_ms``; budget = ``1 - LATENCY_OBJECTIVE`` (5%: a p95-style
-  objective over the declared bound).
-* ``throughput`` — deficit alert: windowed observed throughput below
-  the declared capacity while the class's services are saturated.
-* ``durability_rpo`` — point alert: a measured crash recovery lost more
-  acknowledged seconds than the policy's RPO budget.
+The NFR report judges each row of a class's NFR table
+(:mod:`repro.monitoring.nfr_table`) at *one point in time*; this module
+reads the same rows *over time*, the way an SRE would run them: a row
+with an SLO carries an error budget, and the evaluator computes
+**multi-window burn rates** — how fast the budget is being consumed
+over a long and a short trailing window.  An alert fires only when
+*both* windows burn above the pair's threshold (the long window proves
+the problem is real, the short window that it is still happening), so
+it pages quickly on cliffs without flapping on blips.  A throughput row
+instead tickets while most recent scrape ticks found it violated, and
+each new measured crash recovery over its RPO budget is a point alert.
 
 Alerts are emitted as typed control-plane events (``slo.alert`` /
 ``slo.resolve``) and retained in :attr:`SloEvaluator.alerts`; the
@@ -32,17 +21,17 @@ the alert history.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ValidationError
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
+from repro.monitoring.nfr_table import RULES, Objective, class_rows
 from repro.sim.kernel import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.durability.plane import DurabilityPlane
-    from repro.model.nfr import NonFunctionalRequirements, QosRequirement
+    from repro.plane import Plane
 
 __all__ = ["BurnWindow", "SloConfig", "SloAlert", "SloEvaluator"]
 
@@ -80,14 +69,6 @@ DEFAULT_WINDOWS = (
 )
 
 
-#: Fraction of requests that must meet a declared latency bound
-#: (0.95 = a p95 objective).
-LATENCY_OBJECTIVE = 0.95
-#: Deficit fraction tolerated before a saturated class's throughput
-#: alert fires (observed may run 10% under the declared capacity).
-THROUGHPUT_TOLERANCE = 0.1
-
-
 @dataclass(frozen=True)
 class SloConfig:
     """Evaluator tuning.
@@ -123,10 +104,6 @@ class SloAlert:
     window: BurnWindow | None = None
     resolved_at: float | None = None
     detail: str = ""
-
-    @property
-    def firing(self) -> bool:
-        return self.resolved_at is None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -172,50 +149,8 @@ class _BudgetSeries:
         return last_total - base_total, last_bad - base_bad
 
 
-class _Objective:
-    """One watched SLO of one class."""
-
-    def __init__(
-        self,
-        cls: str,
-        slo: str,
-        target: float,
-        budget: float,
-        sample: Callable[[], tuple[int, int]],
-        detail: str = "",
-    ) -> None:
-        self.cls = cls
-        self.slo = slo  # "availability" | "latency_p95" | "throughput"
-        self.target = target
-        self.budget = budget
-        self.sample = sample  # () -> cumulative (total, bad)
-        self.detail = detail
-        self.series = _BudgetSeries()
-
-    def describe(self, now: float, windows: tuple[BurnWindow, ...]) -> dict[str, Any]:
-        total, bad = self.series.window_counts(now, float("inf"))
-        budget_events = total * self.budget
-        out: dict[str, Any] = {
-            "cls": self.cls,
-            "slo": self.slo,
-            "target": self.target,
-            "budget": self.budget,
-            "total": total,
-            "bad": bad,
-            "budget_consumed": (bad / budget_events) if budget_events else 0.0,
-            "detail": self.detail,
-        }
-        for window in windows:
-            w_total, w_bad = self.series.window_counts(now, window.long_s)
-            fraction = (w_bad / w_total) if w_total else 0.0
-            out[f"burn_{int(window.long_s)}s"] = (
-                fraction / self.budget if self.budget else 0.0
-            )
-        return out
-
-
 class SloEvaluator:
-    """Watches declared NFRs as SLOs and fires burn-rate alerts."""
+    """Reads the NFR table's SLO rows over time and fires burn-rate alerts."""
 
     def __init__(
         self,
@@ -230,84 +165,42 @@ class SloEvaluator:
         self.config = config or SloConfig()
         self.alerts: list[SloAlert] = []
         self.evaluations = 0
-        self._objectives: list[_Objective] = []
-        #: cls -> the declared QoS its objectives were compiled from.
-        self.watched: dict[str, "QosRequirement"] = {}
+        #: The plane registry whose rows join each class's (set at install).
+        self.planes: Mapping[str, Plane] = {}
+        #: cls -> the runtime its rows were compiled from.
+        self.watched: dict[str, Any] = {}
+        #: The watched SLO rows, each with its cumulative (total, bad)
+        #: series, in evaluation order (by rule, then as watched).
+        self._objectives: list[tuple[Objective, _BudgetSeries]] = []
         #: (cls, slo, severity) -> the currently firing alert.
         self._firing: dict[tuple[str, str, str], SloAlert] = {}
-        #: Throughput deficit state per class: (target, saturated_fn, ticks).
-        self._throughput: dict[str, tuple[float, Callable[[], bool], _BudgetSeries]] = {}
-        #: Durability recovery counts already judged, per class.
-        self._rpo_seen: dict[str, int] = {}
-        self._durability: "DurabilityPlane | None" = None
 
     # -- registration ------------------------------------------------------
 
-    def watch_class(
-        self,
-        cls: str,
-        nfr: "NonFunctionalRequirements",
-        saturated: Callable[[], bool] | None = None,
-    ) -> None:
-        """Compile one class's declared NFRs into objectives.
-
-        Idempotent per (class, QoS); a changed QoS replaces the class's
-        objectives.  Classes with no declared QoS add nothing.
-        """
-        qos = nfr.qos
-        if self.watched.get(cls) == qos:
+    def watch_class(self, cls: str, runtime: Any) -> None:
+        """Compile ``cls``'s NFR table and watch its rows with an SLO;
+        idempotent per runtime, so only a deploy or update recompiles."""
+        if self.watched.get(cls) is runtime:
             return
         self.unwatch_class(cls)
-        self.watched[cls] = qos
-        obs = self.monitoring.for_class(cls)
-        if qos.availability is not None:
-            budget = 1.0 - qos.availability
-            if budget > 0:
-                self._objectives.append(
-                    _Objective(
-                        cls,
-                        "availability",
-                        qos.availability,
-                        budget,
-                        lambda o=obs: (o.completed + o.failed, o.failed),
-                        detail="bad = failed invocation",
-                    )
-                )
-        if qos.latency_ms is not None:
-            obs.set_latency_slo(qos.latency_ms / 1000.0)
-            self._objectives.append(
-                _Objective(
-                    cls,
-                    "latency_p95",
-                    qos.latency_ms,
-                    1.0 - LATENCY_OBJECTIVE,
-                    lambda o=obs: (o.completed + o.failed, o.slow),
-                    detail=(
-                        f"bad = latency > {qos.latency_ms:g}ms "
-                        f"(objective p{LATENCY_OBJECTIVE * 100:g})"
-                    ),
-                )
-            )
-        if qos.throughput_rps is not None:
-            self._throughput[cls] = (
-                qos.throughput_rps,
-                saturated if saturated is not None else (lambda: False),
-                _BudgetSeries(),
-            )
+        self.watched[cls] = runtime
+        rows = class_rows(cls, runtime, self.monitoring, self.planes)
+        for row in sorted((row for row in rows if row.slo), key=lambda row: row.slo):
+            if row.arm is not None:
+                row.arm(True)
+            self._objectives.append((row, _BudgetSeries()))
+        self._objectives.sort(key=lambda pair: RULES.index(pair[0].rule))
 
     def unwatch_class(self, cls: str) -> None:
         """Drop ``cls``'s objectives and resolve its firing alerts."""
         if self.watched.pop(cls, None) is None:
             return
-        self._objectives = [o for o in self._objectives if o.cls != cls]
-        self._throughput.pop(cls, None)
-        self.monitoring.for_class(cls).set_latency_slo(None)
+        for row, _series in self._objectives:
+            if row.cls == cls and row.arm is not None:
+                row.arm(False)
+        self._objectives = [pair for pair in self._objectives if pair[0].cls != cls]
         for key in [key for key in self._firing if key[0] == cls]:
             self._transition(key, False, self.env.now, 0.0, 0.0, None)
-
-    def watch_durability(self, durability: "DurabilityPlane | None") -> None:
-        """Judge measured crash recoveries against per-class RPO budgets."""
-        self._durability = durability
 
     # -- evaluation --------------------------------------------------------
 
@@ -315,103 +208,50 @@ class SloEvaluator:
         """One evaluation pass — the scraper calls this after sampling."""
         at = self.env.now if now is None else now
         self.evaluations += 1
-        for objective in self._objectives:
-            total, bad = objective.sample()
-            objective.series.append(at, total, bad)
-            self._judge_burn(objective, at)
-        for cls in self._throughput:
-            self._judge_throughput(cls, at)
-        if self._durability is not None:
-            self._judge_rpo(at)
+        for row, series in self._objectives:
+            getattr(self, f"_judge_{row.rule}")(row, series, at)
 
-    def _judge_burn(self, objective: _Objective, at: float) -> None:
+    def _judge_burn(self, row: Objective, series: _BudgetSeries, at: float) -> None:
+        series.append(at, *row.count())
         for window in self.config.windows:
-            long_total, long_bad = objective.series.window_counts(at, window.long_s)
-            short_total, short_bad = objective.series.window_counts(at, window.short_s)
+            long_total, long_bad = series.window_counts(at, window.long_s)
+            short_total, short_bad = series.window_counts(at, window.short_s)
             if long_total < self.config.min_requests:
                 burn_long = burn_short = 0.0
             else:
-                burn_long = (long_bad / long_total) / objective.budget
-                burn_short = (
-                    (short_bad / short_total) / objective.budget if short_total else 0.0
-                )
-            key = (objective.cls, objective.slo, window.severity)
+                burn_long = (long_bad / long_total) / row.budget
+                burn_short = (short_bad / short_total) / row.budget if short_total else 0.0
             should_fire = burn_long >= window.burn_rate and burn_short >= window.burn_rate
-            self._transition(
-                key,
-                should_fire,
-                at,
-                burn_long,
-                burn_short,
-                window,
-                detail=objective.detail,
-            )
+            key = (row.cls, row.slo, window.severity)
+            self._transition(key, should_fire, at, burn_long, burn_short, window, row.detail)
 
-    def _judge_throughput(self, cls: str, at: float) -> None:
-        target, saturated, series = self._throughput[cls]
-        observed = self.monitoring.for_class(cls).throughput_rps
-        # Track scrape ticks where the class ran saturated *and* under
-        # target; burn semantics: bad tick / total tick vs a 10% budget.
-        is_sat = bool(saturated())
-        deficit = observed < target * (1.0 - THROUGHPUT_TOLERANCE)
+    def _judge_ticks(self, row: Objective, series: _BudgetSeries, at: float) -> None:
+        # A tick is bad when the row is violated; the SLO tickets while
+        # most recent ticks in the first rule's windows are bad.
+        verdict = row.verdict()
         last_total, last_bad = series.window_counts(at, float("inf"))
-        series.append(at, last_total + 1, last_bad + (1 if (is_sat and deficit) else 0))
+        series.append(at, last_total + 1, last_bad + (0 if verdict.met else 1))
         window = self.config.windows[0]
         long_total, long_bad = series.window_counts(at, window.long_s)
         short_total, short_bad = series.window_counts(at, window.short_s)
-        # A capacity SLO pages when most recent ticks are deficient.
         burn_long = (long_bad / long_total) if long_total else 0.0
         burn_short = (short_bad / short_total) if short_total else 0.0
-        should_fire = (
-            long_total >= 3 and burn_long >= 0.5 and burn_short >= 0.5
-        )
-        self._transition(
-            (cls, "throughput", "ticket"),
-            should_fire,
-            at,
-            burn_long,
-            burn_short,
-            None,
-            detail=(
-                f"observed {observed:.1f} rps < declared {target:g} rps "
-                f"while saturated"
-            ),
-        )
+        should_fire = long_total >= 3 and burn_long >= 0.5 and burn_short >= 0.5
+        detail = row.alert_detail(verdict)
+        key = (row.cls, row.slo, "ticket")
+        self._transition(key, should_fire, at, burn_long, burn_short, None, detail)
 
-    def _judge_rpo(self, at: float) -> None:
-        durability = self._durability
-        for cls in self.watched:
-            tracker = durability.tracker_for(cls)
-            policy = durability.policy_for(cls)
-            if tracker is None or policy is None or not policy.enabled:
-                continue
-            if tracker.recoveries <= self._rpo_seen.get(cls, 0):
-                continue
-            self._rpo_seen[cls] = tracker.recoveries
-            recovery = tracker.last_recovery
-            if recovery is None:
-                continue
-            rpo = float(recovery["rpo_s"])
-            budget = float(policy.rpo_budget_s)
-            if rpo <= budget:
-                continue
-            # Point alert: the budget was exceeded by a completed
-            # recovery; it fires and resolves at the same instant.
-            alert = SloAlert(
-                cls=cls,
-                slo="durability_rpo",
-                severity="page",
-                fired_at=at,
-                resolved_at=at,
-                burn_long=(rpo / budget) if budget else float("inf"),
-                burn_short=(rpo / budget) if budget else float("inf"),
-                detail=(
-                    f"measured RPO {rpo:.4f}s exceeds budget {budget:.4f}s "
-                    f"({recovery['lost_writes']} write(s) lost)"
-                ),
-            )
-            self.alerts.append(alert)
-            self._emit("slo.alert", alert)
+    def _judge_point(self, row: Objective, series: _BudgetSeries, at: float) -> None:
+        # Each new event whose verdict is violated fires and resolves at once.
+        total, bad = row.count()
+        if total <= series.window_counts(at, float("inf"))[0]:
+            return
+        series.append(at, total, bad)
+        verdict = row.verdict()
+        if verdict is not None and not verdict.met:
+            burn = verdict.observed / verdict.target if verdict.target else float("inf")
+            detail = row.alert_detail(verdict)
+            self._fire(SloAlert(row.cls, row.slo, "page", at, burn, burn, None, at, detail))
 
     def _transition(
         self,
@@ -425,23 +265,17 @@ class SloEvaluator:
     ) -> None:
         firing = self._firing.get(key)
         if should_fire and firing is None:
-            alert = SloAlert(
-                cls=key[0],
-                slo=key[1],
-                severity=key[2],
-                fired_at=at,
-                burn_long=burn_long,
-                burn_short=burn_short,
-                window=window,
-                detail=detail,
-            )
+            alert = SloAlert(*key, at, burn_long, burn_short, window, None, detail)
             self._firing[key] = alert
-            self.alerts.append(alert)
-            self._emit("slo.alert", alert)
+            self._fire(alert)
         elif not should_fire and firing is not None:
             firing.resolved_at = at
             del self._firing[key]
             self._emit("slo.resolve", firing)
+
+    def _fire(self, alert: SloAlert) -> None:
+        self.alerts.append(alert)
+        self._emit("slo.alert", alert)
 
     def _emit(self, type: str, alert: SloAlert) -> None:
         if self.events is None:
@@ -465,26 +299,25 @@ class SloEvaluator:
     def report(self) -> dict[str, Any]:
         """The ``slo`` report section: objectives, budgets, alerts."""
         now = self.env.now
-        objectives = [
-            objective.describe(now, self.config.windows)
-            for objective in sorted(self._objectives, key=lambda o: (o.cls, o.slo))
-        ]
-        for cls in sorted(self._throughput):
-            target = self._throughput[cls][0]
-            obs = self.monitoring.for_class(cls)
-            objectives.append(
-                {
-                    "cls": cls,
-                    "slo": "throughput",
-                    "target": target,
-                    "budget": THROUGHPUT_TOLERANCE,
-                    "observed_rps": obs.throughput_rps,
-                    "detail": "capacity objective while saturated",
-                }
-            )
+        rows = sorted(self._objectives, key=lambda p: (RULES.index(p[0].rule), p[0].cls, p[0].slo))
+        objectives = [self._describe(row, ser, now) for row, ser in rows if row.rule != "point"]
         return {
             "evaluations": self.evaluations,
             "objectives": objectives,
             "alerts": [alert.to_dict() for alert in self.alerts],
             "firing": [alert.to_dict() for alert in self.firing()],
         }
+
+    def _describe(self, row: Objective, series: _BudgetSeries, now: float) -> dict[str, Any]:
+        out = {"cls": row.cls, "slo": row.slo, "target": row.target, "budget": row.budget}
+        if row.rule == "ticks":
+            return {**out, "observed_rps": row.verdict().observed, "detail": row.detail}
+        total, bad = series.window_counts(now, float("inf"))
+        budget_events = total * row.budget
+        consumed = (bad / budget_events) if budget_events else 0.0
+        out.update(total=total, bad=bad, budget_consumed=consumed, detail=row.detail)
+        for window in self.config.windows:
+            w_total, w_bad = series.window_counts(now, window.long_s)
+            fraction = (w_bad / w_total) if w_total else 0.0
+            out[f"burn_{int(window.long_s)}s"] = fraction / row.budget if row.budget else 0.0
+        return out

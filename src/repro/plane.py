@@ -17,7 +17,7 @@ the DHT's commit tracker, the engine's geo-router) holds its plane
 directly, so the hot path pays one attribute test, not a registry walk.
 
 This module imports nothing from ``repro`` at run time, so any plane —
-and the three modules that walk the registry — can import it freely.
+and the modules that walk the registry — can import it freely.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Generator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.http import HttpRequest, HttpResponse
     from repro.monitoring.metrics import MetricsRegistry
-    from repro.monitoring.nfr_report import NfrVerdict
+    from repro.monitoring.nfr_table import Objective
 
 __all__ = ["Plane"]
 
@@ -50,8 +50,10 @@ class Plane:
         know, so a plane route cannot shadow an invocation route."""
         return None
 
-    def verdicts(self, cls: str, runtime: Any) -> list[NfrVerdict]:
-        """Plane-owned NFR verdict rows for one deployed class."""
+    def verdicts(self, cls: str, runtime: Any) -> list[Objective]:
+        """The NFR-table rows this plane owns for one deployed class
+        (``repro.monitoring.nfr_table``), read by the NFR report and
+        the SLO evaluator alike."""
         return []
 
     def collect_metrics(self, registry: MetricsRegistry) -> None:

@@ -49,7 +49,8 @@ from repro.model.pkg import Package, load_package, loads_package
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog, PlatformEvent
 from repro.monitoring.export import chrome_trace_json, summary_report
-from repro.monitoring.nfr_report import NfrVerdict, nfr_compliance_report
+from repro.monitoring.nfr_report import nfr_compliance_report
+from repro.monitoring.nfr_table import NfrVerdict
 from repro.monitoring.plane import MetricsConfig, MetricsPlane
 from repro.monitoring.tracing import Tracer
 from repro.orchestrator.cluster import Cluster
@@ -280,6 +281,9 @@ class Oparaca:
             self.optimizer = RequirementOptimizer(
                 self.env, self.crm, self.metrics, events=self.events
             )
+        self.crm.mechanisms = frozenset(self.planes) | (
+            {"optimizer"} if self.optimizer else set()
+        )
 
     # -- function images ----------------------------------------------------------
 

@@ -4,9 +4,11 @@ SLO burn-rate evaluation, kernel profiling, and the platform wiring."""
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.durability.plane import DurabilityPlane
 from repro.errors import ValidationError
 from repro.model.nfr import NonFunctionalRequirements, QosRequirement
 from repro.model.pkg import loads_package
@@ -30,6 +32,7 @@ from repro.monitoring.metrics import (
 from repro.monitoring.plane import MetricsConfig, set_counter
 from repro.monitoring.scraper import MetricsScraper
 from repro.monitoring.slo import BurnWindow, SloConfig, SloEvaluator
+from repro.plane import Plane
 
 from tests.helpers import LISTING1_YAML, make_platform
 
@@ -319,12 +322,22 @@ def _evaluator(env, **config):
     return evaluator, monitoring, events
 
 
+def _runtime(saturated=False, **qos):
+    """A deployed class as the NFR table reads it: declared QoS and one
+    single-slot service, busy (``saturated``) or idle."""
+    svc = SimpleNamespace(
+        replicas=1,
+        definition=SimpleNamespace(provision=SimpleNamespace(concurrency=1)),
+        total_in_flight=lambda: int(saturated),
+    )
+    nfr = NonFunctionalRequirements(qos=QosRequirement(**qos))
+    return SimpleNamespace(resolved=SimpleNamespace(nfr=nfr), services={"work": svc}, enforcers={})
+
+
 class TestSloEvaluator:
     def test_availability_burn_fires_and_resolves(self, env):
         evaluator, monitoring, events = _evaluator(env)
-        evaluator.watch_class(
-            "C", NonFunctionalRequirements(qos=QosRequirement(availability=0.9))
-        )
+        evaluator.watch_class("C", _runtime(availability=0.9))
         obs = monitoring.for_class("C")
         for i in range(10):
             obs.record_invocation(0.01, ok=i % 2 == 0)  # 50% bad vs 10% budget
@@ -341,9 +354,7 @@ class TestSloEvaluator:
 
     def test_min_requests_guard(self, env):
         evaluator, monitoring, _events = _evaluator(env, min_requests=5)
-        evaluator.watch_class(
-            "C", NonFunctionalRequirements(qos=QosRequirement(availability=0.9))
-        )
+        evaluator.watch_class("C", _runtime(availability=0.9))
         obs = monitoring.for_class("C")
         obs.record_invocation(0.01, ok=False)
         obs.record_invocation(0.01, ok=False)
@@ -352,9 +363,7 @@ class TestSloEvaluator:
 
     def test_latency_objective_counts_slow_requests(self, env):
         evaluator, monitoring, _events = _evaluator(env)
-        evaluator.watch_class(
-            "C", NonFunctionalRequirements(qos=QosRequirement(latency_ms=50))
-        )
+        evaluator.watch_class("C", _runtime(latency_ms=50))
         obs = monitoring.for_class("C")
         assert obs.slo_threshold_s == pytest.approx(0.05)
         for _ in range(8):
@@ -365,11 +374,7 @@ class TestSloEvaluator:
 
     def test_throughput_deficit_fires_when_saturated(self, env):
         evaluator, monitoring, _events = _evaluator(env)
-        evaluator.watch_class(
-            "C",
-            NonFunctionalRequirements(qos=QosRequirement(throughput_rps=100)),
-            saturated=lambda: True,
-        )
+        evaluator.watch_class("C", _runtime(saturated=True, throughput_rps=100))
         for tick in (1.0, 2.0, 3.0):
             evaluator.evaluate(now=tick)
         firing = evaluator.firing()
@@ -378,11 +383,7 @@ class TestSloEvaluator:
 
     def test_throughput_quiet_when_not_saturated(self, env):
         evaluator, _monitoring, _events = _evaluator(env)
-        evaluator.watch_class(
-            "C",
-            NonFunctionalRequirements(qos=QosRequirement(throughput_rps=100)),
-            saturated=lambda: False,
-        )
+        evaluator.watch_class("C", _runtime(saturated=False, throughput_rps=100))
         for tick in (1.0, 2.0, 3.0):
             evaluator.evaluate(now=tick)
         assert evaluator.firing() == []
@@ -394,20 +395,16 @@ class TestSloEvaluator:
 
         class FakeTracker:
             recoveries = 1
-            last_recovery = {"rpo_s": 0.5, "rto_s": 0.7, "lost_writes": 3}
+            last_recovery = {"rpo_s": 0.5, "rto_s": 0.7, "lost_writes": 3, "node": "vm-0"}
 
-        class FakeDurability:
-            def tracker_for(self, cls):
-                return FakeTracker()
-
-            def policy_for(self, cls):
-                return FakePolicy()
+        class FakeDurability(Plane):
+            _policies = {"C": FakePolicy()}
+            _trackers = {"C": FakeTracker()}
+            verdicts = DurabilityPlane.verdicts
 
         evaluator, _monitoring, events = _evaluator(env)
-        evaluator.watch_class(
-            "C", NonFunctionalRequirements(qos=QosRequirement(availability=0.9))
-        )
-        evaluator.watch_durability(FakeDurability())
+        evaluator.planes = {"durability": FakeDurability()}
+        evaluator.watch_class("C", _runtime(availability=0.9))
         evaluator.evaluate(now=1.0)
         rpo_alerts = [a for a in evaluator.alerts if a.slo == "durability_rpo"]
         assert len(rpo_alerts) == 1
@@ -419,19 +416,14 @@ class TestSloEvaluator:
 
     def test_watch_class_is_idempotent(self, env):
         evaluator, _monitoring, _events = _evaluator(env)
-        nfr = NonFunctionalRequirements(qos=QosRequirement(availability=0.9))
-        evaluator.watch_class("C", nfr)
-        evaluator.watch_class("C", nfr)
+        runtime = _runtime(availability=0.9)
+        evaluator.watch_class("C", runtime)
+        evaluator.watch_class("C", runtime)
         assert len(evaluator._objectives) == 1
 
     def test_report_shape(self, env):
         evaluator, monitoring, _events = _evaluator(env)
-        evaluator.watch_class(
-            "C",
-            NonFunctionalRequirements(
-                qos=QosRequirement(availability=0.9, throughput_rps=50)
-            ),
-        )
+        evaluator.watch_class("C", _runtime(availability=0.9, throughput_rps=50))
         monitoring.for_class("C").record_invocation(0.01, ok=True)
         evaluator.evaluate(now=1.0)
         report = evaluator.report()
