@@ -9,6 +9,7 @@ from typing import Callable
 import pytest
 
 from repro.crm.template import ClassRuntimeTemplate, RuntimeConfig, TemplateCatalog
+from repro.durability.plane import DurabilityConfig
 from repro.invoker.request import InvocationRequest
 from repro.model.nfr import QosRequirement
 from repro.monitoring.plane import MetricsConfig
@@ -140,6 +141,28 @@ class TestEnforcers:
         [deploy] = platform.events.of_type("class.deploy")
         assert "unenforced" not in deploy.fields
         assert platform.crm.runtime("Api").enforcers == {"latency": "qos brownout/EDF"}
+
+    def test_each_row_names_its_enforcer(self):
+        from repro.monitoring.nfr_table import class_rows
+
+        platform = make_platform(
+            "classes:\n"
+            "  - name: Api\n"
+            "    qos: {latency: 50, throughput: 10, availability: 0.99}\n"
+            "    constraint: {persistence: standard}\n"
+            "    functions: [{name: work, image: t/work}]\n",
+            {"t/work": (_work, 0.01)},
+            qos=QosConfig(enabled=True),
+            durability=DurabilityConfig(enabled=True),
+        )
+        rows = class_rows("Api", platform.crm.runtime("Api"), platform.monitoring, platform.planes)
+        assert [(row.requirement, row.enforcer) for row in rows] == [
+            ("durability_rpo_s", "durability policy"),
+            ("latency_p95_ms", "qos brownout/EDF"),
+            ("throughput_rps", "qos admission"),
+            ("availability", "resilience policy"),
+        ]
+        platform.shutdown()
 
     def test_enforcer_table(self):
         from repro.monitoring.nfr_table import enforcers
