@@ -7,6 +7,7 @@ defensive action is observable, failures surface as structured
 class's NFRs decide how hard the platform fights for it.
 """
 
+import json
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from repro.invoker.resilience import (
 from repro.model.nfr import NonFunctionalRequirements, QosRequirement
 from repro.monitoring.events import EventLog
 from repro.platform.oparaca import Oparaca, PlatformConfig
+
+from tests.golden import resilience as resilience_golden
 
 HA_PACKAGE = """
 name: resilience-app
@@ -390,3 +393,18 @@ class TestErrorBoundary:
         platform.network.fault_state().isolate(owners)
         platform.invoke(obj, "bump", raise_on_error=False)
         assert obs.failed == failed_before + 1
+
+
+class TestGoldenResilience:
+    """Every pinned scenario defends exactly as ``tests/golden/resilience.json``
+    holds: per-request outcomes, ``resilience.*`` events, engine counters,
+    breaker states and span trees."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(resilience_golden.GOLDEN.read_text())
+
+    @pytest.mark.parametrize("name", list(resilience_golden.SCENARIOS))
+    def test_scenario_defends_as_pinned(self, golden, name):
+        captured = json.loads(json.dumps(resilience_golden.capture_scenario(name)))
+        assert captured == golden[name]
