@@ -8,7 +8,11 @@ bundles state + payload into a pure-function
 :class:`~repro.faas.runtime.InvocationTask`, offloads it to the bound
 FaaS service, and commits the modified state back with optimistic
 concurrency (compare-and-put on the record version, retrying the whole
-load-execute-commit cycle on contention).
+load-execute-commit cycle on contention, up to ``MAX_CAS_RETRIES``).
+
+Every data-plane step — the record load, the offload, the ``update`` /
+``delete`` builtins and the FILE attach — is placed, path-checked,
+retried and backed off by one attempt loop (``_attempt``).
 
 Per-class resources (DHT cache, router, deployed services) come from a
 :class:`RuntimeDirectory` — implemented by the class runtime manager —
@@ -22,6 +26,7 @@ engine, and dispatches MACRO bindings to the dataflow executor.
 from __future__ import annotations
 
 import uuid
+from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping, Protocol
 
 from repro.errors import (
@@ -41,7 +46,7 @@ from repro.faas.engine import FunctionService
 from repro.faas.runtime import InvocationTask, TaskCompletion
 from repro.invoker.dataflow_exec import DataflowExecutor
 from repro.invoker.request import InvocationRequest, InvocationResult
-from repro.invoker.resilience import DEFAULT_POLICY, BreakerBoard, ResiliencePolicy
+from repro.invoker.resilience import BreakerBoard, ResiliencePolicy
 from repro.invoker.router import ObjectRouter
 from repro.model.cls import AccessModifier, FunctionBinding
 from repro.model.function import FunctionType
@@ -73,6 +78,10 @@ BUILTIN_METHODS = ("new", "get", "update", "delete", "file-url")
 #: Sentinel value an offload-deadline timeout resolves with.
 _TIMED_OUT = object()
 
+#: Commit conflicts one invocation absorbs before it fails; a budget of
+#: its own, apart from the policy's ``max_retries`` for faults.
+MAX_CAS_RETRIES = 4
+
 #: Separator between the class prefix and the unique suffix in object ids.
 ID_SEPARATOR = "~"
 
@@ -80,6 +89,20 @@ ID_SEPARATOR = "~"
 def make_object_id(cls: str, suffix: str | None = None) -> str:
     """Compose a platform object id (``Image~a1b2...``)."""
     return f"{cls}{ID_SEPARATOR}{suffix or uuid.uuid4().hex}"
+
+
+def _wait(event: Any) -> Generator[Any, Any, Any]:
+    """A step that waits for one process: ``yield from _wait(proc)``."""
+    return (yield event)
+
+
+@dataclass(slots=True)
+class _Faults:
+    """One step's fault budget: the nodes that failed it and how many
+    faults it has absorbed (the offload and its commit share one)."""
+
+    exclude: set[str] = field(default_factory=set)
+    count: int = 0
 
 
 def split_object_id(object_id: str) -> tuple[str | None, str]:
@@ -106,6 +129,9 @@ class RuntimeDirectory(Protocol):
     def service_for(self, cls: str, fn_name: str) -> FunctionService:
         """The FaaS service realizing one method of the class."""
 
+    def policy_for(self, cls: str) -> ResiliencePolicy:
+        """The resilience policy the engine enforces for the class."""
+
     def deployed_classes(self) -> tuple[str, ...]:
         """Names of deployed classes (for error messages)."""
 
@@ -120,25 +146,20 @@ class InvocationEngine:
         object_store: ObjectStore,
         monitoring: MonitoringSystem,
         bucket: str = "oparaca",
-        max_cas_retries: int = 4,
-        tracer: Tracer | None = None,
-        rng: RngStreams | None = None,
-        events: EventLog | None = None,
+        *,
+        tracer: Tracer,
+        rng: RngStreams,
+        events: EventLog,
     ) -> None:
         self.env = env
         self.directory = directory
         self.object_store = object_store
         self.monitoring = monitoring
         self.bucket = bucket
-        self.max_cas_retries = max_cas_retries
-        # Explicit None check: an empty Tracer is falsy (it has __len__).
-        self.tracer = tracer if tracer is not None else Tracer(env)
-        self.events = events if events is not None else EventLog(env)
-        self._retry_rng = (rng or RngStreams(0)).stream("resilience")
-        self.breakers = BreakerBoard(env, events=self.events, tracer=self.tracer)
-        # Directories without per-class policies (test doubles) fall back
-        # to DEFAULT_POLICY; resolved once so the hot path stays cheap.
-        self._policy_source = getattr(directory, "policy_for", None)
+        self.tracer = tracer
+        self.events = events
+        self._retry_rng = rng.stream("resilience")
+        self.breakers = BreakerBoard(env, events=events, tracer=tracer)
         #: Federation plane hook (geo-routing + jurisdiction gate);
         #: installed by the platform only when the plane is enabled.
         self.federation: Any | None = None
@@ -212,10 +233,9 @@ class InvocationEngine:
     def _dispatch(
         self,
         request: InvocationRequest,
-        trace_id: str | None = None,
-        root: Span | None = None,
+        trace_id: str,
+        root: Span | None,
     ) -> Generator[Any, Any, InvocationResult]:
-        trace_id = trace_id or request.trace_id or request.request_id
         yield from self._geo_admit(request)
         if request.fn_name == "new":
             return (yield from self._builtin_new(request))
@@ -280,11 +300,6 @@ class InvocationEngine:
         return cls
 
     # -- resilience enforcement ------------------------------------------------------
-
-    def _policy_for(self, cls: str) -> ResiliencePolicy:
-        if self._policy_source is None:
-            return DEFAULT_POLICY
-        return self._policy_source(cls)
 
     def _geo_admit(self, request: InvocationRequest) -> Generator[Any, Any, None]:
         """Federation gate: enforce the target class's jurisdiction
@@ -352,21 +367,62 @@ class InvocationEngine:
             return fallback
         return primary
 
+    def _attempt(
+        self,
+        step: Callable[[str, Span | None], Generator],
+        cls: str,
+        dht: Dht,
+        request: InvocationRequest,
+        policy: ResiliencePolicy,
+        faults: _Faults,
+        trace_id: str | None = None,
+        parent: Span | None = None,
+        span: Callable[[str], Span | None] | None = None,
+        route: bool = False,
+    ) -> Generator[Any, Any, tuple[str, Span | None, Any]]:
+        """The one attempt loop: place, check the client→node path, run
+        ``step(node, span)``; on a transport fault or a missed deadline,
+        :meth:`_fault_retry` and place again until ``policy.max_retries``
+        is spent, then re-raise.  ``span(node)`` opens the attempt's span
+        (closed here on a fault) and ``route`` wraps placement in a
+        ``route`` span.  Returns ``(node, span, value)``."""
+        while True:
+            routing = self.tracer.start(trace_id, "route", parent=parent) if route else None
+            caller = self._place(
+                cls, dht, request.object_id, faults.exclude, origin_zone=request.origin_zone
+            )
+            if routing is not None:
+                self.tracer.finish(routing, node=caller, cls=cls)
+            opened = span(caller) if span is not None and self.tracer.enabled else None
+            try:
+                dht.network.check_path(None, caller)
+                value = yield from step(caller, opened)
+            except (TransportError, InvocationTimeoutError) as exc:
+                self.tracer.finish(opened, ok=False, error=type(exc).__name__)
+                if (yield from self._fault_retry(
+                    cls, caller, policy, exc, faults, trace_id, parent
+                )):
+                    continue
+                raise
+            self.breakers.record_success(cls, caller)
+            return caller, opened, value
+
     def _fault_retry(
         self,
         cls: str,
         caller: str,
         policy: ResiliencePolicy,
         exc: OaasError,
-        exclude: set[str],
-        attempt: int,
+        faults: _Faults,
         trace_id: str | None,
         parent: Span | None,
     ) -> Generator[Any, Any, bool]:
         """Account one data-plane fault; yields the backoff delay and
         returns whether the caller should retry."""
         self.breakers.record_failure(cls, caller, policy)
-        exclude.add(caller)
+        faults.exclude.add(caller)
+        faults.count += 1
+        attempt = faults.count
         if isinstance(exc, InvocationTimeoutError):
             self.timeouts += 1
             self.events.record(
@@ -419,86 +475,49 @@ class InvocationEngine:
             )
         return value
 
-    def _stale_fallback(
-        self,
-        cls: str,
-        dht: Dht,
-        request: InvocationRequest,
-        trace_id: str | None,
-        parent: Span | None,
-    ) -> Generator[Any, Any, dict[str, Any] | None]:
-        """Graceful degradation: read the durable copy when every DHT
-        owner is unreachable.  Returns ``None`` when no durable tier
-        exists (ephemeral classes degrade to failure)."""
-        if dht.store is None or not dht.model.persistent:
-            return None
-        span = self.tracer.start(
-            trace_id or request.request_id, "state.stale_read", parent=parent
-        )
-        doc = yield dht.stale_get(request.object_id)
-        self.tracer.finish(span, hit=doc is not None)
-        if doc is not None:
-            self.stale_reads += 1
-            self.events.record(
-                "resilience.stale_read", cls=cls, object=request.object_id
-            )
-        return doc
-
     def _load_record(
         self,
         request: InvocationRequest,
         trace_id: str | None = None,
         parent: Span | None = None,
-        policy: ResiliencePolicy | None = None,
         exclude: set[str] | None = None,
         fresh: bool = False,
     ) -> Generator[Any, Any, ObjectRecord]:
         cls = self._target_class(request)
         resolved = self.directory.resolved(cls)
         dht = self.directory.dht_for(resolved.name)
-        if policy is None:
-            policy = self._policy_for(resolved.name)
-        if exclude is None:
-            exclude = set()
-        attempt = 0
-        while True:
-            route_span = self.tracer.start(
-                trace_id or request.request_id, "route", parent=parent
+        policy = self.directory.policy_for(resolved.name)
+        trace_id = trace_id or request.request_id
+        try:
+            _, span, doc = yield from self._attempt(
+                lambda caller, _: dht.get_steps(request.object_id, caller, fresh),
+                resolved.name, dht, request, policy, _Faults(exclude or set()), trace_id, parent,
+                span=lambda caller: self.tracer.start(
+                    trace_id, "state.load", parent=parent, node=caller
+                ),
+                route=True,
             )
-            caller = self._place(
-                resolved.name, dht, request.object_id, exclude,
-                origin_zone=request.origin_zone,
-            )
-            self.tracer.finish(route_span, node=caller, cls=resolved.name)
-            span = self.tracer.start(
-                trace_id or request.request_id, "state.load", parent=parent, node=caller
-            )
-            try:
-                dht.network.check_path(None, caller)
-                doc = yield from dht.get_steps(request.object_id, caller, fresh)
-            except TransportError as exc:
-                self.tracer.finish(span, ok=False, error=type(exc).__name__)
-                attempt += 1
-                retry = yield from self._fault_retry(
-                    resolved.name, caller, policy, exc, exclude, attempt, trace_id, parent
-                )
-                if retry:
-                    continue
-                if policy.stale_read_fallback:
-                    doc = yield from self._stale_fallback(
-                        resolved.name, dht, request, trace_id, parent
-                    )
-                    if doc is not None:
-                        return ObjectRecord.from_doc(doc)
+        except TransportError:
+            # Graceful degradation: every DHT owner is unreachable, so a
+            # persistent class serves its durable copy (ephemeral classes
+            # have none and fail).
+            if not policy.stale_read_fallback or dht.store is None or not dht.model.persistent:
                 raise
-            self.breakers.record_success(resolved.name, caller)
-            if span is not None:
-                self.tracer.finish(
-                    span, hit=doc is not None, owner=dht.owner(request.object_id)
-                )
+            stale = self.tracer.start(trace_id, "state.stale_read", parent=parent)
+            doc = yield dht.stale_get(request.object_id)
+            self.tracer.finish(stale, hit=doc is not None)
             if doc is None:
-                raise UnknownObjectError(f"no object {request.object_id!r}")
+                raise
+            self.stale_reads += 1
+            self.events.record(
+                "resilience.stale_read", cls=resolved.name, object=request.object_id
+            )
             return ObjectRecord.from_doc(doc)
+        if span is not None:
+            self.tracer.finish(span, hit=doc is not None, owner=dht.owner(request.object_id))
+        if doc is None:
+            raise UnknownObjectError(f"no object {request.object_id!r}")
+        return ObjectRecord.from_doc(doc)
 
     # -- the pure-function task path ---------------------------------------------------
 
@@ -508,59 +527,41 @@ class InvocationEngine:
         resolved: ResolvedClass,
         binding: FunctionBinding,
         record: ObjectRecord,
-        trace_id: str | None = None,
-        root: Span | None = None,
+        trace_id: str,
+        root: Span | None,
     ) -> Generator[Any, Any, InvocationResult]:
         service = self.directory.service_for(resolved.name, binding.name)
         dht = self.directory.dht_for(resolved.name)
-        policy = self._policy_for(resolved.name)
-        trace_id = trace_id or request.request_id
-        retries = 0
-        fault_attempts = 0
-        exclude: set[str] = set()
-        while True:
-            caller = self._place(
-                resolved.name, dht, request.object_id, exclude,
-                origin_zone=request.origin_zone,
+        policy = self.directory.policy_for(resolved.name)
+        offload_name = f"task.offload {service.name}"
+        # Faults (offload and commit) and commit conflicts have separate
+        # budgets; the result's ``retries`` counts both.
+        faults = _Faults()
+        conflicts = 0
+
+        def failure(error: str, error_type: str) -> InvocationResult:
+            return InvocationResult.failure(
+                request,
+                error,
+                resolved_cls=resolved.name,
+                retries=faults.count + conflicts,
+                error_type=error_type,
             )
-            offload = None
-            if self.tracer.enabled:
-                offload = self.tracer.start(
-                    trace_id, f"task.offload {service.name}", parent=root
-                )
-            task = self._build_task(request, binding, record, trace_id, offload)
+
+        while True:
             try:
-                dht.network.check_path(None, caller)
-                completion: TaskCompletion = yield from self._offload_with_deadline(
-                    service, task, policy
+                caller, offload, completion = yield from self._attempt(
+                    lambda caller, span: self._offload_with_deadline(
+                        service, self._build_task(request, binding, record, trace_id, span), policy
+                    ),
+                    resolved.name, dht, request, policy, faults, trace_id, root,
+                    span=lambda caller: self.tracer.start(trace_id, offload_name, parent=root),
                 )
             except (TransportError, InvocationTimeoutError) as exc:
-                self.tracer.finish(offload, ok=False, error=type(exc).__name__)
-                fault_attempts += 1
-                retries += 1
-                retry = yield from self._fault_retry(
-                    resolved.name, caller, policy, exc, exclude, fault_attempts,
-                    trace_id, root,
-                )
-                if retry:
-                    continue
-                return InvocationResult.failure(
-                    request,
-                    str(exc),
-                    resolved_cls=resolved.name,
-                    retries=retries,
-                    error_type=type(exc).__name__,
-                )
-            self.breakers.record_success(resolved.name, caller)
+                return failure(str(exc), type(exc).__name__)
             self.tracer.finish(offload, ok=completion.ok)
             if not completion.ok:
-                return InvocationResult.failure(
-                    request,
-                    completion.error,
-                    resolved_cls=resolved.name,
-                    retries=retries,
-                    error_type="FunctionExecutionError",
-                )
+                return failure(completion.error, "FunctionExecutionError")
             if binding.mutable and (completion.state_updates or completion.file_updates):
                 commit_span = self.tracer.start(trace_id, "state.commit", parent=root)
                 try:
@@ -571,46 +572,31 @@ class InvocationEngine:
                 except ConcurrentModificationError:
                     self.tracer.finish(commit_span, ok=False, conflict=True)
                     self.cas_conflicts += 1
-                    retries += 1
-                    if retries > self.max_cas_retries:
-                        return InvocationResult.failure(
-                            request,
+                    conflicts += 1
+                    if conflicts > MAX_CAS_RETRIES:
+                        return failure(
                             f"object {record.id!r} is too contended: "
-                            f"{retries} failed commit attempts",
-                            resolved_cls=resolved.name,
-                            retries=retries,
-                            error_type="ConcurrentModificationError",
+                            f"{conflicts} failed commit attempts",
+                            "ConcurrentModificationError",
                         )
                     # fresh=True: a CAS conflict means our copy was stale;
                     # a near-cache re-read could hand the same stale
                     # version straight back and spin the retry loop.
-                    record = yield from self._load_record(
-                        request, trace_id, root, policy=policy, fresh=True
-                    )
+                    record = yield from self._load_record(request, trace_id, root, fresh=True)
                     continue
                 except TransportError as exc:
                     # The commit never reached an owner: retry the whole
                     # load-execute-commit cycle (at-least-once semantics,
                     # like a CAS conflict).
                     self.tracer.finish(commit_span, ok=False, error=type(exc).__name__)
-                    fault_attempts += 1
-                    retries += 1
-                    retry = yield from self._fault_retry(
-                        resolved.name, caller, policy, exc, exclude, fault_attempts,
-                        trace_id, root,
+                    if not (yield from self._fault_retry(
+                        resolved.name, caller, policy, exc, faults, trace_id, root
+                    )):
+                        return failure(str(exc), type(exc).__name__)
+                    record = yield from self._load_record(
+                        request, trace_id, root, exclude=set(faults.exclude)
                     )
-                    if retry:
-                        record = yield from self._load_record(
-                            request, trace_id, root, policy=policy, exclude=set(exclude)
-                        )
-                        continue
-                    return InvocationResult.failure(
-                        request,
-                        str(exc),
-                        resolved_cls=resolved.name,
-                        retries=retries,
-                        error_type=type(exc).__name__,
-                    )
+                    continue
             created_id = None
             if binding.output_class is not None:
                 created_id = yield from self._materialize_output(
@@ -624,7 +610,7 @@ class InvocationEngine:
                 ok=True,
                 output=completion.output,
                 created_object_id=created_id,
-                retries=retries,
+                retries=faults.count + conflicts,
             )
 
     def _build_task(
@@ -771,23 +757,38 @@ class InvocationEngine:
 
     def _attach_file(self, object_id: str, key: str, object_key: str) -> Generator:
         request = InvocationRequest(object_id=object_id, fn_name="file-url")
-        for _ in range(self.max_cas_retries + 1):
+        for _ in range(MAX_CAS_RETRIES + 1):
             record = yield from self._load_record(request)
             resolved = self.directory.resolved(record.cls)
             spec = resolved.state.get(key)
             if spec is None or not spec.is_file:
                 raise ValidationError(f"{record.cls!r} has no FILE state key {key!r}")
-            dht = self.directory.dht_for(resolved.name)
-            caller = self.directory.router_for(resolved.name).place(object_id)
             updated = record.with_updates(file_updates={key: object_key})
             try:
-                yield dht.compare_and_put(
-                    updated.to_doc(), expected_version=record.version, caller=caller
-                )
+                yield from self._compare_and_put(resolved.name, request, record, updated)
                 return updated
             except ConcurrentModificationError:
                 self.cas_conflicts += 1
         raise InvocationError(f"object {object_id!r} too contended to attach file")
+
+    def _compare_and_put(
+        self,
+        cls: str,
+        request: InvocationRequest,
+        record: ObjectRecord,
+        updated: ObjectRecord,
+    ) -> Generator:
+        """Commit ``updated`` over ``record`` through the attempt loop —
+        the ``update`` builtin's write and the FILE attach's.  A conflict
+        raises :class:`ConcurrentModificationError` to the caller."""
+        dht = self.directory.dht_for(cls)
+        doc = updated.to_doc()
+        yield from self._attempt(
+            lambda caller, _: _wait(
+                dht.compare_and_put(doc, expected_version=record.version, caller=caller)
+            ),
+            cls, dht, request, self.directory.policy_for(cls), _Faults(),
+        )
 
     # -- builtins ----------------------------------------------------------------------
 
@@ -830,33 +831,6 @@ class InvocationEngine:
             created_object_id=object_id,
         )
 
-    def _resilient_mutation(
-        self,
-        cls: str,
-        dht: Dht,
-        object_id: str,
-        operation: "Callable[[str], Process]",
-        origin_zone: str | None = None,
-    ) -> Generator[Any, Any, Any]:
-        """Run a builtin DHT mutation under the class's retry policy."""
-        policy = self._policy_for(cls)
-        exclude: set[str] = set()
-        attempt = 0
-        while True:
-            caller = self._place(cls, dht, object_id, exclude, origin_zone=origin_zone)
-            try:
-                dht.network.check_path(None, caller)
-                result = yield operation(caller)
-                self.breakers.record_success(cls, caller)
-                return result
-            except TransportError as exc:
-                attempt += 1
-                retry = yield from self._fault_retry(
-                    cls, caller, policy, exc, exclude, attempt, None, None
-                )
-                if not retry:
-                    raise
-
     def _builtin(
         self, request: InvocationRequest, resolved: ResolvedClass, record: ObjectRecord
     ) -> Generator[Any, Any, InvocationResult]:
@@ -882,28 +856,18 @@ class InvocationEngine:
                     "files": dict(record.files),
                 }
             )
-        dht = self.directory.dht_for(resolved.name)
         if fn == "update":
             updates = dict(request.payload.get("state", {}))
             resolved.state.validate_state(updates)
             updated = record.with_updates(updates)
-            yield from self._resilient_mutation(
-                resolved.name,
-                dht,
-                record.id,
-                lambda caller: dht.compare_and_put(
-                    updated.to_doc(), expected_version=record.version, caller=caller
-                ),
-                origin_zone=request.origin_zone,
-            )
+            yield from self._compare_and_put(resolved.name, request, record, updated)
             return ok({"version": updated.version})
         if fn == "delete":
-            yield from self._resilient_mutation(
-                resolved.name,
-                dht,
-                record.id,
-                lambda caller: dht.delete(record.id, caller=caller),
-                origin_zone=request.origin_zone,
+            dht = self.directory.dht_for(resolved.name)
+            yield from self._attempt(
+                lambda caller, _: _wait(dht.delete(record.id, caller=caller)),
+                resolved.name, dht, request, self.directory.policy_for(resolved.name),
+                _Faults(),
             )
             for object_key in record.files.values():
                 try:

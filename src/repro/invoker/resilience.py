@@ -53,8 +53,9 @@ class ResiliencePolicy:
     """How hard the data plane defends one class's availability target.
 
     Attributes:
-        max_retries: transport-fault retries per invocation (bounded;
-            CAS conflicts retry separately under ``max_cas_retries``).
+        max_retries: fault retries (transport faults, missed deadlines)
+            per data-plane step; CAS conflicts have their own budget,
+            the engine's ``MAX_CAS_RETRIES``.
         backoff_base_s: delay before the first retry.
         backoff_factor: multiplier per further attempt.
         backoff_max_s: cap on any single backoff delay.

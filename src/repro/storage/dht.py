@@ -141,16 +141,10 @@ class Dht:
         #: identity, so a stale entry can only miss; dropped with the key.
         self._sizes: dict[str, tuple[dict[str, Any], int]] = {}
         self._queues: dict[str, WriteBehindQueue] = {}
-        if self.model.persistent:
-            for node in nodes:
-                self._queues[node] = WriteBehindQueue(
-                    env,
-                    store,
-                    collection,
-                    self.model.write_behind,
-                    name=f"wb-{node}",
-                    tracer=tracer,
-                )
+        #: Snapshot fences open on every queue (see :meth:`fence_queues`).
+        self._fences = 0
+        for node in nodes:
+            self._add_queue(node)
         #: Durability tracker attached by the durability plane (``None``
         #: keeps the write path byte-identical to the baseline).
         self._durability = None
@@ -584,16 +578,25 @@ class Dht:
         self.ring.add_node(node)
         self._mem[node] = {}
         self._near[node] = {}
-        if self.model.persistent:
-            self._queues[node] = WriteBehindQueue(
-                self.env,
-                self.store,
-                self.collection,
-                self.model.write_behind,
-                name=f"wb-{node}",
-                tracer=self.tracer,
-            )
+        self._add_queue(node)
         return self.rebalance()
+
+    def _add_queue(self, node: str) -> None:
+        """Build ``node``'s write-behind queue (persistent tiers only).  A
+        queue that joins while a snapshot cut holds the fences starts
+        fenced, so the cut's :meth:`unfence_queues` ends what it began."""
+        if not self.model.persistent:
+            return
+        queue = self._queues[node] = WriteBehindQueue(
+            self.env,
+            self.store,
+            self.collection,
+            self.model.write_behind,
+            name=f"wb-{node}",
+            tracer=self.tracer,
+        )
+        for _ in range(self._fences):
+            queue.begin_fence()
 
     def fail_node(self, node: str) -> dict[str, int]:
         """Crash a node: its memory and *unflushed write-behind buffer*
@@ -736,10 +739,12 @@ class Dht:
 
     def fence_queues(self) -> None:
         """Open a snapshot fence on every node's write-behind queue."""
+        self._fences += 1
         for queue in self._queues.values():
             queue.begin_fence()
 
     def unfence_queues(self) -> None:
+        self._fences -= 1
         for queue in self._queues.values():
             queue.end_fence()
 

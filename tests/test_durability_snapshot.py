@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.chaos import FaultPlan, NodeCrash, StorageFaults
 from repro.durability.plane import DurabilityConfig
 from repro.durability.snapshot import data_key, epoch_key, manifest_key
 from repro.errors import SnapshotNotFoundError, ValidationError
@@ -356,3 +357,35 @@ class TestRestore:
         with pytest.raises(SnapshotNotFoundError):
             platform.run(platform.durability.restore_class("Cart"))
         platform.shutdown()
+
+
+class TestCutAcrossRejoin:
+    def test_node_rejoining_during_a_stuck_cut_does_not_break_the_fence(self):
+        # The cut fences every write-behind queue, then waits on a store
+        # that fails every write; the owner crashes and rejoins (a new
+        # queue) before the store heals and the cut unfences.
+        platform = make_platform(
+            DURA_YAML,
+            {"t/bump": (bump, 0.001)},
+            nodes=3,
+            seed=5,
+            events_enabled=True,
+            durability=DurabilityConfig(enabled=True, default_interval_s=0.5),
+        )
+        obj = platform.new_object("Cart", object_id="cart-0")
+        owner = platform.crm.runtime("Cart").dht.owner(obj)
+        platform.inject_chaos(
+            FaultPlan(
+                "cut-across-rejoin",
+                (
+                    StorageFaults(at=0.5, duration_s=3.0, error_rate=1.0),
+                    NodeCrash(at=2.0, node=owner, duration_s=1.0),
+                ),
+            )
+        )
+        while platform.now < 6.0:
+            platform.invoke(obj, "bump", raise_on_error=False)
+            platform.advance(0.1)
+        assert platform.invoke(obj, "bump").ok
+        cuts = platform.platform_events("durability.snapshot")
+        assert cuts and cuts[-1].at > 3.5  # cuts resume once the store heals

@@ -12,7 +12,11 @@ import random
 
 import pytest
 
-from repro.errors import NetworkPartitionError, ValidationError
+from repro.errors import (
+    ConcurrentModificationError,
+    NetworkPartitionError,
+    ValidationError,
+)
 from repro.invoker.resilience import (
     BreakerBoard,
     ResiliencePolicy,
@@ -22,6 +26,7 @@ from repro.monitoring.events import EventLog
 from repro.platform.oparaca import Oparaca, PlatformConfig
 
 from tests.golden import resilience as resilience_golden
+from tests.helpers import listing1_platform
 
 HA_PACKAGE = """
 name: resilience-app
@@ -342,6 +347,74 @@ classes:
         assert platform.engine.timeouts > 0
         response = platform.http("POST", f"/api/objects/{obj}/invokes/op")
         assert response.status == 504
+
+
+class TestOneAttemptLoop:
+    """Every engine write is placed, path-checked and retried by the same
+    loop, and commit conflicts do not spend the fault budget."""
+
+    def test_faults_and_cas_conflicts_have_separate_budgets(self):
+        platform = Oparaca(PlatformConfig(nodes=3, seed=0))
+
+        @platform.function("acct/add", service_time_s=0.002)
+        def add(ctx):
+            ctx.state["n"] = ctx.state.get("n", 0) + 1
+            return {"n": ctx.state["n"]}
+
+        platform.deploy(
+            """
+name: budget-app
+classes:
+  - name: Account
+    qos: {availability: 0.9999}
+    keySpecs: [{name: n, type: INT, default: 0}]
+    functions: [{name: add, image: acct/add}]
+"""
+        )
+        assert platform.crm.policy_for("Account").max_retries == 5
+        obj = platform.new_object("Account", object_id="acct-0")
+        dht = platform.crm.runtime("Account").dht
+        network, check_path, put_steps = dht.network, dht.network.check_path, dht.put_steps
+        paths = []
+
+        def faulty_check_path(src, dst):
+            # The load's own check passes; the offload's next four fail.
+            paths.append(dst)
+            if 2 <= len(paths) <= 5:
+                raise NetworkPartitionError(f"injected: client cannot reach {dst}")
+            check_path(src, dst)
+
+        commits = []
+
+        def racing_put_steps(*args, **kwargs):
+            commits.append(args)
+            if len(commits) == 1:
+                raise ConcurrentModificationError("injected: lost one commit race")
+            return put_steps(*args, **kwargs)
+
+        network.check_path = faulty_check_path
+        dht.put_steps = racing_put_steps
+        result = platform.invoke(obj, "add", raise_on_error=False)
+        assert result.ok, result.error
+        assert result.retries == 5  # four faults plus one conflict
+        assert platform.engine.fault_retries == 4
+        assert platform.engine.cas_conflicts == 1
+        assert len(commits) == 2
+        del network.check_path, dht.put_steps
+        assert platform.get_object(obj)["state"]["n"] == 1
+
+    def test_file_attach_obeys_the_path_check_like_update(self):
+        platform = listing1_platform()
+        obj = platform.new_object("Image", object_id="img-0")
+        platform.flush()  # a durable copy, so loads fall back to it
+        node = platform.crm.runtime("Image").router.place(obj)
+        platform.network.fault_state().isolate([node])
+        with pytest.raises(NetworkPartitionError):
+            platform.invoke(obj, "update", {"state": {"width": 64}})
+        with pytest.raises(NetworkPartitionError):
+            platform.upload_file(obj, "image", b"png-bytes")
+        platform.network.fault_state().clear_partition()
+        assert platform.get_object(obj)["files"] == {}
 
 
 class TestErrorBoundary:
