@@ -353,7 +353,7 @@ class TestOneAttemptLoop:
     """Every engine write is placed, path-checked and retried by the same
     loop, and commit conflicts do not spend the fault budget."""
 
-    def test_faults_and_cas_conflicts_have_separate_budgets(self):
+    def test_faults_and_cas_conflicts_have_separate_budgets(self, monkeypatch):
         platform = Oparaca(PlatformConfig(nodes=3, seed=0))
 
         @platform.function("acct/add", service_time_s=0.002)
@@ -374,7 +374,7 @@ classes:
         assert platform.crm.policy_for("Account").max_retries == 5
         obj = platform.new_object("Account", object_id="acct-0")
         dht = platform.crm.runtime("Account").dht
-        network, check_path, put_steps = dht.network, dht.network.check_path, dht.put_steps
+        check_path, put_steps = dht.network.check_path, dht.put_steps
         paths = []
 
         def faulty_check_path(src, dst):
@@ -392,15 +392,15 @@ classes:
                 raise ConcurrentModificationError("injected: lost one commit race")
             return put_steps(*args, **kwargs)
 
-        network.check_path = faulty_check_path
-        dht.put_steps = racing_put_steps
+        monkeypatch.setattr(dht.network, "check_path", faulty_check_path)
+        monkeypatch.setattr(dht, "put_steps", racing_put_steps)
         result = platform.invoke(obj, "add", raise_on_error=False)
         assert result.ok, result.error
         assert result.retries == 5  # four faults plus one conflict
         assert platform.engine.fault_retries == 4
         assert platform.engine.cas_conflicts == 1
         assert len(commits) == 2
-        del network.check_path, dht.put_steps
+        monkeypatch.undo()
         assert platform.get_object(obj)["state"]["n"] == 1
 
     def test_file_attach_obeys_the_path_check_like_update(self):
