@@ -6,8 +6,11 @@ provision the class runtime (DHT cache, router, one FaaS service per
 TASK method) → register it for the invocation engine.
 
 The manager implements the invoker's
-:class:`~repro.invoker.engine.RuntimeDirectory` protocol, so the data
-plane always executes against the runtime each class's template built.
+:class:`~repro.invoker.engine.RuntimeDirectory` protocol — ``runtime(cls)``
+and ``deployed_classes()`` — so the data plane always executes against
+the runtime each class's template built, looked up once per step.
+``resolved``, ``dht_for`` and ``policy_for`` remain as one-line views of
+a runtime for the gateway, the QoS plane, the client and tests.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro.errors import (
     DeploymentError,
     SchedulingError,
     UnknownClassError,
-    UnknownFunctionError,
 )
 from repro.faas.deployment_engine import DeploymentEngine, DeploymentModel
 from repro.faas.engine import FaasEngine, FunctionService
@@ -109,7 +111,6 @@ class ClassRuntimeManager:
         #: names, plus ``"optimizer"``; set by the platform.
         self.mechanisms: frozenset[str] = frozenset()
         self._runtimes: dict[str, ClassRuntime] = {}
-        self._resolved: dict[str, ResolvedClass] = {}
         #: Bumped by every deploy, update and undeploy.
         self.generation = 0
 
@@ -203,9 +204,9 @@ class ClassRuntimeManager:
                 resolved.nfr, persistent=config.persistent
             ),
             enforcers=enforcers(resolved.nfr.qos, self.mechanisms),
+            peers=self._runtimes,
         )
         self._runtimes[resolved.name] = runtime
-        self._resolved[resolved.name] = resolved
         self.generation += 1
         self.costs.register(runtime)
         if self.durability is not None:
@@ -327,8 +328,7 @@ class ClassRuntimeManager:
         the error re-raised: the class keeps serving its old version.
         """
         old_runtime = self.runtime(resolved.name)
-        old_resolved = self._resolved[resolved.name]
-        for old_spec in old_resolved.state:
+        for old_spec in old_runtime.resolved.state:
             new_spec = resolved.state.get(old_spec.name)
             if new_spec is None:
                 raise DeploymentError(
@@ -357,9 +357,9 @@ class ClassRuntimeManager:
             # The new definition could not be provisioned (say, an
             # unregistered image): bring the previous services back.
             old_runtime.services = self._provision(
-                old_resolved,
+                old_runtime.resolved,
                 old_runtime.template.config,
-                self._placement_for(old_resolved)[1],
+                self._placement_for(old_runtime.resolved)[1],
             )
             raise
         return runtime
@@ -368,7 +368,6 @@ class ClassRuntimeManager:
         runtime = self._runtimes.pop(cls, None)
         if runtime is None:
             raise UnknownClassError(f"class {cls!r} is not deployed")
-        self._resolved.pop(cls, None)
         self.generation += 1
         self.costs.unregister(cls)
         if self.durability is not None:
@@ -385,36 +384,24 @@ class ClassRuntimeManager:
 
     # -- RuntimeDirectory protocol ------------------------------------------------
 
-    def resolved(self, cls: str) -> ResolvedClass:
-        resolved = self._resolved.get(cls)
-        if resolved is None:
+    def runtime(self, cls: str) -> ClassRuntime:
+        runtime = self._runtimes.get(cls)
+        if runtime is None:
             raise UnknownClassError(
                 f"class {cls!r} is not deployed; deployed: {self.deployed_classes()}"
             )
-        return resolved
+        return runtime
+
+    def deployed_classes(self) -> tuple[str, ...]:
+        return tuple(sorted(self._runtimes))
+
+    # -- views of one runtime ---------------------------------------------------------
+
+    def resolved(self, cls: str) -> ResolvedClass:
+        return self.runtime(cls).resolved
 
     def dht_for(self, cls: str) -> Dht:
         return self.runtime(cls).dht
-
-    def router_for(self, cls: str) -> ObjectRouter:
-        return self.runtime(cls).router
-
-    def service_for(self, cls: str, fn_name: str) -> FunctionService:
-        runtime = self.runtime(cls)
-        svc = runtime.services.get(fn_name)
-        if svc is not None:
-            return svc
-        # Inherited methods may be served by an ancestor's runtime when
-        # the child's own deployment was trimmed (not the default path,
-        # but undeploy/redeploy sequences can produce it).
-        for ancestor in runtime.resolved.ancestry[1:]:
-            parent_runtime = self._runtimes.get(ancestor)
-            if parent_runtime and fn_name in parent_runtime.services:
-                return parent_runtime.services[fn_name]
-        raise UnknownFunctionError(
-            f"no service for {cls}.{fn_name}; deployed services: "
-            f"{sorted(runtime.services)}"
-        )
 
     def policy_for(self, cls: str) -> ResiliencePolicy:
         """The resilience policy the invoker enforces for ``cls``."""
@@ -424,18 +411,7 @@ class ClassRuntimeManager:
         """Operator override of a deployed class's resilience policy."""
         self.runtime(cls).resilience = policy
 
-    def deployed_classes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._runtimes))
-
     # -- introspection ---------------------------------------------------------------
-
-    def runtime(self, cls: str) -> ClassRuntime:
-        runtime = self._runtimes.get(cls)
-        if runtime is None:
-            raise UnknownClassError(
-                f"class {cls!r} is not deployed; deployed: {self.deployed_classes()}"
-            )
-        return runtime
 
     @property
     def runtimes(self) -> Mapping[str, ClassRuntime]:

@@ -9,7 +9,7 @@ methods execute inside the invoker and need no service.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.errors import UnknownFunctionError
 from repro.faas.engine import FunctionService
@@ -41,15 +41,26 @@ class ClassRuntime:
     #: Declared QoS requirement -> the mechanism enforcing it (``None``:
     #: nothing does), decided at deploy; the NFR table's enforcer column.
     enforcers: dict[str, str | None] = field(default_factory=dict)
+    #: Every deployed class's runtime by name — the manager's live
+    #: table, where :meth:`service` finds an ancestor's service.
+    peers: Mapping[str, ClassRuntime] = field(default_factory=dict, repr=False, compare=False)
 
     def service(self, fn_name: str) -> FunctionService:
+        """The FaaS service realizing method ``fn_name`` of the class."""
         svc = self.services.get(fn_name)
-        if svc is None:
-            raise UnknownFunctionError(
-                f"class {self.cls!r} has no deployed service for "
-                f"{fn_name!r}; services: {sorted(self.services)}"
-            )
-        return svc
+        if svc is not None:
+            return svc
+        # Inherited methods may be served by an ancestor's runtime when
+        # the child's own deployment was trimmed (not the default path,
+        # but undeploy/redeploy sequences can produce it).
+        for ancestor in self.resolved.ancestry[1:]:
+            parent = self.peers.get(ancestor)
+            if parent is not None and fn_name in parent.services:
+                return parent.services[fn_name]
+        raise UnknownFunctionError(
+            f"no service for {self.cls}.{fn_name}; deployed services: "
+            f"{sorted(self.services)}"
+        )
 
     def describe(self) -> dict[str, Any]:
         """A human-readable summary (used by the CLI and tests)."""

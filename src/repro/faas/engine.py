@@ -198,10 +198,12 @@ class FunctionService(abc.ABC):
                 node=pod.node,
             )
         started = self.env.now
-        duration = self.model.request_overhead_s + self.entry.service_time(task)
-        if self._node_slow or self._slow_factor != 1.0:
-            duration *= self._slow_factor * self._node_slow.get(pod.node, 1.0)
         try:
+            # Inside the slot's ``try``: a service-time model that raises
+            # (or returns a bad value) must not keep the slot.
+            duration = self.model.request_overhead_s + self.entry.service_time(task)
+            if self._node_slow or self._slow_factor != 1.0:
+                duration *= self._slow_factor * self._node_slow.get(pod.node, 1.0)
             yield self.env.timeout(duration)
             completion = yield from self._run_handler(task)
         finally:
@@ -209,7 +211,7 @@ class FunctionService(abc.ABC):
             pod.slots.release()
         if exec_span is not None:
             self.tracer.finish(exec_span, ok=completion.ok)
-        if completion.ok:
+        if completion.error is None:
             self.completed += 1
         else:
             self.errors += 1
@@ -228,9 +230,11 @@ class FunctionService(abc.ABC):
             return TaskCompletion.failure(
                 task.request_id, f"{type(exc).__name__}: {exc}"
             )
+        if type(result) is dict or result is None:
+            return ctx.completion(result)
         if isinstance(result, TaskCompletion):
             return result
-        if result is None or isinstance(result, Mapping):
+        if isinstance(result, Mapping):
             return ctx.completion(result)
         return TaskCompletion.failure(
             task.request_id,

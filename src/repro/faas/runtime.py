@@ -23,20 +23,26 @@ every request.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.errors import ValidationError
 
 __all__ = ["InvocationTask", "TaskCompletion", "TaskContext"]
 
+#: A mapping parameter's default (copied by the constructors).
+_EMPTY: Mapping[str, Any] = MappingProxyType({})
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class InvocationTask:
     """A standalone unit of work shipped to a FaaS engine.
 
     The engine needs nothing else: state travels with the task, so the
     code execution runtime is "entirely decoupled from the state
-    management".
+    management".  The constructor is written out, as
+    :class:`~repro.invoker.request.InvocationRequest`'s, and copies the
+    three mappings.
     """
 
     request_id: str
@@ -54,15 +60,39 @@ class InvocationTask:
     trace_id: str | None = None
     trace_parent: int | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "payload", dict(self.payload))
-        object.__setattr__(self, "state", dict(self.state))
-        object.__setattr__(self, "file_urls", dict(self.file_urls))
+    def __init__(
+        self,
+        request_id: str,
+        cls: str,
+        object_id: str,
+        fn_name: str,
+        image: str,
+        payload: Mapping[str, Any] = _EMPTY,
+        state: Mapping[str, Any] = _EMPTY,
+        file_urls: Mapping[str, str] = _EMPTY,
+        immutable: bool = False,
+        trace_id: str | None = None,
+        trace_parent: int | None = None,
+    ) -> None:
+        self.__dict__.update(
+            request_id=request_id,
+            cls=cls,
+            object_id=object_id,
+            fn_name=fn_name,
+            image=image,
+            payload=dict(payload),
+            state=dict(state),
+            file_urls=dict(file_urls),
+            immutable=immutable,
+            trace_id=trace_id,
+            trace_parent=trace_parent,
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TaskCompletion:
-    """The function's response."""
+    """The function's response (constructor written out; it copies the
+    three mappings)."""
 
     request_id: str
     output: Mapping[str, Any] = field(default_factory=dict)
@@ -70,10 +100,21 @@ class TaskCompletion:
     file_updates: Mapping[str, str] = field(default_factory=dict)
     error: str | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "output", dict(self.output))
-        object.__setattr__(self, "state_updates", dict(self.state_updates))
-        object.__setattr__(self, "file_updates", dict(self.file_updates))
+    def __init__(
+        self,
+        request_id: str,
+        output: Mapping[str, Any] = _EMPTY,
+        state_updates: Mapping[str, Any] = _EMPTY,
+        file_updates: Mapping[str, str] = _EMPTY,
+        error: str | None = None,
+    ) -> None:
+        self.__dict__.update(
+            request_id=request_id,
+            output=dict(output),
+            state_updates=dict(state_updates),
+            file_updates=dict(file_updates),
+            error=error,
+        )
 
     @property
     def ok(self) -> bool:

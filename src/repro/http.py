@@ -9,14 +9,22 @@ all build responses without importing one another.  Re-exported from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Mapping
 
 __all__ = ["HttpRequest", "HttpResponse"]
 
+#: A mapping parameter's default (copied by the constructors).
+_EMPTY: Mapping[str, Any] = MappingProxyType({})
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class HttpRequest:
-    """A minimal HTTP request representation."""
+    """A minimal HTTP request representation.
+
+    Both types are built on every request, so their constructors are
+    written out: each fills the instance in one ``__dict__`` update and
+    copies its mappings."""
 
     method: str
     path: str
@@ -25,23 +33,30 @@ class HttpRequest:
     #: The federation plane reads ``x-origin-zone`` for geo-routing.
     headers: Mapping[str, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "method", self.method.upper())
-        object.__setattr__(self, "body", dict(self.body))
-        object.__setattr__(
-            self, "headers", {k.lower(): v for k, v in dict(self.headers).items()}
+    def __init__(
+        self,
+        method: str,
+        path: str,
+        body: Mapping[str, Any] = _EMPTY,
+        headers: Mapping[str, str] = _EMPTY,
+    ) -> None:
+        self.__dict__.update(
+            method=method.upper(),
+            path=path,
+            body=dict(body),
+            headers={k.lower(): v for k, v in dict(headers).items()} if headers else {},
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HttpResponse:
     """A minimal HTTP response representation."""
 
     status: int
     body: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", dict(self.body))
+    def __init__(self, status: int, body: Mapping[str, Any] = _EMPTY) -> None:
+        self.__dict__.update(status=status, body=dict(body))
 
     @property
     def ok(self) -> bool:

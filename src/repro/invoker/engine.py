@@ -14,9 +14,12 @@ Every data-plane step — the record load, the offload, the ``update`` /
 ``delete`` builtins and the FILE attach — is placed, path-checked,
 retried and backed off by one attempt loop (``_attempt``).
 
-Per-class resources (DHT cache, router, deployed services) come from a
-:class:`RuntimeDirectory` — implemented by the class runtime manager —
-so every class runs on the runtime its template provisioned (§III-B).
+Per-class resources (DHT cache, router, resilience policy, deployed
+services) come from a :class:`RuntimeDirectory` — implemented by the
+class runtime manager — so every class runs on the runtime its template
+provisioned (§III-B).  The directory hands out one
+:class:`~repro.crm.runtime.ClassRuntime` per class; the engine looks it
+up once per step and reads everything else off it.
 
 It also provides the *builtin* object lifecycle — ``new``, ``get``,
 ``update``, ``delete``, ``file-url`` — which short-circuits the FaaS
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Protocol
 
 from repro.errors import (
     ConcurrentModificationError,
@@ -47,7 +50,6 @@ from repro.faas.runtime import InvocationTask, TaskCompletion
 from repro.invoker.dataflow_exec import DataflowExecutor
 from repro.invoker.request import InvocationRequest, InvocationResult
 from repro.invoker.resilience import BreakerBoard, ResiliencePolicy
-from repro.invoker.router import ObjectRouter
 from repro.model.cls import AccessModifier, FunctionBinding
 from repro.model.function import FunctionType
 from repro.model.resolver import ResolvedClass
@@ -57,9 +59,11 @@ from repro.monitoring.tracing import Span, Tracer
 from repro.object.obj import ObjectRecord
 from repro.sim.kernel import Environment, Process, any_of
 from repro.sim.rng import RngStreams
-from repro.storage.dht import Dht
 from repro.storage.object_store import ObjectStore
 from repro.storage.query import Query, QueryResult, evaluate_query
+
+if TYPE_CHECKING:
+    from repro.crm.runtime import ClassRuntime
 
 __all__ = [
     "InvocationEngine",
@@ -117,20 +121,11 @@ def split_object_id(object_id: str) -> tuple[str | None, str]:
 class RuntimeDirectory(Protocol):
     """What the engine needs to know about deployed class runtimes."""
 
-    def resolved(self, cls: str) -> ResolvedClass:
-        """The flattened class, raising ``UnknownClassError`` if absent."""
-
-    def dht_for(self, cls: str) -> Dht:
-        """The class runtime's structured-state cache."""
-
-    def router_for(self, cls: str) -> ObjectRouter:
-        """The class runtime's placement router."""
-
-    def service_for(self, cls: str, fn_name: str) -> FunctionService:
-        """The FaaS service realizing one method of the class."""
-
-    def policy_for(self, cls: str) -> ResiliencePolicy:
-        """The resilience policy the engine enforces for the class."""
+    def runtime(self, cls: str) -> ClassRuntime:
+        """The class's runtime — its flattened class (``resolved``), DHT
+        cache (``dht``), placement router (``router``), resilience policy
+        (``resilience``) and services (``service(fn)``) — raising
+        ``UnknownClassError`` if the class is not deployed."""
 
     def deployed_classes(self) -> tuple[str, ...]:
         """Names of deployed classes (for error messages)."""
@@ -240,7 +235,8 @@ class InvocationEngine:
         if request.fn_name == "new":
             return (yield from self._builtin_new(request))
         record = yield from self._load_record(request, trace_id, root)
-        resolved = self.directory.resolved(record.cls)
+        runtime = self.directory.runtime(record.cls)
+        resolved = runtime.resolved
         if request.cls is not None and not resolved.is_subclass_of(request.cls):
             raise InvocationError(
                 f"object {request.object_id!r} is a {record.cls!r}, which is "
@@ -249,7 +245,7 @@ class InvocationEngine:
         binding = resolved.binding(request.fn_name)
         if binding is None:
             if request.fn_name in BUILTIN_METHODS:
-                return (yield from self._builtin(request, resolved, record))
+                return (yield from self._builtin(request, runtime, record))
             raise UnknownFunctionError(
                 f"class {resolved.name!r} has no function {request.fn_name!r}; "
                 f"available: {list(resolved.method_names)}"
@@ -262,9 +258,9 @@ class InvocationEngine:
                 )
             )
         if binding.function.ftype is FunctionType.BUILTIN:
-            return (yield from self._builtin(request, resolved, record))
+            return (yield from self._builtin(request, runtime, record))
         return (
-            yield from self._invoke_task(request, resolved, binding, record, trace_id, root)
+            yield from self._invoke_task(request, runtime, binding, record, trace_id, root)
         )
 
     def _check_access(
@@ -279,7 +275,7 @@ class InvocationEngine:
             )
         if binding.access is AccessModifier.PRIVATE:
             caller = request.caller_cls
-            if caller is None or not self.directory.resolved(caller).is_subclass_of(
+            if caller is None or not self.directory.runtime(caller).resolved.is_subclass_of(
                 resolved.name
             ):
                 raise InvocationError(
@@ -309,14 +305,12 @@ class InvocationEngine:
         fed = self.federation
         if fed is None or request.origin_zone is None:
             return
-        cls = self._target_class(request)
-        resolved = self.directory.resolved(cls)
-        dht = self.directory.dht_for(resolved.name)
+        runtime = self.directory.runtime(self._target_class(request))
         leg = fed.admit(
             request.origin_zone,
-            resolved.name,
-            resolved.nfr.constraint.jurisdictions,
-            dht,
+            runtime.cls,
+            runtime.resolved.nfr.constraint.jurisdictions,
+            runtime.dht,
             request.object_id,
         )
         if leg > 0:
@@ -324,8 +318,7 @@ class InvocationEngine:
 
     def _place(
         self,
-        cls: str,
-        dht: Dht,
+        runtime: ClassRuntime,
         object_id: str,
         exclude: set[str],
         origin_zone: str | None = None,
@@ -342,9 +335,10 @@ class InvocationEngine:
         fed = self.federation
         if not exclude and not self.breakers.active:
             if fed is not None and origin_zone is not None:
-                return fed.route(dht, object_id, origin_zone)
-            return self.directory.router_for(cls).place(object_id)
-        primary = self.directory.router_for(cls).place(object_id)
+                return fed.route(runtime.dht, object_id, origin_zone)
+            return runtime.router.place(object_id)
+        cls, dht = runtime.cls, runtime.dht
+        primary = runtime.router.place(object_id)
         fallback: str | None = None
         seen: set[str] = set()
         for node in (primary, *dht.owners(object_id), *dht.nodes):
@@ -370,10 +364,8 @@ class InvocationEngine:
     def _attempt(
         self,
         step: Callable[[str, Span | None], Generator],
-        cls: str,
-        dht: Dht,
+        runtime: ClassRuntime,
         request: InvocationRequest,
-        policy: ResiliencePolicy,
         faults: _Faults,
         trace_id: str | None = None,
         parent: Span | None = None,
@@ -386,16 +378,17 @@ class InvocationEngine:
         is spent, then re-raise.  ``span(node)`` opens the attempt's span
         (closed here on a fault) and ``route`` wraps placement in a
         ``route`` span.  Returns ``(node, span, value)``."""
+        cls, network, policy = runtime.cls, runtime.dht.network, runtime.resilience
         while True:
             routing = self.tracer.start(trace_id, "route", parent=parent) if route else None
             caller = self._place(
-                cls, dht, request.object_id, faults.exclude, origin_zone=request.origin_zone
+                runtime, request.object_id, faults.exclude, origin_zone=request.origin_zone
             )
             if routing is not None:
                 self.tracer.finish(routing, node=caller, cls=cls)
             opened = span(caller) if span is not None and self.tracer.enabled else None
             try:
-                dht.network.check_path(None, caller)
+                network.check_path(None, caller)
                 value = yield from step(caller, opened)
             except (TransportError, InvocationTimeoutError) as exc:
                 self.tracer.finish(opened, ok=False, error=type(exc).__name__)
@@ -404,7 +397,8 @@ class InvocationEngine:
                 )):
                     continue
                 raise
-            self.breakers.record_success(cls, caller)
+            if self.breakers.active:
+                self.breakers.record_success(cls, caller)
             return caller, opened, value
 
     def _fault_retry(
@@ -461,17 +455,23 @@ class InvocationEngine:
     def _offload_with_deadline(
         self, service: FunctionService, task: InvocationTask, policy: ResiliencePolicy
     ) -> Generator[Any, Any, TaskCompletion]:
-        """Offload to the FaaS service, bounded by the policy deadline."""
+        """Offload to the FaaS service, bounded by the policy deadline.
+        Without a deadline this is the service's own steps, not a frame
+        wrapped round them."""
         if policy.deadline_s is None:
-            return (yield from service.invoke_steps(task))
+            return service.invoke_steps(task)
+        return self._race_deadline(service, task, policy.deadline_s)
+
+    def _race_deadline(
+        self, service: FunctionService, task: InvocationTask, deadline_s: float
+    ) -> Generator[Any, Any, TaskCompletion]:
         # The deadline races the offload, so it stays a process of its own.
         _, value = yield any_of(
-            self.env,
-            [service.invoke(task), self.env.timeout(policy.deadline_s, _TIMED_OUT)],
+            self.env, [service.invoke(task), self.env.timeout(deadline_s, _TIMED_OUT)]
         )
         if value is _TIMED_OUT:
             raise InvocationTimeoutError(
-                f"{service.name}: no completion within {policy.deadline_s}s deadline"
+                f"{service.name}: no completion within {deadline_s}s deadline"
             )
         return value
 
@@ -483,15 +483,13 @@ class InvocationEngine:
         exclude: set[str] | None = None,
         fresh: bool = False,
     ) -> Generator[Any, Any, ObjectRecord]:
-        cls = self._target_class(request)
-        resolved = self.directory.resolved(cls)
-        dht = self.directory.dht_for(resolved.name)
-        policy = self.directory.policy_for(resolved.name)
+        runtime = self.directory.runtime(self._target_class(request))
+        dht = runtime.dht
         trace_id = trace_id or request.request_id
         try:
             _, span, doc = yield from self._attempt(
                 lambda caller, _: dht.get_steps(request.object_id, caller, fresh),
-                resolved.name, dht, request, policy, _Faults(exclude or set()), trace_id, parent,
+                runtime, request, _Faults(exclude or set()), trace_id, parent,
                 span=lambda caller: self.tracer.start(
                     trace_id, "state.load", parent=parent, node=caller
                 ),
@@ -501,6 +499,7 @@ class InvocationEngine:
             # Graceful degradation: every DHT owner is unreachable, so a
             # persistent class serves its durable copy (ephemeral classes
             # have none and fail).
+            policy = runtime.resilience
             if not policy.stale_read_fallback or dht.store is None or not dht.model.persistent:
                 raise
             stale = self.tracer.start(trace_id, "state.stale_read", parent=parent)
@@ -510,7 +509,7 @@ class InvocationEngine:
                 raise
             self.stale_reads += 1
             self.events.record(
-                "resilience.stale_read", cls=resolved.name, object=request.object_id
+                "resilience.stale_read", cls=runtime.cls, object=request.object_id
             )
             return ObjectRecord.from_doc(doc)
         if span is not None:
@@ -524,15 +523,14 @@ class InvocationEngine:
     def _invoke_task(
         self,
         request: InvocationRequest,
-        resolved: ResolvedClass,
+        runtime: ClassRuntime,
         binding: FunctionBinding,
         record: ObjectRecord,
         trace_id: str,
         root: Span | None,
     ) -> Generator[Any, Any, InvocationResult]:
-        service = self.directory.service_for(resolved.name, binding.name)
-        dht = self.directory.dht_for(resolved.name)
-        policy = self.directory.policy_for(resolved.name)
+        service = runtime.service(binding.name)
+        policy = runtime.resilience
         offload_name = f"task.offload {service.name}"
         # Faults (offload and commit) and commit conflicts have separate
         # budgets; the result's ``retries`` counts both.
@@ -543,7 +541,7 @@ class InvocationEngine:
             return InvocationResult.failure(
                 request,
                 error,
-                resolved_cls=resolved.name,
+                resolved_cls=runtime.cls,
                 retries=faults.count + conflicts,
                 error_type=error_type,
             )
@@ -554,20 +552,19 @@ class InvocationEngine:
                     lambda caller, span: self._offload_with_deadline(
                         service, self._build_task(request, binding, record, trace_id, span), policy
                     ),
-                    resolved.name, dht, request, policy, faults, trace_id, root,
+                    runtime, request, faults, trace_id, root,
                     span=lambda caller: self.tracer.start(trace_id, offload_name, parent=root),
                 )
             except (TransportError, InvocationTimeoutError) as exc:
                 return failure(str(exc), type(exc).__name__)
-            self.tracer.finish(offload, ok=completion.ok)
-            if not completion.ok:
+            if offload is not None:
+                self.tracer.finish(offload, ok=completion.ok)
+            if completion.error is not None:
                 return failure(completion.error, "FunctionExecutionError")
             if binding.mutable and (completion.state_updates or completion.file_updates):
                 commit_span = self.tracer.start(trace_id, "state.commit", parent=root)
                 try:
-                    record = yield from self._commit(
-                        resolved, dht, record, completion, caller
-                    )
+                    record = yield from self._commit(runtime, record, completion, caller)
                     self.tracer.finish(commit_span, ok=True)
                 except ConcurrentModificationError:
                     self.tracer.finish(commit_span, ok=False, conflict=True)
@@ -590,7 +587,7 @@ class InvocationEngine:
                     # like a CAS conflict).
                     self.tracer.finish(commit_span, ok=False, error=type(exc).__name__)
                     if not (yield from self._fault_retry(
-                        resolved.name, caller, policy, exc, faults, trace_id, root
+                        runtime.cls, caller, policy, exc, faults, trace_id, root
                     )):
                         return failure(str(exc), type(exc).__name__)
                     record = yield from self._load_record(
@@ -604,7 +601,7 @@ class InvocationEngine:
                 )
             return InvocationResult(
                 request_id=request.request_id,
-                cls=resolved.name,
+                cls=runtime.cls,
                 object_id=record.id,
                 fn_name=binding.name,
                 ok=True,
@@ -641,12 +638,12 @@ class InvocationEngine:
 
     def _commit(
         self,
-        resolved: ResolvedClass,
-        dht: Dht,
+        runtime: ClassRuntime,
         record: ObjectRecord,
         completion: TaskCompletion,
         caller: str,
     ) -> Generator[Any, Any, ObjectRecord]:
+        resolved = runtime.resolved
         resolved.state.validate_state(dict(completion.state_updates))
         for key in completion.file_updates:
             spec = resolved.state.get(key)
@@ -656,13 +653,14 @@ class InvocationEngine:
                     f"state key of class {resolved.name!r}"
                 )
         updated = record.with_updates(completion.state_updates, completion.file_updates)
-        yield from dht.put_steps(updated.to_doc(), caller, record.version)
+        yield from runtime.dht.put_steps(updated.to_doc(), caller, record.version)
         return updated
 
     def _materialize_output(
         self, output_cls: str, completion: TaskCompletion
     ) -> Generator[Any, Any, str]:
-        resolved = self.directory.resolved(output_cls)
+        runtime = self.directory.runtime(output_cls)
+        resolved = runtime.resolved
         state = dict(resolved.state.defaults())
         for key, value in completion.output.items():
             spec = resolved.state.get(key)
@@ -671,17 +669,15 @@ class InvocationEngine:
         resolved.state.validate_state(state)
         object_id = make_object_id(output_cls)
         record = ObjectRecord(id=object_id, cls=output_cls, version=1, state=state)
-        dht = self.directory.dht_for(output_cls)
-        caller = self.directory.router_for(output_cls).place(object_id)
-        yield dht.put(record.to_doc(), caller=caller)
+        caller = runtime.router.place(object_id)
+        yield runtime.dht.put(record.to_doc(), caller=caller)
         return record.id
 
     # -- catalog ----------------------------------------------------------------------
 
     def list_objects(self, cls: str) -> list[str]:
         """Ids of every live object of ``cls`` (not subclasses)."""
-        self.directory.resolved(cls)  # raises UnknownClassError if absent
-        return self.directory.dht_for(cls).scan_ids()
+        return self.directory.runtime(cls).dht.scan_ids()
 
     def query_objects(self, cls: str, query: Query) -> Process:
         """Run a typed query over the objects of ``cls``; the process
@@ -698,7 +694,8 @@ class InvocationEngine:
     def _query_objects(
         self, cls: str, query: Query
     ) -> Generator[Any, Any, QueryResult]:
-        resolved = self.directory.resolved(cls)
+        runtime = self.directory.runtime(cls)
+        resolved = runtime.resolved
         wanted = {pred.key for pred in query.where}
         if query.order_by is not None:
             wanted.add(query.order_by)
@@ -713,7 +710,7 @@ class InvocationEngine:
                     f"state key {key!r} of class {cls!r} is a FILE key; "
                     "file keys are not queryable"
                 )
-        dht = self.directory.dht_for(cls)
+        dht = runtime.dht
         span = None
         if self.tracer.enabled:
             span = self.tracer.start(
@@ -759,13 +756,13 @@ class InvocationEngine:
         request = InvocationRequest(object_id=object_id, fn_name="file-url")
         for _ in range(MAX_CAS_RETRIES + 1):
             record = yield from self._load_record(request)
-            resolved = self.directory.resolved(record.cls)
-            spec = resolved.state.get(key)
+            runtime = self.directory.runtime(record.cls)
+            spec = runtime.resolved.state.get(key)
             if spec is None or not spec.is_file:
                 raise ValidationError(f"{record.cls!r} has no FILE state key {key!r}")
             updated = record.with_updates(file_updates={key: object_key})
             try:
-                yield from self._compare_and_put(resolved.name, request, record, updated)
+                yield from self._compare_and_put(runtime, request, record, updated)
                 return updated
             except ConcurrentModificationError:
                 self.cas_conflicts += 1
@@ -773,7 +770,7 @@ class InvocationEngine:
 
     def _compare_and_put(
         self,
-        cls: str,
+        runtime: ClassRuntime,
         request: InvocationRequest,
         record: ObjectRecord,
         updated: ObjectRecord,
@@ -781,13 +778,13 @@ class InvocationEngine:
         """Commit ``updated`` over ``record`` through the attempt loop —
         the ``update`` builtin's write and the FILE attach's.  A conflict
         raises :class:`ConcurrentModificationError` to the caller."""
-        dht = self.directory.dht_for(cls)
+        dht = runtime.dht
         doc = updated.to_doc()
         yield from self._attempt(
             lambda caller, _: _wait(
                 dht.compare_and_put(doc, expected_version=record.version, caller=caller)
             ),
-            cls, dht, request, self.directory.policy_for(cls), _Faults(),
+            runtime, request, _Faults(),
         )
 
     # -- builtins ----------------------------------------------------------------------
@@ -796,7 +793,8 @@ class InvocationEngine:
         cls = request.cls or split_object_id(request.object_id)[0]
         if cls is None:
             raise InvocationError("'new' requires an explicit class")
-        resolved = self.directory.resolved(cls)
+        runtime = self.directory.runtime(cls)
+        resolved = runtime.resolved
         state = dict(resolved.state.defaults())
         overrides = dict(request.payload.get("state", {}))
         resolved.state.validate_state(overrides)
@@ -812,10 +810,8 @@ class InvocationEngine:
             object_id = make_object_id(resolved.name, suffix)
         else:
             object_id = make_object_id(resolved.name)
-        dht = self.directory.dht_for(resolved.name)
-        caller = self._place(
-            resolved.name, dht, object_id, set(), origin_zone=request.origin_zone
-        )
+        dht = runtime.dht
+        caller = self._place(runtime, object_id, set(), origin_zone=request.origin_zone)
         existing = yield dht.get(object_id, caller=caller)
         if existing is not None:
             raise InvocationError(f"object {object_id!r} already exists")
@@ -832,9 +828,10 @@ class InvocationEngine:
         )
 
     def _builtin(
-        self, request: InvocationRequest, resolved: ResolvedClass, record: ObjectRecord
+        self, request: InvocationRequest, runtime: ClassRuntime, record: ObjectRecord
     ) -> Generator[Any, Any, InvocationResult]:
         fn = request.fn_name
+        resolved = runtime.resolved
 
         def ok(output: Mapping[str, Any]) -> InvocationResult:
             return InvocationResult(
@@ -860,14 +857,12 @@ class InvocationEngine:
             updates = dict(request.payload.get("state", {}))
             resolved.state.validate_state(updates)
             updated = record.with_updates(updates)
-            yield from self._compare_and_put(resolved.name, request, record, updated)
+            yield from self._compare_and_put(runtime, request, record, updated)
             return ok({"version": updated.version})
         if fn == "delete":
-            dht = self.directory.dht_for(resolved.name)
             yield from self._attempt(
-                lambda caller, _: _wait(dht.delete(record.id, caller=caller)),
-                resolved.name, dht, request, self.directory.policy_for(resolved.name),
-                _Faults(),
+                lambda caller, _: _wait(runtime.dht.delete(record.id, caller=caller)),
+                runtime, request, _Faults(),
             )
             for object_key in record.files.values():
                 try:

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Mapping
 
 __all__ = ["InvocationRequest", "InvocationResult", "new_request_id"]
 
 _request_seq = itertools.count(1)
 
+#: A mapping parameter's default: the constructors copy their mappings,
+#: so one shared read-only empty one stands in for ``{}``.
+_EMPTY: Mapping[str, Any] = MappingProxyType({})
+
 
 def new_request_id() -> str:
     return f"req-{next(_request_seq)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InvocationRequest:
     """A request to invoke ``fn_name`` on object ``object_id``.
 
@@ -27,6 +32,11 @@ class InvocationRequest:
     ``internal`` marks platform-originated calls (dataflow steps), which
     may reach INTERNAL/PRIVATE bindings; ``caller_cls`` carries the
     invoking class for PRIVATE checks.
+
+    Built on every request, so the constructor is written out and fills
+    the instance in one ``__dict__`` update rather than one frozen-bypass
+    store per field.  It takes the fields in order with their defaults
+    and copies ``payload``; an omitted ``request_id`` is a fresh ``req-N``.
     """
 
     object_id: str
@@ -45,8 +55,31 @@ class InvocationRequest:
     #: baseline routing and skips jurisdiction enforcement.
     origin_zone: str | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "payload", dict(self.payload))
+    def __init__(
+        self,
+        object_id: str,
+        fn_name: str,
+        cls: str | None = None,
+        payload: Mapping[str, Any] = _EMPTY,
+        request_id: str | None = None,
+        internal: bool = False,
+        caller_cls: str | None = None,
+        trace_id: str | None = None,
+        trace_parent: int | None = None,
+        origin_zone: str | None = None,
+    ) -> None:
+        self.__dict__.update(
+            object_id=object_id,
+            fn_name=fn_name,
+            cls=cls,
+            payload=dict(payload),
+            request_id=new_request_id() if request_id is None else request_id,
+            internal=internal,
+            caller_cls=caller_cls,
+            trace_id=trace_id,
+            trace_parent=trace_parent,
+            origin_zone=origin_zone,
+        )
 
     def stamp(
         self,
@@ -58,14 +91,15 @@ class InvocationRequest:
         to — the gateway's last step on a request it has just parsed and
         not yet handed to anyone, in place of rebuilding it field by
         field.  A request that arrived from a caller is never stamped."""
-        object.__setattr__(self, "origin_zone", origin_zone)
-        object.__setattr__(self, "trace_id", trace_id)
-        object.__setattr__(self, "trace_parent", trace_parent)
+        self.__dict__.update(
+            origin_zone=origin_zone, trace_id=trace_id, trace_parent=trace_parent
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InvocationResult:
-    """The outcome of one invocation."""
+    """The outcome of one invocation (constructor written out, as
+    :class:`InvocationRequest`'s; it copies ``output``)."""
 
     request_id: str
     cls: str
@@ -79,15 +113,39 @@ class InvocationResult:
     latency_s: float = 0.0
     retries: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "output", dict(self.output))
+    def __init__(
+        self,
+        request_id: str,
+        cls: str,
+        object_id: str,
+        fn_name: str,
+        ok: bool,
+        output: Mapping[str, Any] = _EMPTY,
+        error: str | None = None,
+        error_type: str | None = None,
+        created_object_id: str | None = None,
+        latency_s: float = 0.0,
+        retries: int = 0,
+    ) -> None:
+        self.__dict__.update(
+            request_id=request_id,
+            cls=cls,
+            object_id=object_id,
+            fn_name=fn_name,
+            ok=ok,
+            output=dict(output),
+            error=error,
+            error_type=error_type,
+            created_object_id=created_object_id,
+            latency_s=latency_s,
+            retries=retries,
+        )
 
     def stamp(self, cls: str, latency_s: float) -> None:
         """Fill in the serving class and the measured latency — the
         engine's last step on a result it has just built and not yet
         handed to anyone, in place of rebuilding it field by field."""
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "latency_s", latency_s)
+        self.__dict__.update(cls=cls, latency_s=latency_s)
 
     @classmethod
     def failure(

@@ -41,22 +41,23 @@ __all__ = [
 LabelKey = tuple[tuple[str, str], ...]
 
 
-def _checked_value(metric: str, value, *, what: str = "value") -> float:
-    """A finite ``float`` recorded into a metric, or a clear error.
+def _checked_value(kind: str, name: str, value, *, what: str = "value") -> float:
+    """A finite ``float`` recorded into the ``kind`` metric ``name``, or a
+    clear error (its label is only formatted for a bad value).
 
     The same discipline as ``repro.model.nfr._checked_number``: booleans,
     NaN, and infinities all slip past plain comparisons (``NaN < 0`` is
     False) and would silently poison every aggregate downstream — a
     counter incremented by NaN never recovers."""
     if isinstance(value, bool):
-        raise ValidationError(f"{metric} {what} must be a number, got a boolean")
+        raise ValidationError(f"{kind} {name!r} {what} must be a number, got a boolean")
     if not isinstance(value, (int, float)):
         raise ValidationError(
-            f"{metric} {what} must be a number, got {type(value).__name__} {value!r}"
+            f"{kind} {name!r} {what} must be a number, got {type(value).__name__} {value!r}"
         )
     result = float(value)
     if not math.isfinite(result):
-        raise ValidationError(f"{metric} {what} must be finite, got {value!r}")
+        raise ValidationError(f"{kind} {name!r} {what} must be finite, got {value!r}")
     return result
 
 
@@ -88,7 +89,7 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        amount = _checked_value(f"counter {self.name!r}", amount, what="increment")
+        amount = _checked_value("counter", self.name, amount, what="increment")
         if amount < 0:
             raise ValidationError(f"counter {self.name!r} cannot decrease")
         self.value += amount
@@ -103,10 +104,10 @@ class Gauge:
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        self.value = _checked_value(f"gauge {self.name!r}", value)
+        self.value = _checked_value("gauge", self.name, value)
 
     def add(self, delta: float) -> None:
-        self.value += _checked_value(f"gauge {self.name!r}", delta, what="delta")
+        self.value += _checked_value("gauge", self.name, delta, what="delta")
 
 
 class Histogram:
@@ -145,7 +146,7 @@ class Histogram:
         self._rng = random.Random(zlib.crc32(seed_text.encode("utf-8", "replace")))
 
     def record(self, value: float) -> None:
-        value = _checked_value(f"histogram {self.name!r}", value)
+        value = _checked_value("histogram", self.name, value)
         self._count += 1
         self._sum += value
         if self._max is None or value > self._max:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.errors import ValidationError
@@ -20,6 +21,9 @@ from repro.errors import ValidationError
 __all__ = ["ObjectRecord", "new_object_id", "deterministic_object_ids"]
 
 _id_counter = itertools.count(1)
+
+#: A mapping parameter's default (copied by the constructor).
+_EMPTY: Mapping[str, Any] = MappingProxyType({})
 
 
 def new_object_id() -> str:
@@ -38,7 +42,7 @@ def deterministic_object_ids(prefix: str = "obj"):
     return make
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObjectRecord:
     """One object's durable representation.
 
@@ -48,6 +52,10 @@ class ObjectRecord:
         version: optimistic-concurrency counter, bumped on every commit.
         state: structured state (JSON-like values keyed by state key).
         files: FILE state-key name → object-store key.
+
+    Built on every load and commit, so the constructor is written out:
+    it validates, copies both mappings and fills the instance in one
+    ``__dict__`` update.
     """
 
     id: str
@@ -56,15 +64,23 @@ class ObjectRecord:
     state: Mapping[str, Any] = field(default_factory=dict)
     files: Mapping[str, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        cls: str,
+        version: int = 0,
+        state: Mapping[str, Any] = _EMPTY,
+        files: Mapping[str, str] = _EMPTY,
+    ) -> None:
+        if not id:
             raise ValidationError("object id must be non-empty")
-        if not self.cls:
+        if not cls:
             raise ValidationError("object class must be non-empty")
-        if self.version < 0:
-            raise ValidationError(f"object version must be >= 0, got {self.version}")
-        object.__setattr__(self, "state", dict(self.state))
-        object.__setattr__(self, "files", dict(self.files))
+        if version < 0:
+            raise ValidationError(f"object version must be >= 0, got {version}")
+        self.__dict__.update(
+            id=id, cls=cls, version=version, state=dict(state), files=dict(files)
+        )
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.state.get(key, default)
@@ -81,7 +97,7 @@ class ObjectRecord:
         state.update(state_updates or {})
         files = dict(self.files)
         files.update(file_updates or {})
-        return replace(self, version=self.version + 1, state=state, files=files)
+        return type(self)(self.id, self.cls, self.version + 1, state, files)
 
     # -- persistence codec -------------------------------------------------
 

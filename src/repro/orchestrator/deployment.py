@@ -135,21 +135,32 @@ class Deployment:
         arriving mid-scale-up would pile onto idle-but-cold pods and
         wait out their boot while warm slots sit free.
         """
-        ready = [pod for pod in self.pods if pod.is_ready]
-        starting = (
-            [pod for pod in self.pods if pod.phase is PodPhase.STARTING]
-            if include_starting
-            else []
-        )
-        if ready:
-            best = min(ready, key=lambda p: (p.in_flight, p.name))
-            if not starting or best.in_flight < best.spec.concurrency * 2:
-                return best
-            spill = min(starting, key=lambda p: (p.in_flight, p.name))
-            return spill if spill.in_flight < best.in_flight else best
-        if starting:
-            return min(starting, key=lambda p: (p.in_flight, p.name))
-        return None
+        # One pass over the pods, reading the phase and the slot counts
+        # directly: the least ``(in_flight, name)`` ready pod and, when
+        # asked for, the least starting one.
+        best = spill = None
+        best_load = spill_load = 0
+        for pod in self.pods:
+            phase = pod.phase
+            if phase is PodPhase.RUNNING:
+                slots = pod.slots
+                load = slots.in_use + len(slots.waiting)
+                if best is None or load < best_load or (
+                    load == best_load and pod.name < best.name
+                ):
+                    best, best_load = pod, load
+            elif include_starting and phase is PodPhase.STARTING:
+                slots = pod.slots
+                load = slots.in_use + len(slots.waiting)
+                if spill is None or load < spill_load or (
+                    load == spill_load and pod.name < spill.name
+                ):
+                    spill, spill_load = pod, load
+        if best is None:
+            return spill
+        if spill is None or best_load < best.spec.concurrency * 2:
+            return best
+        return spill if spill_load < best_load else best
 
     def delete(self) -> None:
         """Terminate every pod."""

@@ -264,7 +264,7 @@ class Gateway:
     def _query_objects_route(
         self, cls: str, params: Mapping[str, str]
     ) -> Generator[Any, Any, HttpResponse]:
-        resolved = self.engine.directory.resolved(cls)
+        resolved = self.engine.directory.runtime(cls).resolved
         schema = {
             spec.name: spec.dtype for spec in resolved.state if not spec.is_file
         }

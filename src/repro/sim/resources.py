@@ -38,12 +38,13 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.in_use = 0
-        self._waiting: deque[Event] = deque()
+        #: Requests waiting for a slot, oldest first (read-only outside).
+        self.waiting: deque[Event] = deque()
 
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self._waiting)
+        return len(self.waiting)
 
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""
@@ -54,7 +55,7 @@ class Resource:
             event._value = None
             self.env._schedule(event, priority=URGENT)
         else:
-            self._waiting.append(event)
+            self.waiting.append(event)
         return event
 
     def release(self) -> None:
@@ -67,8 +68,8 @@ class Resource:
         """
         if self.in_use <= 0:
             raise SimulationError("release() without a matching request()")
-        if self._waiting and self.in_use <= self.capacity:
-            event = self._waiting.popleft()
+        if self.waiting and self.in_use <= self.capacity:
+            event = self.waiting.popleft()
             event._ok = True
             event._value = None
             self.env._schedule(event, priority=URGENT)
@@ -81,8 +82,8 @@ class Resource:
         if capacity < 1:
             raise SimulationError(f"Resource capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        while self._waiting and self.in_use < self.capacity:
-            event = self._waiting.popleft()
+        while self.waiting and self.in_use < self.capacity:
+            event = self.waiting.popleft()
             self.in_use += 1
             event._ok = True
             event._value = None

@@ -161,7 +161,7 @@ class TestManager:
 
     def test_unknown_service_lookup(self, platform):
         with pytest.raises(UnknownFunctionError):
-            platform.crm.service_for("Image", "thumbnail")
+            platform.crm.runtime("Image").service("thumbnail")
 
     def test_undeploy_class(self, platform):
         platform.crm.undeploy_class("LabelledImage")

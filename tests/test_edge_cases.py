@@ -39,19 +39,19 @@ class TestDeployInputs:
 
 class TestInheritedServiceFallback:
     def test_parent_runtime_serves_after_child_service_removed(self, platform):
-        """The directory falls back to an ancestor's service when the
+        """The runtime falls back to an ancestor's service when the
         child runtime lost its own (undeploy/redeploy edge)."""
         child = platform.crm.runtime("LabelledImage")
         removed = child.services.pop("resize")
         platform.crm.knative.delete(removed.name)
-        svc = platform.crm.service_for("LabelledImage", "resize")
+        svc = child.service("resize")
         assert svc is platform.crm.runtime("Image").services["resize"]
         obj = platform.new_object("LabelledImage")
         assert platform.invoke(obj, "resize", {"width": 3}).ok
 
     def test_no_fallback_for_truly_unknown(self, platform):
         with pytest.raises(UnknownFunctionError):
-            platform.crm.service_for("LabelledImage", "nonexistent")
+            platform.crm.runtime("LabelledImage").service("nonexistent")
 
 
 class TestGatewayCreateWithId:

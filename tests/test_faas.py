@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import InvocationError, ValidationError
+from repro.invoker.request import InvocationRequest
 from repro.faas.deployment_engine import DeploymentEngine, DeploymentModel
 from repro.faas.knative import KnativeEngine, KnativeModel
 from repro.faas.registry import FunctionRegistry
@@ -11,6 +12,8 @@ from repro.model.function import FunctionDefinition, ProvisionSpec
 from repro.orchestrator.cluster import Cluster
 from repro.orchestrator.resources import ResourceSpec
 from repro.orchestrator.scheduler import Scheduler
+
+from tests.helpers import make_platform
 
 
 def task(**kwargs):
@@ -343,3 +346,68 @@ class TestGeneratorHandlers:
         assert completion.ok
         assert completion.output == {"waited": True}
         assert elapsed >= 0.5
+
+
+TIMED_YAML = """
+name: timed
+classes:
+  - name: Timed
+    keySpecs: [{name: n, type: INT, default: 0}]
+    functions:
+      - {name: work, image: timed/work, mutable: false, provision: {minScale: 1}}
+"""
+
+
+def timed_platform(service_time_s):
+    return make_platform(TIMED_YAML, {"timed/work": (lambda ctx: {}, service_time_s)})
+
+
+def run_for(platform, obj, seconds):
+    """Invoke ``work`` on ``obj`` and run the clock ``seconds`` at most;
+    the invocation's process (done or not)."""
+    proc = platform.engine.invoke(InvocationRequest(object_id=obj, fn_name="work"))
+    platform.env.run(until=platform.env.now + seconds)
+    return proc
+
+
+class TestServiceTimeModel:
+    """A service time is a finite, non-negative number of seconds."""
+
+    @pytest.mark.parametrize("bad", [-0.001, float("inf"), float("-inf"), float("nan"), "soon"])
+    def test_registration_refuses_a_bad_constant(self, bad):
+        registry = FunctionRegistry()
+        with pytest.raises(ValidationError, match="service time"):
+            registry.register("img/bad", lambda ctx: {}, service_time_s=bad)
+        assert "img/bad" not in registry
+        with pytest.raises(ValidationError, match="service time"):
+            registry.function("img/bad", service_time_s=bad)(lambda ctx: {})
+
+    def test_a_raising_model_releases_its_pod_slot(self):
+        calls = []
+
+        def flaky(task):
+            calls.append(task.request_id)
+            if len(calls) == 1:
+                raise RuntimeError("model broke")
+            return 0.002
+
+        platform = timed_platform(flaky)
+        obj = platform.new_object("Timed")
+        failed = platform.invoke(obj, "work", raise_on_error=False)
+        assert not failed.ok and failed.error_type == "InternalError"
+        pods = platform.crm.runtime("Timed").service("work").deployment.pods
+        assert [pod.slots.in_use for pod in pods] == [0] * len(pods)
+        assert platform.invoke(obj, "work").ok
+        assert [pod.slots.in_use for pod in pods] == [0] * len(pods)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_a_bad_model_value_fails_the_invocation(self, bad):
+        platform = timed_platform(lambda task: bad)
+        obj = platform.new_object("Timed")
+        proc = run_for(platform, obj, 60.0)
+        assert proc.triggered, "the invocation was still pending after 60 simulated seconds"
+        result = proc.value
+        assert not result.ok and result.error_type == "ValidationError"
+        assert "service time" in result.error
+        pods = platform.crm.runtime("Timed").service("work").deployment.pods
+        assert [pod.slots.in_use for pod in pods] == [0] * len(pods)

@@ -10,13 +10,18 @@ plane on (the benchmark's ``sim-planes`` configuration) and holds what
 the planes may *not* spend per request: no rebuilt request, no zone or
 region resolved again, no call per kernel event for the profile — with
 the dispatches and spans per operation pinned, so the saving cannot come
-from doing less.  docs/architecture.md, "Hot-path rules", says what
-keeps them there.
+from doing less.  A third arm, planes off again, issues only immutable
+``peek``s and holds what a read may not decide again per request: the
+class runtime looked up at most once per step, the pod picked without
+per-pod properties, the handler's kind taken from its registration —
+with the dispatches per peek and the final clock pinned.
+docs/architecture.md, "Hot-path rules", says what keeps them there.
 """
 
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import random
 
@@ -26,6 +31,7 @@ from repro.durability.plane import DurabilityConfig
 from repro.federation import FederationConfig, PlacementPlanner, Zone
 from repro.monitoring.plane import MetricsConfig
 from repro.orchestrator.cluster import Cluster
+from repro.orchestrator.pod import Pod
 from repro.platform.gateway import HttpRequest
 from repro.qos.plane import QosConfig
 from repro.scheduler.plane import SchedulerConfig
@@ -73,6 +79,13 @@ class CallCounter:
 
     def __get__(self, instance, owner=None):
         return self if instance is None else functools.partial(self, instance)
+
+
+def counted(monkeypatch, owner, name):
+    """Count calls to ``owner.name`` for the rest of the test."""
+    counter = CallCounter(getattr(owner, name))
+    monkeypatch.setattr(owner, name, counter)
+    return counter
 
 
 def draw_targets(rng, ids, count):
@@ -257,15 +270,10 @@ def run_planes_workload(monkeypatch, seed=7):
 
     run_clients(sync_client("add", {"n": 1}), draw_targets(rng, ids, WARMUP))  # fills the memos
 
-    def counted(owner, name):
-        counter = CallCounter(getattr(owner, name))
-        monkeypatch.setattr(owner, name, counter)
-        return counter
-
-    replaces = counted(dataclasses, "replace")
-    zone_lookups = counted(PlacementPlanner, "zone_of_node")
-    region_lookups = counted(Cluster, "region_of")
-    steps = counted(Environment, "step")
+    replaces = counted(monkeypatch, dataclasses, "replace")
+    zone_lookups = counted(monkeypatch, PlacementPlanner, "zone_of_node")
+    region_lookups = counted(monkeypatch, Cluster, "region_of")
+    steps = counted(monkeypatch, Environment, "step")
     dispatched = env.profile.total_dispatches
     spans = len(platform.tracer)
     run_clients(sync_client("add", {"n": 1}), draw_targets(rng, ids, SYNC_ADDS))
@@ -306,3 +314,90 @@ def test_planes_spend_nothing_per_request_on_what_was_decided_before_it(monkeypa
 
 def test_plane_counts_repeat_exactly(monkeypatch):
     assert run_planes_workload(monkeypatch) == run_planes_workload(monkeypatch)
+
+
+# -- the read path ---------------------------------------------------------------
+
+READ_YAML = """
+name: budget
+classes:
+  - name: Order
+    keySpecs:
+      - {name: total, type: INT, default: 0}
+      - {name: note, type: STR, default: ""}
+    functions:
+      - {name: peek, image: budget/peek, mutable: false, provision: {minScale: 3}}
+"""
+
+#: Exact for the seed, and equal to what the same script measured on the
+#: commit before the read path decided its deploy-time facts once (where
+#: a peek made 13 directory calls, views through ``runtime`` included,
+#: 7.05 pod-state reads and one ``isgeneratorfunction``): no event was
+#: added, removed or moved.
+READ_DISPATCHES_PER_OP = 3227 / 400
+READ_FINAL_NOW = 2.0127508919999957
+#: Per peek: calls into the class-runtime directory (the runtime and its
+#: one-line views), ``Pod.is_ready`` + ``Pod.in_flight`` reads, and
+#: handler-kind checks.
+READ_BUDGET = {"directory_calls": 3, "pod_reads": 1.1, "isgeneratorfunction": 0}
+DIRECTORY_METHODS = ("runtime", "resolved", "dht_for", "policy_for", "deployed_classes")
+
+
+def counted_property(monkeypatch, owner, name):
+    """Count reads of the property ``owner.name``."""
+    counter = CallCounter(getattr(owner, name).fget)
+    monkeypatch.setattr(owner, name, property(counter))
+    return counter
+
+
+def run_read_workload(monkeypatch, seed=7):
+    platform = make_platform(READ_YAML, {"budget/peek": (peek, 0.002)}, nodes=3, seed=seed)
+    ids = [
+        platform.new_object("Order", {"note": "x" * 64}, object_id=f"o-{index}")
+        for index in range(OBJECTS)
+    ]
+    platform.flush()
+    rng = random.Random(seed)
+    targets = draw_targets(rng, ids, PEEKS)
+    env = platform.env
+    acknowledged = []
+
+    directory = [counted(monkeypatch, platform.crm, name) for name in DIRECTORY_METHODS]
+    pod_reads = [
+        counted_property(monkeypatch, Pod, name) for name in ("is_ready", "in_flight")
+    ]
+    generator_checks = counted(monkeypatch, inspect, "isgeneratorfunction")
+    profile = env.enable_profiling()
+    dispatched = profile.total_dispatches
+
+    def client(own):
+        for oid in own:
+            reply = yield platform.gateway.handle(
+                HttpRequest("POST", f"/api/objects/{oid}/invokes/peek", {})
+            )
+            acknowledged.append(reply.status == 200)
+
+    env.run(until=all_of(env, [env.process(client(own)) for own in targets]))
+    counts = {
+        "directory_calls": sum(counter.calls for counter in directory) / PEEKS,
+        "pod_reads": sum(counter.calls for counter in pod_reads) / PEEKS,
+        "isgeneratorfunction": generator_checks.calls / PEEKS,
+        "dispatches_per_op": (profile.total_dispatches - dispatched) / PEEKS,
+    }
+    monkeypatch.undo()
+    platform.shutdown()
+    counts["final_now"] = env.now
+    assert all(acknowledged) and len(acknowledged) == PEEKS
+    return counts
+
+
+def test_reads_look_nothing_up_per_request_that_was_decided_at_deploy(monkeypatch):
+    counts = run_read_workload(monkeypatch)
+    over = {
+        name: (counts[name], budget)
+        for name, budget in READ_BUDGET.items()
+        if counts[name] > budget
+    }
+    assert not over, f"read path over budget (count, budget): {over}; all counts: {counts}"
+    assert counts["dispatches_per_op"] == READ_DISPATCHES_PER_OP
+    assert counts["final_now"] == READ_FINAL_NOW

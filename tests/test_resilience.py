@@ -428,7 +428,7 @@ class TestErrorBoundary:
         def explode(cls):
             raise KeyError(cls)
 
-        monkeypatch.setattr(platform.crm, "dht_for", explode)
+        monkeypatch.setattr(platform.crm, "runtime", explode)
         result = platform.invoke(obj, "add", {"amount": 1}, raise_on_error=False)
         assert not result.ok
         assert result.error_type == "InternalError"
@@ -439,7 +439,7 @@ class TestErrorBoundary:
         platform = make_platform()
         obj = platform.new_object("Ledger", object_id="acct-3")
         monkeypatch.setattr(
-            platform.crm, "dht_for", lambda cls: (_ for _ in ()).throw(KeyError(cls))
+            platform.crm, "runtime", lambda cls: (_ for _ in ()).throw(KeyError(cls))
         )
         response = platform.http("GET", f"/api/objects/{obj}")
         assert response.status == 500
