@@ -109,6 +109,8 @@ class FunctionService(abc.ABC):
         # per-request string formatting.
         self._queue_span_name = f"faas.queue {name}"
         self._exec_span_name = f"faas.execute {name}"
+        #: The engine's span round one offload to this service.
+        self.offload_span_name = f"task.offload {name}"
         self.invocations = 0
         self.completed = 0
         self.errors = 0

@@ -196,7 +196,23 @@ class InvocationEngine:
                 object_id=request.object_id,
             )
         try:
-            result = yield from self._dispatch(request, trace_id, root)
+            if self.federation is not None and request.origin_zone is not None:
+                yield from self._geo_admit(request)
+            if request.fn_name == "new":
+                result = yield from self._builtin_new(request)
+            else:
+                record = yield from self._load_record(request, trace_id, root)
+                runtime, binding = self._bind(request, record)
+                if binding is None or binding.function.ftype is FunctionType.BUILTIN:
+                    result = yield from self._builtin(request, runtime, record)
+                elif binding.function.ftype is FunctionType.MACRO:
+                    result = yield from self._dataflow.execute(
+                        request, runtime.resolved, binding, record, trace_id, root
+                    )
+                else:
+                    result = yield from self._invoke_task(
+                        request, runtime, binding, record, trace_id, root
+                    )
         except OaasError as exc:
             result = InvocationResult.failure(
                 request, str(exc), error_type=type(exc).__name__
@@ -225,16 +241,12 @@ class InvocationEngine:
 
     # -- dispatch -----------------------------------------------------------------
 
-    def _dispatch(
-        self,
-        request: InvocationRequest,
-        trace_id: str,
-        root: Span | None,
-    ) -> Generator[Any, Any, InvocationResult]:
-        yield from self._geo_admit(request)
-        if request.fn_name == "new":
-            return (yield from self._builtin_new(request))
-        record = yield from self._load_record(request, trace_id, root)
+    def _bind(
+        self, request: InvocationRequest, record: ObjectRecord
+    ) -> tuple[ClassRuntime, FunctionBinding | None]:
+        """The loaded object's runtime and the binding the request calls,
+        its access checked; ``None`` for a builtin the class does not
+        override."""
         runtime = self.directory.runtime(record.cls)
         resolved = runtime.resolved
         if request.cls is not None and not resolved.is_subclass_of(request.cls):
@@ -245,23 +257,13 @@ class InvocationEngine:
         binding = resolved.binding(request.fn_name)
         if binding is None:
             if request.fn_name in BUILTIN_METHODS:
-                return (yield from self._builtin(request, runtime, record))
+                return runtime, None
             raise UnknownFunctionError(
                 f"class {resolved.name!r} has no function {request.fn_name!r}; "
                 f"available: {list(resolved.method_names)}"
             )
         self._check_access(request, resolved, binding)
-        if binding.function.ftype is FunctionType.MACRO:
-            return (
-                yield from self._dataflow.execute(
-                    request, resolved, binding, record, trace_id, root
-                )
-            )
-        if binding.function.ftype is FunctionType.BUILTIN:
-            return (yield from self._builtin(request, runtime, record))
-        return (
-            yield from self._invoke_task(request, runtime, binding, record, trace_id, root)
-        )
+        return runtime, binding
 
     def _check_access(
         self, request: InvocationRequest, resolved: ResolvedClass, binding: FunctionBinding
@@ -300,11 +302,9 @@ class InvocationEngine:
     def _geo_admit(self, request: InvocationRequest) -> Generator[Any, Any, None]:
         """Federation gate: enforce the target class's jurisdiction
         constraint against the request's origin zone and pay the client
-        leg to the serving replica.  A no-op (zero yields, zero time)
-        without the plane or without an origin zone."""
+        leg to the serving replica.  Run only with the plane on and an
+        origin zone: otherwise the invocation skips it altogether."""
         fed = self.federation
-        if fed is None or request.origin_zone is None:
-            return
         runtime = self.directory.runtime(self._target_class(request))
         leg = fed.admit(
             request.origin_zone,
@@ -380,7 +380,9 @@ class InvocationEngine:
         ``route`` span.  Returns ``(node, span, value)``."""
         cls, network, policy = runtime.cls, runtime.dht.network, runtime.resilience
         while True:
-            routing = self.tracer.start(trace_id, "route", parent=parent) if route else None
+            routing = None
+            if route and self.tracer.enabled:
+                routing = self.tracer.start(trace_id, "route", parent=parent)
             caller = self._place(
                 runtime, request.object_id, faults.exclude, origin_zone=request.origin_zone
             )
@@ -531,7 +533,6 @@ class InvocationEngine:
     ) -> Generator[Any, Any, InvocationResult]:
         service = runtime.service(binding.name)
         policy = runtime.resilience
-        offload_name = f"task.offload {service.name}"
         # Faults (offload and commit) and commit conflicts have separate
         # budgets; the result's ``retries`` counts both.
         faults = _Faults()
@@ -553,7 +554,9 @@ class InvocationEngine:
                         service, self._build_task(request, binding, record, trace_id, span), policy
                     ),
                     runtime, request, faults, trace_id, root,
-                    span=lambda caller: self.tracer.start(trace_id, offload_name, parent=root),
+                    span=lambda caller: self.tracer.start(
+                        trace_id, service.offload_span_name, parent=root
+                    ),
                 )
             except (TransportError, InvocationTimeoutError) as exc:
                 return failure(str(exc), type(exc).__name__)
@@ -562,10 +565,15 @@ class InvocationEngine:
             if completion.error is not None:
                 return failure(completion.error, "FunctionExecutionError")
             if binding.mutable and (completion.state_updates or completion.file_updates):
-                commit_span = self.tracer.start(trace_id, "state.commit", parent=root)
+                commit_span = None
+                if self.tracer.enabled:
+                    commit_span = self.tracer.start(trace_id, "state.commit", parent=root)
                 try:
-                    record = yield from self._commit(runtime, record, completion, caller)
-                    self.tracer.finish(commit_span, ok=True)
+                    updated = self._updated(runtime, record, completion)
+                    yield from runtime.dht.put_steps(updated.to_doc(), caller, record.version)
+                    record = updated
+                    if commit_span is not None:
+                        self.tracer.finish(commit_span, ok=True)
                 except ConcurrentModificationError:
                     self.tracer.finish(commit_span, ok=False, conflict=True)
                     self.cas_conflicts += 1
@@ -636,15 +644,13 @@ class InvocationEngine:
             trace_parent=span.span_id if span is not None else None,
         )
 
-    def _commit(
-        self,
-        runtime: ClassRuntime,
-        record: ObjectRecord,
-        completion: TaskCompletion,
-        caller: str,
-    ) -> Generator[Any, Any, ObjectRecord]:
+    def _updated(
+        self, runtime: ClassRuntime, record: ObjectRecord, completion: TaskCompletion
+    ) -> ObjectRecord:
+        """The version a completion commits over ``record``, its state
+        and file keys checked against the class."""
         resolved = runtime.resolved
-        resolved.state.validate_state(dict(completion.state_updates))
+        resolved.state.validate_state(completion.state_updates)
         for key in completion.file_updates:
             spec = resolved.state.get(key)
             if spec is None or not spec.is_file:
@@ -652,9 +658,7 @@ class InvocationEngine:
                     f"function updated file key {key!r}, which is not a FILE "
                     f"state key of class {resolved.name!r}"
                 )
-        updated = record.with_updates(completion.state_updates, completion.file_updates)
-        yield from runtime.dht.put_steps(updated.to_doc(), caller, record.version)
-        return updated
+        return record.with_updates(completion.state_updates, completion.file_updates)
 
     def _materialize_output(
         self, output_cls: str, completion: TaskCompletion

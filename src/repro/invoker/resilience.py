@@ -201,11 +201,9 @@ class BreakerBoard:
         self.events = events
         self.tracer = tracer
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}
-
-    @property
-    def active(self) -> bool:
-        """True once any breaker exists (the slow-path trigger)."""
-        return bool(self._breakers)
+        #: True once any breaker exists (the slow-path trigger); read on
+        #: every placement, so a field and not a property.
+        self.active = False
 
     def get(self, cls: str, node: str) -> CircuitBreaker | None:
         return self._breakers.get((cls, node))
@@ -262,6 +260,7 @@ class BreakerBoard:
                 policy.breaker_failure_threshold, policy.breaker_recovery_s
             )
             self._breakers[(cls, node)] = breaker
+            self.active = True
         breaker.failures += 1
         if breaker.state is BreakerState.HALF_OPEN:
             # The probe failed: re-open and restart the recovery clock.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.errors import ValidationError
 
@@ -93,12 +94,15 @@ class StateSpec:
     """The full structured-state schema of a class."""
 
     key_specs: tuple[KeySpec, ...] = field(default_factory=tuple)
+    #: name -> spec, built once: every commit looks its keys up here.
+    _by_name: dict[str, KeySpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [spec.name for spec in self.key_specs]
         duplicates = {name for name in names if names.count(name) > 1}
         if duplicates:
             raise ValidationError(f"duplicate state keys: {sorted(duplicates)}")
+        object.__setattr__(self, "_by_name", {spec.name: spec for spec in self.key_specs})
 
     def __iter__(self):
         return iter(self.key_specs)
@@ -121,10 +125,7 @@ class StateSpec:
         return tuple(spec.name for spec in self.key_specs if not spec.is_file)
 
     def get(self, name: str) -> KeySpec | None:
-        for spec in self.key_specs:
-            if spec.name == name:
-                return spec
-        return None
+        return self._by_name.get(name)
 
     def defaults(self) -> dict[str, object]:
         """Initial structured state for a fresh object."""
@@ -134,14 +135,15 @@ class StateSpec:
             if not spec.is_file and spec.default is not None
         }
 
-    def validate_state(self, state: dict[str, object]) -> None:
+    def validate_state(self, state: Mapping[str, object]) -> None:
         """Check a structured-state dict against the schema.
 
         Unknown keys are rejected; FILE keys may not appear (they are
         managed through the object store, not object state writes).
         """
+        by_name = self._by_name
         for key, value in state.items():
-            spec = self.get(key)
+            spec = by_name.get(key)
             if spec is None:
                 raise ValidationError(f"unknown state key {key!r}")
             if spec.is_file:

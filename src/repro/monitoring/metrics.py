@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from collections import deque
-from dataclasses import dataclass
+from array import array
 from typing import Iterator, Mapping
 
 from repro.errors import ValidationError
@@ -146,7 +145,8 @@ class Histogram:
         self._rng = random.Random(zlib.crc32(seed_text.encode("utf-8", "replace")))
 
     def record(self, value: float) -> None:
-        value = _checked_value("histogram", self.name, value)
+        if type(value) is not float or not math.isfinite(value):
+            value = _checked_value("histogram", self.name, value)
         self._count += 1
         self._sum += value
         if self._max is None or value > self._max:
@@ -197,18 +197,16 @@ class Histogram:
         return self._max if self._max is not None else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class _WindowSample:
-    at: float
-    value: float
-    ok: bool
-
-
 class SlidingWindow:
     """Completions over the trailing ``window_s`` seconds.
 
     Feeds the optimizer's live view of a class: throughput, error rate,
     and latency percentiles, all evicting samples older than the window.
+
+    A sample is a row in three unboxed columns — completion time,
+    latency, failed — not an object: rows before ``_head`` are evicted
+    and compacted away in bulk, and ``_failures`` counts the failed rows
+    still in the window.
 
     Eviction semantics: a sample *exactly* at ``now - window_s`` is
     retained (the cutoff comparison is strict), and eviction assumes
@@ -217,41 +215,64 @@ class SlidingWindow:
     survives until everything in front of it ages out.
     """
 
+    #: Evicted rows the columns may hold before they are compacted (and
+    #: never more than the live ones), so a row costs O(1) amortised.
+    COMPACT_AFTER = 1024
+
     def __init__(self, window_s: float = 30.0) -> None:
         if window_s <= 0:
             raise ValidationError(f"window must be > 0, got {window_s}")
         self.window_s = window_s
-        self._samples: deque[_WindowSample] = deque()
+        self._at = array("d")
+        self._latency = array("d")
+        self._failed = array("b")
+        self._head = 0
+        self._failures = 0
 
     def record(self, now: float, latency_s: float, ok: bool = True) -> None:
-        self._samples.append(_WindowSample(now, latency_s, ok))
-        self._evict(now)
+        self._at.append(now)
+        self._latency.append(latency_s)
+        self._failed.append(not ok)
+        if not ok:
+            self._failures += 1
+        if self._at[self._head] < now - self.window_s:
+            self._evict(now)
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window_s
-        while self._samples and self._samples[0].at < cutoff:
-            self._samples.popleft()
+        at, failed, head, end = self._at, self._failed, self._head, len(self._at)
+        while head < end and at[head] < cutoff:
+            self._failures -= failed[head]
+            head += 1
+        if head > self.COMPACT_AFTER and 2 * head > end:
+            del at[:head]
+            del self._latency[:head]
+            del failed[:head]
+            head = 0
+        self._head = head
 
     def throughput(self, now: float) -> float:
         """Completions/second over the trailing window."""
         self._evict(now)
-        if not self._samples:
+        rows = len(self)
+        if not rows:
             return 0.0
-        span = min(self.window_s, max(now - self._samples[0].at, 1e-9))
-        return len(self._samples) / span
+        span = min(self.window_s, max(now - self._at[self._head], 1e-9))
+        return rows / span
 
     def error_rate(self, now: float) -> float:
         self._evict(now)
-        if not self._samples:
+        rows = len(self)
+        if not rows:
             return 0.0
-        return sum(1 for s in self._samples if not s.ok) / len(self._samples)
+        return self._failures / rows
 
     def latency_percentile(self, now: float, pct: float) -> float:
         self._evict(now)
-        return nearest_rank(sorted(s.value for s in self._samples), pct)
+        return nearest_rank(sorted(self._latency[self._head:]), pct)
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._at) - self._head
 
 
 class MetricsRegistry:

@@ -146,9 +146,75 @@ class Gateway:
         return self.env.process(self._handle(request))
 
     def _handle(self, http: HttpRequest) -> Generator[Any, Any, HttpResponse]:
+        # One generator from routing to response: every kernel resume of
+        # a request passes through one gateway frame, not two.
         self.requests += 1
         try:
-            return (yield from self._handle_inner(http))
+            invocation = self._route(http)
+            if invocation is None:
+                admin = self.admin_route(http)
+                if admin is not None:
+                    if self.overhead_s:
+                        yield self.env.timeout(self.overhead_s)
+                    if isinstance(admin, HttpResponse):
+                        return admin
+                    return (yield from admin)
+            if not isinstance(invocation, InvocationRequest):
+                # A listing, a 405 or nobody's route: answered here.
+                if self.overhead_s:
+                    yield self.env.timeout(self.overhead_s)
+                return no_route(http) if invocation is None else invocation
+            origin = None
+            if self.engine.federation is not None:
+                # The engine geo-routes: tell it where the request came from.
+                origin = http.headers.get("x-origin-zone") or self.default_origin_zone
+            admitted = False
+            if self.qos is not None:
+                # Admission runs before any overhead is spent: a rejected
+                # request costs the platform (almost) nothing, which is what
+                # makes declared throughput enforceable under flood.
+                cls = invocation.cls or split_object_id(invocation.object_id)[0]
+                decision = self.qos.admit_http(cls)
+                if not decision.admitted:
+                    self.rejected += 1
+                    # Per-class rate refusals are the client's fault (429);
+                    # a full platform ceiling is the platform's (503).
+                    if decision.reason == REJECT_CONCURRENCY:
+                        status, error_type = 503, "OverloadError"
+                    else:
+                        status, error_type = 429, "RateLimitedError"
+                    return HttpResponse(
+                        status,
+                        {
+                            "error": (
+                                f"admission rejected ({decision.reason}) for "
+                                f"class {decision.cls or '?'}"
+                            ),
+                            "type": error_type,
+                            "retry_after_s": round(decision.retry_after_s, 6),
+                        },
+                    )
+                admitted = True
+            try:
+                # _route built this request and nobody else holds it yet:
+                # origin and trace context are stamped into it, not copied.
+                span = None
+                if self.tracer.enabled:
+                    trace_id = invocation.request_id
+                    span = self.tracer.start(trace_id, f"gateway {http.method} {http.path}")
+                    invocation.stamp(origin, trace_id, span.span_id)
+                elif origin is not None:
+                    invocation.stamp(origin)
+                if self.overhead_s:
+                    yield self.env.timeout(self.overhead_s)
+                result = yield from self.engine.invoke_steps(invocation)
+                response = result_response(invocation, result)
+                if span is not None:
+                    self.tracer.finish(span, status=response.status)
+                return response
+            finally:
+                if admitted:
+                    self.qos.release_http()
         except OaasError as exc:
             # Defensive boundary: platform errors raised outside the
             # engine (routing, listing) still produce structured payloads.
@@ -168,72 +234,6 @@ class Gateway:
                 break
             admin = plane.admin_route(http)
         return admin
-
-    def _handle_inner(self, http: HttpRequest) -> Generator[Any, Any, HttpResponse]:
-        invocation = self._route(http)
-        if invocation is None:
-            admin = self.admin_route(http)
-            if admin is not None:
-                if self.overhead_s:
-                    yield self.env.timeout(self.overhead_s)
-                if isinstance(admin, HttpResponse):
-                    return admin
-                return (yield from admin)
-        if not isinstance(invocation, InvocationRequest):
-            # A listing, a 405 or nobody's route: answered here.
-            if self.overhead_s:
-                yield self.env.timeout(self.overhead_s)
-            return no_route(http) if invocation is None else invocation
-        origin = None
-        if self.engine.federation is not None:
-            # The engine geo-routes: tell it where the request came from.
-            origin = http.headers.get("x-origin-zone") or self.default_origin_zone
-        admitted = False
-        if self.qos is not None:
-            # Admission runs before any overhead is spent: a rejected
-            # request costs the platform (almost) nothing, which is what
-            # makes declared throughput enforceable under flood.
-            cls = invocation.cls or split_object_id(invocation.object_id)[0]
-            decision = self.qos.admit_http(cls)
-            if not decision.admitted:
-                self.rejected += 1
-                # Per-class rate refusals are the client's fault (429);
-                # a full platform ceiling is the platform's (503).
-                if decision.reason == REJECT_CONCURRENCY:
-                    status, error_type = 503, "OverloadError"
-                else:
-                    status, error_type = 429, "RateLimitedError"
-                return HttpResponse(
-                    status,
-                    {
-                        "error": (
-                            f"admission rejected ({decision.reason}) for "
-                            f"class {decision.cls or '?'}"
-                        ),
-                        "type": error_type,
-                        "retry_after_s": round(decision.retry_after_s, 6),
-                    },
-                )
-            admitted = True
-        try:
-            # _route built this request and nobody else holds it yet:
-            # origin and trace context are stamped into it, not copied.
-            span = None
-            if self.tracer.enabled:
-                trace_id = invocation.request_id
-                span = self.tracer.start(trace_id, f"gateway {http.method} {http.path}")
-                invocation.stamp(origin, trace_id, span.span_id)
-            elif origin is not None:
-                invocation.stamp(origin)
-            if self.overhead_s:
-                yield self.env.timeout(self.overhead_s)
-            result = yield from self.engine.invoke_steps(invocation)
-            response = result_response(invocation, result)
-            self.tracer.finish(span, status=response.status)
-            return response
-        finally:
-            if admitted:
-                self.qos.release_http()
 
     def _storage_route(
         self, http: HttpRequest
@@ -283,7 +283,7 @@ class Gateway:
         return HttpResponse(200, body)
 
     def _route(self, http: HttpRequest) -> InvocationRequest | HttpResponse | None:
-        parts = [p for p in http.path.split("/") if p]
+        parts = list(filter(None, http.path.split("/")))  # no empty segments
         if len(parts) < 2 or parts[0] != "api":
             return None
         if parts[1] == "classes" and len(parts) == 3 and http.method == "POST":

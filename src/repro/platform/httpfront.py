@@ -44,6 +44,11 @@ __all__ = ["AsyncPlatformServer"]
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Seconds a connection may take to deliver a request's head (idle
+#: keep-alive included), then its declared body; past either it is
+#: answered 408 and closed, so a client trickling bytes holds no task.
+_HEAD_TIMEOUT_S = 30.0
+_BODY_TIMEOUT_S = 30.0
 
 
 class AsyncPlatformServer:
@@ -189,6 +194,16 @@ class AsyncPlatformServer:
                     )
                     await writer.drain()
                     return
+                except TimeoutError:
+                    self._write_response(
+                        writer,
+                        HttpResponse(
+                            408,
+                            {"error": "request not received in time", "type": "RequestTimeout"},
+                        ),
+                    )
+                    await writer.drain()
+                    return
                 if request is None:
                     return
                 response = await self._respond(request)
@@ -202,37 +217,41 @@ class AsyncPlatformServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> HttpRequest | None:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            return None
-        if len(head) > _MAX_HEADER_BYTES:
-            return None
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) < 2:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        headers = {}
-        for line in lines[1:]:
-            if ":" in line:
-                key, _, value = line.partition(":")
-                headers[key.strip().lower()] = value.strip()
-        declared = headers.get("content-length", "0") or "0"
-        if not declared.isdecimal():
-            raise ValidationError(f"malformed Content-Length {declared!r}")
-        length = int(declared)
-        if length > _MAX_BODY_BYTES:
-            return None
-        body: dict[str, Any] = {}
-        if length:
-            raw = await reader.readexactly(length)
+        # One timer per request: the head's deadline, moved once for the
+        # body.  ``TimeoutError`` when either is missed.
+        async with asyncio.timeout(_HEAD_TIMEOUT_S) as deadline:
             try:
-                parsed = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                parsed = None
-            if isinstance(parsed, dict):
-                body = parsed
+                head = await reader.readuntil(b"\r\n\r\n")
+            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+                return None
+            if len(head) > _MAX_HEADER_BYTES:
+                return None
+            lines = head.decode("latin-1").split("\r\n")
+            parts = lines[0].split(" ")
+            if len(parts) < 2:
+                return None
+            method, path = parts[0].upper(), parts[1]
+            headers = {}
+            for line in lines[1:]:
+                if ":" in line:
+                    key, _, value = line.partition(":")
+                    headers[key.strip().lower()] = value.strip()
+            declared = headers.get("content-length", "0") or "0"
+            if not declared.isdecimal():
+                raise ValidationError(f"malformed Content-Length {declared!r}")
+            length = int(declared)
+            if length > _MAX_BODY_BYTES:
+                return None
+            body: dict[str, Any] = {}
+            if length:
+                deadline.reschedule(asyncio.get_running_loop().time() + _BODY_TIMEOUT_S)
+                raw = await reader.readexactly(length)
+                try:
+                    parsed = json.loads(raw.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    parsed = None
+                if isinstance(parsed, dict):
+                    body = parsed
         return HttpRequest(method, path, body)
 
     async def _respond(self, http: HttpRequest) -> HttpResponse:
@@ -284,6 +303,7 @@ _REASONS = {
     403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     429: "Too Many Requests",
     500: "Internal Server Error",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import SchedulingError
 
@@ -97,6 +98,9 @@ class WorkerStateMachine:
     def __init__(self, initial: WorkerState = WorkerState.REGISTERED) -> None:
         self.state = initial
         self.history: list[Transition] = []
+        #: Told after every transition: the pool this worker belongs to
+        #: (``DispatchCore.add_worker`` sets it) keeps its eligible set.
+        self.on_transition: Callable[[], None] | None = None
 
     # -- queries -----------------------------------------------------------
 
@@ -139,6 +143,8 @@ class WorkerStateMachine:
         record = Transition(at=at, source=self.state, target=target, reason=reason)
         self.state = target
         self.history.append(record)
+        if self.on_transition is not None:
+            self.on_transition()
         return record
 
     # -- invariants --------------------------------------------------------

@@ -153,6 +153,9 @@ class DispatchCore:
         self.heartbeats = 0
         self._unassigned: deque["InvocationRequest"] = deque()
         self._classes: list[str] = []
+        #: class (``None``: unknown) -> its eligible ports in name order,
+        #: kept until a worker joins, changes phase or installs a class.
+        self._eligible: dict[str | None, tuple[WorkerPort, ...]] = {}
         #: object id -> its rendezvous winner among ``_winners_pool``,
         #: the eligible ports of the latest pick.
         self._winners: dict[str, WorkerPort] = {}
@@ -163,6 +166,8 @@ class DispatchCore:
     def add_worker(self, worker: WorkerPort) -> None:
         self.workers[worker.name] = worker
         self.registrations.append(worker)
+        worker.machine.on_transition = self._eligible.clear
+        self._eligible.clear()
 
     def note_class(self, cls: str) -> None:
         """A class runtime was (re)deployed; remember it for eligibility."""
@@ -205,24 +210,28 @@ class DispatchCore:
         # runtime.  In-process ports install nothing: the engine they
         # call resolves every class (and fails unknown ones, typed).
         cls = request_class(request)
-        eligible = [
-            worker
-            for _, worker in sorted(self.workers.items())
-            if worker.machine.is_dispatchable
-            and (cls is None or cls in worker.installed)
-        ]
-        if not eligible:
-            return None
+        pool = self._eligible.get(cls)
+        if pool is None:
+            pool = tuple(
+                worker
+                for _, worker in sorted(self.workers.items())
+                if worker.machine.is_dispatchable
+                and (cls is None or cls in worker.installed)
+            )
+            if not pool:
+                # Not kept: a parked request is picked again when an
+                # install lands, whoever reports it.
+                return None
+            self._eligible[cls] = pool
         # An object's rendezvous winner only moves when the eligible
         # pool does: score it against the pool once, not once per submit.
-        pool = tuple(eligible)
         if pool != self._winners_pool:
             self._winners_pool = pool
             self._winners.clear()
         winner = self._winners.get(request.object_id)
         if winner is None:
             winner = self._winners[request.object_id] = max(
-                eligible, key=lambda w: rendezvous_score(request.object_id, w.name)
+                pool, key=lambda w: rendezvous_score(request.object_id, w.name)
             )
         return winner
 
@@ -310,6 +319,7 @@ class DispatchCore:
 
     def worker_installed(self, worker: WorkerPort, cls: str) -> None:
         worker.installed.add(cls)
+        self._eligible.clear()
         self._emit("scheduler.install", worker=worker.name, cls=cls)
         if worker.machine.is_dispatchable:
             self.flush_unassigned()

@@ -95,10 +95,14 @@ class DhtModel:
             )
 
 
+#: ``json.dumps`` with these arguments builds this encoder on every put.
+_ENCODE_JSON = json.JSONEncoder(separators=(",", ":"), default=str).encode
+
+
 def doc_size_bytes(doc: dict[str, Any]) -> int:
     """Approximate wire size of a record (JSON encoding)."""
     try:
-        return len(json.dumps(doc, separators=(",", ":"), default=str))
+        return len(_ENCODE_JSON(doc))
     except (TypeError, ValueError):
         return 512
 
@@ -432,7 +436,10 @@ class Dht:
             or queue._buffer
             or queue._inflight is not None
         ):
-            yield from queue.enqueue_blocking(stored)
+            if queue.has_room(key):
+                queue.enqueue(stored)
+            else:
+                yield from queue.enqueue_blocking(stored)
         if self._durability is not None:
             yield from self._durability.on_put(stored)
         return stored

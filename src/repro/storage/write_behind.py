@@ -135,6 +135,12 @@ class WriteBehindQueue:
         if was_empty:
             self._arrival.fire()
 
+    def has_room(self, key: str) -> bool:
+        """Whether :meth:`enqueue_blocking` of ``key`` would go through
+        without waiting for space: a coalescing update (same id already
+        buffered) always does."""
+        return key in self._buffer or len(self._buffer) < self.config.max_pending
+
     def enqueue_blocking(self, doc: dict[str, Any]) -> Generator:
         """Buffer a document, waiting while the buffer is at capacity.
 
@@ -143,7 +149,7 @@ class WriteBehindQueue:
         key = doc.get("id")
         if not key:
             raise StorageError("write-behind document without 'id'")
-        while key not in self._buffer and len(self._buffer) >= self.config.max_pending:
+        while not self.has_room(key):
             self.blocked_enqueues += 1
             yield self._space.wait()
         self.enqueue(doc)

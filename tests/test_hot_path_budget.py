@@ -14,17 +14,23 @@ from doing less.  A third arm, planes off again, issues only immutable
 ``peek``s and holds what a read may not decide again per request: the
 class runtime looked up at most once per step, the pod picked without
 per-pod properties, the handler's kind taken from its registration —
-with the dispatches per peek and the final clock pinned.
+with the dispatches per peek and the final clock pinned.  A fourth arm,
+planes off with sync and async adds after a warm-up, holds what a write
+may not redo per request: no JSON encoder built per put, no object kept
+per latency observation, no sort of the worker pool per async submit —
+with the dispatches per op and the final clock pinned.
 docs/architecture.md, "Hot-path rules", says what keeps them there.
 """
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import inspect
 import json
 import random
 
+import repro.scheduler.transport.core
 import repro.storage.dht
 import repro.storage.kv
 from repro.durability.plane import DurabilityConfig
@@ -57,7 +63,9 @@ ASYNC_ADDS = 100
 
 #: Per operation over the whole run (sync + async), except copies:
 #: top-level document copies per *sync* add, write-behind flush included.
-BUDGET = {"dispatches": 10.5, "md5": 1.0, "json_dumps": 1.0, "copies_per_sync_add": 3.0}
+#: ``json_encodes`` counts encoder passes — ``json.dumps`` calls plus
+#: calls of the DHT's module-level encoder, which sizes every put.
+BUDGET = {"dispatches": 10.5, "md5": 1.0, "json_encodes": 1.0, "copies_per_sync_add": 3.0}
 
 
 def add(ctx):
@@ -113,11 +121,13 @@ def run_workload(monkeypatch, seed=7):
 
     md5 = CallCounter(hashlib.md5)
     dumps = CallCounter(json.dumps)
+    encodes = CallCounter(repro.storage.dht._ENCODE_JSON)
     # The modules' own names: a recursive step inside the copier is not
     # a top-level copy, only a call from the DHT or the store is.
     copies = CallCounter(repro.storage.dht.copy_doc)
     monkeypatch.setattr(hashlib, "md5", md5)
     monkeypatch.setattr(json, "dumps", dumps)
+    monkeypatch.setattr(repro.storage.dht, "_ENCODE_JSON", encodes)
     monkeypatch.setattr(repro.storage.dht, "copy_doc", copies)
     monkeypatch.setattr(repro.storage.kv, "copy_doc", copies)
     profile = env.enable_profiling()
@@ -147,7 +157,7 @@ def run_workload(monkeypatch, seed=7):
     counts = {
         "dispatches": (profile.total_dispatches - dispatched) / ops,
         "md5": md5.calls / ops,
-        "json_dumps": dumps.calls / ops,
+        "json_encodes": (dumps.calls + encodes.calls) / ops,
         "copies_per_sync_add": sync_copies / SYNC_ADDS,
     }
     monkeypatch.undo()
@@ -401,3 +411,98 @@ def test_reads_look_nothing_up_per_request_that_was_decided_at_deploy(monkeypatc
     assert not over, f"read path over budget (count, budget): {over}; all counts: {counts}"
     assert counts["dispatches_per_op"] == READ_DISPATCHES_PER_OP
     assert counts["final_now"] == READ_FINAL_NOW
+
+
+# -- the write path ---------------------------------------------------------------
+
+#: Exact for the seed, and equal to what the same script measured on the
+#: commit before the write path decided its per-request facts once
+#: (where each put built a ``JSONEncoder``, each observation was an
+#: object in a deque and each async submit sorted the worker pool): no
+#: event was added, removed or moved.
+WRITE_DISPATCHES_PER_OP = 5103 / 500
+WRITE_FINAL_NOW = 2.2189624680000155
+#: Per put: JSON encoders built; per latency observation: objects the
+#: class's window holds; per async submit: sorts of the worker pool.
+WRITE_BUDGET = {"encoders_per_put": 0, "objects_per_observation": 0, "sorts_per_submit": 0}
+
+
+def objects_held(window):
+    """Python objects the window's attributes hold (types aside): one
+    per row for rows kept as objects, none for rows kept in columns."""
+    return sum(
+        not isinstance(referent, type)
+        for value in vars(window).values()
+        for referent in gc.get_referents(value)
+    )
+
+
+def run_write_workload(monkeypatch, seed=7):
+    platform = make_platform(ORDER_YAML, {"budget/add": (add, 0.002)}, nodes=3, seed=seed)
+    ids = [
+        platform.new_object("Order", {"note": "x" * 64}, object_id=f"o-{index}")
+        for index in range(OBJECTS)
+    ]
+    platform.flush()
+    rng = random.Random(seed)
+    env = platform.env
+    dht = platform.crm.runtime("Order").dht
+    window = platform.monitoring.for_class("Order").window
+    acknowledged = []
+
+    def sync_client(targets):
+        for oid in targets:
+            reply = yield platform.gateway.handle(
+                HttpRequest("POST", f"/api/objects/{oid}/invokes/add", {"n": 1})
+            )
+            acknowledged.append(reply.status == 200)
+
+    def async_client(targets):
+        for oid in targets:
+            result = yield platform.invoke_async(oid, "add", {"n": 1})
+            acknowledged.append(result.ok)
+
+    def run_clients(client, targets):
+        env.run(until=all_of(env, [env.process(client(own)) for own in targets]))
+        platform.flush()
+
+    # Warm: every client has sent both kinds once, so the worker pool's
+    # eligible ports are known.
+    run_clients(sync_client, draw_targets(rng, ids, CLIENTS))
+    run_clients(async_client, draw_targets(rng, ids, CLIENTS))
+
+    encoders = counted(monkeypatch, json.JSONEncoder, "__init__")
+    sorts = CallCounter(sorted)
+    # ``sorted`` as the dispatch core's module sees it.
+    monkeypatch.setattr(repro.scheduler.transport.core, "sorted", sorts, raising=False)
+    profile = env.enable_profiling()
+    dispatched = profile.total_dispatches
+    puts, observed = dht.puts, len(window)
+    run_clients(sync_client, draw_targets(rng, ids, SYNC_ADDS))
+    run_clients(async_client, draw_targets(rng, ids, ASYNC_ADDS))
+    ops = SYNC_ADDS + ASYNC_ADDS
+    counts = {
+        "encoders_per_put": encoders.calls / (dht.puts - puts),
+        "objects_per_observation": objects_held(window) / (len(window) - observed),
+        "sorts_per_submit": sorts.calls / ASYNC_ADDS,
+        "dispatches_per_op": (profile.total_dispatches - dispatched) / ops,
+    }
+    monkeypatch.undo()
+    totals = sum(platform.get_object(oid)["state"]["total"] for oid in ids)
+    platform.shutdown()
+    counts["final_now"] = env.now
+    assert all(acknowledged) and len(acknowledged) == 2 * CLIENTS + ops
+    assert totals == 2 * CLIENTS + ops
+    return counts
+
+
+def test_writes_redo_nothing_per_request_that_was_decided_before_it(monkeypatch):
+    counts = run_write_workload(monkeypatch)
+    over = {
+        name: (counts[name], budget)
+        for name, budget in WRITE_BUDGET.items()
+        if counts[name] > budget
+    }
+    assert not over, f"write path over budget (count, budget): {over}; all counts: {counts}"
+    assert counts["dispatches_per_op"] == WRITE_DISPATCHES_PER_OP
+    assert counts["final_now"] == WRITE_FINAL_NOW

@@ -818,6 +818,51 @@ class TestHttpFrontEnd:
         run_async(scenario())
         platform.shutdown()
 
+    @pytest.mark.parametrize("stall", ["head", "body"])
+    def test_a_trickling_client_is_answered_408_and_closed(self, monkeypatch, stall):
+        """Slow-loris: a client that sends its head (or its declared
+        body) a byte at a time never completes it; past the deadline the
+        front answers 408 and closes instead of holding the connection
+        and its task forever."""
+        import repro.platform.httpfront as httpfront
+        from tests.helpers import listing1_platform
+
+        monkeypatch.setattr(httpfront, "_HEAD_TIMEOUT_S", 0.3, raising=False)
+        monkeypatch.setattr(httpfront, "_BODY_TIMEOUT_S", 0.3, raising=False)
+        platform = listing1_platform(
+            scheduler=SchedulerConfig(enabled=True, transport="asyncio", pool_size=1)
+        )
+
+        async def trickle(writer):
+            if stall == "body":
+                writer.write(b"POST /api/classes/Image HTTP/1.1\r\nContent-Length: 64\r\n\r\n{")
+            else:
+                writer.write(b"GET /api/workers HTTP/1.1\r\nX-Pad: ")
+            try:
+                while True:
+                    await asyncio.sleep(0.05)
+                    writer.write(b"a")
+                    await writer.drain()
+            except ConnectionError:
+                pass
+
+        async def scenario():
+            front = await platform.serve_http()
+            reader, writer = await asyncio.open_connection(front.host, front.port)
+            sender = asyncio.ensure_future(trickle(writer))
+            try:
+                answer = await asyncio.wait_for(reader.read(), 5)
+            finally:
+                sender.cancel()
+                writer.close()
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.split(b" ")[1:3] == [b"408", b"Request"]
+            assert json.loads(body)["type"] == "RequestTimeout"
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        run_async(scenario())
+        platform.shutdown()
+
     def test_serve_http_requires_asyncio_transport(self):
         from repro.errors import ValidationError
         from tests.helpers import make_platform
