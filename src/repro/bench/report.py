@@ -8,27 +8,11 @@ visible straight from a terminal.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Sequence
 
 from repro.bench.scalability import Fig3Row
+from repro.render import format_table
 
 __all__ = ["format_table", "format_fig3", "format_fig3_chart"]
-
-
-def format_table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render an aligned plain-text table."""
-    materialized = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in header]
-    for row in materialized:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in materialized:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
 
 
 def format_fig3(rows: list[Fig3Row]) -> str:

@@ -84,6 +84,11 @@ class PlatformEvent:
     def to_dict(self) -> dict[str, Any]:
         return {"seq": self.seq, "at": self.at, "type": self.type, **self.fields}
 
+    def render(self) -> str:
+        """The event's one listing line."""
+        attrs = " ".join(f"{k}={v}" for k, v in self.fields.items())
+        return f"[{self.at:10.4f}s] {self.type:<20} {attrs}".rstrip()
+
 
 class EventLog:
     """Collects platform events into a bounded buffer, stamped with
@@ -137,18 +142,15 @@ class EventLog:
         return iter(self._events)
 
     def render(self, type: str | None = None, limit: int | None = None) -> str:
-        """A human-readable listing (newest last)."""
+        """A human-readable listing (newest last): the newest ``limit``
+        events, so ``limit=0`` selects none."""
         selected = self.events(type)
         if limit is not None:
-            selected = selected[-limit:]
+            selected = selected[-limit:] if limit > 0 else []
         if not selected:
             scope = f" of type {type!r}" if type else ""
             return f"(no events{scope})"
-        lines = []
-        for event in selected:
-            attrs = " ".join(f"{k}={v}" for k, v in event.fields.items())
-            lines.append(f"[{event.at:10.4f}s] {event.type:<20} {attrs}".rstrip())
-        return "\n".join(lines)
+        return "\n".join(event.render() for event in selected)
 
 
 def emit(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
+from repro.render import render
 from repro.stats import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -151,106 +152,30 @@ def summary_report(
     return report
 
 
+#: The summary's own keys.  Every other section of an observability
+#: report is a plane's ``stats()`` (or the metrics plane's SLO report);
+#: the NFR verdicts print through ``format_nfr_report``.
+_SUMMARY_KEYS = ("spans", "span_count", "events", "event_count", "classes", "nfr")
+
+
 def format_summary(report: Mapping[str, Any]) -> str:
-    """Render :func:`summary_report` output as readable text."""
+    """Render :func:`summary_report` output, and every plane section of
+    an observability report, as readable text."""
     lines: list[str] = ["=== observability summary ==="]
-    spans = report.get("spans") or {}
-    if spans:
-        lines.append(f"\nspan latency breakdown ({report.get('span_count', 0)} spans):")
-        lines.append(f"  {'phase':<16} {'count':>8} {'mean_ms':>10} {'p95_ms':>10} {'max_ms':>10}")
-        for name, stats in spans.items():
-            lines.append(
-                f"  {name:<16} {stats['count']:>8.0f} {stats['mean_ms']:>10.3f} "
-                f"{stats['p95_ms']:>10.3f} {stats['max_ms']:>10.3f}"
-            )
+    if report.get("spans"):
+        lines.append(f"\nspan latency breakdown ({report['span_count']} spans):")
+        lines.append(render(report["spans"]))
     elif "span_count" in report:
         lines.append("\nno finished spans recorded (is tracing enabled?)")
-    event_counts = report.get("events") or {}
-    if event_counts:
-        lines.append(f"\ncontrol-plane events ({report.get('event_count', 0)} total):")
-        for etype in sorted(event_counts):
-            lines.append(f"  {etype:<22} {event_counts[etype]}")
+    if report.get("events"):
+        lines.append(f"\ncontrol-plane events ({report['event_count']} total):")
+        lines.append(render(dict(sorted(report["events"].items()))))
     elif "event_count" in report:
         lines.append("\nno control-plane events recorded (is the event log enabled?)")
-    qos = report.get("qos") or {}
-    if qos:
-        admission = qos.get("admission") or {}
-        fair_queue = qos.get("fair_queue") or {}
-        shedder = qos.get("shedder") or {}
-        lines.append("\nqos enforcement plane:")
-        for cls in sorted(admission):
-            row = admission[cls]
-            lines.append(
-                f"  {cls:<16} admitted={row['admitted']} "
-                f"rejected_rate={row['rejected_rate']} "
-                f"rejected_concurrency={row['rejected_concurrency']}"
-            )
-        if fair_queue:
-            lines.append(
-                f"  fair queue: pushed={fair_queue.get('pushed', 0)} "
-                f"served={fair_queue.get('served', 0)} "
-                f"depth={fair_queue.get('depth', 0)}"
-            )
-        if shedder:
-            shed_by_class = shedder.get("shed_by_class") or {}
-            shed = " ".join(
-                f"{cls}={count}" for cls, count in sorted(shed_by_class.items())
-            )
-            lines.append(
-                f"  shedder: passes={shedder.get('passes', 0)} "
-                f"shed={shedder.get('shed_total', 0)}"
-                + (f" ({shed})" if shed else "")
-            )
-    durability = report.get("durability") or {}
-    if durability:
-        dur_classes = durability.get("classes") or {}
-        lines.append("\ndurability plane:")
-        lines.append(
-            f"  cuts={durability.get('cuts_total', 0)} "
-            f"epoch_writes={durability.get('epoch_writes_total', 0)} "
-            f"recoveries={durability.get('recoveries_total', 0)} "
-            f"restores={durability.get('restores_total', 0)}"
-        )
-        for cls in sorted(dur_classes):
-            row = dur_classes[cls]
-            policy = row.get("policy") or {}
-            parts = [f"  {cls:<16} mode={policy.get('mode', '?')}"]
-            if "cuts_taken" in row:
-                parts.append(
-                    f"cuts={row['cuts_taken']} generations={row['generation_count']} "
-                    f"bytes={row['snapshot_bytes']}"
-                )
-            recovery = row.get("last_recovery")
-            if recovery:
-                parts.append(
-                    f"rpo={recovery['rpo_s']:.4f}s rto={recovery['rto_s']:.4f}s "
-                    f"lost={recovery['lost_writes']}"
-                )
-            lines.append(" ".join(parts))
-    classes = report.get("classes") or {}
-    if classes:
+    if report.get("classes"):
         lines.append("\nper-class data plane:")
-        for cls in sorted(classes):
-            row = classes[cls]
-            parts = [f"  {cls}:"]
-            if "completed" in row:
-                parts.append(
-                    f"ok={row['completed']} err={row['failed']} "
-                    f"rps={row['throughput_rps']:.1f} p99={row['latency_p99_ms']:.1f}ms"
-                )
-            if "dht_hit_rate" in row:
-                parts.append(
-                    f"dht_hit={row['dht_hit_rate'] * 100:.0f}% "
-                    f"wb_pending={row['dht_pending_writes']} "
-                    f"cold_starts={row['cold_starts']} queue={row['queue_depth']}"
-                )
-            if row.get("read_coalesced") or row.get("near_hits") or row.get(
-                "batched_reads"
-            ):
-                parts.append(
-                    f"coalesced={row['read_coalesced']} "
-                    f"near_hits={row['near_hits']} "
-                    f"batched_reads={row['batched_reads']}"
-                )
-            lines.append(" ".join(parts))
+        lines += [render(row, cls) for cls, row in sorted(report["classes"].items())]
+    for name, section in report.items():
+        if name not in _SUMMARY_KEYS:
+            lines += ["", render(section, f"{name} plane")]
     return "\n".join(lines)

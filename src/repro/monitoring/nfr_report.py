@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.monitoring.nfr_table import NfrVerdict, class_rows
+from repro.render import render
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.monitoring.collector import MonitoringSystem
@@ -46,19 +47,6 @@ def format_nfr_report(verdicts: list[NfrVerdict]) -> str:
     """Render verdicts as a per-class compliance table."""
     if not verdicts:
         return "(no classes declare QoS requirements)"
-    lines = [
-        f"{'class':<16} {'requirement':<26} {'target':>10} {'observed':>10} "
-        f"{'margin':>10}  verdict"
-    ]
-    for v in verdicts:
-        mark = "met" if v.met else "VIOLATED"
-        # Availability targets like 0.999 need more precision than
-        # millisecond/rps targets to be distinguishable from 1.0.
-        digits = 4 if v.requirement.startswith("availability") else 2
-        lines.append(
-            f"{v.cls:<16} {v.requirement:<26} {v.target:>10.{digits}f} "
-            f"{v.observed:>10.{digits}f} {v.margin:>+10.{digits}f}  {mark}"
-        )
+    rows = [{**v.to_dict(), "verdict": "met" if v.met else "VIOLATED"} for v in verdicts]
     violated = sum(1 for v in verdicts if not v.met)
-    lines.append(f"{len(verdicts)} requirement(s) checked, {violated} violated")
-    return "\n".join(lines)
+    return f"{render(rows)}\n{len(verdicts)} requirement(s) checked, {violated} violated"

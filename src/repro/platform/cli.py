@@ -1,57 +1,12 @@
 """``ocli`` — the Oparaca command-line interface (tutorial step 2).
 
-Commands:
-
-* ``ocli validate <package>``  — parse and resolve a package file.
-* ``ocli show <package> [--cls NAME]`` — print resolved class details.
-* ``ocli templates`` — list the provider's class-runtime templates.
-* ``ocli run <package> --new CLS [...]`` — deploy the package on an
-  ephemeral in-process platform, create an object, and invoke functions
-  on it.  Handlers come from ``--handlers module:callable`` (a callable
-  receiving the platform to register images) or ``--auto-handlers``,
-  which registers echoing stub handlers for every image in the package.
-* ``ocli trace <package> --new CLS [...]`` — run the same workload with
-  tracing enabled and print each request's span tree (or export Chrome
-  ``trace_event`` JSON with ``--chrome FILE``).
-* ``ocli events <package> --new CLS [...]`` — run with the control-plane
-  event log enabled and print what the platform did (placements, scale
-  decisions, cold starts, ...).
-* ``ocli report <package> --new CLS [...]`` — run with full
-  observability on and print the summary report plus per-class NFR
-  compliance verdicts.
-* ``ocli chaos <package> --new CLS --plan NAME [...]`` — run a steady
-  workload while a named fault plan (node crash, partition, slow pods,
-  storage errors, cold-start storm, overload, mixed) plays out, then
-  print the chaos summary and the NFR report with
-  availability-under-fault rows.
-* ``ocli qos <package> --new CLS [...]`` — run the workload with the
-  QoS enforcement plane on (admission control, weighted-fair async
-  scheduling, load shedding) and print the resolved policies plus
-  admission / fair-queue / shedding statistics.
-* ``ocli metrics <package> --new CLS [...]`` — run the workload with
-  the metrics plane on (labeled instruments, deterministic sim-time
-  scraping) and print the registry as OpenMetrics/Prometheus text (or
-  the JSON snapshot with sampled series via ``--json``).
-* ``ocli slo <package> --new CLS [...]`` — run the workload with the
-  metrics plane and SLO evaluator on (optionally under a fault plan via
-  ``--chaos``) and print each declared objective's budget consumption
-  plus the burn-rate alert history.
-* ``ocli workers <package> --new CLS [...]`` — run the workload with
-  the scheduler plane on (explicit worker pool: registration,
-  heartbeats, per-worker dispatch queues, drain/rebind) and print the
-  worker table, the dispatch ledger audit, and the lifecycle events;
-  ``--drain``/``--crash`` retire a worker mid-run to show handoff.
-* ``ocli snapshot <package> --new CLS [...]`` — run the workload with
-  the durability plane on, take a consistent snapshot cut through the
-  gateway, and print the retained generations.
-* ``ocli restore <package> --new CLS [...]`` — run the workload, cut a
-  snapshot, mutate further, then point-in-time restore the class back
-  to the cut and print the restore summary plus the rewound state.
-* ``ocli query <package> --new CLS [--create STATE ...] --where ...`` —
-  deploy a package, create objects, and run a typed query over the
-  class's declared keySpecs (equality/range/prefix predicates, ordering,
-  limit/cursor pagination); ``--backend sqlite`` answers it from
-  secondary indexes, ``--explain`` prints the plan.
+``ocli --help`` lists the subcommands.  ``validate``, ``show`` and
+``templates`` read a package file or the template catalog; every other
+one deploys the package on an ephemeral in-process platform, makes the
+``--invoke`` calls on a ``--new`` object (handlers from ``--handlers
+module:callable`` or stubs from ``--auto-handlers``) and prints what the
+platform reports: a plane's ``stats()`` reaches text through the one
+renderer, :func:`repro.render.render`, after a one-line workload tally.
 
 Workload commands accept ``--backend {dict,sqlite}`` and ``--db PATH``
 to choose the store engine; with ``--backend sqlite --db FILE`` the
@@ -76,6 +31,7 @@ import contextlib
 import importlib
 import json
 import sys
+from collections import Counter
 from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.chaos import PLAN_NAMES, named_plan
@@ -84,8 +40,11 @@ from repro.durability.plane import DurabilityConfig
 from repro.errors import OaasError
 from repro.federation.plane import FederationConfig
 from repro.model.pkg import Package, load_package
+from repro.monitoring.export import format_summary
+from repro.monitoring.nfr_report import format_nfr_report
 from repro.monitoring.plane import MetricsConfig
 from repro.qos.plane import QosConfig
+from repro.render import render
 from repro.scheduler.plane import SchedulerConfig
 
 __all__ = ["main", "build_parser", "COMMANDS"]
@@ -253,9 +212,10 @@ def _check_usage(args: argparse.Namespace) -> None:
     mis-report."""
     if args.db is not None and args.backend != "sqlite":
         raise _UsageError("--db requires --backend sqlite")
-    for flag in ("rounds", "interval"):
-        if getattr(args, flag, 0) < 0:
-            raise _UsageError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
+    for flag in ("rounds", "interval", "limit", "async_per_round", "requests"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise _UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
 
 
 @contextlib.contextmanager
@@ -326,10 +286,6 @@ class _Driven(NamedTuple):
     #: Answered 429/503: admission or overload refused the request.
     rejected: int
     failed: int
-
-    @property
-    def not_ok(self) -> int:
-        return self.rejected + self.failed
 
 
 def _drive(
@@ -418,15 +374,11 @@ def _print_events(platform, args: argparse.Namespace, _driven) -> int:
     print(platform.events.render(type=args.event_type, limit=args.limit))
     counts = platform.events.type_counts()
     if counts and not args.event_type:
-        summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        print(f"\n{len(platform.events)} event(s): {summary}")
+        print(f"\n{render(dict(sorted(counts.items())), f'{len(platform.events)} event(s)')}")
     return 0
 
 
 def _print_report(platform, args: argparse.Namespace, _driven) -> int:
-    from repro.monitoring.export import format_summary
-    from repro.monitoring.nfr_report import format_nfr_report
-
     report = platform.observability_report()
     if args.as_json:
         print(json.dumps(report, indent=2, default=str))
@@ -437,6 +389,60 @@ def _print_report(platform, args: argparse.Namespace, _driven) -> int:
     return 0
 
 
+def _workload(run: _Driven, args: argparse.Namespace) -> str:
+    """The one workload line a paced command's output opens with."""
+    line = (f"workload: {run.ok} ok / {run.rejected} rejected / {run.failed} failed "
+            f"over {args.rounds} rounds")
+    per_round = getattr(args, "async_per_round", 0)
+    return f"{line} (+{args.rounds * per_round} async submissions)" if per_round else line
+
+
+def _printer(state: Callable[[Any], dict], *extras: Callable[[Any], str]) -> Callable[..., int]:
+    """A paced command's printer: the workload line, ``state(platform)``
+    rendered, then each of ``extras``; ``--json`` prints the state alone."""
+
+    def printer(platform, args: argparse.Namespace, run: _Driven) -> int:
+        report = state(platform)
+        if getattr(args, "as_json", False):
+            print(json.dumps(report, indent=2, default=str))
+        else:
+            print(_workload(run, args), render(report), *(e(platform) for e in extras),
+                  sep="\n")
+        return 0
+
+    return printer
+
+
+def _nfr(platform) -> str:
+    return "\nNFR compliance:\n" + format_nfr_report(platform.nfr_report())
+
+
+def _queue_delay_ms(platform) -> dict[str, Any]:
+    delay = platform.monitoring.registry.histogram("qos.queue_delay_s")
+    return {"n": delay.count, "mean": delay.mean * 1000, "p95": delay.percentile(95) * 1000}
+
+
+def _resilience(engine) -> dict[str, int]:
+    return {"retries": engine.fault_retries, "timeouts": engine.timeouts,
+            "stale_reads": engine.stale_reads, "open_breakers": engine.breakers.open_count()}
+
+
+#: Scheduler events that are traffic, not a worker's lifecycle.
+_TRAFFIC = ("scheduler.dispatch", "scheduler.complete", "scheduler.place")
+
+
+def _lifecycle(platform) -> str:
+    events = [event for event in platform.events if event.type.startswith("scheduler.")
+              and event.type not in _TRAFFIC]
+    return "\n".join([f"\nlifecycle events ({len(events)}):",
+                      *(f"  {event.render()}" for event in events)])
+
+
+def _slo(platform) -> dict[str, Any]:
+    platform.metrics.scraper.scrape_once()
+    return platform.slo_report()
+
+
 def _inject(platform, plan_name: str):
     plan = named_plan(plan_name, list(platform.cluster.node_names))
     platform.inject_chaos(plan)
@@ -445,90 +451,17 @@ def _inject(platform, plan_name: str):
 
 def _cmd_chaos(platform, args: argparse.Namespace) -> _Driven:
     plan = _inject(platform, args.plan)
-    print(f"injecting plan {plan.name!r}:")
-    for fault in plan.describe()["faults"]:
-        print(f"  {json.dumps(fault, default=str)}")
+    print(f"injecting plan {plan.name!r}")
     driven = _drive(platform, args)
     # Let the plan finish (and breakers settle) before judging.
     platform.advance(max(0.0, plan.end_s - platform.now) + 1.0)
     return driven
 
 
-def _print_chaos(platform, args: argparse.Namespace, run: _Driven) -> int:
-    from repro.monitoring.nfr_report import format_nfr_report
-
-    print(f"\nworkload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds")
-    summary = platform.report("chaos")
-    print(
-        f"chaos: injected={summary['injected']} recovered={summary['recovered']} "
-        f"fault_time_s={summary['fault_time_s']:.2f}"
-    )
-    snap = platform.snapshot()
-    print(
-        f"resilience: retries={snap['engine.fault_retries']:.0f} "
-        f"timeouts={snap['engine.timeouts']:.0f} "
-        f"stale_reads={snap['engine.stale_reads']:.0f} "
-        f"open_breakers={snap['engine.open_breakers']:.0f}"
-    )
-    print("\nNFR compliance:")
-    print(format_nfr_report(platform.nfr_report()))
-    return 0
-
-
 def _drive_and_settle(platform, args: argparse.Namespace, halfway=None) -> _Driven:
     driven = _drive(platform, args, halfway=halfway)
     platform.advance(2.0)  # drain the async backlog
     return driven
-
-
-def _print_qos(platform, args: argparse.Namespace, run: _Driven) -> int:
-    from repro.monitoring.nfr_report import format_nfr_report
-
-    print(
-        f"workload: {run.ok} ok / {run.rejected} rejected / {run.failed} failed "
-        f"over {args.rounds} rounds "
-        f"(+{args.rounds * args.async_per_round} async submissions)"
-    )
-    stats = platform.report("qos")
-    print("\nresolved policies:")
-    print(
-        f"  {'class':<16} {'rate_rps':>9} {'burst':>7} {'weight':>7} "
-        f"{'tier':>5} {'deadline_ms':>12}"
-    )
-    for row in stats["policies"]:
-        rate = "-" if row["rate_rps"] is None else f"{row['rate_rps']:.0f}"
-        deadline = "-" if row["deadline_ms"] is None else f"{row['deadline_ms']:.0f}"
-        print(
-            f"  {row['class']:<16} {rate:>9} {row['burst']:>7.1f} "
-            f"{row['weight']:>7} {row['tier']:>5} {deadline:>12}"
-        )
-    print("\nadmission:")
-    for cls, row in stats["admission"].items():
-        print(
-            f"  {cls:<16} admitted={row['admitted']} "
-            f"rejected_rate={row['rejected_rate']} "
-            f"rejected_concurrency={row['rejected_concurrency']}"
-        )
-    fq = stats["fair_queue"]
-    print(
-        f"\nfair queue: pushed={fq['pushed']} served={fq['served']} "
-        f"depth={fq['depth']}"
-    )
-    if "shedder" in stats:
-        shed = stats["shedder"]
-        print(
-            f"shedder: passes={shed['passes']} shed={shed['shed_total']} "
-            f"by_class={shed['shed_by_class']}"
-        )
-    delay = platform.monitoring.registry.histogram("qos.queue_delay_s")
-    if delay.count:
-        print(
-            f"queue delay: n={delay.count} mean={delay.mean * 1000:.2f}ms "
-            f"p95={delay.percentile(95) * 1000:.2f}ms"
-        )
-    print("\nNFR compliance:")
-    print(format_nfr_report(platform.nfr_report()))
-    return 0
 
 
 def _print_metrics(platform, args: argparse.Namespace, run: _Driven) -> int:
@@ -539,13 +472,8 @@ def _print_metrics(platform, args: argparse.Namespace, run: _Driven) -> int:
         print(platform.metrics_report(indent=2))
     else:
         print(platform.metrics_exposition(), end="")
-    stats = platform.metrics.stats()
-    print(
-        f"workload: {run.ok} ok / {run.not_ok} failed; "
-        f"scrapes={stats['scrapes']} series={stats['series']} "
-        f"instruments={stats['instruments']}",
-        file=sys.stderr,
-    )
+    print(_workload(run, args), render(platform.report("metrics"), "metrics"),
+          sep="\n", file=sys.stderr)
     return 0
 
 
@@ -554,47 +482,6 @@ def _cmd_slo(platform, args: argparse.Namespace) -> _Driven:
         plan = _inject(platform, args.chaos_plan)
         print(f"injecting plan {plan.name!r}", file=sys.stderr)
     return _drive(platform, args)
-
-
-def _print_slo(platform, args: argparse.Namespace, run: _Driven) -> int:
-    platform.metrics.scraper.scrape_once()
-    report = platform.slo_report()
-    if args.as_json:
-        print(json.dumps(report, indent=2, default=str))
-        return 0
-    print(f"workload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds")
-    print(f"\nobjectives ({report['evaluations']} evaluations):")
-    for row in report["objectives"]:
-        if row["slo"] == "throughput":
-            print(
-                f"  {row['cls']:<16} {row['slo']:<13} target={row['target']:g}rps "
-                f"observed={row['observed_rps']:.1f}rps"
-            )
-            continue
-        print(
-            f"  {row['cls']:<16} {row['slo']:<13} target={row['target']:g} "
-            f"bad={row['bad']}/{row['total']} "
-            f"budget_consumed={row['budget_consumed']:.2f}"
-        )
-    alerts = report["alerts"]
-    if not alerts:
-        print("\nno SLO alerts fired")
-    else:
-        print(f"\nalerts ({len(alerts)}):")
-        for alert in alerts:
-            resolved = (
-                "firing"
-                if alert["resolved_at"] is None
-                else f"resolved at t={alert['resolved_at']:.2f}s"
-            )
-            print(
-                f"  [{alert['severity']}] {alert['cls']}/{alert['slo']} "
-                f"fired at t={alert['fired_at']:.2f}s ({resolved}) "
-                f"burn={alert['burn_long']:.1f}x/{alert['burn_short']:.1f}x"
-            )
-            if alert["detail"]:
-                print(f"      {alert['detail']}")
-    return 0
 
 
 def _cmd_serve(platform, args: argparse.Namespace) -> int:
@@ -620,7 +507,7 @@ def _cmd_serve(platform, args: argparse.Namespace) -> int:
         writer.close()
         return status, json.loads(data)
 
-    async def drive() -> dict:
+    async def drive() -> None:
         front = await platform.serve_http(port=args.port)
         host, port = front.host, front.port
         print(f"serving on http://{host}:{port} with {args.pool} workers", flush=True)
@@ -662,34 +549,11 @@ def _cmd_serve(platform, args: argparse.Namespace) -> int:
         await asyncio.gather(*[one(i) for i in range(args.requests)])
         _, workers_body = await request(host, port, "GET", "/api/workers")
         report = await front.stop()
-        return {
-            "statuses": statuses,
-            "workers": workers_body,
-            "report": report,
-            "fenced": front.scheduler.fenced,
-        }
+        print("HTTP statuses:", " ".join(f"{k}x{v}" for k, v in sorted(Counter(statuses).items())))
+        print(render({**workers_body, "fenced": front.scheduler.fenced, "stop_report": report}))
 
-    try:
-        outcome = asyncio.run(drive())
-    except KeyboardInterrupt:
-        return 0
-    counts: dict[int, int] = {}
-    for status in outcome["statuses"]:
-        counts[status] = counts.get(status, 0) + 1
-    print("HTTP statuses:", " ".join(f"{k}x{v}" for k, v in sorted(counts.items())))
-    print(f"{'WORKER':<12} {'STATE':<10} {'EPOCH':>5} {'DONE':>5}")
-    for row in outcome["workers"]["workers"]:
-        print(
-            f"{row['worker']:<12} {row['state']:<10} "
-            f"{row['epoch']:>5} {row['completed']:>5}"
-        )
-    audit = outcome["workers"]["ledger"]
-    print(
-        f"ledger: accepted={audit['accepted']} completed={audit['completed']} "
-        f"requeues={audit['requeues']} suppressed={audit['suppressed']} "
-        f"outstanding={audit['outstanding']} fenced={outcome['fenced']}"
-    )
-    print(f"stop report: {outcome['report']}")
+    with contextlib.suppress(KeyboardInterrupt):
+        asyncio.run(drive())
     return 0
 
 
@@ -709,46 +573,6 @@ def _cmd_workers(platform, args: argparse.Namespace) -> _Driven:
     return _drive_and_settle(platform, args, halfway=retire_halfway)
 
 
-def _print_workers(platform, args: argparse.Namespace, run: _Driven) -> int:
-    print(
-        f"workload: {run.ok} ok / {run.not_ok} failed over {args.rounds} rounds "
-        f"(+{args.rounds * args.async_per_round} async submissions through worker queues)"
-    )
-    stats = platform.report("scheduler")
-    print("\nworkers:")
-    print(
-        f"  {'worker':<12} {'state':<10} {'node':<8} {'epoch':>5} "
-        f"{'dispatched':>11} {'completed':>10} {'beats':>6}"
-    )
-    for row in stats["workers"]:
-        print(
-            f"  {row['worker']:<12} {row['state']:<10} {row['node'] or '-':<8} "
-            f"{row['epoch']:>5} {row['dispatched']:>11} {row['completed']:>10} "
-            f"{row['heartbeats']:>6}"
-        )
-    audit = stats["ledger"]
-    print(
-        f"\nledger: accepted={audit['accepted']} completed={audit['completed']} "
-        f"outstanding={audit['outstanding']} requeues={audit['requeues']} "
-        f"suppressed={audit['suppressed']}"
-    )
-    print(
-        f"pool: registrations={stats['registrations']} "
-        f"live={stats['live_workers']} parked_total={stats['parked_total']}"
-    )
-    lifecycle = [
-        event
-        for event in platform.events.events()
-        if event.type.startswith("scheduler.")
-        and event.type not in ("scheduler.dispatch", "scheduler.complete", "scheduler.place")
-    ]
-    print(f"\nlifecycle events ({len(lifecycle)}):")
-    for event in lifecycle:
-        fields = " ".join(f"{k}={v}" for k, v in event.fields.items())
-        print(f"  [{event.at:9.4f}s] {event.type:<22} {fields}")
-    return 0
-
-
 def _snapshot_cut(platform, args: argparse.Namespace) -> tuple[str, dict]:
     """The shared opening of ``snapshot`` and ``restore``: the workload,
     then one cut through the gateway.  Returns ``(object_id, cut_body)``."""
@@ -761,49 +585,15 @@ def _snapshot_cut(platform, args: argparse.Namespace) -> tuple[str, dict]:
 
 def _cmd_snapshot(platform, args: argparse.Namespace) -> int:
     _, cut = _snapshot_cut(platform, args)
-    if cut.get("generation") is None:
-        print(f"nothing to capture for {args.new_cls} (no changes since last cut)")
-    else:
-        print(
-            f"cut generation {cut['generation']} at "
-            f"t={cut['cut_time']:.4f}s: {cut['captured']} object(s)"
-        )
-    listing = platform.http("GET", f"/api/classes/{args.new_cls}/snapshots")
-    print(f"\nretained generations ({listing.body.get('count', 0)}):")
-    for entry in listing.body.get("generations", []):
-        print(
-            f"  gen {entry['generation']:>4} cut_time={entry['cut_time']:.4f}s "
-            f"captured={entry['captured']} tombstones={entry['tombstones']} "
-            f"{entry['kind']} chain={entry['chain']}"
-        )
-    stats = platform.report("durability")
-    row = stats["classes"].get(args.new_cls, {})
-    print(
-        f"\ndurability: cuts={row.get('cuts_taken', 0)} "
-        f"skipped={row.get('cuts_skipped', 0)} "
-        f"bytes={row.get('snapshot_bytes', 0)} "
-        f"epoch_writes={row.get('epoch_writes', 0)}"
-    )
+    print(render(cut, "cut"), render(platform.report("durability"), "durability"), sep="\n")
     return 0
 
 
 def _cmd_restore(platform, args: argparse.Namespace) -> int:
     object_id, cut = _snapshot_cut(platform, args)
-    if cut.get("generation") is None:
-        # The periodic loop already covered the workload; restore from
-        # the latest retained generation instead.
-        listing = platform.http("GET", f"/api/classes/{args.new_cls}/snapshots")
-        generations = listing.body.get("generations", [])
-        if not generations:
-            print(f"error: no snapshot generation of {args.new_cls}", file=sys.stderr)
-            return 1
-        latest = generations[-1]
-        print(
-            f"periodic cut already current: generation {latest['generation']} "
-            f"at t={latest['cut_time']:.4f}s"
-        )
-    else:
-        print(f"cut generation {cut['generation']} at t={cut['cut_time']:.4f}s")
+    # No new generation: the periodic loop already covered the workload,
+    # and the restore takes the latest retained one.
+    print(render(cut, "cut"))
     # Mutate past the cut so the rewind is visible.
     _drive(platform, args, object_id=object_id)
     before = platform.get_object(object_id)
@@ -812,11 +602,7 @@ def _cmd_restore(platform, args: argparse.Namespace) -> int:
     if not restored.ok:
         print(f"error: restore failed: {restored.body.get('error')}", file=sys.stderr)
         return 1
-    print(
-        f"restored {restored.body.get('restored', 0)} object(s) from generation "
-        f"{restored.body.get('generation')} "
-        f"(purged {restored.body.get('purged', 0)} newer)"
-    )
+    print(render(restored.body, "restored"))
     after = platform.get_object(object_id)
     print(f"state before restore: {json.dumps(before['state'], default=str)}")
     print(f"state after restore:  {json.dumps(after['state'], default=str)}")
@@ -838,14 +624,6 @@ def _parse_zones(text: str):
 
 def _cmd_migrate(platform, args: argparse.Namespace) -> int:
     object_id = _drive(platform, args).object_id
-    plane = platform.federation
-    runtime = platform.crm.runtime(args.new_cls)
-    source = runtime.dht.owner(object_id)
-    source_zone = plane.planner.zone_of_node(source)
-    print(
-        f"object {object_id} lives on {source} "
-        f"(zone {source_zone.name if source_zone else '?'})"
-    )
     response = platform.http(
         "POST",
         f"/api/classes/{args.new_cls}/objects/{object_id}/migrate",
@@ -854,22 +632,11 @@ def _cmd_migrate(platform, args: argparse.Namespace) -> int:
     if not response.ok:
         print(f"error: migration failed: {response.body.get('error')}", file=sys.stderr)
         return 1
-    body = response.body
-    print(
-        f"migrated to {body['target']} (zone {body['target_zone']}) in "
-        f"{body['duration_s']:.4f}s at version {body['version']} "
-        f"(epoch {body['epoch']})"
-    )
-    owner = runtime.dht.owner(object_id)
+    print(render(response.body, "migrated"))
+    owner = platform.crm.runtime(args.new_cls).dht.owner(object_id)
     record = platform.get_object(object_id)
     print(f"post-migration owner: {owner}, version {record['version']}")
-    stats = platform.report("federation")
-    print(
-        f"federation: migrations={stats['migrations_total']} "
-        f"failed={stats['migrations_failed']} "
-        f"cross_zone={stats['cross_zone_total']} "
-        f"rejections={stats['rejections_total']}"
-    )
+    print(render(platform.report("federation"), "federation"))
     return 0
 
 
@@ -949,7 +716,9 @@ COMMANDS: tuple[Command, ...] = (
     Command("chaos", "run a workload under a named fault plan", _cmd_chaos, ("workload", "seed"),
             options=(_opt("--plan", default="node-crash", choices=PLAN_NAMES,
                           help="builtin fault plan to inject"),),
-            rounds=(60, 0.15), planes=lambda args: _OBSERVED, printer=_print_chaos),
+            rounds=(60, 0.15), planes=lambda args: _OBSERVED, printer=_printer(lambda platform: {
+                "chaos": platform.report("chaos"), "resilience": _resilience(platform.engine)},
+                _nfr)),
     Command("qos", "run a workload with the QoS enforcement plane on and print "
             "admission / fair-queue / shedding statistics", _drive_and_settle,
             ("workload", "async-per-round", "seed"),
@@ -958,7 +727,9 @@ COMMANDS: tuple[Command, ...] = (
             rounds=(60, 0.05),
             planes=lambda args: {**_EVENTS, "qos": QosConfig(
                 enabled=True, concurrency_limit=args.concurrency_limit)},
-            printer=_print_qos),
+            printer=_printer(lambda platform: {
+                "qos": platform.report("qos"),
+                "queue_delay_ms": _queue_delay_ms(platform)}, _nfr)),
     Command("metrics", "run a workload with the metrics plane on and print the registry as "
             "OpenMetrics text", _drive, ("workload", "scrape-interval", "seed", "json"),
             rounds=(60, 0.1), planes=_metrics, printer=_print_metrics),
@@ -966,7 +737,7 @@ COMMANDS: tuple[Command, ...] = (
             "budget consumption", _cmd_slo, ("workload", "scrape-interval", "seed", "json"),
             options=(_opt("--chaos", dest="chaos_plan", default=None, choices=PLAN_NAMES,
                           help="also inject this fault plan (burns error budget)"),),
-            rounds=(60, 0.1), planes=_metrics, printer=_print_slo),
+            rounds=(60, 0.1), planes=_metrics, printer=_printer(_slo)),
     Command("serve", "serve the platform over the real asyncio HTTP front end (scheduler "
             "transport=asyncio) and drive concurrent requests at it", _cmd_serve,
             ("workload", "pool", "seed"),
@@ -1011,7 +782,8 @@ COMMANDS: tuple[Command, ...] = (
             rounds=(40, 0.05),
             planes=lambda args: {**_EVENTS, "scheduler": SchedulerConfig(
                 enabled=True, pool_size=args.pool)},
-            printer=_print_workers),
+            printer=_printer(lambda platform: {"scheduler": platform.report("scheduler")},
+                             _lifecycle)),
     Command("snapshot", "run a workload with the durability plane on and take a consistent "
             "snapshot cut", _cmd_snapshot, ("workload", "snapshot-interval"),
             planes=_durability),

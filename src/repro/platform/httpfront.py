@@ -49,6 +49,9 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: answered 408 and closed, so a client trickling bytes holds no task.
 _HEAD_TIMEOUT_S = 30.0
 _BODY_TIMEOUT_S = 30.0
+#: Open connections served at once; one past it is answered 503 and
+#: closed unread, so idle keep-alive clients cannot pile up tasks.
+_MAX_CONNECTIONS = 512
 
 
 class AsyncPlatformServer:
@@ -75,6 +78,7 @@ class AsyncPlatformServer:
         )
         self.workers: list[AsyncWorkerClient] = []
         self.requests = 0
+        self._connections = 0
         self._http_server: asyncio.AbstractServer | None = None
         self._next_worker = 0
         self._running = False
@@ -182,6 +186,14 @@ class AsyncPlatformServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._connections >= _MAX_CONNECTIONS:
+            self._write_response(
+                writer,
+                HttpResponse(503, {"error": "too many connections", "type": "OverloadError"}),
+            )
+            writer.close()
+            return
+        self._connections += 1
         try:
             while True:
                 try:
@@ -212,6 +224,7 @@ class AsyncPlatformServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._connections -= 1
             writer.close()
 
     async def _read_request(

@@ -179,54 +179,57 @@ PLANE_COMMANDS = {
         [
             "workload: 60 ok / 0 rejected / 0 failed over 60 rounds "
             "(+240 async submissions)",
-            "fair queue: pushed=240 served=240 depth=0",
+            "  fair_queue: pushed=240 served=240 depth=0 shed_by_class=-",
         ],
     ),
     # Not "chaos": conftest skips anything carrying that keyword.
     "fault-plan": (
         ["chaos", "--plan", "node-crash"],
         [
-            "workload: 60 ok / 0 failed over 60 rounds",
-            "chaos: injected=1 recovered=1 fault_time_s=6.00",
+            "workload: 60 ok / 0 rejected / 0 failed over 60 rounds",
+            "  injected=1 recovered=1 fault_time_s=6.0",
         ],
     ),
     "workers-drain": (
         ["workers", "--drain", "worker-1"],
         [
             "draining worker-1 at t=2.865s",
-            "workload: 40 ok / 0 failed over 40 rounds "
-            "(+160 async submissions through worker queues)",
-            "ledger: accepted=160 completed=160 outstanding=0 requeues=0 suppressed=0",
-            "pool: registrations=5 live=4 parked_total=0",
-            "  [   2.8649s] scheduler.dead         worker=worker-1 reason=drained requeued=0",
-            "  [   2.8649s] scheduler.register     worker=worker-4 node=vm-1",
+            "workload: 40 ok / 0 rejected / 0 failed over 40 rounds "
+            "(+160 async submissions)",
+            "  ledger: accepted=160 completed=160 outstanding=0 requeues=0 suppressed=0",
+            "  retained_completions=160 late=0 dispatched=160 delivered=160 heartbeats=44 "
+            "parked=0 parked_total=0 registrations=5 live_workers=4",
+            "  [    2.8649s] scheduler.dead       worker=worker-1 reason=drained requeued=0",
+            "  [    2.8649s] scheduler.register   worker=worker-4 node=vm-1",
         ],
     ),
     "workers-crash": (
         ["workers", "--crash", "worker-2"],
         [
             "crashed worker-2 at t=2.865s",
-            "ledger: accepted=160 completed=160 outstanding=0 requeues=0 suppressed=0",
-            "  [   2.8649s] scheduler.dead         worker=worker-2 reason=cli requeued=0",
+            "  ledger: accepted=160 completed=160 outstanding=0 requeues=0 suppressed=0",
+            "  [    2.8649s] scheduler.dead       worker=worker-2 reason=cli requeued=0",
         ],
     ),
     "snapshot": (
         ["snapshot"],
         [
-            "retained generations (1):",
-            "durability: cuts=1 skipped=1 bytes=388 epoch_writes=0",
+            "      seq=1 dirty=0 generation_count=1 commits_recorded=1 epoch_writes=0 "
+            "cuts_taken=1 cuts_skipped=1 docs_captured=1 snapshot_bytes=388 gc_generations=0 "
+            "recoveries=0 restores=0 last_recovery=-",
         ],
     ),
     "restore": (
         ["restore"],
-        ["restored 1 object(s) from generation 1 (purged 0 newer)"],
+        ["restored: class=Ledger generation=1 cut_time=1.0 restored=1 purged=0"],
     ),
     "migrate": (
         ["migrate", "--to", "core"],
         [
             # The object id is a uuid, so where it starts out varies.
             "post-migration owner: vm-2, version 1",
-            "federation: migrations=1 failed=0 cross_zone=0 rejections=0",
+            "  placement=nfr migrations_total=1 migrations_failed=0 accesses_total=0 "
+            "cross_zone_total=0 rejections_total=0 classes=-",
         ],
     ),
 }

@@ -31,6 +31,10 @@ def test_db_without_sqlite_backend(tmp_path, capsys):
         ("workers", "--rounds", "-1"),
         ("metrics", "--interval", "-1"),
         ("slo", "--interval", "-0.5"),
+        ("events", "--limit", "-12"),
+        ("qos", "--async-per-round", "-2"),
+        ("workers", "--async-per-round", "-1"),
+        ("serve", "--requests", "-1"),
     ],
 )
 def test_negative_drive_options(command, flag, value, capsys):
@@ -43,3 +47,10 @@ def test_negative_drive_options(command, flag, value, capsys):
 def test_zero_rounds_and_interval_stay_valid(capsys):
     assert main(["qos", CHAOS_DEMO, *LEDGER, "--rounds", "0", "--interval", "0"]) == 0
     assert "workload: 0 ok / 0 rejected / 0 failed over 0 rounds" in capsys.readouterr().out
+
+
+def test_limit_zero_selects_no_events(capsys):
+    assert main(["events", CHAOS_DEMO, *LEDGER, "--limit", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("(no events)\n")
+    assert "[" not in out

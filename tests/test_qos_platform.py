@@ -232,7 +232,7 @@ class TestReportsAndBaseline:
         report = platform.observability_report()
         assert "qos" in report
         text = format_summary(report)
-        assert "qos enforcement plane:" in text
+        assert "qos plane:" in text
         platform.shutdown()
 
     def test_snapshot_gains_qos_keys_only_when_enabled(self):

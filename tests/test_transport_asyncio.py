@@ -863,6 +863,41 @@ class TestHttpFrontEnd:
         run_async(scenario())
         platform.shutdown()
 
+    def test_a_connection_over_the_cap_is_answered_503_and_closed(self, monkeypatch):
+        """Each open connection holds a task; past ``_MAX_CONNECTIONS`` a
+        new one is answered 503 at once and closed unread instead of
+        waiting behind idle clients, and a slot frees when its
+        connection closes."""
+        import repro.platform.httpfront as httpfront
+        from tests.helpers import listing1_platform
+
+        monkeypatch.setattr(httpfront, "_MAX_CONNECTIONS", 2, raising=False)
+        platform = listing1_platform(
+            scheduler=SchedulerConfig(enabled=True, transport="asyncio", pool_size=1)
+        )
+
+        async def scenario():
+            front = await platform.serve_http()
+            idle = [await asyncio.open_connection(front.host, front.port) for _ in range(2)]
+            reader, writer = await asyncio.open_connection(front.host, front.port)
+            try:
+                answer = await asyncio.wait_for(reader.read(), 1)
+            finally:
+                writer.close()
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.split(b" ")[1:3] == [b"503", b"Service"]
+            assert json.loads(body)["type"] == "OverloadError"
+            idle.pop()[1].close()
+            await wait_for(lambda: front._connections == 1, message="the closed slot")
+            status, _ = await self._request(front.host, front.port, "GET", "/api/workers")
+            assert status == 200
+            for _, idle_writer in idle:
+                idle_writer.close()
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        run_async(scenario())
+        platform.shutdown()
+
     def test_serve_http_requires_asyncio_transport(self):
         from repro.errors import ValidationError
         from tests.helpers import make_platform
