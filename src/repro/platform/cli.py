@@ -439,6 +439,8 @@ def _lifecycle(platform) -> str:
 
 
 def _slo(platform) -> dict[str, Any]:
+    """The SLO report after one final scrape, so it counts what the
+    shutdown drained."""
     platform.metrics.scraper.scrape_once()
     return platform.slo_report()
 
