@@ -6,9 +6,9 @@ write and delete without touching the documents themselves — the write
 path stays byte-identical when no tracker is attached.
 
 The :class:`SnapshotCoordinator` turns that bookkeeping into durable
-*generations*: it quiesces the class's write path (the DHT's cut gate),
-fences and drains every write-behind queue so a cut never splits a
-batch, captures the objects dirtied since the previous cut at one
+*generations*: it holds the class's writes (the DHT's write hold),
+drains every write-behind queue so a cut never splits a batch,
+captures the objects dirtied since the previous cut at one
 consistent instant, and uploads an incremental delta snapshot (data
 blob + manifest + latest pointer) to the object store.
 
@@ -324,17 +324,12 @@ class SnapshotCoordinator:
             span = self.tracer.start(
                 DURABILITY_TRACE_ID, "durability.snapshot", cls=tracker.cls
             )
-        # Quiesce: writers and deleters park on the cut gate; fence the
-        # write-behind queues and drain them so the cut never splits a
-        # batch (a batch is either wholly before or wholly after it).
-        dht.begin_cut()
-        cut_open = True
+        # Hold: writers and deleters park until the hold is released;
+        # drain the write-behind queues under it so the cut never splits
+        # a batch (a batch is either wholly before or wholly after it).
+        dht.hold_writes()
         try:
-            dht.fence_queues()
-            try:
-                yield dht.flush_all()
-            finally:
-                dht.unfence_queues()
+            yield dht.flush_all()
             cut_time = self.env.now
             generation = tracker.next_generation
             tracker.next_generation += 1
@@ -356,9 +351,7 @@ class SnapshotCoordinator:
         finally:
             # Writers resume before the uploads: the cut instant is
             # fixed, and upload time must not extend the write stall.
-            dht.end_cut()
-            cut_open = False
-        del cut_open
+            dht.release_writes()
         # Commits covered by this cut (version <= the captured version)
         # are durable now; drop them so recovery never counts them lost.
         # Walk the pending commits, not the index: the cut must not cost

@@ -2,8 +2,8 @@
 
 The handoff protocol (documented in ``docs/federation.md``):
 
-1. **Quiesce** — open the class's snapshot cut gate so new commits park;
-   commits already past the gate are handled by step 2.
+1. **Quiesce** — take the class's own write hold so new commits park;
+   commits already past it are handled by step 2.
 2. **Fence** — bump the key's migration epoch.  A commit that captured
    the previous epoch fails its install with
    :class:`~repro.errors.ConcurrentModificationError`; the invoker's CAS
@@ -17,8 +17,9 @@ The handoff protocol (documented in ``docs/federation.md``):
 4. **Hand off** — pay the zone-pair WAN transfer for the state, then
    atomically pin the key to the target node, install the copy
    version-guarded, and purge stale copies outside the new owner set.
-5. **Release** — close the cut gate; parked commits resume against the
-   new owner under the same optimistic version check.
+5. **Release** — release the hold; parked commits resume against the
+   new owner (once a concurrent snapshot cut has released its hold too)
+   under the same optimistic version check.
 """
 
 from __future__ import annotations
@@ -111,12 +112,9 @@ class MigrationManager:
                 zone=zone.name,
             )
         started = self.env.now
-        # Reuse the durability plane's quiescence gate when free: new
-        # commits park until the handoff lands.  In-flight commits past
-        # the gate are fenced by the epoch bump below.
-        opened_cut = dht._cut_gate is None
-        if opened_cut:
-            dht.begin_cut()
+        # New commits park until the handoff lands.  In-flight commits
+        # past the hold are fenced by the epoch bump below.
+        dht.hold_writes()
         dht.prepare_migration(key)
         try:
             best = yield from self._best_copy(dht, key)
@@ -132,8 +130,7 @@ class MigrationManager:
                 self.tracer.finish(span, error=type(exc).__name__)
             raise
         finally:
-            if opened_cut:
-                dht.end_cut()
+            dht.release_writes()
         self.migrations += 1
         summary: dict[str, Any] = {
             "class": runtime.cls,

@@ -32,8 +32,6 @@ class DataflowExecutor:
 
     def __init__(self, engine: "InvocationEngine") -> None:
         self.engine = engine
-        self.macros_executed = 0
-        self.steps_executed = 0
 
     def execute(
         self,
@@ -47,7 +45,6 @@ class DataflowExecutor:
         """Run the macro; resolves to the macro-level result."""
         spec = binding.function.dataflow
         trace_id = trace_id or request.trace_id or request.request_id
-        self.macros_executed += 1
         outputs: dict[str, Any] = {"input": dict(request.payload)}
         created: dict[str, str] = {}
         for wave in spec.waves():
@@ -95,7 +92,6 @@ class DataflowExecutor:
         trace_id: str | None = None,
         root=None,
     ) -> Generator[Any, Any, InvocationResult]:
-        self.steps_executed += 1
         trace_id = trace_id or request.request_id
         step_span = self.engine.tracer.start(
             trace_id, f"step {step.id}", parent=root, function=step.function

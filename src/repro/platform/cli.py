@@ -216,6 +216,11 @@ def _check_usage(args: argparse.Namespace) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise _UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    if args.nodes < 1:
+        raise _UsageError(f"--nodes must be >= 1, got {args.nodes}")
+    port = getattr(args, "port", None)
+    if port is not None and not 0 <= port <= 65535:
+        raise _UsageError(f"--port must be 0-65535, got {port}")
 
 
 @contextlib.contextmanager

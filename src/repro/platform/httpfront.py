@@ -49,6 +49,11 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: answered 408 and closed, so a client trickling bytes holds no task.
 _HEAD_TIMEOUT_S = 30.0
 _BODY_TIMEOUT_S = 30.0
+#: After a 400 or 408 the front half-closes and discards what the
+#: client still sends, until it closes or this many seconds pass: a
+#: close with input left unread resets the connection, and the reset
+#: can drop the answer before the client reads it.
+_LINGER_S = 2.0
 #: Open connections served at once; one past it is answered 503 and
 #: closed unread, so idle keep-alive clients cannot pile up tasks.
 _MAX_CONNECTIONS = 512
@@ -201,20 +206,19 @@ class AsyncPlatformServer:
                 except ValidationError as exc:
                     # Past a malformed header the stream has no known
                     # framing: answer 400, then close.
-                    self._write_response(
-                        writer, error_response(type(exc).__name__, str(exc))
+                    await self._answer_and_close(
+                        reader, writer, error_response(type(exc).__name__, str(exc))
                     )
-                    await writer.drain()
                     return
                 except TimeoutError:
-                    self._write_response(
+                    await self._answer_and_close(
+                        reader,
                         writer,
                         HttpResponse(
                             408,
                             {"error": "request not received in time", "type": "RequestTimeout"},
                         ),
                     )
-                    await writer.drain()
                     return
                 if request is None:
                     return
@@ -226,6 +230,25 @@ class AsyncPlatformServer:
         finally:
             self._connections -= 1
             writer.close()
+
+    async def _answer_and_close(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        response: HttpResponse,
+    ) -> None:
+        """Send the last answer of a connection, then linger: half-close
+        and discard input until the client closes or ``_LINGER_S``
+        passes.  The caller closes the connection."""
+        self._write_response(writer, response)
+        await writer.drain()
+        writer.write_eof()
+        try:
+            async with asyncio.timeout(_LINGER_S):
+                while await reader.read(_MAX_HEADER_BYTES):
+                    pass
+        except TimeoutError:
+            pass
 
     async def _read_request(
         self, reader: asyncio.StreamReader

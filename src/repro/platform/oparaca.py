@@ -125,6 +125,8 @@ class PlatformConfig:
     federation: FederationConfig = field(default_factory=FederationConfig)
 
     def __post_init__(self) -> None:
+        if self.nodes < 1:
+            raise errors.ValidationError(f"nodes must be >= 1, got {self.nodes}")
         if self.optimizer_enabled and not self.metrics.enabled:
             raise errors.ValidationError(
                 "optimizer_enabled=True needs metrics.enabled=True: the "

@@ -200,7 +200,6 @@ class Network:
         self.total_bytes = 0
         self.remote_transfers = 0
         self.cross_region_transfers = 0
-        self.dropped_transfers = 0
 
     def _resolve_pair(self, src: str | None, dst: str | None) -> tuple[bool, float]:
         cross, adjust = False, 0.0
@@ -238,7 +237,6 @@ class Network:
         faults = self.faults
         if faults is not None and faults.active:
             if faults.partitioned(src, dst):
-                self.dropped_transfers += 1
                 return self._drop(src, dst, faults.partition_timeout_s)
             if src is None or src != dst:
                 delay += faults.extra_latency(src, dst)

@@ -145,17 +145,16 @@ class Dht:
         #: identity, so a stale entry can only miss; dropped with the key.
         self._sizes: dict[str, tuple[dict[str, Any], int]] = {}
         self._queues: dict[str, WriteBehindQueue] = {}
-        #: Snapshot fences open on every queue (see :meth:`fence_queues`).
-        self._fences = 0
         for node in nodes:
             self._add_queue(node)
         #: Durability tracker attached by the durability plane (``None``
         #: keeps the write path byte-identical to the baseline).
         self._durability = None
-        #: Class-wide quiescence gate held by a snapshot cut: while set,
-        #: writes and deletes park here so the cut observes a consistent
-        #: instant across every partition.
-        self._cut_gate: Gate | None = None
+        #: Class-wide write hold (see :meth:`hold_writes`): while
+        #: ``_holders`` counts an open hold, writes and deletes park on
+        #: the gate; it fires when the last one is released.
+        self._write_hold = Gate(env)
+        self._holders = 0
         #: key -> node ownership overrides installed by live migration
         #: (federation plane).  Empty on a baseline platform, and
         #: :meth:`owner`/:meth:`owners` only consult the dict when at
@@ -180,9 +179,6 @@ class Dht:
         self.mem_hits = 0
         self.mem_misses = 0
         self.evictions = 0
-        self.failover_reads = 0
-        self.failover_writes = 0
-        self.replication_skips = 0
         self.stale_reads = 0
         self.read_coalesced = 0
         self.near_hits = 0
@@ -258,7 +254,6 @@ class Dht:
                 yield self.network.transfer(caller, node, 128)
             except NetworkPartitionError as exc:
                 partition_error = exc
-                self.failover_reads += 1
                 continue
             if self.model.op_cost_s:
                 yield self.env.timeout(self.model.op_cost_s)
@@ -363,8 +358,8 @@ class Dht:
         key = doc.get("id")
         if not key:
             raise StorageError("DHT put of a document without 'id'")
-        while self._cut_gate is not None:
-            yield self._cut_gate.wait()
+        while self._holders:
+            yield self._write_hold.wait()
         self.puts += 1
         fence_epoch = self._pin_epochs.get(key, 0)
         owners = self.owners(key)
@@ -380,7 +375,6 @@ class Dht:
                 break
             except NetworkPartitionError as exc:
                 partition_error = exc
-                self.failover_writes += 1
         if primary is None:
             raise partition_error
         if self.model.op_cost_s:
@@ -417,7 +411,6 @@ class Dht:
             reachable = [
                 r for r in replicas if not self.network.is_partitioned(primary, r)
             ]
-            self.replication_skips += len(replicas) - len(reachable)
             if reachable:
                 yield all_of(
                     self.env,
@@ -467,8 +460,8 @@ class Dht:
         return self.env.process(self._delete(key, caller))
 
     def _delete(self, key: str, caller: str | None) -> Generator:
-        while self._cut_gate is not None:
-            yield self._cut_gate.wait()
+        while self._holders:
+            yield self._write_hold.wait()
         owners = self.owners(key)
         yield self.network.transfer(caller, owners[0], 128)
         if self.model.op_cost_s:
@@ -589,12 +582,10 @@ class Dht:
         return self.rebalance()
 
     def _add_queue(self, node: str) -> None:
-        """Build ``node``'s write-behind queue (persistent tiers only).  A
-        queue that joins while a snapshot cut holds the fences starts
-        fenced, so the cut's :meth:`unfence_queues` ends what it began."""
+        """Build ``node``'s write-behind queue (persistent tiers only)."""
         if not self.model.persistent:
             return
-        queue = self._queues[node] = WriteBehindQueue(
+        self._queues[node] = WriteBehindQueue(
             self.env,
             self.store,
             self.collection,
@@ -602,8 +593,6 @@ class Dht:
             name=f"wb-{node}",
             tracer=self.tracer,
         )
-        for _ in range(self._fences):
-            queue.begin_fence()
 
     def fail_node(self, node: str) -> dict[str, int]:
         """Crash a node: its memory and *unflushed write-behind buffer*
@@ -621,12 +610,9 @@ class Dht:
         if len(self.ring) == 1:
             raise StorageError("cannot fail the last DHT node")
         lost_pending = 0
-        lost_fenced = None
         queue = self._queues.pop(node, None)
         if queue is not None:
-            loss = queue.stop()
-            lost_pending = loss["lost"]
-            lost_fenced = loss.get("fenced")
+            lost_pending = queue.stop()["lost"]
         self._mem.pop(node, None)
         self._near.pop(node, None)
         self.ring.remove_node(node)
@@ -636,8 +622,6 @@ class Dht:
             self._pins = {k: n for k, n in self._pins.items() if n != node}
         stats = self.rebalance()
         stats["lost_pending"] = lost_pending
-        if lost_fenced is not None:
-            stats["lost_fenced"] = lost_fenced
         return stats
 
     def rebalance(self) -> dict[str, int]:
@@ -728,32 +712,23 @@ class Dht:
         write/delete paths are unchanged."""
         self._durability = tracker
 
-    def begin_cut(self) -> None:
-        """Quiesce the write path for a consistent snapshot cut: every
-        put/delete that arrives while the cut is open parks on a gate
-        until :meth:`end_cut` fires it.  Reads are unaffected."""
-        if self._cut_gate is not None:
-            raise StorageError(f"collection {self.collection!r}: cut already open")
-        self._cut_gate = Gate(self.env)
+    # -- write hold (snapshot cuts, live migration) --------------------------
 
-    def end_cut(self) -> None:
-        """Release writers parked by :meth:`begin_cut`."""
-        gate = self._cut_gate
-        if gate is None:
-            raise StorageError(f"collection {self.collection!r}: no cut open")
-        self._cut_gate = None
-        gate.fire()
+    def hold_writes(self) -> None:
+        """Quiesce the write path: every put/delete that arrives while a
+        hold is open parks until the last holder calls
+        :meth:`release_writes`.  Reads are unaffected.  A snapshot cut
+        and a live migration each take their own hold, so they may
+        overlap in either order."""
+        self._holders += 1
 
-    def fence_queues(self) -> None:
-        """Open a snapshot fence on every node's write-behind queue."""
-        self._fences += 1
-        for queue in self._queues.values():
-            queue.begin_fence()
-
-    def unfence_queues(self) -> None:
-        self._fences -= 1
-        for queue in self._queues.values():
-            queue.end_fence()
+    def release_writes(self) -> None:
+        """Release one hold; parked writers resume once none is open."""
+        if not self._holders:
+            raise StorageError(f"collection {self.collection!r}: no write hold open")
+        self._holders -= 1
+        if not self._holders:
+            self._write_hold.fire()
 
     # -- maintenance ---------------------------------------------------------
 

@@ -108,11 +108,6 @@ class ObjectStore:
         self.model = model or ObjectStoreModel()
         self._secret = secret_key
         self._buckets: dict[str, dict[str, StoredObject]] = {}
-        self.put_ops = 0
-        self.get_ops = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.presigned_issued = 0
         self.presigned_used = 0
 
     # -- buckets -----------------------------------------------------------
@@ -144,8 +139,6 @@ class ObjectStore:
         etag = hashlib.md5(bytes(data)).hexdigest()
         obj = StoredObject(bucket, key, bytes(data), content_type, etag)
         self._table(bucket)[key] = obj
-        self.put_ops += 1
-        self.bytes_in += obj.size
         return obj
 
     def get_object(self, bucket: str, key: str) -> StoredObject:
@@ -153,8 +146,6 @@ class ObjectStore:
         obj = self._table(bucket).get(key)
         if obj is None:
             raise KeyNotFoundError(f"no object {bucket!r}/{key!r}")
-        self.get_ops += 1
-        self.bytes_out += obj.size
         return obj
 
     def head_object(self, bucket: str, key: str) -> StoredObject | None:
@@ -191,7 +182,6 @@ class ObjectStore:
             raise PresignedUrlError(f"expires_in_s must be > 0, got {expires_in_s}")
         self._table(bucket)  # bucket must exist
         expires_at = self.env.now + expires_in_s
-        self.presigned_issued += 1
         return PresignedUrl(
             bucket, key, method, expires_at, self._sign(bucket, key, method, expires_at)
         ).render()

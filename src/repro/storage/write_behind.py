@@ -97,13 +97,6 @@ class WriteBehindQueue:
         #: both empty — what :meth:`drain` waits on.
         self._idle = Gate(env)
         self._drain_requested = 0
-        #: Depth of active snapshot fences (see :meth:`begin_fence`).
-        self._fence_depth = 0
-        #: Batches the flusher popped while a fence was active.  A
-        #: consistent cut must not split a batch, so the coordinator
-        #: fences the queue, drains it, and counts any batch in flight
-        #: at crash time exactly once via the ``fenced`` report key.
-        self.fenced_batches = 0
         self.enqueued = 0
         self.coalesced = 0
         self.flush_ops = 0
@@ -177,21 +170,6 @@ class WriteBehindQueue:
         keys = list(self._buffer)[: self.config.batch_size]
         return [self._buffer.pop(k) for k in keys]
 
-    def begin_fence(self) -> None:
-        """Mark the start of a snapshot cut over this queue.
-
-        While fenced, batches the flusher pops are counted in
-        :attr:`fenced_batches`, and :meth:`stop` reports any batch still
-        in flight under a ``fenced`` key so the cut's loss accounting
-        can attribute it exactly once.  Fences nest (coordinator per
-        owner node × replicated keys)."""
-        self._fence_depth += 1
-
-    def end_fence(self) -> None:
-        if self._fence_depth <= 0:
-            raise StorageError("end_fence without matching begin_fence")
-        self._fence_depth -= 1
-
     def stop(self) -> dict[str, int]:
         """Stop the flusher (node failure); buffered documents are LOST.
 
@@ -205,20 +183,12 @@ class WriteBehindQueue:
         batch.)
         """
         self._running = False
-        inflight = len(self._inflight) if self._inflight else 0
-        lost = len(self._buffer) + inflight
+        lost = len(self._buffer) + (len(self._inflight) if self._inflight else 0)
         self._buffer.clear()
         self._inflight = None
         self._arrival.fire()
         self._idle.fire()
-        report = {"lost": lost}
-        if self._fence_depth > 0:
-            # A crash during a snapshot cut: the in-flight batch was
-            # fenced by the coordinator, so report it separately (once)
-            # for the cut's loss accounting.  The plain report shape is
-            # unchanged outside a fence.
-            report["fenced"] = inflight
-        return report
+        return {"lost": lost}
 
     def _run(self) -> Generator:
         while self._running:
@@ -237,8 +207,6 @@ class WriteBehindQueue:
                 yield self.env.timeout(self.config.linger_s)
             batch = self._take_batch()
             if batch:
-                if self._fence_depth:
-                    self.fenced_batches += 1
                 yield from self._flush(batch)
 
     def drain(self) -> Process:

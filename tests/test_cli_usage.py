@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.platform.cli import main
+from repro.platform.oparaca import PlatformConfig
 
 CHAOS_DEMO = str(
     Path(__file__).resolve().parent.parent / "examples" / "packages" / "chaos_demo.yaml"
@@ -35,6 +37,10 @@ def test_db_without_sqlite_backend(tmp_path, capsys):
         ("qos", "--async-per-round", "-2"),
         ("workers", "--async-per-round", "-1"),
         ("serve", "--requests", "-1"),
+        ("run", "--nodes", "0"),
+        ("qos", "--nodes", "-3"),
+        ("serve", "--port", "70000"),
+        ("serve", "--port", "-1"),
     ],
 )
 def test_negative_drive_options(command, flag, value, capsys):
@@ -42,6 +48,11 @@ def test_negative_drive_options(command, flag, value, capsys):
     captured = capsys.readouterr()
     assert flag in captured.err
     assert captured.out == ""
+
+
+def test_platform_config_refuses_an_empty_cluster():
+    with pytest.raises(ValidationError, match="nodes must be >= 1"):
+        PlatformConfig(nodes=0)
 
 
 def test_zero_rounds_and_interval_stay_valid(capsys):

@@ -361,9 +361,10 @@ class TestRestore:
 
 class TestCutAcrossRejoin:
     def test_node_rejoining_during_a_stuck_cut_does_not_break_the_fence(self):
-        # The cut fences every write-behind queue, then waits on a store
-        # that fails every write; the owner crashes and rejoins (a new
-        # queue) before the store heals and the cut unfences.
+        # The cut holds writes and drains every write-behind queue, then
+        # waits on a store that fails every write; the owner crashes and
+        # rejoins (a new queue) before the store heals and the cut
+        # releases its hold.
         platform = make_platform(
             DURA_YAML,
             {"t/bump": (bump, 0.001)},

@@ -147,8 +147,9 @@ class TestCrashLossAccounting:
         assert queue.pending == 0  # the three docs are in flight, not buffered
         for i in range(2):
             queue.enqueue({"id": f"x{i}"})
-        report = queue.stop()
-        assert report["lost"] == 5  # 3 in-flight + 2 buffered
+        assert queue.stop() == {"lost": 5}  # 3 in-flight + 2 buffered
+        # A repeated stop must not count the same batch again.
+        assert queue.stop() == {"lost": 0}
         store.clear_write_fault()
         env.run(until=5.0)
         assert store.count("objects") == 0  # the crash really dropped them
@@ -158,61 +159,6 @@ class TestCrashLossAccounting:
         for i in range(4):
             queue.enqueue({"id": f"k{i}"})
         assert queue.stop() == {"lost": 4}
-
-    def test_plain_stop_report_has_no_fenced_key(self, env):
-        # The report shape is unchanged outside a snapshot cut.
-        store, queue = make(env, batch_size=10, linger_s=0.01)
-        store.set_write_fault(1.0)
-        queue.enqueue({"id": "k"})
-        env.run(until=0.2)  # the batch is in flight
-        assert "fenced" not in queue.stop()
-
-
-class TestSnapshotFence:
-    def test_stop_during_cut_counts_fenced_batch_exactly_once(self, env):
-        # A crash while the snapshot coordinator holds the fence: the
-        # in-flight batch is reported once under "fenced" (and inside
-        # "lost"), never double-counted against the buffered docs.
-        store, queue = make(env, batch_size=10, linger_s=0.01)
-        store.set_write_fault(1.0)
-        for i in range(3):
-            queue.enqueue({"id": f"k{i}"})
-        env.run(until=0.2)  # flusher popped [k0..k2]; writes fault
-        assert queue.pending == 0
-        queue.begin_fence()
-        for i in range(2):
-            queue.enqueue({"id": f"x{i}"})
-        report = queue.stop()
-        assert report["lost"] == 5  # 3 in-flight + 2 buffered
-        assert report["fenced"] == 3  # the in-flight batch, exactly once
-        # Repeated stop must not count the same batch again.
-        assert queue.stop() == {"lost": 0, "fenced": 0}
-
-    def test_batches_popped_under_fence_are_counted(self, env):
-        store, queue = make(env, batch_size=10, linger_s=0.01)
-        queue.begin_fence()
-        for i in range(3):
-            queue.enqueue({"id": f"k{i}"})
-        env.run(until=env.process(iter_drain(queue)))
-        queue.end_fence()
-        assert queue.fenced_batches == 1
-        # Outside the fence, batches are no longer attributed to a cut.
-        for i in range(3):
-            queue.enqueue({"id": f"y{i}"})
-        env.run(until=env.process(iter_drain(queue)))
-        assert queue.fenced_batches == 1
-
-    def test_fences_nest_and_unbalanced_end_rejected(self, env):
-        store, queue = make(env)
-        queue.begin_fence()
-        queue.begin_fence()
-        queue.end_fence()
-        queue.enqueue({"id": "k"})
-        env.run(until=env.process(iter_drain(queue)))
-        assert queue.fenced_batches == 1  # still fenced after one end
-        queue.end_fence()
-        with pytest.raises(StorageError):
-            queue.end_fence()
 
 
 class TestDrainVsRetry:

@@ -818,6 +818,35 @@ class TestHttpFrontEnd:
         run_async(scenario())
         platform.shutdown()
 
+    def test_input_left_unread_after_a_400_does_not_reset_the_answer(self):
+        """A client that keeps sending past its malformed head reads the
+        whole 400: the front half-closes and discards what still arrives
+        before it closes, so unread input cannot turn the close into a
+        reset that drops the answer."""
+        from tests.helpers import listing1_platform
+
+        platform = listing1_platform(
+            scheduler=SchedulerConfig(enabled=True, transport="asyncio", pool_size=1)
+        )
+
+        async def scenario():
+            front = await platform.serve_http()
+            reader, writer = await asyncio.open_connection(front.host, front.port)
+            writer.write(b"POST /api/classes/Image HTTP/1.1\r\nContent-Length: 1x\r\n\r\n")
+            writer.write(b"x" * (256 * 1024))
+            try:
+                await writer.drain()
+                answer = await asyncio.wait_for(reader.read(), 5)
+            finally:
+                writer.close()
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.split(b" ")[1] == b"400"
+            assert json.loads(body)["type"] == "ValidationError"
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        run_async(scenario())
+        platform.shutdown()
+
     @pytest.mark.parametrize("stall", ["head", "body"])
     def test_a_trickling_client_is_answered_408_and_closed(self, monkeypatch, stall):
         """Slow-loris: a client that sends its head (or its declared
