@@ -148,7 +148,10 @@ def main() -> int:
     summary = injector.stats()
     print(f"  injected={summary['injected']} recovered={summary['recovered']}")
     print(f"  fault_time_s={summary['fault_time_s']:.2f}")
-    for cls, availability in sorted(summary["availability_under_fault"].items()):
+    availability_under_fault = {
+        row["class"]: row["availability"] for row in summary["availability_under_fault"]
+    }
+    for cls, availability in sorted(availability_under_fault.items()):
         shown = "n/a" if availability is None else f"{availability:.4f}"
         print(f"  availability under fault [{cls}]: {shown}")
 
@@ -168,8 +171,8 @@ def main() -> int:
 
     oparaca.shutdown()
 
-    ledger_avail = summary["availability_under_fault"].get("Ledger")
-    scratch_avail = summary["availability_under_fault"].get("Scratch")
+    ledger_avail = availability_under_fault.get("Ledger")
+    scratch_avail = availability_under_fault.get("Scratch")
     happy = (
         lost == 0
         and ledger_avail is not None

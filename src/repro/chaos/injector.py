@@ -45,7 +45,6 @@ from repro.chaos.plan import (
 )
 from repro.errors import SimulationError
 from repro.monitoring.events import emit
-from repro.monitoring.metrics import set_counter
 from repro.monitoring.nfr_table import Objective
 from repro.plane import Plane
 from repro.sim.kernel import Process
@@ -391,20 +390,16 @@ class ChaosInjector(Plane):
 
         return [Objective(cls, "availability_under_fault", floor, "resilience policy", under_fault)]
 
-    def collect_metrics(self, registry) -> None:
-        """Metrics-plane pull hook: injection totals and live fault state."""
-        labels = {"plane": "chaos"}
-        set_counter(registry, "chaos.injected", float(self.injected), labels)
-        set_counter(registry, "chaos.recovered", float(self.recovered), labels)
-        registry.gauge("chaos.active_faults", labels).set(float(self._active))
-        registry.gauge("chaos.fault_time_s", labels).set(self.fault_time_s())
-
     def stats(self) -> dict[str, Any]:
         return {
             "plan": self.plan.describe(),
             "injected": self.injected,
             "recovered": self.recovered,
+            "active_faults": self._active,
             "fault_time_s": self.fault_time_s(),
             "windows": [w.to_dict() for w in self.windows],
-            "availability_under_fault": self.fault_availability(),
+            "availability_under_fault": [
+                {"class": cls, "availability": availability}
+                for cls, availability in self.fault_availability().items()
+            ],
         }

@@ -25,7 +25,6 @@ from repro.http import HttpRequest, HttpResponse
 from repro.model.nfr import _checked_number
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
-from repro.monitoring.metrics import set_counter
 from repro.monitoring.nfr_table import Objective
 from repro.monitoring.tracing import Tracer
 from repro.plane import Plane
@@ -309,36 +308,6 @@ class DurabilityPlane(Plane):
     def recoveries(self) -> list[Process]:
         return list(self._recoveries)
 
-    def collect_metrics(self, registry) -> None:
-        """Metrics-plane pull hook: per-class snapshot/epoch/recovery
-        counters and the last measured RPO/RTO, labeled by class."""
-        for cls, tracker in self._trackers.items():
-            labels = {"class": cls, "plane": "durability"}
-            set_counter(registry, "durability.cuts", float(tracker.cuts_taken), labels)
-            set_counter(
-                registry, "durability.epoch_writes", float(tracker.epoch_writes), labels
-            )
-            set_counter(
-                registry, "durability.recoveries", float(tracker.recoveries), labels
-            )
-            set_counter(
-                registry, "durability.restores", float(tracker.restores), labels
-            )
-            set_counter(
-                registry,
-                "durability.snapshot_bytes",
-                float(tracker.snapshot_bytes),
-                labels,
-            )
-            recovery = tracker.last_recovery
-            if recovery is not None:
-                registry.gauge("durability.last_rpo_s", labels).set(
-                    float(recovery["rpo_s"])
-                )
-                registry.gauge("durability.last_rto_s", labels).set(
-                    float(recovery["rto_s"])
-                )
-
     def verdicts(self, cls: str, runtime: Any) -> list[Objective]:
         """The RPO row of a class under an enabled policy: the sim-seconds
         of acknowledged writes its last crash recovery lost, against the
@@ -369,15 +338,6 @@ class DurabilityPlane(Plane):
                 ),
             )
         ]
-
-    def snapshot(self) -> dict[str, float]:
-        stats = self.stats()
-        return {
-            "durability.cuts": float(stats["cuts_total"]),
-            "durability.epoch_writes": float(stats["epoch_writes_total"]),
-            "durability.recoveries": float(stats["recoveries_total"]),
-            "durability.restores": float(stats["restores_total"]),
-        }
 
     def stats(self) -> dict[str, Any]:
         """Plane-wide statistics for the observability report."""

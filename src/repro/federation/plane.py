@@ -19,7 +19,6 @@ from repro.federation.placement import PLACEMENT_MODES, PlacementPlanner
 from repro.orchestrator.topology import Zone, ZoneTopology
 from repro.http import HttpRequest, HttpResponse
 from repro.monitoring.events import EventLog
-from repro.monitoring.metrics import set_counter
 from repro.monitoring.nfr_table import Objective
 from repro.monitoring.tracing import Tracer
 from repro.plane import Plane
@@ -284,15 +283,6 @@ class FederationPlane(Plane):
         row = Objective(cls, "jurisdiction", 0.0, "federation placement", rejections, at_most=True)
         return [row]
 
-    def snapshot(self) -> dict[str, float]:
-        stats = self.stats()
-        return {
-            "federation.migrations": float(stats["migrations_total"]),
-            "federation.migrations_failed": float(stats["migrations_failed"]),
-            "federation.cross_zone": float(stats["cross_zone_total"]),
-            "federation.rejections": float(stats["rejections_total"]),
-        }
-
     def stats(self) -> dict[str, Any]:
         return {
             "zones": self.topology.describe(),
@@ -304,16 +294,3 @@ class FederationPlane(Plane):
             "rejections_total": sum(s.rejections for s in self._stats.values()),
             "classes": {cls: self.class_stats(cls) for cls in sorted(self._stats)},
         }
-
-    def collect_metrics(self, registry) -> None:
-        """Metrics-plane pull hook (mirrors the other planes)."""
-        labels = {"plane": "federation"}
-        stats = self.stats()
-        for key in (
-            "migrations_total",
-            "migrations_failed",
-            "accesses_total",
-            "cross_zone_total",
-            "rejections_total",
-        ):
-            set_counter(registry, f"federation.{key}", float(stats[key]), labels)

@@ -197,7 +197,10 @@ class InvocationEngine:
             )
         try:
             if self.federation is not None and request.origin_zone is not None:
-                yield from self._geo_admit(request)
+                # Pay the client leg to the serving replica.
+                leg = self.admit_origin(request)
+                if leg > 0:
+                    yield self.env.timeout(leg)
             if request.fn_name == "new":
                 result = yield from self._builtin_new(request)
             else:
@@ -299,22 +302,21 @@ class InvocationEngine:
 
     # -- resilience enforcement ------------------------------------------------------
 
-    def _geo_admit(self, request: InvocationRequest) -> Generator[Any, Any, None]:
-        """Federation gate: enforce the target class's jurisdiction
-        constraint against the request's origin zone and pay the client
-        leg to the serving replica.  Run only with the plane on and an
-        origin zone: otherwise the invocation skips it altogether."""
-        fed = self.federation
+    def admit_origin(self, request: InvocationRequest) -> float:
+        """Federation gate, run only with the plane on and an origin zone:
+        enforce the target class's jurisdiction constraint against the
+        request's origin zone (a rejection counts in the class's
+        ``jurisdiction`` verdict) and return the client leg to the
+        serving replica.  The asyncio front calls it before it submits,
+        since the worker it dispatches to sees no origin."""
         runtime = self.directory.runtime(self._target_class(request))
-        leg = fed.admit(
+        return self.federation.admit(
             request.origin_zone,
             runtime.cls,
             runtime.resolved.nfr.constraint.jurisdictions,
             runtime.dht,
             request.object_id,
         )
-        if leg > 0:
-            yield self.env.timeout(leg)
 
     def _place(
         self,

@@ -7,10 +7,12 @@ True, so a baseline platform never builds a scraper, never registers a
 collector, and executes byte-identically with this module unimported.
 
 The plane is **pull-model**: nothing is added to data-plane hot paths.
-Every scrape runs the registered collectors — each plane contributes a
-``collect_metrics(registry)`` hook that refreshes labeled instruments
-from the statistics it already keeps — then samples the registry into
-ring-buffered time series and hands the clock to the SLO evaluator.
+Every scrape refreshes labeled instruments from the statistics the
+platform already keeps — one gauge per number of every plane's
+``stats()`` (:func:`repro.render.numbers`, labelled ``plane=<name>``),
+plus the front door, the class runtimes, the async queue and the kernel
+profile — then samples the registry into ring-buffered time series and
+hands the clock to the SLO evaluator.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.monitoring.metrics import MetricsRegistry, set_counter
 from repro.monitoring.scraper import MetricsScraper
 from repro.monitoring.slo import SloConfig, SloEvaluator
 from repro.plane import Plane
+from repro.render import numbers
 from repro.sim.kernel import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -120,7 +123,8 @@ class MetricsPlane(Plane):
         self._collect_runtimes(platform, registry)
         platform.queue.collect_metrics(registry)
         for plane in platform.planes.values():
-            plane.collect_metrics(registry)
+            for name, labels, value in numbers(plane.stats(), plane.name):
+                registry.gauge(name, {**labels, "plane": plane.name}).set(value)
         platform.env.profile.collect_metrics(registry)
         self._watch_classes(platform)
 

@@ -7,6 +7,10 @@ simply absent).  Everything the platform does *after* construction is a
 loop over that registry calling one of the hooks below, so the facade,
 the gateway, the metrics scraper and the NFR report never name a plane.
 
+A plane's state leaves through :meth:`Plane.stats` only: the CLI
+renders it, and the metrics plane and ``Oparaca.snapshot()`` name each
+number by its path in it (:func:`repro.render.numbers`).
+
 Every hook defaults to "nothing", and a hook exists only while at least
 two planes implement it (``docs/architecture.md`` has the table of who
 implements what; ``tests/test_planes.py`` enforces the rule).
@@ -26,7 +30,6 @@ from typing import TYPE_CHECKING, Any, Generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.http import HttpRequest, HttpResponse
-    from repro.monitoring.metrics import MetricsRegistry
     from repro.monitoring.nfr_table import Objective
 
 __all__ = ["Plane"]
@@ -56,15 +59,9 @@ class Plane:
         the SLO evaluator alike."""
         return []
 
-    def collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Metrics-plane pull hook: mirror statistics into ``registry``."""
-
     def stats(self) -> dict[str, Any]:
-        """The plane's report section, JSON-friendly."""
-        return {}
-
-    def snapshot(self) -> dict[str, float]:
-        """The plane's keys of the flat ``Oparaca.snapshot()``."""
+        """The plane's report section, JSON-friendly: every number in it
+        is also a metrics series and an ``Oparaca.snapshot()`` key."""
         return {}
 
     def stop(self) -> Any:

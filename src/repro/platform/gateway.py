@@ -164,10 +164,7 @@ class Gateway:
                 if self.overhead_s:
                     yield self.env.timeout(self.overhead_s)
                 return no_route(http) if invocation is None else invocation
-            origin = None
-            if self.engine.federation is not None:
-                # The engine geo-routes: tell it where the request came from.
-                origin = http.headers.get("x-origin-zone") or self.default_origin_zone
+            origin = self.origin(http)
             admitted = False
             if self.qos is not None:
                 # Admission runs before any overhead is spent: a rejected
@@ -224,6 +221,15 @@ class Gateway:
                 "InternalError",
                 f"internal platform error: {type(exc).__name__}: {exc}",
             )
+
+    def origin(self, http: HttpRequest) -> str | None:
+        """The zone a request comes from, for the engine's geo-router and
+        jurisdiction gate: its ``x-origin-zone`` header, else the default
+        origin zone; ``None`` without the federation plane.  The sim
+        gateway and the asyncio front both decide it here."""
+        if self.engine.federation is None:
+            return None
+        return http.headers.get("x-origin-zone") or self.default_origin_zone
 
     def admin_route(self, http: HttpRequest) -> Generator | HttpResponse | None:
         """The non-invocation surface: the object query, then each

@@ -21,6 +21,7 @@ pulling a web framework into the container.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from typing import TYPE_CHECKING, Any
 
@@ -49,13 +50,14 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: answered 408 and closed, so a client trickling bytes holds no task.
 _HEAD_TIMEOUT_S = 30.0
 _BODY_TIMEOUT_S = 30.0
-#: After a 400 or 408 the front half-closes and discards what the
-#: client still sends, until it closes or this many seconds pass: a
-#: close with input left unread resets the connection, and the reset
-#: can drop the answer before the client reads it.
+#: After a 400, a 408 or an over-cap 503 the front half-closes and
+#: discards what the client still sends, until it closes or this many
+#: seconds pass: a close with input left unread resets the connection,
+#: and the reset can drop the answer before the client reads it.
 _LINGER_S = 2.0
 #: Open connections served at once; one past it is answered 503 and
-#: closed unread, so idle keep-alive clients cannot pile up tasks.
+#: closed like a 400 (lingering at most ``_LINGER_S``), so idle
+#: keep-alive clients cannot pile up tasks.
 _MAX_CONNECTIONS = 512
 
 
@@ -82,7 +84,6 @@ class AsyncPlatformServer:
             config=config, classes=list(platform.crm.runtimes)
         )
         self.workers: list[AsyncWorkerClient] = []
-        self.requests = 0
         self._connections = 0
         self._http_server: asyncio.AbstractServer | None = None
         self._next_worker = 0
@@ -192,11 +193,9 @@ class AsyncPlatformServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         if self._connections >= _MAX_CONNECTIONS:
-            self._write_response(
-                writer,
-                HttpResponse(503, {"error": "too many connections", "type": "OverloadError"}),
-            )
-            writer.close()
+            full = HttpResponse(503, {"error": "too many connections", "type": "OverloadError"})
+            with contextlib.closing(writer), contextlib.suppress(ConnectionError):
+                await self._answer_and_close(reader, writer, full)
             return
         self._connections += 1
         try:
@@ -288,11 +287,11 @@ class AsyncPlatformServer:
                     parsed = None
                 if isinstance(parsed, dict):
                     body = parsed
-        return HttpRequest(method, path, body)
+        return HttpRequest(method, path, body, headers)
 
     async def _respond(self, http: HttpRequest) -> HttpResponse:
-        self.requests += 1
         gateway = self.platform.gateway
+        gateway.requests += 1
         routed = gateway._route(http)
         if routed is None:
             # This front's own worker pool first, then the gateway's
@@ -311,6 +310,15 @@ class AsyncPlatformServer:
                 return error_response(type(exc).__name__, str(exc))
         if isinstance(routed, HttpResponse):
             return routed
+        origin = gateway.origin(http)
+        if origin is not None:
+            # The worker sees no origin, so the federation plane's gate
+            # runs here; geo-routing over sockets is not modelled.
+            routed.stamp(origin)
+            try:
+                self.platform.engine.admit_origin(routed)
+            except OaasError as exc:
+                return error_response(type(exc).__name__, str(exc))
         return result_response(routed, await self.scheduler.submit(routed))
 
     def _write_response(

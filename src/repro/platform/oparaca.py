@@ -49,6 +49,7 @@ from repro.model.pkg import Package, load_package, loads_package
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog, PlatformEvent
 from repro.monitoring.export import chrome_trace_json, summary_report
+from repro.monitoring.metrics import label_key, render_series_name
 from repro.monitoring.nfr_report import nfr_compliance_report
 from repro.monitoring.nfr_table import NfrVerdict
 from repro.monitoring.plane import MetricsConfig, MetricsPlane
@@ -60,6 +61,7 @@ from repro.orchestrator.topology import ZoneTopology
 from repro.plane import Plane
 from repro.platform.gateway import Gateway, HttpRequest, HttpResponse
 from repro.qos.plane import QosConfig, QosPlane
+from repro.render import numbers
 from repro.scheduler.plane import SchedulerConfig, SchedulerPlane
 from repro.sim.kernel import Environment, Event, Process, all_of
 from repro.sim.network import Network, NetworkModel
@@ -672,6 +674,8 @@ class Oparaca:
         snap["db.docs_written"] = float(self.store.docs_written)
         snap["db.backlog_s"] = self.store.backlog_seconds
         snap["gateway.requests"] = float(self.gateway.requests)
+        snap["gateway.rejected"] = float(self.gateway.rejected)
+        snap["async.rejected"] = float(self.queue.rejected)
         snap["engine.invocations"] = float(self.engine.invocations)
         snap["engine.cas_conflicts"] = float(self.engine.cas_conflicts)
         snap["engine.fault_retries"] = float(self.engine.fault_retries)
@@ -679,7 +683,8 @@ class Oparaca:
         snap["engine.stale_reads"] = float(self.engine.stale_reads)
         snap["engine.open_breakers"] = float(self.engine.breakers.open_count())
         for plane in self.planes.values():
-            snap.update(plane.snapshot())
+            for name, labels, value in numbers(plane.stats(), plane.name):
+                snap[render_series_name(name, label_key(labels))] = float(value)
         return snap
 
     def shutdown(self) -> None:

@@ -187,6 +187,10 @@ class WeightedFairQueue:
             "pushed": self.pushed,
             "served": self.served,
             "depth": self.depth(),
-            "depth_by_class": {cls: self.depth(cls) for cls in self.classes()},
-            "shed_by_class": dict(sorted(self.shed_count.items())),
+            "depth_by_class": [
+                {"class": cls, "depth": self.depth(cls)} for cls in self.classes()
+            ],
+            "shed_by_class": [
+                {"class": cls, "shed": count} for cls, count in sorted(self.shed_count.items())
+            ],
         }

@@ -31,7 +31,6 @@ from repro.errors import UnknownClassError, ValidationError
 from repro.model.nfr import NonFunctionalRequirements
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog, emit
-from repro.monitoring.metrics import set_counter
 from repro.monitoring.tracing import Tracer
 from repro.plane import Plane
 from repro.qos.admission import AdmissionController, AdmissionDecision
@@ -116,8 +115,6 @@ class QosPlane(Plane):
         self._retired_shed: dict[str, int] = {}
         self.shedder: OverloadController | None = None
         self._policies: dict[str, QosPolicy] = {}
-        #: Refusals by path, counted where they are narrated.
-        self._rejected = {"http": 0, "async": 0}
 
     # -- policies ----------------------------------------------------------
 
@@ -176,7 +173,6 @@ class QosPlane(Plane):
         return decision
 
     def _emit_reject(self, decision: AdmissionDecision, path: str) -> None:
-        self._rejected[path] += 1
         emit(
             self.events,
             self.tracer,
@@ -249,76 +245,13 @@ class QosPlane(Plane):
 
     # -- reporting ---------------------------------------------------------
 
-    def policies(self) -> list[QosPolicy]:
-        """Resolved/overridden policies, sorted by class."""
-        return [self._policies[cls] for cls in sorted(self._policies)]
-
-    def queue_depth(self) -> int:
-        return sum(queue.depth() for queue in self.queues)
-
-    def _queue_totals(self) -> tuple[int, int, dict[str, int]]:
-        """(pushed, served, shed-by-class) over live and retired queues."""
+    def stats(self) -> dict[str, Any]:
+        """The full enforcement picture, JSON-friendly; the fair-queue
+        totals cover live and retired queues."""
         shed_by_class = dict(self._retired_shed)
         for queue in self.queues:
             for cls, count in queue.shed_count.items():
                 shed_by_class[cls] = shed_by_class.get(cls, 0) + count
-        return (
-            self._retired_pushed + sum(q.pushed for q in self.queues),
-            self._retired_served + sum(q.served for q in self.queues),
-            shed_by_class,
-        )
-
-    def collect_metrics(self, registry) -> None:
-        """Metrics-plane pull hook: admission verdicts per class, fair-
-        queue depth/throughput, and sheds — labeled by class and plane."""
-        for cls, row in self.admission.stats().items():
-            labels = {"class": cls, "plane": "qos"}
-            set_counter(registry, "qos.admitted", float(row["admitted"]), labels)
-            set_counter(
-                registry, "qos.rejected_rate", float(row["rejected_rate"]), labels
-            )
-            set_counter(
-                registry,
-                "qos.rejected_concurrency",
-                float(row["rejected_concurrency"]),
-                labels,
-            )
-        plane_labels = {"plane": "qos"}
-        registry.gauge("qos.in_flight", plane_labels).set(
-            float(self.admission.in_flight)
-        )
-        registry.gauge("qos.queue_depth", plane_labels).set(float(self.queue_depth()))
-        pushed, served, shed_by_class = self._queue_totals()
-        set_counter(registry, "qos.queue_pushed", float(pushed), plane_labels)
-        set_counter(registry, "qos.queue_served", float(served), plane_labels)
-        for cls, count in shed_by_class.items():
-            set_counter(
-                registry, "qos.shed", float(count), {"class": cls, "plane": "qos"}
-            )
-        if self.shedder is not None:
-            set_counter(
-                registry, "qos.shed_passes",
-                float(self.shedder.stats()["passes"]), plane_labels,
-            )
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "gateway.rejected": float(self._rejected["http"]),
-            "qos.in_flight": float(self.admission.in_flight),
-            "qos.queue_depth": float(self.queue_depth()),
-            "qos.shed": float(sum(self._queue_totals()[2].values())),
-            "qos.rejected_async": float(self._rejected["async"]),
-        }
-
-    def stats(self) -> dict[str, Any]:
-        """The full enforcement picture, JSON-friendly."""
-        pushed, served, shed_by_class = self._queue_totals()
-        queue_stats: dict[str, Any] = {
-            "pushed": pushed,
-            "served": served,
-            "depth": self.queue_depth(),
-            "shed_by_class": dict(sorted(shed_by_class.items())),
-        }
         out: dict[str, Any] = {
             "policies": [
                 {
@@ -329,11 +262,18 @@ class QosPlane(Plane):
                     "tier": p.tier,
                     "deadline_ms": p.deadline_ms,
                 }
-                for p in self.policies()
+                for _cls, p in sorted(self._policies.items())
             ],
             "admission": self.admission.stats(),
             "in_flight": self.admission.in_flight,
-            "fair_queue": queue_stats,
+            "fair_queue": {
+                "pushed": self._retired_pushed + sum(q.pushed for q in self.queues),
+                "served": self._retired_served + sum(q.served for q in self.queues),
+                "depth": sum(q.depth() for q in self.queues),
+                "shed_by_class": [
+                    {"class": cls, "shed": count} for cls, count in sorted(shed_by_class.items())
+                ],
+            },
         }
         if self.shedder is not None:
             out["shedder"] = self.shedder.stats()

@@ -212,7 +212,10 @@ class OverloadController:
         return {
             "passes": self.passes,
             "shed_total": self.shed_total,
-            "shed_by_class": dict(sorted(self.shed_by_class.items())),
+            "shed_by_class": [
+                {"class": cls, "shed": count}
+                for cls, count in sorted(self.shed_by_class.items())
+            ],
             "queue_depth": self.total_depth(),
             "queue_depth_high": self.queue_depth_high,
         }

@@ -12,13 +12,17 @@ printed by :func:`render`, whose rules are:
 
 :func:`format_table` is the one table function; the experiment tables of
 :mod:`repro.bench` print through it too.
+
+:func:`numbers` reads the same dicts as metric series, with the same
+idea of a table: a row is told apart by a label, never by a name.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import Any
 
-__all__ = ["cell", "format_table", "render"]
+__all__ = ["cell", "format_table", "numbers", "render"]
 
 
 def format_table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -97,3 +101,39 @@ def _lines(value: Any, name: str | None, indent: str) -> list[str]:
 
 def _pairs(values: Mapping[Any, Any]) -> str:
     return " ".join(f"{key}={cell(value)}" for key, value in values.items())
+
+
+def numbers(
+    stats: Mapping[str, Any], path: str, labels: Mapping[str, str] | None = None
+) -> Iterator[tuple[str, Mapping[str, str], int | float]]:
+    """Every number in the state dict ``stats`` as ``(series, labels,
+    value)``, the series named ``<path>.<dotted key path>`` and labelled
+    by ``labels`` plus the rows of the tables it sits in:
+
+    * an int or float (not a bool) is one number;
+    * a nested dict of dicts is a table: each key becomes a ``name`` label;
+    * a list of dicts whose first column holds distinct strings is a
+      table labelled by that column (``worker=…``, ``class=…``);
+    * any other dict extends the path by its keys;
+    * strings, bools, ``None`` and every other list hold no number, so a
+      list that grows with the run (cuts, fault windows) adds no series.
+    """
+    labels = labels or {}
+    for key, item in stats.items():
+        where = f"{path}.{key}"
+        if type(item) is int or type(item) is float:
+            yield where, labels, item
+        elif isinstance(item, Mapping):
+            if item and all(isinstance(row, Mapping) for row in item.values()):
+                for name, row in item.items():
+                    yield from numbers(row, where, {**labels, "name": str(name)})
+            else:
+                yield from numbers(item, where, labels)
+        elif isinstance(item, (list, tuple)) and item and all(
+            isinstance(row, Mapping) and row for row in item
+        ):
+            column = next(iter(item[0]))
+            keys = [row.get(column) for row in item]
+            if all(isinstance(k, str) for k in keys) and len(set(keys)) == len(keys):
+                for row, label in zip(item, keys):
+                    yield from numbers(row, where, {**labels, column: label})

@@ -54,7 +54,6 @@ from repro.errors import SchedulingError, ValidationError
 from repro.http import HttpRequest, HttpResponse
 from repro.invoker.request import InvocationRequest
 from repro.monitoring.events import EventLog, emit
-from repro.monitoring.metrics import set_counter
 from repro.orchestrator.pod import PodSpec
 from repro.orchestrator.resources import ResourceSpec
 from repro.plane import Plane
@@ -329,47 +328,3 @@ class SchedulerPlane(Plane):
     def admin_route(self, http: HttpRequest) -> HttpResponse | None:
         """``GET /api/workers`` and ``POST /api/workers/{name}/drain``."""
         return workers_route(self.core, http)
-
-    def snapshot(self) -> dict[str, float]:
-        audit = self.ledger.audit()
-        return {
-            "scheduler.accepted": float(audit["accepted"]),
-            "scheduler.completed": float(audit["completed"]),
-            "scheduler.outstanding": float(audit["outstanding"]),
-            "scheduler.requeues": float(audit["requeues"]),
-            "scheduler.suppressed": float(audit["suppressed"]),
-            "scheduler.workers_live": float(self.live_workers),
-        }
-
-    def collect_metrics(self, registry) -> None:
-        """Metrics-plane pull hook: per-worker dispatch/completion
-        counters and queue depths, labeled by worker, plus plane totals."""
-        for name in sorted(self.workers):
-            worker = self.workers[name]
-            labels = {"worker": name, "plane": "scheduler"}
-            set_counter(
-                registry, "scheduler.dispatched", float(worker.dispatched_count), labels
-            )
-            set_counter(
-                registry, "scheduler.completed", float(worker.completed_count), labels
-            )
-            set_counter(
-                registry, "scheduler.heartbeats", float(worker.heartbeats_sent), labels
-            )
-            registry.gauge("scheduler.queue_depth", labels).set(
-                float(worker.queue.depth())
-            )
-            registry.gauge("scheduler.worker_phase", labels).set(
-                float(worker.machine.phase)
-            )
-        totals = {"plane": "scheduler"}
-        audit = self.ledger.audit()
-        set_counter(registry, "scheduler.accepted", float(audit["accepted"]), totals)
-        set_counter(registry, "scheduler.requeues", float(audit["requeues"]), totals)
-        set_counter(
-            registry, "scheduler.suppressed", float(audit["suppressed"]), totals
-        )
-        registry.gauge("scheduler.outstanding", totals).set(
-            float(audit["outstanding"])
-        )
-        registry.gauge("scheduler.parked", totals).set(float(self.core.parked))

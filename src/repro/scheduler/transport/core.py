@@ -441,6 +441,7 @@ class DispatchCore:
             {
                 "worker": name,
                 "state": worker.machine.state.value,
+                "phase": worker.machine.phase,
                 "node": worker.node,
                 "epoch": worker.epoch,
                 "installed": sorted(worker.installed),

@@ -187,7 +187,7 @@ PLANE_COMMANDS = {
         ["chaos", "--plan", "node-crash"],
         [
             "workload: 60 ok / 0 rejected / 0 failed over 60 rounds",
-            "  injected=1 recovered=1 fault_time_s=6.0",
+            "  injected=1 recovered=1 active_faults=0 fault_time_s=6.0",
         ],
     ),
     "workers-drain": (

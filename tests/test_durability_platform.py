@@ -142,11 +142,11 @@ class TestReportsAndBaseline:
     def test_snapshot_gains_durability_keys_only_when_enabled(self):
         platform = dura_platform()
         keys = set(platform.snapshot())
-        assert {"durability.cuts", "durability.epoch_writes"} <= keys
+        assert {"durability.cuts_total", "durability.epoch_writes_total"} <= keys
         platform.shutdown()
 
         baseline = Oparaca(PlatformConfig(nodes=2))
-        assert not {"durability.cuts", "durability.restores"} & set(
+        assert not {"durability.cuts_total", "durability.restores_total"} & set(
             baseline.snapshot()
         )
         assert baseline.durability is None

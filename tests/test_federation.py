@@ -654,7 +654,7 @@ class TestDeterminism:
         )
         platform.migrate_object(obj, "region-a", cls="Sensor")
         snap = platform.snapshot()
-        assert snap["federation.migrations"] == 1.0
-        assert snap["federation.rejections"] == 1.0
+        assert snap["federation.migrations_total"] == 1.0
+        assert snap["federation.rejections_total"] == 1.0
         report = platform.report("federation")
         assert report["migrations_total"] == 1

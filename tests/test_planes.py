@@ -7,8 +7,9 @@ Two halves:
   empty ``report(name)``, no snapshot key, no report section, and each
   of its REST routes answers the baseline 404 ``NoRouteError``.  An
   enabled plane is *present*: registered under its ``name``, adding
-  exactly the snapshot keys its ``snapshot()`` hook emits without
-  touching a baseline one, owning its routes, JSON-serialisable.
+  exactly one snapshot key per number of its ``stats()`` (named by
+  :func:`repro.render.numbers`) without touching a baseline one, owning
+  its routes, JSON-serialisable.
 * **The pairwise matrix** — every pair of planes plus all five at once
   (11 configs) under one seeded Listing-1 workload with sync and async
   writers and a node crash, asserting the platform's invariants
@@ -26,9 +27,11 @@ import pytest
 
 from repro.durability.plane import DurabilityConfig
 from repro.federation import FederationConfig, Zone
+from repro.monitoring.metrics import label_key, render_series_name
 from repro.monitoring.plane import MetricsConfig
 from repro.plane import Plane
 from repro.qos.plane import QosConfig
+from repro.render import numbers
 from repro.scheduler.plane import SchedulerConfig
 
 from tests.helpers import LISTING1_YAML, make_platform
@@ -97,6 +100,14 @@ def platform_with(*names: str, **extra):
     return make_platform(LISTING1_YAML, HANDLERS, **kwargs)
 
 
+def owned_keys(plane: Plane) -> set[str]:
+    """The flat-snapshot keys of ``plane``: one per number of its stats."""
+    return {
+        render_series_name(name, label_key(labels))
+        for name, labels, _value in numbers(plane.stats(), plane.name)
+    }
+
+
 # -- the contract ---------------------------------------------------------------
 
 
@@ -104,14 +115,14 @@ def platform_with(*names: str, **extra):
 def test_disabled_plane_is_absent(name):
     _config, alias, routes = PLANES[name]
     enabled = platform_with(name)
-    owned_keys = set(enabled.planes[name].snapshot())
+    owned = owned_keys(enabled.planes[name])
     enabled.shutdown()
 
     platform = platform_with()
     assert platform.planes == {}
     assert getattr(platform, alias) is None
     assert platform.report(name) == {}
-    assert not owned_keys & set(platform.snapshot())
+    assert owned and not owned & set(platform.snapshot())
     assert name not in platform.observability_report()
     for method, path in routes:
         response = platform.http(method, path)
@@ -135,7 +146,7 @@ def test_enabled_plane_is_registered_under_its_name(name):
     # The plane adds exactly its own snapshot keys; every baseline key
     # keeps its value.
     snap = platform.snapshot()
-    assert set(snap) - set(base_snap) == set(plane.snapshot())
+    assert set(snap) - set(base_snap) == owned_keys(plane)
     assert {key: snap[key] for key in base_snap} == base_snap
     # Its section of the report is its stats(), and plain JSON.
     stats = platform.report(name)

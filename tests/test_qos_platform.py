@@ -57,6 +57,7 @@ class TestGatewayAdmission:
         for _ in range(10):
             platform.http("POST", f"/api/objects/{obj}/invokes/work")
         assert platform.gateway.rejected > 0
+        assert platform.snapshot()["gateway.rejected"] == platform.gateway.rejected
         rejects = platform.platform_events("qos.reject")
         assert rejects and rejects[0].fields["path"] == "http"
         platform.shutdown()
@@ -158,6 +159,7 @@ class TestAsyncPath:
         assert ok and limited
         assert len(ok) + len(limited) == 10
         assert platform.queue.rejected == len(limited)
+        assert platform.snapshot()["async.rejected"] == len(limited)
         platform.shutdown()
 
     def test_flood_is_shed_with_overload_error(self):
@@ -238,11 +240,13 @@ class TestReportsAndBaseline:
     def test_snapshot_gains_qos_keys_only_when_enabled(self):
         platform = qos_platform()
         keys = set(platform.snapshot())
-        assert {"gateway.rejected", "qos.in_flight", "qos.queue_depth"} <= keys
+        assert {"qos.in_flight", "qos.fair_queue.depth"} <= keys
         platform.shutdown()
 
         baseline = Oparaca(PlatformConfig(nodes=2))
-        assert not {"gateway.rejected", "qos.in_flight"} & set(baseline.snapshot())
+        snap = baseline.snapshot()
+        assert not {"qos.in_flight", "qos.fair_queue.depth"} & set(snap)
+        assert snap["gateway.rejected"] == snap["async.rejected"] == 0.0
         baseline.shutdown()
 
     def test_nfr_report_adds_p95_verdict_when_plane_on(self):

@@ -116,5 +116,5 @@ class TestShedObservability:
         stats = controller.stats()
         assert stats["passes"] == 1
         assert stats["shed_total"] == 4
-        assert stats["shed_by_class"] == {"A": 4}
+        assert stats["shed_by_class"] == [{"class": "A", "shed": 4}]
         assert stats["queue_depth"] == 0

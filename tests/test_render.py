@@ -1,5 +1,6 @@
-"""The one renderer: its shape rules, and that every plane's state
-reaches ``ocli report``'s text through it."""
+"""The one renderer and the one outlet: their shape rules, that every
+plane's state reaches ``ocli report``'s text, and that every number in
+it reaches the metrics exposition and the flat snapshot."""
 
 from __future__ import annotations
 
@@ -9,10 +10,12 @@ from repro.chaos import named_plan
 from repro.durability.plane import DurabilityConfig
 from repro.federation.plane import FederationConfig
 from repro.monitoring.export import format_summary
+from repro.monitoring.exposition import render_labels, sanitize_metric_name
+from repro.monitoring.metrics import label_key, render_series_name
 from repro.monitoring.plane import MetricsConfig
 from repro.orchestrator.topology import Zone
 from repro.qos.plane import QosConfig
-from repro.render import cell, format_table, render
+from repro.render import cell, format_table, numbers, render
 from repro.scheduler.plane import SchedulerConfig
 
 from tests.helpers import listing1_platform
@@ -95,6 +98,45 @@ def test_format_table_is_the_bench_table():
     ]
 
 
+def test_numbers_name_leaves_by_their_dotted_path():
+    stats = {"in_flight": 2, "fair_queue": {"depth": 0, "rate": 0.5}, "ok": True, "plan": "x"}
+    assert list(numbers(stats, "qos")) == [
+        ("qos.in_flight", {}, 2),
+        ("qos.fair_queue.depth", {}, 0),
+        ("qos.fair_queue.rate", {}, 0.5),
+    ]
+
+
+def test_numbers_label_a_dict_of_dicts_by_name():
+    stats = {"classes": {"Hot": {"cuts": 3, "policy": {"interval_s": 1.0, "mode": "periodic"}}}}
+    assert list(numbers(stats, "durability")) == [
+        ("durability.classes.cuts", {"name": "Hot"}, 3),
+        ("durability.classes.policy.interval_s", {"name": "Hot"}, 1.0),
+    ]
+
+
+def test_numbers_label_a_list_of_rows_by_its_first_column():
+    workers = [
+        {"worker": "w-0", "state": "READY", "done": 3, "in_flight": False, "installed": ["A"]},
+        {"worker": "w-1", "state": "DEAD", "done": 1, "in_flight": True, "installed": []},
+    ]
+    assert list(numbers({"workers": workers}, "scheduler")) == [
+        ("scheduler.workers.done", {"worker": "w-0"}, 3),
+        ("scheduler.workers.done", {"worker": "w-1"}, 1),
+    ]
+
+
+def test_numbers_skip_lists_that_are_not_labelled_tables():
+    stats = {
+        "generations": [{"generation": 1, "captured": 4}, {"generation": 2, "captured": 5}],
+        "faults": [{"kind": "NodeCrash", "at": 1.0}, {"kind": "NodeCrash", "at": 2.0}],
+        "windows": [{"started_at": 0.5, "ended_at": None}],
+        "depths": [1, 2, 3],
+        "last": None,
+    }
+    assert list(numbers(stats, "p")) == []
+
+
 def _keys(value: Any) -> Iterator[str]:
     """Every key at every depth of a stats dict."""
     if isinstance(value, dict):
@@ -106,25 +148,38 @@ def _keys(value: Any) -> Iterator[str]:
             yield from _keys(item)
 
 
-def test_every_key_of_every_plane_reaches_the_report_text():
+def _all_planes_platform(chaos: bool = True, **durability: Any):
     platform = listing1_platform(
         tracing_enabled=True,
         events_enabled=True,
         qos=QosConfig(enabled=True),
-        durability=DurabilityConfig(enabled=True),
+        durability=DurabilityConfig(enabled=True, **durability),
         metrics=MetricsConfig(enabled=True),
         scheduler=SchedulerConfig(enabled=True),
         federation=FederationConfig(
             enabled=True, zones=(Zone("edge-a", tier="edge"), Zone("core", tier="core"))
         ),
     )
-    platform.inject_chaos(named_plan("node-crash", list(platform.cluster.node_names)))
-    obj = platform.new_object("Image")
+    if chaos:
+        platform.inject_chaos(named_plan("node-crash", list(platform.cluster.node_names)))
+    return platform
+
+
+def _run_all_planes():
+    """Every plane plus chaos under sync and async writes across a node
+    crash."""
+    platform = _all_planes_platform()
+    obj = platform.new_object("Image", object_id="img-0")
     for width in range(1, 31):
         platform.http("POST", f"/api/objects/{obj}/invokes/resize", {"width": width})
         platform.invoke_async(obj, "resize", {"width": width})
         platform.advance(0.3)
     platform.shutdown()
+    return platform
+
+
+def test_every_key_of_every_plane_reaches_the_report_text():
+    platform = _run_all_planes()
     assert set(platform.planes) == {
         "qos", "durability", "metrics", "scheduler", "federation", "chaos"
     }
@@ -135,3 +190,44 @@ def test_every_key_of_every_plane_reaches_the_report_text():
         section = text.split(f"\n{name} plane", 1)[1].split("\n\n", 1)[0]
         missing = sorted({key for key in _keys(stats) if key not in section})
         assert not missing, (name, missing)
+
+
+def test_every_number_of_every_plane_is_a_series_and_a_snapshot_key():
+    platform = _run_all_planes()
+    platform.metrics.scraper.scrape_once()
+    text = platform.metrics_exposition()
+    snapshot = platform.snapshot()
+    for name, plane in platform.planes.items():
+        found = list(numbers(plane.stats(), name))
+        assert len(found) >= 4, name
+        for series, labels, value in found:
+            line = sanitize_metric_name(series) + render_labels(
+                label_key({**labels, "plane": name})
+            )
+            assert f"\n{line} " in text, line
+            assert snapshot[render_series_name(series, label_key(labels))] == value
+
+
+def _plane_series(cuts: int) -> int:
+    # No fault plan: a crash adds rows (a replacement worker, a recovery)
+    # that no number of cuts does.
+    platform = _all_planes_platform(chaos=False, default_interval_s=0.1)
+    obj = platform.new_object("Image", object_id="img-0")
+    for width in range(4 * cuts):
+        if platform.durability.stats()["cuts_total"] >= cuts:
+            break
+        platform.http("PATCH", f"/api/objects/{obj}", {"width": width})
+        platform.advance(0.1)
+    assert platform.durability.stats()["classes"]["Image"]["generation_count"] >= cuts
+    platform.metrics.scraper.scrape_once()
+    planes = set(platform.planes)
+    series = [
+        gauge for gauge in platform.metrics.registry.gauges()
+        if dict(gauge.labels).get("plane") in planes
+    ]
+    platform.shutdown()
+    return len(series)
+
+
+def test_plane_series_do_not_grow_with_snapshot_cuts():
+    assert _plane_series(10) == _plane_series(40)

@@ -196,11 +196,11 @@ class TestReportsAndBaseline:
         assert report["live_workers"] == 3
         assert "scheduler" in platform.observability_report()
         keys = set(platform.snapshot())
-        assert {"scheduler.accepted", "scheduler.completed"} <= keys
+        assert {"scheduler.ledger.accepted", "scheduler.ledger.completed"} <= keys
         platform.shutdown()
 
         baseline = make_platform(nodes=2)
-        assert not {"scheduler.accepted"} & set(baseline.snapshot())
+        assert not {"scheduler.ledger.accepted"} & set(baseline.snapshot())
         assert baseline.scheduler_plane is None
         baseline.shutdown()
 
@@ -220,8 +220,8 @@ class TestReportsAndBaseline:
         platform.advance(3.0)
         platform.shutdown()
         text = platform.metrics_exposition()
-        assert 'scheduler_completed{plane="scheduler",worker="worker-0"}' in text
-        assert 'scheduler_accepted{plane="scheduler"}' in text
+        assert 'scheduler_workers_completed{plane="scheduler",worker="worker-0"}' in text
+        assert 'scheduler_ledger_accepted{plane="scheduler"}' in text
 
 
 class TestChaosDeterminism:

@@ -614,14 +614,15 @@ class TestDrain:
 
 class TestHttpFrontEnd:
     @staticmethod
-    async def _request(host, port, method, path, body=None):
+    async def _request(host, port, method, path, body=None, headers=None):
         import json
 
         reader, writer = await asyncio.open_connection(host, port)
         payload = json.dumps(body or {}).encode()
+        extra = "".join(f"{key}: {value}\r\n" for key, value in (headers or {}).items())
         writer.write(
             (
-                f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+                f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n{extra}"
                 f"Content-Length: {len(payload)}\r\n\r\n"
             ).encode()
             + payload
@@ -925,6 +926,93 @@ class TestHttpFrontEnd:
             assert await front.stop() == {"pending": 0, "parked": 0}
 
         run_async(scenario())
+        platform.shutdown()
+
+    def test_a_client_that_sent_a_body_past_the_cap_reads_the_whole_503(self, monkeypatch):
+        """Over the cap the front answers 503 the way it answers a 400:
+        it half-closes and discards what the client still sends, so a
+        client whose request body is already on the wire reads the whole
+        answer instead of a reset."""
+        import repro.platform.httpfront as httpfront
+        from tests.helpers import listing1_platform
+
+        monkeypatch.setattr(httpfront, "_MAX_CONNECTIONS", 1, raising=False)
+        platform = listing1_platform(
+            scheduler=SchedulerConfig(enabled=True, transport="asyncio", pool_size=1)
+        )
+
+        async def scenario():
+            front = await platform.serve_http()
+            _, idle = await asyncio.open_connection(front.host, front.port)
+            await wait_for(lambda: front._connections == 1, message="the idle slot")
+            reader, writer = await asyncio.open_connection(front.host, front.port)
+            payload = b"x" * (256 * 1024)
+            writer.write(
+                b"POST /api/classes/Image HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(payload)
+                + payload
+            )
+            try:
+                await writer.drain()
+                answer = await asyncio.wait_for(reader.read(), 5)
+            finally:
+                writer.close()
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.split(b" ")[1:3] == [b"503", b"Service"]
+            assert json.loads(body)["type"] == "OverloadError"
+            idle.close()
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        run_async(scenario())
+        platform.shutdown()
+
+    @pytest.mark.parametrize("default_origin", [None, "core"], ids=["header", "default-origin"])
+    def test_an_out_of_jurisdiction_request_is_answered_451(self, default_origin):
+        """The front decides a request's origin as the sim gateway does
+        (``x-origin-zone``, else the default origin zone) and runs the
+        federation plane's gate before it submits: a ``Sensor`` bound to
+        edge-a / region-a refuses a bump from core with 451, the refusal
+        counts in its jurisdiction verdict, and a bump from edge-a is
+        served.  Every socket request counts in ``gateway.requests``."""
+        from repro.federation.plane import FederationConfig
+        from tests.helpers import make_platform
+        from tests.test_federation import FED_YAML, RTT, THREE_TIER, _bump
+
+        platform = make_platform(
+            FED_YAML,
+            {"f/bump": (_bump, 0.002)},
+            nodes=6,
+            seed=7,
+            regions=("edge-a", "region-a", "core"),
+            federation=FederationConfig(
+                enabled=True, zones=THREE_TIER, zone_rtt_s=RTT, default_origin_zone=default_origin
+            ),
+            scheduler=SchedulerConfig(enabled=True, transport="asyncio", pool_size=1),
+        )
+        edge = {"x-origin-zone": "edge-a"}
+        core = {} if default_origin else {"x-origin-zone": "core"}
+
+        async def scenario():
+            front = await platform.serve_http()
+            host, port = front.host, front.port
+            status, body = await self._request(
+                host, port, "POST", "/api/classes/Sensor", headers=edge
+            )
+            assert status == 201
+            bump = f"/api/objects/{body['id']}/invokes/bump"
+            status, body = await self._request(host, port, "POST", bump, headers=core)
+            assert (status, body["type"]) == (451, "JurisdictionError")
+            assert await self._request(host, port, "POST", bump, headers=edge) == (200, {"n": 1})
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        run_async(scenario())
+        assert platform.federation.jurisdiction_rejections("Sensor") == 1
+        (verdict,) = [
+            v for v in platform.nfr_report()
+            if (v.cls, v.requirement) == ("Sensor", "jurisdiction")
+        ]
+        assert not verdict.met
+        assert platform.gateway.requests == 3
         platform.shutdown()
 
     def test_serve_http_requires_asyncio_transport(self):
