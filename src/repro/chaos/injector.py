@@ -153,8 +153,7 @@ def _storm(injector: ChaosInjector, fault: ColdStartStorm) -> None:
 
 def _restart_worker(injector: ChaosInjector, fault: WorkerCrash, _handle: bool) -> None:
     plane = _workers(injector)
-    current = plane.workers.get(fault.worker)
-    if current is None or current.machine.is_dead:
+    if fault.worker not in plane.workers:
         plane.register_worker(fault.worker)
 
 

@@ -334,10 +334,9 @@ class SnapshotCoordinator:
             generation = tracker.next_generation
             tracker.next_generation += 1
             captured: dict[str, dict[str, Any]] = {}
+            # The versions themselves: they are only serialised below.
             for key in sorted(tracker.dirty):
-                doc = dht.peek(key)
-                if doc is None and dht.store is not None and dht.model.persistent:
-                    doc = dht.store.get_sync(dht.collection, key)
+                doc = dht.current(key)
                 if doc is not None:
                     captured[key] = doc
             tombstoned = sorted(tracker.tombstones)

@@ -156,7 +156,7 @@ class MigrationManager:
         yield dht.flush_all()
         best = dht.best_resident(key)
         if dht.store is not None and dht.model.persistent:
-            stored = yield dht.store.read(dht.collection, key)
+            stored = yield dht.store.load(dht.collection, key)
             if _doc_version(stored) > _doc_version(best):
                 best = stored
         return best

@@ -73,8 +73,8 @@ __all__ = ["PlatformEvent", "EventLog", "emit"]
 
 @dataclass(frozen=True, slots=True)
 class PlatformEvent:
-    """One recorded control-plane action (slotted: the log retains up to
-    ``capacity`` of them)."""
+    """One recorded control-plane action, as a read of the log hands it
+    out: built from the log's row, with ``fields`` the reader's own."""
 
     seq: int
     at: float
@@ -93,12 +93,20 @@ class PlatformEvent:
 class EventLog:
     """Collects platform events into a bounded buffer, stamped with
     ``env.now`` — the sim environment's clock, or any object with a
-    ``now`` (the asyncio scheduler server stamps with its loop's)."""
+    ``now`` (the asyncio scheduler server stamps with its loop's).
+
+    The buffer keeps rows, not events: ``(at, type, keys, *values)`` in
+    one flat tuple, the ``keys`` tuple shared by every event of the same
+    field shape and an event's ``seq`` given by its row's position.  The
+    log retains up to ``capacity`` of them; a :class:`PlatformEvent` is
+    built only when read."""
 
     def __init__(self, env, enabled: bool = False, capacity: int = 100_000) -> None:
         self.env = env
         self.enabled = enabled
-        self._events: deque[PlatformEvent] = deque(maxlen=capacity)
+        self._rows: deque[tuple[Any, ...]] = deque(maxlen=capacity)
+        #: field names -> the one tuple of them every row of that shape shares
+        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._seq = 0
         self.dropped = 0
 
@@ -108,38 +116,40 @@ class EventLog:
     def disable(self) -> None:
         self.enabled = False
 
-    def record(self, type: str, **fields: Any) -> PlatformEvent | None:
-        """Append one event; returns ``None`` when the log is off."""
+    def record(self, type: str, **fields: Any) -> None:
+        """Append one event (nothing when the log is off)."""
         if not self.enabled:
-            return None
+            return
         self._seq += 1
-        if len(self._events) == self._events.maxlen:
+        if len(self._rows) == self._rows.maxlen:
             self.dropped += 1
-        # ``fields`` is this call's own dict: the event keeps it.
-        event = PlatformEvent(self._seq, self.env.now, type, fields)
-        self._events.append(event)
-        return event
+        keys = tuple(fields)
+        keys = self._shapes.setdefault(keys, keys)
+        self._rows.append((self.env.now, type, keys, *fields.values()))
 
     # -- queries -----------------------------------------------------------
 
     def events(self, type: str | None = None) -> list[PlatformEvent]:
         """All retained events (optionally filtered by type), in order."""
-        if type is None:
-            return list(self._events)
-        return [e for e in self._events if e.type == type]
+        first = self._seq - len(self._rows) + 1
+        return [
+            PlatformEvent(first + index, row[0], row[1], dict(zip(row[2], row[3:])))
+            for index, row in enumerate(self._rows)
+            if type is None or row[1] == type
+        ]
 
     def of_type(self, type: str) -> list[PlatformEvent]:
         return self.events(type)
 
     def type_counts(self) -> dict[str, int]:
         """How many retained events of each type."""
-        return dict(Counter(e.type for e in self._events))
+        return dict(Counter(row[1] for row in self._rows))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     def __iter__(self):
-        return iter(self._events)
+        return iter(self.events())
 
     def render(self, type: str | None = None, limit: int | None = None) -> str:
         """A human-readable listing (newest last): the newest ``limit``

@@ -302,6 +302,10 @@ class MetricsRegistry:
             instrument = self._gauges[key] = Gauge(name, labels)
         return instrument
 
+    def discard(self, gauge: Gauge) -> None:
+        """Forget a gauge whose number is gone."""
+        self._gauges.pop((gauge.name, gauge.labels), None)
+
     def histogram(self, name: str, labels: Mapping[str, str] | None = None) -> Histogram:
         key = (name, label_key(labels))
         instrument = self._histograms.get(key)

@@ -24,7 +24,7 @@ from repro.errors import ValidationError
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.exposition import metrics_json, render_openmetrics
-from repro.monitoring.metrics import MetricsRegistry, set_counter
+from repro.monitoring.metrics import Gauge, MetricsRegistry, set_counter
 from repro.monitoring.scraper import MetricsScraper
 from repro.monitoring.slo import SloConfig, SloEvaluator
 from repro.plane import Plane
@@ -96,6 +96,8 @@ class MetricsPlane(Plane):
         self.scraper.on_scrape.append(self.slo.evaluate)
         self._platform: "Oparaca | None" = None
         self._generation = -1
+        #: the gauges the planes' ``stats()`` set at the last scrape
+        self._stated: set[Gauge] = set()
 
     # -- wiring ------------------------------------------------------------
 
@@ -122,9 +124,18 @@ class MetricsPlane(Plane):
         self._collect_front_door(platform, registry)
         self._collect_runtimes(platform, registry)
         platform.queue.collect_metrics(registry)
+        stated = set()
         for plane in platform.planes.values():
             for name, labels, value in numbers(plane.stats(), plane.name):
-                registry.gauge(name, {**labels, "plane": plane.name}).set(value)
+                gauge = registry.gauge(name, {**labels, "plane": plane.name})
+                gauge.set(value)
+                stated.add(gauge)
+        # A number that left its plane's stats (a retired worker's row)
+        # leaves the registry and the scraped history too.
+        for gauge in self._stated - stated:
+            registry.discard(gauge)
+            self.scraper.forget(gauge.name, gauge.labels)
+        self._stated = stated
         platform.env.profile.collect_metrics(registry)
         self._watch_classes(platform)
 

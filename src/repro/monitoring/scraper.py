@@ -169,6 +169,10 @@ class MetricsScraper:
             listener(now)
         return now
 
+    def forget(self, name: str, labels: LabelKey) -> None:
+        """Drop the history of an instrument the registry let go."""
+        self._series.pop((name, labels), None)
+
     def _sample(
         self, name: str, labels: LabelKey, kind: str, at: float, value: float
     ) -> None:

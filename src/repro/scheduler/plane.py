@@ -201,10 +201,8 @@ class SchedulerPlane(Plane):
         if not self._running:
             return report
         self._running = False
-        for name in sorted(self.workers):
-            worker = self.workers[name]
-            if not worker.machine.is_dead:
-                worker.halt()
+        for _, worker in sorted(self.workers.items()):
+            worker.halt()
         return report
 
     def register_worker(self, name: str | None = None) -> SimWorker:
@@ -215,11 +213,9 @@ class SchedulerPlane(Plane):
             while True:
                 name = f"worker-{self._next_worker}"
                 self._next_worker += 1
-                current = self.workers.get(name)
-                if current is None or current.machine.is_dead:
+                if name not in self.workers:
                     break
-        current = self.workers.get(name)
-        if current is not None and not current.machine.is_dead:
+        if name in self.workers:
             raise SchedulingError(f"worker {name!r} is already registered")
         spec = PodSpec(
             image=WORKER_IMAGE,
@@ -278,30 +274,30 @@ class SchedulerPlane(Plane):
 
     def suppress_heartbeats(self, name: str, duration_s: float) -> bool:
         worker = self.workers.get(name)
-        if worker is None or worker.machine.is_dead:
+        if worker is None:
             return False
         worker.suppress_heartbeats(duration_s)
         return True
 
     def resume_heartbeats(self, name: str) -> bool:
         worker = self.workers.get(name)
-        if worker is None or worker.machine.is_dead:
+        if worker is None:
             return False
         worker.resume_heartbeats()
         return True
 
     def set_worker_slow(self, name: str, factor: float) -> bool:
         worker = self.workers.get(name)
-        if worker is None or worker.machine.is_dead:
+        if worker is None:
             return False
         worker.slow_factor = factor
         return True
 
     def clear_worker_slow(self, name: str) -> bool:
         # Same guard as set_worker_slow/resume_heartbeats: a chaos revert
-        # on a dead worker must not report success.
+        # on a dead (so unlisted) worker must not report success.
         worker = self.workers.get(name)
-        if worker is None or worker.machine.is_dead:
+        if worker is None:
             return False
         worker.slow_factor = 1.0
         return True

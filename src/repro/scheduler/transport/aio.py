@@ -354,8 +354,7 @@ class AsyncSchedulerServer:
         if not isinstance(message, Register):
             return self._refuse(transport, "?", "expected register first")
         name = message.worker
-        current = self.core.workers.get(name)
-        if current is not None and not current.machine.is_dead:
+        if name in self.core.workers:
             return self._refuse(
                 transport, name, f"worker {name!r} is already registered"
             )
@@ -385,7 +384,6 @@ class AsyncSchedulerServer:
         """Is a message from this connection speaking for a fenced past?"""
         if (
             self.core.workers.get(worker.name) is not worker
-            or worker.machine.is_dead
             or epoch != worker.epoch
         ):
             self.fenced += 1

@@ -136,6 +136,8 @@ class DispatchCore:
         self._emit = emit
         self.ledger = InvocationLedger()
         #: name -> *current* registration under that name (latest epoch).
+        #: Never a DEAD one: :meth:`retire` drops the row once it has
+        #: narrated ``scheduler.dead`` (the event log keeps the record).
         self.workers: dict[str, WorkerPort] = {}
         #: every registration ever made, including retired ones — the
         #: conformance suite checks monotonicity over all of them.
@@ -151,6 +153,7 @@ class DispatchCore:
         self.late = 0
         self.parked_total = 0
         self.heartbeats = 0
+        self.retired = 0
         self._unassigned: deque["InvocationRequest"] = deque()
         self._classes: list[str] = []
         #: class (``None``: unknown) -> its eligible ports in name order,
@@ -182,8 +185,7 @@ class DispatchCore:
         worker."""
         self.note_class(cls)
         for _, worker in sorted(self.workers.items()):
-            if not worker.machine.is_dead:
-                worker.install(cls)
+            worker.install(cls)
 
     # -- dispatch path -------------------------------------------------------
 
@@ -325,7 +327,7 @@ class DispatchCore:
             self.flush_unassigned()
 
     def heartbeat(self, worker: WorkerPort) -> None:
-        if self.workers.get(worker.name) is not worker or worker.machine.is_dead:
+        if self.workers.get(worker.name) is not worker:
             return  # a fenced registration's stale beat
         now = self.clock()
         worker.last_beat = now
@@ -399,7 +401,7 @@ class DispatchCore:
         loss, heartbeat timeout): fence its epoch and requeue everything
         it held.  False when there is no such live worker."""
         worker = self.workers.get(name)
-        if worker is None or worker.machine.is_dead:
+        if worker is None:
             return False
         self.retire(worker, reason, worker.crash())
         return True
@@ -415,6 +417,8 @@ class DispatchCore:
         self._emit(
             "scheduler.dead", worker=worker.name, reason=reason, requeued=len(held)
         )
+        del self.workers[worker.name]
+        self.retired += 1
         worker.release()
         self.reroute(worker.name, held)
         if self.on_worker_dead is not None:
@@ -432,9 +436,7 @@ class DispatchCore:
 
     @property
     def live_workers(self) -> int:
-        return sum(
-            1 for worker in self.workers.values() if not worker.machine.is_dead
-        )
+        return len(self.workers)
 
     def describe_workers(self) -> list[dict[str, Any]]:
         return [
@@ -467,6 +469,7 @@ class DispatchCore:
             "parked_total": self.parked_total,
             "registrations": len(self.registrations),
             "live_workers": self.live_workers,
+            "retired": self.retired,
         }
 
     def stop_report(self) -> dict[str, int]:

@@ -2,12 +2,11 @@
 
 This is the historical ``DocumentStore`` storage, extracted behind the
 :class:`~repro.storage.backends.base.StoreBackend` protocol.  It stores
-and returns document *references* — ``DocumentStore`` makes exactly the
-same defensive copies it always did around these calls, which is what
-keeps the default configuration byte-identical to the pre-backend
-store.  Queries run the shared reference evaluator over a full scan;
-there are no secondary indexes to maintain, so ``register_schema`` does
-nothing.
+and returns document *references* — ``DocumentStore`` copies at its
+public edge, while the DHT's flushes and miss loads share the version
+kept here with resident memory (a version is never mutated in place).
+Queries run the shared reference evaluator over a full scan; there are
+no secondary indexes to maintain, so ``register_schema`` does nothing.
 """
 
 from __future__ import annotations

@@ -311,7 +311,7 @@ class Dht:
         """One document-store read, through the miss batcher when on."""
         if self._read_batcher is not None:
             return (yield from self._read_batcher.read(key))
-        return (yield self.store.read(self.collection, key))
+        return (yield self.store.load(self.collection, key))
 
     def _install_owners(
         self, key: str, node: str, owners: tuple[str, ...], loaded: dict[str, Any]
@@ -452,8 +452,8 @@ class Dht:
 
     def _stale_get(self, key: str) -> Generator:
         self.stale_reads += 1
-        doc = yield self.store.read(self.collection, key)
-        return doc
+        doc = yield self.store.load(self.collection, key)
+        return copy_doc(doc)
 
     def delete(self, key: str, caller: str | None = None) -> Process:
         """Remove a record from memory (and, if persistent, the store)."""
@@ -667,9 +667,10 @@ class Dht:
         return epoch
 
     def best_resident(self, key: str) -> dict[str, Any] | None:
-        """Newest in-memory copy of ``key`` across *all* nodes —
-        replicas and stranded sloppy-quorum copies included.  Instant;
-        part of the migration handoff's best-source selection."""
+        """Newest in-memory version of ``key`` across *all* nodes —
+        replicas and stranded sloppy-quorum copies included — itself,
+        shared with the tier: read it, never mutate it.  Instant; part
+        of the migration handoff's best-source selection."""
         best: dict[str, Any] | None = None
         for mem in self._mem.values():
             doc = mem.get(key)
@@ -677,15 +678,17 @@ class Dht:
                 best is None or doc.get("version", 0) > best.get("version", 0)
             ):
                 best = doc
-        return copy_doc(best)
+        return best
 
     def complete_migration(
         self, key: str, target: str, doc: dict[str, Any] | None
     ) -> None:
         """Atomically (no sim yields) repoint ownership of ``key`` to
         ``target``: pin it, drop copies outside the new owner set, and
-        install the handoff copy version-guarded (never downgrading a
-        newer resident copy)."""
+        install the handoff's version version-guarded (never downgrading
+        a newer resident copy).  ``doc`` is installed as it is — the
+        resident or stored version the handoff found — so the caller
+        hands it over and keeps no hold on it."""
         if target not in self.ring:
             raise StorageError(f"node {target!r} is not a DHT member")
         self._pins[key] = target
@@ -694,13 +697,12 @@ class Dht:
             if node not in owners:
                 mem.pop(key, None)
         if doc is not None:
-            stored = copy_doc(doc)
             for node in owners:
                 current = self._mem[node].get(key)
                 if current is None or doc.get("version", 0) > current.get(
                     "version", 0
                 ):
-                    self._install(node, key, stored)
+                    self._install(node, key, doc)
         self._near_invalidate(key)
 
     # -- durability (snapshot/restore plane) ---------------------------------
@@ -752,7 +754,9 @@ class Dht:
         for node in self.owners(key):
             self._mem[node][key] = stored
         if persist and self.store is not None and self.model.persistent:
-            self.store.put_sync(self.collection, stored)
+            # Instant and the tier's own version: straight to the engine,
+            # which keeps (dict) or serialises (SQLite) that one version.
+            self.store.backend.put(self.collection, stored)
 
     def purge(self, key: str) -> Process:
         """Remove a record from every node's memory and buffered queue,
@@ -775,6 +779,15 @@ class Dht:
     def peek(self, key: str) -> dict[str, Any] | None:
         """Instant read of the primary's memory (tests/diagnostics)."""
         return copy_doc(self._mem[self.owner(key)].get(key))
+
+    def current(self, key: str) -> dict[str, Any] | None:
+        """The version of ``key`` a snapshot cut captures: the primary's
+        resident one, else (persistent tiers) the stored one — itself,
+        not a copy: read it, never mutate it.  Instant."""
+        doc = self._mem[self.owner(key)].get(key)
+        if doc is None and self.store is not None and self.model.persistent:
+            doc = self.store.backend.get(self.collection, key)
+        return doc
 
     def scan_ids(self) -> list[str]:
         """All object ids known to this cache: resident primaries plus

@@ -1,12 +1,15 @@
 """The storage tier's one document copier.
 
 Storage copies a document only where it crosses its edge: once when it
-enters (``Dht.put``, ``DocumentStore.write``) and once when it leaves
-toward code that may mutate it (``Dht.get`` / ``peek``,
-``DocumentStore.read*`` / ``query``).  In between, one version object is
-shared by resident memory, replicas, the near cache, the write-behind
-buffer and the durability tracker — which is safe because a stored
-version is never mutated in place, only replaced.
+enters (``Dht.put`` / ``seed``, ``DocumentStore.write`` / ``put_sync``)
+and once when it leaves toward code that may mutate it (``Dht.get`` /
+``peek``, ``DocumentStore.read*`` / ``query`` / ``get_sync``), so a sync
+write costs two copies.  In between, one version object is shared by
+resident memory, replicas, the near cache, the write-behind buffer, the
+durability tracker and the dict engine — the flush lands the tier's
+version (``DocumentStore.land``) and a miss installs the store's
+(``DocumentStore.load``) — which is safe because a stored version is
+never mutated in place, only replaced.
 
 Documents are JSON-shaped (``dict`` / ``list`` / scalars), which a
 direct walk copies several times faster than the general-purpose

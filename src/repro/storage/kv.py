@@ -157,6 +157,15 @@ class DocumentStore:
         copies = [copy_doc(d if type(d) is dict else dict(d)) for d in docs]
         return self.env.process(self._write(collection, copies))
 
+    def land(self, collection: str, docs: list[dict[str, Any]]) -> Process:
+        """Write a batch of the tier's own versions (the write-behind
+        flush): billed and faulted like :meth:`write`, but the documents
+        are not copied — the dict engine keeps the very version the DHT
+        shares, which is never mutated in place, only replaced."""
+        # A list of its own: a delete discards from the flusher's batch in
+        # place, and the batch in the store's hands must not shrink.
+        return self.env.process(self._write(collection, list(docs)))
+
     def _write(self, collection: str, docs: list[dict[str, Any]]) -> Generator:
         # An empty batch consumes no work units and must not count as an
         # operation either, or flush_ops-per-doc accounting is skewed.
@@ -182,16 +191,22 @@ class DocumentStore:
         self.docs_written += 1
 
     def read(self, collection: str, key: str) -> Process:
-        """Read one document; the process resolves to the doc or ``None``."""
-        return self.env.process(self._read(collection, key))
+        """Read one document; the process resolves to the caller's own
+        copy or ``None``."""
+        return self.env.process(self._read(collection, key, copy=True))
 
-    def _read(self, collection: str, key: str) -> Generator:
+    def load(self, collection: str, key: str) -> Process:
+        """The DHT's miss read: like :meth:`read`, but resolves to the
+        stored version itself, which the tier installs and never mutates."""
+        return self.env.process(self._read(collection, key, copy=False))
+
+    def _read(self, collection: str, key: str, copy: bool) -> Generator:
         yield self._charge(collection, self.model.read_units(1))
         self.read_ops += 1
         doc = self.backend.get(collection, key)
         if doc is not None:
             self.docs_read += 1
-        return copy_doc(doc)
+        return copy_doc(doc) if copy else doc
 
     def read_many(self, collection: str, keys: list[str]) -> Process:
         """Read a batch of documents as ONE operation (multi-get).
@@ -202,9 +217,14 @@ class DocumentStore:
         the same way the write-behind flusher does.  The process resolves
         to ``{key: doc}`` with absent keys mapped to ``None``.
         """
-        return self.env.process(self._read_many(collection, list(keys)))
+        return self.env.process(self._read_many(collection, list(keys), copy=True))
 
-    def _read_many(self, collection: str, keys: list[str]) -> Generator:
+    def load_many(self, collection: str, keys: list[str]) -> Process:
+        """The miss batcher's multi-get: like :meth:`read_many`, but
+        resolves to the stored versions themselves."""
+        return self.env.process(self._read_many(collection, list(keys), copy=False))
+
+    def _read_many(self, collection: str, keys: list[str], copy: bool) -> Generator:
         if not keys:
             return {}
         yield self._charge(collection, self.model.read_units(len(keys)))
@@ -215,7 +235,7 @@ class DocumentStore:
             doc = self.backend.get(collection, key)
             if doc is not None:
                 self.docs_read += 1
-            out[key] = copy_doc(doc)
+            out[key] = copy_doc(doc) if copy else doc
         return out
 
     def delete(self, collection: str, key: str) -> Process:
@@ -258,10 +278,10 @@ class DocumentStore:
         return copy_doc(self.backend.get(collection, key))
 
     def put_sync(self, collection: str, doc: Mapping[str, Any]) -> None:
-        """Seed a document without consuming DB capacity."""
+        """Seed a copy of a document without consuming DB capacity."""
         if "id" not in doc:
             raise StorageError("document without 'id'")
-        self.backend.put(collection, dict(doc))
+        self.backend.put(collection, copy_doc(doc if type(doc) is dict else dict(doc)))
 
     def units_for(self, collection: str) -> float:
         """Cumulative work units this collection has consumed (billing)."""

@@ -3,7 +3,7 @@
 The read-side counterpart of :mod:`repro.storage.write_behind`: every
 DHT miss that has to hit the document store enqueues its key with the
 batcher, which lingers briefly and issues ONE multi-get
-(:meth:`DocumentStore.read_many`, priced ``op_cost + k * read_cost``)
+(:meth:`DocumentStore.load_many`, priced ``op_cost + k * read_cost``)
 per window.  The fixed per-operation cost is amortized over the window,
 raising the effective DB *read* ceiling the same way the write-behind
 flusher raises the write ceiling — which is what keeps the miss storm
@@ -83,9 +83,9 @@ class ReadBatcher:
     def read(self, key: str) -> Generator:
         """Fetch one document through the batcher (``yield from`` this).
 
-        Returns the doc (a private copy per waiter is the *caller's*
-        responsibility — all waiters of one key share the same object)
-        or ``None`` when the store has no such document.
+        Returns the stored version itself (all waiters of one key share
+        it, and a private copy is the *caller's* responsibility) or
+        ``None`` when the store has no such document.
         """
         if not self._running:
             raise StorageError(f"read batcher {self.name!r} is stopped")
@@ -125,7 +125,7 @@ class ReadBatcher:
             if not keys:
                 continue
             gates = [self._pending.pop(k) for k in keys]
-            docs: dict[str, Any] = yield self.store.read_many(self.collection, keys)
+            docs: dict[str, Any] = yield self.store.load_many(self.collection, keys)
             self.batch_ops += 1
             self.keys_fetched += len(keys)
             # Even when stopped mid-read, waiters of the in-flight window

@@ -255,7 +255,7 @@ class WriteBehindQueue:
                     FLUSH_TRACE_ID, "wb.flush", queue=self.name, docs=len(batch)
                 )
             try:
-                yield self.store.write(self.collection, batch)
+                yield self.store.land(self.collection, batch)
             except StorageError as exc:
                 self.flush_failures += 1
                 if span is not None:

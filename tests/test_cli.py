@@ -198,7 +198,7 @@ PLANE_COMMANDS = {
             "(+160 async submissions)",
             "  ledger: accepted=160 completed=160 outstanding=0 requeues=0 suppressed=0",
             "  retained_completions=160 late=0 dispatched=160 delivered=160 heartbeats=44 "
-            "parked=0 parked_total=0 registrations=5 live_workers=4",
+            "parked=0 parked_total=0 registrations=5 live_workers=4 retired=1",
             "  [    2.8649s] scheduler.dead       worker=worker-1 reason=drained requeued=0",
             "  [    2.8649s] scheduler.register   worker=worker-4 node=vm-1",
         ],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.chaos import FaultPlan, HeartbeatLoss, SlowWorker, WorkerCrash
 from repro.errors import ValidationError
+from repro.monitoring.plane import MetricsConfig
 from repro.scheduler import SchedulerConfig, WorkerState
 
 from tests.conformance.dsl import (
@@ -99,11 +100,12 @@ class TestPoolLifecycle:
         for _ in range(20):
             platform.invoke_async(obj, "bump")
         platform.advance(0.5)  # pool up, work in progress
-        plane.drain_worker("worker-0")
+        drained = plane.drain_worker("worker-0")
         platform.advance(3.0)
         audit = plane.ledger.audit()
         assert audit["outstanding"] == 0 and audit["completed"] == 20
-        assert plane.workers["worker-0"].state is WorkerState.DEAD
+        assert drained.state is WorkerState.DEAD
+        assert "worker-0" not in plane.workers  # retired: its row is gone
         # Replacement keeps the pool at size.
         assert plane.live_workers == 3
         platform.shutdown()
@@ -121,6 +123,45 @@ class TestPoolLifecycle:
         audit = plane.ledger.audit()
         assert audit["outstanding"] == 0 and audit["completed"] == 20
         assert platform.queue.completed == 20
+        platform.shutdown()
+
+
+    def test_retired_workers_leave_no_rows_or_series(self):
+        """Crash and replace a worker ten times: the pool's table holds
+        the pool, the metrics registry one set of series per worker,
+        and the event log and the ``retired`` count keep the record."""
+        platform = make_platform(
+            SCHED_YAML,
+            {"s/bump": (_bump, 0.002)},
+            nodes=3,
+            seed=9,
+            events_enabled=True,
+            metrics=MetricsConfig(enabled=True, scrape_interval_s=0.1),
+            scheduler=SchedulerConfig(enabled=True, pool_size=3),
+        )
+        plane = platform.scheduler_plane
+        obj = platform.new_object("Task", object_id="t-0")
+        platform.advance(0.5)
+
+        def scheduler_series():
+            return sum(
+                1
+                for gauge in platform.metrics.registry.gauges()
+                if dict(gauge.labels).get("plane") == "scheduler"
+            )
+
+        counts = []
+        for _ in range(10):
+            victim = min(name for name, w in plane.workers.items() if not w.machine.is_dead)
+            assert plane.crash_worker(victim, reason="test")
+            platform.invoke_async(obj, "bump")
+            platform.advance(0.5)  # the replacement activates and serves
+            counts.append(scheduler_series())
+        assert len(plane.core.workers) == 3 and plane.live_workers == 3
+        assert len(set(counts)) == 1, counts
+        assert plane.stats()["retired"] == 10
+        assert len(platform.platform_events("scheduler.dead")) == 10
+        assert plane.ledger.audit()["outstanding"] == 0
         platform.shutdown()
 
 
@@ -145,8 +186,8 @@ class TestGatewayRoutes:
         assert response.status == 202
         assert response.body["state"] == "DRAINING"
         assert platform.http("POST", "/api/workers/nope/drain").status == 404
-        platform.advance(1.0)  # worker-1 finishes draining -> DEAD
-        assert platform.http("POST", "/api/workers/worker-1/drain").status == 409
+        platform.advance(1.0)  # worker-1 finishes draining -> DEAD, row gone
+        assert platform.http("POST", "/api/workers/worker-1/drain").status == 404
         platform.shutdown()
 
     def test_draining_every_worker_still_serves(self):
@@ -164,8 +205,6 @@ class TestGatewayRoutes:
         assert completion.value.ok
         listing = platform.http("GET", "/api/workers").body
         assert {w["worker"]: w["state"] for w in listing["workers"]} == {
-            "worker-0": "DEAD",
-            "worker-1": "DEAD",
             "worker-2": "READY",
             "worker-3": "READY",
         }

@@ -21,6 +21,7 @@ import pytest
 
 from repro.durability.plane import DurabilityConfig
 from repro.durability.snapshot import data_key
+from repro.monitoring.events import EventLog
 from repro.sim.network import Network, NetworkModel
 from repro.storage.backends import StorageConfig
 from repro.storage.backends.memory import DictBackend
@@ -214,6 +215,84 @@ class TestDocumentStore:
         poison(first)
         assert read() == doc()
         assert store.backend.get(COLLECTION, KEY) == doc()
+
+
+def poison_top(document):
+    """Edits of the document's own keys only."""
+    document["version"] = 999
+    document["state"] = {"n": -1}
+    document["files"] = None
+
+
+def poison_nested(document):
+    """Edits inside ``state``, every top-level key left as it was."""
+    document["state"]["n"] = -1
+    document["state"]["tags"].append("poison")
+    document["state"]["meta"]["acl"].clear()
+
+
+MISS_LOADS = {
+    "point-read": {},
+    "read-batch": {"read_batch": ReadBatchConfig()},
+    "read-coalescing": {"read_coalescing": True},
+}
+
+
+class TestSharedVersions:
+    """On a miss the DHT installs the version the store returns — on the
+    dict engine, the very object the engine keeps — so the store's own
+    edge must keep every caller's document out of it, and every
+    returned one away from it."""
+
+    @pytest.mark.parametrize("loader", sorted(MISS_LOADS))
+    @pytest.mark.parametrize("edit", [poison_top, poison_nested], ids=["top", "nested"])
+    @pytest.mark.parametrize("writer", ["write", "put_sync"])
+    def test_a_document_edited_after_it_was_stored_loads_unedited(
+        self, env, backend, writer, edit, loader
+    ):
+        dht, store = make_dht(env, backend, **MISS_LOADS[loader])
+        mine = doc()
+        if writer == "write":
+            run(env, store.write(COLLECTION, [mine]))
+        else:
+            store.put_sync(COLLECTION, mine)
+        edit(mine)
+        loaded = run(env, dht.get(KEY, caller=dht.owners(KEY)[0]))
+        assert loaded == doc()
+        held = holdings(dht, store)
+        assert [held["memory"][node] for node in dht.owners(KEY)] == [doc(), doc()]
+        assert held["store"] == doc()
+
+    @pytest.mark.parametrize("loader", sorted(MISS_LOADS))
+    @pytest.mark.parametrize("reader", ["read", "get_sync"])
+    def test_a_document_the_store_returns_after_a_miss_is_the_callers(
+        self, env, backend, reader, loader
+    ):
+        dht, store = make_dht(env, backend, **MISS_LOADS[loader])
+        store.put_sync(COLLECTION, doc())
+        run(env, dht.get(KEY, caller=dht.owners(KEY)[0]))  # resident now
+        before = holdings(dht, store)
+        for edit in (poison_nested, poison_top):
+            if reader == "read":
+                returned = run(env, store.read(COLLECTION, KEY))
+            else:
+                returned = store.get_sync(COLLECTION, KEY)
+            assert returned == doc()
+            edit(returned)
+            assert holdings(dht, store) == before
+        assert run(env, dht.get(KEY, caller="n0")) == doc()
+
+
+class TestEventLogReads:
+    def test_editing_a_read_events_fields_changes_no_later_read(self, env):
+        log = EventLog(env, enabled=True)
+        log.record("scheduler.dead", worker="worker-1", reason="crash", requeued=2)
+        (event,) = log.events()
+        event.fields["reason"] = "poison"
+        event.fields["injected"] = True
+        (again,) = log.of_type("scheduler.dead")
+        assert again.fields == {"worker": "worker-1", "reason": "crash", "requeued": 2}
+        assert again.seq == event.seq == 1
 
 
 class TestNonJsonValues:

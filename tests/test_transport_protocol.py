@@ -550,7 +550,8 @@ def _drain_hands_the_queue_off_in_order(rig: Rig) -> None:
     rig.core.retire(rig.subject, "drained")  # the transport's "drained" report
     assert rig.subject.calls == ["begin_drain", "release"]
     assert rig.dead == [("subject", "drained")]
-    with pytest.raises(SchedulingError, match="cannot drain from DEAD"):
+    assert "subject" not in rig.core.workers  # retired: its row is gone
+    with pytest.raises(SchedulingError, match="unknown worker"):
         rig.core.drain("subject")
     with pytest.raises(SchedulingError, match="unknown worker"):
         rig.core.drain("ghost")
