@@ -103,7 +103,6 @@ class RestoreManager:
         tracker.dirty.clear()
         tracker.tombstones.clear()
         tracker.commits.clear()
-        tracker.history_floor = self.env.now
         tracker.restores += 1
         summary = {
             "class": tracker.cls,

@@ -70,8 +70,9 @@ class ClassDurabilityState:
     """Durability bookkeeping for one class (a side table, never the docs).
 
     Tracks a monotonic change sequence, which objects are dirty since
-    the last cut, commit history per object (for RPO measurement and
-    event-log replay), and the snapshot generations minted so far.
+    the last cut, the commit history per object not yet covered by a cut
+    (what recovery measures RPO from), and the snapshot generations
+    minted so far.
     """
 
     def __init__(
@@ -125,10 +126,6 @@ class ClassDurabilityState:
         #: on — and how many entries the deltas on that chain hold.
         self.base: int | None = None
         self.delta_entries = 0
-        #: Event-log entries older than this are ignored by
-        #: :meth:`commit_history` (reset by point-in-time restore, which
-        #: discards history beyond the restore point).
-        self.history_floor = 0.0
         self.commits_recorded = 0
         self.epoch_writes = 0
         self.cuts_taken = 0
@@ -159,10 +156,6 @@ class ClassDurabilityState:
         version = int(doc.get("version", 0) or 0)
         self.commits.setdefault(key, []).append((self.env.now, version))
         self.commits_recorded += 1
-        if self.events is not None:
-            self.events.record(
-                "durability.commit", cls=self.cls, object=key, version=version
-            )
         if self.policy.mode == MODE_ON_COMMIT:
             payload = json.dumps(doc, sort_keys=True, default=str).encode()
             yield self.object_store.put_timed(
@@ -245,21 +238,9 @@ class ClassDurabilityState:
     # -- history ------------------------------------------------------------
 
     def commit_history(self, key: str) -> list[tuple[float, int]]:
-        """Commit (time, version) entries for ``key``, replayed from the
-        control-plane event log when it is enabled (PR 1), falling back
-        to the tracker's own side table otherwise — identical data, but
-        the event log survives as an auditable external record."""
-        if self.events is not None and self.events.enabled:
-            entries = [
-                (event.at, int(event.fields.get("version", 0)))
-                for event in self.events.of_type("durability.commit")
-                if event.fields.get("cls") == self.cls
-                and event.fields.get("object") == key
-                and event.at >= self.history_floor
-            ]
-            if entries:
-                return entries
-        return list(self.commits.get(key, []))
+        """Commit ``(time, version)`` entries for ``key`` not yet covered
+        by a cut — the one commit history, kept in the side table."""
+        return list(self.commits.get(key, ()))
 
     def describe(self) -> dict[str, Any]:
         return {

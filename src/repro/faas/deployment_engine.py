@@ -16,7 +16,6 @@ from typing import Any, Generator
 from repro.errors import InvocationError
 from repro.faas.engine import EngineModel, FaasEngine, FunctionService
 from repro.faas.runtime import InvocationTask
-from repro.monitoring.tracing import Span
 from repro.orchestrator.hpa import HorizontalPodAutoscaler
 from repro.orchestrator.pod import Pod
 
@@ -57,7 +56,7 @@ class DeploymentService(FunctionService):
             )
 
     def _acquire_pod(
-        self, task: InvocationTask | None = None, parent: Span | None = None
+        self, task: InvocationTask, waits: list[int] | None
     ) -> Generator[Any, Any, Pod]:
         pod = self.deployment.least_loaded_pod()
         if pod is not None:
@@ -71,6 +70,7 @@ class DeploymentService(FunctionService):
                 "do not scale from zero"
             )
         while not pod.is_ready:
+            self._waiting(task, waits)
             yield pod.ready_event()
             if pod.is_ready:
                 break

@@ -31,7 +31,7 @@ from repro.faas.registry import FunctionRegistry, RegisteredImage
 from repro.faas.runtime import InvocationTask, TaskCompletion, TaskContext
 from repro.model.function import FunctionDefinition
 from repro.monitoring.events import EventLog
-from repro.monitoring.tracing import Span, Tracer
+from repro.monitoring.tracing import Tracer
 from repro.orchestrator.deployment import Deployment
 from repro.orchestrator.pod import Pod, PodSpec
 from repro.orchestrator.resources import ResourceSpec
@@ -144,13 +144,31 @@ class FunctionService(abc.ABC):
 
     @abc.abstractmethod
     def _acquire_pod(
-        self, task: InvocationTask | None = None, parent: Span | None = None
+        self, task: InvocationTask, waits: list[int] | None
     ) -> Generator[Any, Any, Pod]:
         """Yield until a pod is available for one more request.
 
-        ``task``/``parent`` carry trace context so engines can attribute
-        waits (cold starts) to the requesting trace.
+        Before yielding, an engine calls :meth:`_waiting` with ``task``
+        and ``waits``, so the wait is a ``faas.queue`` span of the
+        requesting trace (and a cold start nests under it).
         """
+
+    def _waiting(self, task: InvocationTask, waits: list[int] | None) -> int | None:
+        """``task`` is about to wait for a pod or a slot: open its
+        ``faas.queue`` span, once, into ``waits`` (``None``: untraced),
+        and return it.  A request that waits for nothing has no queue
+        span."""
+        if waits is None:
+            return None
+        if not waits:
+            waits.append(
+                self.tracer.start(
+                    task.trace_id or task.request_id,
+                    self._queue_span_name,
+                    parent=task.trace_parent,
+                )
+            )
+        return waits[0]
 
     def stop(self) -> None:
         """Stop the service's autoscaler, if it has one (teardown)."""
@@ -181,19 +199,19 @@ class FunctionService(abc.ABC):
         times, no child process.  A caller that races the offload
         against a deadline needs the process: use :meth:`invoke`."""
         self.invocations += 1
-        queue_span = exec_span = None
-        if self.tracer.enabled:
-            trace_id = task.trace_id or task.request_id
-            queue_span = self.tracer.start(
-                trace_id, self._queue_span_name, parent=task.trace_parent
-            )
-        pod = yield from self._acquire_pod(task, queue_span)
+        # Traced: the queue span, once the request waits.
+        waits: list[int] | None = [] if self.tracer.enabled else None
+        pod = yield from self._acquire_pod(task, waits)
         slot = pod.slots.request()
+        if waits is not None and not slot.triggered:
+            self._waiting(task, waits)
         yield slot
-        if queue_span is not None:
-            self.tracer.finish(queue_span, pod=pod.name)
+        exec_span = None
+        if waits is not None:
+            if waits:
+                self.tracer.finish(waits[0], pod=pod.name)
             exec_span = self.tracer.start(
-                queue_span.trace_id,
+                task.trace_id or task.request_id,
                 self._exec_span_name,
                 parent=task.trace_parent,
                 pod=pod.name,

@@ -23,7 +23,6 @@ from typing import Any, Generator
 from repro.errors import InvocationError, SchedulingError
 from repro.faas.engine import EngineModel, FaasEngine, FunctionService
 from repro.faas.runtime import InvocationTask
-from repro.monitoring.tracing import Span
 from repro.orchestrator.pod import Pod
 
 __all__ = ["KnativeModel", "KnativeService", "KnativeEngine"]
@@ -60,7 +59,7 @@ class KnativeService(FunctionService):
     # -- activator path --------------------------------------------------------
 
     def _acquire_pod(
-        self, task: InvocationTask | None = None, parent: Span | None = None
+        self, task: InvocationTask, waits: list[int] | None
     ) -> Generator[Any, Any, Pod]:
         self._last_request_at = self.env.now
         while True:
@@ -81,11 +80,11 @@ class KnativeService(FunctionService):
             # wait is the user-visible cold start.
             self.cold_starts += 1
             cold_span = None
-            if self.tracer.enabled and task is not None:
+            if self.tracer.enabled:
                 cold_span = self.tracer.start(
                     task.trace_id or task.request_id,
                     "faas.cold_start",
-                    parent=parent,
+                    parent=self._waiting(task, waits),
                     service=self.name,
                     pod=pod.name,
                 )

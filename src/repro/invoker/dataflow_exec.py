@@ -122,7 +122,7 @@ class DataflowExecutor:
             internal=True,
             caller_cls=resolved.name,
             trace_id=trace_id,
-            trace_parent=step_span.span_id if step_span else None,
+            trace_parent=step_span,
         )
         result = yield self.engine.invoke(sub_request)
         self.engine.tracer.finish(step_span, ok=result.ok)

@@ -55,10 +55,11 @@ from repro.model.function import FunctionType
 from repro.model.resolver import ResolvedClass
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
-from repro.monitoring.tracing import Span, Tracer
+from repro.monitoring.tracing import Tracer
 from repro.object.obj import ObjectRecord
 from repro.sim.kernel import Environment, Process, any_of
 from repro.sim.rng import RngStreams
+from repro.storage.document import copy_doc
 from repro.storage.object_store import ObjectStore
 from repro.storage.query import Query, QueryResult, evaluate_query
 
@@ -365,31 +366,25 @@ class InvocationEngine:
 
     def _attempt(
         self,
-        step: Callable[[str, Span | None], Generator],
+        step: Callable[[str, int | None], Generator],
         runtime: ClassRuntime,
         request: InvocationRequest,
         faults: _Faults,
         trace_id: str | None = None,
-        parent: Span | None = None,
-        span: Callable[[str], Span | None] | None = None,
-        route: bool = False,
-    ) -> Generator[Any, Any, tuple[str, Span | None, Any]]:
+        parent: int | None = None,
+        span: Callable[[str], int | None] | None = None,
+    ) -> Generator[Any, Any, tuple[str, int | None, Any]]:
         """The one attempt loop: place, check the client→node path, run
         ``step(node, span)``; on a transport fault or a missed deadline,
         :meth:`_fault_retry` and place again until ``policy.max_retries``
         is spent, then re-raise.  ``span(node)`` opens the attempt's span
-        (closed here on a fault) and ``route`` wraps placement in a
-        ``route`` span.  Returns ``(node, span, value)``."""
+        (closed here on a fault); the node placement chose is its
+        ``node`` attribute.  Returns ``(node, span, value)``."""
         cls, network, policy = runtime.cls, runtime.dht.network, runtime.resilience
         while True:
-            routing = None
-            if route and self.tracer.enabled:
-                routing = self.tracer.start(trace_id, "route", parent=parent)
             caller = self._place(
                 runtime, request.object_id, faults.exclude, origin_zone=request.origin_zone
             )
-            if routing is not None:
-                self.tracer.finish(routing, node=caller, cls=cls)
             opened = span(caller) if span is not None and self.tracer.enabled else None
             try:
                 network.check_path(None, caller)
@@ -413,7 +408,7 @@ class InvocationEngine:
         exc: OaasError,
         faults: _Faults,
         trace_id: str | None,
-        parent: Span | None,
+        parent: int | None,
     ) -> Generator[Any, Any, bool]:
         """Account one data-plane fault; yields the backoff delay and
         returns whether the caller should retry."""
@@ -483,7 +478,7 @@ class InvocationEngine:
         self,
         request: InvocationRequest,
         trace_id: str | None = None,
-        parent: Span | None = None,
+        parent: int | None = None,
         exclude: set[str] | None = None,
         fresh: bool = False,
     ) -> Generator[Any, Any, ObjectRecord]:
@@ -497,7 +492,6 @@ class InvocationEngine:
                 span=lambda caller: self.tracer.start(
                     trace_id, "state.load", parent=parent, node=caller
                 ),
-                route=True,
             )
         except TransportError:
             # Graceful degradation: every DHT owner is unreachable, so a
@@ -531,7 +525,7 @@ class InvocationEngine:
         binding: FunctionBinding,
         record: ObjectRecord,
         trace_id: str,
-        root: Span | None,
+        root: int | None,
     ) -> Generator[Any, Any, InvocationResult]:
         service = runtime.service(binding.name)
         policy = runtime.resilience
@@ -626,7 +620,7 @@ class InvocationEngine:
         binding: FunctionBinding,
         record: ObjectRecord,
         trace_id: str | None = None,
-        span: Span | None = None,
+        span: int | None = None,
     ) -> InvocationTask:
         file_urls = {
             key: self.object_store.presign(self.bucket, object_key, "GET")
@@ -643,7 +637,7 @@ class InvocationEngine:
             file_urls=file_urls,
             immutable=not binding.mutable,
             trace_id=trace_id if span is not None else None,
-            trace_parent=span.span_id if span is not None else None,
+            trace_parent=span,
         )
 
     def _updated(
@@ -732,10 +726,13 @@ class InvocationEngine:
             yield dht.flush_all()
             result = yield dht.store.query(dht.collection, query)
         else:
-            docs = (dht.peek(key) for key in dht.scan_ids())
+            # The shared versions are read in place; only the page the
+            # caller gets is copied.
+            docs = (dht.current(key) for key in dht.scan_ids())
             result = evaluate_query(
                 (doc for doc in docs if doc is not None), query, plan="memory-scan"
             )
+            result.docs = [copy_doc(doc) for doc in result.docs]
         self.events.record(
             "storage.query",
             cls=cls,

@@ -40,7 +40,6 @@ resilience.breaker_half_open   BreakerBoard — cls, node
 resilience.breaker_close       BreakerBoard — cls, node
 qos.reject                     QosPlane — cls, reason, path, retry_after_s
 qos.shed                       OverloadController — cls, count, depth, tier[, brownout]
-durability.commit              ClassDurabilityState — cls, object, version
 durability.snapshot            SnapshotCoordinator — cls, generation, docs, tombstones
 durability.restore             RestoreManager — cls, kind, plus kind-specific fields
 scheduler.register             SchedulerPlane — worker, node
@@ -57,6 +56,11 @@ scheduler.dead                 SchedulerPlane — worker, reason, requeued
 storage.query                  InvocationEngine.query_objects — cls, matched, scanned,
                                index_used, plan
 =============================  ======================================================
+
+A committed write is not an event: each one is a ``state.commit`` span
+and a count in the durability tracker's ``commits_recorded``, and the
+commits not yet covered by a snapshot cut live once, in
+``ClassDurabilityState.commits`` (what recovery measures RPO from).
 """
 
 from __future__ import annotations
@@ -169,10 +173,9 @@ def emit(
     """The single emission point for control-plane narration: record a
     ``type`` event with ``fields`` and, when tracing is on, an
     instantaneous span of the same name and fields under the synthetic
-    ``trace_id`` (``"scheduler"``, ``"qos"``, ``"chaos"``, ...) — such
+    ``trace_id`` (``"qos"``, ``"resilience"``, ``"chaos"``, ...) — such
     actions belong to the platform, not to one request's trace."""
     if events is not None:
         events.record(type, **fields)
     if tracer is not None and tracer.enabled:
-        span = tracer.start(trace_id, type, **fields)
-        span.end = span.start  # opened and closed in the one call
+        tracer.point(trace_id, type, **fields)

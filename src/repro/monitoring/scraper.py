@@ -18,7 +18,8 @@ reservoir is bounded.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from bisect import bisect_left
 from typing import Callable, Iterator, Mapping
 
 from repro.errors import ValidationError
@@ -37,25 +38,44 @@ HISTOGRAM_QUANTILES = (50, 95, 99)
 
 
 class TimeSeries:
-    """One metric's sampled history: a bounded ring of ``(at, value)``."""
+    """One metric's sampled history: the newest ``capacity`` points
+    ``(at, value)``.
 
-    __slots__ = ("name", "labels", "kind", "_points")
+    A point is a row in two unboxed columns, not a tuple (the
+    :class:`~repro.monitoring.metrics.SlidingWindow` idiom): rows before
+    ``_head`` have left the ring and are compacted away in bulk, so a
+    point costs O(1) amortised and about two doubles of memory."""
+
+    __slots__ = ("name", "labels", "kind", "capacity", "_at", "_value", "_head")
 
     def __init__(self, name: str, labels: LabelKey, kind: str, capacity: int) -> None:
         self.name = name
         self.labels = labels
         self.kind = kind  # "counter" | "gauge"
-        self._points: deque[tuple[float, float]] = deque(maxlen=capacity)
+        self.capacity = capacity
+        self._at = array("d")
+        self._value = array("d")
+        self._head = 0
 
     def append(self, at: float, value: float) -> None:
-        self._points.append((at, value))
+        self._at.append(at)
+        self._value.append(value)
+        if len(self._at) - self._head > self.capacity:
+            self._head += 1
+            # Compact once a quarter of the ring has left it: at most
+            # 1.25 rows held per retained point.
+            if 4 * self._head >= self.capacity:
+                del self._at[: self._head]
+                del self._value[: self._head]
+                self._head = 0
 
     def points(self) -> list[tuple[float, float]]:
-        return list(self._points)
+        head = self._head
+        return list(zip(self._at[head:], self._value[head:]))
 
     @property
     def latest(self) -> float:
-        return self._points[-1][1] if self._points else 0.0
+        return self._value[-1] if len(self) else 0.0
 
     def rate(self, window_s: float, now: float) -> float:
         """Per-second increase over the trailing ``window_s`` seconds.
@@ -65,25 +85,23 @@ class TimeSeries:
         """
         if window_s <= 0:
             raise ValidationError(f"rate window must be > 0, got {window_s}")
-        cutoff = now - window_s
-        first = last = None
-        for at, value in self._points:
-            if at < cutoff:
-                continue
-            if first is None:
-                first = (at, value)
-            last = (at, value)
-        if first is None or last is None or last[0] <= first[0]:
+        at = self._at
+        end = len(at)
+        # The first retained row inside the window (rows are in
+        # non-decreasing time order, so a bisection finds it).
+        first = bisect_left(at, now - window_s, self._head, end)
+        last = end - 1
+        if first >= end or at[last] <= at[first]:
             return 0.0
-        return (last[1] - first[1]) / (last[0] - first[0])
+        return (self._value[last] - self._value[first]) / (at[last] - at[first])
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._at) - self._head
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<TimeSeries {render_series_name(self.name, self.labels)} "
-            f"kind={self.kind} points={len(self._points)}>"
+            f"kind={self.kind} points={len(self)}>"
         )
 
 

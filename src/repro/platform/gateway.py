@@ -93,6 +93,22 @@ _STATUS_BY_ERROR = {
 }
 
 
+#: Gateway span names are route templates, so their number does not grow
+#: with the objects addressed: the class or object id is an attribute.
+#: ``_route`` sets ``cls`` only on the create route; the object routes
+#: are told apart by method and, for GET / PUT, by the file-URL builtin.
+_CREATE_SPAN = "gateway POST /api/classes/{cls}"
+_OBJECT_SPANS = {
+    ("POST", False): "gateway POST /api/objects/{oid}/invokes/{fn}",
+    ("POST", True): "gateway POST /api/objects/{oid}/invokes/{fn}",
+    ("GET", False): "gateway GET /api/objects/{oid}",
+    ("PATCH", False): "gateway PATCH /api/objects/{oid}",
+    ("DELETE", False): "gateway DELETE /api/objects/{oid}",
+    ("GET", True): "gateway GET /api/objects/{oid}/files/{key}",
+    ("PUT", True): "gateway PUT /api/objects/{oid}/files/{key}",
+}
+
+
 def error_response(error_type: str | None, message: str | None) -> HttpResponse:
     """The structured body every failed request answers with."""
     status = _STATUS_BY_ERROR.get(error_type, 500)
@@ -198,8 +214,15 @@ class Gateway:
                 span = None
                 if self.tracer.enabled:
                     trace_id = invocation.request_id
-                    span = self.tracer.start(trace_id, f"gateway {http.method} {http.path}")
-                    invocation.stamp(origin, trace_id, span.span_id)
+                    if invocation.cls is not None:
+                        span = self.tracer.start(trace_id, _CREATE_SPAN, cls=invocation.cls)
+                    else:
+                        span = self.tracer.start(
+                            trace_id,
+                            _OBJECT_SPANS[http.method, invocation.fn_name == "file-url"],
+                            object_id=invocation.object_id,
+                        )
+                    invocation.stamp(origin, trace_id, span)
                 elif origin is not None:
                     invocation.stamp(origin)
                 if self.overhead_s:

@@ -236,7 +236,6 @@ class Oparaca:
                 self.cluster,
                 self.scheduler,
                 events=self.events,
-                tracer=self.tracer,
                 config=self.config.scheduler,
                 qos=self.qos,
             )

@@ -7,7 +7,7 @@ so that developers never see deployment, scaling, or failure handling.
 Like every plane it is **off by default** (``SchedulerConfig.enabled``);
 when off, async dispatch runs the same :class:`DispatchCore` over a
 :class:`~repro.scheduler.worker.StaticPool` of in-process ports that
-records no ``scheduler.*`` events or spans.
+records no ``scheduler.*`` events.
 
 The plane is the **sim transport** of the worker protocol: the
 dispatch/ledger/fencing state machine *and the worker lifecycle* live
@@ -39,21 +39,20 @@ When enabled:
 * a worker that died — crashed or drained — is replaced while the
   plane runs (``replace_dead_workers``).
 
-Every lifecycle moment is recorded as a ``scheduler.*`` platform event
-(and an instantaneous span under the ``"scheduler"`` trace), which is
-what the conformance harness replays and asserts over.
+Every lifecycle moment is recorded as a ``scheduler.*`` platform event,
+which is what the conformance harness replays and asserts over.  A
+lifecycle moment is a point in time, not a wait, so it is no span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import SchedulingError, ValidationError
 from repro.http import HttpRequest, HttpResponse
 from repro.invoker.request import InvocationRequest
-from repro.monitoring.events import EventLog, emit
+from repro.monitoring.events import EventLog
 from repro.orchestrator.pod import PodSpec
 from repro.orchestrator.resources import ResourceSpec
 from repro.plane import Plane
@@ -63,16 +62,12 @@ from repro.sim.kernel import Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.invoker.engine import InvocationEngine
-    from repro.monitoring.tracing import Tracer
     from repro.orchestrator.cluster import Cluster
     from repro.orchestrator.scheduler import Scheduler
     from repro.qos.plane import QosPlane
     from repro.scheduler.ledger import InvocationLedger
 
 __all__ = ["SchedulerConfig", "SchedulerPlane"]
-
-#: Scheduler lifecycle spans share one synthetic trace (like ``"chaos"``).
-SCHEDULER_TRACE_ID = "scheduler"
 
 #: Image name worker pods are stamped from, and what each one requests.
 WORKER_IMAGE = "oaas/worker-runtime"
@@ -135,7 +130,6 @@ class SchedulerPlane(Plane):
         pod_scheduler: "Scheduler",
         *,
         events: "EventLog | None" = None,
-        tracer: "Tracer | None" = None,
         config: SchedulerConfig | None = None,
         qos: "QosPlane | None" = None,
     ) -> None:
@@ -144,12 +138,10 @@ class SchedulerPlane(Plane):
         self.cluster = cluster
         self.pod_scheduler = pod_scheduler
         self.events = events
-        self.tracer = tracer
         self.config = config or SchedulerConfig(enabled=True)
         self.qos = qos
-        #: Lifecycle narration: a ``scheduler.*`` event plus an
-        #: instantaneous span under the ``"scheduler"`` trace.
-        self._emit = partial(emit, events, tracer, SCHEDULER_TRACE_ID)
+        #: Lifecycle narration: one ``scheduler.*`` event row per action.
+        self._emit = (events if events is not None else EventLog(env)).record
         self.core = DispatchCore(clock=lambda: self.env.now, emit=self._emit)
         self.core.on_worker_dead = self._maybe_replace
         self._next_worker = 0
@@ -164,10 +156,6 @@ class SchedulerPlane(Plane):
     @property
     def workers(self) -> dict[str, SimWorker]:
         return self.core.workers  # type: ignore[return-value]
-
-    @property
-    def all_workers(self) -> list[SimWorker]:
-        return self.core.registrations  # type: ignore[return-value]
 
     @property
     def delivered(self) -> int:

@@ -176,7 +176,6 @@ class RemoteWorker:
         # Fence FIRST: anything the old connection says after this
         # carries a stale epoch and is discarded.
         self.epoch += 1
-        self.server.note_epoch(self.name, self.epoch)
         held = list(self.items.values())
         self.items.clear()
         self.executing.clear()
@@ -266,7 +265,6 @@ class AsyncSchedulerServer:
         self._monitor_task: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0 = 0.0
-        self._epochs: dict[str, int] = {}
         self._futures: dict[str, asyncio.Future] = {}
         self._links: set[_ServerLink] = set()
         self._running = False
@@ -358,8 +356,7 @@ class AsyncSchedulerServer:
             return self._refuse(
                 transport, name, f"worker {name!r} is already registered"
             )
-        epoch = self._epochs.get(name, 0) + 1
-        self._epochs[name] = epoch
+        epoch = self.core.epochs.get(name, 0) + 1
         worker = RemoteWorker(self, name, epoch, transport, node=message.node)
         self.core.add_worker(worker)
         self.events.record("scheduler.register", worker=name, node=worker.node)
@@ -374,11 +371,6 @@ class AsyncSchedulerServer:
     def _refuse(transport: asyncio.Transport, name: str, error: str) -> None:
         transport.write(encode_frame(RegisterAck(worker=name, epoch=-1, error=error)))
         transport.close()
-
-    def note_epoch(self, name: str, epoch: int) -> None:
-        """A registration fenced itself at ``epoch``: the next one under
-        that name must be handed a later one."""
-        self._epochs[name] = max(self._epochs[name], epoch)
 
     def _fenced(self, worker: RemoteWorker, epoch: int) -> bool:
         """Is a message from this connection speaking for a fenced past?"""

@@ -139,9 +139,12 @@ class DispatchCore:
         #: Never a DEAD one: :meth:`retire` drops the row once it has
         #: narrated ``scheduler.dead`` (the event log keeps the record).
         self.workers: dict[str, WorkerPort] = {}
-        #: every registration ever made, including retired ones — the
-        #: conformance suite checks monotonicity over all of them.
-        self.registrations: list[WorkerPort] = []
+        #: name -> the latest epoch held under that name: the one it
+        #: registered with, then the fenced one it retired with.  A
+        #: rejoin under the name must be handed a later one.
+        self.epochs: dict[str, int] = {}
+        #: Registrations ever made, counted: a port leaves with its row.
+        self.registrations = 0
         self.on_complete: Callable[["InvocationRequest", "InvocationResult"], None] | None = None
         #: Told once per worker that went DEAD — crashed, timed out or
         #: finished draining — so the transport can replace it.
@@ -168,7 +171,8 @@ class DispatchCore:
 
     def add_worker(self, worker: WorkerPort) -> None:
         self.workers[worker.name] = worker
-        self.registrations.append(worker)
+        self.epochs[worker.name] = worker.epoch
+        self.registrations += 1
         worker.machine.on_transition = self._eligible.clear
         self._eligible.clear()
 
@@ -418,6 +422,7 @@ class DispatchCore:
             "scheduler.dead", worker=worker.name, reason=reason, requeued=len(held)
         )
         del self.workers[worker.name]
+        self.epochs[worker.name] = worker.epoch
         self.retired += 1
         worker.release()
         self.reroute(worker.name, held)
@@ -467,7 +472,7 @@ class DispatchCore:
             "heartbeats": self.heartbeats,
             "parked": self.parked,
             "parked_total": self.parked_total,
-            "registrations": len(self.registrations),
+            "registrations": self.registrations,
             "live_workers": self.live_workers,
             "retired": self.retired,
         }

@@ -46,6 +46,7 @@ from tests.conformance.dsl import (
     Step,
     Submit,
     WorkerRecord,
+    record_registrations,
 )
 from tests.helpers import run_async
 
@@ -206,6 +207,7 @@ async def _run(scenario: Scenario) -> ScenarioResult:
         overrides.pop(key, None)
     config = SchedulerConfig(transport="asyncio", **overrides)
     server = AsyncSchedulerServer(config=config, classes=["Probe"])
+    ports = record_registrations(server.core)
     pool = _Pool(server, config)
     server.core.on_worker_dead = pool.replace_lost
     await server.start()
@@ -235,8 +237,9 @@ async def _run(scenario: Scenario) -> ScenarioResult:
             final_state=port.machine.state.value,
             machine=port.machine,
         )
-        for port in server.core.registrations
+        for port in ports
     ]
+    epochs = dict(server.core.epochs)
     audit = server.core.ledger.audit()
     delivered = server.core.delivered
     resolved = sum(1 for f in futures if f.done() and not f.cancelled())
@@ -258,6 +261,7 @@ async def _run(scenario: Scenario) -> ScenarioResult:
         workers=workers,
         settled=settled,
         skipped_steps=skipped,
+        epochs=epochs,
     )
 
 

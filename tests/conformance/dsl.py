@@ -196,6 +196,8 @@ class ScenarioResult:
     skipped_steps: list[str]
     shed: int = 0
     outcomes: list[Outcome] = field(default_factory=list)
+    #: The core's per-name epoch map at the end of the run.
+    epochs: dict[str, int] = field(default_factory=dict)
 
 
 # -- runner -----------------------------------------------------------------
@@ -266,9 +268,25 @@ def _apply(platform, step: Step, object_ids, requests, skipped) -> None:
         raise TypeError(f"unknown step {step!r}")
 
 
+def record_registrations(core) -> list:
+    """The ports registered with ``core``: the live ones now, then every
+    later one as it registers.  The core lets a port go when it retires;
+    the harness keeps them all to check each one's history."""
+    ports = list(core.workers.values())
+    add_worker = core.add_worker
+
+    def recording(port) -> None:
+        ports.append(port)
+        add_worker(port)
+
+    core.add_worker = recording
+    return ports
+
+
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     platform = build_platform(scenario)
     plane = platform.scheduler_plane
+    ports = record_registrations(plane.core)
     object_ids: dict[str, list[str]] = {}
     for cls in platform.crm.deployed_classes():
         for index in range(scenario.objects):
@@ -303,7 +321,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             final_state=worker.state.value,
             machine=worker.machine,
         )
-        for worker in plane.all_workers
+        for worker in ports
     ]
     outcomes = []
     for cls, request in requests:
@@ -341,6 +359,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         skipped_steps=skipped,
         shed=platform.queue.shed,
         outcomes=outcomes,
+        epochs=dict(plane.core.epochs),
     )
 
 
@@ -420,6 +439,16 @@ def check_monotone(result: ScenarioResult) -> list[str]:
     return problems
 
 
+def check_epochs(result: ScenarioResult) -> list[str]:
+    """The core's epoch map holds, for every name ever registered and no
+    other, the epoch the latest registration under it ended with — what
+    a rejoin under that name must exceed."""
+    last = {record.name: record.epoch for record in result.workers}
+    if last == result.epochs:
+        return []
+    return [f"epoch map {result.epochs} != last epoch per name {last}"]
+
+
 def check_shed_is_ledgered(result: ScenarioResult) -> list[str]:
     """Every shed submission is a ledger completion (a failed one) and
     the invoker's and the controller's shed counts match."""
@@ -449,6 +478,7 @@ def check_all(result: ScenarioResult) -> list[str]:
         check_exactly_once(result)
         + check_no_dispatch_to_unready(result)
         + check_monotone(result)
+        + check_epochs(result)
         + check_shed_is_ledgered(result)
     )
 

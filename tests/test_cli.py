@@ -115,7 +115,7 @@ class TestTrace:
         assert main(["trace", pkg_file, *WORKLOAD]) == 0
         out = capsys.readouterr().out
         assert "trace req-" in out
-        for name in ("gateway POST", "invoke resize", "route", "faas.execute"):
+        for name in ("gateway POST", "invoke resize", "state.load", "faas.execute"):
             assert name in out
 
     def test_chrome_export_to_stdout(self, pkg_file, capsys):

@@ -2,11 +2,15 @@
 crash recovery with measured RPO/RTO, reports, and the off-by-default
 baseline guarantee."""
 
+import pytest
+
+from repro.durability.plane import DurabilityConfig
+from repro.monitoring.events import EventLog
 from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.sim.kernel import all_of
 
 from tests.helpers import make_platform
-from tests.test_durability_snapshot import DURA_YAML, bump, dura_platform
+from tests.test_durability_snapshot import DURA_YAML, bump, dura_platform, take_cut
 
 
 def crash_owner(platform, object_id, cls="Cart"):
@@ -17,6 +21,10 @@ def crash_owner(platform, object_id, cls="Cart"):
     if recoveries:
         platform.env.run(until=all_of(platform.env, recoveries))
     return victim
+
+
+def _no_events(self, type=None):
+    raise AssertionError("recovery read the event log")
 
 
 class TestCrashRecovery:
@@ -74,6 +82,42 @@ class TestCrashRecovery:
         )
         assert audited_lost == recovery["lost_writes"]
         platform.shutdown()
+
+    @pytest.mark.parametrize("events_enabled", [True, False])
+    def test_recovery_reads_one_commit_history_whatever_the_event_log(
+        self, monkeypatch, events_enabled
+    ):
+        """The commit history recovery measures RPO from is the tracker's
+        side table alone: with the event log on, a node crash over a
+        1 000-object class builds no ``PlatformEvent`` and reports what
+        it reports with the log off."""
+
+        def drill(events_on):
+            platform = make_platform(
+                DURA_YAML,
+                {"t/bump": (bump, 0.001)},
+                nodes=3,
+                seed=5,
+                events_enabled=events_on,
+                durability=DurabilityConfig(enabled=True, default_interval_s=1000.0),
+            )
+            ids = [platform.new_object("Cart", object_id=f"cart-{i}") for i in range(1000)]
+            take_cut(platform, "Cart")
+            for oid in ids[::7]:  # committed after the cut, then made durable
+                platform.invoke(oid, "bump")
+            platform.flush()
+            for oid in ids[3::97]:  # acknowledged, the last still buffered at the crash
+                platform.invoke(oid, "bump")
+            with monkeypatch.context() as patch:
+                patch.setattr(EventLog, "events", _no_events)
+                crash_owner(platform, ids[3])
+            recovery = dict(platform.durability.tracker_for("Cart").last_recovery)
+            platform.shutdown()
+            return recovery
+
+        recovery = drill(events_enabled)
+        assert recovery["lost_writes"] > 0 and recovery["replayed_commits"] > 0
+        assert recovery == drill(not events_enabled)
 
     def test_recovery_is_deterministic_at_a_seed(self):
         def drill():

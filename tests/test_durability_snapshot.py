@@ -209,13 +209,18 @@ class TestCuts:
             platform.durability._tracker("Scratch")
         platform.shutdown()
 
-    def test_commit_and_snapshot_events_recorded(self):
+    def test_commits_are_counted_and_snapshot_events_recorded(self):
         platform = dura_platform()
         obj = platform.new_object("Cart")
+        tracker = platform.durability.tracker_for("Cart")
+        before = tracker.commits_recorded
         platform.invoke(obj, "bump")
+        assert tracker.commits_recorded == before + 1
+        assert tracker.commit_history(obj)[-1][1] == platform.get_object(obj)["version"]
         take_cut(platform, "Cart")
-        commits = platform.platform_events("durability.commit")
-        assert commits and commits[-1].fields["object"] == obj
+        # A commit is a ``state.commit`` span and a count, not an event:
+        # the tracker's side table is its one history.
+        assert platform.platform_events("durability.commit") == []
         snapshots = platform.platform_events("durability.snapshot")
         assert snapshots and snapshots[-1].fields["cls"] == "Cart"
         platform.shutdown()
@@ -338,7 +343,7 @@ class TestRestore:
         assert response.body["type"] == "SnapshotNotFoundError"
         platform.shutdown()
 
-    def test_restore_resets_history_floor(self):
+    def test_restore_discards_commit_history(self):
         platform = dura_platform()
         a = platform.new_object("Cart")
         platform.invoke(a, "bump")
@@ -347,7 +352,7 @@ class TestRestore:
         tracker = platform.durability.tracker_for("Cart")
         assert tracker.commit_history(a)
         platform.http("POST", "/api/classes/Cart/restore")
-        assert tracker.history_floor == platform.now
+        assert tracker.commits == {}
         assert tracker.commit_history(a) == []
         platform.shutdown()
 

@@ -19,7 +19,9 @@ hold the hot paths — bytes and entries counted, nothing timed:
 * a created and flushed object is held once: the DHT and the dict
   engine share one version of it;
 * a retained event-log entry is a row of its values, not an object with
-  a dict of its own.
+  a dict of its own;
+* a retained span is a row too, and a scraped point is two doubles in
+  the columns of its series.
 """
 
 import asyncio
@@ -31,6 +33,9 @@ import tracemalloc
 import repro.durability.snapshot
 from repro.durability.plane import DurabilityConfig
 from repro.monitoring.events import EventLog
+from repro.monitoring.metrics import MetricsRegistry
+from repro.monitoring.scraper import MetricsScraper
+from repro.monitoring.tracing import Tracer
 from repro.platform.gateway import HttpRequest
 from repro.scheduler.ledger import COMPLETION_HORIZON
 from repro.scheduler.plane import SchedulerConfig
@@ -437,3 +442,97 @@ def test_a_retained_event_is_a_row():
     assert len(events) == RECORDED and events[-1].seq == RECORDED
     assert events[7].fields == {"worker": "worker-3", "request": 1007, "object": "o-7", "fn": "add"}
     assert held <= EVENT_BYTES, held
+
+
+#: Traced bytes per retained span, spans shaped like one traced write's
+#: (gateway, invoke, load, offload, execute, commit).  The commit before
+#: the tracer kept rows measured ≈ 370 (a ``Span`` and its own ``attrs``
+#: dict each); rows measure ≈ 150.
+SPAN_BYTES = 200.0
+TRACED_REQUESTS = 1000
+
+
+def test_a_retained_span_is_a_row():
+    clock = Clock()
+    tracer = Tracer(clock, enabled=True, capacity=6 * TRACED_REQUESTS)
+    # Names the platform already holds, as the engine passes them.
+    nodes = [f"vm-{n}" for n in range(3)]
+    objects = [f"Order~o-{n}" for n in range(40)]
+    fn, service = "add", "Order.add"
+    tracemalloc.start()
+    try:
+        before = traced_bytes()
+        for index in range(TRACED_REQUESTS):
+            clock.now = index * 0.01
+            trace_id = f"req-{index}"  # a request id: the trace holds it
+            obj, node = objects[index % 40], nodes[index % 3]
+            gateway = tracer.start(
+                trace_id, "gateway POST /api/objects/{oid}/invokes/{fn}", object_id=obj
+            )
+            invoke = tracer.start(trace_id, f"invoke {fn}", parent=gateway, object_id=obj)
+            load = tracer.start(trace_id, "state.load", parent=invoke, node=node)
+            clock.now += 0.0001
+            tracer.finish(load, hit=True, owner=node)
+            offload = tracer.start(trace_id, f"task.offload {service}", parent=invoke)
+            execute = tracer.start(
+                trace_id, f"faas.execute {service}", parent=offload, pod="kn-1", node=node
+            )
+            clock.now += 0.002
+            tracer.finish(execute, ok=True)
+            tracer.finish(offload, ok=True)
+            commit = tracer.start(trace_id, "state.commit", parent=invoke)
+            clock.now += 0.0001
+            tracer.finish(commit, ok=True)
+            tracer.finish(invoke, ok=True, cls="Order", retries=0)
+            tracer.finish(gateway, status=200)
+        held = (traced_bytes() - before) / len(tracer)
+    finally:
+        tracemalloc.stop()
+    spans = tracer.trace("req-7")
+    assert [span.name for span in spans] == [
+        "gateway POST /api/objects/{oid}/invokes/{fn}",
+        "invoke add",
+        "state.load",
+        "task.offload Order.add",
+        "faas.execute Order.add",
+        "state.commit",
+    ]
+    assert spans[1].attrs == {"object_id": "Order~o-7", "ok": True, "cls": "Order", "retries": 0}
+    assert spans[2].attrs == {"node": "vm-1", "hit": True, "owner": "vm-1"}
+    assert spans[2].parent_id == spans[1].span_id == spans[0].span_id + 1
+    assert abs(spans[4].duration_s - 0.002) < 1e-12
+    assert held <= SPAN_BYTES, held
+
+
+#: Traced bytes per scraped point of a series.  The commit before the
+#: series kept columns measured ≈ 88 (an ``(at, value)`` tuple and a
+#: boxed value each); two doubles measure ≈ 18.
+POINT_BYTES = 32.0
+SCRAPED_SERIES = 50
+SCRAPES = 200
+
+
+def test_a_scraped_point_is_two_doubles():
+    clock = Clock()
+    registry = MetricsRegistry()
+    gauges = [registry.gauge("queue.depth", {"worker": f"w-{n}"}) for n in range(SCRAPED_SERIES)]
+    scraper = MetricsScraper(clock, registry, interval_s=0.25)
+    for scrape in range(2):  # every series exists before anything is measured
+        clock.now = scrape * 0.25
+        scraper.scrape_once()
+    tracemalloc.start()
+    try:
+        before = traced_bytes()
+        for scrape in range(2, SCRAPES + 2):
+            clock.now = scrape * 0.25
+            for n, gauge in enumerate(gauges):
+                gauge.set(scrape * 1.5 + n)
+            scraper.scrape_once()
+        held = (traced_bytes() - before) / (SCRAPED_SERIES * SCRAPES)
+    finally:
+        tracemalloc.stop()
+    series = scraper.series("queue.depth", {"worker": "w-3"})
+    assert len(series) == SCRAPES + 2
+    assert series.points()[-1] == ((SCRAPES + 1) * 0.25, (SCRAPES + 1) * 1.5 + 3)
+    assert series.latest == (SCRAPES + 1) * 1.5 + 3
+    assert held <= POINT_BYTES, held

@@ -4,6 +4,8 @@ reports, chaos determinism, and the off-by-default baseline guarantee."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.chaos import FaultPlan, HeartbeatLoss, SlowWorker, WorkerCrash
 from repro.errors import ValidationError
 from repro.monitoring.plane import MetricsConfig
 from repro.scheduler import SchedulerConfig, WorkerState
+from repro.scheduler.worker import SimWorker
 
 from tests.conformance.dsl import (
     Crash,
@@ -162,6 +165,26 @@ class TestPoolLifecycle:
         assert plane.stats()["retired"] == 10
         assert len(platform.platform_events("scheduler.dead")) == 10
         assert plane.ledger.audit()["outstanding"] == 0
+        platform.shutdown()
+
+    def test_retired_ports_are_let_go(self):
+        """Ten crash/replace cycles on a pool of three: three ports stay
+        reachable, the core counts thirteen registrations and keeps one
+        epoch per name."""
+        platform = sched_platform()
+        plane = platform.scheduler_plane
+        obj = platform.new_object("Task", object_id="t-0")
+        platform.advance(0.5)
+        for _ in range(10):
+            assert plane.crash_worker(min(plane.workers), reason="test")
+            platform.invoke_async(obj, "bump")
+            platform.advance(0.5)
+        gc.collect()
+        ports = [o for o in gc.get_objects() if type(o) is SimWorker]
+        assert sorted(port.name for port in ports) == sorted(plane.workers)
+        assert len(ports) == 3
+        assert plane.stats()["registrations"] == 13
+        assert len(plane.core.epochs) == 13
         platform.shutdown()
 
 

@@ -19,6 +19,8 @@ import json
 
 import pytest
 
+import repro.invoker.engine
+import repro.storage.dht
 from repro.durability.plane import DurabilityConfig
 from repro.durability.snapshot import data_key
 from repro.monitoring.events import EventLog
@@ -27,6 +29,7 @@ from repro.storage.backends import StorageConfig
 from repro.storage.backends.memory import DictBackend
 from repro.storage.backends.sqlite import SqliteBackend
 from repro.storage.dht import Dht, DhtModel
+from repro.storage.document import copy_doc
 from repro.storage.kv import DbModel, DocumentStore
 from repro.storage.query import Query
 from repro.storage.read_path import ReadBatchConfig
@@ -409,3 +412,52 @@ class TestUserFunctions:
         bucket = notes.durability.config.bucket
         cut = json.loads(notes.object_store.get_object(bucket, data_key("Note", 1)).data)
         assert cut == {oid: pristine}
+
+
+SCRATCH_YAML = """
+name: scratch
+classes:
+  - name: Tally
+    constraint: {persistence: none}
+    keySpecs:
+      - {name: n, type: INT, default: 0}
+      - {name: tags, type: JSON}
+"""
+
+
+class TestMemoryOnlyQuery:
+    """A query over a memory-only class reads the shared versions in
+    place and copies only the page it returns — and that page is still
+    the caller's to mutate."""
+
+    @pytest.fixture
+    def tallies(self, monkeypatch):
+        platform = make_platform(SCRATCH_YAML, {})
+        for n in range(200):
+            platform.new_object("Tally", {"n": n, "tags": ["a"]}, object_id=f"Tally~t{n:03d}")
+        copies = []
+
+        def counted(doc):
+            copies.append(doc)
+            return copy_doc(doc)
+
+        # Top-level copies only: the copier's own recursion is not counted.
+        for module in (repro.storage.dht, repro.invoker.engine):
+            monkeypatch.setattr(module, "copy_doc", counted, raising=False)
+        yield platform, copies
+        platform.shutdown()
+
+    def test_a_page_of_five_copies_five_documents(self, tallies):
+        platform, copies = tallies
+        response = platform.http("GET", "/api/classes/Tally/objects?where=n>=190&limit=5")
+        assert response.ok, response.body
+        assert [doc["state"]["n"] for doc in response.body["objects"]] == [190, 191, 192, 193, 194]
+        assert response.body["scanned"] == 200
+        assert len(copies) <= 5
+
+    def test_mutating_the_page_changes_nothing_held(self, tallies):
+        platform, _ = tallies
+        page = platform.http("GET", "/api/classes/Tally/objects?where=n>=199").body["objects"]
+        page[0]["state"]["tags"].append("poison")
+        page[0]["state"]["n"] = -1
+        assert platform.get_object("Tally~t199")["state"] == {"n": 199, "tags": ["a"]}

@@ -307,7 +307,8 @@ class TestConnectionDropCrash:
                 and server.core.workers["w-0"].machine.is_dispatchable
             )
             assert server.core.workers["w-0"].epoch > first_epoch
-            assert len(server.core.registrations) == 2
+            assert server.core.registrations == 2
+            assert server.core.epochs == {"w-0": server.core.workers["w-0"].epoch}
             result = await asyncio.wait_for(server.submit(request_for("y")), 10)
             assert result.ok
             await second.close()
@@ -442,13 +443,14 @@ class TestHostileFrames:
                 for s in (f"o{i}" for i in range(64))
                 if server.core.pick(request_for(s)).name == "hostile"
             )
+            port = server.core.workers["hostile"]
             future = server.submit(request_for(suffix))
             await hostile.recv(Dispatch)
             hostile.send_raw(frame)
             result = await asyncio.wait_for(future, 10)
             assert result.ok
-            port = server.core.registrations[0]
-            assert port.name == "hostile" and port.machine.state is WorkerState.DEAD
+            assert port.machine.state is WorkerState.DEAD
+            assert "hostile" not in server.core.workers
             # The connection was closed: the sender's pump ran into EOF.
             await asyncio.wait_for(hostile._task, 5)
             dead = [e for e in server.events if e.type == "scheduler.dead"]
@@ -474,7 +476,7 @@ class TestHostileFrames:
             assert await asyncio.wait_for(reader.read(), 5) == b""  # closed on us
             writer.close()
             assert server.protocol_errors == 1
-            assert server.core.registrations == [] and len(server.events) == 0
+            assert server.core.registrations == 0 and len(server.events) == 0
             await server.stop()
 
         run_async(scenario())
