@@ -1,45 +1,32 @@
-"""Ablations for the design choices DESIGN.md calls out.
+"""The ablations behind DESIGN.md's design choices (the tutorial's
+"optimal configurations to avoid potential overheads").
 
 Each ablation is one row of :data:`ABLATIONS`: its default arms (the
 rows of its EXPERIMENTS.md table) and the function that measures one arm
 on a fresh rig.  :func:`run_ablation` runs the arms in order and returns
-their typed rows:
+their typed rows.  An arm builds one of three rigs:
 
-* ABL-BATCH — the write-behind batch size is *the* knob behind
-  Oparaca's Fig. 3 advantage: batch 1 turns every object update into an
-  individual DB write (Knative-like cost), larger batches amortize the
-  per-operation overhead.
-* ABL-COLD — scale-to-zero saves idle replicas but charges the first
-  burst a cold start; pre-warming (``min_scale > 0``) trades idle cost
-  for tail latency.  This is the "optimal configurations to avoid
-  potential overheads" discussion of the tutorial abstract.
-* ABL-LOCALITY — routing invocations to the node owning the object's
-  DHT partition vs spraying them randomly (§II-A's data-locality
-  optimization).
-* ABL-PRESIGN — presigned direct object-store access vs proxying file
-  bytes through the platform (§III-D), across payload sizes.
-* ABL-REPL — the DHT replication factor: write fan-out cost vs the share
-  of state that survives a node crash on the memory-only system.
-* ABL-BURST — autoscaler tracking of bursty arrivals (§II-D): an
-  open-loop workload alternates quiet and burst phases, and
-  pre-warming buys down the burst-phase tail the autoscaler's reaction
-  time costs.
-* ABL-READPATH — the read-side levers (single-flight coalescing,
-  miss-read batching, near cache) under the thundering-herd miss storm
-  that follows a node failure.
-* ABL-QOS — the QoS enforcement plane under a noisy neighbour: a
-  latency-declared class sharing the async path with a flooding batch
-  class, with the plane off (FIFO) vs on (admission + weighted-fair
-  queueing + load shedding).
-* ABL-DURABILITY — a crash drill over a ``persistence: strong`` ledger
-  and a ``persistence: standard`` write-behind-backed cart, with the
-  durability plane off vs on: acknowledged increments are audited
-  against post-crash state, and the plane's measured RPO/RTO is
-  reported per class.
-* ABL-FEDERATION — edge-pinned (NFR-scored) vs core-only placement
-  under a geo-distributed workload on a three-tier topology, plus a
-  deliberately misconfigured control arm whose cross-jurisdiction
-  accesses are rejected and counted.
+* the facade — :func:`_platform_arm`, or a Fig. 3 :class:`OprcSystem`
+  opened by :func:`~repro.bench.scalability.closed_loop_cell`.  A
+  runtime lever is the template field for it, and a plane's numbers
+  come from ``platform.report(name)``;
+* the bare Knative engine of :func:`~repro.bench.systems.knative_engine`;
+* a bare object store (ABL-PRESIGN).
+
+============== ========== ===============================================
+ablation       rig        varies
+============== ========== ===============================================
+ABL-BATCH      Fig. 3     write-behind batch size
+ABL-COLD       Knative    ``min_scale`` across an idle spell and a burst
+ABL-LOCALITY   Fig. 3     the template's placement policy
+ABL-PRESIGN    store      presigned vs proxied download, by size
+ABL-REPL       Fig. 3     DHT replication vs a node crash
+ABL-BURST      Knative    ``min_scale`` under phased bursts
+ABL-READPATH   facade     coalescing / batching / near cache after a crash
+ABL-QOS        facade     the QoS plane off vs on under a noisy neighbour
+ABL-DURABILITY facade     the durability plane off vs on in a crash drill
+ABL-FEDERATION facade     core-only vs NFR placement over three tiers
+============== ========== ===============================================
 """
 
 from __future__ import annotations
@@ -50,28 +37,25 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Iterator, Mapping
 
 from repro.bench.config import Fig3Config
-from repro.bench.scalability import run_closed_loop
-from repro.bench.systems import OprcSystem
+from repro.bench.scalability import closed_loop_cell
+from repro.bench.systems import knative_engine
+from repro.crm.template import ClassRuntimeTemplate, RuntimeConfig, TemplateCatalog
 from repro.durability.plane import DurabilityConfig
-from repro.faas.knative import KnativeEngine, KnativeModel, KnativeService
+from repro.faas.knative import KnativeModel, KnativeService
+from repro.faas.registry import FunctionRegistry
+from repro.faas.runtime import InvocationTask
 from repro.federation import FederationConfig, Zone
 from repro.invoker.router import PlacementPolicy
 from repro.model.function import FunctionDefinition, ProvisionSpec
 from repro.monitoring.events import EventLog
 from repro.monitoring.tracing import Tracer
-from repro.orchestrator.cluster import Cluster
-from repro.orchestrator.resources import ResourceSpec
-from repro.orchestrator.scheduler import Scheduler
-from repro.faas.registry import FunctionRegistry
-from repro.faas.runtime import InvocationTask
 from repro.platform.oparaca import Oparaca, PlatformConfig
 from repro.qos.plane import QosConfig
-from repro.sim.kernel import Environment, Event, all_of, any_of
+from repro.sim.kernel import Environment, all_of, any_of
 from repro.sim.network import Network, NetworkModel
-from repro.sim.workload import PhasedOpenLoopGenerator
+from repro.sim.workload import HerdLoad, PhasedOpenLoopGenerator
 from repro.stats import nearest_rank
-from repro.storage.dht import Dht, DhtModel
-from repro.storage.kv import DbModel, DocumentStore
+from repro.storage.kv import DbModel
 from repro.storage.object_store import ObjectStore, ObjectStoreModel
 from repro.storage.read_path import ReadBatchConfig
 
@@ -157,18 +141,13 @@ def _knative_service(
     model: KnativeModel,
     min_scale: int,
     **observers: Any,
-) -> tuple[KnativeService, Callable[[int], Event]]:
+) -> KnativeService:
     """One Knative service ``name`` (image ``abl/<name>``, concurrency
-    8, up to 16 replicas) deployed on a fresh ``nodes``-VM cluster, and
-    the function that offers it request number ``index``; ``observers``
-    are the engine's ``tracer=`` / ``events=``."""
-    cluster = Cluster(env)
-    for index in range(nodes):
-        cluster.add_node(f"vm-{index}", ResourceSpec(4000, 16384))
+    8, up to 16 replicas) on the bare Knative engine over ``nodes`` VMs;
+    ``observers`` are the engine's ``tracer=`` / ``events=``."""
     registry = FunctionRegistry()
     registry.register(f"abl/{name}", handler, service_time_s=service_time_s)
-    engine = KnativeEngine(env, Scheduler(cluster), registry, model, **observers)
-    service = engine.deploy(
+    return knative_engine(env, nodes, registry, model, **observers).deploy(
         name,
         FunctionDefinition(
             name=name,
@@ -177,13 +156,18 @@ def _knative_service(
         ),
     )
 
-    def invoke(index: int) -> Event:
-        task = InvocationTask(
-            request_id=f"b{index}", cls="-", object_id="x", fn_name=name, image=f"abl/{name}"
-        )
-        return service.invoke(task)
 
-    return service, invoke
+def _offer(service: KnativeService, index: int) -> Generator:
+    """Offer ``service`` its request number ``index``."""
+    yield service.invoke(
+        InvocationTask(
+            request_id=f"b{index}",
+            cls="-",
+            object_id="x",
+            fn_name=service.name,
+            image=service.definition.image,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +208,15 @@ def _batching_arm(batch: int, nodes: int = 6, cfg: Fig3Config | None = None) -> 
         objects=20000,
         max_pending=max(500, batch),
     )
-    system = OprcSystem(cell_cfg, nodes, variant="oprc-bypass")
-    system.prepare()
-    stats = run_closed_loop(system)
-    extras = system.extras()
-    row = BatchingRow(
-        batch_size=batch,
-        throughput_rps=stats.throughput(cell_cfg.horizon_s),
-        db_write_ops=extras["db_write_ops"],
-        db_docs_written=extras["db_docs_written"],
-        mean_latency_ms=stats.mean_latency * 1000.0,
-    )
-    system.shutdown()
-    return row
+    with closed_loop_cell("oprc-bypass", nodes, cell_cfg) as (system, stats):
+        extras = system.extras()
+        return BatchingRow(
+            batch_size=batch,
+            throughput_rps=stats.throughput(cell_cfg.horizon_s),
+            db_write_ops=extras["db_write_ops"],
+            db_docs_written=extras["db_docs_written"],
+            mean_latency_ms=stats.mean_latency * 1000.0,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +253,7 @@ def _coldstart_arm(
     env = Environment()
     tracer = Tracer(env, enabled=True)
     events = EventLog(env, enabled=True)
-    service, invoke = _knative_service(
+    service = _knative_service(
         env,
         "echo",
         3,
@@ -287,20 +267,12 @@ def _coldstart_arm(
     # Let the service go idle past the grace period.
     env.run(until=idle_s)
     idle_replicas = service.replicas
-    latencies: list[float] = []
-
-    def one_request(index: int) -> Generator:
-        started = env.now
-        yield invoke(index)
-        latencies.append(env.now - started)
-
-    processes = [env.process(one_request(i)) for i in range(burst)]
-    env.run(until=all_of(env, processes))
-    ordered = sorted(latencies)
+    herd = HerdLoad(env, lambda index: _offer(service, index))
+    herd.fire(burst)
     row = ColdStartResult(
         min_scale=min_scale,
-        first_latency_ms=ordered[0] * 1000.0,
-        burst_p99_ms=nearest_rank(ordered, 99) * 1000.0,
+        first_latency_ms=min(herd.stats.latencies) * 1000.0,
+        burst_p99_ms=herd.stats.latency_percentile(99) * 1000.0,
         cold_starts=service.cold_starts,
         idle_replicas=idle_replicas,
         traced_cold_starts=len(tracer.spans_named("faas.cold_start")),
@@ -344,20 +316,14 @@ def _locality_arm(
         # network path to the object's partition.
         db_capacity_units=10_000_000.0,
     )
-    system = OprcSystem(cell_cfg, nodes, variant="oprc-bypass")
-    system.prepare()
-    router = system.platform.crm.runtime("Doc").router
-    router.policy = policy
-    stats = run_closed_loop(system)
-    row = LocalityRow(
-        policy=policy.value,
-        throughput_rps=stats.throughput(cell_cfg.horizon_s),
-        mean_latency_ms=stats.mean_latency * 1000.0,
-        locality_ratio=router.locality_ratio,
-        remote_transfers=system.platform.network.remote_transfers,
-    )
-    system.shutdown()
-    return row
+    with closed_loop_cell("oprc-bypass", nodes, cell_cfg, placement=policy) as (system, stats):
+        return LocalityRow(
+            policy=policy.value,
+            throughput_rps=stats.throughput(cell_cfg.horizon_s),
+            mean_latency_ms=stats.mean_latency * 1000.0,
+            locality_ratio=system.platform.crm.runtime("Doc").router.locality_ratio,
+            remote_transfers=system.platform.network.remote_transfers,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -386,25 +352,25 @@ def _replication_arm(
     probes what fraction of a sample of objects is still readable.
     """
     base = cfg or Fig3Config.quick()
-    system = OprcSystem(base, nodes, variant="oprc-bypass-nonpersist", replication=replication)
-    system.prepare()
-    stats = run_closed_loop(system)
-    platform = system.platform
-    platform.fail_node(platform.cluster.node_names[0])
-    probe = system._object_ids[:probe_objects]
-    survivors = sum(
-        1 for object_id in probe if platform.invoke(object_id, "get", raise_on_error=False).ok
-    )
-    # Read after the probe: requests in flight at the horizon finish
-    # (and are recorded) while it runs.
-    row = ReplicationRow(
-        replication=replication,
-        throughput_rps=stats.throughput(base.horizon_s),
-        mean_latency_ms=stats.mean_latency * 1000.0,
-        survivors_pct=100.0 * survivors / max(1, len(probe)),
-    )
-    system.shutdown()
-    return row
+    with closed_loop_cell(
+        "oprc-bypass-nonpersist", nodes, base, replication=replication
+    ) as (system, stats):
+        platform = system.platform
+        platform.fail_node(platform.cluster.node_names[0])
+        probe = system._object_ids[:probe_objects]
+        survivors = sum(
+            1
+            for object_id in probe
+            if platform.invoke(object_id, "get", raise_on_error=False).ok
+        )
+        # Read after the probe: requests in flight at the horizon finish
+        # (and are recorded) while it runs.
+        return ReplicationRow(
+            replication=replication,
+            throughput_rps=stats.throughput(base.horizon_s),
+            mean_latency_ms=stats.mean_latency * 1000.0,
+            survivors_pct=100.0 * survivors / max(1, len(probe)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +409,7 @@ def _burst_arm(
     configuration discussion is about.
     """
     env = Environment()
-    service, invoke = _knative_service(
+    service = _knative_service(
         env,
         "burst",
         4,
@@ -455,7 +421,7 @@ def _burst_arm(
     peak = {"replicas": 0}
 
     def one_request(index: int) -> Generator:
-        yield invoke(index)
+        yield from _offer(service, index)
         peak["replicas"] = max(peak["replicas"], service.replicas)
 
     # Let the initial replicas finish booting before offering load,
@@ -497,68 +463,69 @@ class ReadPathRow:
     mean_get_ms: float
 
 
+#: One state-only class: the arm reads its DHT, it invokes nothing.
+READPATH_PACKAGE = """
+name: readpath-bench
+classes:
+  - name: Obj
+"""
+
+
 def _readpath_arm(
     mode: str, nodes: int = 4, objects: int = 300, readers_per_key: int = 4
 ) -> ReadPathRow:
     """Read-path levers under a post-``fail_node`` miss storm.
 
-    Seeds a persistent DHT, crashes one node (its partition's memory is
-    lost; the documents survive in the store), then fires
-    ``readers_per_key`` concurrent gets per object from the surviving
-    nodes — the thundering herd every real recovery produces.  A second
-    identical wave follows, exercising the near cache on non-owner
-    callers.  With everything ``off`` each concurrent miss is its own
-    ``op_cost + read_cost`` store read; coalescing collapses them to one
-    per key, batching folds keys into multi-gets, and the near cache
-    absorbs the repeat wave locally.
+    Seeds a persistent class runtime's DHT, crashes one node (its
+    partition's memory is lost; the documents survive in the store),
+    then fires ``readers_per_key`` concurrent gets per object from the
+    surviving nodes — the thundering herd every real recovery produces.
+    A second identical wave follows, exercising the near cache on
+    non-owner callers.  ``mode`` names the template's levers: with
+    everything ``off`` each concurrent miss is its own ``op_cost +
+    read_cost`` store read; ``coalesce`` collapses them to one per key,
+    ``batch`` folds keys into multi-gets, and ``near`` absorbs the
+    repeat wave locally.
     """
-    env = Environment()
-    network = Network(env, NetworkModel())
-    store = DocumentStore(env, DbModel(capacity_units_per_s=50000.0))
-    model = DhtModel(
-        replication=1,
-        persistent=True,
+    levers = RuntimeConfig(
         read_coalescing="coalesce" in mode,
-        read_batch=(
-            ReadBatchConfig(max_batch=32, linger_s=0.002)
-            if "batch" in mode
-            else None
-        ),
+        read_batch=ReadBatchConfig(max_batch=32, linger_s=0.002) if "batch" in mode else None,
         near_cache_entries=objects if "near" in mode else 0,
     )
-    node_names = [f"vm-{i}" for i in range(nodes)]
-    dht = Dht(env, node_names, network, store, model)
-    keys: list[str] = []
-    for index in range(objects):
-        key = f"obj-{index}"
-        dht.seed({"id": key, "version": 1, "payload": "x" * 64})
-        keys.append(key)
-    dht.fail_node(node_names[0])
-    callers = node_names[1:]
-    latencies: list[float] = []
+    with _platform_arm(
+        PlatformConfig(
+            nodes=nodes,
+            db=DbModel(capacity_units_per_s=50000.0),
+            catalog=TemplateCatalog([ClassRuntimeTemplate("bench-readpath", config=levers)]),
+        ),
+        READPATH_PACKAGE,
+        {},
+        {},
+    ) as (platform, _):
+        dht = platform.crm.runtime("Obj").dht
+        keys = [f"obj-{index}" for index in range(objects)]
+        for key in keys:
+            dht.seed({"id": key, "version": 1, "payload": "x" * 64})
+        victim, *callers = platform.cluster.node_names
+        platform.fail_node(victim)
 
-    def one_get(key: str, caller: str) -> Generator:
-        started = env.now
-        yield dht.get(key, caller=caller)
-        latencies.append(env.now - started)
+        def get(index: int) -> Generator:
+            key, reader = divmod(index, readers_per_key)
+            yield dht.get(keys[key], caller=callers[(key + reader) % len(callers)])
 
-    for _wave in range(2):
-        processes = [
-            env.process(one_get(key, callers[(index + reader) % len(callers)]))
-            for index, key in enumerate(keys)
-            for reader in range(readers_per_key)
-        ]
-        env.run(until=all_of(env, processes))
-    stats = dht.read_path_stats
-    return ReadPathRow(
-        mode=mode,
-        store_read_ops=store.read_ops,
-        store_multi_read_ops=store.multi_read_ops,
-        mem_misses=dht.mem_misses,
-        coalesced=stats["read_coalesced"],
-        near_hits=stats["near_hits"],
-        mean_get_ms=sum(latencies) / max(1, len(latencies)) * 1000.0,
-    )
+        herd = HerdLoad(platform.env, get)
+        for _wave in range(2):
+            herd.fire(objects * readers_per_key)
+        stats = dht.read_path_stats
+        return ReadPathRow(
+            mode=mode,
+            store_read_ops=platform.store.read_ops,
+            store_multi_read_ops=platform.store.multi_read_ops,
+            mem_misses=dht.mem_misses,
+            coalesced=stats["read_coalesced"],
+            near_hits=stats["near_hits"],
+            mean_get_ms=herd.stats.mean_latency * 1000.0,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -919,39 +886,26 @@ def _durability_arm(
                 if result.ok:
                     readable += 1
                     surviving += int(result.output["state"].get("count") or 0)
-            policy = "-"
-            cuts = epoch_writes = lost_writes = restored_docs = 0
-            recovered = False
-            rpo_s = rto_s = 0.0
-            if platform.durability is not None:
-                policy_obj = platform.durability.policy_for(cls)
-                policy = policy_obj.mode if policy_obj is not None else "-"
-                tracker = platform.durability.tracker_for(cls)
-                if tracker is not None:
-                    cuts = tracker.cuts_taken
-                    epoch_writes = tracker.epoch_writes
-                    if tracker.last_recovery is not None:
-                        recovered = True
-                        rpo_s = tracker.last_recovery["rpo_s"]
-                        rto_s = tracker.last_recovery["rto_s"]
-                        lost_writes = tracker.last_recovery["lost_writes"]
-                        restored_docs = tracker.last_recovery["restored_docs"]
+            # Read after this class's audit: its gets advance the clock,
+            # and a periodic cut may land meanwhile.
+            described = platform.report("durability").get("classes", {}).get(cls, {})
+            recovery = described.get("last_recovery") or {}
             rows.append(
                 DurabilityRow(
                     mode=mode,
                     cls=cls,
-                    policy=policy,
+                    policy=described["policy"]["mode"] if described else "-",
                     acked_writes=acked[cls],
                     surviving_count=surviving,
                     readable_objects=readable,
                     objects=objects_per_class,
-                    cuts=cuts,
-                    epoch_writes=epoch_writes,
-                    recovered=recovered,
-                    rpo_s=rpo_s,
-                    rto_s=rto_s,
-                    lost_writes=lost_writes,
-                    restored_docs=restored_docs,
+                    cuts=described.get("cuts_taken", 0),
+                    epoch_writes=described.get("epoch_writes", 0),
+                    recovered=bool(recovery),
+                    rpo_s=recovery.get("rpo_s", 0.0),
+                    rto_s=recovery.get("rto_s", 0.0),
+                    lost_writes=recovery.get("lost_writes", 0),
+                    restored_docs=recovery.get("restored_docs", 0),
                 )
             )
         return rows
@@ -1067,42 +1021,34 @@ def _federation_arm(
         {"Sensor": objects, "Vault": objects},
     ) as (platform, ids):
         sensor_ids, vault_ids = ids["Sensor"], ids["Vault"]
-        # Warm every replica so the measured phase is routing, not
-        # cold starts.
-        for oid in sensor_ids + vault_ids:
-            platform.http(
+
+        def bump(oid: str, origin: str) -> bool:
+            """Invoke ``bump`` on ``oid`` from ``origin``; True on a 200."""
+            response = platform.http(
                 "POST",
                 f"/api/objects/{oid}/invokes/bump",
                 {},
-                headers={"x-origin-zone": "edge-a"},
+                headers={"x-origin-zone": origin},
             )
+            return response.status == 200
+
+        # Warm every replica so the measured phase is routing, not
+        # cold starts.
+        for oid in sensor_ids + vault_ids:
+            bump(oid, "edge-a")
         vault_origin = "core" if mode == "misconfigured" else "edge-a"
         latencies: list[float] = []
         completed = failed = vault_completed = 0
         for round_index in range(rounds):
             for index, oid in enumerate(sensor_ids):
-                origin = edge_origins[(round_index + index) % len(edge_origins)]
                 started = platform.now
-                response = platform.http(
-                    "POST",
-                    f"/api/objects/{oid}/invokes/bump",
-                    {},
-                    headers={"x-origin-zone": origin},
-                )
-                if response.status == 200:
+                if bump(oid, edge_origins[(round_index + index) % len(edge_origins)]):
                     completed += 1
                     latencies.append(platform.now - started)
                 else:
                     failed += 1
-            for oid in vault_ids:
-                response = platform.http(
-                    "POST",
-                    f"/api/objects/{oid}/invokes/bump",
-                    {},
-                    headers={"x-origin-zone": vault_origin},
-                )
-                if response.status == 200:
-                    vault_completed += 1
+            vault_completed += sum(bump(oid, vault_origin) for oid in vault_ids)
+        classes = platform.report("federation")["classes"]
         return FederationRow(
             mode=mode,
             placement=placement,
@@ -1110,8 +1056,8 @@ def _federation_arm(
             sensor_target_ms=20.0,
             completed=completed,
             failed=failed,
-            cross_zone=platform.federation.class_stats("Sensor")["cross_zone"],
-            vault_rejections=platform.federation.jurisdiction_rejections("Vault"),
+            cross_zone=classes["Sensor"]["cross_zone"],
+            vault_rejections=classes["Vault"]["rejections"],
             vault_completed=vault_completed,
         )
 

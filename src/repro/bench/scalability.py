@@ -14,14 +14,15 @@ every replica busy.  The expected shape (paper §V):
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.bench.config import Fig3Config
 from repro.bench.systems import SYSTEMS, BenchSystem, build_system
 from repro.sim.workload import ClosedLoopGenerator, LoadStats
 
-__all__ = ["Fig3Row", "run_closed_loop", "run_cell", "run_fig3"]
+__all__ = ["Fig3Row", "closed_loop_cell", "run_cell", "run_fig3"]
 
 
 @dataclass(frozen=True)
@@ -38,40 +39,46 @@ class Fig3Row:
     extras: dict[str, Any] = field(default_factory=dict)
 
 
-def run_closed_loop(system: BenchSystem) -> LoadStats:
-    """Drive a prepared ``system`` with ``cfg.clients(nodes)`` saturating
-    closed-loop clients up to ``cfg.horizon_s``; return their stats (a
-    request still in flight at the horizon is recorded when it ends)."""
-    cfg = system.cfg
-    generator = ClosedLoopGenerator(
-        system.env,
-        system.request,
-        clients=cfg.clients(system.nodes),
-        horizon_s=cfg.horizon_s,
-        warmup_s=cfg.warmup_s,
-    )
-    system.env.run(until=cfg.horizon_s)
-    return generator.stats
+@contextlib.contextmanager
+def closed_loop_cell(
+    system_name: str, nodes: int, cfg: Fig3Config, **options: Any
+) -> Iterator[tuple[BenchSystem, LoadStats]]:
+    """Open one cell: build ``system_name`` on ``nodes`` VMs (``options``
+    as :func:`build_system` takes them), prepare it, and drive it with
+    ``cfg.clients(nodes)`` saturating closed-loop clients up to
+    ``cfg.horizon_s``.  Yields the system and the clients' stats (a
+    request still in flight at the horizon is recorded when it ends);
+    the system shuts down when the block exits."""
+    system = build_system(system_name, cfg, nodes, **options)
+    try:
+        system.prepare()
+        generator = ClosedLoopGenerator(
+            system.env,
+            system.request,
+            clients=cfg.clients(nodes),
+            horizon_s=cfg.horizon_s,
+            warmup_s=cfg.warmup_s,
+        )
+        system.env.run(until=cfg.horizon_s)
+        yield system, generator.stats
+    finally:
+        system.shutdown()
 
 
 def run_cell(system_name: str, nodes: int, cfg: Fig3Config | None = None) -> Fig3Row:
     """Run one cell of the sweep and return its measurement."""
     cfg = cfg or Fig3Config()
-    system = build_system(system_name, cfg, nodes)
-    system.prepare()
-    stats = run_closed_loop(system)
-    row = Fig3Row(
-        system=system_name,
-        nodes=nodes,
-        throughput_rps=stats.throughput(cfg.horizon_s),
-        mean_latency_ms=stats.mean_latency * 1000.0,
-        p99_latency_ms=stats.latency_percentile(99) * 1000.0,
-        completed=stats.measured_completed,
-        failed=stats.failed,
-        extras=system.extras(),
-    )
-    system.shutdown()
-    return row
+    with closed_loop_cell(system_name, nodes, cfg) as (system, stats):
+        return Fig3Row(
+            system=system_name,
+            nodes=nodes,
+            throughput_rps=stats.throughput(cfg.horizon_s),
+            mean_latency_ms=stats.mean_latency * 1000.0,
+            p99_latency_ms=stats.latency_percentile(99) * 1000.0,
+            completed=stats.measured_completed,
+            failed=stats.failed,
+            extras=system.extras(),
+        )
 
 
 def run_fig3(

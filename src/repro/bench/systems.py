@@ -49,9 +49,57 @@ from repro.sim.rng import RngStreams
 from repro.storage.kv import DbModel, DocumentStore
 from repro.storage.write_behind import WriteBehindConfig
 
-__all__ = ["BenchSystem", "OprcSystem", "KnativeBaselineSystem", "build_system", "SYSTEMS"]
+__all__ = [
+    "BenchSystem",
+    "OprcSystem",
+    "KnativeBaselineSystem",
+    "build_system",
+    "knative_engine",
+    "SYSTEMS",
+]
 
 SYSTEMS = ("knative", "oprc", "oprc-bypass", "oprc-bypass-nonpersist")
+
+
+def knative_engine(
+    env: Environment,
+    nodes: int,
+    registry: FunctionRegistry,
+    model: KnativeModel,
+    node: ResourceSpec = ResourceSpec(4000, 16384),
+    **observers: Any,
+) -> KnativeEngine:
+    """The bare Knative engine, with no OaaS layer: one scheduler over a
+    fresh cluster of ``nodes`` VMs (``vm-0`` ...) of ``node`` resources
+    each, serving ``registry``'s images; ``observers`` are the engine's
+    ``tracer=`` / ``events=``."""
+    cluster = Cluster(env)
+    for index in range(nodes):
+        cluster.add_node(f"vm-{index}", node)
+    return KnativeEngine(env, Scheduler(cluster), registry, model, **observers)
+
+
+def _knative_model(cfg: Fig3Config) -> KnativeModel:
+    return KnativeModel(
+        request_overhead_s=cfg.knative_overhead_s,
+        cold_start_s=cfg.cold_start_s,
+        scale_to_zero_grace_s=3600.0,
+    )
+
+
+def _randomize(cfg: Fig3Config, nodes: int, image: str) -> FunctionDefinition:
+    """The JSON-randomization function every system deploys."""
+    return FunctionDefinition(
+        name="randomize",
+        image=image,
+        provision=ProvisionSpec(
+            concurrency=cfg.concurrency,
+            cpu_millis=cfg.pod_cpu_millis,
+            memory_mb=cfg.pod_memory_mb,
+            min_scale=1,
+            max_scale=cfg.max_pods(nodes),
+        ),
+    )
 
 
 def _db_model(cfg: Fig3Config) -> DbModel:
@@ -102,6 +150,7 @@ class OprcSystem(BenchSystem):
         nodes: int,
         variant: str = "oprc",
         replication: int = 1,
+        placement: PlacementPolicy = PlacementPolicy.LOCALITY,
     ) -> None:
         super().__init__(cfg, nodes)
         if variant not in ("oprc", "oprc-bypass", "oprc-bypass-nonpersist"):
@@ -118,7 +167,7 @@ class OprcSystem(BenchSystem):
             selector=TemplateSelector(),
             config=RuntimeConfig(
                 engine="deployment" if bypass else "knative",
-                placement=PlacementPolicy.LOCALITY,
+                placement=placement,
                 replication=replication,
                 persistent=persistent,
                 write_behind=write_behind,
@@ -135,11 +184,7 @@ class OprcSystem(BenchSystem):
                 seed=cfg.seed,
                 db=_db_model(cfg),
                 network=NetworkModel(),
-                knative=KnativeModel(
-                    request_overhead_s=cfg.knative_overhead_s,
-                    cold_start_s=cfg.cold_start_s,
-                    scale_to_zero_grace_s=3600.0,
-                ),
+                knative=_knative_model(cfg),
                 deployment=DeploymentModel(
                     request_overhead_s=cfg.deployment_overhead_s,
                     cold_start_s=cfg.cold_start_s,
@@ -158,17 +203,7 @@ class OprcSystem(BenchSystem):
         return self.platform.env
 
     def _package(self) -> Package:
-        definition = FunctionDefinition(
-            name="randomize",
-            image=OAAS_IMAGE,
-            provision=ProvisionSpec(
-                concurrency=self.cfg.concurrency,
-                cpu_millis=self.cfg.pod_cpu_millis,
-                memory_mb=self.cfg.pod_memory_mb,
-                min_scale=1,
-                max_scale=self.cfg.max_pods(self.nodes),
-            ),
-        )
+        definition = _randomize(self.cfg, self.nodes, OAAS_IMAGE)
         doc_cls = ClassDefinition(
             name="Doc",
             state=StateSpec((KeySpec("data", DataType.JSON),)),
@@ -229,25 +264,16 @@ class KnativeBaselineSystem(BenchSystem):
     def __init__(self, cfg: Fig3Config, nodes: int) -> None:
         super().__init__(cfg, nodes)
         self._env = Environment()
-        self.cluster = Cluster(self._env)
-        for index in range(nodes):
-            self.cluster.add_node(
-                f"vm-{index}", ResourceSpec(cfg.node_cpu_millis, cfg.node_memory_mb)
-            )
-        self.scheduler = Scheduler(self.cluster)
-        self.registry = FunctionRegistry()
-        register_faas_handler(self.registry, cfg.service_time_s, fields=cfg.json_fields)
-        self.store = DocumentStore(self._env, _db_model(cfg))
-        self.engine = KnativeEngine(
+        registry = FunctionRegistry()
+        register_faas_handler(registry, cfg.service_time_s, fields=cfg.json_fields)
+        self.engine = knative_engine(
             self._env,
-            self.scheduler,
-            self.registry,
-            KnativeModel(
-                request_overhead_s=cfg.knative_overhead_s,
-                cold_start_s=cfg.cold_start_s,
-                scale_to_zero_grace_s=3600.0,
-            ),
+            nodes,
+            registry,
+            _knative_model(cfg),
+            ResourceSpec(cfg.node_cpu_millis, cfg.node_memory_mb),
         )
+        self.store = DocumentStore(self._env, _db_model(cfg))
         self.service = None
         self._rng = RngStreams(cfg.seed).stream("knative-object-pick")
         self._keys: list[str] = []
@@ -257,20 +283,8 @@ class KnativeBaselineSystem(BenchSystem):
         return self._env
 
     def prepare(self) -> None:
-        definition = FunctionDefinition(
-            name="randomize",
-            image=FAAS_IMAGE,
-            provision=ProvisionSpec(
-                concurrency=self.cfg.concurrency,
-                cpu_millis=self.cfg.pod_cpu_millis,
-                memory_mb=self.cfg.pod_memory_mb,
-                min_scale=1,
-                max_scale=self.cfg.max_pods(self.nodes),
-            ),
-        )
-        self.service = self.engine.deploy(
-            "json-random", definition, services={"db": self.store}
-        )
+        definition = _randomize(self.cfg, self.nodes, FAAS_IMAGE)
+        self.service = self.engine.deploy("json-random", definition, services={"db": self.store})
         for index in range(self.cfg.objects):
             key = f"doc-{index}"
             self.store.put_sync(
@@ -311,10 +325,11 @@ class KnativeBaselineSystem(BenchSystem):
             self.service.stop()
 
 
-def build_system(name: str, cfg: Fig3Config, nodes: int) -> BenchSystem:
-    """Factory over the four Fig. 3 systems."""
+def build_system(name: str, cfg: Fig3Config, nodes: int, **options: Any) -> BenchSystem:
+    """Factory over the four Fig. 3 systems; ``options`` go to
+    :class:`OprcSystem` (``replication=``, ``placement=``)."""
     if name == "knative":
         return KnativeBaselineSystem(cfg, nodes)
     if name in ("oprc", "oprc-bypass", "oprc-bypass-nonpersist"):
-        return OprcSystem(cfg, nodes, variant=name)
+        return OprcSystem(cfg, nodes, variant=name, **options)
     raise ValidationError(f"unknown system {name!r}; expected one of {SYSTEMS}")

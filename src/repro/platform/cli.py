@@ -539,11 +539,10 @@ def _cmd_serve(platform, args: argparse.Namespace) -> int:
         async def one(index: int) -> None:
             fn, payload = _parse_invoke(invokes[index % len(invokes)])
             async with semaphore:
-                if args.crash_worker and index == crash_at:
-                    for worker in front.workers:
-                        if worker.name == args.crash_worker:
-                            worker.kill()
-                            print(f"killed {worker.name}'s connection mid-run")
+                worker = front.workers.get(args.crash_worker)
+                if worker is not None and index == crash_at:
+                    worker.kill()
+                    print(f"killed {worker.name}'s connection mid-run")
                 status, _ = await request(
                     host,
                     port,

@@ -83,7 +83,9 @@ class AsyncPlatformServer:
         self.scheduler = AsyncSchedulerServer(
             config=config, classes=list(platform.crm.runtimes)
         )
-        self.workers: list[AsyncWorkerClient] = []
+        #: name -> the client of each live worker this front spawned; a
+        #: retired worker's client is closed and dropped.
+        self.workers: dict[str, AsyncWorkerClient] = {}
         self._connections = 0
         self._http_server: asyncio.AbstractServer | None = None
         self._next_worker = 0
@@ -118,7 +120,7 @@ class AsyncPlatformServer:
         for task in self._spawn_tasks:
             task.cancel()
         await asyncio.gather(*self._spawn_tasks, return_exceptions=True)
-        for worker in self.workers:
+        for worker in self.workers.values():
             await worker.close()
         return await self.scheduler.stop()
 
@@ -135,13 +137,16 @@ class AsyncPlatformServer:
             heartbeat_interval_s=self.platform.config.scheduler.heartbeat_interval_s,
         )
         await worker.connect()
-        self.workers.append(worker)
+        self.workers[name] = worker
         return worker
 
     def _on_worker_dead(self, worker: Any, reason: str) -> None:
-        """Self-heal: a worker that crashed or finished draining is
-        replaced while the front runs."""
+        """Self-heal: while the front runs, a worker that crashed or
+        finished draining has its client closed and is replaced."""
         if self._running:
+            client = self.workers.pop(worker.name, None)
+            if client is not None:
+                client.kill()  # the registration is retired: no goodbye is owed
             task = asyncio.ensure_future(self._spawn_worker())
             self._spawn_tasks.add(task)
             task.add_done_callback(self._spawn_tasks.discard)

@@ -356,13 +356,14 @@ class AsyncSchedulerServer:
             return self._refuse(
                 transport, name, f"worker {name!r} is already registered"
             )
-        epoch = self.core.epochs.get(name, 0) + 1
-        worker = RemoteWorker(self, name, epoch, transport, node=message.node)
+        worker = RemoteWorker(self, name, 1, transport, node=message.node)
         self.core.add_worker(worker)
         self.events.record("scheduler.register", worker=name, node=worker.node)
         worker.send(
             RegisterAck(
-                worker=name, epoch=epoch, classes=tuple(self.core.deployed_classes())
+                worker=name,
+                epoch=worker.epoch,
+                classes=tuple(self.core.deployed_classes()),
             )
         )
         return worker

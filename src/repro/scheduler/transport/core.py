@@ -170,6 +170,12 @@ class DispatchCore:
     # -- registration --------------------------------------------------------
 
     def add_worker(self, worker: WorkerPort) -> None:
+        """Admit ``worker``.  A known name starts above its last epoch,
+        so nothing its fenced registration still says is let through; a
+        new name keeps the epoch its transport gave it."""
+        last = self.epochs.get(worker.name)
+        if last is not None:
+            worker.epoch = max(worker.epoch, last + 1)
         self.workers[worker.name] = worker
         self.epochs[worker.name] = worker.epoch
         self.registrations += 1

@@ -12,6 +12,7 @@ from repro.sim.resources import Container, Gate, RateLimiter, Resource
 from repro.sim.rng import RngStreams
 from repro.sim.workload import (
     ClosedLoopGenerator,
+    HerdLoad,
     LoadStats,
     OpenLoopGenerator,
     PhasedOpenLoopGenerator,
@@ -35,4 +36,5 @@ __all__ = [
     "OpenLoopGenerator",
     "PhasedOpenLoopGenerator",
     "ClosedLoopGenerator",
+    "HerdLoad",
 ]

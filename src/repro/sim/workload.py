@@ -1,6 +1,6 @@
 """Load generators and measurement for simulated experiments.
 
-Two standard client models:
+The client models:
 
 * :class:`OpenLoopGenerator` — arrivals at a configured rate regardless
   of completions (saturation testing; what Fig. 3's load driver does).
@@ -9,8 +9,11 @@ Two standard client models:
   with think time).  Closed loops self-throttle, which is the right
   model for measuring *capacity*: throughput ramps until a bottleneck
   saturates, without unbounded queue growth.
+* :class:`HerdLoad` — a thundering herd: ``count`` requests at the same
+  instant, run until every one is done (a burst after an idle spell, a
+  miss storm after a node failure).
 
-Both record per-request latency into :class:`LoadStats`, which reports
+All record per-request latency into :class:`LoadStats`, which reports
 throughput over a measurement window that excludes warm-up.
 """
 
@@ -20,11 +23,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, all_of
 from repro.sim.rng import RngStreams
 from repro.stats import nearest_rank
 
-__all__ = ["LoadStats", "OpenLoopGenerator", "ClosedLoopGenerator"]
+__all__ = ["LoadStats", "OpenLoopGenerator", "ClosedLoopGenerator", "HerdLoad"]
 
 RequestFactory = Callable[[int], Generator[Any, Any, Any]]
 
@@ -71,6 +74,21 @@ class LoadStats:
         return sum(self.latencies) / len(self.latencies)
 
 
+def _timed(
+    env: Environment, request: Generator[Any, Any, Any], *sinks: LoadStats
+) -> Generator[Any, Any, None]:
+    """Run one request, then record it in every sink; a request that
+    raises is a failed one (load drivers tolerate app errors)."""
+    start = env.now
+    ok = True
+    try:
+        yield from request
+    except Exception:  # noqa: BLE001
+        ok = False
+    for sink in sinks:
+        sink.record(start, env.now, ok)
+
+
 class OpenLoopGenerator:
     """Issues requests at ``rate`` per second until ``horizon_s``.
 
@@ -109,17 +127,8 @@ class OpenLoopGenerator:
             if self.env.now >= self.horizon_s:
                 break
             self.stats.issued += 1
-            self.env.process(self._tracked(index))
+            self.env.process(_timed(self.env, self.request_factory(index), self.stats))
             index += 1
-
-    def _tracked(self, index: int) -> Generator[Any, Any, None]:
-        start = self.env.now
-        ok = True
-        try:
-            yield from self.request_factory(index)
-        except Exception:  # noqa: BLE001 - load drivers tolerate app errors
-            ok = False
-        self.stats.record(start, self.env.now, ok)
 
 
 class PhasedOpenLoopGenerator:
@@ -174,20 +183,11 @@ class PhasedOpenLoopGenerator:
                     yield self.env.timeout(gap)
                     self.stats.issued += 1
                     self.phase_stats[phase_index].issued += 1
-                    self.env.process(self._tracked(index, phase_index))
+                    sinks = (self.stats, self.phase_stats[phase_index])
+                    self.env.process(_timed(self.env, self.request_factory(index), *sinks))
                     index += 1
                 if self.env.now >= self.horizon_s:
                     return
-
-    def _tracked(self, index: int, phase_index: int) -> Generator[Any, Any, None]:
-        start = self.env.now
-        ok = True
-        try:
-            yield from self.request_factory(index)
-        except Exception:  # noqa: BLE001
-            ok = False
-        self.stats.record(start, self.env.now, ok)
-        self.phase_stats[phase_index].record(start, self.env.now, ok)
 
 
 class ClosedLoopGenerator:
@@ -213,14 +213,28 @@ class ClosedLoopGenerator:
     def _client(self, client_id: int) -> Generator[Any, Any, None]:
         index = client_id
         while self.env.now < self.horizon_s:
-            start = self.env.now
-            ok = True
-            try:
-                yield from self.request_factory(index)
-            except Exception:  # noqa: BLE001
-                ok = False
+            yield from _timed(self.env, self.request_factory(index), self.stats)
             self.stats.issued += 1
-            self.stats.record(start, self.env.now, ok)
             index += self.clients
             if self.think_time_s:
                 yield self.env.timeout(self.think_time_s)
+
+
+class HerdLoad:
+    """All at once, run until all done: each :meth:`fire` starts a herd
+    of requests in one instant and runs the environment until the last
+    of them finishes.  ``stats`` accumulates over every herd fired."""
+
+    def __init__(self, env: Environment, request_factory: RequestFactory) -> None:
+        self.env = env
+        self.request_factory = request_factory
+        self.stats = LoadStats()
+
+    def fire(self, count: int) -> None:
+        """Start requests ``0 .. count-1`` now; return when all are done."""
+        self.stats.issued += count
+        processes = [
+            self.env.process(_timed(self.env, self.request_factory(index), self.stats))
+            for index in range(count)
+        ]
+        self.env.run(until=all_of(self.env, processes))

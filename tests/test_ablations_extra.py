@@ -1,10 +1,14 @@
-"""Tests for the replication/burst ablations and the phased generator."""
+"""Tests for the ablations, the phased generator and the herd load."""
+
+import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.ablations import run_ablation
 from repro.sim.kernel import Environment
-from repro.sim.workload import PhasedOpenLoopGenerator
+from repro.sim.workload import HerdLoad, PhasedOpenLoopGenerator
 from repro.stats import nearest_rank
 
 
@@ -66,6 +70,57 @@ class TestPhasedGenerator:
         )
         env.run(until=3.0)
         assert generator.stats.issued == 0
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "experiments.json"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ABL-COLD",
+        "ABL-PRESIGN",
+        "ABL-READPATH",
+        "ABL-BURST",
+        "ABL-QOS",
+        "ABL-DURABILITY",
+        "ABL-FEDERATION",
+    ],
+)
+def test_fast_ablation_rows_match_the_golden(name):
+    """The ablations that run in about a second reproduce every digit
+    of their EXPERIMENTS.md rows (the slow Fig. 3 ones are pinned by
+    the benchmark suite)."""
+    rows = json.loads(json.dumps([dataclasses.asdict(row) for row in run_ablation(name)]))
+    assert rows == json.loads(GOLDEN.read_text())[name]
+
+
+class TestHerdLoad:
+    def test_each_herd_starts_at_once_and_runs_until_all_are_done(self):
+        env = Environment()
+
+        def request(index):
+            yield env.timeout(0.001 * (index + 1))
+
+        herd = HerdLoad(env, request)
+        herd.fire(3)
+        assert env.now == pytest.approx(0.003)
+        herd.fire(2)
+        assert env.now == pytest.approx(0.005)
+        assert herd.stats.issued == herd.stats.completed == 5
+        assert herd.stats.latencies == pytest.approx([0.001, 0.002, 0.003, 0.001, 0.002])
+
+    def test_a_failed_request_is_counted_not_raised(self):
+        env = Environment()
+
+        def request(index):
+            yield env.timeout(0.001)
+            if index == 1:
+                raise RuntimeError("boom")
+
+        herd = HerdLoad(env, request)
+        herd.fire(2)
+        assert herd.stats.failed == 1 and herd.stats.completed == 2
 
 
 class TestReplicationAblation:

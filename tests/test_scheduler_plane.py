@@ -129,6 +129,24 @@ class TestPoolLifecycle:
         platform.shutdown()
 
 
+    def test_a_rejoin_starts_above_its_fenced_epoch(self):
+        """A worker registered under a crashed worker's name starts one
+        above the epoch it was fenced at, as on the asyncio transport;
+        first registrations keep epoch 0."""
+        platform = sched_platform(replace_dead_workers=False)
+        plane = platform.scheduler_plane
+        obj = platform.new_object("Task", object_id="t-0")
+        platform.advance(0.5)
+        assert [w.epoch for w in plane.workers.values()] == [0, 0, 0]
+        assert plane.crash_worker("worker-1", reason="test")
+        assert plane.core.epochs["worker-1"] == 1
+        rejoined = plane.register_worker("worker-1")
+        assert rejoined.epoch == plane.core.epochs["worker-1"] == 2
+        completions = [platform.invoke_async(obj, "bump") for _ in range(6)]
+        platform.advance(3.0)
+        assert all(event.value.ok for event in completions)
+        platform.shutdown()
+
     def test_retired_workers_leave_no_rows_or_series(self):
         """Crash and replace a worker ten times: the pool's table holds
         the pool, the metrics registry one set of series per worker,

@@ -735,6 +735,40 @@ class TestHttpFrontEnd:
         run_async(scenario())
         platform.shutdown()
 
+    def test_the_front_keeps_one_client_per_live_worker(self):
+        """Crash and replace a worker three times on a pool of two: the
+        front holds two clients, one per live registration, and no task
+        of a retired client is left running."""
+        from tests.helpers import listing1_platform
+
+        platform = listing1_platform(
+            scheduler=SchedulerConfig(
+                enabled=True, transport="asyncio", pool_size=2, heartbeat_interval_s=0.25
+            )
+        )
+
+        async def scenario():
+            front = await platform.serve_http()
+            core = front.scheduler.core
+            tasks = len(asyncio.all_tasks())
+            for _ in range(3):
+                assert core.crash(min(core.workers), reason="test")
+                await wait_for(
+                    lambda: len(core.workers) == 2
+                    and all(w.machine.is_dispatchable for w in core.workers.values()),
+                    message="a replacement serving in the crashed worker's place",
+                )
+            assert len(front.workers) == 2
+            assert sorted(front.workers) == sorted(core.workers)
+            await wait_for(
+                lambda: len(asyncio.all_tasks()) == tasks,
+                message="the retired clients' tasks to end",
+            )
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        run_async(scenario())
+        platform.shutdown()
+
     @pytest.mark.parametrize("durable", [True, False], ids=["durability-on", "durability-off"])
     def test_plane_routes_exist_over_sockets_only_while_the_plane_is_on(self, durable):
         """The real front walks the same admin chain as the sim gateway:
