@@ -289,7 +289,7 @@ class DurabilityPlane(Plane):
                 self.restorer.recover(runtime, tracker, node, crashed_at)
             )
             launched.append(process)
-        self._recoveries.extend(launched)
+        self._recoveries = [*self.recoveries(), *launched]
         return launched
 
     def stop(self) -> None:
@@ -306,6 +306,8 @@ class DurabilityPlane(Plane):
         return self._trackers.get(cls)
 
     def recoveries(self) -> list[Process]:
+        """The crash recoveries still running; a finished one is let go."""
+        self._recoveries = [process for process in self._recoveries if process.is_alive]
         return list(self._recoveries)
 
     def verdicts(self, cls: str, runtime: Any) -> list[Objective]:

@@ -296,8 +296,9 @@ class RestoreManager:
         }
         if self.monitoring is not None:
             registry = self.monitoring.registry
-            registry.histogram(f"durability.rpo_s.{tracker.cls}").record(rpo_s)
-            registry.histogram(f"durability.rto_s.{tracker.cls}").record(rto_s)
+            labels = {"class": tracker.cls}
+            registry.histogram("durability.rpo_s", labels).record(rpo_s)
+            registry.histogram("durability.rto_s", labels).record(rto_s)
         if self.events is not None:
             self.events.record(
                 "durability.restore",

@@ -275,6 +275,13 @@ class FunctionService(abc.ABC):
     def total_in_flight(self) -> int:
         return self.deployment.total_in_flight()
 
+    def stats(self) -> dict[str, int]:
+        return {
+            "cold_starts": self.cold_starts,
+            "in_flight": self.total_in_flight(),
+            "replicas": self.replicas,
+        }
+
 
 class FaasEngine:
     """A pluggable code-execution runtime: one row per engine, naming

@@ -168,6 +168,19 @@ class InvocationEngine:
         self.stale_reads = 0
         self.internal_errors = 0
 
+    def stats(self) -> dict[str, int]:
+        """Invocations run, the retries and fallbacks they took, and the
+        circuit breakers open now."""
+        return {
+            "invocations": self.invocations,
+            "cas_conflicts": self.cas_conflicts,
+            "fault_retries": self.fault_retries,
+            "timeouts": self.timeouts,
+            "stale_reads": self.stale_reads,
+            "internal_errors": self.internal_errors,
+            "open_breakers": self.breakers.open_count(),
+        }
+
     # -- public API -------------------------------------------------------------
 
     def invoke(self, request: InvocationRequest) -> Process:

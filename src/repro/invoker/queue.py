@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 
 from repro.invoker.engine import InvocationEngine
 from repro.invoker.request import InvocationRequest, InvocationResult
-from repro.monitoring.metrics import set_counter
 from repro.qos.fairqueue import QueuedItem
 from repro.qos.plane import QosPlane
 from repro.scheduler.ledger import COMPLETION_HORIZON
@@ -103,14 +102,15 @@ class AsyncInvoker:
         completion event :meth:`submit` returned."""
         return self.results.get(request_id)
 
-    def collect_metrics(self, registry) -> None:
-        """Metrics-plane pull hook: async-path submission accounting."""
-        labels = {"plane": "invoker", "path": "async"}
-        set_counter(registry, "async.submitted", float(self.submitted), labels)
-        set_counter(registry, "async.completed", float(self.completed), labels)
-        set_counter(registry, "async.rejected", float(self.rejected), labels)
-        set_counter(registry, "async.shed", float(self.shed), labels)
-        registry.gauge("async.pending", labels).set(float(self.pending))
+    def stats(self) -> dict[str, int]:
+        """Async-path submission accounting."""
+        return {
+            "submitted": self.submitted,
+            "completed": self.completed,
+            "rejected": self.rejected,
+            "shed": self.shed,
+            "pending": self.pending,
+        }
 
     @property
     def completed(self) -> int:

@@ -10,7 +10,7 @@ from repro.monitoring.export import (
     to_chrome_trace,
 )
 from repro.monitoring.exposition import metrics_json, render_openmetrics
-from repro.monitoring.metrics import Counter, Gauge, Histogram, MetricsRegistry, SlidingWindow
+from repro.monitoring.metrics import Gauge, Histogram, MetricsRegistry, SlidingWindow
 from repro.monitoring.nfr_report import format_nfr_report, nfr_compliance_report
 from repro.monitoring.nfr_table import NfrVerdict
 from repro.monitoring.plane import MetricsConfig, MetricsPlane
@@ -26,7 +26,6 @@ __all__ = [
     "emit",
     "ClassObservations",
     "MonitoringSystem",
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

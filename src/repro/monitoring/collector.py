@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.monitoring.metrics import Histogram, MetricsRegistry, SlidingWindow
 from repro.sim.kernel import Environment
 
@@ -56,6 +58,16 @@ class ClassObservations:
         """
         return self.window.latency_percentile(self.env.now, pct) * 1000.0
 
+    def stats(self) -> dict[str, Any]:
+        """Lifetime counts and the windowed rates, JSON-friendly."""
+        return {
+            "completed": self.completed,
+            "failed": self.failed,
+            "throughput_rps": self.throughput_rps,
+            "error_rate": self.error_rate,
+            "latency_p99_ms": self.latency_pct_ms(99),
+        }
+
 
 class MonitoringSystem:
     """The platform's metrics hub: per-class observations + a registry."""
@@ -77,10 +89,3 @@ class MonitoringSystem:
     def observed_classes(self) -> tuple[str, ...]:
         return tuple(sorted(self._classes))
 
-    def snapshot(self) -> dict[str, float]:
-        out = self.registry.snapshot()
-        for cls, obs in self._classes.items():
-            out[f"class.{cls}.throughput_rps"] = obs.throughput_rps
-            out[f"class.{cls}.error_rate"] = obs.error_rate
-            out[f"class.{cls}.latency_p99_ms"] = obs.latency_pct_ms(99)
-        return out

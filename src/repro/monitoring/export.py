@@ -7,9 +7,9 @@ Two consumable formats:
   Perfetto.  Each span becomes a complete ("X") event; traces map to
   thread lanes so concurrent invocations render side by side.
 * :func:`summary_report` / :func:`format_summary` — an aggregate view:
-  per-span-name latency breakdowns, control-plane event counts, and
-  per-class data-plane health (throughput, p99, DHT hit rate, pending
-  write-behind, cold starts, queue depth).
+  per-span-name latency breakdowns and control-plane event counts; the
+  text form also prints every state section of an observability report
+  (the data plane's and each plane's ``stats()``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.render import render
 from repro.stats import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.monitoring.collector import MonitoringSystem
     from repro.monitoring.events import EventLog
     from repro.monitoring.tracing import Span, Tracer
 
@@ -103,17 +102,10 @@ def span_breakdown(spans: "Iterable[Span]") -> dict[str, dict[str, float]]:
 
 
 def summary_report(
-    tracer: "Tracer | None" = None,
-    events: "EventLog | None" = None,
-    monitoring: "MonitoringSystem | None" = None,
-    runtimes: Mapping[str, Any] | None = None,
+    tracer: "Tracer | None" = None, events: "EventLog | None" = None
 ) -> dict[str, Any]:
-    """Aggregate observability report across whatever sources exist.
-
-    ``runtimes`` is a mapping ``cls -> ClassRuntime`` (duck-typed: only
-    ``dht`` and ``services`` are read) contributing DHT hit rates,
-    pending write-behind, cold-start counts, and queue depths.
-    """
+    """Span latency breakdowns and event counts, for whichever of the
+    two sources exists."""
     report: dict[str, Any] = {}
     if tracer is not None:
         report["spans"] = span_breakdown(tracer.spans())
@@ -121,46 +113,19 @@ def summary_report(
     if events is not None:
         report["events"] = events.type_counts()
         report["event_count"] = len(events)
-    classes: dict[str, dict[str, Any]] = {}
-    if monitoring is not None:
-        for cls in monitoring.observed_classes:
-            obs = monitoring.for_class(cls)
-            classes[cls] = {
-                "completed": obs.completed,
-                "failed": obs.failed,
-                "throughput_rps": obs.throughput_rps,
-                "error_rate": obs.error_rate,
-                "latency_p99_ms": obs.latency_pct_ms(99),
-            }
-    if runtimes is not None:
-        for cls, runtime in runtimes.items():
-            row = classes.setdefault(cls, {})
-            dht = runtime.dht
-            lookups = dht.mem_hits + dht.mem_misses
-            row["dht_hit_rate"] = dht.mem_hits / lookups if lookups else 0.0
-            row["dht_pending_writes"] = dht.pending_writes()
-            read_path = dht.read_path_stats
-            row["read_coalesced"] = read_path["read_coalesced"]
-            row["near_hits"] = read_path["near_hits"]
-            row["batched_reads"] = read_path["batched_reads"]
-            row["cold_starts"] = sum(svc.cold_starts for svc in runtime.services.values())
-            row["queue_depth"] = sum(
-                svc.total_in_flight() for svc in runtime.services.values()
-            )
-    if classes:
-        report["classes"] = classes
     return report
 
 
 #: The summary's own keys.  Every other section of an observability
-#: report is a plane's ``stats()`` (or the metrics plane's SLO report);
-#: the NFR verdicts print through ``format_nfr_report``.
-_SUMMARY_KEYS = ("spans", "span_count", "events", "event_count", "classes", "nfr")
+#: report is a state section (``Oparaca.sections()``) or the metrics
+#: plane's SLO report; the NFR verdicts print through
+#: ``format_nfr_report``.
+_SUMMARY_KEYS = ("spans", "span_count", "events", "event_count", "nfr")
 
 
 def format_summary(report: Mapping[str, Any]) -> str:
-    """Render :func:`summary_report` output, and every plane section of
-    an observability report, as readable text."""
+    """Render :func:`summary_report` output, and every state section of
+    an observability report under its name, as readable text."""
     lines: list[str] = ["=== observability summary ==="]
     if report.get("spans"):
         lines.append(f"\nspan latency breakdown ({report['span_count']} spans):")
@@ -172,10 +137,7 @@ def format_summary(report: Mapping[str, Any]) -> str:
         lines.append(render(dict(sorted(report["events"].items()))))
     elif "event_count" in report:
         lines.append("\nno control-plane events recorded (is the event log enabled?)")
-    if report.get("classes"):
-        lines.append("\nper-class data plane:")
-        lines += [render(row, cls) for cls, row in sorted(report["classes"].items())]
     for name, section in report.items():
         if name not in _SUMMARY_KEYS:
-            lines += ["", render(section, f"{name} plane")]
+            lines += ["", render(section, name)]
     return "\n".join(lines)

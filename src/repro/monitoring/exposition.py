@@ -84,13 +84,6 @@ def render_openmetrics(registry: MetricsRegistry, now: float | None = None) -> s
             typed.add(exposition_name)
             lines.append(f"# TYPE {exposition_name} {kind}")
 
-    for counter in sorted(registry.counters(), key=lambda c: (c.name, c.labels)):
-        exposition = sanitize_metric_name(counter.name)
-        type_line(exposition, "counter")
-        lines.append(
-            f"{exposition}{render_labels(counter.labels)} "
-            f"{_format_value(counter.value)}"
-        )
     for gauge in sorted(registry.gauges(), key=lambda g: (g.name, g.labels)):
         exposition = sanitize_metric_name(gauge.name)
         type_line(exposition, "gauge")
@@ -122,14 +115,6 @@ def metrics_json(
     """A JSON snapshot: instruments now, plus sampled series history."""
     doc: dict[str, Any] = {
         "instruments": {
-            "counters": [
-                {
-                    "name": c.name,
-                    "labels": dict(c.labels),
-                    "value": c.value,
-                }
-                for c in sorted(registry.counters(), key=lambda c: (c.name, c.labels))
-            ],
             "gauges": [
                 {
                     "name": g.name,

@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, histograms, and a registry.
+"""Metric primitives: gauges, histograms, sliding windows, and a registry.
 
 The requirement-driven optimizer (§III-B: "Oparaca connects the runtime
 to the monitoring system and reacts to changes in workload or
@@ -7,7 +7,7 @@ the same registry to report results.
 
 Instruments carry optional *labels* — `(name, labels)` identifies one
 time series, Prometheus-style — so a single metric name (say
-``qos.sheds``) fans out per class, node, or plane without inventing a
+``qos.queue_delay_s``) fans out per class, node, or plane without inventing a
 new dotted name per dimension.  The :class:`MetricsRegistry` keys
 instruments by the full identity and the scraper/exposition layers
 (:mod:`repro.monitoring.scraper`, :mod:`repro.monitoring.exposition`)
@@ -26,14 +26,12 @@ from repro.errors import ValidationError
 from repro.stats import nearest_rank
 
 __all__ = [
-    "Counter",
     "Gauge",
     "Histogram",
     "SlidingWindow",
     "MetricsRegistry",
     "label_key",
     "render_series_name",
-    "set_counter",
 ]
 
 #: Canonical form of a label set: sorted ``(key, value)`` string pairs.
@@ -47,7 +45,7 @@ def _checked_value(kind: str, name: str, value, *, what: str = "value") -> float
     The same discipline as ``repro.model.nfr._checked_number``: booleans,
     NaN, and infinities all slip past plain comparisons (``NaN < 0`` is
     False) and would silently poison every aggregate downstream — a
-    counter incremented by NaN never recovers."""
+    histogram's running sum that takes a NaN never recovers."""
     if isinstance(value, bool):
         raise ValidationError(f"{kind} {name!r} {what} must be a number, got a boolean")
     if not isinstance(value, (int, float)):
@@ -77,21 +75,6 @@ def render_series_name(name: str, labels: LabelKey) -> str:
         return name
     inner = ",".join(f"{k}={v}" for k, v in labels)
     return f"{name}{{{inner}}}"
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    def __init__(self, name: str, labels: Mapping[str, str] | None = None) -> None:
-        self.name = name
-        self.labels: LabelKey = label_key(labels)
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        amount = _checked_value("counter", self.name, amount, what="increment")
-        if amount < 0:
-            raise ValidationError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
 
 
 class Gauge:
@@ -278,22 +261,14 @@ class SlidingWindow:
 class MetricsRegistry:
     """Metric instruments keyed by ``(name, labels)``, created on first use.
 
-    ``registry.counter("qos.sheds")`` and
-    ``registry.counter("qos.sheds", {"class": "Img"})`` are distinct
+    ``registry.gauge("qos.depth")`` and
+    ``registry.gauge("qos.depth", {"class": "Img"})`` are distinct
     series under one name; the exposition layer groups them.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[tuple[str, LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
-
-    def counter(self, name: str, labels: Mapping[str, str] | None = None) -> Counter:
-        key = (name, label_key(labels))
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter(name, labels)
-        return instrument
 
     def gauge(self, name: str, labels: Mapping[str, str] | None = None) -> Gauge:
         key = (name, label_key(labels))
@@ -315,9 +290,6 @@ class MetricsRegistry:
 
     # -- iteration (scraper / exposition) ---------------------------------
 
-    def counters(self) -> Iterator[Counter]:
-        return iter(self._counters.values())
-
     def gauges(self) -> Iterator[Gauge]:
         return iter(self._gauges.values())
 
@@ -325,39 +297,27 @@ class MetricsRegistry:
         return iter(self._histograms.values())
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self._gauges) + len(self._histograms)
 
     def snapshot(self) -> dict[str, float]:
-        """A flat view of counters and gauges (histograms as mean/p99).
+        """A flat view of the gauges plus :meth:`summaries`.
 
-        Unlabeled instruments keep their bare name (the historical
-        format); labeled series render as ``name{k=v,...}``.
+        Unlabeled instruments keep their bare name; labeled series
+        render as ``name{k=v,...}``.
         """
+        out = {
+            render_series_name(gauge.name, gauge.labels): gauge.value
+            for gauge in self._gauges.values()
+        }
+        out.update(self.summaries())
+        return out
+
+    def summaries(self) -> dict[str, float]:
+        """Each histogram as ``<series>.mean`` and ``<series>.p99``."""
         out: dict[str, float] = {}
-        for counter in self._counters.values():
-            out[render_series_name(counter.name, counter.labels)] = counter.value
-        for gauge in self._gauges.values():
-            out[render_series_name(gauge.name, gauge.labels)] = gauge.value
         for histogram in self._histograms.values():
             base = render_series_name(histogram.name, histogram.labels)
             out[f"{base}.mean"] = histogram.mean
             out[f"{base}.p99"] = histogram.percentile(99) if histogram.count else 0.0
         return out
 
-
-def set_counter(
-    registry: MetricsRegistry,
-    name: str,
-    value: float,
-    labels: Mapping[str, str] | None = None,
-) -> None:
-    """Pull-model counter update: raise the instrument to ``value``.
-
-    Collectors read cumulative statistics off components and mirror
-    them into registry counters; the counter moves by the positive
-    delta (a stale or equal value is a no-op, keeping monotonicity).
-    """
-    counter = registry.counter(name, labels)
-    delta = value - counter.value
-    if delta > 0:
-        counter.inc(delta)

@@ -8,11 +8,11 @@ collector, and executes byte-identically with this module unimported.
 
 The plane is **pull-model**: nothing is added to data-plane hot paths.
 Every scrape refreshes labeled instruments from the statistics the
-platform already keeps — one gauge per number of every plane's
-``stats()`` (:func:`repro.render.numbers`, labelled ``plane=<name>``),
-plus the front door, the class runtimes, the async queue and the kernel
-profile — then samples the registry into ring-buffered time series and
-hands the clock to the SLO evaluator.
+platform already keeps — one gauge per number of every state section
+(``Oparaca.sections()``: the data plane's, then each plane's
+``stats()``; :func:`repro.render.numbers`, labelled ``plane=<section>``)
+— then samples the registry into ring-buffered time series and hands
+the clock to the SLO evaluator.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.errors import ValidationError
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.exposition import metrics_json, render_openmetrics
-from repro.monitoring.metrics import Gauge, MetricsRegistry, set_counter
+from repro.monitoring.metrics import Gauge, MetricsRegistry
 from repro.monitoring.scraper import MetricsScraper
 from repro.monitoring.slo import SloConfig, SloEvaluator
 from repro.plane import Plane
@@ -34,7 +34,7 @@ from repro.sim.kernel import Environment
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.platform.oparaca import Oparaca
 
-__all__ = ["MetricsConfig", "MetricsPlane", "set_counter"]
+__all__ = ["MetricsConfig", "MetricsPlane"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class MetricsConfig:
             on top of the scraper.
 
     The plane also turns on the simulation kernel's per-event-type
-    dispatch profiling and exports it as metrics.
+    dispatch profiling, whose ``kernel`` section it then exports.
     """
 
     enabled: bool = False
@@ -96,13 +96,13 @@ class MetricsPlane(Plane):
         self.scraper.on_scrape.append(self.slo.evaluate)
         self._platform: "Oparaca | None" = None
         self._generation = -1
-        #: the gauges the planes' ``stats()`` set at the last scrape
+        #: the gauges the state sections set at the last scrape
         self._stated: set[Gauge] = set()
 
     # -- wiring ------------------------------------------------------------
 
     def install(self, platform: "Oparaca") -> None:
-        """Attach collectors over every plane the platform runs."""
+        """Attach the collector over every state section of the platform."""
         self._platform = platform
         platform.env.enable_profiling()
         self.scraper.collectors.append(self._collect)
@@ -121,75 +121,20 @@ class MetricsPlane(Plane):
         if platform is None:
             return
         registry = self.registry
-        self._collect_front_door(platform, registry)
-        self._collect_runtimes(platform, registry)
-        platform.queue.collect_metrics(registry)
         stated = set()
-        for plane in platform.planes.values():
-            for name, labels, value in numbers(plane.stats(), plane.name):
-                gauge = registry.gauge(name, {**labels, "plane": plane.name})
+        for section, stats in platform.sections().items():
+            for name, labels, value in numbers(stats, section):
+                gauge = registry.gauge(name, {**labels, "plane": section})
                 gauge.set(value)
                 stated.add(gauge)
-        # A number that left its plane's stats (a retired worker's row)
-        # leaves the registry and the scraped history too.
+        # A number that left its section (a retired worker's row, an
+        # undeployed class's) leaves the registry and the scraped
+        # history too.
         for gauge in self._stated - stated:
             registry.discard(gauge)
             self.scraper.forget(gauge.name, gauge.labels)
         self._stated = stated
-        platform.env.profile.collect_metrics(registry)
         self._watch_classes(platform)
-
-    def _collect_front_door(self, platform: "Oparaca", registry: MetricsRegistry) -> None:
-        """Gateway, invocation engine, and document store counters."""
-        gateway = platform.gateway
-        set_counter(registry, "gateway.requests", float(gateway.requests), {"plane": "gateway"})
-        set_counter(registry, "gateway.rejected", float(gateway.rejected), {"plane": "gateway"})
-        engine = platform.engine
-        engine_counters = {
-            "invoker.invocations": engine.invocations,
-            "invoker.cas_conflicts": engine.cas_conflicts,
-            "invoker.fault_retries": engine.fault_retries,
-            "invoker.timeouts": engine.timeouts,
-            "invoker.stale_reads": engine.stale_reads,
-        }
-        for name, value in engine_counters.items():
-            set_counter(registry, name, float(value), {"plane": "invoker"})
-        registry.gauge("invoker.open_breakers", {"plane": "invoker"}).set(
-            float(engine.breakers.open_count())
-        )
-        store = platform.store
-        set_counter(registry, "db.write_ops", float(store.write_ops), {"plane": "storage"})
-        set_counter(registry, "db.docs_written", float(store.docs_written), {"plane": "storage"})
-        query_labels = {"plane": "storage", "backend": store.backend.name}
-        set_counter(registry, "db.query_ops", float(store.query_ops), query_labels)
-        set_counter(
-            registry,
-            "db.query_docs_scanned",
-            float(store.query_docs_scanned),
-            query_labels,
-        )
-        registry.gauge("db.backlog_s", {"plane": "storage"}).set(store.backlog_seconds)
-
-    def _collect_runtimes(self, platform: "Oparaca", registry: MetricsRegistry) -> None:
-        """Per-class data-plane health: DHT read path, write-behind,
-        FaaS cold starts and in-flight depth — labeled by class."""
-        for cls, runtime in platform.crm.runtimes.items():
-            labels = {"class": cls, "plane": "storage"}
-            runtime.dht.collect_metrics(registry, labels)
-            cold = sum(svc.cold_starts for svc in runtime.services.values())
-            in_flight = sum(
-                svc.total_in_flight() for svc in runtime.services.values()
-            )
-            replicas = sum(svc.replicas for svc in runtime.services.values())
-            faas_labels = {"class": cls, "plane": "faas"}
-            set_counter(registry, "faas.cold_starts", float(cold), faas_labels)
-            registry.gauge("faas.in_flight", faas_labels).set(float(in_flight))
-            registry.gauge("faas.replicas", faas_labels).set(float(replicas))
-            obs = platform.monitoring.for_class(cls)
-            cls_labels = {"class": cls, "plane": "invoker"}
-            set_counter(registry, "class.completed", float(obs.completed), cls_labels)
-            set_counter(registry, "class.failed", float(obs.failed), cls_labels)
-            registry.gauge("class.throughput_rps", cls_labels).set(obs.throughput_rps)
 
     def _watch_classes(self, platform: "Oparaca") -> None:
         """Compile each deployed class's current NFRs into objectives;

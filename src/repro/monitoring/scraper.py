@@ -124,7 +124,7 @@ class MetricsScraper:
         self.interval_s = interval_s
         self.capacity = capacity
         #: Pull hooks run before sampling; each plane registers one to
-        #: refresh its gauges/counters from its own statistics.
+        #: refresh its gauges from its own statistics.
         self.collectors: list[Callable[[], None]] = []
         #: Listeners run after sampling with the scrape timestamp (the
         #: SLO evaluator's clock).
@@ -163,8 +163,6 @@ class MetricsScraper:
         now = self.env.now
         for collector in self.collectors:
             collector()
-        for counter in self.registry.counters():
-            self._sample(counter.name, counter.labels, "counter", now, counter.value)
         for gauge in self.registry.gauges():
             self._sample(gauge.name, gauge.labels, "gauge", now, gauge.value)
         for histogram in self.registry.histograms():

@@ -7,9 +7,13 @@ simply absent).  Everything the platform does *after* construction is a
 loop over that registry calling one of the hooks below, so the facade,
 the gateway, the metrics scraper and the NFR report never name a plane.
 
-A plane's state leaves through :meth:`Plane.stats` only: the CLI
-renders it, and the metrics plane and ``Oparaca.snapshot()`` name each
-number by its path in it (:func:`repro.render.numbers`).
+A plane's state leaves through :meth:`Plane.stats` only, as the data
+plane's does through its components' ``stats()`` (gateway, engine,
+store, async queue, kernel profile, class runtimes).  ``Oparaca.sections()``
+is the one ordered list of those sections, the data plane's first; the
+observability report prints it, and the metrics plane and
+``Oparaca.snapshot()`` name each number by its path in it
+(:func:`repro.render.numbers`).
 
 Every hook defaults to "nothing", and a hook exists only while at least
 two planes implement it (``docs/architecture.md`` has the table of who
@@ -60,7 +64,7 @@ class Plane:
         return []
 
     def stats(self) -> dict[str, Any]:
-        """The plane's report section, JSON-friendly: every number in it
+        """The plane's state section, JSON-friendly: every number in it
         is also a metrics series and an ``Oparaca.snapshot()`` key."""
         return {}
 

@@ -245,6 +245,10 @@ class Gateway:
                 f"internal platform error: {type(exc).__name__}: {exc}",
             )
 
+    def stats(self) -> dict[str, int]:
+        """Requests handled and requests refused at admission."""
+        return {"requests": self.requests, "rejected": self.rejected}
+
     def origin(self, http: HttpRequest) -> str | None:
         """The zone a request comes from, for the engine's geo-router and
         jurisdiction gate: its ``x-origin-zone`` header, else the default

@@ -23,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+from http import HTTPStatus
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import OaasError, ValidationError
@@ -331,7 +332,7 @@ class AsyncPlatformServer:
     ) -> None:
         payload = json.dumps(response.body, sort_keys=True).encode("utf-8")
         head = (
-            f"HTTP/1.1 {response.status} {_reason(response.status)}\r\n"
+            f"HTTP/1.1 {response.status} {_REASONS[response.status]}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
             "Connection: keep-alive\r\n"
@@ -344,22 +345,5 @@ class AsyncPlatformServer:
         self.scheduler.on_deploy(cls)
 
 
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    202: "Accepted",
-    400: "Bad Request",
-    403: "Forbidden",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    409: "Conflict",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-def _reason(status: int) -> str:
-    return _REASONS.get(status, "Status")
+#: Every standard status's reason phrase, for the status line.
+_REASONS = {status.value: status.phrase for status in HTTPStatus}

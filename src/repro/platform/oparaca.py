@@ -649,41 +649,53 @@ class Oparaca:
         disabled."""
         return self.metrics.slo.report() if self.metrics is not None else {}
 
+    def sections(self) -> dict[str, Any]:
+        """Every state section by name, in report order: the data plane
+        — front door, engine, store, async queue, the kernel profile
+        when one runs, and ``classes``, one table of per-class rows for
+        each part of a class runtime — then each plane's ``stats()``.
+        The one list :meth:`snapshot`, the metrics plane and
+        :meth:`observability_report` walk."""
+        sections: dict[str, Any] = {
+            "gateway": self.gateway.stats(),
+            "engine": self.engine.stats(),
+            "store": self.store.stats(),
+            "queue": self.queue.stats(),
+        }
+        if self.env.profile is not None:
+            sections["kernel"] = {"dispatches": self.env.profile.stats()}
+        per_class = {
+            cls: {**runtime.stats(), "invocations": self.monitoring.for_class(cls).stats()}
+            for cls, runtime in self.crm.runtimes.items()
+        }
+        sections["classes"] = {
+            part: [{"class": cls, **parts[part]} for cls, parts in per_class.items()]
+            for part in ("dht", "read_path", "write_behind", "faas", "invocations")
+        }
+        for plane in self.planes.values():
+            sections[plane.name] = plane.stats()
+        return sections
+
     def observability_report(self) -> dict[str, Any]:
         """The full observability summary: span latency breakdowns,
-        event counts, per-class workload stats, DHT/FaaS health, and
-        NFR compliance verdicts."""
-        report = summary_report(
-            tracer=self.tracer,
-            events=self.events,
-            monitoring=self.monitoring,
-            runtimes=self.crm.runtimes,
-        )
+        event counts, NFR compliance verdicts, then every state section
+        (:meth:`sections`) and, with the metrics plane, the SLO report."""
+        report = summary_report(tracer=self.tracer, events=self.events)
         report["nfr"] = [verdict.to_dict() for verdict in self.nfr_report()]
-        for plane in self.planes.values():
-            report[plane.name] = plane.stats()
+        report.update(self.sections())
         if "metrics" in report:
             report["slo"] = self.slo_report()
         return report
 
     def snapshot(self) -> dict[str, float]:
-        """A flat metrics snapshot across the platform."""
-        snap = self.monitoring.snapshot()
-        snap["db.write_ops"] = float(self.store.write_ops)
-        snap["db.docs_written"] = float(self.store.docs_written)
-        snap["db.backlog_s"] = self.store.backlog_seconds
-        snap["gateway.requests"] = float(self.gateway.requests)
-        snap["gateway.rejected"] = float(self.gateway.rejected)
-        snap["async.rejected"] = float(self.queue.rejected)
-        snap["engine.invocations"] = float(self.engine.invocations)
-        snap["engine.cas_conflicts"] = float(self.engine.cas_conflicts)
-        snap["engine.fault_retries"] = float(self.engine.fault_retries)
-        snap["engine.timeouts"] = float(self.engine.timeouts)
-        snap["engine.stale_reads"] = float(self.engine.stale_reads)
-        snap["engine.open_breakers"] = float(self.engine.breakers.open_count())
-        for plane in self.planes.values():
-            for name, labels, value in numbers(plane.stats(), plane.name):
-                snap[render_series_name(name, label_key(labels))] = float(value)
+        """A flat metrics snapshot: every number of every state section
+        as ``series{labels}``, plus each histogram's mean and p99."""
+        snap = {
+            render_series_name(name, label_key(labels)): float(value)
+            for section, stats in self.sections().items()
+            for name, labels, value in numbers(stats, section)
+        }
+        snap.update(self.monitoring.registry.summaries())
         return snap
 
     def shutdown(self) -> None:

@@ -217,7 +217,7 @@ class QosPlane(Plane):
             return
         registry = self.monitoring.registry
         registry.histogram("qos.queue_delay_s").record(delay_s)
-        registry.histogram(f"qos.queue_delay_s.{cls}").record(delay_s)
+        registry.histogram("qos.queue_delay_s", {"class": cls}).record(delay_s)
 
     # -- shedding ----------------------------------------------------------
 

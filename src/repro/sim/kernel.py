@@ -336,27 +336,11 @@ class KernelProfile:
         """Per-event-type ``{count, seconds}`` rows, sorted by name."""
         return {
             name: {
-                "count": float(self.dispatch_count[name]),
+                "count": self.dispatch_count[name],
                 "seconds": self.dispatch_seconds.get(name, 0.0),
             }
             for name in sorted(self.dispatch_count)
         }
-
-    def collect_metrics(self, registry) -> None:
-        """Mirror dispatch statistics into labeled registry instruments."""
-        # The one true cycle: everything in repro.monitoring runs on
-        # this kernel, so the import cannot sit at module level.
-        from repro.monitoring.metrics import set_counter
-
-        for name, count in self.dispatch_count.items():
-            labels = {"event": name, "plane": "kernel"}
-            set_counter(registry, "sim.dispatch_total", float(count), labels)
-            set_counter(
-                registry,
-                "sim.dispatch_seconds_total",
-                self.dispatch_seconds.get(name, 0.0),
-                labels,
-            )
 
 
 class Environment:

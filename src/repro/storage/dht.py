@@ -24,7 +24,6 @@ from repro.errors import (
     NetworkPartitionError,
     StorageError,
 )
-from repro.monitoring.metrics import set_counter
 from repro.monitoring.tracing import Tracer
 from repro.sim.kernel import Environment, Process, all_of
 from repro.sim.network import Network
@@ -847,28 +846,16 @@ class Dht:
             stats["batch_deduplicated"] = self._read_batcher.deduplicated
         return stats
 
-    def collect_metrics(self, registry, labels: dict[str, str]) -> None:
-        """Metrics-plane pull hook: mirror read-path and write-behind
-        statistics into labeled registry instruments.  Never called on a
-        baseline platform (the plane registers collectors only when
-        enabled), so the data path stays untouched."""
-        set_counter(registry, "dht.gets", float(self.gets), labels)
-        set_counter(registry, "dht.puts", float(self.puts), labels)
-        set_counter(registry, "dht.mem_hits", float(self.mem_hits), labels)
-        set_counter(registry, "dht.mem_misses", float(self.mem_misses), labels)
-        set_counter(registry, "dht.stale_reads", float(self.stale_reads), labels)
-        registry.gauge("dht.pending_writes", labels).set(float(self.pending_writes()))
-        read_path = self.read_path_stats
-        for key in ("read_coalesced", "near_hits", "batched_reads", "batch_ops"):
-            set_counter(registry, f"readpath.{key}", float(read_path[key]), labels)
-        registry.gauge("readpath.near_resident", labels).set(
-            float(read_path["near_resident"])
-        )
-        write_behind = self.write_behind_stats
-        for key in ("enqueued", "coalesced", "flush_ops", "docs_flushed", "flush_failures"):
-            set_counter(
-                registry, f"write_behind.{key}", float(write_behind[key]), labels
-            )
-        registry.gauge("write_behind.pending", labels).set(
-            float(write_behind["pending"])
-        )
+    def stats(self) -> dict[str, Any]:
+        """Lookup counts and the memory hit rate; the read path's and the
+        flusher's numbers are :attr:`read_path_stats` and
+        :attr:`write_behind_stats`."""
+        lookups = self.mem_hits + self.mem_misses
+        return {
+            "gets": self.gets,
+            "puts": self.puts,
+            "mem_hits": self.mem_hits,
+            "mem_misses": self.mem_misses,
+            "hit_rate": self.mem_hits / lookups if lookups else 0.0,
+            "stale_reads": self.stale_reads,
+        }

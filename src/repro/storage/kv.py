@@ -298,5 +298,20 @@ class DocumentStore:
         """Current write-path backlog (queueing delay) in seconds."""
         return self._limiter.backlog_seconds
 
+    def stats(self) -> dict[str, Any]:
+        """Operation counts, the engine's name and the write backlog."""
+        return {
+            "backend": self.backend.name,
+            "write_ops": self.write_ops,
+            "docs_written": self.docs_written,
+            "faulted_writes": self.faulted_writes,
+            "read_ops": self.read_ops,
+            "docs_read": self.docs_read,
+            "multi_read_ops": self.multi_read_ops,
+            "query_ops": self.query_ops,
+            "query_docs_scanned": self.query_docs_scanned,
+            "backlog_s": self.backlog_seconds,
+        }
+
     def utilization(self, elapsed: float) -> float:
         return self._limiter.utilization(elapsed)

@@ -80,7 +80,7 @@ class _Uuid:
 
 
 def _keep(case: str, line: str) -> bool:
-    if "sim_dispatch_seconds_total" in line:  # wall clock
+    if "kernel_dispatches_seconds" in line:  # wall clock
         return False
     if case == "serve":  # wall-clock ports and timings: statuses, ledger and fencing only
         return line.startswith(("HTTP statuses:", "ledger:", "count="))

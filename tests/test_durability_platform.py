@@ -137,6 +137,20 @@ class TestCrashRecovery:
 
         assert drill() == drill()
 
+    def test_finished_recoveries_are_let_go(self):
+        """Crash-and-recover drills that each wait for their recoveries
+        leave none behind: ``recoveries()`` holds only what still runs."""
+        platform = dura_platform()
+        drills = 3
+        for drill in range(drills):
+            platform.add_node(f"spare-{drill}")
+            oid = platform.new_object("Ledger", object_id=f"led-{drill}")
+            platform.invoke(oid, "bump")
+            crash_owner(platform, oid, cls="Ledger")
+        assert platform.durability.tracker_for("Ledger").recoveries == drills
+        assert platform.durability.recoveries() == []
+        platform.shutdown()
+
     def test_rpo_histograms_and_verdict_after_recovery(self):
         platform = dura_platform()
         ids = [platform.new_object("Ledger", object_id=f"led-{i}") for i in range(4)]
@@ -144,7 +158,7 @@ class TestCrashRecovery:
             platform.invoke(oid, "bump")
         crash_owner(platform, ids[0], cls="Ledger")
         samples = platform.monitoring.registry.histogram(
-            "durability.rpo_s.Ledger"
+            "durability.rpo_s", {"class": "Ledger"}
         )
         assert samples.count == 1
         verdicts = [
@@ -180,7 +194,7 @@ class TestReportsAndBaseline:
         report = platform.observability_report()
         assert "durability" in report
         text = format_summary(report)
-        assert "durability plane:" in text
+        assert "\ndurability:" in text
         platform.shutdown()
 
     def test_snapshot_gains_durability_keys_only_when_enabled(self):

@@ -223,8 +223,8 @@ class TestFacade:
         platform.invoke(obj, "resize", {"width": 10})
         snapshot = platform.snapshot()
         assert snapshot["engine.invocations"] >= 2
-        assert "db.write_ops" in snapshot
-        assert "class.Image.throughput_rps" in snapshot
+        assert "store.write_ops" in snapshot
+        assert "classes.invocations.throughput_rps{class=Image}" in snapshot
 
     def test_shutdown_flushes_and_stops(self, platform):
         obj = platform.new_object("Image")

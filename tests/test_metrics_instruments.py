@@ -1,22 +1,14 @@
-"""Unit tests for monitoring (the async queue behaviours the topic log
-used to pin live in ``tests/test_invoker.py`` against ``AsyncInvoker``)."""
+"""Unit tests for the metric instruments, the sliding window and the
+per-class observations."""
 
 import pytest
 
 from repro.errors import ValidationError
 from repro.monitoring.collector import MonitoringSystem
-from repro.monitoring.metrics import Counter, Gauge, Histogram, MetricsRegistry, SlidingWindow
+from repro.monitoring.metrics import Gauge, Histogram, MetricsRegistry, SlidingWindow
 
 
 class TestMetrics:
-    def test_counter(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2)
-        assert counter.value == 3
-        with pytest.raises(ValidationError):
-            counter.inc(-1)
-
     def test_gauge(self):
         gauge = Gauge("g")
         gauge.set(5)
@@ -43,7 +35,7 @@ class TestMetrics:
 
     def test_registry_snapshot(self):
         registry = MetricsRegistry()
-        registry.counter("a").inc(5)
+        registry.gauge("a").set(5)
         registry.gauge("b").set(2)
         registry.histogram("lat").record(0.5)
         snapshot = registry.snapshot()
@@ -53,7 +45,7 @@ class TestMetrics:
 
     def test_registry_reuses_instruments(self):
         registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
+        assert registry.gauge("x") is registry.gauge("x")
 
 
 class TestHistogramReservoir:
@@ -147,9 +139,15 @@ class TestMonitoringSystem:
         assert monitoring.for_class("Image") is obs
         assert monitoring.observed_classes == ("Image",)
 
-    def test_snapshot_includes_class_metrics(self, env):
-        monitoring = MonitoringSystem(env)
-        monitoring.for_class("A").record_invocation(0.01, ok=True)
-        snapshot = monitoring.snapshot()
-        assert "class.A.throughput_rps" in snapshot
-        assert "class.A.latency_p99_ms" in snapshot
+    def test_class_stats_are_its_observed_numbers(self, env):
+        obs = MonitoringSystem(env).for_class("A")
+        obs.record_invocation(0.01, ok=True)
+        obs.record_invocation(0.03, ok=False)
+        stats = obs.stats()
+        assert stats == {
+            "completed": 1,
+            "failed": 1,
+            "throughput_rps": obs.throughput_rps,
+            "error_rate": 0.5,
+            "latency_p99_ms": pytest.approx(30.0),
+        }

@@ -21,7 +21,6 @@ from repro.monitoring.exposition import (
     sanitize_metric_name,
 )
 from repro.monitoring.metrics import (
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -29,10 +28,11 @@ from repro.monitoring.metrics import (
     label_key,
     render_series_name,
 )
-from repro.monitoring.plane import MetricsConfig, set_counter
+from repro.monitoring.plane import MetricsConfig
 from repro.monitoring.scraper import MetricsScraper
 from repro.monitoring.slo import BurnWindow, SloConfig, SloEvaluator
 from repro.plane import Plane
+from repro.render import numbers
 
 from tests.helpers import LISTING1_YAML, make_platform
 
@@ -43,10 +43,10 @@ from tests.helpers import LISTING1_YAML, make_platform
 class TestLabeledRegistry:
     def test_labels_create_distinct_series(self):
         registry = MetricsRegistry()
-        plain = registry.counter("req")
-        labeled = registry.counter("req", {"class": "Img"})
-        plain.inc()
-        labeled.inc(2)
+        plain = registry.gauge("req")
+        labeled = registry.gauge("req", {"class": "Img"})
+        plain.set(1)
+        labeled.set(2)
         assert plain.value == 1
         assert labeled.value == 2
 
@@ -61,8 +61,8 @@ class TestLabeledRegistry:
 
     def test_snapshot_renders_labeled_series(self):
         registry = MetricsRegistry()
-        registry.counter("req").inc(5)
-        registry.counter("req", {"class": "Img"}).inc(7)
+        registry.gauge("req").set(5)
+        registry.gauge("req", {"class": "Img"}).set(7)
         snap = registry.snapshot()
         assert snap["req"] == 5
         assert snap['req{class=Img}'] == 7
@@ -73,7 +73,7 @@ class TestLabeledRegistry:
 
     def test_len_counts_all_instruments(self):
         registry = MetricsRegistry()
-        registry.counter("a")
+        registry.gauge("a")
         registry.gauge("b", {"k": "v"})
         registry.histogram("c")
         assert len(registry) == 3
@@ -81,11 +81,6 @@ class TestLabeledRegistry:
 
 class TestValueValidation:
     """Satellite 1: reject NaN/inf/bool at every recording surface."""
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, False])
-    def test_counter_inc_rejects(self, bad):
-        with pytest.raises(ValidationError):
-            Counter("c").inc(bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True])
     def test_gauge_set_rejects(self, bad):
@@ -175,7 +170,7 @@ class TestSlidingWindowEviction:
 class TestMetricsScraper:
     def test_scrape_samples_all_instruments(self, env):
         registry = MetricsRegistry()
-        registry.counter("c", {"k": "v"}).inc(3)
+        registry.gauge("c", {"k": "v"}).set(3)
         registry.gauge("g").set(1.5)
         registry.histogram("h").record(0.2)
         scraper = MetricsScraper(env, registry, interval_s=1.0)
@@ -188,7 +183,7 @@ class TestMetricsScraper:
     def test_collectors_run_before_sampling(self, env):
         registry = MetricsRegistry()
         scraper = MetricsScraper(env, registry, interval_s=1.0)
-        scraper.collectors.append(lambda: registry.counter("pulled").inc())
+        scraper.collectors.append(lambda: registry.gauge("pulled").add(1))
         scraper.scrape_once()
         assert scraper.series("pulled").latest == 1
 
@@ -202,12 +197,12 @@ class TestMetricsScraper:
 
     def test_periodic_loop_and_counter_rate(self, env):
         registry = MetricsRegistry()
-        counter = registry.counter("ticks")
+        ticks = registry.gauge("ticks")
 
         def workload(env):
             while True:
                 yield env.timeout(0.5)
-                counter.inc()
+                ticks.add(1)
 
         env.process(workload(env))
         scraper = MetricsScraper(env, registry, interval_s=1.0)
@@ -234,15 +229,6 @@ class TestMetricsScraper:
             MetricsScraper(env, MetricsRegistry(), capacity=1)
 
 
-def test_set_counter_is_monotone():
-    registry = MetricsRegistry()
-    set_counter(registry, "c", 5.0, {"p": "x"})
-    set_counter(registry, "c", 3.0, {"p": "x"})  # stale read: no-op
-    assert registry.counter("c", {"p": "x"}).value == 5.0
-    set_counter(registry, "c", 9.0, {"p": "x"})
-    assert registry.counter("c", {"p": "x"}).value == 9.0
-
-
 # -- exposition ---------------------------------------------------------------
 
 
@@ -257,10 +243,10 @@ class TestExposition:
 
     def test_render_basic(self):
         registry = MetricsRegistry()
-        registry.counter("req.total", {"class": "Img"}).inc(4)
+        registry.gauge("req.total", {"class": "Img"}).set(4)
         registry.gauge("depth").set(2.0)
         text = render_openmetrics(registry)
-        assert "# TYPE req_total counter" in text
+        assert "# TYPE req_total gauge" in text
         assert 'req_total{class="Img"} 4' in text
         assert "# TYPE depth gauge" in text
         assert text.endswith("# EOF\n")
@@ -277,28 +263,30 @@ class TestExposition:
 
     def test_escaped_label_values_round_trip(self):
         registry = MetricsRegistry()
-        registry.counter("c", {"path": 'a\\b"c\nd'}).inc()
+        registry.gauge("c", {"path": 'a\\b"c\nd'}).set(1)
         text = render_openmetrics(registry)
         assert 'c{path="a\\\\b\\"c\\nd"} 1' in text
 
     def test_sanitization_collision_keeps_both_samples(self):
         registry = MetricsRegistry()
-        registry.counter("a.b").inc(1)
+        registry.gauge("a.b").set(1)
         registry.gauge("a_b").set(2.0)
+        registry.histogram("a-b").record(3.0)
         text = render_openmetrics(registry)
-        # One TYPE line (first kind wins), both samples present.
+        # One TYPE line (first kind wins), every sample present.
         assert text.count("# TYPE a_b") == 1
-        assert "# TYPE a_b counter" in text
+        assert "# TYPE a_b gauge" in text
+        assert "a_b_count 1" in text
         assert "a_b 1" in text
         assert "a_b 2" in text
 
     def test_json_snapshot_includes_series(self, env):
         registry = MetricsRegistry()
-        registry.counter("c", {"k": "v"}).inc(2)
+        registry.gauge("c", {"k": "v"}).set(2)
         scraper = MetricsScraper(env, registry, interval_s=1.0)
         scraper.scrape_once()
         doc = json.loads(metrics_json(registry, scraper=scraper))
-        assert doc["instruments"]["counters"][0]["labels"] == {"k": "v"}
+        assert doc["instruments"]["gauges"][0]["labels"] == {"k": "v"}
         series = doc["scrape"]["series"][0]
         assert series["series_id"] == "c{k=v}"
         assert series["points"] == [[0.0, 2.0]]
@@ -464,7 +452,7 @@ class TestKernelProfiling:
         assert "Timeout" in stats
         assert stats["Timeout"]["count"] >= 2
 
-    def test_collect_metrics_exports_labeled_series(self, env):
+    def test_stats_are_series_labelled_by_event_type(self, env):
         profile = env.enable_profiling()
 
         def proc(env):
@@ -472,12 +460,12 @@ class TestKernelProfiling:
 
         env.process(proc(env))
         env.run()
-        registry = MetricsRegistry()
-        profile.collect_metrics(registry)
-        counter = registry.counter(
-            "sim.dispatch_total", {"event": "Timeout", "plane": "kernel"}
-        )
-        assert counter.value >= 1
+        series = {
+            (name, labels["name"]): value
+            for name, labels, value in numbers({"dispatches": profile.stats()}, "kernel")
+        }
+        assert series[("kernel.dispatches.count", "Timeout")] >= 1
+        assert ("kernel.dispatches.seconds", "Timeout") in series
 
 
 # -- platform integration -----------------------------------------------------
@@ -504,9 +492,9 @@ class TestPlatformIntegration:
         platform.shutdown()
         assert platform.metrics.scraper.scrapes > 0
         text = platform.metrics_exposition()
-        assert 'invoker_invocations{plane="invoker"}' in text
-        assert 'class_completed{class="Image",plane="invoker"}' in text
-        assert "sim_dispatch_total" in text  # kernel profiling hooked up
+        assert 'engine_invocations{plane="engine"}' in text
+        assert 'classes_invocations_completed{class="Image",plane="classes"}' in text
+        assert 'kernel_dispatches_count{name="Timeout",plane="kernel"}' in text
         report = platform.observability_report()
         assert "metrics" in report and "slo" in report
         slos = {(r["cls"], r["slo"]) for r in report["slo"]["objectives"]}
@@ -545,23 +533,52 @@ class TestPlatformIntegration:
         assert results[0] == results[1]
 
     def test_class_series_are_a_copy_of_class_observations(self):
-        """``class.completed`` / ``class.failed`` in the registry are what
-        the scrape copies from ``ClassObservations``: one observation
-        path, read twice."""
+        """``classes.invocations.completed`` / ``…failed`` in the registry
+        are what the scrape copies from ``ClassObservations``: one
+        observation path, read twice."""
         platform = make_platform(metrics=MetricsConfig(enabled=True))
         obj = _workload(platform)
         platform.invoke("Image~ghost", "resize", {}, raise_on_error=False)
         platform.invoke(obj, "nosuch", {}, raise_on_error=False)
         platform.metrics.scraper.scrape_once()
         registry = platform.metrics.registry
-        for cls in platform.monitoring.observed_classes:
+        for cls in platform.crm.runtimes:
             obs = platform.monitoring.for_class(cls)
-            labels = {"class": cls, "plane": "invoker"}
-            completed = registry.counter("class.completed", labels).value
-            failed = registry.counter("class.failed", labels).value
+            labels = {"class": cls, "plane": "classes"}
+            completed = registry.gauge("classes.invocations.completed", labels).value
+            failed = registry.gauge("classes.invocations.failed", labels).value
             assert (completed, failed) == (obs.completed, obs.failed)
         image = platform.monitoring.for_class("Image")
         assert image.completed > 0 and image.failed == 2
+
+    def test_an_undeployed_class_leaves_no_series(self):
+        """Two classes, one undeployed: after the next scrape none of its
+        series is left in the registry, the scraper or the snapshot."""
+        platform = make_platform(metrics=MetricsConfig(enabled=True))
+        obj = _workload(platform)
+        platform.register_image("t/fn", lambda ctx: {}, 0.001)
+        platform.deploy(LATENCY_YAML.format(latency=50))
+        fast = platform.new_object("Fast")
+        platform.invoke(fast, "work", {})
+        platform.advance(1.0)
+        registry, scraper = platform.metrics.registry, platform.metrics.scraper
+
+        def held(cls):
+            pair = ("class", cls)
+            return (
+                [g for g in registry.gauges() if pair in g.labels]
+                + [h for h in registry.histograms() if pair in h.labels],
+                [s for s in scraper.all_series() if pair in s.labels],
+                [key for key in platform.snapshot() if f"class={cls}" in key],
+            )
+
+        assert all(held("Fast")) and all(held("Image"))
+        platform.crm.undeploy_class("Fast")
+        platform.invoke(obj, "resize", {"width": 1})
+        scraper.scrape_once()
+        assert held("Fast") == ([], [], [])
+        assert all(held("Image"))
+        platform.shutdown()
 
     def test_update_recompiles_objectives(self):
         platform = make_platform(metrics=MetricsConfig(enabled=True))
@@ -650,7 +667,7 @@ class TestCliCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "# TYPE gateway_requests counter" in out
+        assert "# TYPE gateway_requests gauge" in out
         assert out.rstrip().endswith("# EOF")
 
     def test_metrics_command_json(self, pkg_file, capsys):

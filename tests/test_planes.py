@@ -239,7 +239,7 @@ def run_matrix_workload(names: tuple[str, ...]):
     snapshot = {
         key: value
         for key, value in platform.snapshot().items()
-        if not key.startswith("sim.dispatch_seconds_total")
+        if not key.startswith("kernel.dispatches.seconds")
     }
     stop = platform.queue.stop()
     platform.shutdown()

@@ -159,7 +159,7 @@ class TestAsyncPath:
         assert ok and limited
         assert len(ok) + len(limited) == 10
         assert platform.queue.rejected == len(limited)
-        assert platform.snapshot()["async.rejected"] == len(limited)
+        assert platform.snapshot()["queue.rejected"] == len(limited)
         platform.shutdown()
 
     def test_flood_is_shed_with_overload_error(self):
@@ -234,7 +234,7 @@ class TestReportsAndBaseline:
         report = platform.observability_report()
         assert "qos" in report
         text = format_summary(report)
-        assert "qos plane:" in text
+        assert "\nqos:" in text
         platform.shutdown()
 
     def test_snapshot_gains_qos_keys_only_when_enabled(self):
@@ -246,7 +246,7 @@ class TestReportsAndBaseline:
         baseline = Oparaca(PlatformConfig(nodes=2))
         snap = baseline.snapshot()
         assert not {"qos.in_flight", "qos.fair_queue.depth"} & set(snap)
-        assert snap["gateway.rejected"] == snap["async.rejected"] == 0.0
+        assert snap["gateway.rejected"] == snap["queue.rejected"] == 0.0
         baseline.shutdown()
 
     def test_nfr_report_adds_p95_verdict_when_plane_on(self):

@@ -178,34 +178,57 @@ def _run_all_planes():
     return platform
 
 
+#: The data plane's sections (the kernel's with the metrics plane on),
+#: in the order ``Oparaca.sections()`` keeps them, before the planes'.
+DATA_PLANE = ("gateway", "engine", "store", "queue", "kernel", "classes")
+
+
 def test_every_key_of_every_plane_reaches_the_report_text():
+    """Every section — the data plane's and each plane's — prints under
+    its name with every key it holds."""
     platform = _run_all_planes()
+    sections = platform.sections()
     assert set(platform.planes) == {
         "qos", "durability", "metrics", "scheduler", "federation", "chaos"
     }
+    assert list(sections) == [*DATA_PLANE, *platform.planes]
     text = format_summary(platform.observability_report())
-    for name, plane in platform.planes.items():
-        stats = plane.stats()
+    for name, stats in sections.items():
         assert stats, name
-        section = text.split(f"\n{name} plane", 1)[1].split("\n\n", 1)[0]
+        section = text.split(f"\n{name}:", 1)[1].split("\n\n", 1)[0]
         missing = sorted({key for key in _keys(stats) if key not in section})
         assert not missing, (name, missing)
 
 
 def test_every_number_of_every_plane_is_a_series_and_a_snapshot_key():
+    """Every number of every section is one exposition line and one
+    snapshot key, each with its value; the snapshot holds nothing else
+    but the histograms' summaries, so no number has two names."""
     platform = _run_all_planes()
     platform.metrics.scraper.scrape_once()
-    text = platform.metrics_exposition()
+    exposed = dict(
+        line.rsplit(" ", 1)
+        for line in platform.metrics_exposition().splitlines()
+        if not line.startswith("#")
+    )
     snapshot = platform.snapshot()
-    for name, plane in platform.planes.items():
-        found = list(numbers(plane.stats(), name))
-        assert len(found) >= 4, name
+    keys = []
+    for name, stats in platform.sections().items():
+        found = list(numbers(stats, name))
+        assert found, name
         for series, labels, value in found:
             line = sanitize_metric_name(series) + render_labels(
                 label_key({**labels, "plane": name})
             )
-            assert f"\n{line} " in text, line
-            assert snapshot[render_series_name(series, label_key(labels))] == value
+            # The metrics plane's own counts move after it collects.
+            if name != "metrics":
+                assert float(exposed[line]) == value, line
+            assert line in exposed, line
+            keys.append(render_series_name(series, label_key(labels)))
+            assert snapshot[keys[-1]] == value, keys[-1]
+    assert len(set(keys)) == len(keys)
+    summaries = platform.monitoring.registry.summaries()
+    assert summaries and set(snapshot) == set(keys) | set(summaries)
 
 
 def _plane_series(cuts: int) -> int:

@@ -343,11 +343,13 @@ class TestSummaryReport:
         report = platform.observability_report()
         assert report["span_count"] > 0
         assert report["event_count"] > 0
-        assert "Image" in report["classes"]
-        image = report["classes"]["Image"]
+        classes = report["classes"]
+        (image,) = [row for row in classes["invocations"] if row["class"] == "Image"]
         assert image["completed"] >= 2
-        assert 0.0 <= image["dht_hit_rate"] <= 1.0
-        assert image["cold_starts"] >= 1
+        (dht,) = [row for row in classes["dht"] if row["class"] == "Image"]
+        assert 0.0 <= dht["hit_rate"] <= 1.0
+        (faas,) = [row for row in classes["faas"] if row["class"] == "Image"]
+        assert faas["cold_starts"] >= 1
         assert any(v["cls"] == "Image" for v in report["nfr"])
 
     def test_span_breakdown_groups_by_phase(self):
@@ -364,16 +366,12 @@ class TestSummaryReport:
         obj = platform.new_object("Image")
         platform.invoke(obj, "resize", {"width": 2})
         text = format_summary(
-            summary_report(
-                tracer=platform.tracer,
-                events=platform.events,
-                monitoring=platform.monitoring,
-                runtimes=platform.crm.runtimes,
-            )
+            summary_report(tracer=platform.tracer, events=platform.events)
         )
         assert "span latency breakdown" in text
         assert "control-plane events" in text
-        assert "Image:" in text
+        text = format_summary(platform.observability_report())
+        assert "\nclasses:" in text and "  dht:" in text and "Image" in text
 
 
 class TestNfrCompliance:

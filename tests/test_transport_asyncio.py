@@ -1005,21 +1005,7 @@ class TestHttpFrontEnd:
         edge-a / region-a refuses a bump from core with 451, the refusal
         counts in its jurisdiction verdict, and a bump from edge-a is
         served.  Every socket request counts in ``gateway.requests``."""
-        from repro.federation.plane import FederationConfig
-        from tests.helpers import make_platform
-        from tests.test_federation import FED_YAML, RTT, THREE_TIER, _bump
-
-        platform = make_platform(
-            FED_YAML,
-            {"f/bump": (_bump, 0.002)},
-            nodes=6,
-            seed=7,
-            regions=("edge-a", "region-a", "core"),
-            federation=FederationConfig(
-                enabled=True, zones=THREE_TIER, zone_rtt_s=RTT, default_origin_zone=default_origin
-            ),
-            scheduler=SchedulerConfig(enabled=True, transport="asyncio", pool_size=1),
-        )
+        platform = self._sensor_platform(default_origin)
         edge = {"x-origin-zone": "edge-a"}
         core = {} if default_origin else {"x-origin-zone": "core"}
 
@@ -1045,6 +1031,50 @@ class TestHttpFrontEnd:
         assert not verdict.met
         assert platform.gateway.requests == 3
         platform.shutdown()
+
+    def test_a_451_status_line_names_its_reason(self):
+        """Every status's reason phrase comes from ``http.HTTPStatus``,
+        so a refusal out of jurisdiction reads as one on the wire."""
+        platform = self._sensor_platform("core")
+
+        async def scenario():
+            front = await platform.serve_http()
+            host, port = front.host, front.port
+            status, body = await self._request(
+                host, port, "POST", "/api/classes/Sensor", headers={"x-origin-zone": "edge-a"}
+            )
+            assert status == 201
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                f"POST /api/objects/{body['id']}/invokes/bump HTTP/1.1\r\n"
+                f"Host: {host}\r\nContent-Length: 2\r\n\r\n{{}}".encode()
+            )
+            head = await reader.readuntil(b"\r\n\r\n")
+            writer.close()
+            assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 451 Unavailable For Legal Reasons"
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        run_async(scenario())
+        platform.shutdown()
+
+    @staticmethod
+    def _sensor_platform(default_origin):
+        """A ``Sensor`` class bound to edge-a / region-a over sockets."""
+        from repro.federation.plane import FederationConfig
+        from tests.helpers import make_platform
+        from tests.test_federation import FED_YAML, RTT, THREE_TIER, _bump
+
+        return make_platform(
+            FED_YAML,
+            {"f/bump": (_bump, 0.002)},
+            nodes=6,
+            seed=7,
+            regions=("edge-a", "region-a", "core"),
+            federation=FederationConfig(
+                enabled=True, zones=THREE_TIER, zone_rtt_s=RTT, default_origin_zone=default_origin
+            ),
+            scheduler=SchedulerConfig(enabled=True, transport="asyncio", pool_size=1),
+        )
 
     def test_serve_http_requires_asyncio_transport(self):
         from repro.errors import ValidationError
