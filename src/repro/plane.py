@@ -64,7 +64,7 @@ class Plane:
         return []
 
     def stats(self) -> dict[str, Any]:
-        """The plane's state section, JSON-friendly: every number in it
+        """The plane's report section, JSON-friendly: every number in it
         is also a metrics series and an ``Oparaca.snapshot()`` key."""
         return {}
 

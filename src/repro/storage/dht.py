@@ -810,10 +810,6 @@ class Dht:
             return len(self._mem[node])
         return sum(1 for n in self._mem for k in self._mem[n] if self.owner(k) == n)
 
-    def pending_writes(self) -> int:
-        """Documents buffered but not yet flushed, across nodes."""
-        return sum(queue.pending for queue in self._queues.values())
-
     @property
     def write_behind_stats(self) -> dict[str, int]:
         """Aggregated flusher statistics."""

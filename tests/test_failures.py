@@ -110,7 +110,7 @@ class TestDhtFailover:
                 yield dht.put({"id": f"k{i}", "version": 1}, caller="n0")
 
         run(env, write(env))
-        assert dht.pending_writes() == 20
+        assert dht.write_behind_stats["pending"] == 20
         victim = dht.nodes[0]
         pending_on_victim = sum(
             1 for i in range(20) if dht.owner(f"k{i}") == victim

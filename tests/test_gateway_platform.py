@@ -230,7 +230,7 @@ class TestFacade:
         obj = platform.new_object("Image")
         platform.invoke(obj, "resize", {"width": 2})
         platform.shutdown()
-        assert platform.crm.dht_for("Image").pending_writes() == 0
+        assert platform.crm.dht_for("Image").write_behind_stats["pending"] == 0
 
     def test_seed_determinism(self):
         def build():

@@ -109,7 +109,7 @@ class TestPersistence:
 
         run(env, scenario(env))
         assert store is None
-        assert dht.pending_writes() == 0
+        assert dht.write_behind_stats["pending"] == 0
 
     def test_miss_loads_from_store_and_caches(self, env):
         dht, store, _ = make_dht(env)
@@ -281,7 +281,7 @@ class TestDeleteVsBufferedWrites:
 
         run(env, scenario(env))
         assert store.count("objects") == 0
-        assert dht.pending_writes() == 0
+        assert dht.write_behind_stats["pending"] == 0
 
 
 class TestFailNodeLossAccounting:

@@ -57,7 +57,7 @@ def test_every_final_version_is_in_the_file_and_was_written_once(tmp_path):
         response = platform.http("POST", f"/api/objects/{oid}/invokes/add", {"n": 100})
         assert response.status == 200
         # Acknowledged means in the engine: nothing waits in a queue.
-        assert dht.pending_writes() == 0
+        assert dht.write_behind_stats["pending"] == 0
         if index % 10 == 0:  # and a query issued right away reads it
             page = platform.http(
                 "GET",
@@ -153,12 +153,12 @@ def test_a_version_buffered_before_the_class_turned_strong_does_not_land_last(tm
     for queue in dht._queues.values():  # the flusher lingers past the update
         queue.config = WriteBehindConfig(linger_s=30.0)
     assert platform.http("POST", f"/api/objects/{oid}/invokes/add", {"n": 1}).status == 200
-    assert dht.pending_writes() == 1
+    assert dht.write_behind_stats["pending"] == 1
     platform.crm.update_class(loads_package(ORDER_YAML).resolved_classes()["Order"])
     assert platform.durability.tracker_for("Order").write_through is not None
     assert platform.http("POST", f"/api/objects/{oid}/invokes/add", {"n": 1}).status == 200
     assert platform.store.get_sync(dht.collection, oid)["version"] == 3  # written through
-    assert dht.pending_writes() == 1
+    assert dht.write_behind_stats["pending"] == 1
     platform.flush()
     assert platform.store.get_sync(dht.collection, oid)["version"] == 3
     enqueued = dht.write_behind_stats["enqueued"]
