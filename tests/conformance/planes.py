@@ -74,7 +74,7 @@ def observe(seed: int = 7) -> dict:
         "snapshot": {
             key: value
             for key, value in platform.snapshot().items()
-            if "dispatch_seconds" not in key
+            if not key.startswith("kernel.dispatches.seconds")
         },
         "dispatch_count": env.profile.dispatch_count,
         "now": platform.now,
