@@ -16,7 +16,6 @@ iterate it to build ring-buffered series and OpenMetrics text.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import zlib
@@ -252,15 +251,8 @@ class SlidingWindow:
         return self._failures / rows
 
     def latency_percentile(self, now: float, pct: float) -> float:
-        """:func:`~repro.stats.nearest_rank` over the window; an upper
-        percentile picks its few largest rows instead of sorting all."""
         self._evict(now)
-        latencies = self._latency[self._head:]
-        rows = len(latencies)
-        above = rows - max(1, min(rows, math.ceil(pct / 100 * rows))) + 1
-        if 0 < 8 * above <= rows:
-            return heapq.nlargest(above, latencies)[-1]
-        return nearest_rank(sorted(latencies), pct)
+        return nearest_rank(sorted(self._latency[self._head:]), pct)
 
     def __len__(self) -> int:
         return len(self._at) - self._head
