@@ -87,17 +87,3 @@ class ClassRuntime:
             },
             "methods": list(self.resolved.method_names),
         }
-
-    def stats(self) -> dict[str, dict[str, Any]]:
-        """The class's data-plane numbers by part: its DHT, read path,
-        write-behind flusher, and FaaS services (summed over methods)."""
-        services = [svc.stats() for svc in self.services.values()]
-        return {
-            "dht": self.dht.stats(),
-            "read_path": self.dht.read_path_stats,
-            "write_behind": self.dht.write_behind_stats,
-            "faas": {
-                key: sum(row[key] for row in services)
-                for key in ("cold_starts", "in_flight", "replicas")
-            },
-        }

@@ -77,6 +77,7 @@ class MonitoringSystem:
         self.window_s = window_s
         self.registry = MetricsRegistry()
         self._classes: dict[str, ClassObservations] = {}
+        self._unobserved = ClassObservations(env, "", window_s).stats()
 
     def for_class(self, cls: str) -> ClassObservations:
         obs = self._classes.get(cls)
@@ -84,6 +85,12 @@ class MonitoringSystem:
             obs = ClassObservations(self.env, cls, self.window_s)
             self._classes[cls] = obs
         return obs
+
+    def class_stats(self, cls: str) -> dict[str, Any]:
+        """``for_class(cls).stats()`` without creating the observations:
+        a class not invoked yet reads zeros and stays unobserved."""
+        obs = self._classes.get(cls)
+        return obs.stats() if obs is not None else dict(self._unobserved)
 
     @property
     def observed_classes(self) -> tuple[str, ...]:

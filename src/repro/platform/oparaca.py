@@ -73,6 +73,12 @@ from repro.storage.object_store import ObjectStore, ObjectStoreModel
 __all__ = ["PlatformConfig", "Oparaca"]
 
 
+def _summed_services(runtime: ClassRuntime) -> dict[str, int]:
+    """A class's FaaS services' ``stats()``, summed over its methods."""
+    rows = [svc.stats() for svc in runtime.services.values()]
+    return {key: sum(row[key] for row in rows) for key in ("cold_starts", "in_flight", "replicas")}
+
+
 @dataclass(frozen=True)
 class PlatformConfig:
     """Construction-time configuration for an Oparaca platform."""
@@ -664,13 +670,15 @@ class Oparaca:
         }
         if self.env.profile is not None:
             sections["kernel"] = {"dispatches": self.env.profile.stats()}
-        per_class = {
-            cls: {**runtime.stats(), "invocations": self.monitoring.for_class(cls).stats()}
-            for cls, runtime in self.crm.runtimes.items()
-        }
+        runtimes = self.crm.runtimes.items()
         sections["classes"] = {
-            part: [{"class": cls, **parts[part]} for cls, parts in per_class.items()]
-            for part in ("dht", "read_path", "write_behind", "faas", "invocations")
+            "dht": [{"class": cls, **rt.dht.stats()} for cls, rt in runtimes],
+            "read_path": [{"class": cls, **rt.dht.read_path_stats} for cls, rt in runtimes],
+            "write_behind": [{"class": cls, **rt.dht.write_behind_stats} for cls, rt in runtimes],
+            "faas": [{"class": cls, **_summed_services(rt)} for cls, rt in runtimes],
+            "invocations": [
+                {"class": cls, **self.monitoring.class_stats(cls)} for cls, _ in runtimes
+            ],
         }
         for plane in self.planes.values():
             sections[plane.name] = plane.stats()

@@ -4,7 +4,7 @@ per-class observations."""
 import pytest
 
 from repro.errors import ValidationError
-from repro.monitoring.collector import MonitoringSystem
+from repro.monitoring.collector import ClassObservations, MonitoringSystem
 from repro.monitoring.metrics import Gauge, Histogram, MetricsRegistry, SlidingWindow
 
 
@@ -140,11 +140,14 @@ class TestMonitoringSystem:
         assert monitoring.observed_classes == ("Image",)
 
     def test_class_stats_are_its_observed_numbers(self, env):
-        obs = MonitoringSystem(env).for_class("A")
+        monitoring = MonitoringSystem(env)
+        # Before any invocation: zeros, and the read observes nothing.
+        assert monitoring.class_stats("A") == dict.fromkeys(ClassObservations(env, "A").stats(), 0)
+        assert monitoring.observed_classes == ()
+        obs = monitoring.for_class("A")
         obs.record_invocation(0.01, ok=True)
         obs.record_invocation(0.03, ok=False)
-        stats = obs.stats()
-        assert stats == {
+        assert monitoring.class_stats("A") == obs.stats() == {
             "completed": 1,
             "failed": 1,
             "throughput_rps": obs.throughput_rps,

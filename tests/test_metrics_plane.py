@@ -551,6 +551,16 @@ class TestPlatformIntegration:
         image = platform.monitoring.for_class("Image")
         assert image.completed > 0 and image.failed == 2
 
+    def test_a_snapshot_observes_no_class(self):
+        """A deployed class with no invocation reads its zero row and is
+        not added to the classes the shedder walks."""
+        platform = make_platform()
+        platform.register_image("t/fn", lambda ctx: {}, 0.001)
+        platform.deploy(LATENCY_YAML.format(latency=50))
+        assert platform.snapshot()["classes.invocations.completed{class=Fast}"] == 0
+        assert platform.monitoring.observed_classes == ()
+        platform.shutdown()
+
     def test_an_undeployed_class_leaves_no_series(self):
         """Two classes, one undeployed: after the next scrape none of its
         series is left in the registry, the scraper or the snapshot."""
