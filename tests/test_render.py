@@ -215,7 +215,7 @@ def test_every_number_of_every_plane_is_a_series_and_a_snapshot_key():
     keys = []
     for name, stats in platform.sections().items():
         found = list(numbers(stats, name))
-        assert found, name
+        assert len(found) >= (4 if name in platform.planes else 1), name
         for series, labels, value in found:
             line = sanitize_metric_name(series) + render_labels(
                 label_key({**labels, "plane": name})
