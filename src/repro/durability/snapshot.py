@@ -109,7 +109,8 @@ class ClassDurabilityState:
         self.index: dict[str, tuple[int, int]] = {}
         #: Generations with blobs in the store, in minting order:
         #: {"generation", "cut_time", "captured", "tombstones", "kind"
-        #: ("full" | "delta"), "base", "chain" (manifests a restore
+        #: ("full" | "delta" | "blobs", a delta past retention kept
+        #: for its bytes only), "base", "chain" (manifests a restore
         #: reads)} — GC prunes this list in step with the store.
         self.generations: list[dict[str, Any]] = []
         #: generation -> live index entries whose bytes it holds (absent
@@ -453,6 +454,9 @@ class SnapshotCoordinator:
                 or generation in tracker.refs
                 or tracker.superseded_at.get(generation, generation) > oldest
             ):
+                if not on_chain and entry["base"] is not None:
+                    # Kept for its blobs only: it restores nothing, and its base may go.
+                    entry = {**entry, "kind": "blobs", "base": None, "chain": 1}
                 survivors.append(entry)
             else:
                 tracker.superseded_at.pop(generation, None)

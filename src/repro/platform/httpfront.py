@@ -2,7 +2,7 @@
 
 :class:`AsyncPlatformServer` is what ``SchedulerConfig(transport=
 "asyncio")`` buys: a minimal HTTP/1.1 server whose requests flow
-**gateway route → scheduler → worker** across event-loop tasks, with
+**gateway route → scheduler → worker** through read callbacks, with
 each worker an :class:`~repro.scheduler.transport.aio.AsyncWorkerClient`
 connected to an
 :class:`~repro.scheduler.transport.aio.AsyncSchedulerServer` over TCP.
@@ -21,13 +21,12 @@ pulling a web framework into the container.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 from http import HTTPStatus
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import OaasError, ValidationError
-from repro.invoker.request import InvocationRequest
+from repro.invoker.request import InvocationRequest, InvocationResult
 from repro.platform.gateway import (
     HttpRequest,
     HttpResponse,
@@ -35,7 +34,7 @@ from repro.platform.gateway import (
     no_route,
     result_response,
 )
-from repro.scheduler.transport.aio import AsyncSchedulerServer, AsyncWorkerClient
+from repro.scheduler.transport.aio import AsyncSchedulerServer, AsyncWorkerClient, BufferedLink
 from repro.scheduler.transport.core import workers_route
 from repro.scheduler.transport.protocol import Dispatch
 
@@ -48,7 +47,7 @@ _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Seconds a connection may take to deliver a request's head (idle
 #: keep-alive included), then its declared body; past either it is
-#: answered 408 and closed, so a client trickling bytes holds no task.
+#: answered 408 and closed, so a client trickling bytes cannot hold it.
 _HEAD_TIMEOUT_S = 30.0
 _BODY_TIMEOUT_S = 30.0
 #: After a 400, a 408 or an over-cap 503 the front half-closes and
@@ -58,7 +57,7 @@ _BODY_TIMEOUT_S = 30.0
 _LINGER_S = 2.0
 #: Open connections served at once; one past it is answered 503 and
 #: closed like a 400 (lingering at most ``_LINGER_S``), so idle
-#: keep-alive clients cannot pile up tasks.
+#: keep-alive clients cannot pile up.
 _MAX_CONNECTIONS = 512
 
 
@@ -87,7 +86,8 @@ class AsyncPlatformServer:
         #: name -> the client of each live worker this front spawned; a
         #: retired worker's client is closed and dropped.
         self.workers: dict[str, AsyncWorkerClient] = {}
-        self._connections = 0
+        self._connections = 0  # served, so not those answered 503 over the cap
+        self._links: set[_HttpLink] = set()
         self._http_server: asyncio.AbstractServer | None = None
         self._next_worker = 0
         self._running = False
@@ -104,8 +104,8 @@ class AsyncPlatformServer:
         for _ in range(self.platform.config.scheduler.pool_size):
             await self._spawn_worker()
         await self._wait_serving()
-        self._http_server = await asyncio.start_server(
-            self._handle_connection, self.host, self.requested_port
+        self._http_server = await asyncio.get_running_loop().create_server(
+            lambda: _HttpLink(self), self.host, self.requested_port
         )
 
     @property
@@ -118,6 +118,8 @@ class AsyncPlatformServer:
         if self._http_server is not None:
             self._http_server.close()
             await self._http_server.wait_closed()
+        for link in list(self._links):
+            link.transport.close()
         for task in self._spawn_tasks:
             task.cancel()
         await asyncio.gather(*self._spawn_tasks, return_exceptions=True)
@@ -166,15 +168,12 @@ class AsyncPlatformServer:
             await asyncio.sleep(0.01)
         raise ValidationError("worker pool failed to become ready")
 
-    async def _execute(
-        self, dispatch: Dispatch, worker: AsyncWorkerClient
-    ) -> dict[str, Any]:
+    def _execute(self, dispatch: Dispatch, worker: AsyncWorkerClient) -> dict[str, Any]:
         """Worker executor: drive the platform's real engine.
 
         The ``platform.run`` call advances the shared sim kernel with no
         ``await`` inside, so cooperative scheduling cannot interleave
-        two engine runs — concurrency lives in the sockets and queues
-        around it.
+        two engine runs — concurrency lives in the sockets around it.
         """
         request = InvocationRequest(
             object_id=dispatch.object_id,
@@ -195,107 +194,8 @@ class AsyncPlatformServer:
 
     # -- HTTP ---------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._connections >= _MAX_CONNECTIONS:
-            full = HttpResponse(503, {"error": "too many connections", "type": "OverloadError"})
-            with contextlib.closing(writer), contextlib.suppress(ConnectionError):
-                await self._answer_and_close(reader, writer, full)
-            return
-        self._connections += 1
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except ValidationError as exc:
-                    # Past a malformed header the stream has no known
-                    # framing: answer 400, then close.
-                    await self._answer_and_close(
-                        reader, writer, error_response(type(exc).__name__, str(exc))
-                    )
-                    return
-                except TimeoutError:
-                    await self._answer_and_close(
-                        reader,
-                        writer,
-                        HttpResponse(
-                            408,
-                            {"error": "request not received in time", "type": "RequestTimeout"},
-                        ),
-                    )
-                    return
-                if request is None:
-                    return
-                response = await self._respond(request)
-                self._write_response(writer, response)
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections -= 1
-            writer.close()
-
-    async def _answer_and_close(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        response: HttpResponse,
-    ) -> None:
-        """Send the last answer of a connection, then linger: half-close
-        and discard input until the client closes or ``_LINGER_S``
-        passes.  The caller closes the connection."""
-        self._write_response(writer, response)
-        await writer.drain()
-        writer.write_eof()
-        try:
-            async with asyncio.timeout(_LINGER_S):
-                while await reader.read(_MAX_HEADER_BYTES):
-                    pass
-        except TimeoutError:
-            pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> HttpRequest | None:
-        # One timer per request: the head's deadline, moved once for the
-        # body.  ``TimeoutError`` when either is missed.
-        async with asyncio.timeout(_HEAD_TIMEOUT_S) as deadline:
-            try:
-                head = await reader.readuntil(b"\r\n\r\n")
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-                return None
-            if len(head) > _MAX_HEADER_BYTES:
-                return None
-            lines = head.decode("latin-1").split("\r\n")
-            parts = lines[0].split(" ")
-            if len(parts) < 2:
-                return None
-            method, path = parts[0].upper(), parts[1]
-            headers = {}
-            for line in lines[1:]:
-                if ":" in line:
-                    key, _, value = line.partition(":")
-                    headers[key.strip().lower()] = value.strip()
-            declared = headers.get("content-length", "0") or "0"
-            if not declared.isdecimal():
-                raise ValidationError(f"malformed Content-Length {declared!r}")
-            length = int(declared)
-            if length > _MAX_BODY_BYTES:
-                return None
-            body: dict[str, Any] = {}
-            if length:
-                deadline.reschedule(asyncio.get_running_loop().time() + _BODY_TIMEOUT_S)
-                raw = await reader.readexactly(length)
-                try:
-                    parsed = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    parsed = None
-                if isinstance(parsed, dict):
-                    body = parsed
-        return HttpRequest(method, path, body, headers)
-
-    async def _respond(self, http: HttpRequest) -> HttpResponse:
+    def _respond(self, http: HttpRequest, link: "_HttpLink") -> HttpResponse | None:
+        """The answer, or ``None``: a worker's result goes to ``link.finish``."""
         gateway = self.platform.gateway
         gateway.requests += 1
         routed = gateway._route(http)
@@ -325,25 +225,160 @@ class AsyncPlatformServer:
                 self.platform.engine.admit_origin(routed)
             except OaasError as exc:
                 return error_response(type(exc).__name__, str(exc))
-        return result_response(routed, await self.scheduler.submit(routed))
-
-    def _write_response(
-        self, writer: asyncio.StreamWriter, response: HttpResponse
-    ) -> None:
-        payload = json.dumps(response.body, sort_keys=True).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {response.status} {_REASONS[response.status]}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "Connection: keep-alive\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + payload)
+        link.busy = True
+        self.scheduler.submit_with(routed, link.finish)
+        return None
 
     def on_deploy(self, cls: str) -> None:
         """Platform hook: a deploy while serving installs everywhere."""
         self.scheduler.on_deploy(cls)
 
 
-#: Every standard status's reason phrase, for the status line.
-_REASONS = {status.value: status.phrase for status in HTTPStatus}
+#: Each status's line and fixed headers, up to its length.
+_HEADS = {s.value: b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: "
+          % (s.value, s.phrase.encode("latin-1")) for s in HTTPStatus}
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), one encoder
+
+
+class _HttpLink(BufferedLink):
+    """One HTTP connection: a request is parsed, routed and answered in the
+    read callback that completes it (or that brings its worker's result)."""
+
+    #: (method, path, headers, body offset, body length): a head whose body is not all in.
+    head: tuple[str, str, dict[str, str], int, int] | None = None
+    # busy: a request is with a worker; blocked: the peer reads no answers.
+    busy = blocked = lingering = eof = False
+    #: Watches the connection's one deadline, a float moved per request.
+    timer: asyncio.TimerHandle | None = None
+
+    def __init__(self, front: AsyncPlatformServer) -> None:
+        self.front, self.counted = front, front._connections < _MAX_CONNECTIONS
+        self.buffer = bytearray()  # extended in place: a body in many reads stays linear
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.front._links.add(self)
+        if not self.counted:
+            error = {"error": "too many connections", "type": "OverloadError"}
+            return self._close_with(HttpResponse(503, error))
+        self.front._connections += 1
+        self._wait(_HEAD_TIMEOUT_S)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+        self.front._connections -= self.counted
+        self.front._links.discard(self)
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if not self.lingering:  # a lingering link discards what arrives
+            self.buffer += self.read_buffer[:nbytes]
+            self._serve()
+
+    def eof_received(self) -> bool:
+        self.eof = True  # half-closed: a request in flight is still answered
+        return not self.lingering and (self.busy or self.blocked)
+
+    def pause_writing(self) -> None:
+        self.blocked = True
+
+    def resume_writing(self) -> None:
+        self.blocked = False
+        self._serve()
+
+    def finish(self, request: InvocationRequest, result: InvocationResult) -> None:
+        """The scheduler's delivery of the request in flight."""
+        self.busy = False
+        if not self.transport.is_closing():
+            self._answer(result_response(request, result))
+            if self.buffer or self.eof:  # not in the scheduler link's callback
+                asyncio.get_running_loop().call_soon(self._serve)
+
+    def _serve(self) -> None:
+        """Answer what is buffered, in order, till a worker has one or writes back up."""
+        while not self.lingering:
+            if self.busy or self.blocked:
+                if self.buffer:
+                    self.transport.pause_reading()
+                return
+            request = self._parse()
+            if request is None:
+                return self.transport.close() if self.eof else self.transport.resume_reading()
+            response = self.front._respond(request, self)
+            if response is not None:
+                self._answer(response)
+
+    def _parse(self) -> HttpRequest | None:
+        """The next complete request; ``None`` if not all in, or answered 400 / closed."""
+        buffer = self.buffer
+        if self.head is None:
+            end = buffer.find(b"\r\n\r\n", 0, _MAX_HEADER_BYTES)
+            if end < 0:
+                if len(buffer) >= _MAX_HEADER_BYTES:
+                    self.transport.close()  # a head past the cap
+                return None
+            lines = buffer[:end].decode("latin-1").split("\r\n")
+            parts = lines[0].split(" ")
+            if len(parts) < 2:
+                return self.transport.close()  # no request line
+            headers = {}
+            for line in lines[1:]:
+                if ":" in line:
+                    key, _, value = line.partition(":")
+                    headers[key.strip().lower()] = value.strip()
+            declared = headers.get("content-length", "0") or "0"
+            if not declared.isdecimal():
+                # Past a malformed header the stream has no known framing.
+                message = f"malformed Content-Length {declared!r}"
+                return self._close_with(error_response("ValidationError", message))
+            if int(declared) > _MAX_BODY_BYTES:
+                return self.transport.close()
+            self.head = (parts[0].upper(), parts[1], headers, end + 4, int(declared))
+            if len(buffer) < end + 4 + int(declared):
+                self._wait(_BODY_TIMEOUT_S)
+        method, path, headers, start, length = self.head
+        if len(buffer) < start + length:
+            return None
+        self.head, self.buffer = None, buffer[start + length:]
+        try:
+            body = json.loads(buffer[start:start + length].decode("utf-8")) if length else {}
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            body = None
+        return HttpRequest(method, path, body if isinstance(body, dict) else {}, headers)
+
+    def _answer(self, response: HttpResponse) -> None:
+        payload = _ENCODE(response.body).encode("utf-8")
+        self.transport.write(
+            b"%s%d\r\nConnection: keep-alive\r\n\r\n%s"
+            % (_HEADS[response.status], len(payload), payload)
+        )
+        self._wait(_HEAD_TIMEOUT_S)  # idle keep-alive counts against the next head
+
+    def _close_with(self, response: HttpResponse) -> None:
+        """Answer, then linger: half-close, discard input till EOF or ``_LINGER_S``."""
+        self._answer(response)
+        self.transport.write_eof()
+        self.transport.resume_reading()
+        self.lingering, self.buffer = True, bytearray()
+        self._wait(_LINGER_S)
+
+    def _wait(self, seconds: float) -> None:
+        """Move the deadline; re-arm the timer only if it would fire late."""
+        loop = asyncio.get_running_loop()
+        self.deadline = loop.time() + seconds
+        if self.timer is None or self.timer.when() > self.deadline:
+            if self.timer is not None:
+                self.timer.cancel()
+            self.timer = loop.call_at(self.deadline, self._expire)
+
+    def _expire(self) -> None:
+        self.timer, early = None, self.deadline - asyncio.get_running_loop().time()
+        if self.busy or self.transport.is_closing():
+            return  # no deadline while a worker has the request
+        if early > 0:
+            self._wait(early)
+        elif self.lingering:
+            self.transport.close()
+        else:
+            error = {"error": "request not received in time", "type": "RequestTimeout"}
+            self._close_with(HttpResponse(408, error))

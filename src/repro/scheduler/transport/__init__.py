@@ -38,7 +38,6 @@ from repro.scheduler.transport.protocol import (
     RegisterAck,
     decode_message,
     encode_frame,
-    encode_message,
 )
 
 __all__ = [
@@ -59,6 +58,5 @@ __all__ = [
     "Drained",
     "FrameDecoder",
     "encode_frame",
-    "encode_message",
     "decode_message",
 ]

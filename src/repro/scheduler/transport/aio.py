@@ -5,7 +5,7 @@ same :class:`~repro.scheduler.transport.core.DispatchCore` the sim
 plane uses; :class:`AsyncWorkerClient` processes connect to it and
 speak the length-prefixed JSON frames from
 :mod:`~repro.scheduler.transport.protocol`.  Both ends of a connection
-are :class:`asyncio.Protocol` links: a frame is decoded and *handled* in
+are :class:`BufferedLink` protocols: a frame is decoded and *handled* in
 the read callback that delivered its last byte — no stream, no reader
 task in between.  Concurrency is real, and crashes are *connection
 drops* — :meth:`AsyncWorkerClient.kill` aborts the socket without a
@@ -40,6 +40,7 @@ at-least-once, as in any real distributed dispatch).
 from __future__ import annotations
 
 import asyncio
+import threading
 from typing import Any, Awaitable, Callable
 
 from repro.errors import SchedulingError, TransportError, ValidationError
@@ -65,6 +66,7 @@ from repro.scheduler.transport.protocol import (
 )
 
 __all__ = [
+    "BufferedLink",
     "EVENT_CAPACITY",
     "RemoteWorker",
     "AsyncSchedulerServer",
@@ -72,22 +74,38 @@ __all__ = [
 ]
 
 
-class _Link(asyncio.Protocol):
-    """One end of a scheduler/worker connection: frames are decoded and
-    handled in the read callback itself."""
+#: One read buffer per thread: a link hands its bytes on before its loop reads again.
+_READS = threading.local()
+
+
+class BufferedLink(asyncio.BufferedProtocol):
+    """Reads land in the thread's read buffer: a plain ``recv`` allocates
+    its 256 KiB maximum on every read, which costs more than the read."""
 
     #: Set by ``connection_made``, which precedes every other callback.
     transport: asyncio.Transport
 
-    def __init__(self) -> None:
-        self._decoder = FrameDecoder()
-
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
         try:
-            for message in self._decoder.feed(data):
+            self.read_buffer: memoryview = _READS.view
+        except AttributeError:
+            self.read_buffer = _READS.view = memoryview(bytearray(64 * 1024))
+        return self.read_buffer
+
+
+class _Link(BufferedLink):
+    """One end of a scheduler/worker connection: frames are decoded and
+    handled in the read callback itself."""
+
+    def __init__(self) -> None:
+        self._decoder = FrameDecoder()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        try:
+            for message in self._decoder.feed(self.read_buffer[:nbytes]):
                 if self.transport.is_closing():
                     return  # an earlier frame of this read ended the link
                 self.on_message(message)
@@ -235,8 +253,8 @@ class AsyncSchedulerServer:
 
     Owns a :class:`DispatchCore` (the same state machine the sim plane
     drives), a TCP listener, and a monitor task timing the core's health
-    sweep; decodes each worker message into one core call.  Submissions
-    return futures resolved on first completion.  Replacing a worker the
+    sweep; decodes each worker message into one core call, and hands
+    each submission's first completion to its callback.  Replacing a worker the
     core reports dead is up to whoever owns the worker processes: set
     ``server.core.on_worker_dead``."""
 
@@ -265,7 +283,7 @@ class AsyncSchedulerServer:
         self._monitor_task: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0 = 0.0
-        self._futures: dict[str, asyncio.Future] = {}
+        self._deliveries: dict[str, Callable[..., None]] = {}
         self._links: set[_ServerLink] = set()
         self._running = False
         self.core.on_complete = self._resolve
@@ -330,14 +348,18 @@ class AsyncSchedulerServer:
         """Accept one invocation; the future resolves on delivery."""
         assert self._loop is not None, "server not started"
         future: asyncio.Future = self._loop.create_future()
-        self._futures[request.request_id] = future
-        self.core.submit(request)
+        self.submit_with(request, lambda _, result: future.done() or future.set_result(result))
         return future
 
+    def submit_with(self, request: InvocationRequest, deliver: Callable[..., None]) -> None:
+        """Accept one invocation; ``deliver(request, result)`` gets its first completion."""
+        self._deliveries[request.request_id] = deliver
+        self.core.submit(request)
+
     def _resolve(self, request: InvocationRequest, result: InvocationResult) -> None:
-        future = self._futures.pop(request.request_id, None)
-        if future is not None and not future.done():
-            future.set_result(result)
+        deliver = self._deliveries.pop(request.request_id, None)
+        if deliver is not None:
+            deliver(request, result)
 
     def on_deploy(self, cls: str) -> None:
         self.core.class_deployed(cls)
@@ -475,22 +497,22 @@ class _ClientLink(_Link):
 
 
 class AsyncWorkerClient:
-    """The worker side of the protocol: one process (task) per worker.
+    """The worker side of the protocol: one process per worker.
 
-    ``executor`` is an async callable ``(dispatch: Dispatch, client) ->
-    dict`` returning result fields (``ok``, ``output``, ``error``,
-    ``error_type``); the HTTP front end plugs the real invocation
-    engine in here, tests plug in sleeps and failures."""
+    ``executor`` is a callable ``(dispatch: Dispatch, client)`` returning
+    result fields (``ok``, ``output``, ``error``, ``error_type``), or an
+    awaitable of them: an idle worker runs a dispatch in the read callback
+    that delivered it, and only an awaitable gets a task (later dispatches
+    wait behind it).  The HTTP front plugs the engine in; tests, sleeps and failures."""
 
     def __init__(
         self,
         name: str,
         host: str,
         port: int,
-        executor: Callable[[Dispatch, "AsyncWorkerClient"], Awaitable[dict]],
+        executor: Callable[[Dispatch, "AsyncWorkerClient"], dict | Awaitable[dict]],
         *,
         heartbeat_interval_s: float = 0.5,
-        install_delay_s: float = 0.0,
         node: str | None = None,
     ) -> None:
         self.name = name
@@ -498,7 +520,6 @@ class AsyncWorkerClient:
         self.port = port
         self.executor = executor
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.install_delay_s = install_delay_s
         self.node = node
         self.epoch = -1
         self.installed: set[str] = set()
@@ -506,21 +527,21 @@ class AsyncWorkerClient:
         self.completed = 0
         self.draining = False
         self._transport: asyncio.Transport | None = None
-        #: The ``executing`` of the item just started, kept back for one
-        #: turn of the loop (see :meth:`_work_loop`).
+        #: The ``executing`` of the awaitable just started, held a loop turn.
         self._held: Executing | None = None
-        self._queue: asyncio.Queue[Dispatch | None] = asyncio.Queue()
+        #: The dispatch whose awaitable runs, and those arrived behind it.
         self._in_flight: Dispatch | None = None
-        self._tasks: list[asyncio.Task] = []
+        self._backlog: list[Dispatch] = []
+        self._tasks: set[asyncio.Task] = set()
         self._suppress_until = -1.0
         self._done = asyncio.Event()
         self._registered = asyncio.Event()
         self._register_error: str | None = None
 
     async def connect(self) -> None:
-        """Open the connection, register, install, report ready, and
-        start the heartbeat + work loops.  Raises ``SchedulingError``
-        if the scheduler rejects the registration."""
+        """Open the connection, register (installs and ``ready`` go out in
+        the ack's read callback) and start the heartbeat loop.  Raises
+        ``SchedulingError`` if the scheduler rejects the registration."""
         self._transport, _ = await asyncio.get_running_loop().create_connection(
             lambda: _ClientLink(self), self.host, self.port
         )
@@ -529,8 +550,7 @@ class AsyncWorkerClient:
         if self._register_error is not None:
             await self.close()
             raise SchedulingError(self._register_error)
-        self._tasks.append(asyncio.ensure_future(self._heartbeat_loop()))
-        self._tasks.append(asyncio.ensure_future(self._work_loop()))
+        self._spawn(self._heartbeat_loop())
 
     # -- scheduler-facing ----------------------------------------------------
 
@@ -576,6 +596,11 @@ class AsyncWorkerClient:
             data = encode_frame(held) + data
         transport.write(data)
 
+    def _spawn(self, awaitable: Awaitable[Any]) -> None:
+        task = asyncio.ensure_future(awaitable)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
     def _flush_held(self, executing: Executing) -> None:
         if self._held is executing:
             self._held = None
@@ -591,40 +616,29 @@ class AsyncWorkerClient:
         if isinstance(message, RegisterAck):
             if message.error is not None:
                 self._register_error = message.error
-                self._registered.set()
-                return
-            self.epoch = message.epoch
+            else:
+                self.epoch = message.epoch
+                for cls in message.classes:
+                    self._install(cls)
+                self._send(Ready(worker=self.name, epoch=self.epoch))
             self._registered.set()
-            self._tasks.append(
-                asyncio.ensure_future(self._startup(list(message.classes)))
-            )
         elif isinstance(message, Dispatch):
             if not self.draining:
-                self._queue.put_nowait(message)
+                self._backlog.append(message)
+                self._run()
         elif isinstance(message, Install):
-            self._tasks.append(
-                asyncio.ensure_future(self._install(message.cls))
-            )
-        elif isinstance(message, DrainCmd):
+            self._install(message.cls)
+        elif isinstance(message, DrainCmd) and not self.draining:
             self.draining = True
             # Drop queued-but-unstarted items: the scheduler rebound
             # them to peers before sending the drain.
-            while not self._queue.empty():
-                self._queue.get_nowait()
-            self._queue.put_nowait(None)
+            self._backlog.clear()
+            self._run()
 
-    async def _startup(self, classes: list[str]) -> None:
-        for cls in classes:
-            await self._install(cls)
-        self._send(Ready(worker=self.name, epoch=self.epoch))
-
-    async def _install(self, cls: str) -> None:
-        if cls in self.installed:
-            return
-        if self.install_delay_s:
-            await asyncio.sleep(self.install_delay_s)
-        self.installed.add(cls)
-        self._send(InstallAck(worker=self.name, epoch=self.epoch, cls=cls))
+    def _install(self, cls: str) -> None:
+        if cls not in self.installed:
+            self.installed.add(cls)
+            self._send(InstallAck(worker=self.name, epoch=self.epoch, cls=cls))
 
     async def _heartbeat_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -634,45 +648,39 @@ class AsyncWorkerClient:
                 continue
             self._send(Heartbeat(worker=self.name, epoch=self.epoch))
 
-    async def _work_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            dispatch = await self._queue.get()
-            if dispatch is None:  # drain sentinel
-                self._send(Drained(worker=self.name, epoch=self.epoch))
-                self._done.set()
-                return
-            self._in_flight = dispatch
-            # ``executing`` waits one turn of the loop: an executor that
-            # awaits anything lets it out ahead of its ``complete``; one
-            # that returns without yielding was never observable as in
-            # flight, and its ``complete`` goes out alone.
-            self._held = Executing(
-                worker=self.name, epoch=self.epoch, request_id=dispatch.request_id
-            )
-            loop.call_soon(self._flush_held, self._held)
+    def _run(self) -> None:
+        """Execute what arrived, in order, till an awaitable is in flight."""
+        while self._in_flight is None and self._backlog:
+            dispatch = self._backlog.pop(0)
             try:
-                fields = await self.executor(dispatch, self)
-            except asyncio.CancelledError:
-                raise
+                fields = self.executor(dispatch, self)
             except Exception as exc:  # an executor bug, not a protocol event
-                fields = {
-                    "ok": False,
-                    "error": str(exc),
-                    "error_type": type(exc).__name__,
-                }
-            self._in_flight = None
-            self.completed += 1
-            self._send(
-                Complete(
-                    worker=self.name,
-                    epoch=dispatch.epoch,
-                    request_id=dispatch.request_id,
-                    ok=bool(fields.get("ok", True)),
-                    output=fields.get("output", {}),
-                    error=fields.get("error"),
-                    error_type=fields.get("error_type"),
-                )
-            )
-            if self.draining and self._queue.empty():
-                self._queue.put_nowait(None)
+                fields = {"ok": False, "error": str(exc), "error_type": type(exc).__name__}
+            if isinstance(fields, dict):
+                self._complete(dispatch, fields)
+                continue
+            self._in_flight = dispatch
+            self._spawn(self._finish(dispatch, fields))
+            # ``executing`` waits a loop turn, behind the task's first step: an
+            # awaitable that yields lets it out before its ``complete``; one that
+            # returns at once was never seen in flight, and sends no ``executing``.
+            self._held = Executing(self.name, self.epoch, dispatch.request_id)
+            asyncio.get_running_loop().call_soon(self._flush_held, self._held)
+        if self.draining and self._in_flight is None:
+            self._send(Drained(worker=self.name, epoch=self.epoch))
+            self._done.set()
+
+    async def _finish(self, dispatch: Dispatch, pending: Awaitable[dict]) -> None:
+        try:
+            fields = await pending
+        except Exception as exc:  # an executor bug, not a protocol event
+            fields = {"ok": False, "error": str(exc), "error_type": type(exc).__name__}
+        self._in_flight = None
+        self._complete(dispatch, fields)
+        self._run()
+
+    def _complete(self, dispatch: Dispatch, fields: dict) -> None:
+        self.completed += 1
+        get = fields.get
+        self._send(Complete(self.name, dispatch.epoch, dispatch.request_id, bool(get("ok", True)),
+                            get("output", {}), get("error"), get("error_type")))

@@ -38,7 +38,6 @@ __all__ = [
     "Complete",
     "DrainCmd",
     "Drained",
-    "encode_message",
     "decode_message",
     "encode_frame",
     "FrameDecoder",
@@ -222,10 +221,6 @@ _OBJECT_FIELDS: dict[type[Message], tuple[str, ...]] = {
     cls: tuple(f.name for f in fields(cls) if f.default_factory is dict)
     for cls in _MESSAGE_TYPES.values()
 }
-
-
-def encode_message(message: Message) -> dict[str, Any]:
-    return message.to_wire()
 
 
 def decode_message(wire: dict[str, Any]) -> Message:

@@ -46,6 +46,9 @@ DATA_BEHIND_A_YOUNG_INDEX = [T0, CUT, WAIT, T1, CUT, WAIT, T0, CUT]
 #: Deltas past retention that a restorable delta's chain passes through:
 #: GC must keep their manifests.
 CHAIN_THROUGH_OLD_DELTAS = [T0, T1, T2, T3, CUT, T0, CUT, WAIT, T0, CUT, WAIT, T0, CUT]
+#: A delta past retention kept for its blobs only, whose base GC deletes:
+#: its entry must claim no chain it no longer has.
+BLOBS_BEHIND_A_DELETED_BASE = [T0, T2, CUT, T2, CUT, T0, ("advance", 1), WAIT, CUT]
 
 
 def live_counts(platform):
@@ -67,6 +70,7 @@ class TestChainsAgainstAReferenceFold:
     @given(ops=OPS, retention_s=st.sampled_from([None, 4.0]))
     @example(ops=DATA_BEHIND_A_YOUNG_INDEX, retention_s=4.0)
     @example(ops=CHAIN_THROUGH_OLD_DELTAS, retention_s=4.0)
+    @example(ops=BLOBS_BEHIND_A_DELETED_BASE, retention_s=4.0)
     def test_every_retained_cut_restores_to_what_was_live_at_it(self, ops, retention_s):
         platform = dura_platform(default_retention_s=retention_s)
         tracker = platform.durability.tracker_for("Cart")

@@ -3,9 +3,11 @@
 ``HTTP front → DispatchCore → TCP worker → engine`` over loopback: what
 the scheduler hop adds to an invocation is held here as exact counts,
 like ``tests/test_hot_path_budget.py`` holds the sim path's — frames per
-dispatched invocation, ``dataclasses.asdict`` calls and top-level
-``copy.deepcopy`` calls.  docs/architecture.md, "Hot-path rules", and
-docs/scheduler.md, "Wire protocol", say what keeps them there.
+dispatched invocation, ``dataclasses.asdict`` calls, top-level
+``copy.deepcopy`` calls, and the event loop's futures, callbacks, timers
+and tasks.  docs/architecture.md, "Hot-path rules", and
+docs/scheduler.md, "Transports" and "Wire protocol", say what keeps them
+there.
 """
 
 import asyncio
@@ -13,6 +15,10 @@ import collections
 import copy
 import dataclasses
 import json
+import socket
+import threading
+
+from repro.errors import ValidationError
 
 from repro.invoker.request import InvocationRequest
 from repro.scheduler.plane import SchedulerConfig
@@ -90,6 +96,28 @@ class HopCounters:
         return sum(self.frames[kind] for kind in ("Dispatch", "Executing", "Complete"))
 
 
+#: What the event loop is asked for per unit of work it is handed.
+LOOP_CALLS = ("create_future", "call_soon", "call_at", "create_task")
+
+
+class LoopCounters:
+    """Counts the loop's futures, callbacks, timers and tasks; asyncio's
+    own code and its C accelerator look each of these up on the loop
+    instance, so the instance attribute sees every call."""
+
+    def __init__(self, monkeypatch, loop):
+        self.counts = collections.Counter()
+        for name in LOOP_CALLS:
+            monkeypatch.setattr(loop, name, self._counted(name, getattr(loop, name)))
+
+    def _counted(self, name, original):
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+
 class KeepAlive:
     """One keep-alive HTTP/1.1 connection."""
 
@@ -105,6 +133,33 @@ class KeepAlive:
         head = await self.reader.readuntil(b"\r\n\r\n")
         length = int(head.lower().partition(b"content-length:")[2].split(b"\r\n")[0])
         return int(head.split(b" ")[1]), json.loads(await self.reader.readexactly(length))
+
+
+class BlockingKeepAlive:
+    """One keep-alive HTTP/1.1 connection on a blocking socket, for a
+    client thread: nothing the client does runs on the server's loop."""
+
+    def __init__(self, host, port):
+        self.sock = socket.create_connection((host, port))
+        self.file = self.sock.makefile("rb")
+
+    def request(self, method, path, body=None):
+        payload = json.dumps(body or {}).encode()
+        self.sock.sendall(
+            f"{method} {path} HTTP/1.1\r\nContent-Length: {len(payload)}\r\n\r\n".encode()
+            + payload
+        )
+        status = int(self.file.readline().split(b" ")[1])
+        length = 0
+        for line in iter(self.file.readline, b"\r\n"):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        return status, json.loads(self.file.read(length))
+
+    def close(self):
+        self.file.close()
+        self.sock.close()
 
 
 def test_an_invocation_costs_two_frames_and_copies_nothing(monkeypatch):
@@ -123,33 +178,43 @@ def test_an_invocation_costs_two_frames_and_copies_nothing(monkeypatch):
 
     async def scenario():
         front = await platform.serve_http()
-        connections = [
-            KeepAlive(*await asyncio.open_connection(front.host, front.port))
-            for _ in range(CONNECTIONS)
-        ]
+        connections = [BlockingKeepAlive(front.host, front.port) for _ in range(CONNECTIONS)]
+        loop = LoopCounters(monkeypatch, asyncio.get_running_loop())
         counters = HopCounters(monkeypatch)
+        # Snapshots of the loop's counts, taken while both clients wait
+        # between their warm-up and their last request's answer.
+        snapshots = []
+        barrier = threading.Barrier(CONNECTIONS, lambda: snapshots.append(dict(loop.counts)))
 
-        async def client(connection, own):
+        def client(connection, own):
             # Each connection works its own slice of the objects, so the
             # counts are the path's and not a commit conflict's.
+            assert connection.request("GET", "/api/workers")[0] == 200  # set up
+            barrier.wait()
             for index in range((ADDS + PEEKS) // CONNECTIONS):
                 fn = ("add", "peek")[index % 2]
-                status, body = await connection.request(
+                status, body = connection.request(
                     "POST", f"/api/objects/{own[index % len(own)]}/invokes/{fn}", {"n": 1}
                 )
                 assert status == 200 and "total" in body
+            barrier.wait()
 
         await asyncio.gather(
-            *[client(c, ids[i::CONNECTIONS]) for i, c in enumerate(connections)]
+            *[
+                asyncio.to_thread(client, c, ids[i::CONNECTIONS])
+                for i, c in enumerate(connections)
+            ]
         )
         monkeypatch.undo()
-        status, listing = await connections[0].request("GET", "/api/workers")
+        status, listing = await asyncio.to_thread(connections[0].request, "GET", "/api/workers")
         for connection in connections:
-            connection.writer.close()
+            connection.close()
         assert await front.stop() == {"pending": 0, "parked": 0}
-        return counters, listing
+        before, after = snapshots
+        work = {name: after.get(name, 0) - before.get(name, 0) for name in LOOP_CALLS}
+        return counters, work, listing
 
-    counters, listing = run_async(scenario())
+    counters, work, listing = run_async(scenario())
     totals = sum(platform.get_object(oid)["state"]["total"] for oid in ids)
     platform.shutdown()
     assert totals == ADDS  # every acknowledged add is in the object it addressed
@@ -167,6 +232,11 @@ def test_an_invocation_costs_two_frames_and_copies_nothing(monkeypatch):
     # name counted: 3 and 19 per invocation at commit 03ce2da).
     assert counters.asdict == 0
     assert counters.deepcopies == 0
+    # A request crosses each socket in a read callback: the front's, the
+    # worker link's (which runs the engine) and the scheduler link's
+    # (which writes the answer) — no future, callback, timer or task of
+    # its own (2.95, 3.95, 2.00 and 0 per invocation over streams).
+    assert work == dict.fromkeys(LOOP_CALLS, 0)
 
 
 def test_an_executor_that_yields_is_seen_in_flight(monkeypatch):
@@ -251,6 +321,51 @@ def test_an_executor_that_yields_is_seen_in_flight(monkeypatch):
         assert audit["accepted"] == audit["completed"] == len(requests) + 2
         for client in clients:
             await client.close()
+        await server.stop()
+
+    run_async(scenario())
+
+
+def test_an_inline_executor_that_raises_fails_its_item_and_keeps_its_link():
+    """An executor that returns its fields runs in the worker link's read
+    callback, where the link treats ``ValidationError`` as a peer not
+    speaking the protocol.  One raised by the executor is the item's
+    failure instead: it completes ``ok=False``, typed, and the link, the
+    registration and the next dispatch carry on."""
+
+    async def scenario():
+        server = AsyncSchedulerServer(
+            config=SchedulerConfig(enabled=True, transport="asyncio", pool_size=1, **QUIET),
+            classes=["C"],
+        )
+        await server.start()
+
+        def executor(dispatch, client):
+            if dispatch.fn_name == "bad":
+                raise ValidationError("no such width")
+            return {"ok": True, "output": {"fn": dispatch.fn_name}}
+
+        client = AsyncWorkerClient(
+            "w-0", "127.0.0.1", server.port, executor, heartbeat_interval_s=30.0
+        )
+        await client.connect()
+        port = server.core.workers["w-0"]
+        await wait_for(lambda: port.machine.is_dispatchable, message="worker ready")
+        failed, served = [
+            await asyncio.wait_for(
+                server.submit(InvocationRequest(object_id="C~1", fn_name=fn, cls="C")), 5
+            )
+            for fn in ("bad", "good")
+        ]
+        assert (failed.ok, failed.error_type, failed.error) == (
+            False, "ValidationError", "no such width",
+        )
+        assert served.ok and served.output == {"fn": "good"}
+        assert server.protocol_errors == 0
+        assert not client._transport.is_closing()
+        assert server.core.workers["w-0"] is port and port.machine.is_dispatchable
+        assert client.completed == 2
+        await client.close()
         await server.stop()
 
     run_async(scenario())

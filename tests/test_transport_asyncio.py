@@ -1,6 +1,7 @@
 """Tests for the real asyncio scheduler/worker transport: registration,
 dispatch/complete round trips, connection-drop crashes with epoch
-fencing, stale/duplicate completions, drain, and the HTTP front end.
+fencing, stale/duplicate completions, drain, and the HTTP front end,
+its parser included (fragmented and hostile input).
 
 All asyncio here is driven through :func:`tests.helpers.run_async`
 (``asyncio.run`` plus a loop exception handler that fails the test on
@@ -16,6 +17,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.invoker.request import InvocationRequest
@@ -1088,3 +1091,169 @@ class TestHttpFrontEnd:
 
         run_async(scenario())
         platform.shutdown()
+
+
+#: Answers that do not depend on when a request runs: a resize returns
+#: the width it was given, and nothing here creates or deletes.
+_KEEP_ALIVE = st.lists(
+    st.one_of(
+        st.builds(lambda width: ("POST", "resize", {"width": width}), st.integers(1, 999)),
+        st.just(("GET", "/api/nope", None)),
+        st.just(("GET", "/api/classes/Image/objects", None)),
+        st.just(("POST", "resize", "{not json")),
+    ),
+    min_size=1,
+    max_size=8,
+)
+#: How a client cuts its byte stream into writes: single bytes, one write
+#: for everything (several requests in it), or chunks of random sizes.
+_CUTS = st.one_of(
+    st.just([1]),
+    st.just([1 << 20]),
+    st.lists(st.integers(1, 160), min_size=1, max_size=6),
+)
+#: Heads built from HTTP-shaped pieces and raw bytes.
+_HOSTILE_HEAD = st.lists(
+    st.one_of(
+        st.binary(max_size=24),
+        st.sampled_from(
+            [
+                b"GET ", b"POST ", b"/api/workers", b"/api/classes/Image", b" HTTP/1.1",
+                b"\r\n", b"\r\n\r\n", b"Content-Length: ", b"Content-Length: 3\r\n",
+                b"-1", b"99999999999", b"\xff", b":", b" ", b"{}",
+            ]
+        ),
+    ),
+    max_size=12,
+).map(b"".join)
+
+
+class TestHttpFrontParser:
+    """The front's parser against fragmented and hostile input.  Every
+    example runs under ``run_async``, so an exception that escapes a
+    connection's callbacks fails it."""
+
+    @staticmethod
+    def _platform():
+        from tests.helpers import listing1_platform
+
+        return listing1_platform(
+            scheduler=SchedulerConfig(
+                enabled=True, transport="asyncio", pool_size=1, heartbeat_interval_s=30.0
+            )
+        )
+
+    @staticmethod
+    def _encode(method: str, path: str, body) -> bytes:
+        payload = b"" if body is None else (
+            body.encode() if isinstance(body, str) else json.dumps(body).encode()
+        )
+        return (
+            f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n"
+        ).encode() + payload
+
+    @staticmethod
+    async def _read_answer(reader) -> tuple[int, object]:
+        head = await reader.readuntil(b"\r\n\r\n")
+        length = 0
+        for line in head.split(b"\r\n"):
+            if line.lower().startswith(b"content-length:"):
+                length = int(line.partition(b":")[2])
+        return int(head.split(b" ")[1]), json.loads(await reader.readexactly(length))
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(requests=_KEEP_ALIVE, cuts=_CUTS)
+    def test_a_split_keep_alive_stream_is_answered_as_whole_writes(self, requests, cuts):
+        """The same keep-alive requests, written whole one at a time or as
+        one stream cut anywhere, get the same statuses and bodies in the
+        same order."""
+        platform = self._platform()
+
+        async def scenario():
+            front = await platform.serve_http()
+            reader, writer = await asyncio.open_connection(front.host, front.port)
+            writer.write(self._encode("POST", "/api/classes/Image", {"state": {"width": 2}}))
+            status, created = await self._read_answer(reader)
+            assert status == 201
+            wire = [
+                self._encode(
+                    method, f"/api/objects/{created['id']}/invokes/resize"
+                    if path == "resize" else path, body,
+                )
+                for method, path, body in requests
+            ]
+            whole = []
+            for data in wire:
+                writer.write(data)
+                whole.append(await self._read_answer(reader))
+            stream, at, index = b"".join(wire), 0, 0
+            while at < len(stream):
+                size = cuts[index % len(cuts)]
+                writer.write(stream[at:at + size])
+                await writer.drain()
+                await asyncio.sleep(0)
+                at, index = at + size, index + 1
+            split = [
+                await asyncio.wait_for(self._read_answer(reader), 10) for _ in requests
+            ]
+            writer.close()
+            assert split == whole
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        try:
+            run_async(scenario())
+        finally:
+            platform.shutdown()
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(head=_HOSTILE_HEAD)
+    def test_arbitrary_bytes_as_a_head_end_in_a_400_or_a_close_in_time(self, head):
+        """Whatever arrives as a head, the connection ends — with a 400 or
+        a 408, or closed unanswered — within the deadlines, and what it
+        sent back parses as whole answers."""
+        import repro.platform.httpfront as httpfront
+
+        platform = self._platform()
+        deadline_s = 0.2
+        saved = {
+            name: getattr(httpfront, name)
+            for name in ("_HEAD_TIMEOUT_S", "_BODY_TIMEOUT_S", "_LINGER_S")
+        }
+        for name in saved:
+            setattr(httpfront, name, deadline_s)
+
+        async def scenario():
+            front = await platform.serve_http()
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection(front.host, front.port)
+            started = loop.time()
+            writer.write(head)
+            received = b""
+            try:
+                while chunk := await asyncio.wait_for(reader.read(65536), 5):
+                    received += chunk
+            except ConnectionResetError:
+                pass  # closed with input unread: nothing was answered
+            elapsed = loop.time() - started
+            writer.close()
+            # Two requests' deadlines at most (a complete head answered,
+            # then the rest of the bytes as the next one), then the linger.
+            assert elapsed < 3 * deadline_s + 1.0
+            statuses, rest = [], received
+            while rest:
+                answer, _, rest = rest.partition(b"\r\n\r\n")
+                statuses.append(int(answer.split(b" ")[1]))
+                length = answer.lower().partition(b"content-length: ")[2].split(b"\r\n")[0]
+                rest = rest[int(length):]
+            # A 400 or a 408 is the connection's last answer; without one
+            # it ended closed unanswered (after any requests it completed).
+            assert all(status not in (400, 408) for status in statuses[:-1]), received
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        try:
+            run_async(scenario())
+        finally:
+            for name, value in saved.items():
+                setattr(httpfront, name, value)
+            platform.shutdown()
