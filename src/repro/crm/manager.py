@@ -10,13 +10,14 @@ The manager implements the invoker's
 and ``deployed_classes()`` — so the data plane always executes against
 the runtime each class's template built, looked up once per step.
 ``resolved``, ``dht_for`` and ``policy_for`` remain as one-line views of
-a runtime for the gateway, the QoS plane, the client and tests.
+a runtime for the optimizer, the client and tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Mapping
+from itertools import chain
+from typing import Any, Iterable, Mapping
 
 from repro.crm.costs import CostModel, CostTracker
 from repro.crm.runtime import ClassRuntime
@@ -99,10 +100,9 @@ class ClassRuntimeManager:
         #: Services exposed to function handlers through ``ctx.service``.
         self.handler_services: dict[str, Any] = {"object_store": object_store}
         self.costs = CostTracker(env, store, CostModel())
-        #: The durability plane, set by the platform when enabled; the
-        #: CRM attaches every (re)deployed class to it.  ``None`` in the
-        #: baseline — deployment takes the original code path.
-        self.durability: Any | None = None
+        #: Groups of listeners told of each change (``Plane.class_changed``),
+        #: in order; set by the platform.
+        self.listeners: list[Iterable[Any]] = []
         #: (NFRs, eligible nodes) -> the nodes to pin the class to, in pod
         #: hint order, or ``None`` to leave it on every eligible node
         #: unhinted; the federation plane installs its planner's ranking.
@@ -111,8 +111,6 @@ class ClassRuntimeManager:
         #: names, plus ``"optimizer"``; set by the platform.
         self.mechanisms: frozenset[str] = frozenset()
         self._runtimes: dict[str, ClassRuntime] = {}
-        #: Bumped by every deploy, update and undeploy.
-        self.generation = 0
 
     # -- deployment -------------------------------------------------------------
 
@@ -160,7 +158,9 @@ class ClassRuntimeManager:
             tracer=self.tracer,
         )
         router = ObjectRouter(dht, config.placement, self.rng)
-        return self._install(resolved, chosen, dht, router, node_hints)
+        runtime = self._install(resolved, chosen, dht, router, node_hints)
+        self._changed(resolved.name, runtime)
+        return runtime
 
     def _install(
         self,
@@ -207,10 +207,7 @@ class ClassRuntimeManager:
             peers=self._runtimes,
         )
         self._runtimes[resolved.name] = runtime
-        self.generation += 1
         self.costs.register(runtime)
-        if self.durability is not None:
-            self.durability.attach(runtime)
         if self.events.enabled:
             unenforced = [name for name, by in runtime.enforcers.items() if by is None]
             if unenforced:
@@ -362,17 +359,20 @@ class ClassRuntimeManager:
                 self._placement_for(old_runtime.resolved)[1],
             )
             raise
+        self._changed(resolved.name, runtime)
         return runtime
 
     def undeploy_class(self, cls: str) -> None:
         runtime = self._runtimes.pop(cls, None)
         if runtime is None:
             raise UnknownClassError(f"class {cls!r} is not deployed")
-        self.generation += 1
         self.costs.unregister(cls)
-        if self.durability is not None:
-            self.durability.detach(cls, runtime=runtime)
         self._teardown(runtime)
+        self._changed(cls, None)
+
+    def _changed(self, cls: str, runtime: ClassRuntime | None) -> None:
+        for listener in chain.from_iterable(self.listeners):
+            listener.class_changed(cls, runtime)
 
     def _engine(self, name: str) -> FaasEngine:
         return self.knative if name == "knative" else self.deployment

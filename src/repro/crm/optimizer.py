@@ -15,11 +15,13 @@ function service's floor (``min_scale``):
 
 The service scales up to its floor; its own autoscaler (the KPA or the
 optional HPA) moves replicas above it and never below, so one replica
-count has one writer.  :attr:`decisions` records every action and why.
+count has one writer.  :attr:`decisions` keeps the last 64 actions and
+why (``optimizer.decision`` events narrate them all).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -73,7 +75,8 @@ class RequirementOptimizer:
         self.scale_down_grace_s = scale_down_grace_s
         self.max_replicas = max_replicas
         self.events = events if events is not None else EventLog(env)
-        self.decisions: list[OptimizerDecision] = []
+        self.decisions: deque[OptimizerDecision] = deque(maxlen=64)
+        self.decisions_total = 0
         self._idle_since: dict[str, float] = {}
         self._acted_at: dict[str, float] = {}
         metrics.scraper.on_scrape.append(self.tick)
@@ -154,6 +157,7 @@ class RequirementOptimizer:
             self.env.now, cls, svc.name, action, before, svc.replicas, floor, reason
         )
         self.decisions.append(decision)
+        self.decisions_total += 1
         if self.events.enabled:
             self.events.record(
                 "optimizer.decision",

@@ -1,8 +1,9 @@
 """The durability plane facade: policies, coordinators, restore, recovery.
 
 One object owns the whole subsystem so the platform wires a single
-dependency, exactly like the QoS plane (PR 4): the CRM calls
-:meth:`DurabilityPlane.attach` as classes deploy, the platform calls
+dependency, exactly like the QoS plane: the CRM's lifecycle hook
+(:meth:`DurabilityPlane.class_changed`) attaches a class as it deploys
+or updates and detaches it as it leaves, the platform calls
 :meth:`node_failed` from ``fail_node``, and the snapshot/restore REST
 routes (:meth:`admin_route`) call the operator entry points.
 
@@ -101,39 +102,34 @@ class DurabilityPlane(Plane):
         self._trackers: dict[str, ClassDurabilityState] = {}
         self._coordinators: dict[str, SnapshotCoordinator] = {}
         self._policies: dict[str, DurabilityPolicy] = {}
-        #: Per-class loop identity token: replaced on re-attach/detach so
-        #: a superseded periodic loop notices and exits.
-        self._loop_tokens: dict[str, object] = {}
         self._recoveries: list[Process] = []
         self._running = True
 
     # -- class lifecycle (called by the CRM) --------------------------------
 
-    def attach(self, runtime: "ClassRuntime") -> DurabilityPolicy:
-        """Derive and enforce the durability policy for a (re)deployed
-        class: hook its DHT write path and start the periodic-cut loop.
-        Classes whose level is ``none`` get a disabled policy and no
-        tracker — their data path is untouched."""
+    def class_changed(self, cls: str, runtime: "ClassRuntime | None") -> None:
+        """Enforce a (re)deployed class's durability policy: hook its DHT
+        write path and start its periodic cuts.  A class that left, or
+        whose level is ``none`` (its data path untouched), is let go."""
+        old = self._coordinators.pop(cls, None)  # its periodic loop exits
+        if old is not None:
+            old.dht.attach_durability(None)
+        if runtime is None:
+            self._policies.pop(cls, None)
+            self._trackers.pop(cls, None)
+            return
         policy = DurabilityPolicy.from_nfr(
             runtime.resolved.nfr, runtime.template.config, self.config
         )
-        runtime.durability = policy
-        self._policies[runtime.cls] = policy
+        runtime.durability = self._policies[cls] = policy
         if not policy.enabled:
-            self.detach(runtime.cls, runtime=runtime, forget=True)
-            self._policies[runtime.cls] = policy
-            return policy
-        tracker = self._trackers.get(runtime.cls)
+            self._trackers.pop(cls, None)
+            return
+        tracker = self._trackers.get(cls)
         if tracker is None:
-            tracker = ClassDurabilityState(
-                self.env,
-                runtime.cls,
-                policy,
-                self.object_store,
-                self.config.bucket,
-                events=self.events,
+            tracker = self._trackers[cls] = ClassDurabilityState(
+                self.env, cls, policy, self.object_store, self.config.bucket, events=self.events
             )
-            self._trackers[runtime.cls] = tracker
         else:
             # Class update: state (and its durability history) carries
             # over with the DHT; only the policy is re-derived.
@@ -150,40 +146,18 @@ class DurabilityPlane(Plane):
             and getattr(dht.store, "durable", False)
             else None
         )
-        runtime.dht.attach_durability(tracker)
-        coordinator = SnapshotCoordinator(self.env, runtime.dht, tracker, self.tracer)
-        self._coordinators[runtime.cls] = coordinator
-        token = object()
-        self._loop_tokens[runtime.cls] = token
-        self.env.process(self._periodic(runtime.cls, coordinator, policy, token))
-        return policy
+        dht.attach_durability(tracker)
+        coordinator = self._coordinators[cls] = SnapshotCoordinator(
+            self.env, dht, tracker, self.tracer
+        )
+        self.env.process(self._periodic(cls, coordinator, policy.interval_s))
 
-    def detach(
-        self,
-        cls: str,
-        runtime: "ClassRuntime | None" = None,
-        forget: bool = True,
-    ) -> None:
-        """Stop enforcing durability for ``cls`` (undeploy, or an update
-        that dropped the persistence level)."""
-        self._loop_tokens.pop(cls, None)
-        self._coordinators.pop(cls, None)
-        self._policies.pop(cls, None)
-        if forget:
-            self._trackers.pop(cls, None)
-        if runtime is not None:
-            runtime.dht.attach_durability(None)
-
-    def _periodic(
-        self,
-        cls: str,
-        coordinator: SnapshotCoordinator,
-        policy: DurabilityPolicy,
-        token: object,
-    ):
-        while self._running and self._loop_tokens.get(cls) is token:
-            yield self.env.timeout(policy.interval_s)
-            if not self._running or self._loop_tokens.get(cls) is not token:
+    def _periodic(self, cls: str, coordinator: SnapshotCoordinator, interval_s: float):
+        # A superseded loop (its class updated or gone) finds another
+        # coordinator, or none, and exits.
+        while self._running and self._coordinators.get(cls) is coordinator:
+            yield self.env.timeout(interval_s)
+            if not self._running or self._coordinators.get(cls) is not coordinator:
                 return
             yield from coordinator._cut()
 
@@ -295,7 +269,6 @@ class DurabilityPlane(Plane):
     def stop(self) -> None:
         """Stop every periodic-cut loop (platform shutdown)."""
         self._running = False
-        self._loop_tokens.clear()
 
     # -- reporting -----------------------------------------------------------
 

@@ -77,13 +77,25 @@ class MonitoringSystem:
         self.window_s = window_s
         self.registry = MetricsRegistry()
         self._classes: dict[str, ClassObservations] = {}
+        self.deployed: set[str] = set()
         self._unobserved = ClassObservations(env, "", window_s).stats()
+
+    def class_changed(self, cls: str, runtime: Any | None) -> None:
+        """An undeployed class's observations and every instrument
+        labelled with it go, so a redeploy counts from zero."""
+        if runtime is not None:
+            self.deployed.add(cls)
+            return
+        self.deployed.discard(cls)
+        self._classes.pop(cls, None)
+        self.registry.discard_labelled("class", cls)
 
     def for_class(self, cls: str) -> ClassObservations:
         obs = self._classes.get(cls)
         if obs is None:
             obs = ClassObservations(self.env, cls, self.window_s)
-            self._classes[cls] = obs
+            if cls in self.deployed:  # not any id prefix from outside
+                self._classes[cls] = obs
         return obs
 
     def class_stats(self, cls: str) -> dict[str, Any]:

@@ -281,6 +281,12 @@ class MetricsRegistry:
         """Forget a gauge whose number is gone."""
         self._gauges.pop((gauge.name, gauge.labels), None)
 
+    def discard_labelled(self, key: str, value: str) -> None:
+        """Forget every instrument carrying the label ``key=value``."""
+        for table in (self._gauges, self._histograms):
+            for name_labels in [nl for nl in table if (key, value) in nl[1]]:
+                del table[name_labels]
+
     def histogram(self, name: str, labels: Mapping[str, str] | None = None) -> Histogram:
         key = (name, label_key(labels))
         instrument = self._histograms.get(key)

@@ -95,7 +95,8 @@ class MetricsPlane(Plane):
         self.slo = SloEvaluator(env, monitoring, events=events, config=self.config.slo)
         self.scraper.on_scrape.append(self.slo.evaluate)
         self._platform: "Oparaca | None" = None
-        self._generation = -1
+        #: cls -> its new runtime, compiled into SLO rows at the next scrape
+        self._changed: dict[str, Any] = {}
         #: the gauges the state sections set at the last scrape
         self._stated: set[Gauge] = set()
 
@@ -118,8 +119,7 @@ class MetricsPlane(Plane):
 
     def _collect(self) -> None:
         platform = self._platform
-        if platform is None:
-            return
+        assert platform is not None  # installed with the collector
         registry = self.registry
         stated = set()
         for section, stats in platform.sections().items():
@@ -134,20 +134,19 @@ class MetricsPlane(Plane):
             registry.discard(gauge)
             self.scraper.forget(gauge.name, gauge.labels)
         self._stated = stated
-        self._watch_classes(platform)
-
-    def _watch_classes(self, platform: "Oparaca") -> None:
-        """Compile each deployed class's current NFRs into objectives;
-        only after a deploy, update or undeploy."""
-        crm = platform.crm
-        if crm.generation == self._generation:
-            return
-        self._generation = crm.generation
-        runtimes = crm.runtimes
-        for cls in [cls for cls in self.slo.watched if cls not in runtimes]:
-            self.slo.unwatch_class(cls)
-        for cls, runtime in runtimes.items():
+        changed, self._changed = self._changed, {}
+        for cls, runtime in changed.items():
             self.slo.watch_class(cls, runtime)
+
+    def class_changed(self, cls: str, runtime: Any | None) -> None:
+        """A deployed or updated class's objectives compile at the next
+        scrape; an undeployed one's go now, with its scraped history."""
+        if runtime is not None:
+            self._changed[cls] = runtime
+            return
+        self._changed.pop(cls, None)
+        self.slo.unwatch_class(cls)
+        self.scraper.forget_labelled("class", cls)
 
     # -- reporting ---------------------------------------------------------
 
@@ -166,6 +165,6 @@ class MetricsPlane(Plane):
             "series": len(self.scraper),
             "instruments": len(self.registry),
             "slo_evaluations": self.slo.evaluations,
-            "slo_alerts": len(self.slo.alerts),
+            "slo_alerts": self.slo.alerts_total,
             "slo_firing": len(self.slo.firing()),
         }

@@ -189,6 +189,11 @@ class MetricsScraper:
         """Drop the history of an instrument the registry let go."""
         self._series.pop((name, labels), None)
 
+    def forget_labelled(self, key: str, value: str) -> None:
+        """Drop the history of every series carrying the label ``key=value``."""
+        for name_labels in [nl for nl in self._series if (key, value) in nl[1]]:
+            del self._series[name_labels]
+
     def _sample(
         self, name: str, labels: LabelKey, kind: str, at: float, value: float
     ) -> None:

@@ -13,9 +13,9 @@ instead tickets while most recent scrape ticks found it violated, and
 each new measured crash recovery over its RPO budget is a point alert.
 
 Alerts are emitted as typed control-plane events (``slo.alert`` /
-``slo.resolve``) and retained in :attr:`SloEvaluator.alerts`; the
-``slo`` report section summarizes objectives, budget consumption, and
-the alert history.
+``slo.resolve``) and the last 64 kept in :attr:`SloEvaluator.alerts`;
+the ``slo`` report section summarizes objectives, budget consumption,
+and that alert history.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.plane import Plane
 
 __all__ = ["BurnWindow", "SloConfig", "SloAlert", "SloEvaluator"]
+
+#: One name per rule: the interpreter's attribute cache keeps each new one.
+_JUDGES = {rule: f"_judge_{rule}" for rule in RULES}
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,8 @@ class SloEvaluator:
         self.monitoring = monitoring
         self.events = events
         self.config = config or SloConfig()
-        self.alerts: list[SloAlert] = []
+        self.alerts: deque[SloAlert] = deque(maxlen=64)
+        self.alerts_total = 0
         self.evaluations = 0
         #: The plane registry whose rows join each class's (set at install).
         self.planes: Mapping[str, Plane] = {}
@@ -209,7 +213,7 @@ class SloEvaluator:
         at = self.env.now if now is None else now
         self.evaluations += 1
         for row, series in self._objectives:
-            getattr(self, f"_judge_{row.rule}")(row, series, at)
+            getattr(self, _JUDGES[row.rule])(row, series, at)
 
     def _judge_burn(self, row: Objective, series: _BudgetSeries, at: float) -> None:
         series.append(at, *row.count())
@@ -275,6 +279,7 @@ class SloEvaluator:
 
     def _fire(self, alert: SloAlert) -> None:
         self.alerts.append(alert)
+        self.alerts_total += 1
         self._emit("slo.alert", alert)
 
     def _emit(self, type: str, alert: SloAlert) -> None:

@@ -20,9 +20,9 @@ two planes implement it (``docs/architecture.md`` has the table of who
 implements what; ``tests/test_planes.py`` enforces the rule).
 
 Per-request enforcement is *not* a hook: the code on an invocation's
-path (gateway admission, the async queue, the CRM's deploy-time attach,
-the DHT's commit tracker, the engine's geo-router) holds its plane
-directly, so the hot path pays one attribute test, not a registry walk.
+path (gateway admission, the async queue, the DHT's commit tracker, the
+engine's geo-router) holds its plane directly, so the hot path pays one
+attribute test, not a registry walk.
 
 This module imports nothing from ``repro`` at run time, so any plane —
 and the modules that walk the registry — can import it freely.
@@ -45,6 +45,11 @@ class Plane:
     #: Registry key, ``observability_report()`` section and
     #: ``Oparaca.report(name)`` argument.
     name = ""
+
+    def class_changed(self, cls: str, runtime: Any | None) -> Any:
+        """The CRM deployed or updated ``cls`` (its ``runtime``) or
+        undeployed it (``None``).  An undeployed class leaves the plane
+        here, so a redeploy counts from zero."""
 
     def node_failed(self, node: str, stats: dict[str, dict[str, int]]) -> Any:
         """``Oparaca.fail_node`` hook, called after the DHT failover;

@@ -229,9 +229,8 @@ class AsyncPlatformServer:
         self.scheduler.submit_with(routed, link.finish)
         return None
 
-    def on_deploy(self, cls: str) -> None:
-        """Platform hook: a deploy while serving installs everywhere."""
-        self.scheduler.on_deploy(cls)
+    def class_changed(self, cls: str, runtime: Any | None) -> None:
+        self.scheduler.core.class_changed(cls, runtime)
 
 
 #: Each status's line and fixed headers, up to its length.

@@ -212,7 +212,6 @@ class Oparaca:
         if self.config.qos.enabled:
             self.qos = self.planes["qos"] = QosPlane(
                 self.env,
-                self.crm,
                 monitoring=self.monitoring,
                 events=self.events,
                 tracer=self.tracer,
@@ -229,7 +228,6 @@ class Oparaca:
                 tracer=self.tracer,
                 config=self.config.durability,
             )
-            self.crm.durability = self.durability
         self.scheduler_plane: SchedulerPlane | None = None
         # The sim plane only exists on the sim transport; with
         # transport="asyncio" sim-side async dispatch keeps its static
@@ -293,6 +291,10 @@ class Oparaca:
         self.crm.mechanisms = frozenset(self.planes) | (
             {"optimizer"} if self.optimizer else set()
         )
+        # Who hears of each class change, in order: the monitoring hub,
+        # the planes (a live view, so chaos joins when injected), then
+        # every started asyncio front.
+        self.crm.listeners = [(self.monitoring,), self.planes.values(), self._http_fronts]
 
     # -- function images ----------------------------------------------------------
 
@@ -331,11 +333,7 @@ class Oparaca:
                 package = load_package(candidate)
             else:
                 package = loads_package(package)
-        runtimes = self.crm.deploy_package(package)
-        for listener in (self.queue.pool, *self._http_fronts):
-            for runtime in runtimes:
-                listener.on_deploy(runtime.cls)
-        return runtimes
+        return self.crm.deploy_package(package)
 
     # -- execution helpers ------------------------------------------------------------
 

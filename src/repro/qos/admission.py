@@ -183,6 +183,11 @@ class AdmissionController:
             decision = self._admits[cls] = AdmissionDecision(True, ADMIT, cls)
         return decision
 
+    def forget(self, cls: str) -> None:
+        """Drop what ``cls``'s old policy built: its bucket and decision."""
+        self._buckets.pop(cls, None)
+        self._admits.pop(cls, None)
+
     def release(self) -> None:
         """Return an in-flight slot taken by an admitted ceiling check."""
         if self.in_flight > 0:

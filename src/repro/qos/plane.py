@@ -6,7 +6,8 @@ dependency:
 
 * :meth:`QosPlane.policy_for` resolves (and caches) a class's
   :class:`~repro.qos.policy.QosPolicy` from its deployed NFRs, exactly
-  as the CRM derives resilience policies at deploy time.
+  as the CRM derives resilience policies at deploy time, until
+  :meth:`QosPlane.class_changed` hears of an update or undeploy.
 * :meth:`admit_http` / :meth:`admit_async` run admission control in
   front of the synchronous and asynchronous paths.
 * :meth:`new_fair_queue` builds the weighted-fair queue of one worker
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
-from repro.errors import UnknownClassError, ValidationError
+from repro.errors import ValidationError
 from repro.model.nfr import NonFunctionalRequirements
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog, emit
@@ -40,12 +41,6 @@ from repro.qos.shedder import OverloadController, QOS_TRACE_ID
 from repro.sim.kernel import Environment
 
 __all__ = ["QosConfig", "QosPlane"]
-
-class NfrDirectory(Protocol):
-    """The slice of the CRM the plane needs: resolved NFRs per class."""
-
-    def resolved(self, cls: str) -> Any:  # pragma: no cover - protocol
-        ...
 
 
 @dataclass(frozen=True)
@@ -91,14 +86,12 @@ class QosPlane(Plane):
     def __init__(
         self,
         env: Environment,
-        directory: NfrDirectory,
         monitoring: MonitoringSystem | None = None,
         events: EventLog | None = None,
         tracer: Tracer | None = None,
         config: QosConfig | None = None,
     ) -> None:
         self.env = env
-        self.directory = directory
         self.monitoring = monitoring
         self.events = events
         self.tracer = tracer
@@ -115,6 +108,8 @@ class QosPlane(Plane):
         self._retired_shed: dict[str, int] = {}
         self.shedder: OverloadController | None = None
         self._policies: dict[str, QosPolicy] = {}
+        #: The NFRs each deployed class runs with, as the CRM's hook told.
+        self._nfrs: dict[str, NonFunctionalRequirements] = {}
 
     # -- policies ----------------------------------------------------------
 
@@ -130,19 +125,27 @@ class QosPlane(Plane):
         policy = self._policies.get(cls)
         if policy is not None:
             return policy
-        try:
-            nfr: NonFunctionalRequirements = self.directory.resolved(cls).nfr
-        except UnknownClassError:
+        nfr = self._nfrs.get(cls)
+        if nfr is None:
             return dataclasses.replace(DEFAULT_QOS_POLICY, cls=cls)
-        policy = QosPolicy.from_nfr(cls, nfr)
-        self._policies[cls] = policy
+        policy = self._policies[cls] = QosPolicy.from_nfr(cls, nfr)
         self._propagate_weight(policy)
         return policy
 
-    def set_policy(self, policy: QosPolicy) -> None:
-        """Operator override of a class's enforcement policy."""
-        self._policies[policy.cls] = policy
-        self._propagate_weight(policy)
+    def class_changed(self, cls: str, runtime: Any | None) -> None:
+        """New NFRs apply from the next request; an undeployed class's
+        counts go too."""
+        self._policies.pop(cls, None)
+        self.admission.forget(cls)
+        if runtime is not None:
+            self._nfrs[cls] = runtime.resolved.nfr
+            return
+        admission = self.admission
+        for counts in (
+            self._nfrs, self._retired_shed, admission.admitted, admission.rejected_rate,
+            admission.rejected_concurrency, *(queue.shed_count for queue in self.queues),
+        ):
+            counts.pop(cls, None)
 
     def _propagate_weight(self, policy: QosPolicy) -> None:
         for queue in self.queues:
@@ -217,7 +220,8 @@ class QosPlane(Plane):
             return
         registry = self.monitoring.registry
         registry.histogram("qos.queue_delay_s").record(delay_s)
-        registry.histogram("qos.queue_delay_s", {"class": cls}).record(delay_s)
+        if cls in self.monitoring.deployed:  # not work its undeploy left queued
+            registry.histogram("qos.queue_delay_s", {"class": cls}).record(delay_s)
 
     # -- shedding ----------------------------------------------------------
 

@@ -157,18 +157,6 @@ class SchedulerPlane(Plane):
     def workers(self) -> dict[str, SimWorker]:
         return self.core.workers  # type: ignore[return-value]
 
-    @property
-    def delivered(self) -> int:
-        return self.core.delivered
-
-    @property
-    def parked_total(self) -> int:
-        return self.core.parked_total
-
-    @property
-    def heartbeats(self) -> int:
-        return self.core.heartbeats
-
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
@@ -292,19 +280,8 @@ class SchedulerPlane(Plane):
 
     # -- platform hooks -----------------------------------------------------
 
-    def on_deploy(self, cls: str) -> None:
-        self.core.class_deployed(cls)
-
-    @property
-    def outstanding(self) -> int:
-        return self.core.outstanding
-
-    @property
-    def live_workers(self) -> int:
-        return self.core.live_workers
-
-    def describe_workers(self) -> list[dict[str, Any]]:
-        return self.core.describe_workers()
+    def class_changed(self, cls: str, runtime: Any | None) -> None:
+        self.core.class_changed(cls, runtime)
 
     def stats(self) -> dict[str, Any]:
         return self.core.stats()

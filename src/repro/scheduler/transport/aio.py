@@ -361,9 +361,6 @@ class AsyncSchedulerServer:
         if deliver is not None:
             deliver(request, result)
 
-    def on_deploy(self, cls: str) -> None:
-        self.core.class_deployed(cls)
-
     # -- connection handling -------------------------------------------------
 
     def _register(
@@ -464,14 +461,8 @@ class AsyncSchedulerServer:
 
     # -- the core's control surface, by the names callers know ---------------
 
-    def crash_worker(self, name: str, reason: str = "crash") -> bool:
-        return self.core.crash(name, reason)
-
     def drain(self, name: str) -> RemoteWorker:
         return self.core.drain(name)  # type: ignore[return-value]
-
-    def describe_workers(self) -> list[dict[str, Any]]:
-        return self.core.describe_workers()
 
     def stats(self) -> dict[str, Any]:
         return {

@@ -190,12 +190,22 @@ class DispatchCore:
     def deployed_classes(self) -> list[str]:
         return list(self._classes)
 
-    def class_deployed(self, cls: str) -> None:
-        """A class runtime was (re)deployed: install it on every live
-        worker."""
-        self.note_class(cls)
-        for _, worker in sorted(self.workers.items()):
-            worker.install(cls)
+    def class_changed(self, cls: str, runtime: Any | None) -> None:
+        """The CRM's lifecycle hook, as the transport relays it: install a
+        deployed or updated class on every live worker that lacks it, or
+        forget an undeployed one (over sockets only here: no frame
+        uninstalls it), whose requests then park as an unknown class's."""
+        if runtime is not None:
+            self.note_class(cls)
+            for _, worker in sorted(self.workers.items()):
+                if cls not in worker.installed:
+                    worker.install(cls)
+            return
+        if cls in self._classes:
+            self._classes.remove(cls)
+        self._eligible.pop(cls, None)
+        for worker in self.workers.values():
+            worker.installed.discard(cls)
 
     # -- dispatch path -------------------------------------------------------
 
@@ -216,8 +226,8 @@ class DispatchCore:
         self.dispatch(worker, request)
 
     def pick(self, request: "InvocationRequest") -> WorkerPort | None:
-        # A class no worker has installed yet (a submit racing
-        # ``on_deploy``) leaves ``eligible`` empty, so the request parks
+        # A class no worker has installed yet (a submit racing its
+        # deploy's installs) leaves ``eligible`` empty, so the request parks
         # until the install lands instead of running against a missing
         # runtime.  In-process ports install nothing: the engine they
         # call resolves every class (and fails unknown ones, typed).
@@ -330,6 +340,8 @@ class DispatchCore:
         self.flush_unassigned()
 
     def worker_installed(self, worker: WorkerPort, cls: str) -> None:
+        if cls not in self._classes:
+            return  # undeployed while the install was under way
         worker.installed.add(cls)
         self._eligible.clear()
         self._emit("scheduler.install", worker=worker.name, cls=cls)

@@ -211,9 +211,6 @@ class StaticPool:
             port.installed = _EveryClass()  # type: ignore[assignment]
             self.core.add_worker(port)
 
-    def on_deploy(self, cls: str) -> None:
-        self.core.note_class(cls)
-
     def stop(self) -> dict[str, int]:
         """Halt every port; returns ``{"pending": n}`` — submissions
         accepted but not fully processed (queued or mid-execution)."""

@@ -310,9 +310,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     # unbounded: a liveness bug fails the settled flag, not the suite's
     # wall clock.
     deadline = platform.now + scenario.settle_s
-    while plane.outstanding and platform.now < deadline:
+    while plane.core.outstanding and platform.now < deadline:
         platform.advance(0.25)
-    settled = plane.outstanding == 0
+    settled = plane.core.outstanding == 0
 
     workers = [
         WorkerRecord(
@@ -341,7 +341,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             )
         )
     audit = plane.ledger.audit()
-    delivered = plane.delivered
+    delivered = plane.core.delivered
     resolved = platform.queue.completed
     events = list(platform.events.events())
     events_text = platform.events.render()

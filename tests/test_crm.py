@@ -297,7 +297,7 @@ classes:
         # Image declares throughput: 100 - but LabelledImage inherits it
         # too; with zero load, saturation never holds, so no decisions.
         platform.advance(5.0)
-        assert optimizer.decisions == []
+        assert not optimizer.decisions and optimizer.decisions_total == 0
 
     def test_scale_down_after_idle_grace(self):
         platform = self._busy_platform()

@@ -131,6 +131,7 @@ class TestSlidingWindow:
 class TestMonitoringSystem:
     def test_per_class_observations(self, env):
         monitoring = MonitoringSystem(env)
+        monitoring.class_changed("Image", object())  # deployed: observations are kept
         obs = monitoring.for_class("Image")
         obs.record_invocation(0.05, ok=True)
         obs.record_invocation(0.10, ok=False)
@@ -141,6 +142,7 @@ class TestMonitoringSystem:
 
     def test_class_stats_are_its_observed_numbers(self, env):
         monitoring = MonitoringSystem(env)
+        monitoring.class_changed("A", object())  # deployed: observations are kept
         # Before any invocation: zeros, and the read observes nothing.
         assert monitoring.class_stats("A") == dict.fromkeys(ClassObservations(env, "A").stats(), 0)
         assert monitoring.observed_classes == ()

@@ -297,6 +297,7 @@ class TestExposition:
 
 def _evaluator(env, **config):
     monitoring = MonitoringSystem(env)
+    monitoring.class_changed("C", object())  # deployed: observations are kept
     events = EventLog(env, enabled=True)
     evaluator = SloEvaluator(
         env,

@@ -9,6 +9,7 @@ from repro.qos.shedder import MIN_BROWNOUT_SAMPLES, QOS_TRACE_ID, OverloadContro
 
 
 def feed_latencies(monitoring, cls, latency_s, count):
+    monitoring.class_changed(cls, object())  # deployed: observations are kept
     obs = monitoring.for_class(cls)
     for _ in range(count):
         obs.record_invocation(latency_s, ok=True)

@@ -29,13 +29,19 @@ import gc
 import json
 import random
 import tracemalloc
+from collections import deque
+from types import SimpleNamespace
 
 import repro.durability.snapshot
-from repro.durability.plane import DurabilityConfig
+from repro.crm.optimizer import RequirementOptimizer
+from repro.durability.plane import DurabilityConfig, DurabilityPlane
+from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.metrics import MetricsRegistry
 from repro.monitoring.scraper import MetricsScraper
+from repro.monitoring.slo import SloEvaluator
 from repro.monitoring.tracing import Tracer
+from repro.plane import Plane
 from repro.platform.gateway import HttpRequest
 from repro.scheduler.ledger import COMPLETION_HORIZON
 from repro.scheduler.plane import SchedulerConfig
@@ -44,6 +50,7 @@ from repro.sim.kernel import all_of
 from repro.storage.backends import StorageConfig
 
 from tests.helpers import make_platform, run_async
+from tests.test_metrics_plane import _runtime
 from tests.test_real_path_budget import QUIET, KeepAlive
 
 ORDER_YAML = """
@@ -536,3 +543,65 @@ def test_a_scraped_point_is_two_doubles():
     assert series.points()[-1] == ((SCRAPES + 1) * 0.25, (SCRAPES + 1) * 1.5 + 3)
     assert series.latest == (SCRAPES + 1) * 1.5 + 3
     assert held <= POINT_BYTES, held
+
+
+# -- (v) what a flapping alert and a busy optimizer keep -----------------------
+
+#: Alert / decision cycles in each half of the churn: past the 64 each
+#: history keeps, so both are full — and dropping their oldest — all
+#: along.
+CHURN = 256
+
+
+def test_alert_and_decision_history_do_not_grow_with_uptime():
+    """An SLO point alert that fires and resolves, and an optimizer
+    decision, K times and then K more: the second K retains nothing and
+    leaves each history as long as the first did.  Without the bound
+    every cycle kept its ``SloAlert`` and ``OptimizerDecision``."""
+    clock = Clock()
+    tracker = SimpleNamespace(recoveries=0, last_recovery=None)
+
+    class Durability(Plane):
+        name = "durability"
+        _policies = {"C": SimpleNamespace(enabled=True, rpo_budget_s=0.1)}
+        _trackers = {"C": tracker}
+        verdicts = DurabilityPlane.verdicts
+
+    evaluator = SloEvaluator(clock, MonitoringSystem(clock))
+    evaluator.planes = {"durability": Durability()}
+    evaluator.watch_class("C", _runtime())
+    for _row, series in evaluator._objectives:
+        series._points = deque(maxlen=8)  # bounded already, but by 4 096 recoveries
+    unbudgeted = SimpleNamespace(nfr=SimpleNamespace(constraint=SimpleNamespace(budget_usd_per_month=None)))
+    optimizer = RequirementOptimizer(
+        clock,
+        SimpleNamespace(resolved=lambda cls: unbudgeted),
+        SimpleNamespace(slo=evaluator, scraper=SimpleNamespace(on_scrape=[])),
+    )
+    service = SimpleNamespace(name="C.work", replicas=1, min_scale=1)
+    service.set_floor = lambda floor: setattr(service, "replicas", floor) or setattr(
+        service, "min_scale", floor
+    )
+
+    def churn(cycles):
+        for _ in range(cycles):
+            clock.now += 1.0
+            tracker.recoveries += 1
+            tracker.last_recovery = {"rpo_s": 0.5, "rto_s": 0.7, "lost_writes": 3, "node": "vm-0"}
+            evaluator.evaluate()
+            floor = 3 - service.replicas
+            optimizer._move_floor("C", service, floor, "scale-up" if floor > 1 else "scale-down", "churn")
+
+    churn(2 * CHURN)  # both histories full before anything is measured
+    tracemalloc.start()
+    try:
+        start = traced_bytes()
+        churn(CHURN)
+        at_k, lengths_at_k = traced_bytes(), (len(evaluator.alerts), len(optimizer.decisions))
+        churn(CHURN)
+        at_2k, lengths_at_2k = traced_bytes(), (len(evaluator.alerts), len(optimizer.decisions))
+    finally:
+        tracemalloc.stop()
+    assert lengths_at_2k == lengths_at_k, (lengths_at_k, lengths_at_2k)
+    assert (at_2k - at_k) / CHURN <= FLAT, (at_k - start, at_2k - at_k)
+    assert (evaluator.alerts_total, optimizer.decisions_total) == (4 * CHURN, 4 * CHURN)

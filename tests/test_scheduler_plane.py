@@ -83,9 +83,9 @@ class TestPoolLifecycle:
             "requeues": 0,
             "suppressed": 0,
         }
-        names = {w["worker"] for w in plane.describe_workers()}
+        names = {w["worker"] for w in plane.core.describe_workers()}
         assert names == {"worker-0", "worker-1", "worker-2"}
-        assert all(w["state"] == "READY" for w in plane.describe_workers())
+        assert all(w["state"] == "READY" for w in plane.core.describe_workers())
         platform.shutdown()
 
     def test_workers_run_as_pods_on_cluster_nodes(self):
@@ -110,7 +110,7 @@ class TestPoolLifecycle:
         assert drained.state is WorkerState.DEAD
         assert "worker-0" not in plane.workers  # retired: its row is gone
         # Replacement keeps the pool at size.
-        assert plane.live_workers == 3
+        assert plane.core.live_workers == 3
         platform.shutdown()
 
     def test_crash_requeues_and_completes_everything(self):
@@ -178,7 +178,7 @@ class TestPoolLifecycle:
             platform.invoke_async(obj, "bump")
             platform.advance(0.5)  # the replacement activates and serves
             counts.append(scheduler_series())
-        assert len(plane.core.workers) == 3 and plane.live_workers == 3
+        assert len(plane.core.workers) == 3 and plane.core.live_workers == 3
         assert len(set(counts)) == 1, counts
         assert plane.stats()["retired"] == 10
         assert len(platform.platform_events("scheduler.dead")) == 10
@@ -339,7 +339,7 @@ class TestChaosDeterminism:
         platform.advance(10.0)
         outcome = {
             "audit": platform.scheduler_plane.ledger.audit(),
-            "delivered": platform.scheduler_plane.delivered,
+            "delivered": platform.scheduler_plane.core.delivered,
             "completed": platform.queue.completed,
             "events": platform.events.render(),
         }
@@ -417,7 +417,7 @@ class TestBugfixSweep:
     """Regressions for the scheduler-plane bugfix sweep (PR 8)."""
 
     def test_unknown_class_parks_until_deploy(self):
-        """A submit racing ``on_deploy`` must park, not dispatch to a
+        """A submit racing the deploy must park, not dispatch to a
         worker that never installed the class."""
         from repro.invoker.request import InvocationRequest
 
@@ -431,7 +431,7 @@ class TestBugfixSweep:
         # Parked, not dispatched: no worker ever saw it.
         assert plane.core.parked == 1
         # Cumulative: every flush attempt that re-parks counts.
-        assert plane.parked_total >= 1
+        assert plane.core.parked_total >= 1
         assert plane.ledger.entry(request.request_id).state.value == "ACCEPTED"
         assert all(
             w.dispatched_count == 0 for w in plane.workers.values()
@@ -480,10 +480,10 @@ class TestBugfixSweep:
         # Idempotent: a second stop (shutdown calls it again) re-reports.
         assert plane.stop() == {"pending": 1, "parked": 1}
         # Halted: no heartbeat/work-loop activity after stop, ever.
-        beats = plane.heartbeats
+        beats = plane.core.heartbeats
         sent = [w.heartbeats_sent for w in plane.workers.values()]
         platform.advance(5.0)
-        assert plane.heartbeats == beats
+        assert plane.core.heartbeats == beats
         assert [w.heartbeats_sent for w in plane.workers.values()] == sent
         platform.shutdown()
 

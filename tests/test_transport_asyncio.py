@@ -206,7 +206,7 @@ class TestRoundTrip:
             )
             await asyncio.sleep(0.1)
             assert server.core.parked == 1 and not future.done()
-            server.on_deploy("Late")  # install + flush
+            server.core.class_changed("Late", object())  # deployed: install + flush
             result = await asyncio.wait_for(future, 5)
             assert result.ok
             await worker.close()

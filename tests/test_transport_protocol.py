@@ -569,7 +569,7 @@ def _deploy_installs_on_live_workers_and_ack_flushes(rig: Rig) -> None:
     rig.core.submit(request)
     assert rig.core.parked == 1
     rig.core.crash("peer", "gone")
-    rig.core.class_deployed("Late")
+    rig.core.class_changed("Late", object())  # deployed
     assert rig.subject.calls == [("install", "Late")]
     assert ("install", "Late") not in rig.peer.calls
     rig.core.worker_installed(rig.subject, "Late")
