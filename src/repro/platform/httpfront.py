@@ -35,7 +35,7 @@ from repro.platform.gateway import (
     result_response,
 )
 from repro.scheduler.transport.aio import AsyncSchedulerServer, AsyncWorkerClient, BufferedLink
-from repro.scheduler.transport.core import workers_route
+from repro.scheduler.transport.core import request_class, workers_route
 from repro.scheduler.transport.protocol import Dispatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -217,14 +217,17 @@ class AsyncPlatformServer:
         if isinstance(routed, HttpResponse):
             return routed
         origin = gateway.origin(http)
-        if origin is not None:
-            # The worker sees no origin, so the federation plane's gate
-            # runs here; geo-routing over sockets is not modelled.
-            routed.stamp(origin)
-            try:
+        try:
+            if origin is not None:
+                # The worker sees no origin, so the federation plane's gate
+                # runs here; geo-routing over sockets is not modelled.
+                routed.stamp(origin)
                 self.platform.engine.admit_origin(routed)
-            except OaasError as exc:
-                return error_response(type(exc).__name__, str(exc))
+            cls = request_class(routed)
+            if cls is not None:  # answered typed: parked, it would wait for good
+                self.platform.crm.runtime(cls)
+        except OaasError as exc:
+            return error_response(type(exc).__name__, str(exc))
         link.busy = True
         self.scheduler.submit_with(routed, link.finish)
         return None

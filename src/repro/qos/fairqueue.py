@@ -80,6 +80,11 @@ class WeightedFairQueue:
     def weight_of(self, cls: str) -> int:
         return self._weights.get(cls, DEFAULT_WEIGHT)
 
+    def forget(self, cls: str) -> None:
+        """Drop an undeployed class's weight and shed count."""
+        self._weights.pop(cls, None)
+        self.shed_count.pop(cls, None)
+
     def depth(self, cls: str | None = None) -> int:
         """Queued items for one class, or across all classes."""
         if cls is not None:

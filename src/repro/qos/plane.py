@@ -143,9 +143,11 @@ class QosPlane(Plane):
         admission = self.admission
         for counts in (
             self._nfrs, self._retired_shed, admission.admitted, admission.rejected_rate,
-            admission.rejected_concurrency, *(queue.shed_count for queue in self.queues),
+            admission.rejected_concurrency,
         ):
             counts.pop(cls, None)
+        for queue in self.queues:
+            queue.forget(cls)
 
     def _propagate_weight(self, policy: QosPolicy) -> None:
         for queue in self.queues:
@@ -220,7 +222,7 @@ class QosPlane(Plane):
             return
         registry = self.monitoring.registry
         registry.histogram("qos.queue_delay_s").record(delay_s)
-        if cls in self.monitoring.deployed:  # not work its undeploy left queued
+        if cls in self._nfrs:  # not work its undeploy left queued
             registry.histogram("qos.queue_delay_s", {"class": cls}).record(delay_s)
 
     # -- shedding ----------------------------------------------------------

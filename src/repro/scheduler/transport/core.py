@@ -158,7 +158,7 @@ class DispatchCore:
         self.heartbeats = 0
         self.retired = 0
         self._unassigned: deque["InvocationRequest"] = deque()
-        self._classes: list[str] = []
+        self._classes: dict[str, None] = {}  # deployed, in deploy order
         #: class (``None``: unknown) -> its eligible ports in name order,
         #: kept until a worker joins, changes phase or installs a class.
         self._eligible: dict[str | None, tuple[WorkerPort, ...]] = {}
@@ -184,8 +184,7 @@ class DispatchCore:
 
     def note_class(self, cls: str) -> None:
         """A class runtime was (re)deployed; remember it for eligibility."""
-        if cls not in self._classes:
-            self._classes.append(cls)
+        self._classes.setdefault(cls)
 
     def deployed_classes(self) -> list[str]:
         return list(self._classes)
@@ -193,19 +192,17 @@ class DispatchCore:
     def class_changed(self, cls: str, runtime: Any | None) -> None:
         """The CRM's lifecycle hook, as the transport relays it: install a
         deployed or updated class on every live worker that lacks it, or
-        forget an undeployed one (over sockets only here: no frame
-        uninstalls it), whose requests then park as an unknown class's."""
+        take an undeployed one off the list a joining worker installs.  A
+        worker keeps what it installed (nothing uninstalls a class yet), so
+        a request for the class still reaches one and fails there, typed."""
         if runtime is not None:
             self.note_class(cls)
             for _, worker in sorted(self.workers.items()):
                 if cls not in worker.installed:
                     worker.install(cls)
             return
-        if cls in self._classes:
-            self._classes.remove(cls)
+        self._classes.pop(cls, None)
         self._eligible.pop(cls, None)
-        for worker in self.workers.values():
-            worker.installed.discard(cls)
 
     # -- dispatch path -------------------------------------------------------
 
@@ -340,8 +337,6 @@ class DispatchCore:
         self.flush_unassigned()
 
     def worker_installed(self, worker: WorkerPort, cls: str) -> None:
-        if cls not in self._classes:
-            return  # undeployed while the install was under way
         worker.installed.add(cls)
         self._eligible.clear()
         self._emit("scheduler.install", worker=worker.name, cls=cls)

@@ -8,9 +8,14 @@ undeploys, every listener hears of, in order (``Plane.class_changed``).
   counts start from zero.
 * An update's declared throughput is enforced from the next request.
 * Outside input naming no deployed class leaves no observations behind.
+* A request for an undeployed class fails typed on either transport
+  (its workers keep what they installed), and a redeploy serves again;
+  the asyncio front answers a class the CRM does not hold, not parks it.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -23,8 +28,9 @@ from repro.qos.plane import QosConfig, QosPlane
 from repro.render import numbers
 from repro.scheduler.plane import SchedulerConfig
 
-from tests.helpers import make_platform
+from tests.helpers import make_platform, run_async
 from tests.test_planes import ZONES
+from tests.test_real_path_budget import KeepAlive
 
 CLASS_YAML = """
 name: life-{cls}
@@ -90,10 +96,10 @@ def what_names(platform, cls: str) -> list[str]:
         found.append("monitoring: observed")
     if cls in platform.metrics.slo.watched:
         found.append("slo: watched")
+    found += [f"qos: {queue} weight" for queue in platform.qos.queues if cls in queue._weights]
     core = platform.scheduler_plane.core
     if cls in core.deployed_classes():
         found.append("dispatch core: class")
-    found += [f"dispatch core: {w.name} installed" for w in core.workers.values() if cls in w.installed]
     return found
 
 
@@ -184,4 +190,62 @@ class TestOutsideInput:
         oid = platform.new_object("Fast")
         platform.invoke(oid, "work")
         assert platform.monitoring.observed_classes == ("Fast",)
+        platform.shutdown()
+
+
+class TestAnUndeployedClassFailsTyped:
+    def test_on_the_sim_scheduler_plane(self):
+        platform = make_platform(
+            CLASS_YAML.format(cls="Fast", rps=1000), HANDLERS, scheduler=SchedulerConfig(enabled=True)
+        )
+        oid = platform.new_object("Fast")
+
+        def invoke():
+            completion = platform.invoke_async(oid, "work")
+            platform.advance(5.0)  # past the workers' cold start
+            assert completion.triggered, "parked"
+            return completion.value
+
+        assert invoke().ok
+        platform.crm.undeploy_class("Fast")
+        result = invoke()
+        assert (result.ok, result.error_type) == (False, "UnknownClassError")
+        platform.crm.deploy_class(resolved("Fast", 1000))
+        assert invoke().ok
+        assert platform.queue.stats()["pending"] == 0
+        platform.shutdown()
+
+class TestOverSockets:
+    def test_a_redeployed_class_serves_and_a_left_one_is_answered(self):
+        """An undeploy is local to the scheduler server (no frame
+        uninstalls a class from a worker), so the worker must ack its
+        redeploy's install again; meanwhile a request for the class, or
+        for one never deployed, gets a typed 404 instead of parking."""
+        platform = make_platform(
+            CLASS_YAML.format(cls="Fast", rps=1000),
+            HANDLERS,
+            scheduler=SchedulerConfig(enabled=True, transport="asyncio", pool_size=2),
+        )
+
+        async def scenario():
+            front = await platform.serve_http()
+            http = KeepAlive(*await asyncio.open_connection(front.host, front.port))
+
+            async def post(path):
+                return await asyncio.wait_for(http.request("POST", path), 5)
+
+            status, body = await post("/api/classes/Fast")
+            assert status == 201
+            work = f"/api/objects/{body['id']}/invokes/work"
+            assert (await post(work))[0] == 200
+            platform.crm.undeploy_class("Fast")
+            for path in (work, "/api/objects/Nope~1/invokes/work"):
+                status, body = await post(path)
+                assert (status, body["type"]) == (404, "UnknownClassError")
+            platform.crm.deploy_class(resolved("Fast", 1000))
+            assert (await post(work))[0] == 200
+            http.writer.close()
+            assert await front.stop() == {"pending": 0, "parked": 0}
+
+        run_async(scenario())
         platform.shutdown()
