@@ -22,7 +22,8 @@ across classes with EDF inside latency-declared classes, and queued
 work may be shed by the overload controller.  Shed and rejected
 requests resolve their completion events with failed
 :class:`~repro.invoker.request.InvocationResult`\\ s (``RateLimitedError``
-/ ``OverloadError``), never silently; a shed request is a ledger
+/ ``OverloadError``; a class the CRM does not hold, ``UnknownClassError``,
+at submit), never silently; a shed request is a ledger
 completion like any other, so ``accepted == completed + outstanding``
 holds under shedding too.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
+from repro.errors import UnknownClassError
 from repro.invoker.engine import InvocationEngine
 from repro.invoker.request import InvocationRequest, InvocationResult
 from repro.qos.fairqueue import QueuedItem
@@ -58,6 +60,7 @@ class AsyncInvoker:
         scheduler: "SchedulerPlane | None" = None,
     ) -> None:
         self.env = env
+        self.directory = engine.directory
         self.qos = qos
         self.pool = scheduler if scheduler is not None else StaticPool(env, engine, qos)
         self.core = self.pool.core
@@ -76,8 +79,19 @@ class AsyncInvoker:
         self.submitted += 1
         completion = self.env.event()
         self._completions[request.request_id] = completion
+        cls = request_class(request)
+        if cls is not None:
+            try:  # answered typed: parked, it could wait for good
+                self.directory.runtime(cls)
+            except UnknownClassError as exc:
+                self.rejected += 1
+                self._resolve(
+                    request,
+                    InvocationResult.failure(request, str(exc), error_type="UnknownClassError"),
+                )
+                return completion
         if self.qos is not None:
-            decision = self.qos.admit_async(request_class(request))
+            decision = self.qos.admit_async(cls)
             if not decision.admitted:
                 self.rejected += 1
                 self._resolve(

@@ -33,8 +33,8 @@ class ClassObservations:
         self.slow = 0
 
     def record_invocation(self, latency_s: float, ok: bool) -> None:
+        self.latency.record(latency_s)  # first: it refuses a NaN the window would keep
         self.window.record(self.env.now, latency_s, ok)
-        self.latency.record(latency_s)
         if self.slo_threshold_s is not None and latency_s > self.slo_threshold_s:
             self.slow += 1
         if ok:

@@ -20,10 +20,11 @@ import math
 import random
 import zlib
 from array import array
+from bisect import bisect_left, insort
 from typing import Iterator, Mapping
 
 from repro.errors import ValidationError
-from repro.stats import nearest_rank
+from repro.stats import nearest_rank, rank_index
 
 __all__ = [
     "Gauge",
@@ -191,6 +192,17 @@ class SlidingWindow:
     and compacted away in bulk, and ``_failures`` counts the failed rows
     still in the window.
 
+    Beside the columns, the live rows' latencies are an exact multiset:
+    ``_counts`` maps each distinct latency to its live rows, and
+    ``_values`` holds the distinct latencies in ascending order.
+    Simulated latencies repeat (hundreds to a few thousand distinct
+    values among tens of thousands of rows), so a record or an eviction
+    is a count update, a value new to the window one insort into the
+    distinct ones, and a percentile a walk over the counts from the
+    nearer end — the answer ``nearest_rank`` gives over the sorted rows,
+    without sorting them.  Were every latency distinct, the insort
+    would cost a move of the distinct values per record.
+
     Eviction semantics: a sample *exactly* at ``now - window_s`` is
     retained (the cutoff comparison is strict), and eviction assumes
     samples arrive in non-decreasing timestamp order — an out-of-order
@@ -211,6 +223,8 @@ class SlidingWindow:
         self._failed = array("b")
         self._head = 0
         self._failures = 0
+        self._counts: dict[float, int] = {}
+        self._values: list[float] = []
 
     def record(self, now: float, latency_s: float, ok: bool = True) -> None:
         self._at.append(now)
@@ -218,14 +232,29 @@ class SlidingWindow:
         self._failed.append(not ok)
         if not ok:
             self._failures += 1
+        counts = self._counts
+        held = counts.get(latency_s)
+        if held is None:
+            counts[latency_s] = 1
+            insort(self._values, float(latency_s))
+        else:
+            counts[latency_s] = held + 1
         if self._at[self._head] < now - self.window_s:
             self._evict(now)
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window_s
         at, failed, head, end = self._at, self._failed, self._head, len(self._at)
+        latency, counts = self._latency, self._counts
         while head < end and at[head] < cutoff:
             self._failures -= failed[head]
+            value = latency[head]
+            held = counts[value] - 1
+            if held:
+                counts[value] = held
+            else:
+                del counts[value]
+                del self._values[bisect_left(self._values, value)]
             head += 1
         if head > self.COMPACT_AFTER and 2 * head > end:
             del at[:head]
@@ -252,7 +281,20 @@ class SlidingWindow:
 
     def latency_percentile(self, now: float, pct: float) -> float:
         self._evict(now)
-        return nearest_rank(sorted(self._latency[self._head:]), pct)
+        rows = len(self)
+        if not rows:
+            return 0.0
+        rank, counts = rank_index(rows, pct), self._counts
+        if 2 * rank < rows:
+            values, skip = iter(self._values), rank
+        else:  # nearer the top: count down from the largest
+            values, skip = reversed(self._values), rows - 1 - rank
+        seen = 0
+        for value in values:
+            seen += counts[value]
+            if seen > skip:
+                return value
+        raise AssertionError("the counts sum to the live rows")
 
     def __len__(self) -> int:
         return len(self._at) - self._head

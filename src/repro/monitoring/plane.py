@@ -49,8 +49,8 @@ class MetricsConfig:
         slo: burn-rate evaluation tuning of the SLO evaluator that runs
             on top of the scraper.
 
-    The plane also turns on the simulation kernel's per-event-type
-    dispatch profiling, whose ``kernel`` section it then exports.
+    The plane also exports the ``kernel`` section, the kernel's own
+    dispatch total read at scrape time; it turns no profiling on.
     """
 
     enabled: bool = False
@@ -105,7 +105,6 @@ class MetricsPlane(Plane):
     def install(self, platform: "Oparaca") -> None:
         """Attach the collector over every state section of the platform."""
         self._platform = platform
-        platform.env.enable_profiling()
         self.scraper.collectors.append(self._collect)
         self.slo.planes = platform.planes
 

@@ -24,7 +24,6 @@ module imported.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -116,9 +115,9 @@ class QosPlane(Plane):
     def policy_for(self, cls: str | None) -> QosPolicy:
         """The enforcement policy for ``cls`` (cached after first resolve).
 
-        Requests whose class is unknown or not yet deployed get the
-        default policy *without* caching it, so a later deployment is
-        picked up.
+        Requests whose class is unknown or not yet deployed get the one
+        unnamed default policy *without* caching it, so a later
+        deployment is picked up and a name from outside keeps no row.
         """
         if not cls:
             return DEFAULT_QOS_POLICY
@@ -127,7 +126,7 @@ class QosPlane(Plane):
             return policy
         nfr = self._nfrs.get(cls)
         if nfr is None:
-            return dataclasses.replace(DEFAULT_QOS_POLICY, cls=cls)
+            return DEFAULT_QOS_POLICY
         policy = self._policies[cls] = QosPolicy.from_nfr(cls, nfr)
         self._propagate_weight(policy)
         return policy

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from time import monotonic
 from typing import Any, Awaitable, Callable
 
 from repro.errors import SchedulingError, TransportError, ValidationError
@@ -272,7 +273,7 @@ class AsyncSchedulerServer:
         #: The same log type the sim plane narrates into (so the
         #: conformance invariants replay either), on this server's clock.
         self.events = EventLog(self, enabled=True, capacity=EVENT_CAPACITY)
-        self.core = DispatchCore(clock=lambda: self.now, emit=self.events.record)
+        self.core = DispatchCore(clock=self.clock, emit=self.events.record)
         for cls in classes or ():
             self.core.note_class(cls)
         self.fenced = 0
@@ -282,7 +283,7 @@ class AsyncSchedulerServer:
         self._server: asyncio.AbstractServer | None = None
         self._monitor_task: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._t0 = 0.0
+        self._t0 = monotonic()
         self._deliveries: dict[str, Callable[..., None]] = {}
         self._links: set[_ServerLink] = set()
         self._running = False
@@ -292,7 +293,7 @@ class AsyncSchedulerServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._loop = asyncio.get_running_loop()
-        self._t0 = self._loop.time()
+        self._t0 = monotonic()
         self._server = await self._loop.create_server(
             lambda: _ServerLink(self), host, port
         )
@@ -323,12 +324,15 @@ class AsyncSchedulerServer:
         await asyncio.sleep(0)
         return report
 
-    @property
-    def now(self) -> float:
-        """Seconds since :meth:`start`, on the event loop's clock."""
-        if self._loop is None:
-            return 0.0
-        return self._loop.time() - self._t0
+    def clock(self) -> float:
+        """Seconds since :meth:`start` (since construction before it), on
+        the event loop's clock — ``loop.time()`` is ``time.monotonic()``
+        — in one frame: the dispatch core reads it several times per
+        request."""
+        return monotonic() - self._t0
+
+    #: :meth:`clock` as the attribute the event log reads.
+    now = property(clock)
 
     async def _monitor(self) -> None:
         config = self.config

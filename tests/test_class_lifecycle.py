@@ -192,6 +192,28 @@ class TestOutsideInput:
         assert platform.monitoring.observed_classes == ("Fast",)
         platform.shutdown()
 
+    def test_unknown_class_names_keep_no_qos_row(self):
+        """QoS admits a request naming an undeployed class under the one
+        unnamed default policy, so the name keeps no admission row, no
+        snapshot key and no metrics series."""
+        platform = make_platform(
+            CLASS_YAML.format(cls="Fast", rps=1000),
+            HANDLERS,
+            qos=QosConfig(enabled=True),
+            metrics=MetricsConfig(enabled=True),
+            scheduler=SchedulerConfig(enabled=True),
+        )
+        for index in range(5):
+            response = platform.http("POST", f"/api/objects/Nope{index}~1/invokes/work")
+            assert response.status == 404
+        platform.advance(1.0)  # a scrape
+        assert [key for key in platform.snapshot() if "Nope" in key] == []
+        assert not any("Nope" in name for name in platform.qos.admission.stats())
+        oid = platform.new_object("Fast")
+        assert platform.http("POST", f"/api/objects/{oid}/invokes/work").status == 200
+        assert platform.qos.admission.stats()["Fast"]["admitted"] == 1
+        platform.shutdown()
+
 
 class TestAnUndeployedClassFailsTyped:
     def test_on_the_sim_scheduler_plane(self):
@@ -214,6 +236,36 @@ class TestAnUndeployedClassFailsTyped:
         assert invoke().ok
         assert platform.queue.stats()["pending"] == 0
         platform.shutdown()
+
+    def test_once_every_worker_that_held_it_is_gone(self):
+        """A replacement worker installs no undeployed class, so the
+        submit is answered at the queue, not parked for an install that
+        never comes."""
+        platform = make_platform(
+            CLASS_YAML.format(cls="Fast", rps=1000), HANDLERS, scheduler=SchedulerConfig(enabled=True)
+        )
+        oid = platform.new_object("Fast")
+        completion = platform.invoke_async(oid, "work")
+        platform.advance(5.0)  # past the workers' cold start
+        assert completion.value.ok
+        platform.crm.undeploy_class("Fast")
+        plane = platform.scheduler_plane
+        for name in sorted(plane.workers):
+            plane.crash_worker(name)
+        platform.advance(5.0)  # the replacements register
+        completion = platform.invoke_async(oid, "work")
+        platform.advance(5.0)
+        assert completion.triggered, "parked"
+        result = completion.value
+        assert (result.ok, result.error_type) == (False, "UnknownClassError")
+        assert platform.report("scheduler")["parked"] == 0
+        platform.crm.deploy_class(resolved("Fast", 1000))
+        completion = platform.invoke_async(oid, "work")
+        platform.advance(5.0)
+        assert completion.triggered and completion.value.ok
+        assert platform.queue.stats()["pending"] == 0
+        platform.shutdown()
+
 
 class TestOverSockets:
     def test_a_redeployed_class_serves_and_a_left_one_is_answered(self):

@@ -8,7 +8,8 @@ hashes, ``json.dumps`` calls and document copies per operation, on a
 three-node platform with every plane off.  A second arm turns every
 plane on (the benchmark's ``sim-planes`` configuration) and holds what
 the planes may *not* spend per request: no rebuilt request, no zone or
-region resolved again, no call per kernel event for the profile — with
+region resolved again, no call and no clock read per kernel event, no
+sort of a class's latency window per scrape — with
 the dispatches and spans per operation pinned, so the saving cannot come
 from doing less, and the document copies per operation pinned at one per
 edge crossing.  A third arm, planes off again, issues only immutable
@@ -30,8 +31,11 @@ import hashlib
 import inspect
 import json
 import random
+from array import array
 
+import repro.monitoring.metrics
 import repro.scheduler.transport.core
+import repro.sim.kernel
 import repro.storage.dht
 import repro.storage.kv
 from repro.durability.plane import DurabilityConfig
@@ -236,7 +240,24 @@ PLANES_COPIES_PER_OP = 1400 / 900
 PLANES_FINAL_NOW = 2.701373468800037
 #: The memos are filled during warm-up; a periodic plane (the snapshot
 #: cut, a scrape) may still resolve a node now and then.
-PLANES_BUDGET = {"replace": 0, "zone_lookups_per_op": 0.1, "step": 0}
+PLANES_BUDGET = {
+    "replace": 0,
+    "zone_lookups_per_op": 0.1,
+    "step": 0,
+    "clock_reads_per_dispatch": 0,
+    "window_sorts_per_scrape": 0,
+}
+
+
+class WindowSorts(CallCounter):
+    """Counts the ``sorted`` calls of the metrics module over a class
+    window's latency column (an ``array``); a label set's sort is not
+    one."""
+
+    def __call__(self, iterable, *args, **kwargs):
+        if isinstance(iterable, array):
+            self.calls += 1
+        return self.wrapped(iterable, *args, **kwargs)
 
 
 def peek(ctx):
@@ -302,7 +323,11 @@ def run_planes_workload(monkeypatch, seed=7):
     region_lookups = counted(monkeypatch, Cluster, "region_of")
     steps = counted(monkeypatch, Environment, "step")
     copies = counted_copies(monkeypatch)
-    dispatched = env.profile.total_dispatches
+    clock_reads = counted(monkeypatch, repro.sim.kernel, "perf_counter")
+    window_sorts = WindowSorts(sorted)
+    monkeypatch.setattr(repro.monitoring.metrics, "sorted", window_sorts, raising=False)
+    dispatched = env.dispatched
+    scrapes = platform.metrics.scraper.scrapes
     spans = len(platform.tracer)
     run_clients(sync_client("add", {"n": 1}), draw_targets(rng, ids, SYNC_ADDS))
     run_clients(sync_client("peek", {}), draw_targets(rng, ids, PEEKS))
@@ -312,7 +337,9 @@ def run_planes_workload(monkeypatch, seed=7):
         "replace": replaces.calls,
         "zone_lookups_per_op": (zone_lookups.calls + region_lookups.calls) / ops,
         "step": steps.calls,
-        "dispatches_per_op": (env.profile.total_dispatches - dispatched) / ops,
+        "clock_reads_per_dispatch": clock_reads.calls / (env.dispatched - dispatched),
+        "window_sorts_per_scrape": window_sorts.calls / (platform.metrics.scraper.scrapes - scrapes),
+        "dispatches_per_op": (env.dispatched - dispatched) / ops,
         "spans_per_op": (len(platform.tracer) - spans) / ops,
         "copies_per_op": copies.calls / ops,
     }
@@ -448,13 +475,16 @@ WRITE_BUDGET = {"encoders_per_put": 0, "objects_per_observation": 0, "sorts_per_
 
 
 def objects_held(window):
-    """Python objects the window's attributes hold (types aside): one
-    per row for rows kept as objects, none for rows kept in columns."""
-    return sum(
+    """Python objects the window's attributes hold (types aside), less
+    three per distinct live latency — its order statistic's key, count
+    and place among the ascending values: one per row for rows kept as
+    objects, none for rows kept in columns."""
+    held = sum(
         not isinstance(referent, type)
         for value in vars(window).values()
         for referent in gc.get_referents(value)
     )
+    return held - 3 * len(set(window._latency[window._head :]))
 
 
 def run_write_workload(monkeypatch, seed=7):

@@ -33,6 +33,7 @@ from repro.monitoring.scraper import MetricsScraper
 from repro.monitoring.slo import BurnWindow, SloConfig, SloEvaluator
 from repro.plane import Plane
 from repro.render import numbers
+from repro.sim.kernel import all_of
 
 from tests.helpers import LISTING1_YAML, make_platform
 
@@ -468,6 +469,24 @@ class TestKernelProfiling:
         assert series[("kernel.dispatches.count", "Timeout")] >= 1
         assert ("kernel.dispatches.seconds", "Timeout") in series
 
+    def test_the_dispatch_total_needs_no_profile(self, env):
+        """``dispatched`` is what a profile started with the kernel
+        counts, read off the kernel's own heap bookkeeping."""
+        profile = env.enable_profiling()
+
+        def proc(env, delays):
+            for delay in delays:
+                yield env.timeout(delay)
+            return len(delays)
+
+        children = [env.process(proc(env, [0.5 * n, 1.0, 0.0][: n + 1])) for n in range(3)]
+        env.process(proc(env, [2.0]))
+        env.run(until=all_of(env, children))
+        assert env.dispatched == profile.total_dispatches
+        env.run()
+        assert env.dispatched == profile.total_dispatches
+        assert env.stats() == {"dispatched": env.dispatched, "dispatches": profile.stats()}
+
 
 # -- platform integration -----------------------------------------------------
 
@@ -495,13 +514,22 @@ class TestPlatformIntegration:
         text = platform.metrics_exposition()
         assert 'engine_invocations{plane="engine"}' in text
         assert 'classes_invocations_completed{class="Image",plane="classes"}' in text
-        assert 'kernel_dispatches_count{name="Timeout",plane="kernel"}' in text
+        assert 'kernel_dispatched{plane="kernel"}' in text
+        assert platform.env.profile is None  # the plane times no kernel event
         report = platform.observability_report()
         assert "metrics" in report and "slo" in report
         slos = {(r["cls"], r["slo"]) for r in report["slo"]["objectives"]}
         assert ("Image", "throughput") in slos
         doc = json.loads(platform.metrics_report())
         assert doc["scrape"]["scrapes"] == platform.metrics.scraper.scrapes
+
+    def test_a_profile_turned_on_is_exported_by_event_type(self):
+        platform = make_platform(metrics=MetricsConfig(enabled=True))
+        platform.env.enable_profiling()
+        _workload(platform)
+        platform.shutdown()
+        text = platform.metrics_exposition()
+        assert 'kernel_dispatches_count{name="Timeout",plane="kernel"}' in text
 
     def test_disabled_plane_builds_nothing(self):
         platform = make_platform()

@@ -96,6 +96,51 @@ def test_answers_equal_the_deque_of_samples(window_s, script):
         assert len(window) == len(reference)
 
 
+#: A few latencies, so records repeat values the way simulated ones do.
+LATENCIES = st.sampled_from([0.0, 0.001, 0.0025, 0.0025000000000000001, 0.004, 0.0066, 0.015, 1.5])
+PCTS = (1, 25, 50, 95, 99, 99.9, 100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.5, 8.0),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["ahead", "same", "back", "cutoff"]),
+            st.floats(0.0, 3.0),
+            LATENCIES,
+            st.booleans(),
+        ),
+        max_size=150,
+    ),
+)
+def test_the_percentile_is_the_nearest_rank_of_the_sorted_live_rows(window_s, script):
+    """The order statistic answers what sorting the live rows answers,
+    whatever repeats, fails, lands exactly at the cutoff, arrives out of
+    order or is evicted — and keeps one count per distinct live value."""
+    window, reference = SlidingWindow(window_s), ReferenceWindow(window_s)
+    window.COMPACT_AFTER = 2
+    now = newest = 0.0
+    for how, step, latency, ok in script:
+        if how == "ahead":
+            now += step
+        elif how == "back":  # out of order: older than what is already in
+            now -= step
+        elif how == "cutoff" and reference.samples:  # exactly now - window_s
+            now = reference.samples[0][0] + window_s
+        window.record(now, latency, ok)
+        reference.record(now, latency, ok)
+        newest = max(newest, now)
+        live = sorted(sample[1] for sample in reference.samples)
+        for pct in PCTS:
+            assert window.latency_percentile(now, pct) == nearest_rank(live, pct)
+        assert window._values == sorted(set(live))
+        assert window._counts == {value: live.count(value) for value in set(live)}
+    later = newest + window_s + 1.0  # everything evicted
+    assert window.latency_percentile(later, 99) == 0.0
+    assert (window._counts, window._values, len(window)) == ({}, [], 0)
+
+
 def test_a_sample_exactly_at_the_cutoff_is_kept():
     window = SlidingWindow(10.0)
     window.record(0.0, 0.5, ok=False)
