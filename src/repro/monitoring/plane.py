@@ -49,8 +49,8 @@ class MetricsConfig:
         slo: burn-rate evaluation tuning of the SLO evaluator that runs
             on top of the scraper.
 
-    The plane also exports the ``kernel`` section, the kernel's own
-    dispatch total read at scrape time; it turns no profiling on.
+    The plane's own section carries ``kernel_dispatched``, the kernel's
+    dispatch total read when asked; it turns no profiling on.
     """
 
     enabled: bool = False
@@ -166,4 +166,5 @@ class MetricsPlane(Plane):
             "slo_evaluations": self.slo.evaluations,
             "slo_alerts": self.slo.alerts_total,
             "slo_firing": len(self.slo.firing()),
+            "kernel_dispatched": self.env.dispatched,
         }

@@ -9,7 +9,7 @@ the gateway, the metrics scraper and the NFR report never name a plane.
 
 A plane's state leaves through :meth:`Plane.stats` only, as the data
 plane's does through its components' ``stats()`` (gateway, engine,
-store, async queue, kernel, class runtimes).  ``Oparaca.sections()``
+store, async queue, kernel profile, class runtimes).  ``Oparaca.sections()``
 is the one ordered list of those sections, the data plane's first; the
 observability report prints it, and the metrics plane and
 ``Oparaca.snapshot()`` name each number by its path in it

@@ -655,10 +655,9 @@ class Oparaca:
 
     def sections(self) -> dict[str, Any]:
         """Every state section by name, in report order: the data plane
-        — front door, engine, store, async queue, the kernel's dispatch
-        total when the metrics plane or a profile runs, and ``classes``,
-        one table of per-class rows for each part of a class runtime —
-        then each plane's ``stats()``.
+        — front door, engine, store, async queue, the kernel profile
+        when one runs, and ``classes``, one table of per-class rows for
+        each part of a class runtime — then each plane's ``stats()``.
         The one list :meth:`snapshot`, the metrics plane and
         :meth:`observability_report` walk."""
         sections: dict[str, Any] = {
@@ -667,8 +666,8 @@ class Oparaca:
             "store": self.store.stats(),
             "queue": self.queue.stats(),
         }
-        if self.metrics is not None or self.env.profile is not None:
-            sections["kernel"] = self.env.stats()
+        if self.env.profile is not None:
+            sections["kernel"] = {"dispatches": self.env.profile.stats()}
         runtimes = self.crm.runtimes.items()
         sections["classes"] = {
             "dht": [{"class": cls, **rt.dht.stats()} for cls, rt in runtimes],

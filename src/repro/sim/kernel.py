@@ -383,13 +383,6 @@ class Environment:
         pushes one heap entry and bumps ``_seq``, every dispatch pops one."""
         return self._seq - len(self._queue)
 
-    def stats(self) -> dict[str, Any]:
-        """The ``kernel`` section: the dispatch total, plus the per-type
-        ``{count, seconds}`` rows while a profile runs."""
-        if self.profile is None:
-            return {"dispatched": self.dispatched}
-        return {"dispatched": self.dispatched, "dispatches": self.profile.stats()}
-
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:

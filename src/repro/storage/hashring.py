@@ -81,10 +81,8 @@ class HashRing:
         self._points = sorted(self._owners)
 
     def owner(self, key: str) -> str:
-        """The primary owner node of ``key``: a memoised walk's first node,
-        read in this frame (every request asks, a span attribute too)."""
-        walk = self._walks.get(key)
-        return (walk if walk is not None else self._walk(key, 1))[0]
+        """The primary owner node of ``key``."""
+        return self._walk(key, 1)[0]
 
     def owners(self, key: str, count: int) -> tuple[str, ...]:
         """Primary plus the next ``count - 1`` distinct replica nodes —

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -235,6 +236,27 @@ class TestAnUndeployedClassFailsTyped:
         platform.crm.deploy_class(resolved("Fast", 1000))
         assert invoke().ok
         assert platform.queue.stats()["pending"] == 0
+        platform.shutdown()
+
+    @pytest.mark.parametrize("scheduler", [False, True], ids=["static-pool", "scheduler-plane"])
+    def test_counted_rejected_at_submit_not_completed(self, scheduler):
+        """The queue answers the request before the core sees it, with
+        the worker pool static or on the scheduler plane alike: it is
+        one ``rejected``, not a delivered ``completed``."""
+        planes = {"scheduler": SchedulerConfig(enabled=True)} if scheduler else {}
+        platform = make_platform(CLASS_YAML.format(cls="Fast", rps=1000), HANDLERS, **planes)
+        oid = platform.new_object("Fast")
+        completion = platform.invoke_async(oid, "work")
+        platform.advance(5.0)
+        assert completion.value.ok
+        before = platform.queue.stats()
+        platform.crm.undeploy_class("Fast")
+        completion = platform.invoke_async(oid, "work")
+        platform.advance(5.0)
+        assert completion.value.error_type == "UnknownClassError"
+        after = platform.queue.stats()
+        moved = {key: after[key] - before[key] for key in after}
+        assert moved == {"submitted": 1, "completed": 0, "rejected": 1, "shed": 0, "pending": 0}
         platform.shutdown()
 
     def test_once_every_worker_that_held_it_is_gone(self):

@@ -143,12 +143,10 @@ def test_enabled_plane_is_registered_under_its_name(name):
     assert list(platform.planes) == [name]
     assert isinstance(plane, Plane) and plane.name == name
     assert getattr(platform, alias) is plane
-    # The plane adds exactly its own snapshot keys (the metrics plane
-    # also the kernel section it exports: the dispatch total); every
-    # baseline key keeps its value.
+    # The plane adds exactly its own snapshot keys; every baseline key
+    # keeps its value.
     snap = platform.snapshot()
-    kernel = {"kernel.dispatched"} if name == "metrics" else set()
-    assert set(snap) - set(base_snap) == owned_keys(plane) | kernel
+    assert set(snap) - set(base_snap) == owned_keys(plane)
     assert {key: snap[key] for key in base_snap} == base_snap
     # Its section of the report is its stats(), and plain JSON.
     stats = platform.report(name)

@@ -169,6 +169,7 @@ def _run_all_planes():
     """Every plane plus chaos under sync and async writes across a node
     crash."""
     platform = _all_planes_platform()
+    platform.env.enable_profiling()  # so the kernel section is there too
     obj = platform.new_object("Image", object_id="img-0")
     for width in range(1, 31):
         platform.http("POST", f"/api/objects/{obj}/invokes/resize", {"width": width})
@@ -178,7 +179,7 @@ def _run_all_planes():
     return platform
 
 
-#: The data plane's sections (the kernel's with the metrics plane on),
+#: The data plane's sections (the kernel's while a profile runs),
 #: in the order ``Oparaca.sections()`` keeps them, before the planes'.
 DATA_PLANE = ("gateway", "engine", "store", "queue", "kernel", "classes")
 
