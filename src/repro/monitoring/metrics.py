@@ -192,16 +192,18 @@ class SlidingWindow:
     and compacted away in bulk, and ``_failures`` counts the failed rows
     still in the window.
 
-    Beside the columns, the live rows' latencies are an exact multiset:
-    ``_counts`` maps each distinct latency to its live rows, and
-    ``_values`` holds the distinct latencies in ascending order.
-    Simulated latencies repeat (hundreds to a few thousand distinct
-    values among tens of thousands of rows), so a record or an eviction
-    is a count update, a value new to the window one insort into the
-    distinct ones, and a percentile a walk over the counts from the
-    nearer end — the answer ``nearest_rank`` gives over the sorted rows,
+    A reader's percentile folds the rows recorded since its last read
+    into an exact multiset of the live latencies: ``_counts`` maps each
+    distinct latency to its live rows, ``_values`` holds the distinct
+    latencies in ascending order, and rows before ``_counted`` are in
+    them.  A record stays three appends; an evicted row a reader counted
+    leaves the counts.  Simulated latencies repeat (hundreds to a few
+    thousand distinct values among tens of thousands of rows), so a
+    fold is a count update per row and one insort per value new to the
+    window, and a percentile a walk over the counts from the nearer
+    end — the answer ``nearest_rank`` gives over the sorted rows,
     without sorting them.  Were every latency distinct, the insort
-    would cost a move of the distinct values per record.
+    would cost a move of the distinct values per row.
 
     Eviction semantics: a sample *exactly* at ``now - window_s`` is
     retained (the cutoff comparison is strict), and eviction assumes
@@ -223,6 +225,7 @@ class SlidingWindow:
         self._failed = array("b")
         self._head = 0
         self._failures = 0
+        self._counted = 0
         self._counts: dict[float, int] = {}
         self._values: list[float] = []
 
@@ -232,36 +235,44 @@ class SlidingWindow:
         self._failed.append(not ok)
         if not ok:
             self._failures += 1
-        counts = self._counts
-        held = counts.get(latency_s)
-        if held is None:
-            counts[latency_s] = 1
-            insort(self._values, float(latency_s))
-        else:
-            counts[latency_s] = held + 1
         if self._at[self._head] < now - self.window_s:
             self._evict(now)
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window_s
         at, failed, head, end = self._at, self._failed, self._head, len(self._at)
-        latency, counts = self._latency, self._counts
+        start = head
         while head < end and at[head] < cutoff:
             self._failures -= failed[head]
-            value = latency[head]
-            held = counts[value] - 1
-            if held:
-                counts[value] = held
-            else:
-                del counts[value]
-                del self._values[bisect_left(self._values, value)]
             head += 1
+        if self._counted > start:  # rows a reader counted leave the counts
+            counts, values = self._counts, self._values
+            for value in self._latency[start : min(head, self._counted)]:
+                held = counts[value] - 1
+                if held:
+                    counts[value] = held
+                else:
+                    del counts[value]
+                    del values[bisect_left(values, value)]
         if head > self.COMPACT_AFTER and 2 * head > end:
             del at[:head]
             del self._latency[:head]
             del failed[:head]
+            self._counted = max(0, self._counted - head)
             head = 0
         self._head = head
+
+    def _count(self) -> None:
+        """Fold the live rows recorded since the last read into the counts."""
+        counts, values = self._counts, self._values
+        for value in self._latency[max(self._counted, self._head) :]:
+            held = counts.get(value)
+            if held is None:
+                counts[value] = 1
+                insort(values, value)
+            else:
+                counts[value] = held + 1
+        self._counted = len(self._latency)
 
     def throughput(self, now: float) -> float:
         """Completions/second over the trailing window."""
@@ -281,6 +292,7 @@ class SlidingWindow:
 
     def latency_percentile(self, now: float, pct: float) -> float:
         self._evict(now)
+        self._count()
         rows = len(self)
         if not rows:
             return 0.0

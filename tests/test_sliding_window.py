@@ -110,6 +110,7 @@ PCTS = (1, 25, 50, 95, 99, 99.9, 100)
             st.floats(0.0, 3.0),
             LATENCIES,
             st.booleans(),
+            st.booleans(),
         ),
         max_size=150,
     ),
@@ -117,11 +118,13 @@ PCTS = (1, 25, 50, 95, 99, 99.9, 100)
 def test_the_percentile_is_the_nearest_rank_of_the_sorted_live_rows(window_s, script):
     """The order statistic answers what sorting the live rows answers,
     whatever repeats, fails, lands exactly at the cutoff, arrives out of
-    order or is evicted — and keeps one count per distinct live value."""
+    order, is evicted before or after a reader counted it, or was
+    recorded between reads — and keeps one count per distinct live
+    value."""
     window, reference = SlidingWindow(window_s), ReferenceWindow(window_s)
     window.COMPACT_AFTER = 2
     now = newest = 0.0
-    for how, step, latency, ok in script:
+    for how, step, latency, ok, read in script:
         if how == "ahead":
             now += step
         elif how == "back":  # out of order: older than what is already in
@@ -131,6 +134,8 @@ def test_the_percentile_is_the_nearest_rank_of_the_sorted_live_rows(window_s, sc
         window.record(now, latency, ok)
         reference.record(now, latency, ok)
         newest = max(newest, now)
+        if not read:
+            continue
         live = sorted(sample[1] for sample in reference.samples)
         for pct in PCTS:
             assert window.latency_percentile(now, pct) == nearest_rank(live, pct)
