@@ -276,7 +276,7 @@ def _coldstart_arm(
         cold_starts=service.cold_starts,
         idle_replicas=idle_replicas,
         traced_cold_starts=len(tracer.spans_named("faas.cold_start")),
-        event_cold_starts=len(events.of_type("faas.cold_start")),
+        event_cold_starts=len(events.events("faas.cold_start")),
     )
     service.stop()
     return row

@@ -8,7 +8,7 @@ because every source of randomness is seeded — the same plan on the
 same platform produces byte-identical event logs every run.
 """
 
-from repro.chaos.injector import CHAOS_TRACE_ID, ChaosInjector, FaultWindow
+from repro.chaos.injector import ChaosInjector, FaultWindow
 from repro.chaos.plan import (
     ColdStartStorm,
     Fault,
@@ -27,7 +27,6 @@ from repro.chaos.plan import (
 from repro.chaos.plans import PLAN_NAMES, named_plan
 
 __all__ = [
-    "CHAOS_TRACE_ID",
     "ChaosInjector",
     "FaultWindow",
     "Fault",

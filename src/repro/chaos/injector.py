@@ -12,10 +12,9 @@ plane's worker knobs.  No fault bypasses the data path the workload
 actually uses.  A new kind is one dataclass in :mod:`repro.chaos.plan`
 plus one row here.
 
-Every action emits a ``chaos.inject``/``chaos.recover`` control-plane
-event (and an instantaneous span under the ``"chaos"`` trace), so fault
-timelines line up with retries, breaker transitions, and request spans
-in the exported traces.
+Every action records a ``chaos.inject``/``chaos.recover`` control-plane
+event, so fault timelines line up with retries and breaker transitions
+in the event log, and with request spans in the exported trace.
 
 While at least one fault is held, the injector keeps an *availability
 window* open: per-class completed/failed counters are snapshotted when
@@ -44,7 +43,6 @@ from repro.chaos.plan import (
     ZonePartition,
 )
 from repro.errors import SimulationError
-from repro.monitoring.events import emit
 from repro.monitoring.nfr_table import Objective
 from repro.plane import Plane
 from repro.sim.kernel import Process
@@ -52,10 +50,7 @@ from repro.sim.kernel import Process
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.oparaca import Oparaca
 
-#: Chaos action spans share one synthetic trace (like ``"resilience"``).
-CHAOS_TRACE_ID = "chaos"
-
-__all__ = ["CHAOS_TRACE_ID", "ChaosInjector", "FaultWindow"]
+__all__ = ["ChaosInjector", "FaultWindow"]
 
 
 class FaultKind(NamedTuple):
@@ -237,7 +232,6 @@ class ChaosInjector(Plane):
         self.plan = plan
         self.env = platform.env
         self.events = platform.events
-        self.tracer = platform.tracer
         self.injected = 0
         self.recovered = 0
         self.windows: list[FaultWindow] = []
@@ -299,10 +293,7 @@ class ChaosInjector(Plane):
     def _emit(self, kind: str, fault: Fault) -> None:
         fields = fault.describe()
         fields.pop("at", None)
-        # The event carries the fault's fields; the span is named after
-        # the fault kind and carries only the plan.
-        emit(self.events, None, CHAOS_TRACE_ID, kind, plan=self.plan.name, **fields)
-        emit(None, self.tracer, CHAOS_TRACE_ID, f"{kind} {fault.kind}", plan=self.plan.name)
+        self.events.record(kind, plan=self.plan.name, **fields)
 
     def _on_inject(self, fault: Fault, holds: bool) -> None:
         self.injected += 1

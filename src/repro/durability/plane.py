@@ -27,7 +27,6 @@ from repro.model.nfr import _checked_number
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
 from repro.monitoring.nfr_table import Objective
-from repro.monitoring.tracing import Tracer
 from repro.plane import Plane
 from repro.sim.kernel import Environment, Process
 from repro.storage.object_store import ObjectStore
@@ -87,7 +86,6 @@ class DurabilityPlane(Plane):
         object_store: ObjectStore,
         monitoring: MonitoringSystem | None = None,
         events: EventLog | None = None,
-        tracer: Tracer | None = None,
         config: DurabilityConfig | None = None,
     ) -> None:
         self.env = env
@@ -95,10 +93,9 @@ class DurabilityPlane(Plane):
         self.object_store = object_store
         self.monitoring = monitoring
         self.events = events
-        self.tracer = tracer
         self.config = config or DurabilityConfig(enabled=True)
         object_store.create_bucket(self.config.bucket)
-        self.restorer = RestoreManager(env, monitoring, events, tracer)
+        self.restorer = RestoreManager(env, monitoring, events)
         self._trackers: dict[str, ClassDurabilityState] = {}
         self._coordinators: dict[str, SnapshotCoordinator] = {}
         self._policies: dict[str, DurabilityPolicy] = {}
@@ -147,9 +144,7 @@ class DurabilityPlane(Plane):
             else None
         )
         dht.attach_durability(tracker)
-        coordinator = self._coordinators[cls] = SnapshotCoordinator(
-            self.env, dht, tracker, self.tracer
-        )
+        coordinator = self._coordinators[cls] = SnapshotCoordinator(self.env, dht, tracker)
         self.env.process(self._periodic(cls, coordinator, policy.interval_s))
 
     def _periodic(self, cls: str, coordinator: SnapshotCoordinator, interval_s: float):

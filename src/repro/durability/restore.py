@@ -23,17 +23,10 @@ import json
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.durability.policy import MODE_ON_COMMIT
-from repro.durability.snapshot import (
-    DURABILITY_TRACE_ID,
-    ClassDurabilityState,
-    data_key,
-    epoch_key,
-    manifest_key,
-)
+from repro.durability.snapshot import ClassDurabilityState, data_key, epoch_key, manifest_key
 from repro.errors import BucketNotFoundError, KeyNotFoundError, SnapshotNotFoundError
 from repro.monitoring.collector import MonitoringSystem
 from repro.monitoring.events import EventLog
-from repro.monitoring.tracing import Tracer
 from repro.sim.kernel import Environment, all_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -58,12 +51,10 @@ class RestoreManager:
         env: Environment,
         monitoring: MonitoringSystem | None = None,
         events: EventLog | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self.env = env
         self.monitoring = monitoring
         self.events = events
-        self.tracer = tracer
 
     # -- point-in-time restore ----------------------------------------------
 
@@ -79,15 +70,7 @@ class RestoreManager:
         qualifies."""
         entry = self._generation_at(tracker, at)
         generation = entry["generation"]
-        span = None
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.start(
-                DURABILITY_TRACE_ID,
-                "durability.restore",
-                cls=tracker.cls,
-                kind="pit",
-                generation=generation,
-            )
+        started = self.env.now
         index, folded = yield from self._index_at(tracker, entry)
         docs = yield from self._fetch_indexed_docs(tracker, index)
         dht = runtime.dht
@@ -112,9 +95,12 @@ class RestoreManager:
             "purged": purged,
         }
         if self.events is not None:
-            self.events.record("durability.restore", kind="pit", **summary)
-        if self.tracer is not None:
-            self.tracer.finish(span, restored=len(docs), purged=purged)
+            self.events.record(
+                "durability.restore",
+                kind="pit",
+                **summary,
+                duration_s=self.env.now - started,
+            )
         return summary
 
     def restore_object(
@@ -185,15 +171,6 @@ class RestoreManager:
         epoch.  A durable copy is only installed over a *lower* live
         version, so recovery can never roll back a write that landed
         after the crash."""
-        span = None
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.start(
-                DURABILITY_TRACE_ID,
-                "durability.restore",
-                cls=tracker.cls,
-                kind="recovery",
-                node=node,
-            )
         dht = runtime.dht
         store = tracker.object_store
         candidates = sorted(
@@ -309,10 +286,6 @@ class RestoreManager:
                 rto_s=rto_s,
                 lost_writes=lost_writes,
                 restored_docs=restored,
-            )
-        if self.tracer is not None:
-            self.tracer.finish(
-                span, rpo_s=rpo_s, rto_s=rto_s, restored=restored, lost=lost_writes
             )
         return dict(tracker.last_recovery)
 

@@ -33,18 +33,13 @@ from typing import TYPE_CHECKING, Any, Generator, Iterable
 from repro.errors import BucketNotFoundError, KeyNotFoundError, SnapshotNotFoundError
 from repro.durability.policy import MODE_ON_COMMIT, DurabilityPolicy
 from repro.monitoring.events import EventLog
-from repro.monitoring.tracing import Tracer
 from repro.sim.kernel import Environment, Process
 from repro.storage.object_store import ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.dht import Dht
 
-#: Snapshot/restore spans share one synthetic trace, like write-behind
-#: flushes: cuts are background work not attributable to one request.
-DURABILITY_TRACE_ID = "durability"
-
-__all__ = ["ClassDurabilityState", "SnapshotCoordinator", "DURABILITY_TRACE_ID"]
+__all__ = ["ClassDurabilityState", "SnapshotCoordinator"]
 
 
 def data_key(cls: str, generation: int) -> str:
@@ -266,17 +261,10 @@ class ClassDurabilityState:
 class SnapshotCoordinator:
     """Takes consistent cuts of one class and garbage-collects old ones."""
 
-    def __init__(
-        self,
-        env: Environment,
-        dht: "Dht",
-        tracker: ClassDurabilityState,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, env: Environment, dht: "Dht", tracker: ClassDurabilityState) -> None:
         self.env = env
         self.dht = dht
         self.tracker = tracker
-        self.tracer = tracer
         self._cutting = False
 
     def cut(self) -> Process:
@@ -301,11 +289,7 @@ class SnapshotCoordinator:
     def _cut_inner(self) -> Generator:
         tracker = self.tracker
         dht = self.dht
-        span = None
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.start(
-                DURABILITY_TRACE_ID, "durability.snapshot", cls=tracker.cls
-            )
+        started = self.env.now
         # Hold: writers and deleters park until the hold is released;
         # drain the write-behind queues under it so the cut never splits
         # a batch (a batch is either wholly before or wholly after it).
@@ -414,9 +398,8 @@ class SnapshotCoordinator:
                 generation=generation,
                 docs=len(captured),
                 tombstones=len(tombstoned),
+                duration_s=self.env.now - started,
             )
-        if self.tracer is not None:
-            self.tracer.finish(span, generation=generation, docs=len(captured))
         self._gc()
         return manifest
 

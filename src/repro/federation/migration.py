@@ -30,7 +30,6 @@ from repro.durability.restore import _doc_version
 from repro.errors import MigrationError, UnknownObjectError
 from repro.federation.placement import PlacementPlanner
 from repro.monitoring.events import EventLog
-from repro.monitoring.tracing import Tracer
 from repro.sim.kernel import Environment, Process
 from repro.sim.network import Network
 from repro.storage.dht import doc_size_bytes
@@ -38,9 +37,7 @@ from repro.storage.dht import doc_size_bytes
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crm.runtime import ClassRuntime
 
-__all__ = ["FEDERATION_TRACE_ID", "MigrationManager"]
-
-FEDERATION_TRACE_ID = "federation"
+__all__ = ["MigrationManager"]
 
 
 class MigrationManager:
@@ -52,13 +49,11 @@ class MigrationManager:
         network: Network,
         planner: PlacementPlanner,
         events: EventLog | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self.env = env
         self.network = network
         self.planner = planner
         self.events = events
-        self.tracer = tracer
         self.migrations = 0
         self.migrations_failed = 0
 
@@ -100,17 +95,6 @@ class MigrationManager:
             runtime.router.refresh()
         source = dht.owner(key)
         source_zone = self.planner.zone_of_node(source)
-        span = None
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.start(
-                FEDERATION_TRACE_ID,
-                "federation.migrate",
-                cls=runtime.cls,
-                object=key,
-                source=source,
-                target=target,
-                zone=zone.name,
-            )
         started = self.env.now
         # New commits park until the handoff lands.  In-flight commits
         # past the hold are fenced by the epoch bump below.
@@ -124,10 +108,8 @@ class MigrationManager:
                 yield self.network.transfer(source, target, doc_size_bytes(best))
             dht.complete_migration(key, target, best)
             runtime.router.refresh()
-        except BaseException as exc:
+        except BaseException:
             self.migrations_failed += 1
-            if self.tracer is not None:
-                self.tracer.finish(span, error=type(exc).__name__)
             raise
         finally:
             dht.release_writes()
@@ -145,8 +127,6 @@ class MigrationManager:
         }
         if self.events is not None:
             self.events.record("federation.migrate", **summary)
-        if self.tracer is not None:
-            self.tracer.finish(span, version=summary["version"])
         return summary
 
     def _best_copy(self, dht, key: str) -> Generator:

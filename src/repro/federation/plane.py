@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Mapping
 
 from repro.errors import JurisdictionError, MigrationError, ValidationError
-from repro.federation.migration import FEDERATION_TRACE_ID, MigrationManager
+from repro.federation.migration import MigrationManager
 from repro.federation.placement import PLACEMENT_MODES, PlacementPlanner
 from repro.orchestrator.topology import Zone, ZoneTopology
 from repro.http import HttpRequest, HttpResponse
 from repro.monitoring.events import EventLog
 from repro.monitoring.nfr_table import Objective
-from repro.monitoring.tracing import Tracer
 from repro.plane import Plane
 from repro.sim.kernel import Environment, Process
 from repro.sim.network import Network
@@ -30,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crm.manager import ClassRuntimeManager
     from repro.orchestrator.cluster import Cluster
 
-__all__ = ["FEDERATION_TRACE_ID", "FederationConfig", "FederationPlane"]
+__all__ = ["FederationConfig", "FederationPlane"]
 
 
 @dataclass(frozen=True)
@@ -100,14 +99,12 @@ class FederationPlane(Plane):
         network: Network,
         crm: "ClassRuntimeManager",
         events: EventLog | None = None,
-        tracer: Tracer | None = None,
         config: FederationConfig | None = None,
     ) -> None:
         self.env = env
         self.network = network
         self.crm = crm
         self.events = events
-        self.tracer = tracer
         self.config = config or FederationConfig(enabled=True)
         if cluster.topology.open:
             # Built over a bare cluster, not by the platform: the config's
@@ -119,9 +116,7 @@ class FederationPlane(Plane):
         self.planner = PlacementPlanner(
             cluster, self.topology, mode=self.config.placement
         )
-        self.migration = MigrationManager(
-            env, network, self.planner, events=events, tracer=tracer
-        )
+        self.migration = MigrationManager(env, network, self.planner, events=events)
         self._stats: dict[str, _ClassFederationStats] = {}
         #: (owner tuple, origin zone) -> (nearest replica, its zone, the
         #: client-leg RTT).  The owner tuple already carries ring

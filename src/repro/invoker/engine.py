@@ -71,12 +71,7 @@ __all__ = [
     "RuntimeDirectory",
     "BUILTIN_METHODS",
     "split_object_id",
-    "STORAGE_TRACE_ID",
 ]
-
-#: Synthetic trace id grouping storage-plane spans (queries), mirroring
-#: the durability plane's ``DURABILITY_TRACE_ID``.
-STORAGE_TRACE_ID = "storage"
 
 BUILTIN_METHODS = ("new", "get", "update", "delete", "file-url")
 
@@ -155,7 +150,7 @@ class InvocationEngine:
         self.tracer = tracer
         self.events = events
         self._retry_rng = rng.stream("resilience")
-        self.breakers = BreakerBoard(env, events=events, tracer=tracer)
+        self.breakers = BreakerBoard(env, events=events)
         #: Federation plane hook (geo-routing + jurisdiction gate);
         #: installed by the platform only when the plane is enabled.
         self.federation: Any | None = None
@@ -724,14 +719,7 @@ class InvocationEngine:
                     "file keys are not queryable"
                 )
         dht = runtime.dht
-        span = None
-        if self.tracer.enabled:
-            span = self.tracer.start(
-                STORAGE_TRACE_ID,
-                "storage.query",
-                cls=cls,
-                predicates=len(query.where),
-            )
+        started = self.env.now
         if dht.store is not None and dht.model.persistent:
             # Queued write-behind buffers hold acknowledged commits the
             # backend has not seen yet; drain them so the query observes
@@ -753,12 +741,7 @@ class InvocationEngine:
             scanned=result.scanned,
             index_used=result.index_used,
             plan=result.plan,
-        )
-        self.tracer.finish(
-            span,
-            matched=len(result.docs),
-            scanned=result.scanned,
-            index_used=result.index_used,
+            duration_s=self.env.now - started,
         )
         return result
 

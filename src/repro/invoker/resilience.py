@@ -16,10 +16,9 @@ at deploy time and enforced by the invocation engine:
 * **stale-read fallback**: persistent classes serve reads from the
   document store when every DHT owner is partitioned away.
 
-Breaker transitions emit control-plane events and instantaneous trace
-spans (under the synthetic ``"resilience"`` trace id), so every
-defensive action the platform takes is auditable through the PR 1
-observability surface.
+Breaker transitions are recorded as control-plane events
+(``resilience.breaker_*``), so every defensive action the platform takes
+is auditable through the event log.
 """
 
 from __future__ import annotations
@@ -30,16 +29,10 @@ from dataclasses import dataclass
 
 from repro.errors import ValidationError
 from repro.model.nfr import NonFunctionalRequirements
-from repro.monitoring.events import EventLog, emit
-from repro.monitoring.tracing import Tracer
+from repro.monitoring.events import EventLog
 from repro.sim.kernel import Environment
 
-#: Breaker-transition spans share one synthetic trace: they are
-#: platform defense actions, not attributable to a single request.
-RESILIENCE_TRACE_ID = "resilience"
-
 __all__ = [
-    "RESILIENCE_TRACE_ID",
     "ResiliencePolicy",
     "BreakerState",
     "CircuitBreaker",
@@ -191,15 +184,9 @@ class BreakerBoard:
     truthiness branch.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        events: EventLog | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, env: Environment, events: EventLog | None = None) -> None:
         self.env = env
         self.events = events
-        self.tracer = tracer
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}
         #: True once any breaker exists (the slow-path trigger); read on
         #: every placement, so a field and not a property.
@@ -233,7 +220,8 @@ class BreakerBoard:
         )
 
     def _emit(self, kind: str, cls: str, node: str, **fields) -> None:
-        emit(self.events, self.tracer, RESILIENCE_TRACE_ID, kind, cls=cls, node=node, **fields)
+        if self.events is not None:
+            self.events.record(kind, cls=cls, node=node, **fields)
 
     def allow(self, cls: str, node: str) -> bool:
         """Whether placement may send traffic at ``node`` for ``cls``."""

@@ -1,7 +1,7 @@
 """Monitoring: metrics, tracing, control-plane events, and reporting."""
 
 from repro.monitoring.collector import ClassObservations, MonitoringSystem
-from repro.monitoring.events import EventLog, PlatformEvent, emit
+from repro.monitoring.events import EventLog, PlatformEvent
 from repro.monitoring.export import (
     chrome_trace_json,
     format_summary,
@@ -23,7 +23,6 @@ __all__ = [
     "Tracer",
     "EventLog",
     "PlatformEvent",
-    "emit",
     "ClassObservations",
     "MonitoringSystem",
     "Gauge",

@@ -1,7 +1,9 @@
 """Structured control-plane event log.
 
 The tracer answers "where did this request's time go"; the event log
-answers "what did the *platform* do and why".  Every control-plane
+answers "what did the *platform* do and why".  Each platform action is
+narrated once, here: a row, not also a span (an action that takes time
+carries its ``duration_s``).  Every control-plane
 actor — scheduler, autoscalers, pod lifecycle, template selection, the
 requirement optimizer — records typed events with simulated timestamps,
 so a run's reconfiguration history is auditable after the fact (the
@@ -40,8 +42,19 @@ resilience.breaker_half_open   BreakerBoard — cls, node
 resilience.breaker_close       BreakerBoard — cls, node
 qos.reject                     QosPlane — cls, reason, path, retry_after_s
 qos.shed                       OverloadController — cls, count, depth, tier[, brownout]
-durability.snapshot            SnapshotCoordinator — cls, generation, docs, tombstones
+durability.snapshot            SnapshotCoordinator — cls, generation, docs, tombstones,
+                               duration_s
 durability.restore             RestoreManager — cls, kind, plus kind-specific fields
+                               (``pit``: generation, cut_time, restored, purged,
+                               duration_s; ``recovery``: node, rpo_s, rto_s,
+                               lost_writes, restored_docs)
+federation.migrate             MigrationManager — class, object, source, source_zone,
+                               target, target_zone, version, epoch, duration_s
+federation.reject              FederationPlane — cls, object, origin, jurisdictions
+slo.alert                      SloEvaluator — cls, slo, severity, burn_long,
+                               burn_short, detail
+slo.resolve                    SloEvaluator — cls, slo, severity, burn_long,
+                               burn_short, detail
 scheduler.register             SchedulerPlane — worker, node
 scheduler.ready                SchedulerPlane — worker, node
 scheduler.install              SchedulerPlane — worker, cls
@@ -54,7 +67,7 @@ scheduler.rebind               SchedulerPlane — worker, moved, reason
 scheduler.draining             SchedulerPlane — worker
 scheduler.dead                 SchedulerPlane — worker, reason, requeued
 storage.query                  InvocationEngine.query_objects — cls, matched, scanned,
-                               index_used, plan
+                               index_used, plan, duration_s
 =============================  ======================================================
 
 A committed write is not an event: each one is a ``state.commit`` span
@@ -67,12 +80,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.monitoring.tracing import Tracer
-
-__all__ = ["PlatformEvent", "EventLog", "emit"]
+__all__ = ["PlatformEvent", "EventLog"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,9 +152,6 @@ class EventLog:
             if type is None or row[1] == type
         ]
 
-    def of_type(self, type: str) -> list[PlatformEvent]:
-        return self.events(type)
-
     def type_counts(self) -> dict[str, int]:
         """How many retained events of each type."""
         return dict(Counter(row[1] for row in self._rows))
@@ -165,17 +172,3 @@ class EventLog:
             scope = f" of type {type!r}" if type else ""
             return f"(no events{scope})"
         return "\n".join(event.render() for event in selected)
-
-
-def emit(
-    events: EventLog | None, tracer: Tracer | None, trace_id: str, type: str, /, **fields: Any
-) -> None:
-    """The single emission point for control-plane narration: record a
-    ``type`` event with ``fields`` and, when tracing is on, an
-    instantaneous span of the same name and fields under the synthetic
-    ``trace_id`` (``"qos"``, ``"resilience"``, ``"chaos"``, ...) — such
-    actions belong to the platform, not to one request's trace."""
-    if events is not None:
-        events.record(type, **fields)
-    if tracer is not None and tracer.enabled:
-        tracer.point(trace_id, type, **fields)

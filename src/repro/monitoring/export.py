@@ -5,7 +5,9 @@ Two consumable formats:
 * :func:`to_chrome_trace` / :func:`chrome_trace_json` — the Chrome
   ``trace_event`` JSON format, loadable in ``chrome://tracing`` or
   Perfetto.  Each span becomes a complete ("X") event; traces map to
-  thread lanes so concurrent invocations render side by side.
+  thread lanes so concurrent invocations render side by side.  Each
+  control-plane event becomes an instant ("i") event on its own lane,
+  so the platform's actions line up with the requests they affected.
 * :func:`summary_report` / :func:`format_summary` — an aggregate view:
   per-span-name latency breakdowns and control-plane event counts; the
   text form also prints every state section of an observability report
@@ -21,7 +23,7 @@ from repro.render import render
 from repro.stats import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.monitoring.events import EventLog
+    from repro.monitoring.events import EventLog, PlatformEvent
     from repro.monitoring.tracing import Span, Tracer
 
 __all__ = [
@@ -35,19 +37,23 @@ __all__ = [
 _US = 1_000_000.0  # trace_event timestamps are microseconds
 
 
-def to_chrome_trace(spans: "Iterable[Span]") -> dict[str, Any]:
-    """Convert spans into a Chrome ``trace_event`` document.
+def to_chrome_trace(
+    spans: "Iterable[Span]", events: "Iterable[PlatformEvent]" = ()
+) -> dict[str, Any]:
+    """Convert spans and event-log rows into a Chrome ``trace_event``
+    document.
 
     Every trace id gets its own ``tid`` lane under one ``pid``; span
     attributes travel in ``args`` together with the span/parent ids, so
-    the tree can be reconstructed from the export alone.
+    the tree can be reconstructed from the export alone.  Each event is
+    an instant ("i") on lane 0, its fields in ``args``.
     """
     lanes: dict[str, int] = {}
-    events: list[dict[str, Any]] = []
+    out: list[dict[str, Any]] = []
     for span in spans:
         tid = lanes.setdefault(span.trace_id, len(lanes) + 1)
         end = span.end if span.end is not None else span.start
-        events.append(
+        out.append(
             {
                 "name": span.name,
                 "cat": "oaas",
@@ -64,17 +70,38 @@ def to_chrome_trace(spans: "Iterable[Span]") -> dict[str, Any]:
                 },
             }
         )
+    for event in events:
+        out.append(
+            {
+                "name": event.type,
+                "cat": "event",
+                "ph": "i",
+                "ts": event.at * _US,
+                "pid": 1,
+                "tid": 0,
+                "args": dict(event.fields),
+            }
+        )
     return {
-        "traceEvents": events,
+        "traceEvents": out,
         "displayTimeUnit": "ms",
         "otherData": {"exporter": "repro.monitoring.export"},
     }
 
 
-def chrome_trace_json(tracer: "Tracer", trace_id: str | None = None, indent: int | None = None) -> str:
-    """Serialize a tracer's spans (or one trace) as trace_event JSON."""
-    spans = tracer.trace(trace_id) if trace_id is not None else tracer.spans()
-    return json.dumps(to_chrome_trace(spans), indent=indent, default=str)
+def chrome_trace_json(
+    tracer: "Tracer",
+    trace_id: str | None = None,
+    indent: int | None = None,
+    events: "EventLog | None" = None,
+) -> str:
+    """Serialize a tracer's spans as trace_event JSON: every retained
+    span and ``events``' rows, or one trace's spans alone."""
+    if trace_id is not None:
+        doc = to_chrome_trace(tracer.trace(trace_id))
+    else:
+        doc = to_chrome_trace(tracer.spans(), events.events() if events is not None else ())
+    return json.dumps(doc, indent=indent, default=str)
 
 
 def span_breakdown(spans: "Iterable[Span]") -> dict[str, dict[str, float]]:

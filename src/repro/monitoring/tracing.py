@@ -109,17 +109,6 @@ class Tracer:
         shape = self._shapes.setdefault(shape, shape)
         rows[index] = (shape, self.env.now, trace_id, start, parent, *opened.values())
 
-    def point(self, trace_id: str, name: str, /, **attrs: Any) -> None:
-        """Record a span that opens and closes now: a platform action
-        narrated under a synthetic trace id (``monitoring.events.emit``)."""
-        if not self.enabled:
-            return
-        self._next_id += 1
-        now = self.env.now
-        shape = (name, *attrs)
-        shape = self._shapes.setdefault(shape, shape)
-        self._rows.append((shape, now, trace_id, now, None, *attrs.values()))
-
     # -- queries -----------------------------------------------------------
 
     def _spans(self, keep: Callable[[tuple[Any, ...]], bool] | None = None) -> list[Span]:

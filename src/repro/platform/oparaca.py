@@ -214,7 +214,6 @@ class Oparaca:
                 self.env,
                 monitoring=self.monitoring,
                 events=self.events,
-                tracer=self.tracer,
                 config=self.config.qos,
             )
         self.durability: DurabilityPlane | None = None
@@ -225,7 +224,6 @@ class Oparaca:
                 self.object_store,
                 monitoring=self.monitoring,
                 events=self.events,
-                tracer=self.tracer,
                 config=self.config.durability,
             )
         self.scheduler_plane: SchedulerPlane | None = None
@@ -252,7 +250,6 @@ class Oparaca:
                 self.network,
                 self.crm,
                 events=self.events,
-                tracer=self.tracer,
                 config=self.config.federation,
             )
             self.crm.rank_placement = self.federation.planner.rank
@@ -612,12 +609,14 @@ class Oparaca:
     def export_chrome_trace(
         self, trace_id: str | None = None, path: str | Path | None = None
     ) -> str:
-        """Retained spans as Chrome ``trace_event`` JSON.
+        """Retained spans, and the event log's rows as instant events, as
+        Chrome ``trace_event`` JSON (with ``trace_id``: that trace's
+        spans alone).
 
         Load the result in ``chrome://tracing`` or Perfetto.  When
         ``path`` is given the JSON is also written there.
         """
-        text = chrome_trace_json(self.tracer, trace_id=trace_id, indent=2)
+        text = chrome_trace_json(self.tracer, trace_id=trace_id, indent=2, events=self.events)
         if path is not None:
             Path(path).write_text(text, encoding="utf-8")
         return text

@@ -25,7 +25,7 @@ from repro.qos.admission import AdmissionController, AdmissionDecision, TokenBuc
 from repro.qos.fairqueue import QueuedItem, WeightedFairQueue
 from repro.qos.plane import QosConfig, QosPlane
 from repro.qos.policy import DEFAULT_QOS_POLICY, QosPolicy
-from repro.qos.shedder import OverloadController, QOS_TRACE_ID
+from repro.qos.shedder import OverloadController
 
 __all__ = [
     "AdmissionController",
@@ -38,5 +38,4 @@ __all__ = [
     "QosPolicy",
     "DEFAULT_QOS_POLICY",
     "OverloadController",
-    "QOS_TRACE_ID",
 ]

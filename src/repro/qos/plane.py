@@ -30,13 +30,12 @@ from typing import Any, Callable
 from repro.errors import ValidationError
 from repro.model.nfr import NonFunctionalRequirements
 from repro.monitoring.collector import MonitoringSystem
-from repro.monitoring.events import EventLog, emit
-from repro.monitoring.tracing import Tracer
+from repro.monitoring.events import EventLog
 from repro.plane import Plane
 from repro.qos.admission import AdmissionController, AdmissionDecision
 from repro.qos.fairqueue import QueuedItem, WeightedFairQueue
 from repro.qos.policy import DEFAULT_QOS_POLICY, QosPolicy
-from repro.qos.shedder import OverloadController, QOS_TRACE_ID
+from repro.qos.shedder import OverloadController
 from repro.sim.kernel import Environment
 
 __all__ = ["QosConfig", "QosPlane"]
@@ -87,13 +86,11 @@ class QosPlane(Plane):
         env: Environment,
         monitoring: MonitoringSystem | None = None,
         events: EventLog | None = None,
-        tracer: Tracer | None = None,
         config: QosConfig | None = None,
     ) -> None:
         self.env = env
         self.monitoring = monitoring
         self.events = events
-        self.tracer = tracer
         self.config = config or QosConfig(enabled=True)
         self.admission = AdmissionController(
             env, concurrency_limit=self.config.concurrency_limit
@@ -177,16 +174,14 @@ class QosPlane(Plane):
         return decision
 
     def _emit_reject(self, decision: AdmissionDecision, path: str) -> None:
-        emit(
-            self.events,
-            self.tracer,
-            QOS_TRACE_ID,
-            "qos.reject",
-            cls=decision.cls,
-            reason=decision.reason,
-            path=path,
-            retry_after_s=round(decision.retry_after_s, 6),
-        )
+        if self.events is not None:
+            self.events.record(
+                "qos.reject",
+                cls=decision.cls,
+                reason=decision.reason,
+                path=path,
+                retry_after_s=round(decision.retry_after_s, 6),
+            )
 
     # -- fair queues -------------------------------------------------------
 
@@ -237,7 +232,6 @@ class QosPlane(Plane):
             on_shed=on_shed,
             monitoring=self.monitoring,
             events=self.events,
-            tracer=self.tracer,
             queue_depth_high=self.config.shed_queue_depth,
             check_interval_s=self.config.shed_check_interval_s,
         )

@@ -27,17 +27,12 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.monitoring.collector import MonitoringSystem
-from repro.monitoring.events import EventLog, emit
-from repro.monitoring.tracing import Tracer
+from repro.monitoring.events import EventLog
 from repro.qos.fairqueue import QueuedItem, WeightedFairQueue
 from repro.qos.policy import QosPolicy
 from repro.sim.kernel import Environment
 
-__all__ = ["OverloadController", "QOS_TRACE_ID"]
-
-#: Shed/admission spans share one synthetic trace (cf. ``"resilience"``):
-#: they are platform defence actions, not attributable to one request.
-QOS_TRACE_ID = "qos"
+__all__ = ["OverloadController"]
 
 #: A shed pass sheds down to this fraction of the trip depth.
 SHED_TARGET_FRACTION = 0.5
@@ -75,7 +70,6 @@ class OverloadController:
         on_shed: Callable[[QueuedItem], None] | None = None,
         monitoring: MonitoringSystem | None = None,
         events: EventLog | None = None,
-        tracer: Tracer | None = None,
         queue_depth_high: int = 256,
         target_fraction: float = SHED_TARGET_FRACTION,
         check_interval_s: float = 0.25,
@@ -98,7 +92,6 @@ class OverloadController:
         self.on_shed = on_shed
         self.monitoring = monitoring
         self.events = events
-        self.tracer = tracer
         self.queue_depth_high = queue_depth_high
         self.target_depth = int(queue_depth_high * target_fraction)
         self.check_interval_s = check_interval_s
@@ -206,7 +199,8 @@ class OverloadController:
         }
         if brownout:
             fields["brownout"] = ",".join(sorted(brownout))
-        emit(self.events, self.tracer, QOS_TRACE_ID, "qos.shed", **fields)
+        if self.events is not None:
+            self.events.record("qos.shed", **fields)
 
     def stats(self) -> dict[str, Any]:
         return {

@@ -3,8 +3,7 @@
 Each plan runs against a fresh seeded platform under a steady
 synchronous workload until ``plan.end_s + 2``; the capture pins every
 request's ``(now, ok, error_type)``, the rendered event log,
-``injector.stats()``, the ``nfr_report()`` rows and the spans of the
-``"chaos"`` trace.  The plans:
+``injector.stats()`` and the ``nfr_report()`` rows.  The plans:
 
 * the seven named plans (``ocli chaos --plan``) on the chaos-demo
   package — 3 nodes, seed 3, tracing and events on;
@@ -16,7 +15,7 @@ request's ``(now, ok, error_type)``, the rendered event log,
   3-zone federation.
 
 ``tests/test_chaos.py`` asserts each plan's capture equals this file, so
-a change that moves one chaos event, span or verdict fails there.  The
+a change that moves one chaos event or verdict fails there.  The
 capture is deterministic: run it under two ``PYTHONHASHSEED`` values and
 the files are identical.
 
@@ -34,7 +33,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.chaos import (
-    CHAOS_TRACE_ID,
     PLAN_NAMES,
     ColdStartStorm,
     FaultPlan,
@@ -232,10 +230,6 @@ def capture_plan(name: str) -> dict[str, Any]:
         "events": platform.events.render().splitlines(),
         "stats": injector.stats(),
         "nfr": [dataclasses.asdict(verdict) for verdict in platform.nfr_report()],
-        "spans": [
-            (span.name, span.start, span.end, span.attrs)
-            for span in platform.tracer.trace(CHAOS_TRACE_ID)
-        ],
     }
 
 

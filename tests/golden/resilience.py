@@ -12,8 +12,7 @@ platform with tracing and events on, and pins:
   ``stale_reads``, ``cas_conflicts``);
 * ``engine.breakers.snapshot()``;
 * each request's span tree as ``(name, start, end, attrs)`` — no span
-  ids — plus the spans recorded under no trace id and under the
-  ``"resilience"`` trace (breaker transitions).
+  ids — plus the spans recorded under no trace id.
 
 The scenarios:
 
@@ -51,7 +50,6 @@ from typing import Any, Callable
 
 from repro.chaos import FaultPlan, SlowPods
 from repro.invoker.request import InvocationRequest, InvocationResult
-from repro.invoker.resilience import RESILIENCE_TRACE_ID
 from repro.platform.oparaca import Oparaca
 
 from tests.helpers import make_platform
@@ -272,7 +270,6 @@ def capture_scenario(name: str) -> dict[str, Any]:
         "breakers": engine.breakers.snapshot(),
         "spans": [_spans(platform, trace_id) for trace_id in run.traces],
         "untraced_spans": _spans(platform, None),
-        "resilience_spans": _spans(platform, RESILIENCE_TRACE_ID),
     }
 
 

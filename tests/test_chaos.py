@@ -371,7 +371,7 @@ class TestDeterminism:
 
 class TestGoldenNarration:
     """Every pinned plan narrates exactly what ``tests/golden/chaos.json``
-    holds: requests, events, injector stats, NFR rows, chaos spans."""
+    holds: requests, events, injector stats, NFR rows."""
 
     @pytest.fixture(scope="class")
     def golden(self):

@@ -333,12 +333,12 @@ class TestSloEvaluator:
             obs.record_invocation(0.01, ok=i % 2 == 0)  # 50% bad vs 10% budget
         evaluator.evaluate(now=1.0)
         assert [a.slo for a in evaluator.firing()] == ["availability"]
-        assert len(events.of_type("slo.alert")) == 1
+        assert len(events.events("slo.alert")) == 1
         for _ in range(80):
             obs.record_invocation(0.01, ok=True)
         evaluator.evaluate(now=20.0)
         assert evaluator.firing() == []
-        assert len(events.of_type("slo.resolve")) == 1
+        assert len(events.events("slo.resolve")) == 1
         alert = evaluator.alerts[0]
         assert (alert.fired_at, alert.resolved_at) == (1.0, 20.0)
 
@@ -402,7 +402,7 @@ class TestSloEvaluator:
         # Already-judged recoveries are not re-alerted.
         evaluator.evaluate(now=2.0)
         assert len([a for a in evaluator.alerts if a.slo == "durability_rpo"]) == 1
-        assert len(events.of_type("slo.alert")) == 1
+        assert len(events.events("slo.alert")) == 1
 
     def test_watch_class_is_idempotent(self, env):
         evaluator, _monitoring, _events = _evaluator(env)

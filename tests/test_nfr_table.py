@@ -130,7 +130,7 @@ class TestOneJudge:
 class TestEnforcers:
     def test_unenforced_latency_is_named_at_deploy(self):
         platform = make_platform(LATENCY_YAML, {"t/work": (_work, 0.01)}, events_enabled=True)
-        [deploy] = platform.events.of_type("class.deploy")
+        [deploy] = platform.events.events("class.deploy")
         assert deploy.fields["unenforced"] == ["latency"]
         assert platform.crm.runtime("Api").enforcers == {"latency": None}
 
@@ -138,7 +138,7 @@ class TestEnforcers:
         handlers = {"t/work": (_work, 0.01)}
         qos = QosConfig(enabled=True)
         platform = make_platform(LATENCY_YAML, handlers, events_enabled=True, qos=qos)
-        [deploy] = platform.events.of_type("class.deploy")
+        [deploy] = platform.events.events("class.deploy")
         assert "unenforced" not in deploy.fields
         assert platform.crm.runtime("Api").enforcers == {"latency": "qos brownout/EDF"}
 

@@ -293,7 +293,7 @@ class TestEventLogReads:
         (event,) = log.events()
         event.fields["reason"] = "poison"
         event.fields["injected"] = True
-        (again,) = log.of_type("scheduler.dead")
+        (again,) = log.events("scheduler.dead")
         assert again.fields == {"worker": "worker-1", "reason": "crash", "requeued": 2}
         assert again.seq == event.seq == 1
 

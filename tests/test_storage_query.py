@@ -267,8 +267,9 @@ class TestGatewaySurface:
             events = platform.platform_events("storage.query")
             assert len(events) == 1
             assert events[0].fields["cls"] == "Image"
-            spans = [s for s in platform.tracer.spans() if s.name == "storage.query"]
-            assert len(spans) == 1
+            assert events[0].fields["duration_s"] >= 0
+            # The query is narrated once, as the event row above.
+            assert not platform.tracer.spans_named("storage.query")
         finally:
             platform.shutdown()
 

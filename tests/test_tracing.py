@@ -1,8 +1,13 @@
 """Tests for invocation tracing, the event log, and their exporters."""
 
 import json
+import re
 
 import pytest
+
+from repro.chaos import FaultPlan, NodeCrash, ZonePartition
+from repro.durability.plane import DurabilityConfig
+from repro.federation import FederationConfig, Zone
 
 from repro.monitoring.events import EventLog
 from repro.monitoring.export import (
@@ -18,9 +23,12 @@ from repro.monitoring.nfr_report import (
 )
 from repro.monitoring.tracing import Tracer
 from repro.platform.oparaca import Oparaca, PlatformConfig
+from repro.qos.plane import QosConfig
 from repro.sim.kernel import Environment
+from repro.storage.write_behind import FLUSH_TRACE_ID
 
 from tests.conftest import LISTING1_YAML, register_image_handlers
+from tests.helpers import make_platform
 
 
 @pytest.fixture
@@ -209,7 +217,7 @@ class TestGatewayTrace:
             s for s in platform.tracer.spans() if s.name.startswith("gateway ")
         ][0]
         assert cold[0].trace_id == gateway.trace_id
-        assert len(cold) == len(platform.events.of_type("faas.cold_start"))
+        assert len(cold) == len(platform.events.events("faas.cold_start"))
 
     def test_write_behind_flush_spans(self, observed_platform):
         platform = observed_platform
@@ -229,15 +237,23 @@ class TestChromeExport:
         platform.http("POST", f"/api/objects/{obj}/invokes/resize", {"width": 64})
         doc = json.loads(platform.export_chrome_trace())
         assert doc["displayTimeUnit"] == "ms"
-        events = doc["traceEvents"]
-        assert events
-        for event in events:
-            assert event["ph"] == "X"
-            assert event["ts"] >= 0 and event["dur"] >= 0
-            assert {"name", "cat", "pid", "tid", "args"} <= set(event)
-            assert "trace_id" in event["args"] and "span_id" in event["args"]
-        names = {e["name"].split(" ", 1)[0] for e in events}
+        exported = doc["traceEvents"]
+        assert {"name", "cat", "ph", "ts", "pid", "tid", "args"} <= set().union(*exported)
+        spans = [e for e in exported if e["ph"] == "X"]
+        instants = [e for e in exported if e["ph"] == "i"]
+        assert len(spans) + len(instants) == len(exported)
+        assert len(spans) == len(platform.tracer)
+        for span in spans:
+            assert span["ts"] >= 0 and span["dur"] >= 0
+            assert "trace_id" in span["args"] and "span_id" in span["args"]
+        names = {e["name"].split(" ", 1)[0] for e in spans}
         assert {"gateway", "invoke", "faas.execute"} <= names
+        # Every event row is one instant carrying its fields, in order.
+        rows = platform.events.events()
+        assert rows
+        assert [[e["name"], e["ts"], e["args"]] for e in instants] == json.loads(
+            json.dumps([(row.type, row.at * 1_000_000.0, row.fields) for row in rows])
+        )
 
     def test_export_single_trace_and_file(self, observed_platform, tmp_path):
         platform = observed_platform
@@ -268,6 +284,122 @@ class TestChromeExport:
         assert doc["traceEvents"][0]["dur"] == 0
 
 
+NARRATED_PACKAGE = """
+name: narrated
+classes:
+  - name: Sensor
+    qos: {latency: 20, availability: 0.99, throughput: 20}
+    constraint: {jurisdictions: [edge-a, region-a]}
+    keySpecs: [{name: n, type: INT, default: 0}]
+    functions: [{name: bump, image: f/bump}]
+  - name: Archive
+    qos: {availability: 0.99}
+    keySpecs: [{name: n, type: INT, default: 0}]
+    functions: [{name: bump, image: f/bump}]
+"""
+
+ZONES = (
+    Zone("edge-a", tier="edge", parent="region-a"),
+    Zone("region-a", tier="regional", parent="core"),
+    Zone("core", tier="core"),
+)
+
+
+def _bump(ctx):
+    ctx.state["n"] = int(ctx.state.get("n") or 0) + 1
+    return {"n": ctx.state["n"]}
+
+
+class TestOneNarration:
+    """A platform action is narrated once, as an event row; the tracer
+    holds requests' traces (and the write-behind flusher's) only."""
+
+    def test_every_plane_narrates_its_actions_once(self):
+        platform = make_platform(
+            NARRATED_PACKAGE,
+            {"f/bump": (_bump, 0.002)},
+            nodes=6,
+            seed=7,
+            regions=tuple(zone.name for zone in ZONES),
+            tracing_enabled=True,
+            events_enabled=True,
+            qos=QosConfig(enabled=True, shed_queue_depth=4, shed_check_interval_s=0.05),
+            durability=DurabilityConfig(enabled=True, default_interval_s=0.5),
+            federation=FederationConfig(enabled=True, zones=ZONES),
+        )
+        sensors = [platform.new_object("Sensor", object_id=f"s-{i}") for i in range(3)]
+        archives = [platform.new_object("Archive", object_id=f"a-{i}") for i in range(3)]
+        injector = platform.inject_chaos(
+            FaultPlan(
+                "narrated",
+                (
+                    ZonePartition(at=1.0, duration_s=2.0, zone="edge-a"),
+                    NodeCrash(at=3.5, duration_s=0.5, node="vm-3"),
+                ),
+            )
+        )
+        for tick in range(50):
+            for obj in sensors + archives:  # Sensor's 20 rps admits fewer
+                platform.http("POST", f"/api/objects/{obj}/invokes/bump", {})
+            if tick == 5:  # a backlog past the shed watermark
+                for _ in range(30):
+                    platform.invoke_async(archives[0], "bump")
+            platform.advance(0.1)
+        assert platform.http("GET", "/api/classes/Archive/objects?where=n>=0").status == 200
+        assert platform.http("POST", "/api/classes/Archive/restore", {}).status == 200
+        platform.migrate_object(archives[1], "core")
+        platform.advance(1.0)
+        platform.shutdown()
+
+        spans = platform.tracer.spans()
+        assert spans
+        assert all(
+            span.trace_id == FLUSH_TRACE_ID or re.fullmatch(r"req-\d+", span.trace_id)
+            for span in spans
+        )
+
+        counts = platform.events.type_counts()
+        events = platform.events.events
+        durability = platform.report("durability")
+        # Each action a plane counts is one event row of its type ...
+        assert counts["qos.reject"] == platform.gateway.rejected > 0
+        assert sum(e.fields["count"] for e in events("qos.shed")) == (
+            platform.qos.shedder.shed_total
+        ) > 0
+        assert counts["chaos.inject"] == injector.injected == 2
+        assert counts["chaos.recover"] == injector.recovered == 2
+        assert counts["resilience.retry"] == platform.engine.fault_retries > 0
+        assert counts["resilience.breaker_open"] == sum(
+            breaker.opens for breaker in platform.engine.breakers._breakers.values()
+        ) > 0
+        assert counts["durability.snapshot"] == durability["cuts_total"] > 0
+        restores = [e.fields["kind"] for e in events("durability.restore")]
+        assert restores.count("pit") == durability["restores_total"] == 1
+        assert restores.count("recovery") == durability["recoveries_total"] > 0
+        assert counts["federation.migrate"] == platform.federation.migration.migrations == 1
+        assert counts["storage.query"] == platform.store.query_ops == 1
+        # ... carrying the duration a span used to show ...
+        for type in ("durability.snapshot", "federation.migrate", "storage.query"):
+            assert all(e.fields["duration_s"] >= 0 for e in events(type))
+        assert all(
+            e.fields["duration_s"] > 0
+            for e in events("durability.restore")
+            if e.fields["kind"] == "pit"
+        )
+        # ... and never a span besides.  A retry's backoff stays a span:
+        # it is a wait inside the request's own trace.
+        narrated = {
+            type
+            for type in counts
+            if type.split(".")[0] in ("qos", "resilience", "chaos")
+            or type in ("durability.snapshot", "durability.restore")
+            or type in ("federation.migrate", "storage.query")
+        }
+        assert {span.name.split(" ")[0] for span in spans} & narrated == {
+            "resilience.retry"
+        }
+
+
 class TestEventLogUnit:
     def test_disabled_records_nothing(self):
         log = EventLog(Environment(), enabled=False)
@@ -282,7 +414,7 @@ class TestEventLogUnit:
         log.record("pod.ready", pod="p1", node="vm-0")
         assert len(log) == 2
         assert [e.type for e in log.events()] == ["pod.bind", "pod.ready"]
-        assert log.of_type("pod.ready")[0].at == 2.0
+        assert log.events("pod.ready")[0].at == 2.0
         assert log.type_counts() == {"pod.bind": 1, "pod.ready": 1}
         assert log.events()[0].to_dict()["pod"] == "p1"
 
@@ -315,8 +447,8 @@ class TestPlatformEvents:
         platform = observed_platform
         obj = platform.new_object("Image")
         platform.invoke(obj, "resize", {"width": 2})
-        assert platform.events.of_type("faas.cold_start")
-        ready = platform.events.of_type("pod.ready")
+        assert platform.events.events("faas.cold_start")
+        ready = platform.events.events("pod.ready")
         assert ready and all(e.fields["startup_s"] >= 0 for e in ready)
 
     def test_knative_autoscale_event_on_scale_down(self, observed_platform):
@@ -326,7 +458,7 @@ class TestPlatformEvents:
         # Idle past the scale-to-zero grace; the autoscaler must record
         # its decision when replicas actually change.
         platform.advance(120.0)
-        assert platform.events.of_type("autoscale.knative")
+        assert platform.events.events("autoscale.knative")
 
     def test_events_off_by_default(self, platform):
         obj = platform.new_object("Image")
