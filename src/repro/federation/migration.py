@@ -108,8 +108,18 @@ class MigrationManager:
                 yield self.network.transfer(source, target, doc_size_bytes(best))
             dht.complete_migration(key, target, best)
             runtime.router.refresh()
-        except BaseException:
+        except BaseException as exc:
             self.migrations_failed += 1
+            if self.events is not None:
+                self.events.record(
+                    "federation.migrate_failed",
+                    cls=runtime.cls,
+                    object=key,
+                    source=source,
+                    target=target,
+                    error=type(exc).__name__,
+                    duration_s=self.env.now - started,
+                )
             raise
         finally:
             dht.release_writes()

@@ -50,6 +50,8 @@ durability.restore             RestoreManager — cls, kind, plus kind-specific 
                                lost_writes, restored_docs)
 federation.migrate             MigrationManager — class, object, source, source_zone,
                                target, target_zone, version, epoch, duration_s
+federation.migrate_failed      MigrationManager — cls, object, source, target, error,
+                               duration_s
 federation.reject              FederationPlane — cls, object, origin, jurisdictions
 slo.alert                      SloEvaluator — cls, slo, severity, burn_long,
                                burn_short, detail

@@ -79,7 +79,7 @@ def to_chrome_trace(
                 "ts": event.at * _US,
                 "pid": 1,
                 "tid": 0,
-                "args": dict(event.fields),
+                "args": event.fields,
             }
         )
     return {

@@ -7,6 +7,7 @@ import pytest
 
 from repro.chaos import FaultPlan, NodeCrash, ZonePartition
 from repro.durability.plane import DurabilityConfig
+from repro.errors import UnknownObjectError
 from repro.federation import FederationConfig, Zone
 
 from repro.monitoring.events import EventLog
@@ -348,6 +349,8 @@ class TestOneNarration:
         assert platform.http("GET", "/api/classes/Archive/objects?where=n>=0").status == 200
         assert platform.http("POST", "/api/classes/Archive/restore", {}).status == 200
         platform.migrate_object(archives[1], "core")
+        with pytest.raises(UnknownObjectError):
+            platform.migrate_object("Archive~ghost", "core")
         platform.advance(1.0)
         platform.shutdown()
 
@@ -376,7 +379,11 @@ class TestOneNarration:
         restores = [e.fields["kind"] for e in events("durability.restore")]
         assert restores.count("pit") == durability["restores_total"] == 1
         assert restores.count("recovery") == durability["recoveries_total"] > 0
-        assert counts["federation.migrate"] == platform.federation.migration.migrations == 1
+        migration = platform.federation.migration
+        assert counts["federation.migrate"] == migration.migrations == 1
+        [failed] = events("federation.migrate_failed")
+        assert migration.migrations_failed == 1
+        assert failed.fields["error"] == "UnknownObjectError"
         assert counts["storage.query"] == platform.store.query_ops == 1
         # ... carrying the duration a span used to show ...
         for type in ("durability.snapshot", "federation.migrate", "storage.query"):
@@ -393,7 +400,8 @@ class TestOneNarration:
             for type in counts
             if type.split(".")[0] in ("qos", "resilience", "chaos")
             or type in ("durability.snapshot", "durability.restore")
-            or type in ("federation.migrate", "storage.query")
+            or type.startswith("federation.migrate")
+            or type == "storage.query"
         }
         assert {span.name.split(" ")[0] for span in spans} & narrated == {
             "resilience.retry"
